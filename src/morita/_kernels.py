@@ -1,131 +1,66 @@
-"""Closure kernels for multi-ideal fixpoints.
+"""The multi-ideal closure kernel.
 
-The multi-ideal closure is the innermost loop of tensor construction: every
-join in a tensor lattice is one closure call. Two interchangeable backends
-are provided:
+The closure is the innermost loop of tensor construction: every join in a
+tensor lattice is one closure call. A set of coordinate tuples is a Python
+int whose bit t is the tuple with flat index t, so unions, intersections
+and equality tests are single big-int operations.
 
-* ``numba`` - ``@njit``-compiled loops (default when numba is importable)
-* ``numpy`` - vectorised boolean array passes
-
-Set ``MORITA_PURE_NUMPY=1`` to force the numpy path. ``benchmarks/
-bench_kernels.py`` compares the two.
+``ACTIVE`` names the kernel in the environment stamp of ``perfbench/rep.py``;
+it keeps the value ``"numpy"`` so that stamps taken before and after the
+bit-packed kernel replaced the boolean array passes still compare.
 """
 
-import os
-
-import numpy as np
-
-_FORCE_NUMPY = os.environ.get("MORITA_PURE_NUMPY", "") not in ("", "0")
+ACTIVE = "numpy"
 
 
-# --- numpy backend -----------------------------------------------------------
+def close_ideal(bits, plan):
+    """Least multi-ideal containing the tuples of ``bits``, as an int.
 
-def _down_pass_np(dmask, below):
-    'Add every tuple below a member. below[s,t] iff s <= t componentwise.'
-    new = (below & dmask[None, :]).any(axis=1)
-    changed = bool((new & ~dmask).any())
-    dmask |= new
-    return changed
+    ``plan`` is ``(bottom, slots)``: ``bottom`` has the bits of every tuple
+    with a bottom coordinate, and each slot is ``(shifts, comb, covers,
+    triples)``. Slab x of a slot, ``(bits >> shifts[x]) & comb``, is the set
+    of tuples with x in that slot, moved to coordinate 0. ``covers`` lists
+    the pairs (x, c), c a lower cover of x, top-down, so one sweep makes
+    every slab contain the slabs above it; ``triples`` lists (x, y, x v y)
+    for the incomparable pairs, whose fiber joins the slab of x v y must
+    hold.
 
-
-def _fiber_pass_np(dmask, flat_idx, join):
-    'Close every fiber of one slot under binary joins. flat_idx is (n, rest).'
-    n = flat_idx.shape[0]
-    view = dmask[flat_idx]
-    changed = False
-    stable = False
-    while not stable:
-        stable = True
-        for x in range(n):
-            if not view[x].any():
-                continue
-            for y in range(x + 1, n):
-                j = join[x, y]
-                if j == x or j == y:
-                    continue
-                add = view[x] & view[y] & ~view[j]
-                if add.any():
-                    view[j] |= add
-                    stable = False
-                    changed = True
-    if changed:
-        dmask[flat_idx] = view
-    return changed
-
-
-_NUMPY_BACKEND = (_down_pass_np, _fiber_pass_np)
-
-
-# --- numba backend ------------------------------------------------------------
-
-_NUMBA_BACKEND = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _down_pass_nb(dmask, below):
-            t_count = dmask.shape[0]
-            changed = False
-            for t in range(t_count):
-                if not dmask[t]:
-                    continue
-                for s in range(t_count):
-                    if below[s, t] and not dmask[s]:
-                        dmask[s] = True
-                        changed = True
-            return changed
-
-        @njit(cache=True)
-        def _fiber_pass_nb(dmask, flat_idx, join):
-            n = flat_idx.shape[0]
-            rest = flat_idx.shape[1]
-            changed = False
-            stable = False
-            while not stable:
-                stable = True
-                for x in range(n):
-                    for y in range(x + 1, n):
-                        j = join[x, y]
-                        if j == x or j == y:
-                            continue
-                        for r in range(rest):
-                            if (dmask[flat_idx[x, r]] and dmask[flat_idx[y, r]]
-                                    and not dmask[flat_idx[j, r]]):
-                                dmask[flat_idx[j, r]] = True
-                                stable = False
-                                changed = True
-            return changed
-
-        _NUMBA_BACKEND = (_down_pass_nb, _fiber_pass_nb)
-    except ImportError:
-        _NUMBA_BACKEND = None
-
-
-def backends():
-    'Available backends by name; used by the equivalence tests and benchmark.'
-    out = {"numpy": _NUMPY_BACKEND}
-    if _NUMBA_BACKEND is not None:
-        out["numba"] = _NUMBA_BACKEND
-    return out
-
-
-ACTIVE = "numba" if _NUMBA_BACKEND is not None else "numpy"
-_down_pass, _fiber_pass = _NUMBA_BACKEND or _NUMPY_BACKEND
-
-
-def close_ideal(dmask, below, flat_idxs, joins, backend=None):
-    """Least multi-ideal containing the marked tuples, in place.
-
-    Alternates a downset pass with per-slot fiber join passes until stable.
-    ``dmask`` must already include the bottom mask (tuples with a bottom
-    coordinate); callers seed it that way.
+    One sweep per slot makes the set a down-set. Closing one slot under
+    joins and sweeping it again keeps a down-set a down-set, so only the
+    slots with triples are then closed in turn, until all are stable.
     """
-    down, fiber = backends()[backend] if backend else (_down_pass, _fiber_pass)
-    changed = True
-    while changed:
-        changed = down(dmask, below)
-        for flat_idx, join in zip(flat_idxs, joins):
-            if fiber(dmask, flat_idx, join):
-                changed = True
-    return dmask
+    bottom, slots = plan
+    bits |= bottom
+    for shifts, comb, covers, _ in slots:
+        slab = [(bits >> s) & comb for s in shifts]
+        for x, c in covers:
+            slab[c] |= slab[x]
+        for s, v in zip(shifts, slab):
+            bits |= v << s
+    slots = [slot for slot in slots if slot[3]]
+    k = len(slots)
+    stable = i = 0
+    while stable < k:
+        shifts, comb, covers, triples = slots[i]
+        slab = [(bits >> s) & comb for s in shifts]
+        grew = False
+        while True:
+            added = False
+            for x, y, j in triples:
+                add = slab[x] & slab[y] & ~slab[j]
+                if add:
+                    slab[j] |= add
+                    added = True
+            if not added:
+                break
+            grew = True
+            for x, c in covers:
+                slab[c] |= slab[x]
+        if grew:
+            for s, v in zip(shifts, slab):
+                bits |= v << s
+            stable = 1
+        else:
+            stable += 1
+        i = i + 1 if i + 1 < k else 0
+    return bits

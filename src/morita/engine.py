@@ -161,14 +161,14 @@ class MoritaContext:
 
     ``x`` is a bimodule over (A, B), ``y`` over (B, A); ``pair_xy`` lands in
     A and ``pair_yx`` in B. Contexts built from witnesses also carry the
-    two-fold tensors and the operator-class index maps for reuse.
+    two- and three-fold tensors and the operator-class index maps for reuse.
     """
 
     __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
-                 "t_xy", "t_yx", "idx_a", "idx_b")
+                 "t_xy", "t_yx", "txyx", "tyxy", "idx_a", "idx_b")
 
-    def __init__(self, a, b, x, y, pair_xy, pair_yx,
-                 t_xy=None, t_yx=None, idx_a=None, idx_b=None):
+    def __init__(self, a, b, x, y, pair_xy, pair_yx, t_xy=None, t_yx=None,
+                 txyx=None, tyxy=None, idx_a=None, idx_b=None):
         if x.left.quantale != a or x.right.quantale != b:
             raise DomainMismatch("X must be an (A, B)-bimodule")
         if y.left.quantale != b or y.right.quantale != a:
@@ -180,6 +180,7 @@ class MoritaContext:
         self.a, self.b, self.x, self.y = a, b, x, y
         self.pair_xy, self.pair_yx = pair_xy, pair_yx
         self.t_xy, self.t_yx = t_xy, t_yx
+        self.txyx, self.tyxy = txyx, tyxy
         self.idx_a, self.idx_b = idx_a, idx_b
 
     def __repr__(self):
@@ -359,7 +360,8 @@ def build_context_from_pair(w: MoritaPairWitness, *,
                                idx_b_vals[t_yx.elem_table])
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
-                        t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
+                        t_xy=t_xy, t_yx=t_yx, txyx=w.txyx, tyxy=w.tyxy,
+                        idx_a=idx_a, idx_b=idx_b)
     after = check_morita_context(ctx)
     if not after.ok:
         raise ConditionsFailed(after)
@@ -376,7 +378,7 @@ def extract_pair_from_context(ctx: MoritaContext, *,
     p_gen = ctx.x.left.act.T[ctx.pair_xy.values]
     q_gen = ctx.y.left.act.T[ctx.pair_yx.values]
     w = MoritaPairWitness.from_generators(ctx.x.carrier, ctx.y.carrier,
-                                          p_gen, q_gen)
+                                          p_gen, q_gen, ctx.txyx, ctx.tyxy)
     after = check_pair_conditions(w)
     if not after.ok:
         raise ContextInvalid(after)

@@ -98,9 +98,39 @@ class FiniteSupLattice:
                                 self.meet.copy(), self.bottom, self.top)
 
 
-def _row_index(rows):
-    'Map each distinct boolean row to its element, for lub/glb detection.'
-    return {rows[i].tobytes(): i for i in range(rows.shape[0])}
+def _words(rows):
+    'Boolean rows as little-endian 64-bit words: bit c of row i is rows[i, c].'
+    n = rows.shape[1]
+    packed = np.zeros((rows.shape[0], -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _least_bounds(up):
+    """Least common upper bounds for ``up[i]`` the up-set of element i.
+
+    Entry (i, j) is the least element of up(i) & up(j), or -1 if there is
+    none. Columns are visited in a linear extension, largest up-set first,
+    so the first common upper bound is a minimal one; it is the least one
+    exactly when its own up-set is the whole intersection. Rows are packed
+    into 64-bit words and taken a block at a time.
+    """
+    n = up.shape[0]
+    order = np.argsort(-up.sum(axis=1), kind="stable")
+    words = _words(up[:, order])
+    step = max(1, (1 << 15) // words.size)
+    out = np.empty((n, n), dtype=np.int64)
+    for a in range(0, n, step):     # rows a:a+step against columns a:
+        common = words[a:a + step, None, :] & words[None, a:, :]
+        first = (common != 0).argmax(axis=2)
+        w = np.take_along_axis(common, first[..., None], axis=2)[..., 0]
+        low = (w & (~w + np.uint64(1))).astype(np.float64)   # lowest set bit
+        cand = order[first * 64 + np.frexp(low)[1] - 1]
+        least = (words[cand] == common).all(axis=2) & (w != 0)
+        block = np.where(least, cand, -1)
+        out[a:a + step, a:] = block
+        out[a:, a:a + step] = block.T
+    return out
 
 
 def validate_lattice(leq, names=None) -> FiniteSupLattice:
@@ -131,13 +161,24 @@ def validate_lattice(leq, names=None) -> FiniteSupLattice:
         i, j = map(int, np.argwhere(both & ~np.eye(n, dtype=bool))[0])
         raise NotAPartialOrder(
             f"not antisymmetric: {names[i]} <= {names[j]} <= {names[i]}")
-    closure = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-    if (closure & ~leq).any():
-        i, j = map(int, np.argwhere(closure & ~leq)[0])
-        k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
-        raise NotAPartialOrder(
-            f"not transitive: {names[i]} <= {names[k]} <= {names[j]} "
-            f"but not {names[i]} <= {names[j]}")
+    # row i reaches the union of the rows of its up-set; bitwise, so no
+    # count can overflow, and a block of rows at a time
+    words = _words(leq)
+    step = max(1, (1 << 16) // words.size)
+    for a in range(0, n, step):
+        block = leq[a:a + step]
+        counts = block.sum(axis=1)          # >= 1: the order is reflexive
+        reach = np.bitwise_or.reduceat(words[np.nonzero(block)[1]],
+                                       np.cumsum(counts) - counts)
+        extra = reach & ~words[a:a + step]
+        if extra.any():
+            i = a + int(np.flatnonzero(extra.any(axis=1))[0])
+            over = np.unpackbits(extra[i - a].view(np.uint8), bitorder="little")
+            j = int(np.flatnonzero(over)[0])
+            k = int(np.flatnonzero(leq[i] & leq[:, j])[0])
+            raise NotAPartialOrder(
+                f"not transitive: {names[i]} <= {names[k]} <= {names[j]} "
+                f"but not {names[i]} <= {names[j]}")
 
     bottoms = np.flatnonzero(leq.all(axis=1))
     if len(bottoms) == 0:
@@ -147,33 +188,22 @@ def validate_lattice(leq, names=None) -> FiniteSupLattice:
                        (f"; minimal elements {pair[0]}, {pair[1]}" if pair else ""))
     bottom = int(bottoms[0])
 
-    up_of = _row_index(leq)
-    join = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        common_up = leq[i] & leq
-        for j in range(i, n):
-            u = up_of.get(common_up[j].tobytes())
-            if u is None:
-                raise MissingJoin(f"{names[i]} and {names[j]} have no join")
-            join[i, j] = join[j, i] = u
+    join = _least_bounds(leq)
+    if (join < 0).any():
+        i, j = map(int, np.argwhere(join < 0)[0])
+        raise MissingJoin(f"{names[i]} and {names[j]} have no join")
 
     tops = np.flatnonzero(leq.all(axis=0))
     if len(tops) == 0:
         raise NoTop("no greatest element")
     top = int(tops[0])
 
-    geq = np.ascontiguousarray(leq.T)
-    down_of = _row_index(geq)
-    meet = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        common_dn = geq[i] & geq
-        for j in range(i, n):
-            m = down_of.get(common_dn[j].tobytes())
-            if m is None:
-                raise MoritaError(
-                    f"internal: {names[i]} and {names[j]} have no meet "
-                    "despite bottom and joins")
-            meet[i, j] = meet[j, i] = m
+    meet = _least_bounds(np.ascontiguousarray(leq.T))
+    if (meet < 0).any():
+        i, j = map(int, np.argwhere(meet < 0)[0])
+        raise MoritaError(
+            f"internal: {names[i]} and {names[j]} have no meet "
+            "despite bottom and joins")
 
     return FiniteSupLattice(n, names, leq, join, meet, bottom, top)
 

@@ -16,7 +16,8 @@ import numpy as np
 from . import _kernels
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, ShapeMismatch, failure)
-from .lattice import FiniteSupLattice, SupMap, is_sup_map, validate_lattice
+from .lattice import (FiniteSupLattice, SupMap, _words, is_sup_map,
+                      validate_lattice)
 
 DEFAULT_TENSOR_CAP = 100_000
 
@@ -33,27 +34,77 @@ def _freeze(arr):
     return arr
 
 
+def _to_ints(rows):
+    'Bitsets of the rows of a boolean matrix: bit t is set iff row[t].'
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def _to_int(row):
+    return _to_ints(row[None])[0]
+
+
+def _to_rows(sets, tcount):
+    'Boolean rows, one per bitset, of length tcount.'
+    nbytes = max(1, (tcount + 7) // 8)
+    buf = b"".join(s.to_bytes(nbytes, "little") for s in sets)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(sets), nbytes)
+    return np.unpackbits(packed, axis=1, count=tcount,
+                         bitorder="little").astype(bool)
+
+
+def _subsets(rows):
+    'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
+    words = _words(rows)
+    outside = ~words
+    n = len(words)
+    leq = np.empty((n, n), dtype=bool)
+    step = max(1, (1 << 16) // words.size)
+    for a in range(0, n, step):
+        leq[a:a + step] = ~(words[a:a + step, None] & outside).any(axis=2)
+    return leq
+
+
+def _slot_plan(f, stride, comb):
+    'One slot of the closure plan; see ``_kernels.close_ideal``.'
+    strict = f.leq & ~np.eye(f.n, dtype=bool)
+    s = strict.astype(np.int32)
+    cover = strict & ((s @ s) == 0)            # cover[c, x]: c is covered by x
+    rank = f.leq.sum(axis=0)                   # size of the down-set
+    covers = tuple((int(x), int(c)) for x in np.argsort(-rank, kind="stable")
+                   for c in np.flatnonzero(cover[:, x]))
+    triples = sorted(((x, y, int(f.join[x, y])) for x in range(f.n)
+                      for y in range(x + 1, f.n)
+                      if not (f.leq[x, y] or f.leq[y, x])),
+                     key=lambda t: rank[t[2]])
+    return tuple(x * stride for x in range(f.n)), comb, covers, tuple(triples)
+
+
 class _Grid:
-    'Coordinate-grid scaffolding: tuple order, bottom mask, fiber indexing.'
+    """Coordinate-grid scaffolding: tuple order, bottom tuples, closure plan.
+
+    Sets of tuples are ints with bit t for the tuple of flat index t.
+    """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.sizes = tuple(f.n for f in self.factors)
         self.tcount = int(np.prod(self.sizes))
-        self.coords = np.unravel_index(np.arange(self.tcount), self.sizes)
+        coords = np.unravel_index(np.arange(self.tcount), self.sizes)
         below = np.ones((self.tcount, self.tcount), dtype=bool)
         bottom = np.zeros(self.tcount, dtype=bool)
-        for i, f in enumerate(self.factors):
-            ci = self.coords[i]
+        for ci, f in zip(coords, self.factors):
             below &= f.leq[ci][:, ci]
             bottom |= ci == f.bottom
-        self.below = _freeze(below)
-        self.bottom_mask = _freeze(bottom)
-        grid = np.arange(self.tcount).reshape(self.sizes)
-        self.flat_idxs = tuple(
-            np.ascontiguousarray(np.moveaxis(grid, i, 0).reshape(s, -1))
-            for i, s in enumerate(self.sizes))
-        self.joins = tuple(f.join for f in self.factors)
+        self.bottom = _to_int(bottom)
+        # elems[t]: the elementary tensor of tuple t, its box and the bottom;
+        # above[t]: the tuples strictly above t
+        self.elems = _to_ints(below.T | bottom)
+        self.above = _to_ints(below & ~np.eye(self.tcount, dtype=bool))
+        strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
+        self.plan = (self.bottom, tuple(
+            _slot_plan(f, int(st), _to_int(ci == 0))
+            for ci, f, st in zip(coords, self.factors, strides)))
 
     def ravel(self, coords):
         if len(coords) != len(self.sizes):
@@ -64,49 +115,55 @@ class _Grid:
                 raise DomainMismatch(f"coordinate {c} outside factor of size {f.n}")
         return int(np.ravel_multi_index(tuple(int(c) for c in coords), self.sizes))
 
-    def close(self, mask):
-        'Least multi-ideal containing the masked tuples (fresh array).'
-        dmask = mask | self.bottom_mask
-        _kernels.close_ideal(dmask, self.below, self.flat_idxs, self.joins)
-        return dmask
+    def close(self, bits):
+        'Least multi-ideal containing the tuples of a bitset.'
+        return _kernels.close_ideal(bits, self.plan)
 
-    def elem_bits(self, coords):
-        'Closure of a single tuple: its box union the bottom tuples.'
-        box = np.ones(self.tcount, dtype=bool)
-        for i, f in enumerate(self.factors):
-            box &= f.leq[self.coords[i], int(coords[i])]
-        return box | self.bottom_mask
+    def _tuples(self, flat):
+        per = np.unravel_index(np.asarray(flat, dtype=np.intp), self.sizes)
+        return [tuple(int(a[k]) for a in per) for k in range(len(flat))]
 
     def tuples_of(self, mask):
-        flat = np.flatnonzero(mask)
-        per = np.unravel_index(flat, self.sizes)
-        return [tuple(int(a[k]) for a in per) for k in range(len(flat))]
+        return self._tuples(np.flatnonzero(mask))
+
+    def maximal(self, bits):
+        'Flat indices of the maximal tuples of a set without bottom coordinates.'
+        out = []
+        rest = bits & ~self.bottom
+        while rest:
+            low = rest & -rest
+            t = low.bit_length() - 1
+            if not bits & self.above[t]:
+                out.append(t)
+            rest ^= low
+        return out
 
 
 def multi_ideal_closure(factors, tuples):
     'The least multi-ideal containing the given tuples, as a frozenset.'
     g = _Grid(factors)
-    mask = np.zeros(g.tcount, dtype=bool)
+    bits = 0
     for t in tuples:
-        mask[g.ravel(t)] = True
-    return frozenset(g.tuples_of(g.close(mask)))
+        bits |= 1 << g.ravel(t)
+    return frozenset(g.tuples_of(_to_rows([g.close(bits)], g.tcount)[0]))
 
 
 class MultiTensorLattice:
     """A computed tensor product.
 
     ``lattice`` is the tensor as a plain lattice; ``bits[i]`` is the tuple
-    mask of element i; ``elem_table`` maps coordinate tuples to the index of
-    their elementary tensor.
+    mask of element i and ``sets[i]`` the same set as an int; ``elem_table``
+    maps coordinate tuples to the index of their elementary tensor.
     """
 
-    def __init__(self, factors, grid, lattice, bits, elem_table):
+    def __init__(self, factors, grid, lattice, sets, bits, elem_table):
         self.factors = tuple(factors)
         self.grid = grid
         self.lattice = lattice
+        self.sets = tuple(sets)
         self.bits = _freeze(bits)
         self.elem_table = _freeze(elem_table)
-        self._index = {bits[i].tobytes(): i for i in range(bits.shape[0])}
+        self._index = {s: i for i, s in enumerate(self.sets)}
 
     @property
     def n(self):
@@ -116,8 +173,9 @@ class MultiTensorLattice:
         'Index of the elementary tensor of a coordinate tuple.'
         return int(self.elem_table[tuple(int(c) for c in coords)])
 
-    def index_of(self, mask):
-        i = self._index.get(mask.tobytes())
+    def index_of(self, bits):
+        'Index of the element whose tuple set is the bitset ``bits``.'
+        i = self._index.get(bits)
         if i is None:
             raise MoritaError("internal: mask is not a multi-ideal of this tensor")
         return i
@@ -127,47 +185,36 @@ class MultiTensorLattice:
 
     def maximal_tuples(self, i):
         'Maximal tuples without bottom coordinates; they generate element i.'
-        nb = np.flatnonzero(self.bits[i] & ~self.grid.bottom_mask)
-        if len(nb) == 0:
-            return []
-        strict = self.grid.below[np.ix_(nb, nb)] & ~np.eye(len(nb), dtype=bool)
-        keep = nb[~strict.any(axis=1)]
-        per = np.unravel_index(keep, self.grid.sizes)
-        return [tuple(int(a[k]) for a in per) for k in range(len(keep))]
+        return self.grid._tuples(self.grid.maximal(self.sets[i]))
 
     def __repr__(self):
         shape = " x ".join(str(f.n) for f in self.factors)
         return f"MultiTensorLattice({shape} -> {self.n} elements)"
 
 
-def _tensor_names(bits, grid, factors):
+def _tensor_names(sets, grid, factors):
     'Readable names from maximal generating tuples, index fallback beyond two.'
     names = []
-    for i in range(bits.shape[0]):
-        nb = np.flatnonzero(bits[i] & ~grid.bottom_mask)
-        if len(nb) == 0:
+    for i, bits in enumerate(sets):
+        keep = grid._tuples(grid.maximal(bits))
+        if not keep:
             names.append("0")
-            continue
-        strict = grid.below[np.ix_(nb, nb)] & ~np.eye(len(nb), dtype=bool)
-        keep = nb[~strict.any(axis=1)]
-        if len(keep) > 2:
+        elif len(keep) > 2:
             names.append(f"t{i}")
-            continue
-        per = np.unravel_index(keep, grid.sizes)
-        parts = []
-        for k in range(len(keep)):
-            parts.append("⊗".join(
-                factors[s].names[int(per[s][k])] for s in range(len(factors))))
-        names.append("∨".join(parts))
+        else:
+            names.append("∨".join(
+                "⊗".join(f.names[c] for f, c in zip(factors, t)) for t in keep))
     return names
 
 
 def tensor_product(*factors, cap=None) -> MultiTensorLattice:
     """Build the tensor of two or more lattices.
 
-    Enumerates multi-ideals by closing the elementary tensors under binary
-    joins (closure of unions). Raises ResourceLimit beyond ``cap`` elements;
-    the default cap is 100000, overridable via MORITA_MAX_TENSOR.
+    Enumerates multi-ideals breadth first from the bottom, joining on the
+    elementary tensors of join-irreducible coordinates: those join-generate
+    the tensor, since x1 (x) ... (x) xk distributes over joins in each slot.
+    Raises ResourceLimit when there are more than ``cap`` elements; the
+    default cap is 100000, overridable via MORITA_MAX_TENSOR.
     """
     if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
         factors = tuple(factors[0])
@@ -178,48 +225,38 @@ def tensor_product(*factors, cap=None) -> MultiTensorLattice:
     cap = _tensor_cap(cap)
     g = _Grid(factors)
 
-    gens = {}
-    for flat in range(g.tcount):
-        coords = tuple(int(a[flat]) for a in g.coords)
-        b = g.elem_bits(coords)
-        gens.setdefault(b.tobytes(), b)
-    gen_list = list(gens.values())
-
-    elements = dict(gens)
-    queue = list(gen_list)
+    irr = np.ix_(*(f.join_irreducibles() for f in factors))
+    flat = np.arange(g.tcount).reshape(g.sizes)[irr].reshape(-1)
+    gens = [g.elems[t] for t in flat]
+    queue = [g.bottom] + gens
+    seen = set(queue)
     qi = 0
     while qi < len(queue):
+        if len(queue) > cap:
+            raise ResourceLimit(
+                f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
         cur = queue[qi]
         qi += 1
-        for gb in gen_list:
-            if not (gb & ~cur).any():
-                continue
-            closed = g.close(cur | gb)
-            key = closed.tobytes()
-            if key not in elements:
-                if len(elements) >= cap:
-                    raise ResourceLimit(
-                        f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
-                elements[key] = closed
-                queue.append(closed)
+        for gb in gens:
+            if gb & ~cur:
+                closed = _kernels.close_ideal(cur | gb, g.plan)
+                if closed not in seen:
+                    seen.add(closed)
+                    queue.append(closed)
 
-    order = sorted(elements.values(), key=lambda b: (int(b.sum()), b.tobytes()))
-    bits = np.array(order)
-    n = bits.shape[0]
+    # order by size, then by the tuple rows read as 0/1 strings
+    rows = _to_rows(queue, g.tcount)
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    sets = [queue[k] for k in order]
+    bits = rows[order]
 
-    a = bits.astype(np.int32)
-    leq = (a @ (1 - a).T) == 0   # subset relation
-    names = _tensor_names(bits, g, factors)
-    lattice = validate_lattice(leq, names)
+    names = _tensor_names(sets, g, factors)
+    lattice = validate_lattice(_subsets(bits), names)
 
-    index = {order[i].tobytes(): i for i in range(n)}
-    elem_table = np.empty(g.sizes, dtype=np.int64)
-    flat_table = elem_table.reshape(-1)
-    for flat in range(g.tcount):
-        coords = tuple(int(a[flat]) for a in g.coords)
-        flat_table[flat] = index[g.elem_bits(coords).tobytes()]
-
-    return MultiTensorLattice(factors, g, lattice, bits, elem_table)
+    index = {s: i for i, s in enumerate(sets)}
+    elem_table = np.array([index[e] for e in g.elems],
+                          dtype=np.int64).reshape(g.sizes)
+    return MultiTensorLattice(factors, g, lattice, sets, bits, elem_table)
 
 
 def elem_tensor(tensor: MultiTensorLattice, coords):
@@ -339,8 +376,8 @@ def splice(tensor: MultiTensorLattice, sub: MultiTensorLattice, sub_element,
     fixed = tuple(int(c) for c in fixed)
     if len(fixed) != len(tensor.factors) - k:
         raise DomainMismatch(f"expected {len(tensor.factors) - k} fixed coordinates")
-    mask = np.zeros(tensor.grid.tcount, dtype=bool)
+    bits = 0
     pre, post = fixed[:pos], fixed[pos:]
     for t in sub.tuples_of(sub_element):
-        mask[tensor.grid.ravel(pre + t + post)] = True
-    return tensor.index_of(tensor.grid.close(mask))
+        bits |= 1 << tensor.grid.ravel(pre + t + post)
+    return tensor.index_of(tensor.grid.close(bits))

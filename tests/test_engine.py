@@ -109,6 +109,17 @@ def test_roundtrip_reproduces_tables_exactly():
         assert np.array_equal(back.q_gen, w.q_gen)
 
 
+def test_extraction_reuses_the_context_tensors():
+    w = meet_witness(chain(3))
+    ctx = build_context_from_pair(w)
+    assert ctx.txyx is w.txyx and ctx.tyxy is w.tyxy
+    back = extract_pair_from_context(ctx)
+    assert back.txyx is w.txyx and back.tyxy is w.tyxy
+    bare = MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, ctx.pair_xy, ctx.pair_yx)
+    rebuilt = extract_pair_from_context(bare)
+    assert rebuilt.txyx is not w.txyx and rebuilt == back
+
+
 def test_witness_equality_and_hash():
     a, b = meet_witness(chain(3)), meet_witness(chain(3))
     assert a == b and hash(a) == hash(b)

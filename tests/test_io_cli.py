@@ -246,6 +246,18 @@ def test_cli_tensor_cap(workdir, monkeypatch):
     assert code == 2
 
 
+def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
+    mio.write_lattice(workdir / "c4.lat", chain(4))
+    args = ["tensor"] + [str(workdir / "c4.lat")] * 3 + ["-o", str(workdir / "t.lat")]
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "979")
+    assert cli.main(args) == 2
+    assert ("error: tensor exceeds 979 elements; raise MORITA_MAX_TENSOR"
+            in capsys.readouterr().err)
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "980")
+    assert cli.main(args) == 0
+    assert mio.read_lattice(workdir / "t.lat").n == 980
+
+
 def test_cli_endo(workdir, capsys):
     assert cli.main(["endo", str(workdir / "c2.lat"),
                      "-o", str(workdir / "q.qnt")]) == 0

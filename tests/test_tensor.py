@@ -159,6 +159,17 @@ def test_tensor_cap(monkeypatch):
     assert tensor_product(chain(3), chain(3)).n == 6
 
 
+def test_tensor_cap_fires_just_past_the_size():
+    # the BFS is seeded with irreducible elementary tensors only; the cap
+    # still counts every element, so a cap equal to the size passes
+    for factors, n in (((chain(4),) * 3, 980), ((diamond(),) * 3, 256)):
+        assert tensor_product(*factors, cap=n).n == n
+        with pytest.raises(ResourceLimit, match=f"exceeds {n - 1} elements"):
+            tensor_product(*factors, cap=n - 1)
+    with pytest.raises(ResourceLimit):
+        tensor_product(chain(2), chain(2), cap=1)
+
+
 def test_splice_of_elementary_is_elementary():
     x, y = chain(2), chain(3)
     t3 = tensor_product(x, y, x)
