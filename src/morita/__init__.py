@@ -8,8 +8,8 @@ an exhaustive small-scale census plus text formats and a CLI
 (census, io, cli).
 """
 
-from .census import (CensusRecord, CensusTask, enumerate_multimorphisms,
-                     enumerate_trimorphisms, run_census)
+from .census import (CensusRecord, CensusTask, enumerate_trimorphisms,
+                     run_census)
 from .engine import (ImprimitivityBimodule, InvolutiveWitness, MoritaContext,
                      MoritaPairWitness, as_pair_witness,
                      build_context_from_pair, build_involutive_context,
@@ -28,8 +28,7 @@ from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      NotWellDefined, NoTop, ResourceLimit, ShapeMismatch,
                      StarNotWellDefined, Verdict)
 from .lattice import (FiniteSupLattice, SupMap, as_sup_map, chain, diamond,
-                      enumerate_sup_maps, is_sup_map, join_closure, m3, n5,
-                      validate_lattice)
+                      is_sup_map, join_closure, m3, n5, validate_lattice)
 from .modules import (Bimodule, ModuleAction, check_bimodule, check_module,
                       conjugate_bimodule, essential_part, is_m_regular,
                       is_separated, regular_bimodule)
@@ -38,8 +37,8 @@ from .quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
                        endo_quantale, image_subquantale,
                        is_quantale_involution)
 from .tensor import (Multimorphism, MultiTensorLattice, as_multimorphism,
-                     elem_tensor, is_multimorphism, lift_multimorphism,
-                     multi_ideal_closure, restrict_to_elementaries,
-                     tensor_product)
+                     enumerate_multimorphisms, is_multimorphism,
+                     lift_multimorphism, multi_ideal_closure,
+                     restrict_to_elementaries, tensor_product)
 
 __version__ = "0.1.0"

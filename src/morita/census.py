@@ -1,13 +1,13 @@
 """Exhaustive search for Morita pair witnesses over small lattices.
 
-Candidate maps are enumerated by assigning values on tuples of
-join-irreducibles and extending by joins; the extension is verified
-slotwise afterwards, because on non-distributive factors a monotone
-assignment need not extend to a multimorphism. Surviving candidates are
-filtered through the pair conditions, deduplicated by witness isomorphism
-(automorphism orbits of the canonical lattice representatives), re-verified
-end to end, and emitted in a deterministic sorted order independent of the
-worker count.
+Candidate maps come from ``tensor.enumerate_multimorphisms``, which
+assigns values on tuples of join-irreducibles and extends by joins; the
+extension is verified slotwise afterwards, because on non-distributive
+factors a monotone assignment need not extend to a multimorphism. Surviving
+candidates are filtered through the pair conditions, deduplicated by
+witness isomorphism (automorphism orbits of the canonical lattice
+representatives), re-verified end to end, and emitted in a deterministic
+sorted order independent of the worker count.
 """
 
 import itertools
@@ -26,71 +26,11 @@ from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .lattice import conjugate_lattice, join_closure, validate_lattice
-from .tensor import Multimorphism, is_multimorphism, tensor_product
+from .tensor import (Multimorphism, enumerate_multimorphisms,
+                     is_multimorphism, tensor_product)
 
 
 # --- candidate enumeration ----------------------------------------------------------
-
-def enumerate_multimorphisms(factors, target, cap=None):
-    """Yield every slotwise-join-preserving map factors -> target, once each.
-
-    Walks monotone assignments on tuples of join-irreducibles in a linear
-    extension of the product order (join_irreducibles is sorted by downset
-    size, so lex order over position tuples works), extends to full tables
-    by joins, and keeps the extensions that verify.
-    """
-    factors = tuple(factors)
-    irrs = [f.join_irreducibles() for f in factors]
-    cells = list(itertools.product(*[range(len(ir)) for ir in irrs]))
-    cell_index = {c: i for i, c in enumerate(cells)}
-    cell_below = []
-    for t, c in enumerate(cells):
-        cell_below.append([s for s in range(t) if all(
-            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
-            for i in range(len(factors)))])
-
-    below_pos = []
-    for f, ir in zip(factors, irrs):
-        pos = {v: i for i, v in enumerate(ir)}
-        below_pos.append([[pos[j] for j in js] for js in f.irreducibles_below()])
-
-    shape = tuple(f.n for f in factors)
-    join = target.join
-    bottom = target.bottom
-    assign = [bottom] * len(cells)
-    found = 0
-
-    def extend():
-        table = np.empty(shape, dtype=np.int64)
-        for t in itertools.product(*[range(s) for s in shape]):
-            v = bottom
-            for cell in itertools.product(*[below_pos[i][t[i]]
-                                            for i in range(len(factors))]):
-                v = join[v, assign[cell_index[cell]]]
-            table[t] = v
-        return table
-
-    def rec(t):
-        nonlocal found
-        if t == len(cells):
-            f = Multimorphism(factors, target, extend())
-            if is_multimorphism(f):
-                if cap is not None and found >= cap:
-                    raise ResourceLimit(
-                        f"more than {cap} multimorphisms in one space")
-                found += 1
-                yield f
-            return
-        lb = bottom
-        for s in cell_below[t]:
-            lb = join[lb, assign[s]]
-        for v in range(target.n):
-            if target.leq[lb, v]:
-                assign[t] = v
-                yield from rec(t + 1)
-
-    yield from rec(0)
-
 
 def enumerate_trimorphisms(x1, x2, x3, z, *, surjective=False, cap=None):
     'Three-slot multimorphisms, optionally filtered by lift surjectivity.'

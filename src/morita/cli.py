@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a check failed (report printed),
-2 malformed input or resource limit.
+2 malformed input, resource limit, or a file that cannot be written.
 """
 
 import argparse
@@ -230,7 +230,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except MoritaError as e:
+    except (MoritaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

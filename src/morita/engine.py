@@ -97,14 +97,23 @@ def _surjective_by_generators(lat, table, label):
                    f"image join-closure has {len(closed)} of {lat.n} elements")
 
 
+def _chain_axes(x, y):
+    """Index grids for the five slots (x1, y1, x2, y2, x3) of a chain.
+
+    Spelled out rather than np.ix_, which takes four times as long; the
+    census pair search builds these twice per candidate pair.
+    """
+    nx, ny = x.n, y.n
+    return (np.arange(nx).reshape(nx, 1, 1, 1, 1),
+            np.arange(ny).reshape(1, ny, 1, 1, 1),
+            np.arange(nx).reshape(1, 1, nx, 1, 1),
+            np.arange(ny).reshape(1, 1, 1, ny, 1),
+            np.arange(nx).reshape(1, 1, 1, 1, nx))
+
+
 def _assoc_chain(p_gen, q_gen, x, y, label):
     'p(p(x1,y1,x2),y2,x3) = p(x1,q(y1,x2,y2),x3) = p(x1,y1,p(x2,y2,x3)).'
-    nx, ny = x.n, y.n
-    x1 = np.arange(nx).reshape(nx, 1, 1, 1, 1)
-    y1 = np.arange(ny).reshape(1, ny, 1, 1, 1)
-    x2 = np.arange(nx).reshape(1, 1, nx, 1, 1)
-    y2 = np.arange(ny).reshape(1, 1, 1, ny, 1)
-    x3 = np.arange(nx).reshape(1, 1, 1, 1, nx)
+    x1, y1, x2, y2, x3 = _chain_axes(x, y)
     left = p_gen[p_gen[x1, y1, x2], y2, x3]
     mid = p_gen[x1, q_gen[y1, x2, y2], x3]
     right = p_gen[x1, y1, p_gen[x2, y2, x3]]
@@ -268,16 +277,19 @@ def check_morita_context(ctx: MoritaContext) -> ConditionReport:
     return rep
 
 
+def _curried(big, part, pos, lat, values):
+    """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
+    ``pos``, with v from ``lat`` in the remaining slot."""
+    return np.array([[values[splice(big, part, e, pos, (v,))]
+                      for v in range(lat.n)] for e in range(part.n)],
+                    dtype=np.int64)
+
+
 def _operator_family(witness_tensor, part_tensor, pos, fixed_lat, p_values, endo):
     'The family e -> (x -> p(e spliced at pos, x fixed)) as a SupMap into Q.'
-    rows = []
-    for e in range(part_tensor.n):
-        rows.append(tuple(
-            int(p_values[splice(witness_tensor, part_tensor, e, pos,
-                                (fx,))])
-            for fx in range(fixed_lat.n)))
+    rows = _curried(witness_tensor, part_tensor, pos, fixed_lat, p_values)
     try:
-        idx = tuple(endo.index[r] for r in rows)
+        idx = tuple(endo.index[tuple(r)] for r in rows.tolist())
     except KeyError:
         raise MoritaError("internal: a curried operator fails to preserve joins")
     fam = SupMap(part_tensor.lattice, endo.carrier, idx)
@@ -291,25 +303,21 @@ def _classwise_action(witness_tensor, part_tensor, pos, fixed_lat, p_values,
                       idx_map, quant, side_label):
     """Action table of operator classes via representatives, checked for
     well-definedness across each class."""
+    table = _curried(witness_tensor, part_tensor, pos, fixed_lat, p_values)
     classes = defaultdict(list)
     for e, c in enumerate(idx_map.values):
         classes[c].append(e)
     act = np.empty((fixed_lat.n, quant.n), dtype=np.int64)
     for c, members in classes.items():
-        first = None
-        for e in members:
-            col = tuple(
-                int(p_values[splice(witness_tensor, part_tensor, e, pos, (fx,))])
-                for fx in range(fixed_lat.n))
-            if first is None:
-                first = col
-                act[:, c] = col
-            elif col != first:
-                names = part_tensor.lattice.names
-                raise NotWellDefined(
-                    f"{side_label} differs across a class: tensor elements "
-                    f"{names[members[0]]} and {names[e]} act equally on one "
-                    "side but not the other")
+        rows = table[members]
+        bad = np.flatnonzero((rows != rows[0]).any(axis=1))
+        if len(bad):
+            names = part_tensor.lattice.names
+            raise NotWellDefined(
+                f"{side_label} differs across a class: tensor elements "
+                f"{names[members[0]]} and {names[members[bad[0]]]} act "
+                "equally on one side but not the other")
+        act[:, c] = rows[0]
     return act
 
 
@@ -394,19 +402,17 @@ def _lifted_chain_side(t5, inner_gen, outer: SupMap):
     return outer.compose(lifted).values
 
 
-def _full_assoc(w, p_gen, q_gen, first, label):
-    'Compare the three nested composites on every element of a 5-fold tensor.'
-    if first:
-        x, y, t3, p = w.x, w.y, w.txyx, w.p
-    else:
-        x, y, t3, p = w.y, w.x, w.tyxy, w.q
+def _full_surjective(values, lat, label):
+    if set(map(int, values)) == set(range(lat.n)):
+        return PASS
+    return failure(label, (), "not onto over tensor elements")
+
+
+def _full_assoc(x, y, t3, p, p_gen, q_gen, label):
+    """Compare the three nested composites of the chain on every element of
+    X(x)Y(x)X(x)Y(x)X; ``t3`` is X(x)Y(x)X, the domain of ``p``."""
     t5 = tensor_product(x, y, x, y, x)
-    nx, ny = x.n, y.n
-    x1 = np.arange(nx).reshape(nx, 1, 1, 1, 1)
-    y1 = np.arange(ny).reshape(1, ny, 1, 1, 1)
-    x2 = np.arange(nx).reshape(1, 1, nx, 1, 1)
-    y2 = np.arange(ny).reshape(1, 1, 1, ny, 1)
-    x3 = np.arange(nx).reshape(1, 1, 1, 1, nx)
+    x1, y1, x2, y2, x3 = _chain_axes(x, y)
     et = t3.elem_table
     b = np.broadcast_arrays
     left = et[tuple(b(p_gen[x1, y1, x2], y2, x3))]
@@ -423,19 +429,6 @@ def _full_assoc(w, p_gen, q_gen, first, label):
     return PASS
 
 
-def _full_distinct(table, axis0, lat, label):
-    'Distinctness of curried maps quantified over partial-tensor elements.'
-    seen = {}
-    arr = table if axis0 else table.T
-    for v in range(lat.n):
-        key = arr[v].tobytes()
-        if key in seen:
-            return failure(label, (lat.names[seen[key]], lat.names[v]),
-                           "identical on every partial-tensor element")
-        seen[key] = v
-    return PASS
-
-
 def check_pair_conditions_full(w: MoritaPairWitness) -> ConditionReport:
     """Conditions 1-6 quantified over whole tensor elements.
 
@@ -445,40 +438,23 @@ def check_pair_conditions_full(w: MoritaPairWitness) -> ConditionReport:
     the separation conditions). Exponentially heavier; small inputs only.
     """
     x, y = w.x, w.y
+    t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
     p_values = np.asarray(w.p.values)
     q_values = np.asarray(w.q.values)
     rep = ConditionReport()
-
-    rep.add("p-surjective", PASS if set(map(int, p_values)) == set(range(x.n))
-            else failure("p-surjective", (), "not onto over tensor elements"))
-    rep.add("q-surjective", PASS if set(map(int, q_values)) == set(range(y.n))
-            else failure("q-surjective", (), "not onto over tensor elements"))
-
-    rep.add("condition-1", _full_assoc(w, w.p_gen, w.q_gen, True, "condition-1"))
-    rep.add("condition-2", _full_assoc(w, w.q_gen, w.p_gen, False, "condition-2"))
-
-    t_xy = tensor_product(x, y)
-    t_yx = tensor_product(y, x)
-    f3 = np.empty((t_xy.n, x.n), dtype=np.int64)
-    for u in range(t_xy.n):
-        for xx in range(x.n):
-            f3[u, xx] = p_values[splice(w.txyx, t_xy, u, 0, (xx,))]
-    rep.add("condition-3", _full_distinct(f3, False, x, "condition-3"))
-    f4 = np.empty((x.n, t_yx.n), dtype=np.int64)
-    for xx in range(x.n):
-        for v in range(t_yx.n):
-            f4[xx, v] = p_values[splice(w.txyx, t_yx, v, 1, (xx,))]
-    rep.add("condition-4", _full_distinct(f4, True, x, "condition-4"))
-    f5 = np.empty((t_yx.n, y.n), dtype=np.int64)
-    for v in range(t_yx.n):
-        for yy in range(y.n):
-            f5[v, yy] = q_values[splice(w.tyxy, t_yx, v, 0, (yy,))]
-    rep.add("condition-5", _full_distinct(f5, False, y, "condition-5"))
-    f6 = np.empty((y.n, t_xy.n), dtype=np.int64)
-    for yy in range(y.n):
-        for u in range(t_xy.n):
-            f6[yy, u] = q_values[splice(w.tyxy, t_xy, u, 1, (yy,))]
-    rep.add("condition-6", _full_distinct(f6, True, y, "condition-6"))
+    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
+    rep.add("q-surjective", _full_surjective(q_values, y, "q-surjective"))
+    rep.add("condition-1", _full_assoc(x, y, w.txyx, w.p, w.p_gen, w.q_gen,
+                                       "condition-1"))
+    rep.add("condition-2", _full_assoc(y, x, w.tyxy, w.q, w.q_gen, w.p_gen,
+                                       "condition-2"))
+    for label, t3, part, pos, lat, values in (
+            ("condition-3", w.txyx, t_xy, 0, x, p_values),
+            ("condition-4", w.txyx, t_yx, 1, x, p_values),
+            ("condition-5", w.tyxy, t_yx, 0, y, q_values),
+            ("condition-6", w.tyxy, t_xy, 1, y, q_values)):
+        rep.add(label, _distinct_slices(_curried(t3, part, pos, lat, values),
+                                        1, lat, label))
     return rep
 
 
@@ -513,31 +489,18 @@ class InvolutiveWitness:
 
 
 def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
-    'Generator-level surjectivity and conditions a), b), c) from a raw table.'
+    """Generator-level surjectivity and conditions a), b), c) from a raw table.
+
+    They are conditions 1, 3 and 4 of the pair (X, X*, p, q) with
+    q(x, y, z) = p(z, y, x), and X* has the order of X.
+    """
     p = np.asarray(p_gen, dtype=np.int64)
-    n = x.n
-    if p.shape != (n, n, n):
+    if p.shape != (x.n,) * 3:
         raise ShapeMismatch("generator table does not match the carrier")
     rep = ConditionReport()
     rep.add("p-surjective", _surjective_by_generators(x, p, "p"))
-
-    x1 = np.arange(n).reshape(n, 1, 1, 1, 1)
-    x2 = np.arange(n).reshape(1, n, 1, 1, 1)
-    x3 = np.arange(n).reshape(1, 1, n, 1, 1)
-    x4 = np.arange(n).reshape(1, 1, 1, n, 1)
-    x5 = np.arange(n).reshape(1, 1, 1, 1, n)
-    left = p[p[x1, x2, x3], x4, x5]
-    mid = p[x1, p[x4, x3, x2], x5]
-    right = p[x1, x2, p[x3, x4, x5]]
-    bad = np.argwhere((left != mid) | (left != right))
-    if len(bad):
-        idx = tuple(map(int, bad[0]))
-        rep.add("condition-a", failure(
-            "condition-a", tuple(x.names[i] for i in idx),
-            f"nested values {x.names[left[idx]]} / {x.names[mid[idx]]} / "
-            f"{x.names[right[idx]]}"))
-    else:
-        rep.add("condition-a", PASS)
+    rep.add("condition-a", _assoc_chain(p, p.transpose(2, 1, 0), x, x,
+                                        "condition-a"))
     rep.add("condition-b", _distinct_slices(p, 2, x, "condition-b"))
     rep.add("condition-c", _distinct_slices(p, 0, x, "condition-c"))
     return rep
@@ -548,65 +511,42 @@ def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:
     return involutive_conditions_from_tables(w.x, w.p_gen)
 
 
-def derive_q_from_p(w: InvolutiveWitness, tyxy=None) -> SupMap:
-    'q(x*(x)y(x)z*) = p(z(x)y*(x)x)*, lifted over X*(x)X(x)X*.'
-    q_gen = w.p_gen.transpose(2, 1, 0)
-    if tyxy is None:
-        tyxy = tensor_product(w.xstar, w.x, w.xstar)
-    qm = as_multimorphism((w.xstar, w.x, w.xstar), w.xstar, q_gen)
-    return lift_multimorphism(qm, tyxy)
+def derive_q_from_p(w: InvolutiveWitness) -> SupMap:
+    """q(x*(x)y(x)z*) = p(z(x)y*(x)x)*, lifted over X*(x)X(x)X*.
+
+    That tensor is ``w.txxx`` itself: X* has the order of X, so both have the
+    same tuple sets and elementary-tensor table, and lattice equality
+    ignores names.
+    """
+    qm = as_multimorphism((w.xstar, w.x, w.xstar), w.xstar,
+                          w.p_gen.transpose(2, 1, 0))
+    return lift_multimorphism(qm, w.txxx)
 
 
 def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
-    'The (X, X*) witness with q derived from p.'
-    tyxy = tensor_product(w.xstar, w.x, w.xstar)
-    q = derive_q_from_p(w, tyxy)
-    return MoritaPairWitness(w.x, w.xstar, w.txxx, tyxy, w.p, q)
+    'The (X, X*) witness with q derived from p; both maps live on w.txxx.'
+    return MoritaPairWitness(w.x, w.xstar, w.txxx, w.txxx, w.p,
+                             derive_q_from_p(w))
 
 
 def check_involutive_conditions_full(w: InvolutiveWitness) -> ConditionReport:
-    'Conditions a)-c) quantified over tensor elements; same keys.'
-    x = w.x
+    """Conditions a)-c) quantified over tensor elements; same keys.
+
+    They are conditions 1, 3 and 4 of the pair (X, X*, p, p transposed).
+    """
+    x, xs, t3 = w.x, w.xstar, w.txxx
     p_values = np.asarray(w.p.values)
     rep = ConditionReport()
-    rep.add("p-surjective",
-            PASS if set(p_values) == set(range(x.n)) else
-            failure("p-surjective", (), "image over all tensor elements"))
-
-    t5 = tensor_product(x, w.xstar, x, w.xstar, x)
-    n = x.n
-    x1 = np.arange(n).reshape(n, 1, 1, 1, 1)
-    x2 = np.arange(n).reshape(1, n, 1, 1, 1)
-    x3 = np.arange(n).reshape(1, 1, n, 1, 1)
-    x4 = np.arange(n).reshape(1, 1, 1, n, 1)
-    x5 = np.arange(n).reshape(1, 1, 1, 1, n)
-    et = w.txxx.elem_table
-    p = w.p_gen
-    b = np.broadcast_arrays
-    left = et[tuple(b(p[x1, x2, x3], x4, x5))]
-    mid = et[tuple(b(x1, p[x4, x3, x2], x5))]
-    right = et[tuple(b(x1, x2, p[x3, x4, x5]))]
-    vals = [_lifted_chain_side(t5, g, w.p) for g in (left, mid, right)]
-    if vals[0] == vals[1] == vals[2]:
-        rep.add("condition-a", PASS)
-    else:
-        u = next(u for u in range(t5.n)
-                 if len({vals[0][u], vals[1][u], vals[2][u]}) > 1)
-        rep.add("condition-a", failure("condition-a", (t5.lattice.names[u],),
-                                       "nested composites disagree"))
-
-    t_xy = tensor_product(x, w.xstar)
-    t_yx = tensor_product(w.xstar, x)
-    fb = np.empty((t_xy.n, n), dtype=np.int64)
-    for u in range(t_xy.n):
-        for xx in range(n):
-            fb[u, xx] = p_values[splice(w.txxx, t_xy, u, 0, (xx,))]
-    rep.add("condition-b", _full_distinct(fb, False, x, "condition-b"))
-    fc = np.empty((n, t_yx.n), dtype=np.int64)
-    for xx in range(n):
-        for v in range(t_yx.n):
-            fc[xx, v] = p_values[splice(w.txxx, t_yx, v, 1, (xx,))]
-    rep.add("condition-c", _full_distinct(fc, True, x, "condition-c"))
+    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
+    rep.add("condition-a", _full_assoc(x, xs, t3, w.p, w.p_gen,
+                                       w.p_gen.transpose(2, 1, 0),
+                                       "condition-a"))
+    rep.add("condition-b", _distinct_slices(
+        _curried(t3, tensor_product(x, xs), 0, x, p_values), 1, x,
+        "condition-b"))
+    rep.add("condition-c", _distinct_slices(
+        _curried(t3, tensor_product(xs, x), 1, x, p_values), 1, x,
+        "condition-c"))
     return rep
 
 

@@ -28,10 +28,15 @@ _FORBIDDEN_IN_NAMES = set(",;#=\n\r")
 
 def _read_text(path):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         raise FormatError(f"{path}: {e}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = data.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
 def _parse(path, text):

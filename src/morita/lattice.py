@@ -12,8 +12,7 @@ from itertools import product
 import numpy as np
 
 from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
-                     NotAPartialOrder, NoTop, NotSupMap, PASS, ResourceLimit,
-                     failure)
+                     NotAPartialOrder, NoTop, NotSupMap, PASS, failure)
 
 
 def _freeze(arr):
@@ -48,9 +47,6 @@ class FiniteSupLattice:
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
-
-    def le(self, i, j):
-        return bool(self.leq[i, j])
 
     def join_of(self, elems):
         'Join of any finite iterable of elements; empty join is bottom.'
@@ -253,10 +249,6 @@ class SupMap:
         return len(set(self.values)) == self.cod.n
 
 
-def identity_map(lat):
-    return SupMap(lat, lat, tuple(range(lat.n)))
-
-
 def is_sup_map(f: SupMap):
     'Verdict on empty-join and binary-join preservation.'
     dom, cod = f.dom, f.cod
@@ -287,46 +279,6 @@ def as_sup_map(dom, cod, values) -> SupMap:
     return f
 
 
-def enumerate_sup_maps(x, y, cap=None):
-    """Yield every sup-preserving map x -> y, in a deterministic order.
-
-    Backtracks over monotone assignments on the join-irreducibles of ``x``
-    (in topological order), extends each by joins, and keeps the extensions
-    that preserve binary joins. The join-preservation check is not redundant:
-    on non-distributive lattices some monotone assignments extend to maps
-    that fail it.
-    """
-    irr = x.join_irreducibles()
-    below = x.irreducibles_below()
-    pos = {j: k for k, j in enumerate(irr)}
-    preds = [[pos[i] for i in below[j] if i != j] for j in irr]
-    assign = [0] * len(irr)
-    count = 0
-
-    def extend():
-        at = {j: assign[k] for k, j in enumerate(irr)}
-        return tuple(y.join_of(at[j] for j in below[v]) for v in range(x.n))
-
-    def rec(k):
-        nonlocal count
-        if k == len(irr):
-            f = SupMap(x, y, extend())
-            if is_sup_map(f):
-                count += 1
-                if cap is not None and count > cap:
-                    raise ResourceLimit(f"more than {cap} sup-maps")
-                yield f
-            return
-        lower = y.join_of(assign[p] for p in preds[k])
-        for v in range(y.n):
-            if y.leq[lower, v]:
-                assign[k] = v
-                yield from rec(k + 1)
-        assign[k] = 0
-
-    yield from rec(0)
-
-
 def enumerate_sup_maps_bruteforce(x, y):
     'All |y|^|x| value tables filtered by is_sup_map. Oracle for small sizes.'
     out = []
@@ -335,45 +287,6 @@ def enumerate_sup_maps_bruteforce(x, y):
         if is_sup_map(f):
             out.append(f)
     return out
-
-
-# --- involutions ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupLatticeInvolution:
-    lattice: FiniteSupLattice
-    star: tuple
-
-    def __call__(self, i):
-        return self.star[i]
-
-
-def check_lattice_involution(lat, star):
-    'Verdict: period two and join-preserving (hence an order isomorphism).'
-    star = tuple(int(s) for s in star)
-    if len(star) != lat.n or not all(0 <= s < lat.n for s in star):
-        raise DomainMismatch("involution table does not match the carrier")
-    for i in range(lat.n):
-        if star[star[i]] != i:
-            return failure("period-two", (lat.names[i],),
-                           f"{lat.names[i]}** = {lat.names[star[star[i]]]}")
-    f = SupMap(lat, lat, star)
-    v = is_sup_map(f)
-    if not v:
-        return v
-    st = np.asarray(star)
-    if (lat.leq[np.ix_(st, st)] != lat.leq).any():
-        i, j = map(int, np.argwhere(lat.leq[np.ix_(st, st)] != lat.leq)[0])
-        return failure("order-iso", (lat.names[i], lat.names[j]),
-                       "star does not preserve and reflect the order")
-    return PASS
-
-
-def as_involution(lat, star) -> SupLatticeInvolution:
-    v = check_lattice_involution(lat, star)
-    if not v:
-        raise NotSupMap(str(v))
-    return SupLatticeInvolution(lat, tuple(int(s) for s in star))
 
 
 def star_name(name):

@@ -18,13 +18,9 @@ import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError, PASS,
                      ShapeMismatch, failure)
-from .lattice import FiniteSupLattice, conjugate_lattice, join_closure
+from .lattice import (FiniteSupLattice, _freeze, conjugate_lattice,
+                      join_closure)
 from .quantale import (InvolutiveQuantale, Quantale, is_quantale_involution)
-
-
-def _freeze(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 class ModuleAction:

@@ -11,13 +11,9 @@ import numpy as np
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
                      NotCompositionClosed, NotSupMap, PASS, ShapeMismatch,
                      failure)
-from .lattice import (FiniteSupLattice, SupMap, enumerate_sup_maps,
-                      is_sup_map, validate_lattice)
-
-
-def _freeze(arr):
-    arr.flags.writeable = False
-    return arr
+from .lattice import (FiniteSupLattice, SupMap, _freeze, is_sup_map,
+                      validate_lattice)
+from .tensor import enumerate_multimorphisms
 
 
 class Quantale:
@@ -118,13 +114,6 @@ class OperatorQuantale(Quantale):
         self.op_values = tuple(op_values)
         self.index = {v: i for i, v in enumerate(self.op_values)}
 
-    def apply(self, i, x):
-        'Apply operator i to the base element x.'
-        return self.op_values[i][x]
-
-    def as_sup_map(self, i):
-        return SupMap(self.base, self.base, self.op_values[i])
-
 
 def _operator_name(base, values):
     return "[" + " ".join(base.names[v] for v in values) + "]"
@@ -132,7 +121,8 @@ def _operator_name(base, values):
 
 def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
     'Build Q(x) by enumerating every sup-map x -> x.'
-    ops = sorted(f.values for f in enumerate_sup_maps(x, x))
+    ops = sorted(tuple(f.values.tolist())
+                 for f in enumerate_multimorphisms((x,), x))
     n = len(ops)
     vals = np.array(ops, dtype=np.int64)
     leq = x.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)

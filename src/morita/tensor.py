@@ -6,9 +6,12 @@ A multi-ideal is a set of tuples that is downward closed and closed in every
 fiber under binary joins in the moving slot; the least one is the set of
 tuples with a bottom coordinate. Elementary tensors are the closures of
 single tuples, every multi-ideal is a join of elementary tensors, and maps
-out of the tensor are exactly the liftings of multimorphisms.
+out of the tensor are exactly the liftings of multimorphisms. The one
+backtracking enumerator, ``enumerate_multimorphisms``, lists them for any
+number of factors; with one factor it lists the sup-maps.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -16,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, ShapeMismatch, failure)
-from .lattice import (FiniteSupLattice, SupMap, _words, is_sup_map,
+from .lattice import (FiniteSupLattice, SupMap, _freeze, _words, is_sup_map,
                       validate_lattice)
 
 DEFAULT_TENSOR_CAP = 100_000
@@ -27,11 +30,6 @@ def _tensor_cap(cap):
         return int(cap)
     env = os.environ.get("MORITA_MAX_TENSOR", "")
     return int(env) if env else DEFAULT_TENSOR_CAP
-
-
-def _freeze(arr):
-    arr.flags.writeable = False
-    return arr
 
 
 def _to_ints(rows):
@@ -259,11 +257,6 @@ def tensor_product(*factors, cap=None) -> MultiTensorLattice:
     return MultiTensorLattice(factors, g, lattice, sets, bits, elem_table)
 
 
-def elem_tensor(tensor: MultiTensorLattice, coords):
-    'The elementary tensor x1 (x) ... (x) xk as an element of the tensor.'
-    return tensor.elem(coords)
-
-
 # --- multimorphisms --------------------------------------------------------------
 
 class Multimorphism:
@@ -325,6 +318,67 @@ def as_multimorphism(factors, target, values) -> Multimorphism:
     if not v:
         raise NotAMultimorphism(str(v))
     return f
+
+
+def enumerate_multimorphisms(factors, target, cap=None):
+    """Yield every slotwise-join-preserving map factors -> target, once each.
+
+    Walks monotone assignments on tuples of join-irreducibles in a linear
+    extension of the product order (join_irreducibles is sorted by downset
+    size, so lex order over position tuples works), extends to full tables
+    by joins, and keeps the extensions that verify.
+    """
+    factors = tuple(factors)
+    irrs = [f.join_irreducibles() for f in factors]
+    cells = list(itertools.product(*[range(len(ir)) for ir in irrs]))
+    cell_index = {c: i for i, c in enumerate(cells)}
+    cell_below = []
+    for t, c in enumerate(cells):
+        cell_below.append([s for s in range(t) if all(
+            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
+            for i in range(len(factors)))])
+
+    below_pos = []
+    for f, ir in zip(factors, irrs):
+        pos = {v: i for i, v in enumerate(ir)}
+        below_pos.append([[pos[j] for j in js] for js in f.irreducibles_below()])
+
+    shape = tuple(f.n for f in factors)
+    join = target.join
+    bottom = target.bottom
+    assign = [bottom] * len(cells)
+    found = 0
+
+    def extend():
+        table = np.empty(shape, dtype=np.int64)
+        for t in itertools.product(*[range(s) for s in shape]):
+            v = bottom
+            for cell in itertools.product(*[below_pos[i][t[i]]
+                                            for i in range(len(factors))]):
+                v = join[v, assign[cell_index[cell]]]
+            table[t] = v
+        return table
+
+    def rec(t):
+        nonlocal found
+        if t == len(cells):
+            f = Multimorphism(factors, target, extend())
+            if is_multimorphism(f):
+                if cap is not None and found >= cap:
+                    raise ResourceLimit(
+                        f"more than {cap} multimorphisms in one space")
+                found += 1
+                yield f
+            return
+        lb = bottom
+        for s in cell_below[t]:
+            lb = join[lb, assign[s]]
+        for v in range(target.n):
+            if target.leq[lb, v]:
+                assign[t] = v
+                yield from rec(t + 1)
+
+    yield from rec(0)
 
 
 def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> SupMap:

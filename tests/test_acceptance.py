@@ -24,12 +24,12 @@ from morita.enumeration import (enumerate_lattices,
                                 enumerate_lattices_bruteforce,
                                 find_isomorphism)
 from morita.errors import ContextInvalid, StarNotWellDefined
-from morita.lattice import (chain, diamond, enumerate_sup_maps,
+from morita.lattice import (SupMap, chain, diamond,
                             enumerate_sup_maps_bruteforce, validate_lattice)
 from morita.modules import Bimodule, ModuleAction
-from morita.tensor import (Multimorphism, is_multimorphism,
-                           lift_multimorphism, restrict_to_elementaries,
-                           tensor_product)
+from morita.tensor import (Multimorphism, enumerate_multimorphisms,
+                           is_multimorphism, lift_multimorphism,
+                           restrict_to_elementaries, tensor_product)
 from test_tensor import brute_multi_ideals
 
 
@@ -56,7 +56,8 @@ def test_criterion_1_tensor_universal_property():
         lats = lattices_up_to(3)
         for x, y, z in itertools.product(lats, repeat=3):
             t = tensor_product(x, y)
-            sup_maps = list(enumerate_sup_maps(t.lattice, z))
+            sup_maps = [SupMap(t.lattice, z, tuple(f.values.tolist()))
+                        for f in enumerate_multimorphisms((t.lattice,), z)]
             bimorphisms = []
             for vals in itertools.product(range(z.n), repeat=x.n * y.n):
                 f = Multimorphism((x, y), z,

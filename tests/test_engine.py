@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import meet_tables
+from conftest import lattices_up_to, meet_tables
+from morita.census import enumerate_trimorphisms
 from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            MoritaContext, MoritaPairWitness, as_pair_witness,
                            build_context_from_pair, build_involutive_context,
@@ -12,9 +13,11 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            check_morita_context, check_pair_conditions,
                            check_pair_conditions_full, conditions_from_tables,
                            derive_q_from_p, extract_pair_from_context,
-                           involutive_conditions_from_tables)
-from morita.errors import (ConditionsFailed, ContextInvalid, DomainMismatch,
-                           NotAMultimorphism)
+                           involutive_conditions_from_tables,
+                           _surjective_by_generators)
+from morita.errors import (PASS, ConditionReport, ConditionsFailed,
+                           ContextInvalid, DomainMismatch, NotAMultimorphism,
+                           failure)
 from morita.lattice import chain, diamond, m3
 from morita.quantale import OperatorQuantale
 from morita.tensor import Multimorphism, as_multimorphism
@@ -160,9 +163,67 @@ def test_involutive_meet_witnesses():
 
 
 def test_involutive_full_domain_agreement():
-    w = InvolutiveWitness.from_generators(chain(2), meet_tables(chain(2)))
-    assert (check_involutive_conditions(w).digest()
-            == check_involutive_conditions_full(w).digest())
+    checked = 0
+    for x in lattices_up_to(2):
+        for f in enumerate_trimorphisms(x, x, x, x):
+            w = InvolutiveWitness.from_generators(x, f.values)
+            assert (check_involutive_conditions(w).digest()
+                    == check_involutive_conditions_full(w).digest())
+            checked += 1
+    assert checked == 3
+
+
+def five_axis_involutive_conditions(x, p_gen):
+    """Conditions a)-c) written out directly on five axes x1..x5.
+
+    Reference for the engine, which derives them from conditions 1, 3 and 4
+    of the pair (X, X*, p, p^T)."""
+    p = np.asarray(p_gen, dtype=np.int64)
+    n = x.n
+    rep = ConditionReport()
+    rep.add("p-surjective", _surjective_by_generators(x, p, "p"))
+    x1 = np.arange(n).reshape(n, 1, 1, 1, 1)
+    x2 = np.arange(n).reshape(1, n, 1, 1, 1)
+    x3 = np.arange(n).reshape(1, 1, n, 1, 1)
+    x4 = np.arange(n).reshape(1, 1, 1, n, 1)
+    x5 = np.arange(n).reshape(1, 1, 1, 1, n)
+    left = p[p[x1, x2, x3], x4, x5]
+    mid = p[x1, p[x4, x3, x2], x5]
+    right = p[x1, x2, p[x3, x4, x5]]
+    bad = np.argwhere((left != mid) | (left != right))
+    if len(bad):
+        idx = tuple(map(int, bad[0]))
+        rep.add("condition-a", failure(
+            "condition-a", tuple(x.names[i] for i in idx),
+            f"nested values {x.names[left[idx]]} / {x.names[mid[idx]]} / "
+            f"{x.names[right[idx]]}"))
+    else:
+        rep.add("condition-a", PASS)
+    for label, axis in (("condition-b", 2), ("condition-c", 0)):
+        seen, verdict = {}, PASS
+        for v in range(n):
+            key = np.take(p, v, axis=axis).tobytes()
+            if key in seen:
+                verdict = failure(label, (x.names[seen[key]], x.names[v]),
+                                  "distinct elements induce identical "
+                                  "curried maps")
+                break
+            seen[key] = v
+        rep.add(label, verdict)
+    return rep
+
+
+def test_involutive_conditions_match_the_five_axis_reference():
+    checked = failing = 0
+    for x in lattices_up_to(3):
+        for f in enumerate_trimorphisms(x, x, x, x):
+            new = involutive_conditions_from_tables(x, f.values)
+            old = five_axis_involutive_conditions(x, f.values)
+            assert new.summary() == old.summary()
+            assert new.digest() == old.digest()
+            checked += 1
+            failing += not old.ok
+    assert (checked, failing) == (171, 164)
 
 
 def test_involutive_conditions_from_tables_entry_point():
@@ -180,6 +241,17 @@ def test_derived_q_is_the_argument_transpose():
     # the standalone derivation lifts the same table
     q = derive_q_from_p(w)
     assert tuple(q.values) == tuple(pair.q.values)
+
+
+def test_as_pair_witness_builds_no_tensor(monkeypatch):
+    w = InvolutiveWitness.from_generators(chain(3), meet_tables(chain(3)))
+
+    def refuse(*factors, **kwargs):
+        raise AssertionError("as_pair_witness built a tensor")
+
+    monkeypatch.setattr("morita.engine.tensor_product", refuse)
+    pair = as_pair_witness(w)
+    assert pair.txyx is w.txxx and pair.tyxy is w.txxx
 
 
 def test_involutive_context_and_imprimitivity():
@@ -202,7 +274,6 @@ def test_star_profile_over_all_three_chain_witnesses():
     # every surjective trimorphism on the 3-chain satisfying a)-c) builds;
     # the operator quantale is either the 3-element meet image with the
     # identity star or all six endomorphisms with the swap star
-    from morita.census import enumerate_trimorphisms
     x = chain(3)
     profiles = set()
     for p in enumerate_trimorphisms(x, x, x, x):

@@ -57,6 +57,15 @@ def test_lattice_parse_errors(tmp_path):
             mio.read_lattice(path)
 
 
+def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
+    path = tmp_path / "latin1.lat"
+    path.write_bytes(b"n=2\nnames=a,\xff\nleq=11;01\n")
+    with pytest.raises(FormatError, match=r"latin1\.lat:2: not UTF-8 text"):
+        mio.read_lattice(path)
+    assert cli.main(["validate", str(path)]) == 2
+    assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_lattice_comments_and_blank_lines(tmp_path):
     path = tmp_path / "c.lat"
     path.write_text("# a chain\n\nn=2  # two points\nnames=a,b\nleq=11;01\n")
@@ -260,6 +269,14 @@ def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
     monkeypatch.setenv("MORITA_MAX_TENSOR", "980")
     assert cli.main(args) == 0
     assert mio.read_lattice(workdir / "t.lat").n == 980
+
+
+def test_cli_output_in_missing_directory(workdir, capsys):
+    out = workdir / "nodir" / "t.lat"
+    assert cli.main(["tensor", str(workdir / "c3.lat"),
+                     str(workdir / "c3.lat"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_cli_endo(workdir, capsys):

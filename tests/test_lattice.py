@@ -11,9 +11,10 @@ from conftest import lattices_up_to
 from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
                            NotAPartialOrder, NotSupMap)
 from morita.lattice import (SupMap, as_sup_map, chain, conjugate_lattice,
-                            diamond, enumerate_sup_maps,
-                            enumerate_sup_maps_bruteforce, is_sup_map,
-                            join_closure, m3, n5, validate_lattice)
+                            diamond, enumerate_sup_maps_bruteforce,
+                            is_sup_map, join_closure, m3, n5,
+                            validate_lattice)
+from morita.tensor import enumerate_multimorphisms
 
 
 def test_chain_tables_are_min_max():
@@ -145,7 +146,8 @@ def test_enumerate_sup_maps_matches_bruteforce():
              (diamond(), chain(2)), (m3(), diamond()), (m3(), m3()),
              (n5(), n5())]
     for x, y in cases:
-        fast = {tuple(f.values) for f in enumerate_sup_maps(x, y)}
+        fast = {tuple(f.values.tolist())
+                for f in enumerate_multimorphisms((x,), y)}
         brute = {tuple(f.values) for f in enumerate_sup_maps_bruteforce(x, y)}
         assert fast == brute
 
@@ -154,8 +156,9 @@ def test_endomorphism_counts():
     expected = {2: 2, 3: 6}
     for n, count in expected.items():
         lat = chain(n)
-        assert sum(1 for _ in enumerate_sup_maps(lat, lat)) == count
-    assert sum(1 for _ in enumerate_sup_maps(diamond(), diamond())) == 16
+        assert sum(1 for _ in enumerate_multimorphisms((lat,), lat)) == count
+    d = diamond()
+    assert sum(1 for _ in enumerate_multimorphisms((d,), d)) == 16
 
 
 def test_conjugate_lattice_keeps_order_and_stars_names():

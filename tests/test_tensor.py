@@ -11,8 +11,9 @@ from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
-from morita.lattice import chain, diamond, enumerate_sup_maps, m3
-from morita.tensor import (Multimorphism, as_multimorphism, is_multimorphism,
+from morita.lattice import SupMap, chain, diamond, m3
+from morita.tensor import (Multimorphism, as_multimorphism,
+                           enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, multi_ideal_closure,
                            restrict_to_elementaries, splice, tensor_product)
 
@@ -109,7 +110,8 @@ def test_lift_restrict_roundtrip_both_ways():
         f = Multimorphism((x, y), z, np.array(vals).reshape(x.n, y.n))
         if is_multimorphism(f):
             bimorphisms.append(f)
-    sup_maps = list(enumerate_sup_maps(t.lattice, z))
+    sup_maps = [SupMap(t.lattice, z, tuple(f.values.tolist()))
+                for f in enumerate_multimorphisms((t.lattice,), z)]
     assert len(bimorphisms) == len(sup_maps)
     for f in bimorphisms:
         g = lift_multimorphism(f, t)
