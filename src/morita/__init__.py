@@ -16,8 +16,7 @@ from .engine import (ImprimitivityBimodule, InvolutiveWitness, MoritaContext,
                      check_imprimitivity, check_involutive_conditions,
                      check_involutive_conditions_full, check_morita_context,
                      check_pair_conditions, check_pair_conditions_full,
-                     conditions_from_tables, derive_q_from_p,
-                     extract_pair_from_context,
+                     conditions_from_tables, extract_pair_from_context,
                      involutive_conditions_from_tables)
 from .enumeration import (automorphisms, canonical_key, enumerate_lattices,
                           find_isomorphism)

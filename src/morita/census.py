@@ -26,6 +26,8 @@ from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .lattice import conjugate_lattice, join_closure, validate_lattice
+# tensor_product is unused here but stays bound: the benchmark tracer
+# (perfbench/tracer.py) rebinds morita.census.tensor_product
 from .tensor import (Multimorphism, enumerate_multimorphisms,
                      is_multimorphism, tensor_product)
 
@@ -70,7 +72,6 @@ class CensusTask:
     involutive: bool = False
     jobs: int = 1
     tri_cap: int = 200_000
-    tensor_cap: int = None
     out: str = None
 
     def __post_init__(self):
@@ -81,8 +82,7 @@ class CensusTask:
                 raise DomainMismatch(f"{name} must be at least 1")
         if self.max_x < self.min_x or self.max_y < self.min_y:
             raise DomainMismatch("size bounds are empty")
-        if self.jobs < 1 or self.tri_cap < 1 or (
-                self.tensor_cap is not None and self.tensor_cap < 1):
+        if self.jobs < 1 or self.tri_cap < 1:
             raise DomainMismatch("caps and worker count must be positive")
 
 
@@ -165,10 +165,7 @@ def _orbit_min(tables, transforms):
     return best
 
 
-def _general_space(x, y, tri_cap, tensor_cap):
-    txyx = tensor_product(x, y, x, cap=tensor_cap)
-    tyxy = tensor_product(y, x, y, cap=tensor_cap)
-
+def _general_space(x, y, tri_cap):
     p_cands = [t for t in _surjective_tables(x, y, x, x, tri_cap)
                if _distinct_slices(t, 2, x, "c3") and
                _distinct_slices(t, 0, x, "c4")]
@@ -199,8 +196,7 @@ def _general_space(x, y, tri_cap, tensor_cap):
     records = []
     for key in sorted(orbit_reps):
         pt, qt = orbit_reps[key]
-        w = MoritaPairWitness.from_generators(x, y, pt, qt,
-                                              txyx=txyx, tyxy=tyxy)
+        w = MoritaPairWitness.from_generators(x, y, pt, qt)
         rep = check_pair_conditions(w)
         if not rep.ok:
             raise MoritaError("census integrity: a deduplicated witness "
@@ -220,9 +216,8 @@ def _general_space(x, y, tri_cap, tensor_cap):
     return records, candidates, len(witnesses)
 
 
-def _involutive_space(x, tri_cap, tensor_cap):
+def _involutive_space(x, tri_cap):
     xstar = conjugate_lattice(x)
-    txxx = tensor_product(x, xstar, x, cap=tensor_cap)
 
     candidates = 0
     passing = []
@@ -244,7 +239,7 @@ def _involutive_space(x, tri_cap, tensor_cap):
     records = []
     for key in sorted(orbit_reps):
         (pt,) = orbit_reps[key]
-        iw = InvolutiveWitness.from_generators(x, pt, txxx=txxx)
+        iw = InvolutiveWitness.from_generators(x, pt)
         rep = involutive_conditions_from_tables(x, iw.p_gen)
         if not rep.ok:
             raise MoritaError("census integrity: a deduplicated involutive "
@@ -263,16 +258,14 @@ def _involutive_space(x, tri_cap, tensor_cap):
 
 def _space_worker(args):
     'One lattice pair (or single lattice): returns records, stats, skip info.'
-    x_rows, y_rows, involutive, tri_cap, tensor_cap = args
+    x_rows, y_rows, involutive, tri_cap = args
     x = _lat_from_rows(x_rows)
     try:
         if involutive:
-            records, candidates, witnesses = _involutive_space(
-                x, tri_cap, tensor_cap)
+            records, candidates, witnesses = _involutive_space(x, tri_cap)
         else:
             y = _lat_from_rows(y_rows)
-            records, candidates, witnesses = _general_space(
-                x, y, tri_cap, tensor_cap)
+            records, candidates, witnesses = _general_space(x, y, tri_cap)
     except ResourceLimit as e:
         skip = {"x_leq": list(x_rows), "reason": str(e)}
         if y_rows is not None:
@@ -299,8 +292,7 @@ def run_census(task: CensusTask):
         ys = [lat for n in range(task.min_y, task.max_y + 1)
               for lat in enumerate_lattices(n)]
         spaces = [(_leq_rows(x), _leq_rows(y)) for x in xs for y in ys]
-    args = [(xr, yr, task.involutive, task.tri_cap, task.tensor_cap)
-            for xr, yr in spaces]
+    args = [(xr, yr, task.involutive, task.tri_cap) for xr, yr in spaces]
 
     if task.jobs <= 1 or len(args) <= 1:
         results = [_space_worker(a) for a in args]

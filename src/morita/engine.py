@@ -10,10 +10,13 @@ R_b(y) = q(b(x)y), bimodule actions, and pairings (x,y) = L_{x(x)y},
 yields a witness through p~(x1,y,x2) = (x1,y).x2, and the two directions
 are mutually inverse on the nose.
 
-Condition checks come in two flavours: generator-level (tables over lattice
-elements; complete because everything in sight preserves joins and
+A witness is its generator tables, the values of p and q on elementary
+tensors: a sup-map out of a tensor is exactly its multimorphism, so the
+tables determine p and q. Condition checks come in two flavours:
+generator-level (complete because everything in sight preserves joins and
 elementary tensors join-generate) and full-domain (quantified over tensor
-elements; used to validate the reduction at small sizes).
+elements; used to validate the reduction at small sizes). Only the
+full-domain checks build three-fold tensors.
 """
 
 from collections import defaultdict
@@ -21,7 +24,7 @@ from collections import defaultdict
 import numpy as np
 
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
-                     DomainMismatch, MoritaError, NotSupMap, NotWellDefined,
+                     DomainMismatch, MoritaError, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure)
 from .lattice import SupMap, conjugate_lattice, is_sup_map, join_closure
 from .modules import (Bimodule, ModuleAction, check_bimodule,
@@ -29,60 +32,40 @@ from .modules import (Bimodule, ModuleAction, check_bimodule,
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
                        image_subquantale, is_quantale_involution)
 from .tensor import (Multimorphism, as_multimorphism, is_multimorphism,
-                     lift_multimorphism, splice, tensor_product)
+                     join_over_tuples, lift_multimorphism, splice,
+                     tensor_product)
 
 
 # --- witnesses --------------------------------------------------------------------
 
 class MoritaPairWitness:
-    'A candidate pair (X, Y, p, q) with its tensors and generator tables.'
+    """A candidate pair (X, Y, p, q), held as the generator tables
+    p_gen[x1, y, x2] = p(x1(x)y(x)x2) and q_gen[y1, x, y2] = q(y1(x)x(x)y2).
 
-    __slots__ = ("x", "y", "txyx", "tyxy", "p", "q", "p_gen", "q_gen")
+    Raises NotAMultimorphism when a table is not slotwise join-preserving.
+    """
 
-    def __init__(self, x, y, txyx, tyxy, p: SupMap, q: SupMap):
-        if txyx.factors != (x, y, x):
-            raise ShapeMismatch("first tensor is not X(x)Y(x)X")
-        if tyxy.factors != (y, x, y):
-            raise ShapeMismatch("second tensor is not Y(x)X(x)Y")
-        if p.dom != txyx.lattice or p.cod != x:
-            raise ShapeMismatch("p must map X(x)Y(x)X to X")
-        if q.dom != tyxy.lattice or q.cod != y:
-            raise ShapeMismatch("q must map Y(x)X(x)Y to Y")
-        for f in (p, q):
-            v = is_sup_map(f)
-            if not v:
-                raise NotSupMap(str(v))
+    __slots__ = ("x", "y", "p_gen", "q_gen")
+
+    def __init__(self, x, y, p_table, q_table):
         self.x, self.y = x, y
-        self.txyx, self.tyxy = txyx, tyxy
-        self.p, self.q = p, q
-        self.p_gen = np.asarray(p.values, dtype=np.int64)[txyx.elem_table]
-        self.q_gen = np.asarray(q.values, dtype=np.int64)[tyxy.elem_table]
-        self.p_gen.flags.writeable = False
-        self.q_gen.flags.writeable = False
+        self.p_gen = as_multimorphism((x, y, x), x, p_table).values
+        self.q_gen = as_multimorphism((y, x, y), y, q_table).values
 
     @classmethod
-    def from_generators(cls, x, y, p_table, q_table, txyx=None, tyxy=None):
-        'Lift generator tables; raises NotAMultimorphism on slotwise failure.'
-        # validate before building tensors: the lattices may be small while
-        # their three-fold tensor is enormous
-        pm = as_multimorphism((x, y, x), x, p_table)
-        qm = as_multimorphism((y, x, y), y, q_table)
-        if txyx is None:
-            txyx = tensor_product(x, y, x)
-        if tyxy is None:
-            tyxy = tensor_product(y, x, y)
-        p = lift_multimorphism(pm, txyx)
-        q = lift_multimorphism(qm, tyxy)
-        return cls(x, y, txyx, tyxy, p, q)
+    def from_generators(cls, x, y, p_table, q_table):
+        'The witness with these generator tables; same as the constructor.'
+        return cls(x, y, p_table, q_table)
 
     def __eq__(self, other):
         return (isinstance(other, MoritaPairWitness)
                 and self.x == other.x and self.y == other.y
-                and self.p.values == other.p.values
-                and self.q.values == other.q.values)
+                and np.array_equal(self.p_gen, other.p_gen)
+                and np.array_equal(self.q_gen, other.q_gen))
 
     def __hash__(self):
-        return hash((self.x, self.y, self.p.values, self.q.values))
+        return hash((self.x, self.y, self.p_gen.tobytes(),
+                     self.q_gen.tobytes()))
 
     def __repr__(self):
         return f"MoritaPairWitness(|X|={self.x.n}, |Y|={self.y.n})"
@@ -170,14 +153,15 @@ class MoritaContext:
 
     ``x`` is a bimodule over (A, B), ``y`` over (B, A); ``pair_xy`` lands in
     A and ``pair_yx`` in B. Contexts built from witnesses also carry the
-    two- and three-fold tensors and the operator-class index maps for reuse.
+    two-fold tensors X(x)Y and Y(x)X and the operator-class index maps, which
+    the involutive stars reuse.
     """
 
     __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
-                 "t_xy", "t_yx", "txyx", "tyxy", "idx_a", "idx_b")
+                 "t_xy", "t_yx", "idx_a", "idx_b")
 
     def __init__(self, a, b, x, y, pair_xy, pair_yx, t_xy=None, t_yx=None,
-                 txyx=None, tyxy=None, idx_a=None, idx_b=None):
+                 idx_a=None, idx_b=None):
         if x.left.quantale != a or x.right.quantale != b:
             raise DomainMismatch("X must be an (A, B)-bimodule")
         if y.left.quantale != b or y.right.quantale != a:
@@ -189,7 +173,6 @@ class MoritaContext:
         self.a, self.b, self.x, self.y = a, b, x, y
         self.pair_xy, self.pair_yx = pair_xy, pair_yx
         self.t_xy, self.t_yx = t_xy, t_yx
-        self.txyx, self.tyxy = txyx, tyxy
         self.idx_a, self.idx_b = idx_a, idx_b
 
     def __repr__(self):
@@ -277,17 +260,22 @@ def check_morita_context(ctx: MoritaContext) -> ConditionReport:
     return rep
 
 
-def _curried(big, part, pos, lat, values):
-    """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
-    ``pos``, with v from ``lat`` in the remaining slot."""
-    return np.array([[values[splice(big, part, e, pos, (v,))]
-                      for v in range(lat.n)] for e in range(part.n)],
-                    dtype=np.int64)
+def _curried_from_generators(part, pos, gen, lat):
+    """Table (e, v) -> p(e spliced at pos, v in the other slot), for e in the
+    two-fold tensor ``part`` and v in ``lat``, from the generator table of p.
+
+    p is sup-preserving in e, so p(e (x) v) is the join of the generator
+    values over the tuples of e: the table, read as rows over the tuples of
+    ``part``, lifted on ``part``.
+    """
+    n0, n1, n2 = gen.shape
+    rows = gen.reshape(n0 * n1, n2) if pos == 0 else gen.reshape(n0, n1 * n2).T
+    return join_over_tuples(part, lat, rows)
 
 
-def _operator_family(witness_tensor, part_tensor, pos, fixed_lat, p_values, endo):
-    'The family e -> (x -> p(e spliced at pos, x fixed)) as a SupMap into Q.'
-    rows = _curried(witness_tensor, part_tensor, pos, fixed_lat, p_values)
+def _operator_family(part_tensor, gen, fixed_lat, endo):
+    'The family e -> (x -> p(e(x)x)) as a SupMap into Q.'
+    rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
     try:
         idx = tuple(endo.index[tuple(r)] for r in rows.tolist())
     except KeyError:
@@ -299,11 +287,10 @@ def _operator_family(witness_tensor, part_tensor, pos, fixed_lat, p_values, endo
     return fam
 
 
-def _classwise_action(witness_tensor, part_tensor, pos, fixed_lat, p_values,
-                      idx_map, quant, side_label):
-    """Action table of operator classes via representatives, checked for
-    well-definedness across each class."""
-    table = _curried(witness_tensor, part_tensor, pos, fixed_lat, p_values)
+def _classwise_action(part_tensor, gen, fixed_lat, idx_map, quant, side_label):
+    """Action table x -> p(x(x)e) of operator classes via representatives,
+    checked for well-definedness across each class."""
+    table = _curried_from_generators(part_tensor, 1, gen, fixed_lat)
     classes = defaultdict(list)
     for e, c in enumerate(idx_map.values):
         classes[c].append(e)
@@ -321,39 +308,34 @@ def _classwise_action(witness_tensor, part_tensor, pos, fixed_lat, p_values,
     return act
 
 
-def build_context_from_pair(w: MoritaPairWitness, *,
-                            precheck=True) -> MoritaContext:
+def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
     """From a passing pair to the full context: operators, actions, pairings.
 
     A is the image of a -> L_a inside Q(X), B the image of b -> R_b inside
     Q(Y); X carries L_a.x = p(a(x)x) and x.R_b = p(x(x)b), Y carries
     R_b.y = q(b(x)y) and y.L_a = q(y(x)a); pairings are (x,y) = L_{x(x)y}
     and [y,x] = R_{y(x)x}. The right actions are defined through class
-    representatives and checked for well-definedness.
+    representatives and checked for well-definedness. Every curried table
+    comes from the generator tables lifted on X(x)Y or Y(x)X.
     """
-    if precheck:
-        rep = check_pair_conditions(w)
-        if not rep.ok:
-            raise ConditionsFailed(rep)
+    rep = check_pair_conditions(w)
+    if not rep.ok:
+        raise ConditionsFailed(rep)
     x, y = w.x, w.y
     t_xy = tensor_product(x, y)
     t_yx = tensor_product(y, x)
-    p_values = np.asarray(w.p.values, dtype=np.int64)
-    q_values = np.asarray(w.q.values, dtype=np.int64)
 
     endo_x = endo_quantale(x)
     endo_y = endo_quantale(y)
-    fam_l = _operator_family(w.txyx, t_xy, 0, x, p_values, endo_x)
+    fam_l = _operator_family(t_xy, w.p_gen, x, endo_x)
     quant_a, idx_a = image_subquantale(endo_x, fam_l)
-    fam_r = _operator_family(w.tyxy, t_yx, 0, y, q_values, endo_y)
+    fam_r = _operator_family(t_yx, w.q_gen, y, endo_y)
     quant_b, idx_b = image_subquantale(endo_y, fam_r)
 
     lx = np.asarray(quant_a.op_values, dtype=np.int64).T
     ly = np.asarray(quant_b.op_values, dtype=np.int64).T
-    rx = _classwise_action(w.txyx, t_yx, 1, x, p_values, idx_b, quant_b,
-                           "x.R_b")
-    ry = _classwise_action(w.tyxy, t_xy, 1, y, q_values, idx_a, quant_a,
-                           "y.L_a")
+    rx = _classwise_action(t_yx, w.p_gen, x, idx_b, quant_b, "x.R_b")
+    ry = _classwise_action(t_xy, w.q_gen, y, idx_a, quant_a, "y.L_a")
 
     bim_x = Bimodule(ModuleAction("left", quant_a, x, lx),
                      ModuleAction("right", quant_b, x, rx))
@@ -368,25 +350,22 @@ def build_context_from_pair(w: MoritaPairWitness, *,
                                idx_b_vals[t_yx.elem_table])
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
-                        t_xy=t_xy, t_yx=t_yx, txyx=w.txyx, tyxy=w.tyxy,
-                        idx_a=idx_a, idx_b=idx_b)
+                        t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
     after = check_morita_context(ctx)
     if not after.ok:
         raise ConditionsFailed(after)
     return ctx
 
 
-def extract_pair_from_context(ctx: MoritaContext, *,
-                              precheck=True) -> MoritaPairWitness:
+def extract_pair_from_context(ctx: MoritaContext) -> MoritaPairWitness:
     'Recover the pair: p~(x1,y,x2) = (x1,y).x2 and q~(y1,x,y2) = [y1,x].y2.'
-    if precheck:
-        rep = check_morita_context(ctx)
-        if not rep.ok:
-            raise ContextInvalid(rep)
+    rep = check_morita_context(ctx)
+    if not rep.ok:
+        raise ContextInvalid(rep)
     p_gen = ctx.x.left.act.T[ctx.pair_xy.values]
     q_gen = ctx.y.left.act.T[ctx.pair_yx.values]
     w = MoritaPairWitness.from_generators(ctx.x.carrier, ctx.y.carrier,
-                                          p_gen, q_gen, ctx.txyx, ctx.tyxy)
+                                          p_gen, q_gen)
     after = check_pair_conditions(w)
     if not after.ok:
         raise ContextInvalid(after)
@@ -394,6 +373,24 @@ def extract_pair_from_context(ctx: MoritaContext, *,
 
 
 # --- full-domain condition checks ---------------------------------------------------
+
+def _lift_on_tensor(factors, target, gen):
+    'The tensor of the factors and the lift of the table gen onto it.'
+    t = tensor_product(*factors)
+    return t, lift_multimorphism(Multimorphism(factors, target, gen), t)
+
+
+def _curried(big, part, pos, lat, values):
+    """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
+    ``pos``, with v from ``lat`` in the remaining slot.
+
+    The reference for ``_curried_from_generators``: it closes every spliced
+    set of tuples in the three-fold tensor instead of joining generators.
+    """
+    return np.array([[values[splice(big, part, e, pos, (v,))]
+                      for v in range(lat.n)] for e in range(part.n)],
+                    dtype=np.int64)
+
 
 def _lifted_chain_side(t5, inner_gen, outer: SupMap):
     'Lift tuples -> elementary tensor of a nested value, then apply outer.'
@@ -435,24 +432,27 @@ def check_pair_conditions_full(w: MoritaPairWitness) -> ConditionReport:
     Exists to validate the generator reduction: same report keys as
     check_pair_conditions, but every quantifier ranges over multi-ideals
     (via five-fold tensors for the chains, partial-tensor embeddings for
-    the separation conditions). Exponentially heavier; small inputs only.
+    the separation conditions). It builds X(x)Y(x)X and Y(x)X(x)Y and
+    lifts p and q onto them. Exponentially heavier; small inputs only.
     """
     x, y = w.x, w.y
     t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
-    p_values = np.asarray(w.p.values)
-    q_values = np.asarray(w.q.values)
+    txyx, p = _lift_on_tensor((x, y, x), x, w.p_gen)
+    tyxy, q = _lift_on_tensor((y, x, y), y, w.q_gen)
+    p_values = np.asarray(p.values)
+    q_values = np.asarray(q.values)
     rep = ConditionReport()
     rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
     rep.add("q-surjective", _full_surjective(q_values, y, "q-surjective"))
-    rep.add("condition-1", _full_assoc(x, y, w.txyx, w.p, w.p_gen, w.q_gen,
+    rep.add("condition-1", _full_assoc(x, y, txyx, p, w.p_gen, w.q_gen,
                                        "condition-1"))
-    rep.add("condition-2", _full_assoc(y, x, w.tyxy, w.q, w.q_gen, w.p_gen,
+    rep.add("condition-2", _full_assoc(y, x, tyxy, q, w.q_gen, w.p_gen,
                                        "condition-2"))
     for label, t3, part, pos, lat, values in (
-            ("condition-3", w.txyx, t_xy, 0, x, p_values),
-            ("condition-4", w.txyx, t_yx, 1, x, p_values),
-            ("condition-5", w.tyxy, t_yx, 0, y, q_values),
-            ("condition-6", w.tyxy, t_xy, 1, y, q_values)):
+            ("condition-3", txyx, t_xy, 0, x, p_values),
+            ("condition-4", txyx, t_yx, 1, x, p_values),
+            ("condition-5", tyxy, t_yx, 0, y, q_values),
+            ("condition-6", tyxy, t_xy, 1, y, q_values)):
         rep.add(label, _distinct_slices(_curried(t3, part, pos, lat, values),
                                         1, lat, label))
     return rep
@@ -461,31 +461,22 @@ def check_pair_conditions_full(w: MoritaPairWitness) -> ConditionReport:
 # --- the involutive pipeline ---------------------------------------------------------
 
 class InvolutiveWitness:
-    'A single map p: X(x)X*(x)X -> X; the conjugate lattice is X relabelled.'
+    """A single map p: X(x)X*(x)X -> X, held as its generator table; the
+    conjugate lattice X* is X relabelled.
 
-    __slots__ = ("x", "xstar", "txxx", "p", "p_gen")
+    Raises NotAMultimorphism when the table is not slotwise join-preserving.
+    """
 
-    def __init__(self, x, xstar, txxx, p: SupMap):
-        if xstar.leq.tobytes() != x.leq.tobytes():
-            raise ShapeMismatch("the conjugate must share the order of X")
-        if txxx.factors != (x, xstar, x):
-            raise ShapeMismatch("tensor is not X(x)X*(x)X")
-        if p.dom != txxx.lattice or p.cod != x:
-            raise ShapeMismatch("p must map X(x)X*(x)X to X")
-        v = is_sup_map(p)
-        if not v:
-            raise NotSupMap(str(v))
-        self.x, self.xstar, self.txxx, self.p = x, xstar, txxx, p
-        self.p_gen = np.asarray(p.values, dtype=np.int64)[txxx.elem_table]
-        self.p_gen.flags.writeable = False
+    __slots__ = ("x", "xstar", "p_gen")
+
+    def __init__(self, x, p_table):
+        self.x, self.xstar = x, conjugate_lattice(x)
+        self.p_gen = as_multimorphism((x, self.xstar, x), x, p_table).values
 
     @classmethod
-    def from_generators(cls, x, p_table, txxx=None):
-        xstar = conjugate_lattice(x)
-        pm = as_multimorphism((x, xstar, x), x, p_table)
-        if txxx is None:
-            txxx = tensor_product(x, xstar, x)
-        return cls(x, xstar, txxx, lift_multimorphism(pm, txxx))
+    def from_generators(cls, x, p_table):
+        'The witness with this generator table; same as the constructor.'
+        return cls(x, p_table)
 
 
 def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
@@ -511,22 +502,9 @@ def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:
     return involutive_conditions_from_tables(w.x, w.p_gen)
 
 
-def derive_q_from_p(w: InvolutiveWitness) -> SupMap:
-    """q(x*(x)y(x)z*) = p(z(x)y*(x)x)*, lifted over X*(x)X(x)X*.
-
-    That tensor is ``w.txxx`` itself: X* has the order of X, so both have the
-    same tuple sets and elementary-tensor table, and lattice equality
-    ignores names.
-    """
-    qm = as_multimorphism((w.xstar, w.x, w.xstar), w.xstar,
-                          w.p_gen.transpose(2, 1, 0))
-    return lift_multimorphism(qm, w.txxx)
-
-
 def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
-    'The (X, X*) witness with q derived from p; both maps live on w.txxx.'
-    return MoritaPairWitness(w.x, w.xstar, w.txxx, w.txxx, w.p,
-                             derive_q_from_p(w))
+    'The (X, X*) witness with q(y1, x, y2) = p(y2, x, y1).'
+    return MoritaPairWitness(w.x, w.xstar, w.p_gen, w.p_gen.transpose(2, 1, 0))
 
 
 def check_involutive_conditions_full(w: InvolutiveWitness) -> ConditionReport:
@@ -534,11 +512,12 @@ def check_involutive_conditions_full(w: InvolutiveWitness) -> ConditionReport:
 
     They are conditions 1, 3 and 4 of the pair (X, X*, p, p transposed).
     """
-    x, xs, t3 = w.x, w.xstar, w.txxx
-    p_values = np.asarray(w.p.values)
+    x, xs = w.x, w.xstar
+    t3, p = _lift_on_tensor((x, xs, x), x, w.p_gen)
+    p_values = np.asarray(p.values)
     rep = ConditionReport()
     rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
-    rep.add("condition-a", _full_assoc(x, xs, t3, w.p, w.p_gen,
+    rep.add("condition-a", _full_assoc(x, xs, t3, p, w.p_gen,
                                        w.p_gen.transpose(2, 1, 0),
                                        "condition-a"))
     rep.add("condition-b", _distinct_slices(
@@ -647,7 +626,7 @@ def _class_star(tensor, idx_map, quant, label):
     return tuple(star)
 
 
-def build_involutive_context(w: InvolutiveWitness, *, precheck=True):
+def build_involutive_context(w: InvolutiveWitness):
     """From a passing one-sided p to context, stars, and imprimitivity data.
 
     Returns (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
@@ -655,10 +634,9 @@ def build_involutive_context(w: InvolutiveWitness, *, precheck=True):
     for well-definedness; for inputs that passed conditions a)-c) a collision
     cannot happen, so StarNotWellDefined is an integrity alarm.
     """
-    if precheck:
-        rep = check_involutive_conditions(w)
-        if not rep.ok:
-            raise ConditionsFailed(rep)
+    rep = check_involutive_conditions(w)
+    if not rep.ok:
+        raise ConditionsFailed(rep)
     pw = as_pair_witness(w)
     ctx = build_context_from_pair(pw)
 

@@ -29,7 +29,12 @@ def _tensor_cap(cap):
     if cap is not None:
         return int(cap)
     env = os.environ.get("MORITA_MAX_TENSOR", "")
-    return int(env) if env else DEFAULT_TENSOR_CAP
+    if not env:
+        return DEFAULT_TENSOR_CAP
+    if not env.strip().isdigit() or int(env) < 1:
+        raise MoritaError(
+            f"MORITA_MAX_TENSOR must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _to_ints(rows):
@@ -381,6 +386,20 @@ def enumerate_multimorphisms(factors, target, cap=None):
     yield from rec(0)
 
 
+def join_over_tuples(tensor: MultiTensorLattice, target, rows):
+    """out[e, c] = the join in ``target`` of rows[t, c] over the tuples t of
+    tensor element e; ``rows`` has one row per flat tuple of the grid.
+
+    The upper bounds of a set are the elements above each of its members,
+    and its join is the upper bound with the smallest down-set.
+    """
+    tcount, cols = rows.shape
+    not_above = ~target.leq[rows].reshape(tcount, cols * target.n)
+    bounds = ~(tensor.bits @ not_above).reshape(tensor.n, cols, target.n)
+    downset = target.leq.sum(axis=0)
+    return np.where(bounds, downset, target.n + 1).argmin(axis=2)
+
+
 def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> SupMap:
     """The unique sup-map on the tensor agreeing with f on elementary tensors.
 
@@ -395,12 +414,8 @@ def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> S
         tensor = tensor_product(*f.factors)
     elif tensor.factors != f.factors:
         raise DomainMismatch("tensor was built from different factors")
-    flat_vals = f.values.reshape(-1)
-    values = []
-    for i in range(tensor.n):
-        idxs = np.flatnonzero(tensor.bits[i])
-        values.append(f.target.join_of(int(flat_vals[k]) for k in idxs))
-    lifted = SupMap(tensor.lattice, f.target, tuple(values))
+    values = join_over_tuples(tensor, f.target, f.values.reshape(-1, 1))
+    lifted = SupMap(tensor.lattice, f.target, tuple(values[:, 0].tolist()))
     check = is_sup_map(lifted)
     if not check:
         raise MoritaError(f"internal: lift failed to preserve joins: {check}")

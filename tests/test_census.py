@@ -1,5 +1,6 @@
 """Candidate enumeration and the exhaustive witness census."""
 
+import hashlib
 import itertools
 import json
 
@@ -133,6 +134,9 @@ def test_census_brute_force_agreement_at_size_two():
 # pinned after the first verified run; the census is its own oracle here
 N3_GENERAL = 7
 N3_INVOLUTIVE = 7
+# sha256 of the g<=3 and i<=3 JSONL files, as perfbench/reference.json pins
+SHA_G3 = "de72989cf3d96c305924821016ed56f423560b19d750958735a9984fd22fcefe"
+SHA_I3 = "817e5bb8fa719bb99a22495fde58b577226378a2e89cd4a3065eb3b73b6e8f74"
 
 
 def test_census_size_three_regression():
@@ -144,8 +148,11 @@ def test_census_size_three_regression():
         assert all(rec.digests["context"].values())
 
 
-def test_involutive_census_size_three_regression():
-    records, summary = run_census(CensusTask(max_x=3, involutive=True))
+def test_involutive_census_size_three_regression(tmp_path):
+    path = tmp_path / "i3.jsonl"
+    records, summary = run_census(CensusTask(max_x=3, involutive=True,
+                                             out=str(path)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SHA_I3
     assert summary["records"] == N3_INVOLUTIVE
     stars = {rec.star_a for rec in records}
     assert (0, 1, 3, 2, 4, 5) in stars
@@ -167,6 +174,7 @@ def test_census_deterministic_across_workers(tmp_path):
         run_census(CensusTask(max_x=3, jobs=jobs, out=str(path)))
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == SHA_G3
     lines = outs[0].decode().splitlines()
     assert len(lines) == N3_GENERAL
     parsed = [json.loads(l) for l in lines]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import lattices_up_to, meet_tables
-from morita.census import enumerate_trimorphisms
+from morita.census import (CensusTask, _lat_from_rows,
+                           enumerate_trimorphisms, run_census)
 from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            MoritaContext, MoritaPairWitness, as_pair_witness,
                            build_context_from_pair, build_involutive_context,
@@ -12,15 +13,17 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            check_involutive_conditions_full,
                            check_morita_context, check_pair_conditions,
                            check_pair_conditions_full, conditions_from_tables,
-                           derive_q_from_p, extract_pair_from_context,
+                           extract_pair_from_context,
                            involutive_conditions_from_tables,
+                           _curried, _curried_from_generators,
                            _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, NotAMultimorphism,
                            failure)
 from morita.lattice import chain, diamond, m3
 from morita.quantale import OperatorQuantale
-from morita.tensor import Multimorphism, as_multimorphism
+from morita.tensor import Multimorphism, as_multimorphism, tensor_product
+from test_tensor import lift_by_join_of
 
 
 def meet_witness(lat):
@@ -87,6 +90,8 @@ def test_witness_rejects_non_multimorphism_tables():
     with pytest.raises(NotAMultimorphism):
         MoritaPairWitness.from_generators(lat, lat, meet_tables(lat),
                                           meet_tables(lat))
+    with pytest.raises(NotAMultimorphism):
+        InvolutiveWitness.from_generators(lat, meet_tables(lat))
 
 
 def test_build_context_and_laws():
@@ -112,15 +117,17 @@ def test_roundtrip_reproduces_tables_exactly():
         assert np.array_equal(back.q_gen, w.q_gen)
 
 
-def test_extraction_reuses_the_context_tensors():
+def test_extraction_builds_no_tensor(monkeypatch):
     w = meet_witness(chain(3))
     ctx = build_context_from_pair(w)
-    assert ctx.txyx is w.txyx and ctx.tyxy is w.tyxy
-    back = extract_pair_from_context(ctx)
-    assert back.txyx is w.txyx and back.tyxy is w.tyxy
     bare = MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, ctx.pair_xy, ctx.pair_yx)
-    rebuilt = extract_pair_from_context(bare)
-    assert rebuilt.txyx is not w.txyx and rebuilt == back
+
+    def refuse(*factors, **kwargs):
+        raise AssertionError("extraction built a tensor")
+
+    monkeypatch.setattr("morita.engine.tensor_product", refuse)
+    assert extract_pair_from_context(ctx) == w
+    assert extract_pair_from_context(bare) == w
 
 
 def test_witness_equality_and_hash():
@@ -238,9 +245,6 @@ def test_derived_q_is_the_argument_transpose():
     assert np.array_equal(pair.p_gen, w.p_gen)
     assert np.array_equal(pair.q_gen, w.p_gen.transpose(2, 1, 0))
     assert check_pair_conditions(pair).ok
-    # the standalone derivation lifts the same table
-    q = derive_q_from_p(w)
-    assert tuple(q.values) == tuple(pair.q.values)
 
 
 def test_as_pair_witness_builds_no_tensor(monkeypatch):
@@ -251,7 +255,8 @@ def test_as_pair_witness_builds_no_tensor(monkeypatch):
 
     monkeypatch.setattr("morita.engine.tensor_product", refuse)
     pair = as_pair_witness(w)
-    assert pair.txyx is w.txxx and pair.tyxy is w.txxx
+    assert (pair.x, pair.y) == (w.x, w.xstar)
+    assert np.array_equal(pair.q_gen, w.p_gen.transpose(2, 1, 0))
 
 
 def test_involutive_context_and_imprimitivity():
@@ -295,3 +300,40 @@ def test_imprimitivity_shape_validation():
                               np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(DomainMismatch):
         ImprimitivityBimodule(ia, ib, imp.bimodule, bad_inner, imp.inner_b)
+
+
+def _curried_shapes(x, y, p_gen, q_gen):
+    """The four (part, pos) shapes of the curried tables, each with its
+    generator-lift table and its splice+closure reference table; the
+    reference lifts p and q onto the three-fold tensors by the per-element
+    join loop."""
+    t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
+    txyx, tyxy = tensor_product(x, y, x), tensor_product(y, x, y)
+    p = np.asarray(lift_by_join_of(Multimorphism((x, y, x), x, p_gen), txyx))
+    q = np.asarray(lift_by_join_of(Multimorphism((y, x, y), y, q_gen), tyxy))
+    for big, part, pos, gen, lat, values in (
+            (txyx, t_xy, 0, p_gen, x, p), (txyx, t_yx, 1, p_gen, x, p),
+            (tyxy, t_yx, 0, q_gen, y, q), (tyxy, t_xy, 1, q_gen, y, q)):
+        yield (_curried_from_generators(part, pos, gen, lat),
+               _curried(big, part, pos, lat, values))
+
+
+def test_curried_tables_from_generators_match_splice_closure():
+    pairs = []
+    for lat in (chain(2), chain(3), diamond()):
+        w = meet_witness(lat)
+        pairs.append((w.x, w.y, w.p_gen, w.q_gen))
+    general, _ = run_census(CensusTask(max_x=3))
+    for rec in general:
+        x, y = _lat_from_rows(rec.x_leq), _lat_from_rows(rec.y_leq)
+        w = MoritaPairWitness.from_generators(x, y, rec.p, rec.q)
+        pairs.append((w.x, w.y, w.p_gen, w.q_gen))
+    involutive, _ = run_census(CensusTask(max_x=3, involutive=True))
+    for rec in involutive:
+        pw = as_pair_witness(InvolutiveWitness.from_generators(
+            _lat_from_rows(rec.x_leq), rec.p))
+        pairs.append((pw.x, pw.y, pw.p_gen, pw.q_gen))
+    assert len(pairs) == 3 + 7 + 7
+    for x, y, p_gen, q_gen in pairs:
+        for fast, reference in _curried_shapes(x, y, p_gen, q_gen):
+            assert np.array_equal(fast, reference)

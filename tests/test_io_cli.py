@@ -271,6 +271,15 @@ def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
     assert mio.read_lattice(workdir / "t.lat").n == 980
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_malformed_tensor_cap(workdir, monkeypatch, capsys, value):
+    monkeypatch.setenv("MORITA_MAX_TENSOR", value)
+    assert cli.main(["tensor", str(workdir / "c3.lat"),
+                     str(workdir / "c3.lat"), "-o", str(workdir / "t.lat")]) == 2
+    assert (f"error: MORITA_MAX_TENSOR must be a positive integer, "
+            f"got '{value}'" in capsys.readouterr().err)
+
+
 def test_cli_output_in_missing_directory(workdir, capsys):
     out = workdir / "nodir" / "t.lat"
     assert cli.main(["tensor", str(workdir / "c3.lat"),

@@ -123,6 +123,27 @@ def test_lift_restrict_roundtrip_both_ways():
         assert tuple(lift_multimorphism(f, t).values) == tuple(g.values)
 
 
+def lift_by_join_of(f, tensor):
+    """Values of the lift of f, one tensor element at a time: the join of f
+    over the element's tuples. The reference for the vectorised lift."""
+    flat_vals = f.values.reshape(-1)
+    return tuple(f.target.join_of(int(flat_vals[k])
+                                  for k in np.flatnonzero(tensor.bits[i]))
+                 for i in range(tensor.n))
+
+
+def test_lift_matches_the_per_element_join_on_all_small_trimorphisms():
+    lats = lattices_up_to(3)
+    checked = 0
+    for factors in itertools.product(lats, repeat=3):
+        t = tensor_product(*factors)
+        for z in lats:
+            for f in enumerate_multimorphisms(factors, z):
+                assert lift_multimorphism(f, t).values == lift_by_join_of(f, t)
+                checked += 1
+    assert checked == 363
+
+
 def test_lift_agrees_on_elementaries():
     x = chain(3)
     f = as_multimorphism((x, x), x, x.meet)
