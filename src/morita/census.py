@@ -2,12 +2,12 @@
 
 Candidate maps come from ``tensor.enumerate_multimorphisms``, which
 assigns values on tuples of join-irreducibles and extends by joins; the
-extension is verified slotwise afterwards, because on non-distributive
-factors a monotone assignment need not extend to a multimorphism. Surviving
-candidates are filtered through the pair conditions, deduplicated by
-witness isomorphism (automorphism orbits of the canonical lattice
-representatives), re-verified end to end, and emitted in a deterministic
-sorted order independent of the worker count.
+extension is verified slotwise when some factor is not distributive,
+because there a monotone assignment need not extend to a multimorphism.
+Surviving candidates are filtered through the pair conditions,
+deduplicated by witness isomorphism (automorphism orbits of the canonical
+lattice representatives), re-verified end to end, and emitted in a
+deterministic sorted order independent of the worker count.
 """
 
 import itertools
@@ -38,8 +38,7 @@ def enumerate_trimorphisms(x1, x2, x3, z, *, surjective=False, cap=None):
     'Three-slot multimorphisms, optionally filtered by lift surjectivity.'
     for f in enumerate_multimorphisms((x1, x2, x3), z, cap=cap):
         if surjective:
-            vals = {int(v) for v in np.asarray(f.values).reshape(-1)}
-            if len(join_closure(z, vals)) != z.n:
+            if len(join_closure(z, set(f.values.ravel().tolist()))) != z.n:
                 continue
         yield f
 

@@ -19,6 +19,7 @@ elements; used to validate the reduction at small sizes). Only the
 full-domain checks build three-fold tensors.
 """
 
+import functools
 from collections import defaultdict
 
 import numpy as np
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, MoritaError, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure)
-from .lattice import SupMap, conjugate_lattice, is_sup_map, join_closure
+from .lattice import (SupMap, _freeze, conjugate_lattice, is_sup_map,
+                      join_closure)
 from .modules import (Bimodule, ModuleAction, check_bimodule,
                       conjugate_bimodule, is_m_regular)
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
@@ -72,7 +74,7 @@ class MoritaPairWitness:
 
 
 def _surjective_by_generators(lat, table, label):
-    closed = join_closure(lat, {int(v) for v in np.asarray(table).reshape(-1)})
+    closed = join_closure(lat, set(np.asarray(table).ravel().tolist()))
     if len(closed) == lat.n:
         return PASS
     missing = sorted(set(range(lat.n)) - set(closed))
@@ -81,11 +83,8 @@ def _surjective_by_generators(lat, table, label):
 
 
 def _chain_axes(x, y):
-    """Index grids for the five slots (x1, y1, x2, y2, x3) of a chain.
-
-    Spelled out rather than np.ix_, which takes four times as long; the
-    census pair search builds these twice per candidate pair.
-    """
+    """Index grids for the five slots (x1, y1, x2, y2, x3) of a chain, for
+    the full-domain check ``_full_assoc``."""
     nx, ny = x.n, y.n
     return (np.arange(nx).reshape(nx, 1, 1, 1, 1),
             np.arange(ny).reshape(1, ny, 1, 1, 1),
@@ -94,28 +93,48 @@ def _chain_axes(x, y):
             np.arange(nx).reshape(1, 1, 1, 1, nx))
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_offsets(nx, ny):
+    """Offsets into a flat (nx, ny, nx) table for the chain's composites:
+    of the last two slots by (y2, x3), of the first two as a column by
+    (x1, y1), and of the first and last slots with shape (nx, 1, nx)."""
+    x, y = np.arange(nx), np.arange(ny)
+    tail = _freeze(np.arange(ny * nx))
+    head = _freeze((x[:, None] * (ny * nx) + y * nx).reshape(-1, 1))
+    ends = _freeze((x * (ny * nx)).reshape(nx, 1, 1) + x)
+    return tail, head, ends
+
+
 def _assoc_chain(p_gen, q_gen, x, y, label):
-    'p(p(x1,y1,x2),y2,x3) = p(x1,q(y1,x2,y2),x3) = p(x1,y1,p(x2,y2,x3)).'
-    x1, y1, x2, y2, x3 = _chain_axes(x, y)
-    left = p_gen[p_gen[x1, y1, x2], y2, x3]
-    mid = p_gen[x1, q_gen[y1, x2, y2], x3]
-    right = p_gen[x1, y1, p_gen[x2, y2, x3]]
-    bad = np.argwhere((left != mid) | (left != right))
-    if len(bad):
-        i1, j1, i2, j2, i3 = map(int, bad[0])
+    """p(p(x1,y1,x2),y2,x3) = p(x1,q(y1,x2,y2),x3) = p(x1,y1,p(x2,y2,x3)).
+
+    Each composite is one gather from the flat table of p, laid out in the
+    C order of the five slots (x1, y1, x2, y2, x3).
+    """
+    nx, ny = x.n, y.n
+    tail, head, ends = _chain_offsets(nx, ny)
+    flat = p_gen.ravel()
+    left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
+    mid = flat[q_gen.reshape(-1, 1) * nx + ends].ravel()
+    right = flat[head + flat].ravel()
+    bad = left != mid
+    bad |= left != right
+    k = int(bad.argmax())                      # the first True, if any
+    if bad[k]:
+        i1, j1, i2, j2, i3 = map(int, np.unravel_index(k, (nx, ny, nx, ny, nx)))
         wit = (x.names[i1], y.names[j1], x.names[i2], y.names[j2], x.names[i3])
         return failure(label, wit,
-                       f"nested values {x.names[left[i1, j1, i2, j2, i3]]} / "
-                       f"{x.names[mid[i1, j1, i2, j2, i3]]} / "
-                       f"{x.names[right[i1, j1, i2, j2, i3]]}")
+                       f"nested values {x.names[left[k]]} / "
+                       f"{x.names[mid[k]]} / {x.names[right[k]]}")
     return PASS
 
 
 def _distinct_slices(table, axis, lat, label):
     'The curried maps obtained by fixing this slot must be pairwise distinct.'
     seen = {}
+    slices = table.swapaxes(0, axis)
     for v in range(lat.n):
-        key = np.take(table, v, axis=axis).tobytes()
+        key = slices[v].tobytes()
         if key in seen:
             return failure(label, (lat.names[seen[key]], lat.names[v]),
                            "distinct elements induce identical curried maps")

@@ -24,7 +24,7 @@ class FiniteSupLattice:
     """A validated finite lattice. Build through :func:`validate_lattice`."""
 
     __slots__ = ("n", "names", "leq", "join", "meet", "bottom", "top",
-                 "_key", "_irr", "_below_sets")
+                 "_key", "_irr", "_distributive")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -36,7 +36,7 @@ class FiniteSupLattice:
         self.top = top
         self._key = leq.tobytes()
         self._irr = None
-        self._below_sets = None
+        self._distributive = None
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSupLattice)
@@ -78,13 +78,19 @@ class FiniteSupLattice:
             self._irr = tuple(irr)
         return self._irr
 
-    def irreducibles_below(self):
-        'For each element, the tuple of join-irreducibles below it.'
-        if self._below_sets is None:
-            irr = self.join_irreducibles()
-            self._below_sets = tuple(
-                tuple(j for j in irr if self.leq[j, x]) for x in range(self.n))
-        return self._below_sets
+    def is_distributive(self):
+        """Whether x v (y ^ z) = (x v y) ^ (x v z) for all x, y, z; checked
+        for a block of rows x at a time, so memory stays bounded."""
+        if self._distributive is None:
+            m = self.meet
+            step = max(1, (1 << 16) // (self.n * self.n))
+            self._distributive = True
+            for a in range(0, self.n, step):
+                jx = self.join[a:a + step]             # rows x v -
+                if not (jx[:, m] == m[jx[:, :, None], jx[:, None, :]]).all():
+                    self._distributive = False
+                    break
+        return self._distributive
 
     def relabel(self, names):
         if len(names) != self.n:

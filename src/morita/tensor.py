@@ -325,63 +325,91 @@ def as_multimorphism(factors, target, values) -> Multimorphism:
     return f
 
 
+def _maximal(strictly, mask):
+    'Positions in the mask with no position of the mask strictly above.'
+    return [a for a in np.flatnonzero(mask).tolist()
+            if not (strictly[a] & mask).any()]
+
+
+def _extension_plan(factors):
+    """Compile the backtracker's tables for these factors.
+
+    Cells are the tuples of join-irreducibles, as tuples of positions in
+    each factor's ``join_irreducibles()``, numbered in lex order: a linear
+    extension of the product order, since ``join_irreducibles()`` is sorted
+    by down-set size. Returns the cell count, the lower covers of each cell,
+    and a (width, grid tuples) gather matrix whose column t lists the cells
+    of the maximal join-irreducibles below the coordinates of tuple t,
+    padded with the sentinel cell ``ncells``. For a monotone assignment,
+    the join over these cells is the join over all cells below t.
+    """
+    irrs = [f.join_irreducibles() for f in factors]
+    counts = [len(ir) for ir in irrs]
+    strides = [int(np.prod(counts[i + 1:])) for i in range(len(factors))]
+    ncells = int(np.prod(counts))
+    tops, lowers = [], []
+    for f, ir in zip(factors, irrs):
+        below = f.leq[list(ir)]                       # below[a, x]: ir[a] <= x
+        strictly = below[:, list(ir)] & ~np.eye(len(ir), dtype=bool)
+        tops.append([_maximal(strictly, below[:, x]) for x in range(f.n)])
+        lowers.append([_maximal(strictly, strictly[:, b])
+                       for b in range(len(ir))])
+
+    def cell(pos):
+        return sum(a * st for a, st in zip(pos, strides))
+    covers = [[cell(pos) + (a - c) * strides[i]
+               for i, c in enumerate(pos) for a in lowers[i][c]]
+              for pos in itertools.product(*map(range, counts))]
+    rows = [[cell(pos) for pos in itertools.product(
+                *[tops[i][x] for i, x in enumerate(t)])]
+            for t in itertools.product(*[range(f.n) for f in factors])]
+    width = max(1, max(map(len, rows)))
+    gather = np.array([r + [ncells] * (width - len(r)) for r in rows],
+                      dtype=np.intp)
+    return ncells, covers, np.ascontiguousarray(gather.T)
+
+
 def enumerate_multimorphisms(factors, target, cap=None):
     """Yield every slotwise-join-preserving map factors -> target, once each.
 
     Walks monotone assignments on tuples of join-irreducibles in a linear
-    extension of the product order (join_irreducibles is sorted by downset
-    size, so lex order over position tuples works), extends to full tables
-    by joins, and keeps the extensions that verify.
+    extension of the product order and extends each to a full table by
+    joins over the gather matrix of ``_extension_plan``. On distributive
+    factors join-irreducibles are join-prime (Birkhoff), so every such
+    extension preserves joins slotwise, into any target; the extensions are
+    verified only when some factor is not distributive.
     """
     factors = tuple(factors)
-    irrs = [f.join_irreducibles() for f in factors]
-    cells = list(itertools.product(*[range(len(ir)) for ir in irrs]))
-    cell_index = {c: i for i, c in enumerate(cells)}
-    cell_below = []
-    for t, c in enumerate(cells):
-        cell_below.append([s for s in range(t) if all(
-            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
-            for i in range(len(factors)))])
-
-    below_pos = []
-    for f, ir in zip(factors, irrs):
-        pos = {v: i for i, v in enumerate(ir)}
-        below_pos.append([[pos[j] for j in js] for js in f.irreducibles_below()])
-
+    ncells, covers, gather = _extension_plan(factors)
+    verify = not all(f.is_distributive() for f in factors)
     shape = tuple(f.n for f in factors)
-    join = target.join
-    bottom = target.bottom
-    assign = [bottom] * len(cells)
+    join, joins = target.join, target.join.tolist()   # joins: for scalars
+    ups = [np.flatnonzero(row).tolist() for row in target.leq]
+    assign = [target.bottom] * (ncells + 1)   # the last entry is the sentinel
     found = 0
-
-    def extend():
-        table = np.empty(shape, dtype=np.int64)
-        for t in itertools.product(*[range(s) for s in shape]):
-            v = bottom
-            for cell in itertools.product(*[below_pos[i][t[i]]
-                                            for i in range(len(factors))]):
-                v = join[v, assign[cell_index[cell]]]
-            table[t] = v
-        return table
 
     def rec(t):
         nonlocal found
-        if t == len(cells):
-            f = Multimorphism(factors, target, extend())
-            if is_multimorphism(f):
-                if cap is not None and found >= cap:
-                    raise ResourceLimit(
-                        f"more than {cap} multimorphisms in one space")
-                found += 1
-                yield f
+        if t == ncells:
+            cols = np.array(assign, dtype=np.intp)[gather]
+            table = cols[0]
+            for col in cols[1:]:
+                table = join[table, col]
+            f = Multimorphism(factors, target, table.reshape(shape))
+            if verify and not is_multimorphism(f):
+                return
+            if cap is not None and found >= cap:
+                raise ResourceLimit(
+                    f"more than {cap} multimorphisms in one space")
+            found += 1
+            yield f
             return
-        lb = bottom
-        for s in cell_below[t]:
-            lb = join[lb, assign[s]]
-        for v in range(target.n):
-            if target.leq[lb, v]:
-                assign[t] = v
-                yield from rec(t + 1)
+        lb = target.bottom
+        for s in covers[t]:
+            lb = joins[lb][assign[s]]
+        for v in ups[lb]:
+            assign[t] = v
+            yield from rec(t + 1)
 
     yield from rec(0)
 

@@ -61,9 +61,13 @@ def test_single_factor_multimorphisms_are_sup_maps():
 
 
 def test_enumeration_against_bruteforce_on_mixed_factors():
+    # M3 and N5 are not distributive: there some monotone assignments on
+    # join-irreducibles do not extend, and the enumerator must drop them
     cases = [((chain(2), chain(3)), chain(2)),
              ((diamond(), chain(2)), diamond()),
-             ((chain(2), chain(2), chain(2)), chain(2))]
+             ((chain(2), chain(2), chain(2)), chain(2)),
+             ((m3(), chain(2)), chain(2)),
+             ((chain(2), n5()), chain(2))]
     for factors, target in cases:
         fast = {f.values.tobytes()
                 for f in enumerate_multimorphisms(factors, target)}
@@ -73,9 +77,15 @@ def test_enumeration_against_bruteforce_on_mixed_factors():
 
 
 def test_enumeration_cap():
-    x = chain(3)
-    with pytest.raises(ResourceLimit):
-        list(enumerate_multimorphisms((x, x), x, cap=3))
+    # the cap fires on the first table past it, mid-enumeration, whether
+    # or not the leaves are checked
+    for factors, z in (((chain(3), chain(3)), chain(3)), ((m3(),), m3())):
+        first = list(itertools.islice(enumerate_multimorphisms(factors, z), 4))
+        capped = enumerate_multimorphisms(factors, z, cap=3)
+        assert [next(capped) for _ in range(3)] == first[:3]
+        with pytest.raises(ResourceLimit,
+                           match="^more than 3 multimorphisms in one space$"):
+            next(capped)
 
 
 def test_census_task_validation():
@@ -189,11 +199,19 @@ def test_census_records_sorted():
 
 
 def test_census_resource_cap_fails_soft():
+    reason = "more than 1 multimorphisms in one space"
+    two = ["11", "01"]
     records, summary = run_census(CensusTask(max_x=2, tri_cap=1))
-    assert summary["skipped"]
+    # only the 2-chain pair has more than one trimorphism per side
+    assert summary["skipped"] == [{"x_leq": two, "y_leq": two,
+                                   "reason": reason}]
     assert len(records) == 1  # the vacuous one-point space still completes
-    for skip in summary["skipped"]:
-        assert "limit" in str(skip).lower() or skip
+    assert records[0].x_leq == ("1",) and records[0].y_leq == ("1",)
+
+    records, summary = run_census(CensusTask(max_x=2, tri_cap=1,
+                                             involutive=True))
+    assert summary["skipped"] == [{"x_leq": two, "reason": reason}]
+    assert [(r.mode, r.x_leq) for r in records] == [("involutive", ("1",))]
 
 
 def test_census_record_json_roundtrip():

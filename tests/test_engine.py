@@ -1,5 +1,7 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,12 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            check_pair_conditions_full, conditions_from_tables,
                            extract_pair_from_context,
                            involutive_conditions_from_tables,
-                           _curried, _curried_from_generators,
-                           _surjective_by_generators)
+                           _chain_axes, _curried, _curried_from_generators,
+                           _distinct_slices, _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, NotAMultimorphism,
                            failure)
-from morita.lattice import chain, diamond, m3
+from morita.lattice import chain, diamond, join_closure, m3
 from morita.quantale import OperatorQuantale
 from morita.tensor import Multimorphism, as_multimorphism, tensor_product
 from test_tensor import lift_by_join_of
@@ -337,3 +339,117 @@ def test_curried_tables_from_generators_match_splice_closure():
     for x, y, p_gen, q_gen in pairs:
         for fast, reference in _curried_shapes(x, y, p_gen, q_gen):
             assert np.array_equal(fast, reference)
+
+
+# --- the pair check against the five-axis gathers -----------------------------------
+
+def _surjective_by_set(lat, table, label):
+    closed = join_closure(lat, {int(v) for v in np.asarray(table).reshape(-1)})
+    if len(closed) == lat.n:
+        return PASS
+    missing = sorted(set(range(lat.n)) - set(closed))
+    return failure(f"{label}-surjective", tuple(lat.names[m] for m in missing[:3]),
+                   f"image join-closure has {len(closed)} of {lat.n} elements")
+
+
+def _assoc_chain_on_axes(p_gen, q_gen, x, y, label):
+    x1, y1, x2, y2, x3 = _chain_axes(x, y)
+    left = p_gen[p_gen[x1, y1, x2], y2, x3]
+    mid = p_gen[x1, q_gen[y1, x2, y2], x3]
+    right = p_gen[x1, y1, p_gen[x2, y2, x3]]
+    bad = np.argwhere((left != mid) | (left != right))
+    if len(bad):
+        i1, j1, i2, j2, i3 = map(int, bad[0])
+        wit = (x.names[i1], y.names[j1], x.names[i2], y.names[j2], x.names[i3])
+        return failure(label, wit,
+                       f"nested values {x.names[left[i1, j1, i2, j2, i3]]} / "
+                       f"{x.names[mid[i1, j1, i2, j2, i3]]} / "
+                       f"{x.names[right[i1, j1, i2, j2, i3]]}")
+    return PASS
+
+
+def _distinct_slices_by_take(table, axis, lat, label):
+    seen = {}
+    for v in range(lat.n):
+        key = np.take(table, v, axis=axis).tobytes()
+        if key in seen:
+            return failure(label, (lat.names[seen[key]], lat.names[v]),
+                           "distinct elements induce identical curried maps")
+        seen[key] = v
+    return PASS
+
+
+def conditions_on_axes(x, y, p_gen, q_gen):
+    """The pair check with five-axis index grids and one slice taken at a
+    time; the reference for ``conditions_from_tables``."""
+    p_gen = np.asarray(p_gen, dtype=np.int64)
+    q_gen = np.asarray(q_gen, dtype=np.int64)
+    rep = ConditionReport()
+    rep.add("p-surjective", _surjective_by_set(x, p_gen, "p"))
+    rep.add("q-surjective", _surjective_by_set(y, q_gen, "q"))
+    rep.add("condition-1", _assoc_chain_on_axes(p_gen, q_gen, x, y,
+                                                "condition-1"))
+    rep.add("condition-2", _assoc_chain_on_axes(q_gen, p_gen, y, x,
+                                                "condition-2"))
+    rep.add("condition-3", _distinct_slices_by_take(p_gen, 2, x, "condition-3"))
+    rep.add("condition-4", _distinct_slices_by_take(p_gen, 0, x, "condition-4"))
+    rep.add("condition-5", _distinct_slices_by_take(q_gen, 2, y, "condition-5"))
+    rep.add("condition-6", _distinct_slices_by_take(q_gen, 0, y, "condition-6"))
+    return rep
+
+
+def test_pair_check_matches_the_reference_on_every_census_pair(monkeypatch):
+    checked = []
+
+    def both(x, y, p_gen, q_gen):
+        rep = conditions_from_tables(x, y, p_gen, q_gen)
+        ref = conditions_on_axes(x, y, p_gen, q_gen)
+        assert rep.summary() == ref.summary()
+        checked.append(rep.ok)
+        return rep
+
+    monkeypatch.setattr("morita.census.conditions_from_tables", both)
+    records, _ = run_census(CensusTask(max_x=3))
+    assert len(records) == 7
+    assert (len(checked), sum(checked)) == (9431, 7)
+
+
+def test_pair_check_matches_the_reference_on_random_tables():
+    rng = np.random.default_rng(6)
+    lats = lattices_up_to(4)
+    failed = Counter()
+    for _ in range(3000):
+        x, y = (lats[i] for i in rng.integers(len(lats), size=2))
+        # a random value range, so that slices collide and images fall short
+        p = rng.integers(rng.integers(1, x.n + 1), size=(x.n, y.n, x.n))
+        q = rng.integers(rng.integers(1, y.n + 1), size=(y.n, x.n, y.n))
+        ref = conditions_on_axes(x, y, p, q)
+        assert conditions_from_tables(x, y, p, q).summary() == ref.summary()
+        for v in ref.failures():
+            failed[v.law] += 1
+    # every law fails often enough for its witness and detail to be compared
+    assert len(failed) == 8 and min(failed.values()) >= 300, failed
+
+
+def test_distinct_slices_matches_the_reference_on_full_domain_tables(
+        monkeypatch):
+    shapes = []
+
+    def both(table, axis, lat, label):
+        verdict = _distinct_slices(table, axis, lat, label)
+        assert verdict == _distinct_slices_by_take(table, axis, lat, label)
+        shapes.append((table.ndim, verdict.ok))
+        return verdict
+
+    monkeypatch.setattr("morita.engine._distinct_slices", both)
+    x2 = chain(2)
+    zero_q = MoritaPairWitness.from_generators(
+        x2, x2, meet_tables(x2), np.zeros((2, 2, 2), dtype=np.int64))
+    for w in (meet_witness(x2), candidate_23(), zero_q):
+        check_pair_conditions_full(w)
+    for x in lattices_up_to(2):
+        for f in enumerate_trimorphisms(x, x, x, x):
+            check_involutive_conditions_full(
+                InvolutiveWitness.from_generators(x, f.values))
+    assert {ndim for ndim, _ in shapes} == {2}
+    assert {ok for _, ok in shapes} == {True, False}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to
+from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
                            NotAPartialOrder, NotSupMap)
 from morita.lattice import (SupMap, as_sup_map, chain, conjugate_lattice,
@@ -43,10 +44,40 @@ def test_m3_is_not_distributive():
     assert lhs != rhs
 
 
+def distributive_by_loops(lat):
+    'x v (y ^ z) = (x v y) ^ (x v z), one triple at a time.'
+    j, m = lat.join, lat.meet
+    return all(j[x, m[y, z]] == m[j[x, y], j[x, z]]
+               for x, y, z in itertools.product(range(lat.n), repeat=3))
+
+
+def test_only_m3_and_n5_are_non_distributive_up_to_size_five():
+    for lat in lattices_up_to(6):
+        assert lat.is_distributive() == distributive_by_loops(lat)
+    bad = [lat for lat in lattices_up_to(5) if not lat.is_distributive()]
+    assert len(bad) == 2
+    for known in (m3(), n5()):
+        assert any(find_isomorphism(lat, known) is not None for lat in bad)
+
+
+def test_distributivity_is_checked_in_blocks_of_rows():
+    # past 256 elements a block is one row; M3 on top of a chain fails only
+    # in the rows of its atoms, the last blocks
+    n = 260
+    assert chain(n).is_distributive()
+    leq = np.zeros((n, n), dtype=bool)
+    leq[:n - 4, :n - 4] = np.tri(n - 4, dtype=bool).T
+    leq[:n - 4, n - 4:] = True
+    leq[np.arange(n - 4, n), np.arange(n - 4, n)] = True
+    leq[n - 4:, n - 1] = True
+    assert not validate_lattice(leq).is_distributive()
+
+
 def test_every_element_is_join_of_irreducibles_below():
     for lat in lattices_up_to(5):
-        for x, below in enumerate(lat.irreducibles_below()):
-            assert lat.join_of(below) == x
+        irr = lat.join_irreducibles()
+        for x in range(lat.n):
+            assert lat.join_of(j for j in irr if lat.leq[j, x]) == x
 
 
 def test_join_irreducibles_topologically_sorted():

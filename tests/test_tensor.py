@@ -11,7 +11,7 @@ from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
-from morita.lattice import SupMap, chain, diamond, m3
+from morita.lattice import SupMap, chain, diamond, m3, n5
 from morita.tensor import (Multimorphism, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, multi_ideal_closure,
@@ -226,3 +226,128 @@ def test_closure_is_a_closure_operator(data):
     more = data.draw(st.sets(st.sampled_from(grid), max_size=5))
     bigger = multi_ideal_closure(factors, seeds | more)
     assert closed <= bigger
+
+
+# --- the enumerator against the per-leaf extension ----------------------------------
+
+def enumerate_multimorphisms_per_leaf(factors, target, cap=None):
+    """The backtracker with a Python join loop per leaf and a slotwise check
+    of every leaf; the reference for ``enumerate_multimorphisms``."""
+    factors = tuple(factors)
+    irrs = [f.join_irreducibles() for f in factors]
+    cells = list(itertools.product(*[range(len(ir)) for ir in irrs]))
+    cell_index = {c: i for i, c in enumerate(cells)}
+    cell_below = []
+    for t, c in enumerate(cells):
+        cell_below.append([s for s in range(t) if all(
+            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
+            for i in range(len(factors)))])
+
+    below_pos = []
+    for f, ir in zip(factors, irrs):
+        below_pos.append([[i for i, j in enumerate(ir) if f.leq[j, x]]
+                          for x in range(f.n)])
+
+    shape = tuple(f.n for f in factors)
+    join = target.join
+    bottom = target.bottom
+    assign = [bottom] * len(cells)
+    found = 0
+
+    def extend():
+        table = np.empty(shape, dtype=np.int64)
+        for t in itertools.product(*[range(s) for s in shape]):
+            v = bottom
+            for cell in itertools.product(*[below_pos[i][t[i]]
+                                            for i in range(len(factors))]):
+                v = join[v, assign[cell_index[cell]]]
+            table[t] = v
+        return table
+
+    def rec(t):
+        nonlocal found
+        if t == len(cells):
+            f = Multimorphism(factors, target, extend())
+            if is_multimorphism(f):
+                if cap is not None and found >= cap:
+                    raise ResourceLimit(
+                        f"more than {cap} multimorphisms in one space")
+                found += 1
+                yield f
+            return
+        lb = bottom
+        for s in cell_below[t]:
+            lb = join[lb, assign[s]]
+        for v in range(target.n):
+            if target.leq[lb, v]:
+                assign[t] = v
+                yield from rec(t + 1)
+
+    yield from rec(0)
+
+
+def _cells(factors):
+    return int(np.prod([len(f.join_irreducibles()) for f in factors]))
+
+
+def _same_yields(factors, target):
+    fast = list(enumerate_multimorphisms(factors, target))
+    slow = list(enumerate_multimorphisms_per_leaf(factors, target))
+    assert fast == slow, (factors, target)
+    assert all(f.values.dtype == np.int64 for f in fast)
+    return len(fast)
+
+
+def test_enumerator_matches_the_per_leaf_reference_up_to_three_cells():
+    # every factor tuple of one to three lattices of size <= 5 with at most
+    # three join-irreducible tuples, into every target of size <= 5; a
+    # factor of size one has no irreducibles, so its tuples have no cells
+    lats = lattices_up_to(5)
+    assert len(lats) == 10
+    spaces = yields = 0
+    for k in (1, 2, 3):
+        for factors in itertools.product(lats, repeat=k):
+            if _cells(factors) > 3:
+                continue
+            for z in lats:
+                yields += _same_yields(factors, z)
+                spaces += 1
+    assert (spaces, yields) == (3360, 12819)
+
+
+def test_enumerator_matches_the_per_leaf_reference_on_census_shapes():
+    c2, c3, c4, d = chain(2), chain(3), chain(4), diamond()
+    for x, y in ((c3, c3), (c3, c2), (c2, c4), (d, c2), (c2, d)):
+        _same_yields((x, y, x), x)
+    for factors, z in (((m3(), c2), c3), ((c2, n5()), d), ((n5(), c2), n5())):
+        _same_yields(factors, z)
+
+
+def monotone_assignments(factors, target):
+    'Monotone maps from the tuples of join-irreducibles into the target.'
+    cells = list(itertools.product(*[f.join_irreducibles() for f in factors]))
+    order = [(s, t) for s, t in itertools.permutations(range(len(cells)), 2)
+             if all(f.leq[a, b] for f, a, b in zip(factors, cells[s], cells[t]))]
+    return sum(all(target.leq[v[s], v[t]] for s, t in order)
+               for v in itertools.product(range(target.n), repeat=len(cells)))
+
+
+def test_leaves_are_checked_only_with_a_non_distributive_factor(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return is_multimorphism(f)
+
+    monkeypatch.setattr("morita.tensor.is_multimorphism", counting)
+    c2, c3 = chain(2), chain(3)
+    for factors, z in (((c3, c2, c3), c3), ((diamond(), c2), m3()),
+                       ((c2,), n5())):
+        calls.clear()
+        assert _same_yields(factors, z) > 0
+        assert calls == []
+    for factors, z in (((m3(), c2), c2), ((c2, n5()), c3), ((m3(),), c3),
+                       ((n5(), c2, c2), c2)):
+        calls.clear()
+        found = _same_yields(factors, z)
+        assert len(calls) == monotone_assignments(factors, z) > found
