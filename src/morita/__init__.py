@@ -14,8 +14,7 @@ from .engine import (ImprimitivityBimodule, InvolutiveWitness, MoritaContext,
                      MoritaPairWitness, as_pair_witness,
                      build_context_from_pair, build_involutive_context,
                      check_imprimitivity, check_involutive_conditions,
-                     check_involutive_conditions_full, check_morita_context,
-                     check_pair_conditions, check_pair_conditions_full,
+                     check_morita_context, check_pair_conditions,
                      conditions_from_tables, extract_pair_from_context,
                      involutive_conditions_from_tables)
 from .enumeration import (automorphisms, canonical_key, enumerate_lattices,
@@ -37,7 +36,6 @@ from .quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
                        is_quantale_involution)
 from .tensor import (Multimorphism, MultiTensorLattice, as_multimorphism,
                      enumerate_multimorphisms, is_multimorphism,
-                     lift_multimorphism, multi_ideal_closure,
-                     restrict_to_elementaries, tensor_product)
+                     lift_multimorphism, tensor_product)
 
 __version__ = "0.1.0"

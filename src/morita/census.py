@@ -10,7 +10,6 @@ lattice representatives), re-verified end to end, and emitted in a
 deterministic sorted order independent of the worker count.
 """
 
-import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,10 +25,9 @@ from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .lattice import conjugate_lattice, join_closure, validate_lattice
-# tensor_product is unused here but stays bound: the benchmark tracer
-# (perfbench/tracer.py) rebinds morita.census.tensor_product
-from .tensor import (Multimorphism, enumerate_multimorphisms,
-                     is_multimorphism, tensor_product)
+# is_multimorphism and tensor_product are unused here but stay bound: the
+# benchmark tracer (perfbench/tracer.py) rebinds both in morita.census
+from .tensor import enumerate_multimorphisms, is_multimorphism, tensor_product
 
 
 # --- candidate enumeration ----------------------------------------------------------
@@ -41,21 +39,6 @@ def enumerate_trimorphisms(x1, x2, x3, z, *, surjective=False, cap=None):
             if len(join_closure(z, set(f.values.ravel().tolist()))) != z.n:
                 continue
         yield f
-
-
-def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):
-    'Filter every raw function table; independent oracle for tiny shapes.'
-    shape = tuple(int(f.n) for f in factors)
-    cells = int(np.prod(shape))
-    if target.n ** cells > limit:
-        raise ResourceLimit(f"{target.n ** cells} function tables")
-    out = []
-    for vals in itertools.product(range(target.n), repeat=cells):
-        f = Multimorphism(factors, target,
-                          np.asarray(vals, dtype=np.int64).reshape(shape))
-        if is_multimorphism(f):
-            out.append(f)
-    return out
 
 
 # --- tasks and records --------------------------------------------------------------

@@ -12,11 +12,9 @@ are mutually inverse on the nose.
 
 A witness is its generator tables, the values of p and q on elementary
 tensors: a sup-map out of a tensor is exactly its multimorphism, so the
-tables determine p and q. Condition checks come in two flavours:
-generator-level (complete because everything in sight preserves joins and
-elementary tensors join-generate) and full-domain (quantified over tensor
-elements; used to validate the reduction at small sizes). Only the
-full-domain checks build three-fold tensors.
+tables determine p and q. The conditions are checked on generators, which
+is complete because everything in sight preserves joins and elementary
+tensors join-generate; no check here builds a three-fold tensor.
 """
 
 import functools
@@ -34,8 +32,7 @@ from .modules import (Bimodule, ModuleAction, check_bimodule,
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
                        image_subquantale, is_quantale_involution)
 from .tensor import (Multimorphism, as_multimorphism, is_multimorphism,
-                     join_over_tuples, lift_multimorphism, splice,
-                     tensor_product)
+                     join_over_tuples, lift_multimorphism, tensor_product)
 
 
 # --- witnesses --------------------------------------------------------------------
@@ -80,17 +77,6 @@ def _surjective_by_generators(lat, table, label):
     missing = sorted(set(range(lat.n)) - set(closed))
     return failure(f"{label}-surjective", tuple(lat.names[m] for m in missing[:3]),
                    f"image join-closure has {len(closed)} of {lat.n} elements")
-
-
-def _chain_axes(x, y):
-    """Index grids for the five slots (x1, y1, x2, y2, x3) of a chain, for
-    the full-domain check ``_full_assoc``."""
-    nx, ny = x.n, y.n
-    return (np.arange(nx).reshape(nx, 1, 1, 1, 1),
-            np.arange(ny).reshape(1, ny, 1, 1, 1),
-            np.arange(nx).reshape(1, 1, nx, 1, 1),
-            np.arange(ny).reshape(1, 1, 1, ny, 1),
-            np.arange(nx).reshape(1, 1, 1, 1, nx))
 
 
 @functools.lru_cache(maxsize=None)
@@ -391,92 +377,6 @@ def extract_pair_from_context(ctx: MoritaContext) -> MoritaPairWitness:
     return w
 
 
-# --- full-domain condition checks ---------------------------------------------------
-
-def _lift_on_tensor(factors, target, gen):
-    'The tensor of the factors and the lift of the table gen onto it.'
-    t = tensor_product(*factors)
-    return t, lift_multimorphism(Multimorphism(factors, target, gen), t)
-
-
-def _curried(big, part, pos, lat, values):
-    """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
-    ``pos``, with v from ``lat`` in the remaining slot.
-
-    The reference for ``_curried_from_generators``: it closes every spliced
-    set of tuples in the three-fold tensor instead of joining generators.
-    """
-    return np.array([[values[splice(big, part, e, pos, (v,))]
-                      for v in range(lat.n)] for e in range(part.n)],
-                    dtype=np.int64)
-
-
-def _lifted_chain_side(t5, inner_gen, outer: SupMap):
-    'Lift tuples -> elementary tensor of a nested value, then apply outer.'
-    f = as_multimorphism(t5.factors, outer.dom, inner_gen)
-    lifted = lift_multimorphism(f, t5)
-    return outer.compose(lifted).values
-
-
-def _full_surjective(values, lat, label):
-    if set(map(int, values)) == set(range(lat.n)):
-        return PASS
-    return failure(label, (), "not onto over tensor elements")
-
-
-def _full_assoc(x, y, t3, p, p_gen, q_gen, label):
-    """Compare the three nested composites of the chain on every element of
-    X(x)Y(x)X(x)Y(x)X; ``t3`` is X(x)Y(x)X, the domain of ``p``."""
-    t5 = tensor_product(x, y, x, y, x)
-    x1, y1, x2, y2, x3 = _chain_axes(x, y)
-    et = t3.elem_table
-    b = np.broadcast_arrays
-    left = et[tuple(b(p_gen[x1, y1, x2], y2, x3))]
-    mid = et[tuple(b(x1, q_gen[y1, x2, y2], x3))]
-    right = et[tuple(b(x1, y1, p_gen[x2, y2, x3]))]
-    vals = [_lifted_chain_side(t5, g, p) for g in (left, mid, right)]
-    if vals[0] == vals[1] == vals[2]:
-        return PASS
-    for u in range(t5.n):
-        trio = {vals[0][u], vals[1][u], vals[2][u]}
-        if len(trio) > 1:
-            return failure(label, (t5.lattice.names[u],),
-                           "nested composites disagree on a tensor element")
-    return PASS
-
-
-def check_pair_conditions_full(w: MoritaPairWitness) -> ConditionReport:
-    """Conditions 1-6 quantified over whole tensor elements.
-
-    Exists to validate the generator reduction: same report keys as
-    check_pair_conditions, but every quantifier ranges over multi-ideals
-    (via five-fold tensors for the chains, partial-tensor embeddings for
-    the separation conditions). It builds X(x)Y(x)X and Y(x)X(x)Y and
-    lifts p and q onto them. Exponentially heavier; small inputs only.
-    """
-    x, y = w.x, w.y
-    t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
-    txyx, p = _lift_on_tensor((x, y, x), x, w.p_gen)
-    tyxy, q = _lift_on_tensor((y, x, y), y, w.q_gen)
-    p_values = np.asarray(p.values)
-    q_values = np.asarray(q.values)
-    rep = ConditionReport()
-    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
-    rep.add("q-surjective", _full_surjective(q_values, y, "q-surjective"))
-    rep.add("condition-1", _full_assoc(x, y, txyx, p, w.p_gen, w.q_gen,
-                                       "condition-1"))
-    rep.add("condition-2", _full_assoc(y, x, tyxy, q, w.q_gen, w.p_gen,
-                                       "condition-2"))
-    for label, t3, part, pos, lat, values in (
-            ("condition-3", txyx, t_xy, 0, x, p_values),
-            ("condition-4", txyx, t_yx, 1, x, p_values),
-            ("condition-5", tyxy, t_yx, 0, y, q_values),
-            ("condition-6", tyxy, t_xy, 1, y, q_values)):
-        rep.add(label, _distinct_slices(_curried(t3, part, pos, lat, values),
-                                        1, lat, label))
-    return rep
-
-
 # --- the involutive pipeline ---------------------------------------------------------
 
 class InvolutiveWitness:
@@ -524,28 +424,6 @@ def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:
 def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
     'The (X, X*) witness with q(y1, x, y2) = p(y2, x, y1).'
     return MoritaPairWitness(w.x, w.xstar, w.p_gen, w.p_gen.transpose(2, 1, 0))
-
-
-def check_involutive_conditions_full(w: InvolutiveWitness) -> ConditionReport:
-    """Conditions a)-c) quantified over tensor elements; same keys.
-
-    They are conditions 1, 3 and 4 of the pair (X, X*, p, p transposed).
-    """
-    x, xs = w.x, w.xstar
-    t3, p = _lift_on_tensor((x, xs, x), x, w.p_gen)
-    p_values = np.asarray(p.values)
-    rep = ConditionReport()
-    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
-    rep.add("condition-a", _full_assoc(x, xs, t3, p, w.p_gen,
-                                       w.p_gen.transpose(2, 1, 0),
-                                       "condition-a"))
-    rep.add("condition-b", _distinct_slices(
-        _curried(t3, tensor_product(x, xs), 0, x, p_values), 1, x,
-        "condition-b"))
-    rep.add("condition-c", _distinct_slices(
-        _curried(t3, tensor_product(xs, x), 1, x, p_values), 1, x,
-        "condition-c"))
-    return rep
 
 
 # --- imprimitivity ---------------------------------------------------------------------

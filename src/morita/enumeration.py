@@ -1,22 +1,16 @@
 """Enumeration of finite lattices up to isomorphism.
 
-Two independent generators:
-
-* :func:`enumerate_lattices` - incremental backtracking. Elements are added
-  one at a time in a topological order; each new element picks the downset
-  it sits above, with pruning rules that keep every completion a lattice.
-  Isomorphs are rejected by canonical form.
-* :func:`enumerate_lattices_bruteforce` - filters every upper-triangular
-  relation on n points and dedupes by explicit isomorphism search. Slow and
-  simple; exists to cross-check the first.
+:func:`enumerate_lattices` backtracks incrementally. Elements are added one
+at a time in a topological order; each new element picks the downset it
+sits above, with pruning rules that keep every completion a lattice.
+Isomorphs are rejected by canonical form.
 """
 
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 
-from .errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder, \
-    NoTop, ResourceLimit
+from .errors import MoritaError, ResourceLimit
 from .lattice import FiniteSupLattice, validate_lattice
 
 MAX_ENUM_N = 7
@@ -121,7 +115,7 @@ def find_isomorphism(a, b):
     return tuple(perm)
 
 
-# --- generator A: incremental backtracking ---------------------------------------
+# --- incremental backtracking ----------------------------------------------------
 
 def _downsets(down, upto):
     'Downward-closed subsets of {0..upto-1} containing the bottom, as masks.'
@@ -153,7 +147,7 @@ def _has_max(mask, down):
     return False
 
 
-def enumerate_lattices(n, max_n=MAX_ENUM_N):
+def enumerate_lattices(n):
     """All lattices on n elements up to isomorphism, canonically ordered.
 
     Elements are inserted bottom-up; index order is a linear extension, so a
@@ -167,8 +161,8 @@ def enumerate_lattices(n, max_n=MAX_ENUM_N):
     """
     if n < 1:
         raise MoritaError("n must be at least 1")
-    if n > max_n:
-        raise ResourceLimit(f"lattice enumeration capped at n={max_n}")
+    if n > MAX_ENUM_N:
+        raise ResourceLimit(f"lattice enumeration capped at n={MAX_ENUM_N}")
     if n == 1:
         return [validate_lattice(np.eye(1, dtype=bool))]
 
@@ -253,52 +247,3 @@ def enumerate_lattices(n, max_n=MAX_ENUM_N):
     lats = [validate_lattice(leq) for leq in reps]
     lats.sort(key=lambda l: l.leq.tobytes())
     return lats
-
-
-# --- generator B: naive filter ----------------------------------------------------
-
-def _is_lattice_matrix(leq):
-    try:
-        validate_lattice(leq)
-        return True
-    except (NotAPartialOrder, NoBottom, MissingJoin, NoTop):
-        return False
-
-
-def _isomorphic_brute(la, lb):
-    n = la.shape[0]
-    degs_a = sorted((int(la[i].sum()), int(la[:, i].sum())) for i in range(n))
-    degs_b = sorted((int(lb[i].sum()), int(lb[:, i].sum())) for i in range(n))
-    if degs_a != degs_b:
-        return False
-    for perm in permutations(range(n)):
-        p = np.asarray(perm)
-        if (la == lb[np.ix_(p, p)]).all():
-            return True
-    return False
-
-
-def enumerate_lattices_bruteforce(n, max_n=6):
-    """Filter all upper-triangular relations; dedupe by permutation search.
-
-    Shares nothing with :func:`enumerate_lattices` beyond validate_lattice.
-    Any topological labelling is upper-triangular, so nothing is missed.
-    """
-    if n > max_n:
-        raise ResourceLimit(f"naive enumeration capped at n={max_n}")
-    if n == 1:
-        return [validate_lattice(np.eye(1, dtype=bool))]
-    cells = list(combinations(range(n), 2))
-    reps = []
-    for bits in product((False, True), repeat=len(cells)):
-        leq = np.eye(n, dtype=bool)
-        for (i, j), b in zip(cells, bits):
-            leq[i, j] = b
-        sq = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
-        if (sq & ~leq).any():
-            continue
-        if not _is_lattice_matrix(leq):
-            continue
-        if not any(_isomorphic_brute(leq, r) for r in reps):
-            reps.append(leq)
-    return [validate_lattice(r) for r in reps]

@@ -7,7 +7,6 @@ empty join (bottom goes to bottom) and binary joins.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -244,13 +243,6 @@ class SupMap:
     def __call__(self, i):
         return self.values[i]
 
-    def compose(self, other):
-        'self after other.'
-        if other.cod != self.dom:
-            raise DomainMismatch("composition domains do not line up")
-        return SupMap(other.dom, self.cod,
-                      tuple(self.values[v] for v in other.values))
-
     def is_surjective(self):
         return len(set(self.values)) == self.cod.n
 
@@ -283,16 +275,6 @@ def as_sup_map(dom, cod, values) -> SupMap:
     if not v:
         raise NotSupMap(str(v))
     return f
-
-
-def enumerate_sup_maps_bruteforce(x, y):
-    'All |y|^|x| value tables filtered by is_sup_map. Oracle for small sizes.'
-    out = []
-    for values in product(range(y.n), repeat=x.n):
-        f = SupMap(x, y, values)
-        if is_sup_map(f):
-            out.append(f)
-    return out
 
 
 def star_name(name):

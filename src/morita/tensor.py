@@ -25,16 +25,18 @@ from .lattice import (FiniteSupLattice, SupMap, _freeze, _words, is_sup_map,
 DEFAULT_TENSOR_CAP = 100_000
 
 
-def _tensor_cap(cap):
-    if cap is not None:
-        return int(cap)
+def _tensor_cap():
     env = os.environ.get("MORITA_MAX_TENSOR", "")
     if not env:
         return DEFAULT_TENSOR_CAP
-    if not env.strip().isdigit() or int(env) < 1:
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
         raise MoritaError(
             f"MORITA_MAX_TENSOR must be a positive integer, got {env!r}")
-    return int(env)
+    return cap
 
 
 def _to_ints(rows):
@@ -109,25 +111,9 @@ class _Grid:
             _slot_plan(f, int(st), _to_int(ci == 0))
             for ci, f, st in zip(coords, self.factors, strides)))
 
-    def ravel(self, coords):
-        if len(coords) != len(self.sizes):
-            raise DomainMismatch(
-                f"expected {len(self.sizes)} coordinates, got {len(coords)}")
-        for c, f in zip(coords, self.factors):
-            if not 0 <= int(c) < f.n:
-                raise DomainMismatch(f"coordinate {c} outside factor of size {f.n}")
-        return int(np.ravel_multi_index(tuple(int(c) for c in coords), self.sizes))
-
-    def close(self, bits):
-        'Least multi-ideal containing the tuples of a bitset.'
-        return _kernels.close_ideal(bits, self.plan)
-
     def _tuples(self, flat):
         per = np.unravel_index(np.asarray(flat, dtype=np.intp), self.sizes)
         return [tuple(int(a[k]) for a in per) for k in range(len(flat))]
-
-    def tuples_of(self, mask):
-        return self._tuples(np.flatnonzero(mask))
 
     def maximal(self, bits):
         'Flat indices of the maximal tuples of a set without bottom coordinates.'
@@ -142,53 +128,23 @@ class _Grid:
         return out
 
 
-def multi_ideal_closure(factors, tuples):
-    'The least multi-ideal containing the given tuples, as a frozenset.'
-    g = _Grid(factors)
-    bits = 0
-    for t in tuples:
-        bits |= 1 << g.ravel(t)
-    return frozenset(g.tuples_of(_to_rows([g.close(bits)], g.tcount)[0]))
-
-
 class MultiTensorLattice:
     """A computed tensor product.
 
     ``lattice`` is the tensor as a plain lattice; ``bits[i]`` is the tuple
-    mask of element i and ``sets[i]`` the same set as an int; ``elem_table``
+    mask of element i, over flat tuple indices in C order; ``elem_table``
     maps coordinate tuples to the index of their elementary tensor.
     """
 
-    def __init__(self, factors, grid, lattice, sets, bits, elem_table):
+    def __init__(self, factors, lattice, bits, elem_table):
         self.factors = tuple(factors)
-        self.grid = grid
         self.lattice = lattice
-        self.sets = tuple(sets)
         self.bits = _freeze(bits)
         self.elem_table = _freeze(elem_table)
-        self._index = {s: i for i, s in enumerate(self.sets)}
 
     @property
     def n(self):
         return self.lattice.n
-
-    def elem(self, coords):
-        'Index of the elementary tensor of a coordinate tuple.'
-        return int(self.elem_table[tuple(int(c) for c in coords)])
-
-    def index_of(self, bits):
-        'Index of the element whose tuple set is the bitset ``bits``.'
-        i = self._index.get(bits)
-        if i is None:
-            raise MoritaError("internal: mask is not a multi-ideal of this tensor")
-        return i
-
-    def tuples_of(self, i):
-        return self.grid.tuples_of(self.bits[i])
-
-    def maximal_tuples(self, i):
-        'Maximal tuples without bottom coordinates; they generate element i.'
-        return self.grid._tuples(self.grid.maximal(self.sets[i]))
 
     def __repr__(self):
         shape = " x ".join(str(f.n) for f in self.factors)
@@ -210,22 +166,20 @@ def _tensor_names(sets, grid, factors):
     return names
 
 
-def tensor_product(*factors, cap=None) -> MultiTensorLattice:
+def tensor_product(*factors) -> MultiTensorLattice:
     """Build the tensor of two or more lattices.
 
     Enumerates multi-ideals breadth first from the bottom, joining on the
     elementary tensors of join-irreducible coordinates: those join-generate
     the tensor, since x1 (x) ... (x) xk distributes over joins in each slot.
-    Raises ResourceLimit when there are more than ``cap`` elements; the
-    default cap is 100000, overridable via MORITA_MAX_TENSOR.
+    Raises ResourceLimit when there are more than 100000 elements, or more
+    than MORITA_MAX_TENSOR when that is set.
     """
-    if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
-        factors = tuple(factors[0])
     if len(factors) < 2:
         raise DomainMismatch("a tensor product needs at least two factors")
     if not all(isinstance(f, FiniteSupLattice) for f in factors):
         raise DomainMismatch("tensor factors must be validated lattices")
-    cap = _tensor_cap(cap)
+    cap = _tensor_cap()
     g = _Grid(factors)
 
     irr = np.ix_(*(f.join_irreducibles() for f in factors))
@@ -259,7 +213,7 @@ def tensor_product(*factors, cap=None) -> MultiTensorLattice:
     index = {s: i for i, s in enumerate(sets)}
     elem_table = np.array([index[e] for e in g.elems],
                           dtype=np.int64).reshape(g.sizes)
-    return MultiTensorLattice(factors, g, lattice, sets, bits, elem_table)
+    return MultiTensorLattice(factors, lattice, bits, elem_table)
 
 
 # --- multimorphisms --------------------------------------------------------------
@@ -428,7 +382,7 @@ def join_over_tuples(tensor: MultiTensorLattice, target, rows):
     return np.where(bounds, downset, target.n + 1).argmin(axis=2)
 
 
-def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> SupMap:
+def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice) -> SupMap:
     """The unique sup-map on the tensor agreeing with f on elementary tensors.
 
     The lift sends a multi-ideal to the join of f over its tuples. Closure
@@ -438,9 +392,7 @@ def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> S
     v = is_multimorphism(f)
     if not v:
         raise NotAMultimorphism(str(v))
-    if tensor is None:
-        tensor = tensor_product(*f.factors)
-    elif tensor.factors != f.factors:
+    if tensor.factors != f.factors:
         raise DomainMismatch("tensor was built from different factors")
     values = join_over_tuples(tensor, f.target, f.values.reshape(-1, 1))
     lifted = SupMap(tensor.lattice, f.target, tuple(values[:, 0].tolist()))
@@ -449,32 +401,3 @@ def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice = None) -> S
         raise MoritaError(f"internal: lift failed to preserve joins: {check}")
     return lifted
 
-
-def restrict_to_elementaries(g: SupMap, tensor: MultiTensorLattice) -> Multimorphism:
-    'The multimorphism a sup-map on the tensor induces on elementary tensors.'
-    if g.dom != tensor.lattice:
-        raise DomainMismatch("map is not defined on this tensor")
-    vals = np.asarray(g.values, dtype=np.int64)[tensor.elem_table]
-    return Multimorphism(tensor.factors, g.cod, vals)
-
-
-def splice(tensor: MultiTensorLattice, sub: MultiTensorLattice, sub_element,
-           pos, fixed):
-    """Embed a sub-tensor element with the remaining coordinates fixed.
-
-    ``sub`` must match ``tensor.factors[pos:pos+k]``; ``fixed`` supplies the
-    other coordinates in slot order. Returns the index in ``tensor`` of the
-    closure of { prefix + t + suffix : t a tuple of the sub element }. This
-    is sup-preserving in the element and in every fixed coordinate.
-    """
-    k = len(sub.factors)
-    if tensor.factors[pos:pos + k] != sub.factors:
-        raise DomainMismatch("sub-tensor factors do not sit at that position")
-    fixed = tuple(int(c) for c in fixed)
-    if len(fixed) != len(tensor.factors) - k:
-        raise DomainMismatch(f"expected {len(tensor.factors) - k} fixed coordinates")
-    bits = 0
-    pre, post = fixed[:pos], fixed[pos:]
-    for t in sub.tuples_of(sub_element):
-        bits |= 1 << tensor.grid.ravel(pre + t + post)
-    return tensor.index_of(tensor.grid.close(bits))

@@ -1,0 +1,263 @@
+"""Slow, independent oracles that the tests compare the package against.
+
+* the full-domain condition checks, which quantify every condition over
+  whole tensor elements instead of generator tuples, and build the
+  three- and five-fold tensors to do so;
+* ``splice``, ``multi_ideal_closure`` and ``restrict_to_elementaries``,
+  which move between coordinate tuples and tensor elements;
+* brute-force enumerators of multimorphisms, sup-maps and lattices, which
+  filter every raw table or relation.
+
+None of them is used by the package itself; they are small-input only.
+"""
+
+from itertools import combinations, permutations, product
+
+import numpy as np
+
+from morita import _kernels
+from morita.engine import _distinct_slices
+from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
+                           NoBottom, NotAPartialOrder, NoTop, PASS,
+                           ResourceLimit, failure)
+from morita.lattice import SupMap, is_sup_map, validate_lattice
+from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
+                           _to_rows, as_multimorphism, is_multimorphism,
+                           lift_multimorphism, tensor_product)
+
+
+# --- tuples and tensor elements ---------------------------------------------------
+
+def multi_ideal_closure(factors, tuples):
+    'The least multi-ideal containing the given tuples, by the closure kernel.'
+    g = _Grid(factors)
+    bits = 0
+    for t in tuples:
+        bits |= 1 << int(np.ravel_multi_index(t, g.sizes))
+    closed = _to_rows([_kernels.close_ideal(bits, g.plan)], g.tcount)[0]
+    return frozenset(map(tuple, np.argwhere(closed.reshape(g.sizes)).tolist()))
+
+
+def restrict_to_elementaries(g: SupMap, tensor: MultiTensorLattice) -> Multimorphism:
+    'The multimorphism a sup-map on the tensor induces on elementary tensors.'
+    if g.dom != tensor.lattice:
+        raise DomainMismatch("map is not defined on this tensor")
+    vals = np.asarray(g.values, dtype=np.int64)[tensor.elem_table]
+    return Multimorphism(tensor.factors, g.cod, vals)
+
+
+def splice(tensor: MultiTensorLattice, sub: MultiTensorLattice, sub_element,
+           pos, fixed):
+    """Embed a sub-tensor element with the remaining coordinates fixed.
+
+    ``sub`` must match ``tensor.factors[pos:pos+k]``; ``fixed`` supplies the
+    other coordinates in slot order. Returns the index in ``tensor`` of the
+    join of the elementary tensors prefix + t + suffix over the tuples t of
+    the sub element; a join of tensor elements is the closure of their
+    union, so this is the least multi-ideal holding those tuples.
+    """
+    k = len(sub.factors)
+    if tensor.factors[pos:pos + k] != sub.factors:
+        raise DomainMismatch("sub-tensor factors do not sit at that position")
+    fixed = tuple(int(c) for c in fixed)
+    if len(fixed) != len(tensor.factors) - k:
+        raise DomainMismatch(f"expected {len(tensor.factors) - k} fixed coordinates")
+    sizes = tuple(f.n for f in sub.factors)
+    tuples = np.argwhere(sub.bits[sub_element].reshape(sizes)).tolist()
+    pre, post = fixed[:pos], fixed[pos:]
+    return tensor.lattice.join_of(tensor.elem_table[pre + tuple(t) + post]
+                                  for t in tuples)
+
+
+# --- full-domain condition checks ---------------------------------------------------
+
+def _lift_on_tensor(factors, target, gen):
+    'The tensor of the factors and the lift of the table gen onto it.'
+    t = tensor_product(*factors)
+    return t, lift_multimorphism(Multimorphism(factors, target, gen), t)
+
+
+def _curried(big, part, pos, lat, values):
+    """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
+    ``pos``, with v from ``lat`` in the remaining slot.
+
+    The reference for ``engine._curried_from_generators``: it splices every
+    element into the three-fold tensor instead of joining generators.
+    """
+    return np.array([[values[splice(big, part, e, pos, (v,))]
+                      for v in range(lat.n)] for e in range(part.n)],
+                    dtype=np.int64)
+
+
+def _lifted_chain_side(t5, inner_gen, outer: SupMap):
+    'Lift tuples -> elementary tensor of a nested value, then apply outer.'
+    f = as_multimorphism(t5.factors, outer.dom, inner_gen)
+    lifted = lift_multimorphism(f, t5)
+    return tuple(outer.values[v] for v in lifted.values)
+
+
+def _full_surjective(values, lat, label):
+    if set(map(int, values)) == set(range(lat.n)):
+        return PASS
+    return failure(label, (), "not onto over tensor elements")
+
+
+def _chain_axes(x, y):
+    'Index grids for the five slots (x1, y1, x2, y2, x3) of a chain.'
+    nx, ny = x.n, y.n
+    return (np.arange(nx).reshape(nx, 1, 1, 1, 1),
+            np.arange(ny).reshape(1, ny, 1, 1, 1),
+            np.arange(nx).reshape(1, 1, nx, 1, 1),
+            np.arange(ny).reshape(1, 1, 1, ny, 1),
+            np.arange(nx).reshape(1, 1, 1, 1, nx))
+
+
+def _full_assoc(x, y, t3, p, p_gen, q_gen, label):
+    """Compare the three nested composites of the chain on every element of
+    X(x)Y(x)X(x)Y(x)X; ``t3`` is X(x)Y(x)X, the domain of ``p``."""
+    t5 = tensor_product(x, y, x, y, x)
+    x1, y1, x2, y2, x3 = _chain_axes(x, y)
+    et = t3.elem_table
+    b = np.broadcast_arrays
+    left = et[tuple(b(p_gen[x1, y1, x2], y2, x3))]
+    mid = et[tuple(b(x1, q_gen[y1, x2, y2], x3))]
+    right = et[tuple(b(x1, y1, p_gen[x2, y2, x3]))]
+    vals = [_lifted_chain_side(t5, g, p) for g in (left, mid, right)]
+    if vals[0] == vals[1] == vals[2]:
+        return PASS
+    for u in range(t5.n):
+        trio = {vals[0][u], vals[1][u], vals[2][u]}
+        if len(trio) > 1:
+            return failure(label, (t5.lattice.names[u],),
+                           "nested composites disagree on a tensor element")
+    return PASS
+
+
+def check_pair_conditions_full(w) -> ConditionReport:
+    """Conditions 1-6 quantified over whole tensor elements.
+
+    Validates the generator reduction: same report keys as
+    ``engine.check_pair_conditions``, but every quantifier ranges over
+    multi-ideals (via five-fold tensors for the chains, partial-tensor
+    embeddings for the separation conditions). It builds X(x)Y(x)X and
+    Y(x)X(x)Y and lifts p and q onto them.
+    """
+    x, y = w.x, w.y
+    t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
+    txyx, p = _lift_on_tensor((x, y, x), x, w.p_gen)
+    tyxy, q = _lift_on_tensor((y, x, y), y, w.q_gen)
+    p_values = np.asarray(p.values)
+    q_values = np.asarray(q.values)
+    rep = ConditionReport()
+    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
+    rep.add("q-surjective", _full_surjective(q_values, y, "q-surjective"))
+    rep.add("condition-1", _full_assoc(x, y, txyx, p, w.p_gen, w.q_gen,
+                                       "condition-1"))
+    rep.add("condition-2", _full_assoc(y, x, tyxy, q, w.q_gen, w.p_gen,
+                                       "condition-2"))
+    for label, t3, part, pos, lat, values in (
+            ("condition-3", txyx, t_xy, 0, x, p_values),
+            ("condition-4", txyx, t_yx, 1, x, p_values),
+            ("condition-5", tyxy, t_yx, 0, y, q_values),
+            ("condition-6", tyxy, t_xy, 1, y, q_values)):
+        rep.add(label, _distinct_slices(_curried(t3, part, pos, lat, values),
+                                        1, lat, label))
+    return rep
+
+
+def check_involutive_conditions_full(w) -> ConditionReport:
+    """Conditions a)-c) quantified over tensor elements; same keys as
+    ``engine.check_involutive_conditions``.
+
+    They are conditions 1, 3 and 4 of the pair (X, X*, p, p transposed).
+    """
+    x, xs = w.x, w.xstar
+    t3, p = _lift_on_tensor((x, xs, x), x, w.p_gen)
+    p_values = np.asarray(p.values)
+    rep = ConditionReport()
+    rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
+    rep.add("condition-a", _full_assoc(x, xs, t3, p, w.p_gen,
+                                       w.p_gen.transpose(2, 1, 0),
+                                       "condition-a"))
+    rep.add("condition-b", _distinct_slices(
+        _curried(t3, tensor_product(x, xs), 0, x, p_values), 1, x,
+        "condition-b"))
+    rep.add("condition-c", _distinct_slices(
+        _curried(t3, tensor_product(xs, x), 1, x, p_values), 1, x,
+        "condition-c"))
+    return rep
+
+
+# --- brute-force enumerators ----------------------------------------------------------
+
+def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):
+    'Filter every raw function table; independent oracle for tiny shapes.'
+    shape = tuple(int(f.n) for f in factors)
+    cells = int(np.prod(shape))
+    if target.n ** cells > limit:
+        raise ResourceLimit(f"{target.n ** cells} function tables")
+    out = []
+    for vals in product(range(target.n), repeat=cells):
+        f = Multimorphism(factors, target,
+                          np.asarray(vals, dtype=np.int64).reshape(shape))
+        if is_multimorphism(f):
+            out.append(f)
+    return out
+
+
+def enumerate_sup_maps_bruteforce(x, y):
+    'All |y|^|x| value tables filtered by is_sup_map.'
+    out = []
+    for values in product(range(y.n), repeat=x.n):
+        f = SupMap(x, y, values)
+        if is_sup_map(f):
+            out.append(f)
+    return out
+
+
+def _is_lattice_matrix(leq):
+    try:
+        validate_lattice(leq)
+        return True
+    except (NotAPartialOrder, NoBottom, MissingJoin, NoTop):
+        return False
+
+
+def _isomorphic_brute(la, lb):
+    n = la.shape[0]
+    degs_a = sorted((int(la[i].sum()), int(la[:, i].sum())) for i in range(n))
+    degs_b = sorted((int(lb[i].sum()), int(lb[:, i].sum())) for i in range(n))
+    if degs_a != degs_b:
+        return False
+    for perm in permutations(range(n)):
+        p = np.asarray(perm)
+        if (la == lb[np.ix_(p, p)]).all():
+            return True
+    return False
+
+
+def enumerate_lattices_bruteforce(n, max_n=6):
+    """Filter all upper-triangular relations; dedupe by permutation search.
+
+    Shares nothing with ``enumeration.enumerate_lattices`` beyond
+    validate_lattice. Any topological labelling is upper-triangular, so
+    nothing is missed.
+    """
+    if n > max_n:
+        raise ResourceLimit(f"naive enumeration capped at n={max_n}")
+    if n == 1:
+        return [validate_lattice(np.eye(1, dtype=bool))]
+    cells = list(combinations(range(n), 2))
+    reps = []
+    for bits in product((False, True), repeat=len(cells)):
+        leq = np.eye(n, dtype=bool)
+        for (i, j), b in zip(cells, bits):
+            leq[i, j] = b
+        sq = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+        if (sq & ~leq).any():
+            continue
+        if not _is_lattice_matrix(leq):
+            continue
+        if not any(_isomorphic_brute(leq, r) for r in reps):
+            reps.append(leq)
+    return [validate_lattice(r) for r in reps]

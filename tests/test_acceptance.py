@@ -17,19 +17,18 @@ from morita.census import CensusTask, enumerate_trimorphisms, run_census
 from morita.engine import (InvolutiveWitness, MoritaContext,
                            MoritaPairWitness, build_context_from_pair,
                            build_involutive_context, check_morita_context,
-                           check_pair_conditions, check_pair_conditions_full,
-                           conditions_from_tables, extract_pair_from_context,
+                           check_pair_conditions, conditions_from_tables,
+                           extract_pair_from_context,
                            involutive_conditions_from_tables)
-from morita.enumeration import (enumerate_lattices,
-                                enumerate_lattices_bruteforce,
-                                find_isomorphism)
+from morita.enumeration import enumerate_lattices, find_isomorphism
 from morita.errors import ContextInvalid, StarNotWellDefined
-from morita.lattice import (SupMap, chain, diamond,
-                            enumerate_sup_maps_bruteforce, validate_lattice)
+from morita.lattice import SupMap, chain, diamond, validate_lattice
 from morita.modules import Bimodule, ModuleAction
 from morita.tensor import (Multimorphism, enumerate_multimorphisms,
                            is_multimorphism, lift_multimorphism,
-                           restrict_to_elementaries, tensor_product)
+                           tensor_product)
+from oracles import (check_pair_conditions_full, enumerate_lattices_bruteforce,
+                     enumerate_sup_maps_bruteforce, restrict_to_elementaries)
 from test_tensor import brute_multi_ideals
 
 

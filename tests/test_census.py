@@ -9,14 +9,14 @@ import pytest
 
 from conftest import meet_tables
 from morita.census import (CensusRecord, CensusTask,
-                           enumerate_multimorphisms,
-                           enumerate_multimorphisms_bruteforce,
-                           enumerate_trimorphisms, run_census)
+                           enumerate_multimorphisms, enumerate_trimorphisms,
+                           run_census)
 from morita.engine import conditions_from_tables
 from morita.errors import DomainMismatch, ResourceLimit
-from morita.lattice import (chain, diamond, enumerate_sup_maps_bruteforce,
-                            m3, n5)
+from morita.lattice import chain, diamond, m3, n5
 from morita.tensor import Multimorphism, is_multimorphism
+from oracles import (enumerate_multimorphisms_bruteforce,
+                     enumerate_sup_maps_bruteforce)
 
 
 def test_trimorphism_count_on_two_chains():

@@ -12,19 +12,20 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            MoritaContext, MoritaPairWitness, as_pair_witness,
                            build_context_from_pair, build_involutive_context,
                            check_imprimitivity, check_involutive_conditions,
-                           check_involutive_conditions_full,
                            check_morita_context, check_pair_conditions,
-                           check_pair_conditions_full, conditions_from_tables,
-                           extract_pair_from_context,
+                           conditions_from_tables, extract_pair_from_context,
                            involutive_conditions_from_tables,
-                           _chain_axes, _curried, _curried_from_generators,
-                           _distinct_slices, _surjective_by_generators)
+                           _curried_from_generators, _distinct_slices,
+                           _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, NotAMultimorphism,
                            failure)
 from morita.lattice import chain, diamond, join_closure, m3
 from morita.quantale import OperatorQuantale
-from morita.tensor import Multimorphism, as_multimorphism, tensor_product
+from morita.tensor import Multimorphism, tensor_product
+import oracles
+from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
+                     check_pair_conditions_full)
 from test_tensor import lift_by_join_of
 
 
@@ -306,9 +307,9 @@ def test_imprimitivity_shape_validation():
 
 def _curried_shapes(x, y, p_gen, q_gen):
     """The four (part, pos) shapes of the curried tables, each with its
-    generator-lift table and its splice+closure reference table; the
-    reference lifts p and q onto the three-fold tensors by the per-element
-    join loop."""
+    generator-lift table and its splice reference table; the reference
+    lifts p and q onto the three-fold tensors by the per-element join
+    loop."""
     t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
     txyx, tyxy = tensor_product(x, y, x), tensor_product(y, x, y)
     p = np.asarray(lift_by_join_of(Multimorphism((x, y, x), x, p_gen), txyx))
@@ -441,7 +442,7 @@ def test_distinct_slices_matches_the_reference_on_full_domain_tables(
         shapes.append((table.ndim, verdict.ok))
         return verdict
 
-    monkeypatch.setattr("morita.engine._distinct_slices", both)
+    monkeypatch.setattr(oracles, "_distinct_slices", both)
     x2 = chain(2)
     zero_q = MoritaPairWitness.from_generators(
         x2, x2, meet_tables(x2), np.zeros((2, 2, 2), dtype=np.int64))

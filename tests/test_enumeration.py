@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to
-from morita.enumeration import (automorphisms, canonical_key,
-                                enumerate_lattices,
-                                enumerate_lattices_bruteforce,
-                                find_isomorphism)
+from morita.enumeration import (MAX_ENUM_N, automorphisms, canonical_key,
+                                enumerate_lattices, find_isomorphism)
 from morita.errors import ResourceLimit
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
+from oracles import enumerate_lattices_bruteforce
 
 # unlabeled lattice counts for n = 1..6
 COUNTS = (1, 1, 1, 2, 5, 15)
@@ -88,4 +87,4 @@ def test_find_isomorphism_rejects_distinct_lattices():
 
 def test_enumerate_lattices_size_cap():
     with pytest.raises(ResourceLimit):
-        enumerate_lattices(3, max_n=2)
+        enumerate_lattices(MAX_ENUM_N + 1)

@@ -151,7 +151,7 @@ def test_elem_sidecar_roundtrip(tmp_path):
     mio.write_elem(path, t)
     table = mio.read_elem(path, 2)
     for coords in np.ndindex(3, 4):
-        assert table[coords] == t.elem(coords)
+        assert table[coords] == t.elem_table[coords]
 
 
 def test_action_roundtrip_single_sided(tmp_path):
@@ -271,7 +271,7 @@ def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
     assert mio.read_lattice(workdir / "t.lat").n == 980
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "²"])
 def test_cli_malformed_tensor_cap(workdir, monkeypatch, capsys, value):
     monkeypatch.setenv("MORITA_MAX_TENSOR", value)
     assert cli.main(["tensor", str(workdir / "c3.lat"),

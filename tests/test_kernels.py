@@ -110,11 +110,26 @@ def test_close_ideal_agrees_on_random_seed_sets(data):
                           reference_close(factors, mask))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_close_ideal_is_the_join_of_elementary_tensors(data):
+    # a join in the tensor lattice is the closure of the union, so closing a
+    # set of tuples gives the join of their elementary tensors
+    factors = GRIDS[data.draw(st.sampled_from(sorted(GRIDS)))]
+    t = tensor_product(*factors)
+    tcount = t.bits.shape[1]
+    seeds = data.draw(st.sets(st.integers(0, tcount - 1), max_size=8))
+    mask = np.zeros(tcount, dtype=bool)
+    mask[list(seeds)] = True
+    joined = t.lattice.join_of(t.elem_table.reshape(-1)[mask])
+    assert np.array_equal(_kernel_close(factors, mask), t.bits[joined])
+
+
 def test_closure_output_is_a_multi_ideal():
     factors = (diamond(), chain(3))
-    g = _Grid(factors)
-    closed = _to_rows([g.close(1 << g.ravel((1, 2)))], g.tcount)[0]
-    grid = closed.reshape(g.sizes)
+    mask = np.zeros(12, dtype=bool)
+    mask[np.ravel_multi_index((1, 2), (4, 3))] = True
+    grid = _kernel_close(factors, mask).reshape(4, 3)
     assert grid[0, :].all() and grid[:, 0].all()          # bottom tuples
     for a, b, c, d in itertools.product(range(4), range(3), range(4), range(3)):
         if grid[a, b] and factors[0].leq[c, a] and factors[1].leq[d, b]:

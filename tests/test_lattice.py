@@ -12,10 +12,10 @@ from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
                            NotAPartialOrder, NotSupMap)
 from morita.lattice import (SupMap, as_sup_map, chain, conjugate_lattice,
-                            diamond, enumerate_sup_maps_bruteforce,
-                            is_sup_map, join_closure, m3, n5,
+                            diamond, is_sup_map, join_closure, m3, n5,
                             validate_lattice)
 from morita.tensor import enumerate_multimorphisms
+from oracles import enumerate_sup_maps_bruteforce
 
 
 def test_chain_tables_are_min_max():
