@@ -8,6 +8,15 @@ Surviving candidates are filtered through the pair conditions,
 deduplicated by witness isomorphism (automorphism orbits of the canonical
 lattice representatives), re-verified end to end, and emitted in a
 deterministic sorted order independent of the worker count.
+
+In general mode a p candidate is a surjective table on X(x)Y(x)X whose
+curried maps pass conditions 3 and 4, and a q candidate one on Y(x)X(x)Y
+passing 5 and 6. Every p x q pair of candidates then gets one full
+``conditions_from_tables`` report; the summary's ``candidates`` counts
+these pairs, and the benchmark's ``pairs_checked`` counts the same calls
+(in involutive mode ``candidates`` counts surjective tables, each checked
+once). The benchmark reference pins both counts, so a search that prunes
+pairs before the full report changes them and must update it.
 """
 
 import json
@@ -17,16 +26,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
-                     build_context_from_pair, build_involutive_context,
-                     check_imprimitivity, check_morita_context,
-                     check_pair_conditions, conditions_from_tables,
-                     extract_pair_from_context,
+                     _generates, build_context_from_pair,
+                     build_involutive_context, check_imprimitivity,
+                     check_morita_context, check_pair_conditions,
+                     conditions_from_tables, extract_pair_from_context,
                      involutive_conditions_from_tables)
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .lattice import conjugate_lattice, join_closure, validate_lattice
-# is_multimorphism and tensor_product are unused here but stay bound: the
-# benchmark tracer (perfbench/tracer.py) rebinds both in morita.census
+# is_multimorphism, join_closure and tensor_product are unused here but stay
+# bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
+# morita.census
 from .tensor import enumerate_multimorphisms, is_multimorphism, tensor_product
 
 
@@ -35,10 +45,8 @@ from .tensor import enumerate_multimorphisms, is_multimorphism, tensor_product
 def enumerate_trimorphisms(x1, x2, x3, z, *, surjective=False, cap=None):
     'Three-slot multimorphisms, optionally filtered by lift surjectivity.'
     for f in enumerate_multimorphisms((x1, x2, x3), z, cap=cap):
-        if surjective:
-            if len(join_closure(z, set(f.values.ravel().tolist()))) != z.n:
-                continue
-        yield f
+        if not surjective or _generates(z, f.values):
+            yield f
 
 
 # --- tasks and records --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exception types and the Verdict/report vocabulary shared by all checkers."""
 
+import functools
 from dataclasses import dataclass, field
 
 
@@ -117,6 +118,12 @@ def failure(law, witness=(), detail=""):
     return Verdict(False, law=law, witness=tuple(witness), detail=detail)
 
 
+@functools.lru_cache(maxsize=256)
+def _passed(law):
+    'One shared PASS verdict per law name; a Verdict is immutable.'
+    return Verdict(True, law=law)
+
+
 @dataclass
 class ConditionReport:
     """Ordered collection of named verdicts; the unit of diagnostic output."""
@@ -131,7 +138,9 @@ class ConditionReport:
                               witness=tuple(v.law for v in bad[:3]),
                               detail=str(bad[0]) if bad else
                               f"all {len(verdict.checks)} laws hold")
-        if not verdict.law:
+        if verdict is PASS:
+            verdict = _passed(name)
+        elif not verdict.law:
             verdict = Verdict(verdict.ok, law=name, witness=verdict.witness,
                               detail=verdict.detail)
         self.checks[name] = verdict

@@ -7,13 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from conftest import meet_tables
+from conftest import lattices_up_to, meet_tables
 from morita.census import (CensusRecord, CensusTask,
                            enumerate_multimorphisms, enumerate_trimorphisms,
                            run_census)
 from morita.engine import conditions_from_tables
 from morita.errors import DomainMismatch, ResourceLimit
-from morita.lattice import chain, diamond, m3, n5
+from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
+                            m3, n5)
 from morita.tensor import Multimorphism, is_multimorphism
 from oracles import (enumerate_multimorphisms_bruteforce,
                      enumerate_sup_maps_bruteforce)
@@ -74,6 +75,30 @@ def test_enumeration_against_bruteforce_on_mixed_factors():
         brute = {f.values.tobytes()
                  for f in enumerate_multimorphisms_bruteforce(factors, target)}
         assert fast == brute
+
+
+def test_surjective_filter_matches_the_join_closure_filter():
+    # the irreducibles test against the join-closure filter it replaced, on
+    # every space of the g<=3, i<=3 and x=4,y<=2 censuses
+    small = lattices_up_to(3)
+    sizes4 = [lat for lat in lattices_up_to(4) if lat.n == 4]
+    pairs = ([(x, y) for x in small for y in small]
+             + [(x, y) for x in sizes4 for y in lattices_up_to(2)])
+    spaces = ([(x, y, x, x) for x, y in pairs]
+              + [(y, x, y, y) for x, y in pairs]
+              + [(x, conjugate_lattice(x), x, x) for x in small])
+    kept = total = 0
+    for space in spaces:
+        z = space[3]
+        fast = [f.values for f in enumerate_trimorphisms(*space,
+                                                         surjective=True)]
+        every = [f.values for f in enumerate_trimorphisms(*space)]
+        ref = [t for t in every
+               if len(join_closure(z, set(t.ravel().tolist()))) == z.n]
+        assert len(fast) == len(ref)
+        assert all(np.array_equal(a, b) for a, b in zip(fast, ref))
+        kept, total = kept + len(fast), total + len(every)
+    assert 0 < kept < total
 
 
 def test_enumeration_cap():

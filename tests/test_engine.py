@@ -16,11 +16,11 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            conditions_from_tables, extract_pair_from_context,
                            involutive_conditions_from_tables,
                            _curried_from_generators, _distinct_slices,
-                           _surjective_by_generators)
+                           _one_sided, _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, NotAMultimorphism,
                            failure)
-from morita.lattice import chain, diamond, join_closure, m3
+from morita.lattice import chain, conjugate_lattice, diamond, join_closure, m3
 from morita.quantale import OperatorQuantale
 from morita.tensor import Multimorphism, tensor_product
 import oracles
@@ -430,6 +430,48 @@ def test_pair_check_matches_the_reference_on_random_tables():
             failed[v.law] += 1
     # every law fails often enough for its witness and detail to be compared
     assert len(failed) == 8 and min(failed.values()) >= 300, failed
+
+
+def test_one_sided_memo_keeps_no_names_between_calls():
+    # equal orders under three namings share memo entries; the names in each
+    # report must be the call's own, whichever naming filled the entry
+    rng = np.random.default_rng(8)
+    x, y = diamond(), chain(3)
+    namings = [(x, y), (conjugate_lattice(x), conjugate_lattice(y)),
+               (x.relabel(("b", "l", "r", "t")), y.relabel(("a", "b", "c")))]
+    pairs = [(rng.integers(rng.integers(1, 5), size=(4, 3, 4)),
+              rng.integers(rng.integers(1, 4), size=(3, 4, 3)))
+             for _ in range(40)]
+    inv = [rng.integers(rng.integers(1, 5), size=(4, 4, 4)) for _ in range(10)]
+    # one byte string under two shapes: (2, 4, 2) on c2 x d, (4, 1, 4) on d x c1
+    raw = rng.integers(2, size=16)
+    shapes = [(chain(2), x, raw.reshape(2, 4, 2),
+               rng.integers(4, size=(4, 2, 4))),
+              (x, chain(1), raw.reshape(4, 1, 4),
+               np.zeros((1, 4, 1), dtype=int))]
+
+    def agrees(lx, ly, p, q):
+        rep = conditions_from_tables(lx, ly, p, q)
+        assert rep.summary() == conditions_on_axes(lx, ly, p, q).summary()
+        return rep
+
+    failed = set()
+    for order in (namings, namings[::-1]):
+        _one_sided.cache_clear()
+        for lx, ly in order:
+            for p, q in pairs:
+                failed.update(v.law for v in agrees(lx, ly, p, q).failures())
+            for t in inv:
+                # the pair check on (X, X*, t, t^T) shares t's entry
+                agrees(lx, conjugate_lattice(lx), t, t.transpose(2, 1, 0))
+                assert (involutive_conditions_from_tables(lx, t).summary()
+                        == five_axis_involutive_conditions(lx, t).summary())
+    for order in (shapes, shapes[::-1]):
+        _one_sided.cache_clear()
+        for case in order:
+            agrees(*case)
+    # every law failed, so every kind of witness name was compared
+    assert len(failed) == 8, failed
 
 
 def test_distinct_slices_matches_the_reference_on_full_domain_tables(

@@ -32,6 +32,7 @@ import sys
 import tempfile
 
 METRICS = ("setup_s", "work_s", "peak_rss_mb")
+WORKLOADS = ("census", "verify", "tensor")
 
 
 def commit_of(checkout):
@@ -62,13 +63,20 @@ def entry(commit, workload, seeds, seconds, results):
     return out
 
 
-def main(argv=None):
+def parse_args(argv=None):
+    'The options; ``--workload`` takes several names, or repeats.'
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", nargs="*", default=["."])
-    ap.add_argument("--workload", action="append",
-                    choices=("census", "verify", "tensor"))
+    ap.add_argument("--workload", action="extend", nargs="+",
+                    choices=WORKLOADS)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = ap.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload or WORKLOADS))
+    return args
+
+
+def main(argv=None):
+    args = parse_args(argv)
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
     checkouts = [os.path.abspath(c) for c in args.checkouts]
@@ -76,7 +84,7 @@ def main(argv=None):
 
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for workload in args.workload or ("census", "verify", "tensor"):
+        for workload in args.workload:
             results = {c: [] for c in checkouts}
             for i, seed in enumerate(args.seeds):
                 for c in (checkouts if i % 2 == 0 else checkouts[::-1]):
