@@ -1,9 +1,12 @@
-"""The multi-ideal closure kernel.
+"""The multi-ideal closure kernel, kept as a reference.
 
-The closure is the innermost loop of tensor construction: every join in a
-tensor lattice is one closure call. A set of coordinate tuples is a Python
-int whose bit t is the tuple with flat index t, so unions, intersections
-and equality tests are single big-int operations.
+No package code calls it: ``tensor.tensor_product`` lists a tensor's
+elements with the multimorphism enumerator. The tests build tensors breadth
+first with it (``tensor_product_by_closure`` in ``tests/oracles.py``) as the
+reference for that enumeration, and ``perfbench`` reads ``ACTIVE`` for its
+environment stamp and traces ``close_ideal``. A set of coordinate tuples is
+a Python int whose bit t is the tuple with flat index t, so unions,
+intersections and equality tests are single big-int operations.
 
 ``ACTIVE`` names the kernel in the environment stamp of ``perfbench/rep.py``;
 it keeps the value ``"numpy"`` so that stamps taken before and after the

@@ -23,7 +23,7 @@ class FiniteSupLattice:
     """A validated finite lattice. Build through :func:`validate_lattice`."""
 
     __slots__ = ("n", "names", "leq", "join", "meet", "bottom", "top",
-                 "_key", "_irr", "_distributive")
+                 "_key", "_hash", "_irr", "_distributive")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -34,6 +34,7 @@ class FiniteSupLattice:
         self.bottom = bottom
         self.top = top
         self._key = leq.tobytes()
+        self._hash = hash((n, self._key))
         self._irr = None
         self._distributive = None
 
@@ -42,7 +43,7 @@ class FiniteSupLattice:
                 and self.n == other.n and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.n, self._key))
+        return self._hash
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
@@ -284,6 +285,13 @@ def star_name(name):
 def conjugate_lattice(lat):
     'Same carrier and order; every element renamed with a trailing star.'
     return lat.relabel(tuple(star_name(s) for s in lat.names))
+
+
+def opposite(lat):
+    """The same carrier with the order reversed: joins and meets, bottom and
+    top trade places. Built from the validated tables, so not re-validated."""
+    return FiniteSupLattice(lat.n, lat.names, np.ascontiguousarray(lat.leq.T),
+                            lat.meet, lat.join, lat.top, lat.bottom)
 
 
 # --- small stock lattices -------------------------------------------------------

@@ -6,9 +6,15 @@ A multi-ideal is a set of tuples that is downward closed and closed in every
 fiber under binary joins in the moving slot; the least one is the set of
 tuples with a bottom coordinate. Elementary tensors are the closures of
 single tuples, every multi-ideal is a join of elementary tensors, and maps
-out of the tensor are exactly the liftings of multimorphisms. The one
-backtracking enumerator, ``enumerate_multimorphisms``, lists them for any
-number of factors; with one factor it lists the sup-maps.
+out of the tensor are exactly the liftings of multimorphisms.
+
+The one backtracking enumerator, ``enumerate_multimorphisms``, lists the
+multimorphisms for any number of factors; with one factor it lists the
+sup-maps. It also lists the tensor's elements: the multi-ideals correspond
+one to one with the multimorphisms of all factors but one into the opposite
+of the remaining one (Joyal and Tierney, An extension of the Galois theory
+of Grothendieck, Mem. AMS 309, 1984), so ``tensor_product`` is one
+enumeration.
 """
 
 import itertools
@@ -16,11 +22,10 @@ import os
 
 import numpy as np
 
-from . import _kernels
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, ShapeMismatch, failure)
 from .lattice import (FiniteSupLattice, SupMap, _freeze, _words, is_sup_map,
-                      validate_lattice)
+                      opposite, validate_lattice)
 
 DEFAULT_TENSOR_CAP = 100_000
 
@@ -49,15 +54,6 @@ def _to_int(row):
     return _to_ints(row[None])[0]
 
 
-def _to_rows(sets, tcount):
-    'Boolean rows, one per bitset, of length tcount.'
-    nbytes = max(1, (tcount + 7) // 8)
-    buf = b"".join(s.to_bytes(nbytes, "little") for s in sets)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(sets), nbytes)
-    return np.unpackbits(packed, axis=1, count=tcount,
-                         bitorder="little").astype(bool)
-
-
 def _subsets(rows):
     'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
     words = _words(rows)
@@ -70,23 +66,8 @@ def _subsets(rows):
     return leq
 
 
-def _slot_plan(f, stride, comb):
-    'One slot of the closure plan; see ``_kernels.close_ideal``.'
-    strict = f.leq & ~np.eye(f.n, dtype=bool)
-    s = strict.astype(np.int32)
-    cover = strict & ((s @ s) == 0)            # cover[c, x]: c is covered by x
-    rank = f.leq.sum(axis=0)                   # size of the down-set
-    covers = tuple((int(x), int(c)) for x in np.argsort(-rank, kind="stable")
-                   for c in np.flatnonzero(cover[:, x]))
-    triples = sorted(((x, y, int(f.join[x, y])) for x in range(f.n)
-                      for y in range(x + 1, f.n)
-                      if not (f.leq[x, y] or f.leq[y, x])),
-                     key=lambda t: rank[t[2]])
-    return tuple(x * stride for x in range(f.n)), comb, covers, tuple(triples)
-
-
 class _Grid:
-    """Coordinate-grid scaffolding: tuple order, bottom tuples, closure plan.
+    """Coordinate grid: tuple order, bottom tuples, elementary tensors.
 
     Sets of tuples are ints with bit t for the tuple of flat index t.
     """
@@ -106,10 +87,6 @@ class _Grid:
         # above[t]: the tuples strictly above t
         self.elems = _to_ints(below.T | bottom)
         self.above = _to_ints(below & ~np.eye(self.tcount, dtype=bool))
-        strides = np.cumprod((1,) + self.sizes[:0:-1])[::-1]
-        self.plan = (self.bottom, tuple(
-            _slot_plan(f, int(st), _to_int(ci == 0))
-            for ci, f, st in zip(coords, self.factors, strides)))
 
     def _tuples(self, flat):
         per = np.unravel_index(np.asarray(flat, dtype=np.intp), self.sizes)
@@ -169,9 +146,19 @@ def _tensor_names(sets, grid, factors):
 def tensor_product(*factors) -> MultiTensorLattice:
     """Build the tensor of two or more lattices.
 
-    Enumerates multi-ideals breadth first from the bottom, joining on the
-    elementary tensors of join-irreducible coordinates: those join-generate
-    the tensor, since x1 (x) ... (x) xk distributes over joins in each slot.
+    A multi-ideal meets every line along slot k in a principal down-set;
+    sending the other coordinates to the top of that down-set turns joins
+    in each of their slots into meets, so it is a multimorphism g of the
+    other factors into the opposite of factor k, and the ideal is
+    {t : t_k <= g(t without slot k)}. Every such g gives a multi-ideal, so
+    the elements are the tables ``enumerate_multimorphisms`` yields.
+
+    Slot k is the last non-distributive factor, or the last slot when all
+    are distributive: the enumerator checks every leaf once a factor of
+    its domain is not distributive, and a non-distributive target keeps
+    its join-irreducibles out of the cells those leaves range over
+    (m3 x m3 x c3 visits 1728 leaves into M3, 19683 into the 3-chain).
+
     Raises ResourceLimit when there are more than 100000 elements, or more
     than MORITA_MAX_TENSOR when that is set.
     """
@@ -182,30 +169,23 @@ def tensor_product(*factors) -> MultiTensorLattice:
     cap = _tensor_cap()
     g = _Grid(factors)
 
-    irr = np.ix_(*(f.join_irreducibles() for f in factors))
-    flat = np.arange(g.tcount).reshape(g.sizes)[irr].reshape(-1)
-    gens = [g.elems[t] for t in flat]
-    queue = [g.bottom] + gens
-    seen = set(queue)
-    qi = 0
-    while qi < len(queue):
-        if len(queue) > cap:
+    k = max((i for i, f in enumerate(factors) if not f.is_distributive()),
+            default=len(factors) - 1)
+    tables = []
+    for f in enumerate_multimorphisms(factors[:k] + factors[k + 1:],
+                                      opposite(factors[k])):
+        if len(tables) == cap:
             raise ResourceLimit(
                 f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
-        cur = queue[qi]
-        qi += 1
-        for gb in gens:
-            if gb & ~cur:
-                closed = _kernels.close_ideal(cur | gb, g.plan)
-                if closed not in seen:
-                    seen.add(closed)
-                    queue.append(closed)
+        tables.append(f.values)
+    # rows[e, ..., t_k, ...] iff t_k <= g_e(the other coordinates)
+    rows = np.moveaxis(factors[k].leq.T[np.array(tables)], -1, k + 1)
+    rows = rows.reshape(len(tables), g.tcount)
 
     # order by size, then by the tuple rows read as 0/1 strings
-    rows = _to_rows(queue, g.tcount)
     order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
-    sets = [queue[k] for k in order]
     bits = rows[order]
+    sets = _to_ints(bits)
 
     names = _tensor_names(sets, g, factors)
     lattice = validate_lattice(_subsets(bits), names)

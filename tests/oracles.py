@@ -5,6 +5,9 @@
   three- and five-fold tensors to do so;
 * ``splice``, ``multi_ideal_closure`` and ``restrict_to_elementaries``,
   which move between coordinate tuples and tensor elements;
+* ``tensor_product_by_closure``, the breadth-first tensor build on the
+  bit-packed closure kernel ``morita._kernels.close_ideal``, which the
+  enumerated build of ``tensor_product`` is compared against;
 * brute-force enumerators of multimorphisms, sup-maps and lattices, which
   filter every raw table or relation.
 
@@ -22,8 +25,85 @@ from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
                            ResourceLimit, failure)
 from morita.lattice import SupMap, is_sup_map, validate_lattice
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
-                           _to_rows, as_multimorphism, is_multimorphism,
+                           _subsets, _tensor_names, _to_int,
+                           as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
+
+
+# --- the closure kernel and the tensor built on it ----------------------------------
+
+def _to_rows(sets, tcount):
+    'Boolean rows, one per bitset, of length tcount.'
+    nbytes = max(1, (tcount + 7) // 8)
+    buf = b"".join(s.to_bytes(nbytes, "little") for s in sets)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(sets), nbytes)
+    return np.unpackbits(packed, axis=1, count=tcount,
+                         bitorder="little").astype(bool)
+
+
+def _slot_plan(f, stride, comb):
+    'One slot of the closure plan; see ``_kernels.close_ideal``.'
+    strict = f.leq & ~np.eye(f.n, dtype=bool)
+    s = strict.astype(np.int32)
+    cover = strict & ((s @ s) == 0)            # cover[c, x]: c is covered by x
+    rank = f.leq.sum(axis=0)                   # size of the down-set
+    covers = tuple((int(x), int(c)) for x in np.argsort(-rank, kind="stable")
+                   for c in np.flatnonzero(cover[:, x]))
+    triples = sorted(((x, y, int(f.join[x, y])) for x in range(f.n)
+                      for y in range(x + 1, f.n)
+                      if not (f.leq[x, y] or f.leq[y, x])),
+                     key=lambda t: rank[t[2]])
+    return tuple(x * stride for x in range(f.n)), comb, covers, tuple(triples)
+
+
+def closure_plan(g: _Grid):
+    'The ``plan`` argument of ``_kernels.close_ideal`` for the grid g.'
+    coords = np.unravel_index(np.arange(g.tcount), g.sizes)
+    strides = np.cumprod((1,) + g.sizes[:0:-1])[::-1]
+    return g.bottom, tuple(_slot_plan(f, int(st), _to_int(ci == 0))
+                           for ci, f, st in zip(coords, g.factors, strides))
+
+
+def tensor_product_by_closure(*factors) -> MultiTensorLattice:
+    """The tensor built breadth first from the bottom by the closure kernel.
+
+    Joins on the elementary tensors of join-irreducible coordinates: those
+    join-generate the tensor, since x1 (x) ... (x) xk distributes over joins
+    in each slot. Elements are ordered, named and indexed as in
+    ``tensor_product``.
+    """
+    g = _Grid(factors)
+    plan = closure_plan(g)
+
+    irr = np.ix_(*(f.join_irreducibles() for f in factors))
+    flat = np.arange(g.tcount).reshape(g.sizes)[irr].reshape(-1)
+    gens = [g.elems[t] for t in flat]
+    queue = [g.bottom] + gens
+    seen = set(queue)
+    qi = 0
+    while qi < len(queue):
+        cur = queue[qi]
+        qi += 1
+        for gb in gens:
+            if gb & ~cur:
+                closed = _kernels.close_ideal(cur | gb, plan)
+                if closed not in seen:
+                    seen.add(closed)
+                    queue.append(closed)
+
+    # order by size, then by the tuple rows read as 0/1 strings
+    rows = _to_rows(queue, g.tcount)
+    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    sets = [queue[k] for k in order]
+    bits = rows[order]
+
+    names = _tensor_names(sets, g, factors)
+    lattice = validate_lattice(_subsets(bits), names)
+
+    index = {s: i for i, s in enumerate(sets)}
+    elem_table = np.array([index[e] for e in g.elems],
+                          dtype=np.int64).reshape(g.sizes)
+    return MultiTensorLattice(factors, lattice, bits, elem_table)
 
 
 # --- tuples and tensor elements ---------------------------------------------------
@@ -34,7 +114,8 @@ def multi_ideal_closure(factors, tuples):
     bits = 0
     for t in tuples:
         bits |= 1 << int(np.ravel_multi_index(t, g.sizes))
-    closed = _to_rows([_kernels.close_ideal(bits, g.plan)], g.tcount)[0]
+    closed = _to_rows([_kernels.close_ideal(bits, closure_plan(g))],
+                      g.tcount)[0]
     return frozenset(map(tuple, np.argwhere(closed.reshape(g.sizes)).tolist()))
 
 

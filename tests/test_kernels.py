@@ -1,5 +1,6 @@
-"""The bit-packed closure kernel and the vectorised lattice check, each
-against the code it replaced (kept here as the reference) or an oracle."""
+"""The bit-packed closure kernel, the enumerated tensor build and the
+vectorised lattice check, each against the code it replaced (kept here or
+in ``oracles`` as the reference) or an oracle."""
 
 import itertools
 
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattices_up_to
-from morita import _kernels
+from conftest import lattices_up_to, meet_tables
+from morita import _kernels, cli, io
 from morita.census import enumerate_multimorphisms
+from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NoTop, \
     NotAPartialOrder
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
-from morita.tensor import _Grid, _to_int, _to_rows, tensor_product
+from morita.tensor import _Grid, _to_int, tensor_product
+from oracles import _to_rows, closure_plan, tensor_product_by_closure
 
 
 # --- reference: boolean down and fiber passes -------------------------------------
@@ -85,7 +88,8 @@ GRIDS = {
 
 def _kernel_close(factors, mask):
     g = _Grid(factors)
-    return _to_rows([_kernels.close_ideal(_to_int(mask), g.plan)], g.tcount)[0]
+    return _to_rows([_kernels.close_ideal(_to_int(mask), closure_plan(g))],
+                    g.tcount)[0]
 
 
 def test_close_ideal_agrees_on_every_single_seed():
@@ -172,6 +176,53 @@ def test_tensors_match_the_multimorphism_oracle():
         for flat, e in enumerate(t.elem_table.reshape(-1)):
             holding = rows[rows[:, flat]]
             assert np.array_equal(rows[e], holding.all(axis=0)), shape
+
+
+# --- the enumerated tensor build against the closure build -----------------------
+
+def _same_tensor(shape):
+    factors = [STOCK[k] for k in shape]
+    new = tensor_product(*factors)
+    old = tensor_product_by_closure(*factors)
+    assert np.array_equal(new.bits, old.bits), shape
+    assert np.array_equal(new.lattice.leq, old.lattice.leq), shape
+    assert new.lattice.names == old.lattice.names, shape
+    assert np.array_equal(new.elem_table, old.elem_table), shape
+
+
+def test_tensor_matches_the_closure_build_on_distributive_triples():
+    for shape in itertools.product(("c1", "c2", "c3", "c4", "d"), repeat=3):
+        _same_tensor(shape)
+
+
+def test_tensor_matches_the_closure_build_up_to_48_tuples():
+    shapes = [s for k in (2, 3) for s in itertools.product(STOCK, repeat=k)
+              if np.prod([STOCK[f].n for f in s]) <= 48]
+    assert len(shapes) == 280
+    for shape in shapes:
+        _same_tensor(shape)
+
+
+@pytest.mark.parametrize("shape", [("c3", "m3", "n5"), ("m3", "m3", "c3"),
+                                   ("d", "c2", "m3", "c2")])
+def test_tensor_matches_the_closure_build_on_larger_shapes(shape):
+    _same_tensor(shape)
+
+
+def test_the_package_never_calls_the_closure_kernel(monkeypatch, tmp_path):
+    def refuse(bits, plan):
+        raise AssertionError("the closure kernel was called")
+
+    want = tensor_product_by_closure(m3(), chain(3), n5()).n
+    monkeypatch.setattr(_kernels, "close_ideal", refuse)
+    assert tensor_product(m3(), chain(3), n5()).n == want
+    io.write_lattice(tmp_path / "d.lat", diamond())
+    assert cli.main(["tensor", str(tmp_path / "d.lat"), str(tmp_path / "d.lat"),
+                     "-o", str(tmp_path / "t.lat")]) == 0
+    assert io.read_lattice(tmp_path / "t.lat").n == 16
+    t = meet_tables(diamond())
+    build_context_from_pair(
+        MoritaPairWitness.from_generators(diamond(), diamond(), t, t))
 
 
 # --- validate_lattice against the row-dictionary loop -----------------------------

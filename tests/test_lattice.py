@@ -13,7 +13,7 @@ from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
                            NotAPartialOrder, NotSupMap)
 from morita.lattice import (SupMap, as_sup_map, chain, conjugate_lattice,
                             diamond, is_sup_map, join_closure, m3, n5,
-                            validate_lattice)
+                            opposite, validate_lattice)
 from morita.tensor import enumerate_multimorphisms
 from oracles import enumerate_sup_maps_bruteforce
 
@@ -199,3 +199,15 @@ def test_conjugate_lattice_keeps_order_and_stars_names():
         assert all(c != p for c, p in zip(conj.names, lat.names))
         assert all(c.endswith("*") or p.endswith("*")
                    for c, p in zip(conj.names, lat.names))
+
+
+def test_opposite_matches_validating_the_transpose():
+    lats = lattices_up_to(6)
+    assert len(lats) == 25
+    for lat in lats:
+        op, want = opposite(lat), validate_lattice(lat.leq.T)
+        assert np.array_equal(op.leq, want.leq)
+        assert np.array_equal(op.join, want.join)
+        assert np.array_equal(op.meet, want.meet)
+        assert (op.bottom, op.top) == (want.bottom, want.top)
+        assert op == want and hash(op) == hash(want)

@@ -183,8 +183,8 @@ def test_tensor_cap(monkeypatch):
 
 
 def test_tensor_cap_fires_just_past_the_size(monkeypatch):
-    # the BFS is seeded with irreducible elementary tensors only; the cap
-    # still counts every element, so a cap equal to the size passes
+    # the cap counts every element, the bottom too, so a cap equal to the
+    # size passes
     for factors, n in (((chain(4),) * 3, 980), ((diamond(),) * 3, 256)):
         monkeypatch.setenv("MORITA_MAX_TENSOR", str(n))
         assert tensor_product(*factors).n == n
