@@ -22,11 +22,11 @@ from .enumeration import (automorphisms, canonical_key, enumerate_lattices,
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, FormatError, MissingInvolution,
                      MissingJoin, MoritaError, NoBottom, NotAMultimorphism,
-                     NotAPartialOrder, NotCompositionClosed, NotSupMap,
-                     NotWellDefined, NoTop, ResourceLimit, ShapeMismatch,
-                     StarNotWellDefined, Verdict)
-from .lattice import (FiniteSupLattice, SupMap, as_sup_map, chain, diamond,
-                      is_sup_map, join_closure, m3, n5, validate_lattice)
+                     NotAPartialOrder, NotCompositionClosed, NotWellDefined,
+                     NoTop, ResourceLimit, ShapeMismatch, StarNotWellDefined,
+                     Verdict)
+from .lattice import (FiniteSupLattice, chain, diamond, join_closure, m3, n5,
+                      validate_lattice)
 from .modules import (Bimodule, ModuleAction, check_bimodule, check_module,
                       conjugate_bimodule, essential_part, is_m_regular,
                       is_separated, regular_bimodule)

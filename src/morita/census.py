@@ -33,6 +33,7 @@ from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
                      involutive_conditions_from_tables)
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
+from .io import leq_rows
 from .lattice import conjugate_lattice, join_closure, validate_lattice
 # is_multimorphism, join_closure and tensor_product are unused here but stay
 # bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
@@ -126,10 +127,6 @@ def _tuplify(a):
         else int(a)
 
 
-def _leq_rows(lat):
-    return tuple("".join("1" if v else "0" for v in row) for row in lat.leq)
-
-
 def _lat_from_rows(rows):
     leq = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
     return validate_lattice(leq)
@@ -198,7 +195,7 @@ def _general_space(x, y, tri_cap):
             raise MoritaError("census integrity: witness round-trip changed "
                               "the tables")
         records.append(CensusRecord(
-            mode="general", x_leq=_leq_rows(x), y_leq=_leq_rows(y),
+            mode="general", x_leq=leq_rows(x), y_leq=leq_rows(y),
             p=_tuplify(pt), q=_tuplify(qt),
             l_size=ctx.a.n, r_size=ctx.b.n,
             digests={"conditions": rep.digest(),
@@ -236,7 +233,7 @@ def _involutive_space(x, tri_cap):
                               "witness failed re-verification")
         ctx, (inv_a, inv_b), imp = build_involutive_context(iw)
         records.append(CensusRecord(
-            mode="involutive", x_leq=_leq_rows(x), p=_tuplify(pt),
+            mode="involutive", x_leq=leq_rows(x), p=_tuplify(pt),
             l_size=ctx.a.n, r_size=ctx.b.n,
             star_a=tuple(int(s) for s in inv_a.star),
             star_b=tuple(int(s) for s in inv_b.star),
@@ -277,11 +274,11 @@ def run_census(task: CensusTask):
     xs = [lat for n in range(task.min_x, task.max_x + 1)
           for lat in enumerate_lattices(n)]
     if task.involutive:
-        spaces = [(_leq_rows(x), None) for x in xs]
+        spaces = [(leq_rows(x), None) for x in xs]
     else:
         ys = [lat for n in range(task.min_y, task.max_y + 1)
               for lat in enumerate_lattices(n)]
-        spaces = [(_leq_rows(x), _leq_rows(y)) for x in xs for y in ys]
+        spaces = [(leq_rows(x), leq_rows(y)) for x in xs for y in ys]
     args = [(xr, yr, task.involutive, task.tri_cap) for xr, yr in spaces]
 
     if task.jobs <= 1 or len(args) <= 1:

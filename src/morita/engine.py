@@ -37,8 +37,7 @@ import numpy as np
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, MoritaError, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure)
-from .lattice import (SupMap, _freeze, conjugate_lattice, is_sup_map,
-                      join_closure)
+from .lattice import _freeze, conjugate_lattice, join_closure
 from .modules import (Bimodule, ModuleAction, check_bimodule,
                       conjugate_bimodule, is_m_regular)
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
@@ -345,14 +344,14 @@ def _curried_from_generators(part, pos, gen, lat):
 
 
 def _operator_family(part_tensor, gen, fixed_lat, endo):
-    'The family e -> (x -> p(e(x)x)) as a SupMap into Q.'
+    'The family e -> (x -> p(e(x)x)) as a sup-map into Q.'
     rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
     try:
-        idx = tuple(endo.index[tuple(r)] for r in rows.tolist())
+        idx = [endo.index[tuple(r)] for r in rows.tolist()]
     except KeyError:
         raise MoritaError("internal: a curried operator fails to preserve joins")
-    fam = SupMap(part_tensor.lattice, endo.carrier, idx)
-    v = is_sup_map(fam)
+    fam = Multimorphism((part_tensor.lattice,), endo.carrier, idx)
+    v = is_multimorphism(fam)
     if not v:
         raise MoritaError(f"internal: operator family broke joins: {v}")
     return fam
@@ -363,7 +362,7 @@ def _classwise_action(part_tensor, gen, fixed_lat, idx_map, quant, side_label):
     checked for well-definedness across each class."""
     table = _curried_from_generators(part_tensor, 1, gen, fixed_lat)
     classes = defaultdict(list)
-    for e, c in enumerate(idx_map.values):
+    for e, c in enumerate(idx_map.values.tolist()):
         classes[c].append(e)
     act = np.empty((fixed_lat.n, quant.n), dtype=np.int64)
     for c, members in classes.items():
@@ -413,12 +412,10 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
     bim_y = Bimodule(ModuleAction("left", quant_b, y, ly),
                      ModuleAction("right", quant_a, y, ry))
 
-    idx_a_vals = np.asarray(idx_a.values, dtype=np.int64)
-    idx_b_vals = np.asarray(idx_b.values, dtype=np.int64)
     pair_xy = as_multimorphism((x, y), quant_a.carrier,
-                               idx_a_vals[t_xy.elem_table])
+                               idx_a.values[t_xy.elem_table])
     pair_yx = as_multimorphism((y, x), quant_b.carrier,
-                               idx_b_vals[t_yx.elem_table])
+                               idx_b.values[t_yx.elem_table])
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
                         t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
@@ -567,17 +564,18 @@ def _class_star(tensor, idx_map, quant, label):
     """
     swap = as_multimorphism(tensor.factors, tensor.lattice,
                             tensor.elem_table.T)
-    sigma = lift_multimorphism(swap, tensor)
+    idx = idx_map.values.tolist()
+    swapped = idx_map.values[lift_multimorphism(swap, tensor).values].tolist()
     classes = defaultdict(list)
-    for e, c in enumerate(idx_map.values):
+    for e, c in enumerate(idx):
         classes[c].append(e)
     star = [None] * quant.n
     for c, members in classes.items():
-        images = {idx_map.values[sigma.values[e]] for e in members}
+        images = {swapped[e] for e in members}
         if len(images) > 1:
             by_image = defaultdict(list)
             for e in members:
-                by_image[idx_map.values[sigma.values[e]]].append(e)
+                by_image[swapped[e]].append(e)
             (e1, *_), (e2, *_) = list(by_image.values())[:2]
             names = tensor.lattice.names
             raise StarNotWellDefined(

@@ -40,10 +40,6 @@ class ResourceLimit(MoritaError):
     """A configured enumeration or size cap was exceeded."""
 
 
-class NotSupMap(MoritaError):
-    """A candidate map does not preserve joins."""
-
-
 class NotAMultimorphism(MoritaError):
     """A tuple-indexed map fails slotwise join preservation."""
 

@@ -143,12 +143,18 @@ def read_lattice(path) -> FiniteSupLattice:
     return validate_lattice(leq, names)
 
 
+def leq_rows(lat):
+    """The order matrix as one string of 0/1 characters per row. A row at a
+    time: one n x n temporary would raise the peak memory of big tensors."""
+    return tuple((row.view(np.uint8) + 48).tobytes().decode("ascii")
+                 for row in lat.leq)
+
+
 def _lat_lines(lat):
     _check_names(lat.names)
-    rows = ";".join("".join("1" if v else "0" for v in row) for row in lat.leq)
     return [f"n={lat.n}",
             "names=" + ",".join(lat.names),
-            "leq=" + rows]
+            "leq=" + ";".join(leq_rows(lat))]
 
 
 def write_lattice(path, lat):

@@ -1,17 +1,16 @@
-"""Finite complete lattices and join-preserving maps.
+"""Finite complete lattices.
 
 A finite lattice is stored as a boolean ``leq`` matrix (``leq[i, j]`` iff
 ``i <= j``) together with precomputed ``join``/``meet`` index tables. All
 joins are finite, so "sup-preserving" reduces everywhere to: preserves the
-empty join (bottom goes to bottom) and binary joins.
+empty join (bottom goes to bottom) and binary joins. Sup-maps are the
+one-slot multimorphisms of ``tensor``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
-                     NotAPartialOrder, NoTop, NotSupMap, PASS, failure)
+                     NotAPartialOrder, NoTop)
 
 
 def _freeze(arr):
@@ -231,51 +230,6 @@ def join_closure(lat, elems):
         seen.update(nxt)
         frontier = nxt
     return tuple(sorted(seen))
-
-
-# --- sup-preserving maps ------------------------------------------------------
-
-@dataclass(frozen=True)
-class SupMap:
-    dom: FiniteSupLattice
-    cod: FiniteSupLattice
-    values: tuple
-
-    def __call__(self, i):
-        return self.values[i]
-
-    def is_surjective(self):
-        return len(set(self.values)) == self.cod.n
-
-
-def is_sup_map(f: SupMap):
-    'Verdict on empty-join and binary-join preservation.'
-    dom, cod = f.dom, f.cod
-    if len(f.values) != dom.n or not all(0 <= v < cod.n for v in f.values):
-        raise DomainMismatch("value table does not match the carriers")
-    vals = np.asarray(f.values, dtype=np.int64)
-    if vals[dom.bottom] != cod.bottom:
-        return failure("preserves-bottom", (dom.names[dom.bottom],),
-                       f"maps bottom to {cod.names[vals[dom.bottom]]}")
-    lhs = vals[dom.join]
-    rhs = cod.join[vals[:, None], vals[None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        i, j = map(int, bad[0])
-        return failure("preserves-joins", (dom.names[i], dom.names[j]),
-                       f"f({dom.names[i]} v {dom.names[j]}) = "
-                       f"{cod.names[lhs[i, j]]} but f(..) v f(..) = "
-                       f"{cod.names[rhs[i, j]]}")
-    return PASS
-
-
-def as_sup_map(dom, cod, values) -> SupMap:
-    'Construct and validate; raises NotSupMap with the verdict text.'
-    f = SupMap(dom, cod, tuple(int(v) for v in values))
-    v = is_sup_map(f)
-    if not v:
-        raise NotSupMap(str(v))
-    return f
 
 
 def star_name(name):

@@ -2,18 +2,18 @@
 
 A quantale here is a lattice with an associative multiplication that
 distributes over joins in both arguments. Finiteness reduces the sup-side
-laws to binary joins plus annihilation by bottom. The motivating example is
+laws to binary joins plus annihilation by bottom, which together say that
+the product is a multimorphism C x C -> C. The motivating example is
 the endomorphism quantale Q(X) of all sup-maps X -> X under composition.
 """
 
 import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
-                     NotCompositionClosed, NotSupMap, PASS, ShapeMismatch,
-                     failure)
-from .lattice import (FiniteSupLattice, SupMap, _freeze, is_sup_map,
-                      validate_lattice)
-from .tensor import enumerate_multimorphisms
+                     NotAMultimorphism, NotCompositionClosed, PASS,
+                     ShapeMismatch, failure)
+from .lattice import FiniteSupLattice, _freeze, validate_lattice
+from .tensor import Multimorphism, enumerate_multimorphisms, is_multimorphism
 
 
 class Quantale:
@@ -49,43 +49,26 @@ class Quantale:
         return f"Quantale(n={self.n})"
 
 
-def check_quantale(q: Quantale):
-    'Verdict on associativity, distributivity over joins, and annihilation.'
-    m, j = q.mult, q.carrier.join
-    names = q.names
-    bot = q.carrier.bottom
+# the sup-laws of the product ab, read as a bimorphism C x C -> C
+_SUP_LAWS = {"slot-0-bottom": "left-annihilation",
+             "slot-0-joins": "right-distributive",
+             "slot-1-bottom": "right-annihilation",
+             "slot-1-joins": "left-distributive"}
 
+
+def check_quantale(q: Quantale):
+    """Verdict on associativity, then on the sup-laws: distributivity over
+    joins and annihilation by bottom, in both arguments."""
+    m, names = q.mult, q.names
     lhs, rhs = m[m, :], m[:, m]
     bad = np.argwhere(lhs != rhs)
     if len(bad):
         a, b, c = map(int, bad[0])
         return failure("associative", (names[a], names[b], names[c]),
                        f"(ab)c = {names[lhs[a, b, c]]} but a(bc) = {names[rhs[a, b, c]]}")
-
-    lhs, rhs = m[:, j], j[m[:, :, None], m[:, None, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b, c = map(int, bad[0])
-        return failure("left-distributive", (names[a], names[b], names[c]),
-                       f"a(b v c) = {names[lhs[a, b, c]]} but ab v ac = {names[rhs[a, b, c]]}")
-
-    lhs, rhs = m[j, :], j[m[:, None, :], m[None, :, :]]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b, c = map(int, bad[0])
-        return failure("right-distributive", (names[a], names[b], names[c]),
-                       f"(a v b)c = {names[lhs[a, b, c]]} but ac v bc = {names[rhs[a, b, c]]}")
-
-    bad = np.flatnonzero(m[:, bot] != bot)
-    if len(bad):
-        a = int(bad[0])
-        return failure("right-annihilation", (names[a],),
-                       f"a.0 = {names[m[a, bot]]}")
-    bad = np.flatnonzero(m[bot, :] != bot)
-    if len(bad):
-        a = int(bad[0])
-        return failure("left-annihilation", (names[a],),
-                       f"0.a = {names[m[bot, a]]}")
+    v = is_multimorphism(Multimorphism((q.carrier, q.carrier), q.carrier, m))
+    if not v:
+        return failure(_SUP_LAWS[v.law], v.witness, v.detail)
     return PASS
 
 
@@ -137,41 +120,39 @@ def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
     return OperatorQuantale(x, carrier, mult, ops, unit)
 
 
-def image_subquantale(q: Quantale, family: SupMap):
+def image_subquantale(q: Quantale, family: Multimorphism):
     """Restrict a quantale to the image of a sup-map into its carrier.
 
-    The image is join-closed automatically; composition closure is a real
-    condition and failures raise NotCompositionClosed with a witness pair.
-    Returns the image quantale and the corestricted index map.
+    The family is a one-slot multimorphism; one that breaks joins raises
+    NotAMultimorphism. The image is join-closed automatically; composition
+    closure is a real condition and failures raise NotCompositionClosed
+    with a witness pair. Returns the image quantale and the corestriction.
     """
-    if family.cod != q.carrier:
-        raise DomainMismatch("family does not land in the quantale carrier")
-    v = is_sup_map(family)
+    if len(family.factors) != 1 or family.target != q.carrier:
+        raise DomainMismatch("family is not a sup-map into the quantale carrier")
+    v = is_multimorphism(family)
     if not v:
-        raise NotSupMap(str(v))
-    img = sorted(set(family.values))
-    pos = {e: i for i, e in enumerate(img)}
-    for a in img:
-        for b in img:
-            if int(q.carrier.join[a, b]) not in pos:
-                raise MoritaError("internal: image of a sup-map not join-closed")
+        raise NotAMultimorphism(str(v))
+    img = np.array(sorted(set(family.values.tolist())))
+    pos = {e: i for i, e in enumerate(img.tolist())}
+    for a in pos:
+        for b in pos:
             c = int(q.mult[a, b])
             if c not in pos:
                 raise NotCompositionClosed(
                     f"product {q.names[a]} . {q.names[b]} = {q.names[c]} "
                     "escapes the image", witness=(q.names[a], q.names[b]))
-    sel = np.asarray(img)
-    leq = q.carrier.leq[np.ix_(sel, sel)]
-    carrier = validate_lattice(leq, [q.names[e] for e in img])
-    mult = np.array([[pos[int(q.mult[a, b])] for b in img] for a in img])
+    carrier = validate_lattice(q.carrier.leq[np.ix_(img, img)],
+                               [q.names[e] for e in img])
+    mult = np.searchsorted(img, q.mult[np.ix_(img, img)])
     unit = pos.get(q.unit) if q.unit is not None else None
     sub = Quantale(carrier, mult, unit)
     if isinstance(q, OperatorQuantale):
         sub = OperatorQuantale(q.base, carrier, mult,
                                [q.op_values[e] for e in img], unit)
-    corestriction = SupMap(family.dom, carrier,
-                           tuple(pos[e] for e in family.values))
-    check = is_sup_map(corestriction)
+    corestriction = Multimorphism(family.factors, carrier,
+                                  np.searchsorted(img, family.values))
+    check = is_multimorphism(corestriction)
     if not check:
         raise MoritaError(f"internal: corestriction broke joins: {check}")
     return sub, corestriction
@@ -204,7 +185,7 @@ def is_quantale_involution(q: Quantale, star):
         if star[star[i]] != i:
             return failure("period-two", (names[i],),
                            f"{names[i]}** = {names[star[star[i]]]}")
-    v = is_sup_map(SupMap(q.carrier, q.carrier, star))
+    v = is_multimorphism(Multimorphism((q.carrier,), q.carrier, star))
     if not v:
         return v
     st = np.asarray(star)

@@ -10,11 +10,11 @@ out of the tensor are exactly the liftings of multimorphisms.
 
 The one backtracking enumerator, ``enumerate_multimorphisms``, lists the
 multimorphisms for any number of factors; with one factor it lists the
-sup-maps. It also lists the tensor's elements: the multi-ideals correspond
-one to one with the multimorphisms of all factors but one into the opposite
-of the remaining one (Joyal and Tierney, An extension of the Galois theory
-of Grothendieck, Mem. AMS 309, 1984), so ``tensor_product`` is one
-enumeration.
+sup-maps, which are one-slot ``Multimorphism``s. It also lists the
+tensor's elements: the multi-ideals correspond one to one with the
+multimorphisms of all factors but one into the opposite of the remaining
+one (Joyal and Tierney, An extension of the Galois theory of Grothendieck,
+Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration.
 """
 
 import itertools
@@ -24,10 +24,11 @@ import numpy as np
 
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, ShapeMismatch, failure)
-from .lattice import (FiniteSupLattice, SupMap, _freeze, _words, is_sup_map,
-                      opposite, validate_lattice)
+from .lattice import (FiniteSupLattice, _freeze, _words, opposite,
+                      validate_lattice)
 
-DEFAULT_TENSOR_CAP = 100_000
+# a tensor of n elements holds about 17 n^2 bytes of tables: 0.4 GB here
+DEFAULT_TENSOR_CAP = 5_000
 
 
 def _tensor_cap():
@@ -159,7 +160,7 @@ def tensor_product(*factors) -> MultiTensorLattice:
     its join-irreducibles out of the cells those leaves range over
     (m3 x m3 x c3 visits 1728 leaves into M3, 19683 into the 3-chain).
 
-    Raises ResourceLimit when there are more than 100000 elements, or more
+    Raises ResourceLimit when there are more than 5000 elements, or more
     than MORITA_MAX_TENSOR when that is set.
     """
     if len(factors) < 2:
@@ -199,7 +200,8 @@ def tensor_product(*factors) -> MultiTensorLattice:
 # --- multimorphisms --------------------------------------------------------------
 
 class Multimorphism:
-    'A map of several lattice arguments, sup-preserving in each slot separately.'
+    """A map of several lattice arguments, sup-preserving in each slot
+    separately; with one slot, a sup-map."""
 
     __slots__ = ("factors", "target", "values")
 
@@ -230,24 +232,45 @@ class Multimorphism:
         return f"Multimorphism({shape} -> {self.target.n})"
 
 
+def _call(f, i, args, r):
+    """Names of a call of f: ``args`` in slot i, the other slots at flat
+    index r of their grid."""
+    rest = f.factors[:i] + f.factors[i + 1:]
+    coords = np.unravel_index(r, tuple(fac.n for fac in rest))
+    names = [fac.names[int(c)] for fac, c in zip(rest, coords)]
+    return tuple(names[:i]) + tuple(args) + tuple(names[i:])
+
+
 def is_multimorphism(f: Multimorphism):
-    'Verdict: each slot preserves the empty and binary joins.'
-    tgt = f.target
+    """Verdict: each slot preserves the empty and binary joins.
+
+    A failure names every coordinate: the witness is the call with slot i
+    at its bottom, or at the two elements whose join breaks.
+    """
+    tgt, axes = f.target, range(f.values.ndim)
     for i, fac in enumerate(f.factors):
-        flat = np.moveaxis(f.values, i, 0).reshape(fac.n, -1)
-        bad = np.flatnonzero(flat[fac.bottom] != tgt.bottom)
-        if len(bad):
-            return failure(f"slot-{i}-bottom", (fac.names[fac.bottom],),
-                           "bottom in this slot does not map to bottom")
+        # slot i first, the others in order: row r of flat is one fiber
+        flat = f.values.transpose((i, *axes[:i], *axes[i + 1:]))
+        flat = flat.reshape(fac.n, -1)
+        bad = flat[fac.bottom] != tgt.bottom
+        if bad.any():
+            r = int(bad.argmax())
+            at = _call(f, i, (fac.names[fac.bottom],), r)
+            return failure(f"slot-{i}-bottom", at,
+                           f"f({', '.join(at)}) = "
+                           f"{tgt.names[flat[fac.bottom, r]]}, not bottom")
         lhs = flat[fac.join]
         rhs = tgt.join[flat[:, None, :], flat[None, :, :]]
-        mism = np.argwhere(lhs != rhs)
-        if len(mism):
-            x, y, r = map(int, mism[0])
+        bad = lhs != rhs
+        if bad.any():
+            x, y, r = map(int, np.argwhere(bad)[0])
+            nx, ny = fac.names[x], fac.names[y]
+            args = [", ".join(_call(f, i, (a,), r))
+                    for a in (f"{nx} v {ny}", nx, ny)]
             return failure(
-                f"slot-{i}-joins", (fac.names[x], fac.names[y]),
-                f"join in slot {i} at rest-index {r}: maps to "
-                f"{tgt.names[lhs[x, y, r]]} but joins to {tgt.names[rhs[x, y, r]]}")
+                f"slot-{i}-joins", _call(f, i, (nx, ny), r),
+                f"f({args[0]}) = {tgt.names[lhs[x, y, r]]} but "
+                f"f({args[1]}) v f({args[2]}) = {tgt.names[rhs[x, y, r]]}")
     return PASS
 
 
@@ -362,8 +385,10 @@ def join_over_tuples(tensor: MultiTensorLattice, target, rows):
     return np.where(bounds, downset, target.n + 1).argmin(axis=2)
 
 
-def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice) -> SupMap:
-    """The unique sup-map on the tensor agreeing with f on elementary tensors.
+def lift_multimorphism(f: Multimorphism,
+                       tensor: MultiTensorLattice) -> Multimorphism:
+    """The unique sup-map on the tensor agreeing with f on elementary
+    tensors, as a one-slot multimorphism.
 
     The lift sends a multi-ideal to the join of f over its tuples. Closure
     only ever adds tuples that are dominated or fiber joins, so the join over
@@ -375,9 +400,8 @@ def lift_multimorphism(f: Multimorphism, tensor: MultiTensorLattice) -> SupMap:
     if tensor.factors != f.factors:
         raise DomainMismatch("tensor was built from different factors")
     values = join_over_tuples(tensor, f.target, f.values.reshape(-1, 1))
-    lifted = SupMap(tensor.lattice, f.target, tuple(values[:, 0].tolist()))
-    check = is_sup_map(lifted)
+    lifted = Multimorphism((tensor.lattice,), f.target, values[:, 0])
+    check = is_multimorphism(lifted)
     if not check:
         raise MoritaError(f"internal: lift failed to preserve joins: {check}")
     return lifted
-

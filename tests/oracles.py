@@ -8,8 +8,10 @@
 * ``tensor_product_by_closure``, the breadth-first tensor build on the
   bit-packed closure kernel ``morita._kernels.close_ideal``, which the
   enumerated build of ``tensor_product`` is compared against;
-* brute-force enumerators of multimorphisms, sup-maps and lattices, which
-  filter every raw table or relation.
+* brute-force enumerators of multimorphisms (sup-maps are the one-slot
+  ones) and lattices, which filter every raw table or relation;
+* loop-based checks of the quantale and module sup-laws, one element at a
+  time, which ``check_quantale`` and ``check_module`` are compared against.
 
 None of them is used by the package itself; they are small-input only.
 """
@@ -23,7 +25,7 @@ from morita.engine import _distinct_slices
 from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
                            NoBottom, NotAPartialOrder, NoTop, PASS,
                            ResourceLimit, failure)
-from morita.lattice import SupMap, is_sup_map, validate_lattice
+from morita.lattice import validate_lattice
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
                            _subsets, _tensor_names, _to_int,
                            as_multimorphism, is_multimorphism,
@@ -119,12 +121,12 @@ def multi_ideal_closure(factors, tuples):
     return frozenset(map(tuple, np.argwhere(closed.reshape(g.sizes)).tolist()))
 
 
-def restrict_to_elementaries(g: SupMap, tensor: MultiTensorLattice) -> Multimorphism:
+def restrict_to_elementaries(g: Multimorphism,
+                             tensor: MultiTensorLattice) -> Multimorphism:
     'The multimorphism a sup-map on the tensor induces on elementary tensors.'
-    if g.dom != tensor.lattice:
+    if g.factors != (tensor.lattice,):
         raise DomainMismatch("map is not defined on this tensor")
-    vals = np.asarray(g.values, dtype=np.int64)[tensor.elem_table]
-    return Multimorphism(tensor.factors, g.cod, vals)
+    return Multimorphism(tensor.factors, g.target, g.values[tensor.elem_table])
 
 
 def splice(tensor: MultiTensorLattice, sub: MultiTensorLattice, sub_element,
@@ -170,11 +172,10 @@ def _curried(big, part, pos, lat, values):
                     dtype=np.int64)
 
 
-def _lifted_chain_side(t5, inner_gen, outer: SupMap):
+def _lifted_chain_side(t5, inner_gen, outer: Multimorphism):
     'Lift tuples -> elementary tensor of a nested value, then apply outer.'
-    f = as_multimorphism(t5.factors, outer.dom, inner_gen)
-    lifted = lift_multimorphism(f, t5)
-    return tuple(outer.values[v] for v in lifted.values)
+    f = as_multimorphism(t5.factors, outer.factors[0], inner_gen)
+    return tuple(outer.values[lift_multimorphism(f, t5).values].tolist())
 
 
 def _full_surjective(values, lat, label):
@@ -227,8 +228,8 @@ def check_pair_conditions_full(w) -> ConditionReport:
     t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
     txyx, p = _lift_on_tensor((x, y, x), x, w.p_gen)
     tyxy, q = _lift_on_tensor((y, x, y), y, w.q_gen)
-    p_values = np.asarray(p.values)
-    q_values = np.asarray(q.values)
+    p_values = p.values
+    q_values = q.values
     rep = ConditionReport()
     rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
     rep.add("q-surjective", _full_surjective(q_values, y, "q-surjective"))
@@ -254,7 +255,7 @@ def check_involutive_conditions_full(w) -> ConditionReport:
     """
     x, xs = w.x, w.xstar
     t3, p = _lift_on_tensor((x, xs, x), x, w.p_gen)
-    p_values = np.asarray(p.values)
+    p_values = p.values
     rep = ConditionReport()
     rep.add("p-surjective", _full_surjective(p_values, x, "p-surjective"))
     rep.add("condition-a", _full_assoc(x, xs, t3, p, w.p_gen,
@@ -282,16 +283,6 @@ def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):
         f = Multimorphism(factors, target,
                           np.asarray(vals, dtype=np.int64).reshape(shape))
         if is_multimorphism(f):
-            out.append(f)
-    return out
-
-
-def enumerate_sup_maps_bruteforce(x, y):
-    'All |y|^|x| value tables filtered by is_sup_map.'
-    out = []
-    for values in product(range(y.n), repeat=x.n):
-        f = SupMap(x, y, values)
-        if is_sup_map(f):
             out.append(f)
     return out
 
@@ -342,3 +333,57 @@ def enumerate_lattices_bruteforce(n, max_n=6):
         if not any(_isomorphic_brute(leq, r) for r in reps):
             reps.append(leq)
     return [validate_lattice(r) for r in reps]
+
+
+# --- loop-based quantale and module laws ------------------------------------------------
+
+def quantale_laws_failing(q):
+    """The names of the quantale laws the product table breaks, checked one
+    element triple at a time, under the labels of ``check_quantale``."""
+    m, j = q.mult.tolist(), q.carrier.join.tolist()
+    bot = q.carrier.bottom
+    failing = set()
+    for a in range(q.n):
+        if m[bot][a] != bot:
+            failing.add("left-annihilation")
+        if m[a][bot] != bot:
+            failing.add("right-annihilation")
+        for b in range(q.n):
+            for c in range(q.n):
+                if m[m[a][b]][c] != m[a][m[b][c]]:
+                    failing.add("associative")
+                if m[a][j[b][c]] != j[m[a][b]][m[a][c]]:
+                    failing.add("left-distributive")
+                if m[j[a][b]][c] != j[m[a][c]][m[b][c]]:
+                    failing.add("right-distributive")
+    return failing
+
+
+def module_laws_failing(mod):
+    """The names of the module laws M1-M3 the action table breaks, checked
+    one element at a time, under the labels of ``check_module``. A left
+    action's table holds a.m at [m, a]."""
+    act, mult = mod.act.tolist(), mod.quantale.mult.tolist()
+    jm, jq = mod.carrier.join.tolist(), mod.quantale.carrier.join.tolist()
+    bm, ba = mod.carrier.bottom, mod.quantale.carrier.bottom
+    nm, na = mod.carrier.n, mod.quantale.n
+    failing = set()
+    for m in range(nm):
+        if act[m][ba] != bm:
+            failing.add("M3: m.0 = 0")
+        for a in range(na):
+            for b in range(na):
+                if mod.side == "right" and act[m][mult[a][b]] != act[act[m][a]][b]:
+                    failing.add("M1: m.(ab) = (m.a).b")
+                if mod.side == "left" and act[m][mult[a][b]] != act[act[m][b]][a]:
+                    failing.add("M1: (ab).m = a.(b.m)")
+                if act[m][jq[a][b]] != jm[act[m][a]][act[m][b]]:
+                    failing.add("M3: m.(a v b) = m.a v m.b")
+    for a in range(na):
+        if act[bm][a] != bm:
+            failing.add("M2: 0.a = 0")
+        for m in range(nm):
+            for n in range(nm):
+                if act[jm[m][n]][a] != jm[act[m][a]][act[n][a]]:
+                    failing.add("M2: (m v n).a = m.a v n.a")
+    return failing

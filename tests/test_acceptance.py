@@ -22,13 +22,14 @@ from morita.engine import (InvolutiveWitness, MoritaContext,
                            involutive_conditions_from_tables)
 from morita.enumeration import enumerate_lattices, find_isomorphism
 from morita.errors import ContextInvalid, StarNotWellDefined
-from morita.lattice import SupMap, chain, diamond, validate_lattice
+from morita.lattice import chain, diamond, validate_lattice
 from morita.modules import Bimodule, ModuleAction
 from morita.tensor import (Multimorphism, enumerate_multimorphisms,
                            is_multimorphism, lift_multimorphism,
                            tensor_product)
 from oracles import (check_pair_conditions_full, enumerate_lattices_bruteforce,
-                     enumerate_sup_maps_bruteforce, restrict_to_elementaries)
+                     enumerate_multimorphisms_bruteforce,
+                     restrict_to_elementaries)
 from test_tensor import brute_multi_ideals
 
 
@@ -55,8 +56,7 @@ def test_criterion_1_tensor_universal_property():
         lats = lattices_up_to(3)
         for x, y, z in itertools.product(lats, repeat=3):
             t = tensor_product(x, y)
-            sup_maps = [SupMap(t.lattice, z, tuple(f.values.tolist()))
-                        for f in enumerate_multimorphisms((t.lattice,), z)]
+            sup_maps = list(enumerate_multimorphisms((t.lattice,), z))
             bimorphisms = []
             for vals in itertools.product(range(z.n), repeat=x.n * y.n):
                 f = Multimorphism((x, y), z,
@@ -70,8 +70,7 @@ def test_criterion_1_tensor_universal_property():
             assert ({f.values.tobytes() for f in restricted}
                     == {f.values.tobytes() for f in bimorphisms})
             for g, f in zip(sup_maps, restricted):
-                assert tuple(lift_multimorphism(f, t).values) \
-                    == tuple(g.values)
+                assert lift_multimorphism(f, t) == g
         assert time.perf_counter() - start < 60
 
 
@@ -207,7 +206,7 @@ def test_criterion_8_enumeration_oracles():
             assert len(enumerate_lattices(n)) == expect
             assert len(enumerate_lattices_bruteforce(n)) == expect
         for lat, expect in ((chain(2), 2), (chain(3), 6), (diamond(), 16)):
-            brute = list(enumerate_sup_maps_bruteforce(lat, lat))
+            brute = enumerate_multimorphisms_bruteforce((lat,), lat)
             assert len(brute) == expect
 
 

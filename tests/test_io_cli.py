@@ -271,6 +271,19 @@ def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
     assert mio.read_lattice(workdir / "t.lat").n == 980
 
 
+def test_cli_default_tensor_cap(workdir, monkeypatch, capsys):
+    # 4 x 5 x 5 chains have 24,696 tensor elements, about 10 GB of tables:
+    # the default cap stops the build before any of them is allocated
+    monkeypatch.delenv("MORITA_MAX_TENSOR", raising=False)
+    mio.write_lattice(workdir / "c4.lat", chain(4))
+    mio.write_lattice(workdir / "c5.lat", chain(5))
+    args = ["tensor", str(workdir / "c4.lat"), str(workdir / "c5.lat"),
+            str(workdir / "c5.lat"), "-o", str(workdir / "t.lat")]
+    assert cli.main(args) == 2
+    assert ("error: tensor exceeds 5000 elements; raise MORITA_MAX_TENSOR"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("value", ["abc", "0", "²"])
 def test_cli_malformed_tensor_cap(workdir, monkeypatch, capsys, value):
     monkeypatch.setenv("MORITA_MAX_TENSOR", value)

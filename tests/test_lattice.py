@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
-                           NotAPartialOrder, NotSupMap)
-from morita.lattice import (SupMap, as_sup_map, chain, conjugate_lattice,
-                            diamond, is_sup_map, join_closure, m3, n5,
-                            opposite, validate_lattice)
-from morita.tensor import enumerate_multimorphisms
-from oracles import enumerate_sup_maps_bruteforce
+                           NotAMultimorphism, NotAPartialOrder)
+from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
+                            m3, n5, opposite, validate_lattice)
+from morita.tensor import (Multimorphism, as_multimorphism,
+                           enumerate_multimorphisms, is_multimorphism)
+from oracles import enumerate_multimorphisms_bruteforce
 
 
 def test_chain_tables_are_min_max():
@@ -161,15 +161,16 @@ def test_sup_map_rejects_join_breaker():
     lat = diamond()
     values = [0] * 4
     values[lat.top] = 1
-    v = is_sup_map(SupMap(lat, chain(2), tuple(values)))
+    v = is_multimorphism(Multimorphism((lat,), chain(2), values))
     assert not v.ok
-    with pytest.raises(NotSupMap):
-        as_sup_map(lat, chain(2), values)
+    assert v.law == "slot-0-joins"
+    with pytest.raises(NotAMultimorphism):
+        as_multimorphism((lat,), chain(2), values)
 
 
 def test_sup_map_rejects_bottom_breaker():
-    with pytest.raises(NotSupMap):
-        as_sup_map(chain(2), chain(2), [1, 1])
+    with pytest.raises(NotAMultimorphism):
+        as_multimorphism((chain(2),), chain(2), [1, 1])
 
 
 def test_enumerate_sup_maps_matches_bruteforce():
@@ -179,7 +180,8 @@ def test_enumerate_sup_maps_matches_bruteforce():
     for x, y in cases:
         fast = {tuple(f.values.tolist())
                 for f in enumerate_multimorphisms((x,), y)}
-        brute = {tuple(f.values) for f in enumerate_sup_maps_bruteforce(x, y)}
+        brute = {tuple(f.values.tolist())
+                 for f in enumerate_multimorphisms_bruteforce((x,), y)}
         assert fast == brute
 
 

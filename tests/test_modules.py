@@ -74,12 +74,13 @@ def test_module_action_validation():
 
 
 def test_check_module_flags_broken_associativity():
-    # acting by constant top breaks bottom annihilation
+    # acting by constant top keeps M1 but breaks bottom annihilation
     lat = chain(2)
     q = meet_quantale(lat)
     act = np.ones((2, 2), dtype=np.int64)
     rep = check_module(ModuleAction("left", q, lat, act))
     assert not rep.ok
+    assert rep.law == "M2: 0.a = 0" and rep.witness == ("0", "0")
 
 
 def test_conjugate_bimodule_roundtrip():

@@ -7,12 +7,13 @@ import pytest
 
 from conftest import meet_quantale
 from morita.errors import (DomainMismatch, MissingInvolution,
-                           NotCompositionClosed)
-from morita.lattice import SupMap, chain, diamond, m3
+                           NotAMultimorphism, NotCompositionClosed)
+from morita.lattice import chain, diamond, m3
 from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
                              as_involutive_quantale, as_quantale,
                              check_quantale, endo_quantale, image_subquantale,
                              is_quantale_involution)
+from morita.tensor import Multimorphism
 
 
 def test_endo_quantale_sizes():
@@ -71,14 +72,16 @@ def test_image_subquantale_closed_family():
     q = endo_quantale(chain(3))
     # family generated by one idempotent operator together with bottom
     f = q.carrier.names.index("[0 0 1]")
-    fam = SupMap(chain(2), q.carrier, (q.carrier.bottom, f))
+    fam = Multimorphism((chain(2),), q.carrier, (q.carrier.bottom, f))
     sub, core = image_subquantale(q, fam)
     assert isinstance(sub, OperatorQuantale)
     assert sub.n == 2
     assert check_quantale(sub).ok
-    # corestriction lands in the subquantale and agrees with inclusion
-    assert core.cod == sub.carrier
-    assert core.is_surjective()
+    # corestriction lands in the subquantale, onto, and agrees with inclusion
+    assert core.factors == fam.factors and core.target == sub.carrier
+    assert set(core.values.tolist()) == set(range(sub.n))
+    assert [sub.names[c] for c in core.values] == [q.names[e]
+                                                   for e in fam.values]
 
 
 def test_image_subquantale_rejects_unclosed_family():
@@ -87,9 +90,18 @@ def test_image_subquantale_rejects_unclosed_family():
     f = names.index("[0 0 1]")
     g = names.index("[0 x1 x1]")
     fg = q.carrier.join[f, g]
-    fam = SupMap(diamond(), q.carrier, (q.carrier.bottom, f, g, fg))
+    fam = Multimorphism((diamond(),), q.carrier, (q.carrier.bottom, f, g, fg))
     with pytest.raises(NotCompositionClosed):
         image_subquantale(q, fam)
+
+
+def test_image_subquantale_rejects_a_family_that_breaks_joins():
+    q = endo_quantale(chain(3))
+    f = q.carrier.names.index("[0 0 1]")
+    with pytest.raises(NotAMultimorphism):
+        image_subquantale(q, Multimorphism((chain(2),), q.carrier, (f, f)))
+    with pytest.raises(DomainMismatch):
+        image_subquantale(q, Multimorphism((chain(2),), chain(2), (0, 1)))
 
 
 def test_quantale_involution_identity_on_commutative():

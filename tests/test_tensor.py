@@ -11,7 +11,7 @@ from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
-from morita.lattice import SupMap, chain, diamond, m3, n5
+from morita.lattice import chain, diamond, m3, n5
 from morita.tensor import (Multimorphism, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, tensor_product)
@@ -112,8 +112,7 @@ def test_lift_restrict_roundtrip_both_ways():
         f = Multimorphism((x, y), z, np.array(vals).reshape(x.n, y.n))
         if is_multimorphism(f):
             bimorphisms.append(f)
-    sup_maps = [SupMap(t.lattice, z, tuple(f.values.tolist()))
-                for f in enumerate_multimorphisms((t.lattice,), z)]
+    sup_maps = list(enumerate_multimorphisms((t.lattice,), z))
     assert len(bimorphisms) == len(sup_maps)
     for f in bimorphisms:
         g = lift_multimorphism(f, t)
@@ -122,7 +121,7 @@ def test_lift_restrict_roundtrip_both_ways():
     for g in sup_maps:
         f = restrict_to_elementaries(g, t)
         assert is_multimorphism(f)
-        assert tuple(lift_multimorphism(f, t).values) == tuple(g.values)
+        assert lift_multimorphism(f, t) == g
 
 
 def lift_by_join_of(f, tensor):
@@ -141,7 +140,8 @@ def test_lift_matches_the_per_element_join_on_all_small_trimorphisms():
         t = tensor_product(*factors)
         for z in lats:
             for f in enumerate_multimorphisms(factors, z):
-                assert lift_multimorphism(f, t).values == lift_by_join_of(f, t)
+                assert (tuple(lift_multimorphism(f, t).values.tolist())
+                        == lift_by_join_of(f, t))
                 checked += 1
     assert checked == 363
 
@@ -159,6 +159,19 @@ def test_meet_is_not_a_multimorphism_on_m3():
     lat = m3()
     with pytest.raises(NotAMultimorphism):
         as_multimorphism((lat, lat), lat, lat.meet)
+
+
+def test_multimorphism_failure_names_every_coordinate():
+    x = chain(2)
+    t = np.zeros((2, 3, 2), dtype=np.int64)
+    t[0, 1, 0] = 1
+    v = is_multimorphism(Multimorphism((x, chain(3), x), x, t))
+    assert v.law == "slot-0-bottom" and v.witness == ("0", "x1", "0")
+    assert v.detail == "f(0, x1, 0) = 1, not bottom"
+    lat = m3()
+    v = is_multimorphism(Multimorphism((lat, lat), lat, lat.meet))
+    assert v.law == "slot-0-joins" and v.witness == ("a", "b", "c")
+    assert v.detail == "f(a v b, c) = c but f(a, c) v f(b, c) = 0"
 
 
 def test_meet_is_a_multimorphism_on_distributive_lattices():
