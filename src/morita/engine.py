@@ -251,9 +251,9 @@ class MoritaContext:
 
 
 def _table_law(label, lhs, rhs, axis_names, value_names):
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        idx = tuple(map(int, bad[0]))
+    bad = lhs != rhs
+    if bad.any():
+        idx = tuple(map(int, np.argwhere(bad)[0]))
         wit = tuple(names[i] for names, i in zip(axis_names, idx))
         return failure(label, wit,
                        f"{value_names[lhs[idx]]} vs {value_names[rhs[idx]]}")

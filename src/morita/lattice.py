@@ -1,10 +1,13 @@
 """Finite complete lattices.
 
 A finite lattice is stored as a boolean ``leq`` matrix (``leq[i, j]`` iff
-``i <= j``) together with precomputed ``join``/``meet`` index tables. All
-joins are finite, so "sup-preserving" reduces everywhere to: preserves the
-empty join (bottom goes to bottom) and binary joins. Sup-maps are the
-one-slot multimorphisms of ``tensor``.
+``i <= j``) together with ``join``/``meet`` index tables, each computed from
+``leq`` on first use and kept. ``validate_lattice`` checks every axiom of
+an order read from outside; a construction that is a lattice by proof,
+such as a tensor's inclusion order of multi-ideals, skips it and builds
+``FiniteSupLattice`` directly. All joins are finite, so "sup-preserving"
+reduces everywhere to: preserves the empty join (bottom goes to bottom)
+and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
 """
 
 import numpy as np
@@ -19,17 +22,22 @@ def _freeze(arr):
 
 
 class FiniteSupLattice:
-    """A validated finite lattice. Build through :func:`validate_lattice`."""
+    """A finite lattice. Build through :func:`validate_lattice`, or directly
+    from an order that is a lattice by construction.
 
-    __slots__ = ("n", "names", "leq", "join", "meet", "bottom", "top",
+    ``join`` and ``meet`` are computed from ``leq`` when first read, unless
+    given; a pair without a bound then raises an internal MoritaError.
+    """
+
+    __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
                  "_key", "_hash", "_irr", "_distributive")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
         self.names = tuple(names)
         self.leq = _freeze(leq)
-        self.join = _freeze(join)
-        self.meet = _freeze(meet)
+        self._join = None if join is None else _freeze(join)
+        self._meet = None if meet is None else _freeze(meet)
         self.bottom = bottom
         self.top = top
         self._key = leq.tobytes()
@@ -46,6 +54,26 @@ class FiniteSupLattice:
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
+
+    @property
+    def join(self):
+        if self._join is None:
+            self._join = self._bounds(self.leq, "join")
+        return self._join
+
+    @property
+    def meet(self):
+        if self._meet is None:
+            self._meet = self._bounds(np.ascontiguousarray(self.leq.T), "meet")
+        return self._meet
+
+    def _bounds(self, up, what):
+        table = _least_bounds(up)
+        if (table < 0).any():
+            i, j = map(int, np.argwhere(table < 0)[0])
+            raise MoritaError(f"internal: {self.names[i]} and {self.names[j]} "
+                              f"have no {what}")
+        return _freeze(table)
 
     def join_of(self, elems):
         'Join of any finite iterable of elements; empty join is bottom.'
@@ -94,9 +122,8 @@ class FiniteSupLattice:
     def relabel(self, names):
         if len(names) != self.n:
             raise DomainMismatch(f"expected {self.n} names, got {len(names)}")
-        return FiniteSupLattice(self.n, tuple(names),
-                                self.leq.copy(), self.join.copy(),
-                                self.meet.copy(), self.bottom, self.top)
+        return FiniteSupLattice(self.n, names, self.leq, self._join,
+                                self._meet, self.bottom, self.top)
 
 
 def _words(rows):
@@ -243,9 +270,10 @@ def conjugate_lattice(lat):
 
 def opposite(lat):
     """The same carrier with the order reversed: joins and meets, bottom and
-    top trade places. Built from the validated tables, so not re-validated."""
+    top trade places. A lattice by duality, so not re-validated; the tables
+    pass through as they are, computed or not."""
     return FiniteSupLattice(lat.n, lat.names, np.ascontiguousarray(lat.leq.T),
-                            lat.meet, lat.join, lat.top, lat.bottom)
+                            lat._meet, lat._join, lat.top, lat.bottom)
 
 
 # --- small stock lattices -------------------------------------------------------

@@ -75,9 +75,9 @@ def check_module(mod: ModuleAction):
     else:
         lhs, rhs = act[:, mult], act[act].transpose(0, 2, 1)   # (ab).m vs a.(b.m)
         law = "M1: (ab).m = a.(b.m)"
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        m, a, b = map(int, bad[0])
+    bad = lhs != rhs
+    if bad.any():
+        m, a, b = map(int, np.argwhere(bad)[0])
         return failure(law, (m_names[m], a_names[a], a_names[b]),
                        f"{m_names[lhs[m, a, b]]} vs {m_names[rhs[m, a, b]]}")
     v = is_multimorphism(Multimorphism(
@@ -125,9 +125,9 @@ def check_bimodule(bim: Bimodule):
     la, ra = bim.left.act, bim.right.act
     lhs = ra[la]                          # (a.m).b at [m, a, b]
     rhs = la[ra].transpose(0, 2, 1)       # a.(m.b)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        m, a, b = map(int, bad[0])
+    bad = lhs != rhs
+    if bad.any():
+        m, a, b = map(int, np.argwhere(bad)[0])
         names = bim.carrier.names
         return failure("commute: (a.m).b = a.(m.b)",
                        (names[m], bim.left.quantale.names[a],

@@ -61,9 +61,9 @@ def check_quantale(q: Quantale):
     joins and annihilation by bottom, in both arguments."""
     m, names = q.mult, q.names
     lhs, rhs = m[m, :], m[:, m]
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b, c = map(int, bad[0])
+    bad = lhs != rhs
+    if bad.any():
+        a, b, c = map(int, np.argwhere(bad)[0])
         return failure("associative", (names[a], names[b], names[c]),
                        f"(ab)c = {names[lhs[a, b, c]]} but a(bc) = {names[rhs[a, b, c]]}")
     v = is_multimorphism(Multimorphism((q.carrier, q.carrier), q.carrier, m))
@@ -191,9 +191,9 @@ def is_quantale_involution(q: Quantale, star):
     st = np.asarray(star)
     lhs = st[q.mult]
     rhs = q.mult[np.ix_(st, st)].T   # (b*, a*) product at position (a, b)
-    bad = np.argwhere(lhs != rhs)
-    if len(bad):
-        a, b = map(int, bad[0])
+    bad = lhs != rhs
+    if bad.any():
+        a, b = map(int, np.argwhere(bad)[0])
         return failure("antihomomorphism", (names[a], names[b]),
                        f"(ab)* = {names[lhs[a, b]]} but b*a* = {names[rhs[a, b]]}")
     return PASS

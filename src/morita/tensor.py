@@ -24,10 +24,13 @@ import numpy as np
 
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, ShapeMismatch, failure)
+# validate_lattice is unused here but stays bound: the benchmark tracer
+# (perfbench/tracer.py) rebinds it in morita.tensor
 from .lattice import (FiniteSupLattice, _freeze, _words, opposite,
                       validate_lattice)
 
-# a tensor of n elements holds about 17 n^2 bytes of tables: 0.4 GB here
+# a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
+# here); join and meet tables, built only when used, add 8 n^2 bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
 
@@ -51,10 +54,6 @@ def _to_ints(rows):
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
-def _to_int(row):
-    return _to_ints(row[None])[0]
-
-
 def _subsets(rows):
     'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
     words = _words(rows)
@@ -70,40 +69,26 @@ def _subsets(rows):
 class _Grid:
     """Coordinate grid: tuple order, bottom tuples, elementary tensors.
 
-    Sets of tuples are ints with bit t for the tuple of flat index t.
+    ``coords[k][t]`` is slot k of the tuple of flat index t, in C order;
+    ``bottom`` masks the tuples with a bottom coordinate, and
+    ``strictly_above[t, u]`` holds iff tuple u is strictly above tuple t.
+    ``elems[t]`` is the elementary tensor of tuple t, its box and the
+    bottom, as an int with bit u for tuple u.
     """
 
     def __init__(self, factors):
         self.factors = tuple(factors)
         self.sizes = tuple(f.n for f in self.factors)
         self.tcount = int(np.prod(self.sizes))
-        coords = np.unravel_index(np.arange(self.tcount), self.sizes)
+        self.coords = np.unravel_index(np.arange(self.tcount), self.sizes)
         below = np.ones((self.tcount, self.tcount), dtype=bool)
         bottom = np.zeros(self.tcount, dtype=bool)
-        for ci, f in zip(coords, self.factors):
+        for ci, f in zip(self.coords, self.factors):
             below &= f.leq[ci][:, ci]
             bottom |= ci == f.bottom
-        self.bottom = _to_int(bottom)
-        # elems[t]: the elementary tensor of tuple t, its box and the bottom;
-        # above[t]: the tuples strictly above t
+        self.bottom = bottom
+        self.strictly_above = below & ~np.eye(self.tcount, dtype=bool)
         self.elems = _to_ints(below.T | bottom)
-        self.above = _to_ints(below & ~np.eye(self.tcount, dtype=bool))
-
-    def _tuples(self, flat):
-        per = np.unravel_index(np.asarray(flat, dtype=np.intp), self.sizes)
-        return [tuple(int(a[k]) for a in per) for k in range(len(flat))]
-
-    def maximal(self, bits):
-        'Flat indices of the maximal tuples of a set without bottom coordinates.'
-        out = []
-        rest = bits & ~self.bottom
-        while rest:
-            low = rest & -rest
-            t = low.bit_length() - 1
-            if not bits & self.above[t]:
-                out.append(t)
-            rest ^= low
-        return out
 
 
 class MultiTensorLattice:
@@ -129,18 +114,28 @@ class MultiTensorLattice:
         return f"MultiTensorLattice({shape} -> {self.n} elements)"
 
 
-def _tensor_names(sets, grid, factors):
-    'Readable names from maximal generating tuples, index fallback beyond two.'
-    names = []
-    for i, bits in enumerate(sets):
-        keep = grid._tuples(grid.maximal(bits))
-        if not keep:
+def _tensor_names(bits, grid):
+    """Readable names from maximal generating tuples, index fallback beyond
+    two: the maximal tuples of row i of ``bits`` are its tuples without a
+    bottom coordinate that no tuple of the row lies strictly above."""
+    words, above = _words(bits), _words(grid.strictly_above)
+    covered = np.empty(bits.shape, dtype=bool)   # a row member above tuple t
+    step = max(1, (1 << 16) // above.size)
+    for a in range(0, len(words), step):
+        covered[a:a + step] = (words[a:a + step, None] & above).any(axis=2)
+    maximal = bits & ~grid.bottom & ~covered
+    labels = ["⊗".join(f.names[c] for f, c in zip(grid.factors, t))
+              for t in zip(*(ci.tolist() for ci in grid.coords))]
+    tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
+    names, at = [], 0
+    for i, count in enumerate(maximal.sum(axis=1).tolist()):
+        if not count:
             names.append("0")
-        elif len(keep) > 2:
+        elif count > 2:
             names.append(f"t{i}")
         else:
-            names.append("∨".join(
-                "⊗".join(f.names[c] for f, c in zip(factors, t)) for t in keep))
+            names.append("∨".join(labels[t] for t in tuples[at:at + count]))
+        at += count
     return names
 
 
@@ -159,6 +154,11 @@ def tensor_product(*factors) -> MultiTensorLattice:
     its domain is not distributive, and a non-distributive target keeps
     its join-irreducibles out of the cells those leaves range over
     (m3 x m3 x c3 visits 1728 leaves into M3, 19683 into the 3-chain).
+
+    The multi-ideals are closed under intersection, so their inclusion
+    order is a lattice by construction: the result is built from it
+    directly, not through ``validate_lattice``, and its join and meet
+    tables are computed only when first read.
 
     Raises ResourceLimit when there are more than 5000 elements, or more
     than MORITA_MAX_TENSOR when that is set.
@@ -186,12 +186,17 @@ def tensor_product(*factors) -> MultiTensorLattice:
     # order by size, then by the tuple rows read as 0/1 strings
     order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
     bits = rows[order]
-    sets = _to_ints(bits)
 
-    names = _tensor_names(sets, g, factors)
-    lattice = validate_lattice(_subsets(bits), names)
+    # sorted by size, so the least ideal comes first and the whole grid last
+    n = len(bits)
+    leq = _subsets(bits)
+    if not (leq[0].all() and leq[:, -1].all()):
+        raise MoritaError("internal: tensor order has no bottom or top "
+                          "at its ends")
+    lattice = FiniteSupLattice(n, _tensor_names(bits, g), leq, None, None,
+                               0, n - 1)
 
-    index = {s: i for i, s in enumerate(sets)}
+    index = {s: i for i, s in enumerate(_to_ints(bits))}
     elem_table = np.array([index[e] for e in g.elems],
                           dtype=np.int64).reshape(g.sizes)
     return MultiTensorLattice(factors, lattice, bits, elem_table)

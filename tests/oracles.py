@@ -6,7 +6,8 @@
 * ``splice``, ``multi_ideal_closure`` and ``restrict_to_elementaries``,
   which move between coordinate tuples and tensor elements;
 * ``tensor_product_by_closure``, the breadth-first tensor build on the
-  bit-packed closure kernel ``morita._kernels.close_ideal``, which the
+  bit-packed closure kernel ``morita._kernels.close_ideal``, with its
+  elements named by a loop over tuples and its order validated, which the
   enumerated build of ``tensor_product`` is compared against;
 * brute-force enumerators of multimorphisms (sup-maps are the one-slot
   ones) and lattices, which filter every raw table or relation;
@@ -27,12 +28,17 @@ from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
                            ResourceLimit, failure)
 from morita.lattice import validate_lattice
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
-                           _subsets, _tensor_names, _to_int,
+                           _subsets, _to_ints,
                            as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
 
 
 # --- the closure kernel and the tensor built on it ----------------------------------
+
+def _to_int(row):
+    'Bitset of a boolean row: bit t is set iff row[t].'
+    return _to_ints(row[None])[0]
+
 
 def _to_rows(sets, tcount):
     'Boolean rows, one per bitset, of length tcount.'
@@ -60,10 +66,33 @@ def _slot_plan(f, stride, comb):
 
 def closure_plan(g: _Grid):
     'The ``plan`` argument of ``_kernels.close_ideal`` for the grid g.'
-    coords = np.unravel_index(np.arange(g.tcount), g.sizes)
     strides = np.cumprod((1,) + g.sizes[:0:-1])[::-1]
-    return g.bottom, tuple(_slot_plan(f, int(st), _to_int(ci == 0))
-                           for ci, f, st in zip(coords, g.factors, strides))
+    return _to_int(g.bottom), tuple(
+        _slot_plan(f, int(st), _to_int(ci == 0))
+        for ci, f, st in zip(g.coords, g.factors, strides))
+
+
+def _names_by_loop(sets, factors):
+    """Tensor element names from the maximal tuples of each set, one tuple
+    at a time: the naming ``tensor_product`` vectorises."""
+    tuples = list(product(*(range(f.n) for f in factors)))   # flat, C order
+    above = [sum(1 << u for u, b in enumerate(tuples) if b != a and all(
+                 f.leq[x, y] for f, x, y in zip(factors, a, b)))
+             for a in tuples]
+    bottom = sum(1 << t for t, a in enumerate(tuples)
+                 if any(x == f.bottom for f, x in zip(factors, a)))
+    names = []
+    for i, bits in enumerate(sets):
+        keep = [tuples[t] for t in range(len(tuples))
+                if (bits & ~bottom) >> t & 1 and not bits & above[t]]
+        if not keep:
+            names.append("0")
+        elif len(keep) > 2:
+            names.append(f"t{i}")
+        else:
+            names.append("∨".join(
+                "⊗".join(f.names[c] for f, c in zip(factors, t)) for t in keep))
+    return names
 
 
 def tensor_product_by_closure(*factors) -> MultiTensorLattice:
@@ -80,7 +109,7 @@ def tensor_product_by_closure(*factors) -> MultiTensorLattice:
     irr = np.ix_(*(f.join_irreducibles() for f in factors))
     flat = np.arange(g.tcount).reshape(g.sizes)[irr].reshape(-1)
     gens = [g.elems[t] for t in flat]
-    queue = [g.bottom] + gens
+    queue = [_to_int(g.bottom)] + gens
     seen = set(queue)
     qi = 0
     while qi < len(queue):
@@ -99,8 +128,7 @@ def tensor_product_by_closure(*factors) -> MultiTensorLattice:
     sets = [queue[k] for k in order]
     bits = rows[order]
 
-    names = _tensor_names(sets, g, factors)
-    lattice = validate_lattice(_subsets(bits), names)
+    lattice = validate_lattice(_subsets(bits), _names_by_loop(sets, factors))
 
     index = {s: i for i, s in enumerate(sets)}
     elem_table = np.array([index[e] for e in g.elems],

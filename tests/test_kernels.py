@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to, meet_tables
-from morita import _kernels, cli, io
+from morita import _kernels, cli, io, lattice
 from morita.census import enumerate_multimorphisms
 from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NoTop, \
     NotAPartialOrder
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
-from morita.tensor import _Grid, _to_int, tensor_product
-from oracles import _to_rows, closure_plan, tensor_product_by_closure
+from morita.tensor import _Grid, tensor_product
+from oracles import _to_int, _to_rows, closure_plan, tensor_product_by_closure
 
 
 # --- reference: boolean down and fiber passes -------------------------------------
@@ -188,6 +188,11 @@ def _same_tensor(shape):
     assert np.array_equal(new.lattice.leq, old.lattice.leq), shape
     assert new.lattice.names == old.lattice.names, shape
     assert np.array_equal(new.elem_table, old.elem_table), shape
+    # the tables built on first read agree with the validated order's
+    assert np.array_equal(new.lattice.join, old.lattice.join), shape
+    assert np.array_equal(new.lattice.meet, old.lattice.meet), shape
+    assert (new.lattice.bottom, new.lattice.top) == \
+        (old.lattice.bottom, old.lattice.top), shape
 
 
 def test_tensor_matches_the_closure_build_on_distributive_triples():
@@ -207,6 +212,33 @@ def test_tensor_matches_the_closure_build_up_to_48_tuples():
                                    ("d", "c2", "m3", "c2")])
 def test_tensor_matches_the_closure_build_on_larger_shapes(shape):
     _same_tensor(shape)
+
+
+@pytest.mark.parametrize("shape", [("c2", "c3"), ("d", "d"), ("m3", "c2"),
+                                   ("n5", "c2"), ("m3", "n5"),
+                                   ("c2", "d", "c2")])
+def test_tensor_lattice_built_on_first_use_matches_validation(shape):
+    t = tensor_product(*(STOCK[k] for k in shape)).lattice
+    want = validate_lattice(t.leq)
+    assert t.is_distributive() == want.is_distributive(), shape
+    assert t.join_irreducibles() == want.join_irreducibles(), shape
+
+
+def test_cli_tensor_builds_no_join_or_meet_table(monkeypatch, tmp_path):
+    least_bounds = lattice._least_bounds
+
+    def factors_only(up):
+        # reading the 4-element factors validates them; the tensor is built
+        # without a join or a meet table
+        if len(up) > 4:
+            raise AssertionError(f"bound table of {len(up)} elements built")
+        return least_bounds(up)
+
+    monkeypatch.setattr(lattice, "_least_bounds", factors_only)
+    io.write_lattice(tmp_path / "c4.lat", chain(4))
+    c4 = str(tmp_path / "c4.lat")
+    assert cli.main(["tensor", c4, c4, c4, "-o", str(tmp_path / "t.lat")]) == 0
+    assert io.read_lattice_raw(tmp_path / "t.lat")[0].shape == (980, 980)
 
 
 def test_the_package_never_calls_the_closure_kernel(monkeypatch, tmp_path):

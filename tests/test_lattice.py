@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
-from morita.errors import (DomainMismatch, MissingJoin, NoBottom,
-                           NotAMultimorphism, NotAPartialOrder)
-from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
-                            m3, n5, opposite, validate_lattice)
+from morita.errors import (DomainMismatch, MissingJoin, MoritaError,
+                           NoBottom, NotAMultimorphism, NotAPartialOrder)
+from morita.lattice import (FiniteSupLattice, chain, conjugate_lattice,
+                            diamond, join_closure, m3, n5, opposite,
+                            validate_lattice)
 from morita.tensor import (Multimorphism, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism)
 from oracles import enumerate_multimorphisms_bruteforce
@@ -213,3 +214,27 @@ def test_opposite_matches_validating_the_transpose():
         assert np.array_equal(op.meet, want.meet)
         assert (op.bottom, op.top) == (want.bottom, want.top)
         assert op == want and hash(op) == hash(want)
+
+
+def test_tables_are_built_on_first_read_and_shared():
+    want = diamond()
+    lat = FiniteSupLattice(4, want.names, want.leq.copy(), None, None, 0, 3)
+    op, named = opposite(lat), lat.relabel(("o", "p", "q", "r"))
+    assert lat._join is None and lat._meet is None
+    assert np.array_equal(lat.join, want.join)
+    assert np.array_equal(lat.meet, want.meet)
+    assert not lat.join.flags.writeable and not lat.meet.flags.writeable
+    # built before the first read, so the tables stay their own
+    assert op._join is None and named._join is None
+    assert opposite(lat).join is lat.meet and opposite(lat).meet is lat.join
+    assert named.relabel(lat.names).leq is lat.leq
+    assert lat.relabel(named.names).join is lat.join
+
+
+def test_missing_bound_raises_on_first_read():
+    # two maximal elements over a bottom: no join, and no top
+    leq = np.array([[1, 1, 1], [0, 1, 0], [0, 0, 1]], dtype=bool)
+    lat = FiniteSupLattice(3, ("0", "a", "b"), leq, None, None, 0, 2)
+    with pytest.raises(MoritaError, match="internal: a and b have no join"):
+        lat.join
+    assert lat.meet[1, 2] == 0
