@@ -11,12 +11,15 @@ deterministic sorted order independent of the worker count.
 
 In general mode a p candidate is a surjective table on X(x)Y(x)X whose
 curried maps pass conditions 3 and 4, and a q candidate one on Y(x)X(x)Y
-passing 5 and 6. Every p x q pair of candidates then gets one full
-``conditions_from_tables`` report; the summary's ``candidates`` counts
-these pairs, and the benchmark's ``pairs_checked`` counts the same calls
-(in involutive mode ``candidates`` counts surjective tables, each checked
-once). The benchmark reference pins both counts, so a search that prunes
-pairs before the full report changes them and must update it.
+passing 5 and 6. Every p x q pair of candidates then gets one
+``conditions_from_tables`` call. Its outcome is exact at once, and a
+failing report names its law and counterexample only when its verdicts
+are read; the search reads only the outcome, so it names none. The
+summary's ``candidates`` counts these pairs, and the benchmark's
+``pairs_checked`` counts the same calls (in involutive mode
+``candidates`` counts surjective tables, each checked once). The
+benchmark reference pins both counts, so a search that prunes pairs
+before the check changes them and must update it.
 """
 
 import json
@@ -25,6 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# check_morita_context is unused here but stays bound: the benchmark tracer
+# (perfbench/tracer.py) rebinds it in morita.census; a record's context
+# digest is the report its build kept in ``ctx.report``
 from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
                      _generates, build_context_from_pair,
                      build_involutive_context, check_imprimitivity,
@@ -199,7 +205,7 @@ def _general_space(x, y, tri_cap):
             p=_tuplify(pt), q=_tuplify(qt),
             l_size=ctx.a.n, r_size=ctx.b.n,
             digests={"conditions": rep.digest(),
-                     "context": check_morita_context(ctx).digest()}))
+                     "context": ctx.report.digest()}))
     return records, candidates, len(witnesses)
 
 
@@ -238,7 +244,7 @@ def _involutive_space(x, tri_cap):
             star_a=tuple(int(s) for s in inv_a.star),
             star_b=tuple(int(s) for s in inv_b.star),
             digests={"conditions": rep.digest(),
-                     "context": check_morita_context(ctx).digest(),
+                     "context": ctx.report.digest(),
                      "imprimitivity": check_imprimitivity(imp).digest()}))
     return records, candidates, len(passing)
 

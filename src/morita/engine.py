@@ -20,13 +20,18 @@ Most of the pair check reads one table alone: surjectivity, the two
 separation conditions on that table's slots, and the two composites of
 its associativity chain that do not involve the other map. The census
 checks every p against every q, so ``_one_sided`` memoises this part per
-table in an LRU cache keyed by the two lattices and the table's bytes;
-per pair only the mixed composite of each chain is gathered. An entry
-holds indices and booleans, never element names: lattices compare equal
-by their order alone, so a relabelled or conjugate lattice reaches the
-same entry, and every name in a report comes from the call's own
-lattices. The cache keeps at most 1024 entries of about 9 nx^3 ny^2
-bytes each (2.2 KB at nx = ny = 3).
+table in an LRU cache keyed by the two lattices and the table's bytes,
+with a flag ``clean`` for a table that passes all of it. A pair passes
+exactly when both tables are clean and each chain's mixed composite, the
+only part gathered per pair, equals its left one; so the outcome is exact
+at once. A passing report is built at once; a failing one names its law
+and counterexample only when its verdicts are first read, from the bytes
+of the memo key, so a caller's later change to its arrays changes no
+name. An entry holds indices and booleans, never element names: lattices
+compare equal by their order alone, so a relabelled or conjugate lattice
+reaches the same entry, and every name in a report comes from the call's
+own lattices. The cache keeps at most 1024 entries of about
+9 nx^3 ny^2 bytes each (2.2 KB at nx = ny = 3).
 """
 
 import functools
@@ -133,14 +138,16 @@ def _distinct_slices(table, axis, lat, label):
     return _collision_verdict(_slice_collision(table, axis, lat.n), lat, label)
 
 
-_Side = namedtuple("_Side", "surjective slot2 slot0 left left_ne_right")
+_Side = namedtuple("_Side",
+                   "surjective slot2 slot0 left left_ne_right clean")
 
 
 @functools.lru_cache(maxsize=1024)
 def _one_sided(lat, other, raw):
     """What the pair check needs of p: lat(x)other(x)lat -> lat alone, given
     as its C-order int64 bytes: whether p is surjective, the collisions of
-    slot 2 and of slot 0, and the chain's ``left`` with ``left != right``.
+    slot 2 and of slot 0, the chain's ``left`` with ``left != right``, and
+    ``clean``: surjective, no collision, and ``left == right`` throughout.
 
     No element names, so one entry serves every naming of the lattices;
     the arrays are read-only because every caller shares them.
@@ -151,9 +158,20 @@ def _one_sided(lat, other, raw):
     flat = table.ravel()
     left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
     right = flat[head + flat].ravel()
-    return _Side(_generates(lat, table), _slice_collision(table, 2, nx),
-                 _slice_collision(table, 0, nx), _freeze(left),
-                 _freeze(left != right))
+    surjective = _generates(lat, table)
+    slot2 = _slice_collision(table, 2, nx)
+    slot0 = _slice_collision(table, 0, nx)
+    left_ne_right = left != right
+    clean = (surjective and slot2 is None and slot0 is None
+             and not left_ne_right.any())
+    return _Side(surjective, slot2, slot0, _freeze(left),
+                 _freeze(left_ne_right), clean)
+
+
+def _mid(p_gen, q_gen, nx, ny):
+    'The chain\'s mixed composite p(x1, q(y1, x2, y2), x3), flat in C order.'
+    return p_gen.ravel()[q_gen.reshape(-1, 1) * nx
+                         + _chain_offsets(nx, ny)[2]].ravel()
 
 
 def _assoc_chain(p_gen, q_gen, x, y, label, side):
@@ -166,18 +184,13 @@ def _assoc_chain(p_gen, q_gen, x, y, label, side):
     """
     nx, ny = x.n, y.n
     left = side.left
-    mid = p_gen.ravel()[q_gen.reshape(-1, 1) * nx
-                        + _chain_offsets(nx, ny)[2]].ravel()
+    mid = _mid(p_gen, q_gen, nx, ny)
     bad = left != mid
     bad |= side.left_ne_right
     k = int(bad.argmax())                      # the first True, if any
     if bad[k]:
-        # k is the C-order index of (x1, y1, x2, y2, x3); divmod costs far
-        # less than np.unravel_index, and nearly every census pair fails
-        rest, i3 = divmod(k, nx)
-        rest, j2 = divmod(rest, ny)
-        rest, i2 = divmod(rest, nx)
-        i1, j1 = divmod(rest, ny)
+        i1, j1, i2, j2, i3 = map(int, np.unravel_index(
+            k, (nx, ny, nx, ny, nx)))
         wit = (x.names[i1], y.names[j1], x.names[i2], y.names[j2], x.names[i3])
         right = p_gen[i1, j1, p_gen[i2, j2, i3]]
         return failure(label, wit,
@@ -186,29 +199,61 @@ def _assoc_chain(p_gen, q_gen, x, y, label, side):
     return PASS
 
 
+def _decided(ok, laws, build):
+    """The report of a check whose outcome ``ok`` is decided: every law
+    passes, or ``build()`` names the verdicts when they are first read."""
+    if not ok:
+        return ConditionReport.failing(build)
+    rep = ConditionReport()
+    for law in laws:
+        rep.add(law, PASS)
+    return rep
+
+
+_PAIR_LAWS = ("p-surjective", "q-surjective", "condition-1", "condition-2",
+              "condition-3", "condition-4", "condition-5", "condition-6")
+
+
+def _pair_verdicts(x, y, p_raw, q_raw):
+    'The named verdicts of the pair check, from the two tables\' bytes.'
+    p_gen = np.frombuffer(p_raw, dtype=np.int64).reshape(x.n, y.n, x.n)
+    q_gen = np.frombuffer(q_raw, dtype=np.int64).reshape(y.n, x.n, y.n)
+    p_side = _one_sided(x, y, p_raw)
+    q_side = _one_sided(y, x, q_raw)
+    return [
+        ("p-surjective", PASS if p_side.surjective else
+         _surjective_by_generators(x, p_gen, "p")),
+        ("q-surjective", PASS if q_side.surjective else
+         _surjective_by_generators(y, q_gen, "q")),
+        ("condition-1", _assoc_chain(p_gen, q_gen, x, y, "condition-1",
+                                     p_side)),
+        ("condition-2", _assoc_chain(q_gen, p_gen, y, x, "condition-2",
+                                     q_side)),
+        ("condition-3", _collision_verdict(p_side.slot2, x, "condition-3")),
+        ("condition-4", _collision_verdict(p_side.slot0, x, "condition-4")),
+        ("condition-5", _collision_verdict(q_side.slot2, y, "condition-5")),
+        ("condition-6", _collision_verdict(q_side.slot0, y, "condition-6"))]
+
+
 def conditions_from_tables(x, y, p_gen, q_gen) -> ConditionReport:
-    'Generator-level surjectivity plus the six conditions, from raw tables.'
+    """Generator-level surjectivity plus the six conditions, from raw tables.
+
+    The outcome is exact at once; a failing report names its verdicts from
+    a copy of the tables when they are first read.
+    """
     p_gen = np.asarray(p_gen, dtype=np.int64)
     q_gen = np.asarray(q_gen, dtype=np.int64)
     if p_gen.shape != (x.n, y.n, x.n) or q_gen.shape != (y.n, x.n, y.n):
         raise ShapeMismatch("generator tables do not match the carriers")
-    p_side = _one_sided(x, y, p_gen.tobytes())
-    q_side = _one_sided(y, x, q_gen.tobytes())
-    rep = ConditionReport()
-    rep.add("p-surjective", PASS if p_side.surjective else
-            _surjective_by_generators(x, p_gen, "p"))
-    rep.add("q-surjective", PASS if q_side.surjective else
-            _surjective_by_generators(y, q_gen, "q"))
-    rep.add("condition-1", _assoc_chain(p_gen, q_gen, x, y, "condition-1",
-                                        p_side))
-    rep.add("condition-2", _assoc_chain(q_gen, p_gen, y, x, "condition-2",
-                                        q_side))
-    for label, pair, lat in (("condition-3", p_side.slot2, x),
-                             ("condition-4", p_side.slot0, x),
-                             ("condition-5", q_side.slot2, y),
-                             ("condition-6", q_side.slot0, y)):
-        rep.add(label, _collision_verdict(pair, lat, label))
-    return rep
+    p_raw, q_raw = p_gen.tobytes(), q_gen.tobytes()
+    p_side = _one_sided(x, y, p_raw)
+    q_side = _one_sided(y, x, q_raw)
+    # clean sides pass every law but the chains' left == mid
+    ok = (p_side.clean and q_side.clean
+          and np.array_equal(p_side.left, _mid(p_gen, q_gen, x.n, y.n))
+          and np.array_equal(q_side.left, _mid(q_gen, p_gen, y.n, x.n)))
+    return _decided(ok, _PAIR_LAWS,
+                    lambda: _pair_verdicts(x, y, p_raw, q_raw))
 
 
 def check_pair_conditions(w: MoritaPairWitness) -> ConditionReport:
@@ -224,11 +269,13 @@ class MoritaContext:
     ``x`` is a bimodule over (A, B), ``y`` over (B, A); ``pair_xy`` lands in
     A and ``pair_yx`` in B. Contexts built from witnesses also carry the
     two-fold tensors X(x)Y and Y(x)X and the operator-class index maps, which
-    the involutive stars reuse.
+    the involutive stars reuse, and in ``report`` the passing
+    ``check_morita_context`` report of the build; it is None for contexts
+    built by hand or read from files.
     """
 
     __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
-                 "t_xy", "t_yx", "idx_a", "idx_b")
+                 "t_xy", "t_yx", "idx_a", "idx_b", "report")
 
     def __init__(self, a, b, x, y, pair_xy, pair_yx, t_xy=None, t_yx=None,
                  idx_a=None, idx_b=None):
@@ -244,6 +291,7 @@ class MoritaContext:
         self.pair_xy, self.pair_yx = pair_xy, pair_yx
         self.t_xy, self.t_yx = t_xy, t_yx
         self.idx_a, self.idx_b = idx_a, idx_b
+        self.report = None
 
     def __repr__(self):
         return (f"MoritaContext(|A|={self.a.n}, |B|={self.b.n}, "
@@ -419,9 +467,9 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
                         t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
-    after = check_morita_context(ctx)
-    if not after.ok:
-        raise ConditionsFailed(after)
+    ctx.report = check_morita_context(ctx)
+    if not ctx.report.ok:
+        raise ConditionsFailed(ctx.report)
     return ctx
 
 
@@ -461,24 +509,39 @@ class InvolutiveWitness:
         return cls(x, p_table)
 
 
+_INVOLUTIVE_LAWS = ("p-surjective", "condition-a", "condition-b",
+                    "condition-c")
+
+
+def _involutive_verdicts(x, raw):
+    'The named verdicts of the involutive check, from the table\'s bytes.'
+    p = np.frombuffer(raw, dtype=np.int64).reshape((x.n,) * 3)
+    side = _one_sided(x, x, raw)
+    return [("p-surjective", PASS if side.surjective else
+             _surjective_by_generators(x, p, "p")),
+            ("condition-a", _assoc_chain(p, p.transpose(2, 1, 0), x, x,
+                                         "condition-a", side)),
+            ("condition-b", _collision_verdict(side.slot2, x, "condition-b")),
+            ("condition-c", _collision_verdict(side.slot0, x, "condition-c"))]
+
+
 def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
     """Generator-level surjectivity and conditions a), b), c) from a raw table.
 
     They are conditions 1, 3 and 4 of the pair (X, X*, p, q) with
-    q(x, y, z) = p(z, y, x), and X* has the order of X.
+    q(x, y, z) = p(z, y, x), and X* has the order of X. As with
+    ``conditions_from_tables``, the outcome is exact at once and a failing
+    report names its verdicts when they are first read.
     """
     p = np.asarray(p_gen, dtype=np.int64)
     if p.shape != (x.n,) * 3:
         raise ShapeMismatch("generator table does not match the carrier")
-    side = _one_sided(x, x, p.tobytes())
-    rep = ConditionReport()
-    rep.add("p-surjective", PASS if side.surjective else
-            _surjective_by_generators(x, p, "p"))
-    rep.add("condition-a", _assoc_chain(p, p.transpose(2, 1, 0), x, x,
-                                        "condition-a", side))
-    rep.add("condition-b", _collision_verdict(side.slot2, x, "condition-b"))
-    rep.add("condition-c", _collision_verdict(side.slot0, x, "condition-c"))
-    return rep
+    raw = p.tobytes()
+    side = _one_sided(x, x, raw)
+    ok = side.clean and np.array_equal(
+        side.left, _mid(p, p.transpose(2, 1, 0), x.n, x.n))
+    return _decided(ok, _INVOLUTIVE_LAWS,
+                    lambda: _involutive_verdicts(x, raw))
 
 
 def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:

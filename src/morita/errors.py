@@ -1,7 +1,7 @@
 """Exception types and the Verdict/report vocabulary shared by all checkers."""
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class MoritaError(Exception):
@@ -120,11 +120,46 @@ def _passed(law):
     return Verdict(True, law=law)
 
 
-@dataclass
 class ConditionReport:
-    """Ordered collection of named verdicts; the unit of diagnostic output."""
+    """Ordered collection of named verdicts; the unit of diagnostic output.
 
-    checks: dict = field(default_factory=dict)
+    A report made by ``failing`` knows at once that it fails and builds its
+    verdicts on first read of any of them.
+    """
+
+    def __init__(self, checks=None):
+        self._checks = {} if checks is None else checks
+        self._build = None
+
+    @classmethod
+    def failing(cls, build):
+        """A failing report whose verdicts are the (name, verdict) pairs that
+        ``build()`` returns, made on first read. That read raises
+        MoritaError if none of them fails: the outcome was decided wrongly."""
+        rep = cls()
+        rep._build = build
+        return rep
+
+    @property
+    def checks(self):
+        if self._build is not None:
+            built = dict(self._build())
+            if all(v.ok for v in built.values()):
+                raise MoritaError("internal: a report decided as failing "
+                                  "built no failing verdict")
+            self._build = None
+            for name, verdict in built.items():
+                self.add(name, verdict)
+        return self._checks
+
+    def __eq__(self, other):
+        return (isinstance(other, ConditionReport)
+                and self.checks == other.checks)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ConditionReport(checks={self.checks!r})"
 
     def add(self, name, verdict):
         if isinstance(verdict, ConditionReport):
@@ -144,7 +179,7 @@ class ConditionReport:
 
     @property
     def ok(self):
-        return all(v.ok for v in self.checks.values())
+        return self._build is None and all(v.ok for v in self._checks.values())
 
     def __bool__(self):
         return self.ok

@@ -246,37 +246,60 @@ def _call(f, i, args, r):
     return tuple(names[:i]) + tuple(args) + tuple(names[i:])
 
 
+def _fibers(f, i):
+    'The table of f, slot i first and the others in order; column r is a fiber.'
+    axes = range(f.values.ndim)
+    return f.values.transpose((i, *axes[:i], *axes[i + 1:])).reshape(
+        f.factors[i].n, -1)
+
+
+def _join_break(f: Multimorphism):
+    """Where f first fails to preserve joins, as indices, or None.
+
+    Slot by slot: (i, None, r) when slot i at its bottom misses the target's
+    bottom on fiber r of ``_fibers(f, i)``, or (i, (x, y), r) when slot i at
+    x v y differs there from the join of slot i at x and at y.
+    """
+    tgt = f.target
+    for i, fac in enumerate(f.factors):
+        flat = _fibers(f, i)
+        bad = flat[fac.bottom] != tgt.bottom
+        if bad.any():
+            return i, None, int(bad.argmax())
+        bad = flat[fac.join] != tgt.join[flat[:, None, :], flat[None, :, :]]
+        k = int(bad.argmax())                  # the first True, if any
+        if bad.flat[k]:
+            x, y, r = map(int, np.unravel_index(k, bad.shape))
+            return i, (x, y), r
+    return None
+
+
 def is_multimorphism(f: Multimorphism):
     """Verdict: each slot preserves the empty and binary joins.
 
     A failure names every coordinate: the witness is the call with slot i
     at its bottom, or at the two elements whose join breaks.
     """
-    tgt, axes = f.target, range(f.values.ndim)
-    for i, fac in enumerate(f.factors):
-        # slot i first, the others in order: row r of flat is one fiber
-        flat = f.values.transpose((i, *axes[:i], *axes[i + 1:]))
-        flat = flat.reshape(fac.n, -1)
-        bad = flat[fac.bottom] != tgt.bottom
-        if bad.any():
-            r = int(bad.argmax())
-            at = _call(f, i, (fac.names[fac.bottom],), r)
-            return failure(f"slot-{i}-bottom", at,
-                           f"f({', '.join(at)}) = "
-                           f"{tgt.names[flat[fac.bottom, r]]}, not bottom")
-        lhs = flat[fac.join]
-        rhs = tgt.join[flat[:, None, :], flat[None, :, :]]
-        bad = lhs != rhs
-        if bad.any():
-            x, y, r = map(int, np.argwhere(bad)[0])
-            nx, ny = fac.names[x], fac.names[y]
-            args = [", ".join(_call(f, i, (a,), r))
-                    for a in (f"{nx} v {ny}", nx, ny)]
-            return failure(
-                f"slot-{i}-joins", _call(f, i, (nx, ny), r),
-                f"f({args[0]}) = {tgt.names[lhs[x, y, r]]} but "
-                f"f({args[1]}) v f({args[2]}) = {tgt.names[rhs[x, y, r]]}")
-    return PASS
+    found = _join_break(f)
+    if found is None:
+        return PASS
+    i, pair, r = found
+    fac, tgt = f.factors[i], f.target
+    fiber = _fibers(f, i)[:, r]
+    if pair is None:
+        at = _call(f, i, (fac.names[fac.bottom],), r)
+        return failure(f"slot-{i}-bottom", at,
+                       f"f({', '.join(at)}) = "
+                       f"{tgt.names[fiber[fac.bottom]]}, not bottom")
+    x, y = pair
+    nx, ny = fac.names[x], fac.names[y]
+    args = [", ".join(_call(f, i, (a,), r))
+            for a in (f"{nx} v {ny}", nx, ny)]
+    return failure(
+        f"slot-{i}-joins", _call(f, i, (nx, ny), r),
+        f"f({args[0]}) = {tgt.names[fiber[fac.join[x, y]]]} but "
+        f"f({args[1]}) v f({args[2]}) = "
+        f"{tgt.names[tgt.join[fiber[x], fiber[y]]]}")
 
 
 def as_multimorphism(factors, target, values) -> Multimorphism:
@@ -358,7 +381,7 @@ def enumerate_multimorphisms(factors, target, cap=None):
             for col in cols[1:]:
                 table = join[table, col]
             f = Multimorphism(factors, target, table.reshape(shape))
-            if verify and not is_multimorphism(f):
+            if verify and _join_break(f) is not None:
                 return
             if cap is not None and found >= cap:
                 raise ResourceLimit(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import lattices_up_to, meet_tables
+from morita import engine
 from morita.census import (CensusTask, _lat_from_rows,
                            enumerate_trimorphisms, run_census)
 from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
@@ -18,8 +19,8 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            _curried_from_generators, _distinct_slices,
                            _one_sided, _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
-                           ContextInvalid, DomainMismatch, NotAMultimorphism,
-                           failure)
+                           ContextInvalid, DomainMismatch, MoritaError,
+                           NotAMultimorphism, failure)
 from morita.lattice import chain, conjugate_lattice, diamond, join_closure, m3
 from morita.quantale import OperatorQuantale
 from morita.tensor import Multimorphism, tensor_product
@@ -46,6 +47,31 @@ def candidate_23():
     j2 = np.arange(3).reshape(1, 1, 3)
     q = np.minimum(j1, j2) * (x > 0)
     return MoritaPairWitness.from_generators(x2, y3, p, q)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The verdict builds of failing pair and involutive reports, in order,
+    as "pair" or "involutive"."""
+    calls = []
+    for name, kind in (("_pair_verdicts", "pair"),
+                       ("_involutive_verdicts", "involutive")):
+        def counting(*args, _build=getattr(engine, name), _kind=kind):
+            calls.append(_kind)
+            return _build(*args)
+        monkeypatch.setattr(engine, name, counting)
+    return calls
+
+
+def decided_then_named(rep, ref, built):
+    """Reads the outcome of ``rep`` before any verdict, which builds no names,
+    then its verdicts: they agree with that outcome and read as ``ref``."""
+    before = len(built)
+    ok = rep.ok
+    assert len(built) == before
+    assert rep.summary() == ref.summary()
+    assert ok == all(v.ok for v in rep.checks.values()) == ref.ok
+    assert len(built) == before + (not ok)
 
 
 def test_meet_witness_passes_all_conditions():
@@ -223,17 +249,18 @@ def five_axis_involutive_conditions(x, p_gen):
     return rep
 
 
-def test_involutive_conditions_match_the_five_axis_reference():
+def test_involutive_conditions_match_the_five_axis_reference(built):
     checked = failing = 0
     for x in lattices_up_to(3):
         for f in enumerate_trimorphisms(x, x, x, x):
             new = involutive_conditions_from_tables(x, f.values)
             old = five_axis_involutive_conditions(x, f.values)
-            assert new.summary() == old.summary()
+            decided_then_named(new, old, built)
             assert new.digest() == old.digest()
             checked += 1
             failing += not old.ok
     assert (checked, failing) == (171, 164)
+    assert built == ["involutive"] * 164
 
 
 def test_involutive_conditions_from_tables_entry_point():
@@ -399,23 +426,29 @@ def conditions_on_axes(x, y, p_gen, q_gen):
     return rep
 
 
-def test_pair_check_matches_the_reference_on_every_census_pair(monkeypatch):
+def test_pair_check_matches_the_reference_on_every_census_pair(monkeypatch,
+                                                                built):
     checked = []
 
     def both(x, y, p_gen, q_gen):
         rep = conditions_from_tables(x, y, p_gen, q_gen)
-        ref = conditions_on_axes(x, y, p_gen, q_gen)
-        assert rep.summary() == ref.summary()
+        decided_then_named(rep, conditions_on_axes(x, y, p_gen, q_gen), built)
         checked.append(rep.ok)
         return rep
 
     monkeypatch.setattr("morita.census.conditions_from_tables", both)
-    records, _ = run_census(CensusTask(max_x=3))
-    assert len(records) == 7
-    assert (len(checked), sum(checked)) == (9431, 7)
+    counts = []
+    for task in (dict(max_x=3), dict(min_x=4, max_x=4, max_y=2),
+                 dict(max_x=2, min_y=4, max_y=4)):
+        records, summary = run_census(CensusTask(**task))
+        counts.append((summary["candidates"], len(records)))
+    assert counts == [(9431, 7), (927, 0), (927, 0)]
+    assert (len(checked), sum(checked)) == (11285, 7)
+    # names were built for the failing pairs only, each once
+    assert built == ["pair"] * (11285 - 7)
 
 
-def test_pair_check_matches_the_reference_on_random_tables():
+def test_pair_check_matches_the_reference_on_random_tables(built):
     rng = np.random.default_rng(6)
     lats = lattices_up_to(4)
     failed = Counter()
@@ -425,7 +458,7 @@ def test_pair_check_matches_the_reference_on_random_tables():
         p = rng.integers(rng.integers(1, x.n + 1), size=(x.n, y.n, x.n))
         q = rng.integers(rng.integers(1, y.n + 1), size=(y.n, x.n, y.n))
         ref = conditions_on_axes(x, y, p, q)
-        assert conditions_from_tables(x, y, p, q).summary() == ref.summary()
+        decided_then_named(conditions_from_tables(x, y, p, q), ref, built)
         for v in ref.failures():
             failed[v.law] += 1
     # every law fails often enough for its witness and detail to be compared
@@ -496,3 +529,66 @@ def test_distinct_slices_matches_the_reference_on_full_domain_tables(
                 InvolutiveWitness.from_generators(x, f.values))
     assert {ndim for ndim, _ in shapes} == {2}
     assert {ok for _, ok in shapes} == {True, False}
+
+
+def _census_candidates(x, y):
+    'The surjective p tables on x(x)y(x)x that pass conditions 3 and 4.'
+    return [f.values for f in enumerate_trimorphisms(x, y, x, x,
+                                                     surjective=True)
+            if _distinct_slices(f.values, 2, x, "c3")
+            and _distinct_slices(f.values, 0, x, "c4")]
+
+
+def test_deferred_reports_on_perturbed_census_candidates(built):
+    # one entry of a census candidate changed: tables the census pre-filter
+    # never lets through, failing surjectivity or a slice condition on one
+    # side while the other side stays a candidate
+    rng = np.random.default_rng(12)
+    failed = Counter()
+    for x, y in ((chain(3), chain(3)), (chain(3), chain(2)),
+                 (diamond(), chain(2))):
+        ps, qs = _census_candidates(x, y), _census_candidates(y, x)
+        for _ in range(400):
+            p = ps[rng.integers(len(ps))].copy()
+            q = qs[rng.integers(len(qs))].copy()
+            t, lat = (p, x) if rng.integers(2) else (q, y)
+            t[tuple(rng.integers(t.shape))] = rng.integers(lat.n)
+            ref = conditions_on_axes(x, y, p, q)
+            decided_then_named(conditions_from_tables(x, y, p, q), ref, built)
+            failed.update(v.law for v in ref.failures())
+    assert {"p-surjective", "q-surjective", "condition-3", "condition-4",
+            "condition-5", "condition-6"} <= set(failed), failed
+
+
+def test_named_report_ignores_later_changes_to_the_input():
+    w = candidate_23()
+    x, y, p, q = w.x, w.y, w.p_gen.copy(), w.q_gen.copy()
+    ref = conditions_on_axes(x, y, p, q)
+    rep = conditions_from_tables(x, y, p, q)
+    assert not rep.ok
+    p[...] = 0
+    q[...] = 0
+    assert rep.summary() == ref.summary()
+    t = np.array(meet_tables(chain(3)))
+    t[0, 0, 0] = 2
+    ref = five_axis_involutive_conditions(chain(3), t)
+    rep = involutive_conditions_from_tables(chain(3), t)
+    assert not rep.ok
+    t[...] = 0
+    assert rep.summary() == ref.summary()
+
+
+def test_a_lying_clean_flag_raises_when_names_are_built(monkeypatch):
+    # every verdict of a meet witness passes; a memo entry that calls its
+    # table unclean makes a report decided as failing, and building its
+    # names finds no failure
+    truthful = engine._one_sided
+    monkeypatch.setattr(engine, "_one_sided", lambda *key:
+                        truthful(*key)._replace(clean=False))
+    lat = chain(3)
+    t = meet_tables(lat)
+    for rep in (conditions_from_tables(lat, lat, t, t),
+                involutive_conditions_from_tables(lat, t)):
+        assert not rep.ok
+        with pytest.raises(MoritaError, match="internal"):
+            rep.summary()

@@ -12,7 +12,7 @@ from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
 from morita.lattice import chain, diamond, m3, n5
-from morita.tensor import (Multimorphism, as_multimorphism,
+from morita.tensor import (Multimorphism, _join_break, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, tensor_product)
 from oracles import multi_ideal_closure, restrict_to_elementaries, splice
@@ -353,17 +353,23 @@ def test_leaves_are_checked_only_with_a_non_distributive_factor(monkeypatch):
 
     def counting(f):
         calls.append(f)
-        return is_multimorphism(f)
+        return _join_break(f)
 
-    monkeypatch.setattr("morita.tensor.is_multimorphism", counting)
+    def checked_and_found(factors, z):
+        # the enumerator decides each leaf by the law computation alone
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr("morita.tensor._join_break", counting)
+            found = len(list(enumerate_multimorphisms(factors, z)))
+        assert found == _same_yields(factors, z)
+        return len(calls), found
+
     c2, c3 = chain(2), chain(3)
     for factors, z in (((c3, c2, c3), c3), ((diamond(), c2), m3()),
                        ((c2,), n5())):
-        calls.clear()
-        assert _same_yields(factors, z) > 0
-        assert calls == []
+        checked, found = checked_and_found(factors, z)
+        assert checked == 0 and found > 0
     for factors, z in (((m3(), c2), c2), ((c2, n5()), c3), ((m3(),), c3),
                        ((n5(), c2, c2), c2)):
-        calls.clear()
-        found = _same_yields(factors, z)
-        assert len(calls) == monotone_assignments(factors, z) > found
+        checked, found = checked_and_found(factors, z)
+        assert checked == monotone_assignments(factors, z) > found
