@@ -147,15 +147,20 @@ def _surjective_tables(f1, f2, f3, z, cap):
     return out
 
 
-def _orbit_min(tables, transforms):
-    'Minimal transformed table tuple over a group, as flat byte key + tables.'
-    best = None
-    for tr in transforms:
-        moved = tr(tables)
-        key = b"".join(m.tobytes() for m in moved)
-        if best is None or key < best[0]:
-            best = (key, moved)
-    return best
+def _orbit_reps(witnesses, transforms):
+    """One representative per orbit of the witnesses (tuples of tables)
+    under a group: the orbit's least transformed tuple, compared as flat
+    bytes, in the order of those bytes."""
+    reps = {}
+    for tables in witnesses:
+        best = None
+        for tr in transforms:
+            moved = tr(tables)
+            key = b"".join(m.tobytes() for m in moved)
+            if best is None or key < best[0]:
+                best = (key, moved)
+        reps.setdefault(*best)
+    return [reps[key] for key in sorted(reps)]
 
 
 def _general_space(x, y, tri_cap):
@@ -181,14 +186,8 @@ def _general_space(x, y, tri_cap):
          (ax[ts[0][np.ix_(axi, ayi, axi)]], ay[ts[1][np.ix_(ayi, axi, ayi)]]))
         for ax, axi in auts_x for ay, ayi in auts_y]
 
-    orbit_reps = {}
-    for pt, qt in witnesses:
-        key, moved = _orbit_min((pt, qt), transforms)
-        orbit_reps.setdefault(key, moved)
-
     records = []
-    for key in sorted(orbit_reps):
-        pt, qt = orbit_reps[key]
+    for pt, qt in _orbit_reps(witnesses, transforms):
         w = MoritaPairWitness.from_generators(x, y, pt, qt)
         rep = check_pair_conditions(w)
         if not rep.ok:
@@ -224,14 +223,8 @@ def _involutive_space(x, tri_cap):
                    (ax[ts[0][np.ix_(axi, axi, axi)]],))
                   for ax, axi in auts]
 
-    orbit_reps = {}
-    for t in passing:
-        key, moved = _orbit_min((t,), transforms)
-        orbit_reps.setdefault(key, moved)
-
     records = []
-    for key in sorted(orbit_reps):
-        (pt,) = orbit_reps[key]
+    for (pt,) in _orbit_reps([(t,) for t in passing], transforms):
         iw = InvolutiveWitness.from_generators(x, pt)
         rep = involutive_conditions_from_tables(x, iw.p_gen)
         if not rep.ok:

@@ -35,13 +35,14 @@ own lattices. The cache keeps at most 1024 entries of about
 """
 
 import functools
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 
 import numpy as np
 
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, MoritaError, NotWellDefined,
-                     PASS, ShapeMismatch, StarNotWellDefined, failure)
+                     PASS, ShapeMismatch, StarNotWellDefined, failure,
+                     slice_collision, table_law)
 from .lattice import _freeze, conjugate_lattice, join_closure
 from .modules import (Bimodule, ModuleAction, check_bimodule,
                       conjugate_bimodule, is_m_regular)
@@ -115,17 +116,6 @@ def _chain_offsets(nx, ny):
     return tail, head, ends
 
 
-def _slice_collision(table, axis, n):
-    'The first (u, v), u < v, whose slices at this slot are equal, or None.'
-    seen = {}
-    slices = table.swapaxes(0, axis)
-    for v in range(n):
-        u = seen.setdefault(slices[v].tobytes(), v)
-        if u != v:
-            return u, v
-    return None
-
-
 def _collision_verdict(pair, lat, label):
     if pair is None:
         return PASS
@@ -135,7 +125,7 @@ def _collision_verdict(pair, lat, label):
 
 def _distinct_slices(table, axis, lat, label):
     'The curried maps obtained by fixing this slot must be pairwise distinct.'
-    return _collision_verdict(_slice_collision(table, axis, lat.n), lat, label)
+    return _collision_verdict(slice_collision(table, axis), lat, label)
 
 
 _Side = namedtuple("_Side",
@@ -159,8 +149,8 @@ def _one_sided(lat, other, raw):
     left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
     right = flat[head + flat].ravel()
     surjective = _generates(lat, table)
-    slot2 = _slice_collision(table, 2, nx)
-    slot0 = _slice_collision(table, 0, nx)
+    slot2 = slice_collision(table, 2)
+    slot0 = slice_collision(table, 0)
     left_ne_right = left != right
     clean = (surjective and slot2 is None and slot0 is None
              and not left_ne_right.any())
@@ -298,16 +288,6 @@ class MoritaContext:
                 f"|X|={self.x.carrier.n}, |Y|={self.y.carrier.n})")
 
 
-def _table_law(label, lhs, rhs, axis_names, value_names):
-    bad = lhs != rhs
-    if bad.any():
-        idx = tuple(map(int, np.argwhere(bad)[0]))
-        wit = tuple(names[i] for names, i in zip(axis_names, idx))
-        return failure(label, wit,
-                       f"{value_names[lhs[idx]]} vs {value_names[rhs[idx]]}")
-    return PASS
-
-
 def _regularity_verdict(report, label):
     if report.m_regular:
         return PASS
@@ -339,35 +319,35 @@ def check_morita_context(ctx: MoritaContext) -> ConditionReport:
     nx_names, ny_names = ctx.x.carrier.names, ctx.y.carrier.names
     a_names, b_names = ctx.a.names, ctx.b.names
 
-    rep.add("pairing-XY-left-linear", _table_law(
+    rep.add("pairing-XY-left-linear", table_law(
         "pairing-XY-left-linear: (a.x, y) = a.(x, y)",
         pxy[lx], np.transpose(ma[:, pxy], (1, 0, 2)),
         (nx_names, a_names, ny_names), a_names))
-    rep.add("pairing-XY-right-linear", _table_law(
+    rep.add("pairing-XY-right-linear", table_law(
         "pairing-XY-right-linear: (x, y.a) = (x, y).a",
         pxy[:, ry], ma[pxy],
         (nx_names, ny_names, a_names), a_names))
-    rep.add("pairing-YX-left-linear", _table_law(
+    rep.add("pairing-YX-left-linear", table_law(
         "pairing-YX-left-linear: [b.y, x] = b.[y, x]",
         pyx[ly], np.transpose(mb[:, pyx], (1, 0, 2)),
         (ny_names, b_names, nx_names), b_names))
-    rep.add("pairing-YX-right-linear", _table_law(
+    rep.add("pairing-YX-right-linear", table_law(
         "pairing-YX-right-linear: [y, x.b] = [y, x].b",
         pyx[:, rx], mb[pyx],
         (ny_names, nx_names, b_names), b_names))
-    rep.add("balance-XY", _table_law(
+    rep.add("balance-XY", table_law(
         "balance-XY: (x.b, y) = (x, b.y)",
         pxy[rx], np.transpose(pxy[:, ly], (0, 2, 1)),
         (nx_names, b_names, ny_names), a_names))
-    rep.add("balance-YX", _table_law(
+    rep.add("balance-YX", table_law(
         "balance-YX: [y.a, x] = [y, a.x]",
         pyx[ry], np.transpose(pyx[:, lx], (0, 2, 1)),
         (ny_names, a_names, nx_names), b_names))
-    rep.add("linking-X", _table_law(
+    rep.add("linking-X", table_law(
         "linking-X: (x1, y).x2 = x1.[y, x2]",
         lx.T[pxy], rx[:, pyx],
         (nx_names, ny_names, nx_names), nx_names))
-    rep.add("linking-Y", _table_law(
+    rep.add("linking-Y", table_law(
         "linking-Y: [y1, x].y2 = y1.(x, y2)",
         ly.T[pyx], ry[:, pxy],
         (ny_names, nx_names, ny_names), ny_names))
@@ -392,38 +372,40 @@ def _curried_from_generators(part, pos, gen, lat):
 
 
 def _operator_family(part_tensor, gen, fixed_lat, endo):
-    'The family e -> (x -> p(e(x)x)) as a sup-map into Q.'
+    """The family e -> (x -> p(e(x)x)) into Q, unchecked:
+    ``image_subquantale`` checks that it preserves joins."""
     rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
     try:
         idx = [endo.index[tuple(r)] for r in rows.tolist()]
     except KeyError:
         raise MoritaError("internal: a curried operator fails to preserve joins")
-    fam = Multimorphism((part_tensor.lattice,), endo.carrier, idx)
-    v = is_multimorphism(fam)
-    if not v:
-        raise MoritaError(f"internal: operator family broke joins: {v}")
-    return fam
+    return Multimorphism((part_tensor.lattice,), endo.carrier, idx)
 
 
-def _classwise_action(part_tensor, gen, fixed_lat, idx_map, quant, side_label):
+def _per_class(idx_map, rows, error):
+    """``rows`` (one per tensor element) at the first element of each
+    operator class of ``idx_map``. Every element of a class must have the
+    same row; otherwise raises ``error(e1, e2)`` for the first class where
+    one does not: e1 its first element, e2 its first with another row."""
+    idx = idx_map.values
+    first = np.unique(idx, return_index=True)[1]   # the classes are 0..k-1
+    lead = first[idx]
+    bad = (rows != rows[lead]).reshape(len(idx), -1).any(axis=1)
+    if bad.any():
+        e2 = min(np.flatnonzero(bad).tolist(), key=lambda e: (lead[e], e))
+        raise error(int(lead[e2]), e2)
+    return rows[first]
+
+
+def _classwise_action(part_tensor, gen, fixed_lat, idx_map, side_label):
     """Action table x -> p(x(x)e) of operator classes via representatives,
     checked for well-definedness across each class."""
     table = _curried_from_generators(part_tensor, 1, gen, fixed_lat)
-    classes = defaultdict(list)
-    for e, c in enumerate(idx_map.values.tolist()):
-        classes[c].append(e)
-    act = np.empty((fixed_lat.n, quant.n), dtype=np.int64)
-    for c, members in classes.items():
-        rows = table[members]
-        bad = np.flatnonzero((rows != rows[0]).any(axis=1))
-        if len(bad):
-            names = part_tensor.lattice.names
-            raise NotWellDefined(
-                f"{side_label} differs across a class: tensor elements "
-                f"{names[members[0]]} and {names[members[bad[0]]]} act "
-                "equally on one side but not the other")
-        act[:, c] = rows[0]
-    return act
+    names = part_tensor.lattice.names
+    return _per_class(idx_map, table, lambda e1, e2: NotWellDefined(
+        f"{side_label} differs across a class: tensor elements "
+        f"{names[e1]} and {names[e2]} act "
+        "equally on one side but not the other")).T
 
 
 def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
@@ -452,18 +434,19 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
 
     lx = np.asarray(quant_a.op_values, dtype=np.int64).T
     ly = np.asarray(quant_b.op_values, dtype=np.int64).T
-    rx = _classwise_action(t_yx, w.p_gen, x, idx_b, quant_b, "x.R_b")
-    ry = _classwise_action(t_xy, w.q_gen, y, idx_a, quant_a, "y.L_a")
+    rx = _classwise_action(t_yx, w.p_gen, x, idx_b, "x.R_b")
+    ry = _classwise_action(t_xy, w.q_gen, y, idx_a, "y.L_a")
 
     bim_x = Bimodule(ModuleAction("left", quant_a, x, lx),
                      ModuleAction("right", quant_b, x, rx))
     bim_y = Bimodule(ModuleAction("left", quant_b, y, ly),
                      ModuleAction("right", quant_a, y, ry))
 
-    pair_xy = as_multimorphism((x, y), quant_a.carrier,
-                               idx_a.values[t_xy.elem_table])
-    pair_yx = as_multimorphism((y, x), quant_b.carrier,
-                               idx_b.values[t_yx.elem_table])
+    # the pairings' bimorphism laws are checked in ctx.report
+    pair_xy = Multimorphism((x, y), quant_a.carrier,
+                            idx_a.values[t_xy.elem_table])
+    pair_yx = Multimorphism((y, x), quant_b.carrier,
+                            idx_b.values[t_yx.elem_table])
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
                         t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
@@ -595,7 +578,7 @@ def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
     lx, rx = imp.bimodule.left.act, imp.bimodule.right.act
     ia, ib = imp.inner_a.values, imp.inner_b.values
     names = imp.bimodule.carrier.names
-    rep.add("compatibility", _table_law(
+    rep.add("compatibility", table_law(
         "compatibility: <x,y>_A.z = x.<y,z>_B",
         lx.T[ia], rx[:, ib], (names, names, names), names))
 
@@ -611,45 +594,28 @@ def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
             imp.a.carrier, cia, "conjugate-fullness-A"))
         rep.add("conjugate-fullness-B", _surjective_by_generators(
             imp.b.carrier, cib, "conjugate-fullness-B"))
-        rep.add("conjugate-compatibility", _table_law(
+        rep.add("conjugate-compatibility", table_law(
             "conjugate-compatibility: <x*,y*>_B.z* = x*.<y*,z*>_A",
             conj.left.act.T[cib], conj.right.act[:, cia],
             (star_names, star_names, star_names), star_names))
     return rep
 
 
-def _class_star(tensor, idx_map, quant, label):
-    """Involution on an operator quantale from the swap on its tensor.
+def _class_star(tensor, idx_map, label):
+    """Star table on the operator classes of ``idx_map``, from the swap on
+    its tensor; ``check_imprimitivity`` checks that it is an involution.
 
     The swap sends an elementary tensor u(x)v to v(x)u; its lift permutes
     multi-ideals. The star of an operator class is the class of the swapped
     tensor element, provided that is independent of the representative.
     """
-    swap = as_multimorphism(tensor.factors, tensor.lattice,
-                            tensor.elem_table.T)
-    idx = idx_map.values.tolist()
-    swapped = idx_map.values[lift_multimorphism(swap, tensor).values].tolist()
-    classes = defaultdict(list)
-    for e, c in enumerate(idx):
-        classes[c].append(e)
-    star = [None] * quant.n
-    for c, members in classes.items():
-        images = {swapped[e] for e in members}
-        if len(images) > 1:
-            by_image = defaultdict(list)
-            for e in members:
-                by_image[swapped[e]].append(e)
-            (e1, *_), (e2, *_) = list(by_image.values())[:2]
-            names = tensor.lattice.names
-            raise StarNotWellDefined(
-                f"{label}: tensor elements {names[e1]} and {names[e2]} induce "
-                "the same operator but their swaps do not")
-        star[c] = images.pop()
-    v = is_quantale_involution(quant, star)
-    if not v:
-        raise StarNotWellDefined(f"{label}: swap classes fail to be an "
-                                 f"involution: {v}")
-    return tuple(star)
+    swap = Multimorphism(tensor.factors, tensor.lattice, tensor.elem_table.T)
+    swapped = idx_map.values[lift_multimorphism(swap, tensor).values]
+    names = tensor.lattice.names
+    star = _per_class(idx_map, swapped, lambda e1, e2: StarNotWellDefined(
+        f"{label}: tensor elements {names[e1]} and {names[e2]} induce "
+        "the same operator but their swaps do not"))
+    return tuple(star.tolist())
 
 
 def build_involutive_context(w: InvolutiveWitness):
@@ -658,7 +624,9 @@ def build_involutive_context(w: InvolutiveWitness):
     Returns (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
     ImprimitivityBimodule). Stars are built from the tensor swap and checked
     for well-definedness; for inputs that passed conditions a)-c) a collision
-    cannot happen, so StarNotWellDefined is an integrity alarm.
+    cannot happen, so StarNotWellDefined, raised for a collision only, is an
+    integrity alarm. A star that is not an involution fails involution-A or
+    -B of the imprimitivity report, which raises ConditionsFailed.
     """
     rep = check_involutive_conditions(w)
     if not rep.ok:
@@ -666,8 +634,8 @@ def build_involutive_context(w: InvolutiveWitness):
     pw = as_pair_witness(w)
     ctx = build_context_from_pair(pw)
 
-    star_a = _class_star(ctx.t_xy, ctx.idx_a, ctx.a, "star on A")
-    star_b = _class_star(ctx.t_yx, ctx.idx_b, ctx.b, "star on B")
+    star_a = _class_star(ctx.t_xy, ctx.idx_a, "star on A")
+    star_b = _class_star(ctx.t_yx, ctx.idx_b, "star on B")
     inv_a = InvolutiveQuantale(ctx.a, star_a)
     inv_b = InvolutiveQuantale(ctx.b, star_b)
 

@@ -3,7 +3,10 @@
 :func:`enumerate_lattices` backtracks incrementally. Elements are added one
 at a time in a topological order; each new element picks the downset it
 sits above, with pruning rules that keep every completion a lattice.
-Isomorphs are rejected by canonical form.
+Isomorphs are rejected by canonical form. One search over the relabellings
+that keep invariant classes in place, ``_canonical_orderings``, gives the
+canonical form and every ordering that reaches it; automorphisms and
+isomorphisms are read off those orderings.
 """
 
 from itertools import permutations, product
@@ -41,78 +44,62 @@ def _refine_classes(leq):
     return [classes[r] for r in sorted(classes)]
 
 
-def _class_permutations(classes):
-    'All permutations that map each invariant class onto itself.'
-    n = sum(len(c) for c in classes)
-    for parts in product(*(permutations(c) for c in classes)):
-        perm = [0] * n
-        for orig, imgs in zip(classes, parts):
-            for o, m in zip(orig, imgs):
-                perm[o] = m
-        yield perm
-
-
 def _class_orderings(classes):
     'Element orderings listing the classes contiguously in rank order.'
     for parts in product(*(permutations(c) for c in classes)):
         yield [e for part in parts for e in part]
 
 
-def _as_leq(lat_or_leq):
-    return lat_or_leq.leq if isinstance(lat_or_leq, FiniteSupLattice) \
-        else np.asarray(lat_or_leq, dtype=bool)
-
-
-def canonical_key(lat_or_leq) -> bytes:
-    """Lexicographically minimal order matrix over isomorphisms, as bytes.
+def _canonical_orderings(leq):
+    """The least order matrix over class-ordered relabellings, as bytes,
+    and every ordering that reaches it, in ``_class_orderings`` order.
 
     Isomorphisms respect the invariant classes, and the class ranks are
-    themselves invariant, so minimising over class-ordered relabellings
-    minimises over all of them.
+    themselves invariant, so this minimum is the minimum over all
+    relabellings. Two orderings reach it exactly when they differ by an
+    automorphism.
     """
-    leq = _as_leq(lat_or_leq)
-    classes = _refine_classes(leq)
-    best = None
-    for order in _class_orderings(classes):
+    best, reach = None, []
+    for order in _class_orderings(_refine_classes(leq)):
         p = np.asarray(order)
         key = leq[np.ix_(p, p)].tobytes()
         if best is None or key < best:
-            best = key
-    return best
+            best, reach = key, [order]
+        elif key == best:
+            reach.append(order)
+    return best, reach
+
+
+def canonical_key(lat_or_leq) -> bytes:
+    'Lexicographically minimal order matrix over isomorphisms, as bytes.'
+    leq = lat_or_leq.leq if isinstance(lat_or_leq, FiniteSupLattice) \
+        else np.asarray(lat_or_leq, dtype=bool)
+    return _canonical_orderings(leq)[0]
+
+
+def _mapping(src, dst):
+    'The map sending src[k] to dst[k] for every k, as an index tuple.'
+    perm = [0] * len(src)
+    for a, b in zip(src, dst):
+        perm[a] = b
+    return tuple(perm)
 
 
 def automorphisms(lat):
     'All order automorphisms, as index tuples perm with perm[i] the image of i.'
-    leq = lat.leq
-    out = []
-    for perm in _class_permutations(_refine_classes(leq)):
-        p = np.asarray(perm)
-        if (leq[np.ix_(p, p)] == leq).all():
-            out.append(tuple(int(v) for v in p))
-    return out
-
-
-def _ordering_achieving(leq, key):
-    for order in _class_orderings(_refine_classes(leq)):
-        p = np.asarray(order)
-        if leq[np.ix_(p, p)].tobytes() == key:
-            return order
-    raise MoritaError("internal: canonical key not reproduced")
+    _, reach = _canonical_orderings(lat.leq)
+    return [_mapping(reach[0], order) for order in reach]
 
 
 def find_isomorphism(a, b):
     'An order isomorphism a -> b as an index tuple, or None.'
     if a.n != b.n:
         return None
-    ka, kb = canonical_key(a), canonical_key(b)
+    ka, reach_a = _canonical_orderings(a.leq)
+    kb, reach_b = _canonical_orderings(b.leq)
     if ka != kb:
         return None
-    pa = _ordering_achieving(_as_leq(a), ka)
-    pb = _ordering_achieving(_as_leq(b), kb)
-    perm = [0] * a.n
-    for k in range(a.n):
-        perm[pa[k]] = pb[k]
-    return tuple(perm)
+    return _mapping(reach_a[0], reach_b[0])
 
 
 # --- incremental backtracking ----------------------------------------------------

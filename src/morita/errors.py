@@ -1,7 +1,14 @@
-"""Exception types and the Verdict/report vocabulary shared by all checkers."""
+"""Exception types and the Verdict/report vocabulary shared by all checkers.
+
+Two checks recur across the package and are written once here:
+``table_law``, that two index tables agree, and ``slice_collision``, the
+search for two equal slices of a table along one slot.
+"""
 
 import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class MoritaError(Exception):
@@ -56,20 +63,30 @@ class MissingInvolution(MoritaError):
     """An involutive construction was asked of a quantale without a star."""
 
 
-class ConditionsFailed(MoritaError):
+class _ReportError(MoritaError):
+    'An error that carries a failing report; the message is its summary.'
+
+    prefix = ""
+
+    def __init__(self, report):
+        super().__init__(self.prefix + report.summary())
+        self.report = report
+
+    def __reduce__(self):
+        # args hold the message, but unpickling calls __init__ with a report
+        return type(self), (self.report,)
+
+
+class ConditionsFailed(_ReportError):
     """A witness failed its precondition report; carries the report."""
 
-    def __init__(self, report):
-        super().__init__("conditions failed:\n" + report.summary())
-        self.report = report
+    prefix = "conditions failed:\n"
 
 
-class ContextInvalid(MoritaError):
+class ContextInvalid(_ReportError):
     """A Morita context failed validation; carries the report."""
 
-    def __init__(self, report):
-        super().__init__("context invalid:\n" + report.summary())
-        self.report = report
+    prefix = "context invalid:\n"
 
 
 class NotWellDefined(MoritaError):
@@ -112,6 +129,31 @@ PASS = Verdict(True)
 
 def failure(law, witness=(), detail=""):
     return Verdict(False, law=law, witness=tuple(witness), detail=detail)
+
+
+def table_law(law, lhs, rhs, axis_names, value_names, detail="{} vs {}"):
+    """Verdict that the index tables ``lhs`` and ``rhs`` agree everywhere.
+
+    A failure is named at the first cell in C order where they differ: the
+    witness takes axis k's name from ``axis_names[k]``, and ``detail`` is
+    formatted with the names of the two values there.
+    """
+    bad = lhs != rhs
+    if not bad.any():
+        return PASS
+    idx = tuple(map(int, np.argwhere(bad)[0]))
+    return failure(law, tuple(names[i] for names, i in zip(axis_names, idx)),
+                   detail.format(value_names[lhs[idx]], value_names[rhs[idx]]))
+
+
+def slice_collision(table, axis):
+    'The first (u, v), u < v, whose slices at this slot are equal, or None.'
+    seen = {}
+    for v, piece in enumerate(table.swapaxes(0, axis)):
+        u = seen.setdefault(piece.tobytes(), v)
+        if u != v:
+            return u, v
+    return None
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,13 +204,6 @@ class ConditionReport:
         return f"ConditionReport(checks={self.checks!r})"
 
     def add(self, name, verdict):
-        if isinstance(verdict, ConditionReport):
-            # fold a sub-report into one verdict keyed by the outer name
-            bad = verdict.failures()
-            verdict = Verdict(not bad, law=name,
-                              witness=tuple(v.law for v in bad[:3]),
-                              detail=str(bad[0]) if bad else
-                              f"all {len(verdict.checks)} laws hold")
         if verdict is PASS:
             verdict = _passed(name)
         elif not verdict.law:

@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .engine import MoritaContext
-from .errors import FormatError, MissingInvolution
+from .errors import FormatError
 from .lattice import FiniteSupLattice, validate_lattice
 from .modules import Bimodule, ModuleAction
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
@@ -99,6 +99,26 @@ def _resolve(path, ref):
     return os.path.normpath(os.path.join(os.path.dirname(path), ref))
 
 
+def _write_lines(path, lines):
+    'The lines as a UTF-8 file, each ended by a newline.'
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        # appending "\n" to the joined text would copy it while the
+        # caller's list is still alive
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _arrow_lines(table):
+    'One "i,j,k -> m" line per tuple of an index table, in C order.'
+    return [",".join(str(c) for c in t) + f" -> {int(table[t])}"
+            for t in np.ndindex(*table.shape)]
+
+
+def _rows(table):
+    'An index table as text: "," between entries, ";" between rows.'
+    return ";".join(",".join(str(int(v)) for v in row) for row in table)
+
+
 def _check_names(names):
     for nm in names:
         if not nm or _FORBIDDEN_IN_NAMES & set(nm):
@@ -158,8 +178,7 @@ def _lat_lines(lat):
 
 
 def write_lattice(path, lat):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(_lat_lines(lat)) + "\n")
+    _write_lines(path, _lat_lines(lat))
 
 
 # --- .qnt ----------------------------------------------------------------------------
@@ -188,12 +207,10 @@ def write_quantale(path, q):
     if isinstance(q, InvolutiveQuantale):
         star, q = q.star, q.quantale
     lines = _lat_lines(q.carrier)
-    lines.append("mult=" + ";".join(
-        ",".join(str(int(v)) for v in row) for row in q.mult))
+    lines.append("mult=" + _rows(q.mult))
     if star is not None:
         lines.append("star=" + ",".join(str(int(s)) for s in star))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def _plain_quantale(path):
@@ -228,10 +245,6 @@ def read_action(path):
                     ModuleAction("right", right_q, carrier, right))
 
 
-def _act_rows(act):
-    return ";".join(",".join(str(int(v)) for v in row) for row in act)
-
-
 def write_action(path, target, refs):
     """Write a ModuleAction with refs {carrier, quantale}, or a Bimodule
     with refs {carrier, left_quantale, right_quantale}. Referenced files
@@ -240,16 +253,15 @@ def write_action(path, target, refs):
     if isinstance(target, ModuleAction):
         lines += [f"quantale={refs['quantale']}",
                   f"side={target.side}",
-                  "act=" + _act_rows(target.act)]
+                  "act=" + _rows(target.act)]
     elif isinstance(target, Bimodule):
         lines += [f"left_quantale={refs['left_quantale']}",
                   f"right_quantale={refs['right_quantale']}",
-                  "left_act=" + _act_rows(target.left.act),
-                  "right_act=" + _act_rows(target.right.act)]
+                  "left_act=" + _rows(target.left.act),
+                  "right_act=" + _rows(target.right.act)]
     else:
         raise FormatError(f"cannot serialize {type(target).__name__} as .act")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 # --- .map ----------------------------------------------------------------------------
@@ -289,25 +301,15 @@ def read_map(path) -> Multimorphism:
 
 
 def write_map(path, f: Multimorphism, factor_refs, codomain_ref):
-    lines = ["factors=" + ",".join(factor_refs),
-             f"codomain={codomain_ref}"]
-    for t in np.ndindex(*(fac.n for fac in f.factors)):
-        lines.append(",".join(str(c) for c in t) +
-                     f" -> {int(f.values[t])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, ["factors=" + ",".join(factor_refs),
+                        f"codomain={codomain_ref}"] + _arrow_lines(f.values))
 
 
 # --- .elem sidecar -------------------------------------------------------------------
 
 def write_elem(path, tensor: MultiTensorLattice):
     'Tuple -> element-index table accompanying a tensor written as .lat.'
-    lines = []
-    for t in np.ndindex(*(f.n for f in tensor.factors)):
-        lines.append(",".join(str(c) for c in t) +
-                     f" -> {int(tensor.elem_table[t])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, _arrow_lines(tensor.elem_table))
 
 
 def read_elem(path, arity):

@@ -13,12 +13,24 @@ and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
 import numpy as np
 
 from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
-                     NotAPartialOrder, NoTop)
+                     NotAPartialOrder, NoTop, ShapeMismatch)
 
 
 def _freeze(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _index_table(values, shape, n, what):
+    """``values`` as a read-only int64 array of this shape with entries in
+    0..n-1: the table of a map into an n-element carrier. Raises
+    ShapeMismatch or DomainMismatch naming the ``what`` table."""
+    arr = np.array(values, dtype=np.int64)
+    if arr.shape != shape:
+        raise ShapeMismatch(f"{what} table {arr.shape}, expected {shape}")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n):
+        raise DomainMismatch(f"{what} table has an entry outside 0..{n - 1}")
+    return _freeze(arr)
 
 
 class FiniteSupLattice:

@@ -10,9 +10,9 @@ the endomorphism quantale Q(X) of all sup-maps X -> X under composition.
 import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
-                     NotAMultimorphism, NotCompositionClosed, PASS,
-                     ShapeMismatch, failure)
-from .lattice import FiniteSupLattice, _freeze, validate_lattice
+                     NotAMultimorphism, NotCompositionClosed, PASS, failure,
+                     table_law)
+from .lattice import FiniteSupLattice, _index_table, validate_lattice
 from .tensor import Multimorphism, enumerate_multimorphisms, is_multimorphism
 
 
@@ -21,13 +21,8 @@ class Quantale:
 
     def __init__(self, carrier: FiniteSupLattice, mult, unit=None):
         self.carrier = carrier
-        arr = np.array(mult, dtype=np.int64)
-        n = carrier.n
-        if arr.shape != (n, n):
-            raise ShapeMismatch(f"multiplication table {arr.shape}, carrier {n}")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n):
-            raise DomainMismatch("product outside the carrier")
-        self.mult = _freeze(arr)
+        self.mult = _index_table(mult, (carrier.n, carrier.n), carrier.n,
+                                 "multiplication")
         self.unit = None if unit is None else int(unit)
 
     @property
@@ -60,12 +55,10 @@ def check_quantale(q: Quantale):
     """Verdict on associativity, then on the sup-laws: distributivity over
     joins and annihilation by bottom, in both arguments."""
     m, names = q.mult, q.names
-    lhs, rhs = m[m, :], m[:, m]
-    bad = lhs != rhs
-    if bad.any():
-        a, b, c = map(int, np.argwhere(bad)[0])
-        return failure("associative", (names[a], names[b], names[c]),
-                       f"(ab)c = {names[lhs[a, b, c]]} but a(bc) = {names[rhs[a, b, c]]}")
+    v = table_law("associative", m[m, :], m[:, m], (names,) * 3, names,
+                  "(ab)c = {} but a(bc) = {}")
+    if not v:
+        return v
     v = is_multimorphism(Multimorphism((q.carrier, q.carrier), q.carrier, m))
     if not v:
         return failure(_SUP_LAWS[v.law], v.witness, v.detail)
@@ -180,23 +173,19 @@ def is_quantale_involution(q: Quantale, star):
     star = tuple(int(s) for s in star)
     if len(star) != q.n or not all(0 <= s < q.n for s in star):
         raise DomainMismatch("star table does not match the carrier")
-    names = q.names
-    for i in range(q.n):
-        if star[star[i]] != i:
-            return failure("period-two", (names[i],),
-                           f"{names[i]}** = {names[star[star[i]]]}")
+    names, st = q.names, np.asarray(star)
+    # at the first a with a** != a, the detail reads "a** = <a**>"
+    v = table_law("period-two", st[st], np.arange(q.n), (names,), names,
+                  "{1}** = {0}")
+    if not v:
+        return v
     v = is_multimorphism(Multimorphism((q.carrier,), q.carrier, star))
     if not v:
         return v
-    st = np.asarray(star)
-    lhs = st[q.mult]
-    rhs = q.mult[np.ix_(st, st)].T   # (b*, a*) product at position (a, b)
-    bad = lhs != rhs
-    if bad.any():
-        a, b = map(int, np.argwhere(bad)[0])
-        return failure("antihomomorphism", (names[a], names[b]),
-                       f"(ab)* = {names[lhs[a, b]]} but b*a* = {names[rhs[a, b]]}")
-    return PASS
+    # (b*, a*) product at position (a, b)
+    return table_law("antihomomorphism", st[q.mult],
+                     q.mult[np.ix_(st, st)].T, (names, names), names,
+                     "(ab)* = {} but b*a* = {}")
 
 
 def as_involutive_quantale(q: Quantale, star) -> InvolutiveQuantale:

@@ -23,11 +23,11 @@ import os
 import numpy as np
 
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
-                     PASS, ResourceLimit, ShapeMismatch, failure)
+                     PASS, ResourceLimit, failure)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
-from .lattice import (FiniteSupLattice, _freeze, _words, opposite,
-                      validate_lattice)
+from .lattice import (FiniteSupLattice, _freeze, _index_table, _words,
+                      opposite, validate_lattice)
 
 # a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
 # here); join and meet tables, built only when used, add 8 n^2 bytes each
@@ -213,13 +213,8 @@ class Multimorphism:
     def __init__(self, factors, target, values):
         self.factors = tuple(factors)
         self.target = target
-        arr = np.array(values, dtype=np.int64)
-        expect = tuple(f.n for f in self.factors)
-        if arr.shape != expect:
-            raise ShapeMismatch(f"value table {arr.shape} does not match {expect}")
-        if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= target.n):
-            raise DomainMismatch("value outside the target carrier")
-        self.values = _freeze(arr)
+        self.values = _index_table(values, tuple(f.n for f in self.factors),
+                                   target.n, "value")
 
     def __call__(self, *coords):
         return int(self.values[coords])

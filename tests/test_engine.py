@@ -1,5 +1,6 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -20,10 +21,10 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            _one_sided, _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
-                           NotAMultimorphism, failure)
+                           NotAMultimorphism, StarNotWellDefined, failure)
 from morita.lattice import chain, conjugate_lattice, diamond, join_closure, m3
 from morita.quantale import OperatorQuantale
-from morita.tensor import Multimorphism, tensor_product
+from morita.tensor import Multimorphism, MultiTensorLattice, tensor_product
 import oracles
 from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
                      check_pair_conditions_full)
@@ -592,3 +593,195 @@ def test_a_lying_clean_flag_raises_when_names_are_built(monkeypatch):
         assert not rep.ok
         with pytest.raises(MoritaError, match="internal"):
             rep.summary()
+
+
+def test_clean_needs_the_p_only_composites_to_agree():
+    # 86 of the 97 census candidates on the 3-chain are surjective and pass
+    # both slice conditions, yet their p-only composites differ somewhere:
+    # only the left == right clause keeps them unclean
+    x = chain(3)
+    sides = [_one_sided(x, x, t.tobytes()) for t in _census_candidates(x, x)]
+    assert len(sides) == 97
+    assert all(s.surjective and s.slot2 is None and s.slot0 is None
+               for s in sides)
+    unequal = [s for s in sides if s.left_ne_right.any()]
+    assert len(unequal) == 86
+    assert not any(s.clean for s in unequal)
+    assert all(s.clean for s in sides if not s.left_ne_right.any())
+
+
+def test_report_errors_survive_pickling():
+    # a census worker under --jobs sends its errors back pickled
+    x2 = chain(2)
+    zero_q = MoritaPairWitness.from_generators(
+        x2, x2, meet_tables(x2), np.zeros((2, 2, 2), dtype=np.int64))
+    with pytest.raises(ConditionsFailed) as failed:
+        build_context_from_pair(zero_q)
+    ctx = build_context_from_pair(meet_witness(x2))
+    dead = Multimorphism((x2, x2), ctx.a.carrier,
+                         np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ContextInvalid) as invalid:
+        extract_pair_from_context(
+            MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, dead, ctx.pair_yx))
+    for err in (failed.value, invalid.value):
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is type(err)
+        assert str(back) == str(err)
+        assert back.report.summary() == err.report.summary()
+        assert back.report == err.report
+
+
+def test_context_report_names_each_failing_law():
+    # captured before the table laws moved to errors.table_law
+    lat = chain(3)
+    ctx = build_context_from_pair(meet_witness(lat))
+    dead = Multimorphism((lat, lat), ctx.a.carrier,
+                         np.zeros((3, 3), dtype=np.int64))
+    rep = check_morita_context(
+        MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, dead, ctx.pair_yx))
+    assert [str(v) for v in rep.failures()] == [
+        "FAIL linking-X: (x1, y).x2 = x1.[y, x2] at (x1, x1, x1) - 0 vs x1",
+        "FAIL linking-Y: [y1, x].y2 = y1.(x, y2) at (x1, x1, x1) - x1 vs 0",
+        "FAIL pairing-XY-surjective at ([0 x1 x1], [0 x1 1]) - image "
+        "join-closure has 1 of 3 elements"]
+    assert len(rep.checks) == 20
+
+
+def _with_corner(tensor, value):
+    'The tensor with the elementary tensor of tuple (0, ..., 0) set to value.'
+    table = np.array(tensor.elem_table)
+    table[(0,) * table.ndim] = value
+    return MultiTensorLattice(tensor.factors, tensor.lattice, tensor.bits,
+                              table)
+
+
+def test_a_family_that_breaks_joins_is_refused_by_image_subquantale(
+        monkeypatch):
+    # the operator family is checked once, by image_subquantale
+    built = engine._operator_family
+
+    def broken(part, gen, lat, endo):
+        fam = built(part, gen, lat, endo)
+        values = np.array(fam.values)
+        values[part.lattice.bottom] = endo.carrier.top
+        return Multimorphism(fam.factors, fam.target, values)
+
+    monkeypatch.setattr(engine, "_operator_family", broken)
+    with pytest.raises(NotAMultimorphism, match="FAIL slot-0-bottom"):
+        build_context_from_pair(meet_witness(chain(3)))
+
+
+def test_a_pairing_that_breaks_joins_fails_the_context_report(monkeypatch):
+    # the pairings are checked once, as pairing-XY/YX-bimorphism
+    calls = []
+
+    def corner_at_top(*factors):
+        t = tensor_product(*factors)
+        calls.append(t)
+        return _with_corner(t, t.n - 1) if len(calls) == 1 else t
+
+    monkeypatch.setattr(engine, "tensor_product", corner_at_top)
+    with pytest.raises(ConditionsFailed) as exc:
+        build_context_from_pair(meet_witness(chain(3)))
+    rep = exc.value.report
+    assert str(rep["pairing-XY-bimorphism"]) == (
+        "FAIL slot-0-bottom at (0, 0) - f(0, 0) = [0 x1 1], not bottom")
+    assert rep["pairing-YX-bimorphism"].ok
+
+
+def test_a_star_that_is_no_involution_fails_the_imprimitivity_report(
+        monkeypatch):
+    # the star is checked once, as involution-A/B
+    derived = engine._class_star
+
+    def rotated(tensor, idx_map, label):
+        star = derived(tensor, idx_map, label)
+        return star[1:] + star[:1] if label == "star on A" else star
+
+    monkeypatch.setattr(engine, "_class_star", rotated)
+    lat = chain(3)
+    with pytest.raises(ConditionsFailed) as exc:
+        build_involutive_context(
+            InvolutiveWitness.from_generators(lat, meet_tables(lat)))
+    rep = exc.value.report
+    assert [k for k, v in rep.checks.items() if not v.ok] == ["involution-A"]
+    assert str(rep["involution-A"]).startswith("FAIL period-two at ")
+
+
+def test_a_swap_that_breaks_joins_is_refused_by_the_lift():
+    # the swap is checked once, by lift_multimorphism
+    lat = chain(3)
+    ctx, _, _ = build_involutive_context(
+        InvolutiveWitness.from_generators(lat, meet_tables(lat)))
+    t = ctx.t_xy
+    with pytest.raises(NotAMultimorphism, match="FAIL slot-0-bottom"):
+        engine._class_star(_with_corner(t, t.n - 1), ctx.idx_a, "star on A")
+
+
+def test_a_star_collision_raises_star_not_well_defined():
+    lat = chain(3)
+    ctx, _, _ = build_involutive_context(
+        InvolutiveWitness.from_generators(lat, meet_tables(lat)))
+    t = ctx.t_xy
+    swap = Multimorphism(t.factors, t.lattice, t.elem_table.T)
+    swapped = engine.lift_multimorphism(swap, t).values
+    # the bottom is its own swap; joining a moved element to its class
+    # gives one class two different swaps
+    moved = int(np.flatnonzero(swapped != np.arange(t.n))[0])
+    merged = np.arange(t.n)
+    merged[moved] = t.lattice.bottom
+    merged = np.unique(merged, return_inverse=True)[1]   # classes 0..k-1
+    names = t.lattice.names
+    with pytest.raises(StarNotWellDefined) as exc:
+        engine._class_star(t, Multimorphism((t.lattice,), t.lattice, merged),
+                           "star on A")
+    assert str(exc.value) == (
+        f"star on A: tensor elements {names[t.lattice.bottom]} and "
+        f"{names[moved]} induce the same operator but their swaps do not")
+
+
+def _per_class_by_loop(idx, rows):
+    """The class loop ``_per_class`` replaces: per class in the order of
+    first appearance, its first element against each later one."""
+    classes = {}
+    for e, c in enumerate(idx.tolist()):
+        classes.setdefault(c, []).append(e)
+    for members in classes.values():
+        for e in members:
+            if not np.array_equal(rows[e], rows[members[0]]):
+                return None, (members[0], e)
+    return np.array([rows[classes[c][0]] for c in sorted(classes)]), None
+
+
+def test_per_class_matches_the_class_loop():
+    class Collision(Exception):
+        pass
+
+    def pair(e1, e2):
+        return Collision(e1, e2)
+
+    rng = np.random.default_rng(21)
+    outcomes = Counter()
+    target = chain(12)
+    for _ in range(600):
+        n, k = rng.integers(1, 13), rng.integers(1, 6)
+        idx = np.concatenate([np.arange(min(k, n)),
+                              rng.integers(min(k, n), size=n - min(k, n))])
+        rng.shuffle(idx)
+        cols = rng.integers(1, 4)
+        rows = rng.integers(3, size=(min(k, n), cols))[idx]
+        for _ in range(rng.integers(3)):      # a few entries changed
+            rows[rng.integers(n), rng.integers(cols)] = rng.integers(3)
+        if rng.integers(2):
+            rows = rows[:, 0]
+        idx_map = Multimorphism((chain(int(n)),), target, idx)
+        table, collision = _per_class_by_loop(idx, rows)
+        if collision is None:
+            assert np.array_equal(engine._per_class(idx_map, rows, pair),
+                                  table)
+        else:
+            with pytest.raises(Collision) as exc:
+                engine._per_class(idx_map, rows, pair)
+            assert exc.value.args == collision
+        outcomes[collision is None] += 1
+    assert min(outcomes.values()) > 100, outcomes

@@ -1,5 +1,7 @@
 """Lattice enumeration up to isomorphism, canonical keys, automorphisms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,3 +90,26 @@ def test_find_isomorphism_rejects_distinct_lattices():
 def test_enumerate_lattices_size_cap():
     with pytest.raises(ResourceLimit):
         enumerate_lattices(MAX_ENUM_N + 1)
+
+
+def test_automorphisms_match_every_order_preserving_permutation():
+    for lat in lattices_up_to(6):
+        brute = {p for p in itertools.permutations(range(lat.n))
+                 if np.array_equal(lat.leq[np.ix_(p, p)], lat.leq)}
+        found = automorphisms(lat)
+        assert len(found) == len(set(found)) == len(brute)
+        assert set(found) == brute
+        assert found[0] == tuple(range(lat.n))
+
+
+def test_find_isomorphism_maps_relabelled_copies():
+    rng = np.random.default_rng(4)
+    lats = lattices_up_to(6)
+    for lat in lats:
+        for _ in range(5):
+            perm = rng.permutation(lat.n)
+            copy = validate_lattice(lat.leq[np.ix_(perm, perm)])
+            iso = np.array(find_isomorphism(lat, copy))
+            assert np.array_equal(lat.leq, copy.leq[np.ix_(iso, iso)])
+    for a, b in itertools.combinations(lats, 2):
+        assert find_isomorphism(a, b) is None

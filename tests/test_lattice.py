@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from conftest import lattices_up_to
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, MissingJoin, MoritaError,
-                           NoBottom, NotAMultimorphism, NotAPartialOrder)
+                           NoBottom, NotAMultimorphism, NotAPartialOrder,
+                           ShapeMismatch)
 from morita.lattice import (FiniteSupLattice, chain, conjugate_lattice,
                             diamond, join_closure, m3, n5, opposite,
                             validate_lattice)
+from morita.modules import ModuleAction
+from morita.quantale import Quantale
 from morita.tensor import (Multimorphism, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism)
 from oracles import enumerate_multimorphisms_bruteforce
@@ -238,3 +241,21 @@ def test_missing_bound_raises_on_first_read():
     with pytest.raises(MoritaError, match="internal: a and b have no join"):
         lat.join
     assert lat.meet[1, 2] == 0
+
+
+@pytest.mark.parametrize("make, attr", [
+    (lambda lat, t: Multimorphism((lat, lat), lat, t), "values"),
+    (lambda lat, t: Quantale(lat, t), "mult"),
+    (lambda lat, t: ModuleAction("left", Quantale(lat, lat.meet), lat, t),
+     "act")])
+def test_table_constructors_check_shape_and_range(make, attr):
+    lat = chain(3)
+    table = getattr(make(lat, lat.meet), attr)
+    assert np.array_equal(table, lat.meet) and not table.flags.writeable
+    with pytest.raises(ShapeMismatch):
+        make(lat, lat.meet[:2])
+    for value in (-1, lat.n):
+        bad = lat.meet.copy()
+        bad[1, 2] = value
+        with pytest.raises(DomainMismatch):
+            make(lat, bad)

@@ -129,3 +129,23 @@ def test_bimodule_balance_checked():
     bim = Bimodule(ModuleAction("left", q, lat, lat.meet),
                    ModuleAction("right", q, lat, lat.meet))
     assert check_bimodule(bim).ok
+
+
+def test_failing_verdicts_name_the_first_counterexample():
+    # captured before these laws moved to errors.table_law and
+    # errors.slice_collision
+    c2, c3 = chain(2), chain(3)
+    q2 = meet_quantale(c2)
+    assert str(check_module(ModuleAction("left", q2, c2, [[0, 1], [0, 1]]))) \
+        == "FAIL M1: (ab).m = a.(b.m) at (0, 1, 0) - 0 vs 1"
+    assert str(check_module(ModuleAction("right", q2, c2, [[0, 1], [0, 1]]))) \
+        == "FAIL M1: m.(ab) = (m.a).b at (0, 0, 1) - 0 vs 1"
+    endo = endo_quantale(c3)
+    bim = Bimodule(ModuleAction("left", endo, c3, np.array(endo.op_values).T),
+                   ModuleAction("right", meet_quantale(c3), c3, c3.meet))
+    assert str(check_bimodule(bim)) == (
+        "FAIL commute: (a.m).b = a.(m.b) at (x1, [0 1 1], x1) - x1 vs 1")
+    zero = ModuleAction("left", q2, c3, np.zeros((3, 2), dtype=np.int64))
+    assert str(is_separated(zero)) == (
+        "FAIL separated at (0, x1) - both act identically on every quantale "
+        "element")

@@ -140,3 +140,17 @@ def test_quantale_equality_ignores_names():
     assert q1 == q2
     q3 = Quantale(lat, lat.join)
     assert q1 != q3
+
+
+def test_failing_verdicts_name_the_first_counterexample():
+    # captured before these laws moved to errors.table_law
+    lat = chain(3)
+    mult = np.array([[0, 0, 0], [0, 2, 1], [0, 1, 1]])
+    assert str(check_quantale(Quantale(lat, mult))) == (
+        "FAIL associative at (x1, x1, 1) - (ab)c = x1 but a(bc) = 1")
+    q = endo_quantale(lat)
+    assert str(is_quantale_involution(q, tuple(range(6)))) == (
+        "FAIL antihomomorphism at ([0 0 x1], [0 0 1]) - "
+        "(ab)* = [0 0 x1] but b*a* = [0 0 0]")
+    assert str(is_quantale_involution(q, (1, 2, 0, 3, 4, 5))) == (
+        "FAIL period-two at ([0 0 0]) - [0 0 0]** = [0 0 1]")
