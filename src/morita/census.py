@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# check_morita_context is unused here but stays bound: the benchmark tracer
-# (perfbench/tracer.py) rebinds it in morita.census; a record's context
-# digest is the report its build kept in ``ctx.report``
+# check_imprimitivity and check_morita_context are unused here but stay
+# bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
+# morita.census; a record's context and imprimitivity digests are the
+# reports its build kept in ``ctx.report`` and ``imp.report``
 from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
                      _generates, build_context_from_pair,
                      build_involutive_context, check_imprimitivity,
@@ -238,7 +239,7 @@ def _involutive_space(x, tri_cap):
             star_b=tuple(int(s) for s in inv_b.star),
             digests={"conditions": rep.digest(),
                      "context": ctx.report.digest(),
-                     "imprimitivity": check_imprimitivity(imp).digest()}))
+                     "imprimitivity": imp.report.digest()}))
     return records, candidates, len(passing)
 
 

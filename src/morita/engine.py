@@ -305,8 +305,12 @@ def check_morita_context(ctx: MoritaContext) -> ConditionReport:
     rep.add("quantale-B", check_quantale(ctx.b))
     rep.add("module-X", check_bimodule(ctx.x))
     rep.add("module-Y", check_bimodule(ctx.y))
-    rep.add("m-regular-A", _regularity_verdict(is_m_regular(ctx.a), "m-regular-A"))
-    rep.add("m-regular-B", _regularity_verdict(is_m_regular(ctx.b), "m-regular-B"))
+    for side, q in (("A", ctx.a), ("B", ctx.b)):
+        # is_m_regular asserts quantale consequences, so judge only quantales
+        law = f"m-regular-{side}"
+        rep.add(law, _regularity_verdict(is_m_regular(q), law)
+                if rep[f"quantale-{side}"] else
+                failure(law, (), f"not judged: quantale-{side} fails"))
     rep.add("m-regular-X", _regularity_verdict(is_m_regular(ctx.x), "m-regular-X"))
     rep.add("m-regular-Y", _regularity_verdict(is_m_regular(ctx.y), "m-regular-Y"))
     rep.add("pairing-XY-bimorphism", is_multimorphism(ctx.pair_xy))
@@ -540,9 +544,13 @@ def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
 # --- imprimitivity ---------------------------------------------------------------------
 
 class ImprimitivityBimodule:
-    'X with two inner products over involutive quantales A and B.'
+    """X with two inner products over involutive quantales A and B.
 
-    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b")
+    ``report`` is the passing ``check_imprimitivity`` report of a bimodule
+    built by ``build_involutive_context``; it is None for one built by hand.
+    """
+
+    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report")
 
     def __init__(self, a: InvolutiveQuantale, b: InvolutiveQuantale,
                  bimodule: Bimodule, inner_a: Multimorphism,
@@ -555,6 +563,7 @@ class ImprimitivityBimodule:
         self.a, self.b = a, b
         self.bimodule = bimodule
         self.inner_a, self.inner_b = inner_a, inner_b
+        self.report = None
 
 
 def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
@@ -642,7 +651,7 @@ def build_involutive_context(w: InvolutiveWitness):
     inner_a = Multimorphism((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
     inner_b = Multimorphism((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)
     imp = ImprimitivityBimodule(inv_a, inv_b, ctx.x, inner_a, inner_b)
-    rep = check_imprimitivity(imp)
-    if not rep.ok:
-        raise ConditionsFailed(rep)
+    imp.report = check_imprimitivity(imp)
+    if not imp.report.ok:
+        raise ConditionsFailed(imp.report)
     return ctx, (inv_a, inv_b), imp

@@ -14,7 +14,10 @@ sup-maps, which are one-slot ``Multimorphism``s. It also lists the
 tensor's elements: the multi-ideals correspond one to one with the
 multimorphisms of all factors but one into the opposite of the remaining
 one (Joyal and Tierney, An extension of the Galois theory of Grothendieck,
-Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration.
+Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration. Its walk
+hands over ``BLOCK`` leaves at a time, each block is extended to full
+tables by a few numpy gathers, and the tables, in range by construction,
+are yielded without the ``Multimorphism`` constructor's checks.
 """
 
 import itertools
@@ -32,6 +35,12 @@ from .lattice import (FiniteSupLattice, _freeze, _index_table, _words,
 # a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
 # here); join and meet tables, built only when used, add 8 n^2 bytes each
 DEFAULT_TENSOR_CAP = 5_000
+
+# leaves the enumerator extends at once: a block holds BLOCK x (cells + 1)
+# assignments and at most three BLOCK x tuples int64 arrays while it is
+# extended, 8 BLOCK x tuples bytes each (64 KB for the 64 tuples of a
+# three-fold 4-element grid)
+BLOCK = 128
 
 
 def _tensor_cap():
@@ -232,6 +241,14 @@ class Multimorphism:
         return f"Multimorphism({shape} -> {self.target.n})"
 
 
+def _trusted(factors, target, values):
+    """A Multimorphism on a read-only int64 table already known to have this
+    shape and entries in range; ``factors`` is a tuple."""
+    f = object.__new__(Multimorphism)
+    f.factors, f.target, f.values = factors, target, values
+    return f
+
+
 def _call(f, i, args, r):
     """Names of a call of f: ``args`` in slot i, the other slots at flat
     index r of their grid."""
@@ -349,6 +366,47 @@ def _extension_plan(factors):
     return ncells, covers, np.ascontiguousarray(gather.T)
 
 
+def _monotone_blocks(ncells, covers, target):
+    """The monotone assignments of the cells into the target, in lex order
+    with cell 0 outermost, as lists of at most ``BLOCK`` rows; each row is
+    a copy of the assignment followed by the sentinel cell's bottom."""
+    joins = target.join.tolist()
+    ups = [np.flatnonzero(row).tolist() for row in target.leq]
+    bottom = target.bottom
+    assign = [bottom] * (ncells + 1)   # the last entry is the sentinel
+    if ncells == 0:
+        yield [assign]
+        return
+    last, its, block = ncells - 1, [None] * ncells, []
+    t = 0                              # the first cell without a value
+    while True:
+        lb = bottom
+        for s in covers[t]:
+            lb = joins[lb][assign[s]]
+        if t < last:
+            its[t] = it = iter(ups[lb])
+            assign[t] = next(it)
+            t += 1
+            continue
+        for v in ups[lb]:
+            assign[t] = v
+            block.append(assign[:])
+            if len(block) == BLOCK:
+                yield block
+                block = []
+        # back to the deepest cell with a value left
+        v = None
+        while v is None and t:
+            t -= 1
+            v = next(its[t], None)
+        if v is None:
+            break
+        assign[t] = v
+        t += 1
+    if block:
+        yield block
+
+
 def enumerate_multimorphisms(factors, target, cap=None):
     """Yield every slotwise-join-preserving map factors -> target, once each.
 
@@ -357,41 +415,37 @@ def enumerate_multimorphisms(factors, target, cap=None):
     joins over the gather matrix of ``_extension_plan``. On distributive
     factors join-irreducibles are join-prime (Birkhoff), so every such
     extension preserves joins slotwise, into any target; the extensions are
-    verified only when some factor is not distributive.
+    checked one by one only when some factor is not distributive.
+
+    The walk hands over its assignments ``BLOCK`` at a time, and a block is
+    extended at once: one gather of its rows per row of the gather matrix,
+    joined column by column in the target's join table, into a fresh
+    read-only (block, *shape) int64 array. Its entries are target elements
+    by construction, so its tables are yielded as views without the
+    constructor's copy and range check; a table kept by the caller keeps
+    its block's array alive. ResourceLimit is raised on the (cap + 1)-th
+    table accepted, when the walk is at most one block ahead.
     """
     factors = tuple(factors)
     ncells, covers, gather = _extension_plan(factors)
     verify = not all(f.is_distributive() for f in factors)
-    shape = tuple(f.n for f in factors)
-    join, joins = target.join, target.join.tolist()   # joins: for scalars
-    ups = [np.flatnonzero(row).tolist() for row in target.leq]
-    assign = [target.bottom] * (ncells + 1)   # the last entry is the sentinel
+    shape = (-1, *(f.n for f in factors))
+    join = target.join
     found = 0
-
-    def rec(t):
-        nonlocal found
-        if t == ncells:
-            cols = np.array(assign, dtype=np.intp)[gather]
-            table = cols[0]
-            for col in cols[1:]:
-                table = join[table, col]
-            f = Multimorphism(factors, target, table.reshape(shape))
+    for block in _monotone_blocks(ncells, covers, target):
+        rows = np.array(block, dtype=np.int64)
+        tables = rows[:, gather[0]]
+        for col in gather[1:]:
+            tables = join[tables, rows[:, col]]
+        for values in _freeze(tables).reshape(shape):
+            f = _trusted(factors, target, values)
             if verify and _join_break(f) is not None:
-                return
+                continue
             if cap is not None and found >= cap:
                 raise ResourceLimit(
                     f"more than {cap} multimorphisms in one space")
             found += 1
             yield f
-            return
-        lb = target.bottom
-        for s in covers[t]:
-            lb = joins[lb][assign[s]]
-        for v in ups[lb]:
-            assign[t] = v
-            yield from rec(t + 1)
-
-    yield from rec(0)
 
 
 def join_over_tuples(tensor: MultiTensorLattice, target, rows):

@@ -10,7 +10,9 @@
   elements named by a loop over tuples and its order validated, which the
   enumerated build of ``tensor_product`` is compared against;
 * brute-force enumerators of multimorphisms (sup-maps are the one-slot
-  ones) and lattices, which filter every raw table or relation;
+  ones) and lattices, which filter every raw table or relation, and the
+  multimorphism backtracker with a Python join loop and a slotwise check
+  per leaf, which ``enumerate_multimorphisms`` is compared against;
 * loop-based checks of the quantale and module sup-laws, one element at a
   time, which ``check_quantale`` and ``check_module`` are compared against.
 
@@ -313,6 +315,62 @@ def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):
         if is_multimorphism(f):
             out.append(f)
     return out
+
+
+def enumerate_multimorphisms_per_leaf(factors, target, cap=None):
+    """The backtracker with a Python join loop per leaf and a slotwise check
+    of every leaf; the reference for ``enumerate_multimorphisms``."""
+    factors = tuple(factors)
+    irrs = [f.join_irreducibles() for f in factors]
+    cells = list(product(*[range(len(ir)) for ir in irrs]))
+    cell_index = {c: i for i, c in enumerate(cells)}
+    cell_below = []
+    for t, c in enumerate(cells):
+        cell_below.append([s for s in range(t) if all(
+            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
+            for i in range(len(factors)))])
+
+    below_pos = []
+    for f, ir in zip(factors, irrs):
+        below_pos.append([[i for i, j in enumerate(ir) if f.leq[j, x]]
+                          for x in range(f.n)])
+
+    shape = tuple(f.n for f in factors)
+    join = target.join
+    bottom = target.bottom
+    assign = [bottom] * len(cells)
+    found = 0
+
+    def extend():
+        table = np.empty(shape, dtype=np.int64)
+        for t in product(*[range(s) for s in shape]):
+            v = bottom
+            for cell in product(*[below_pos[i][t[i]]
+                                            for i in range(len(factors))]):
+                v = join[v, assign[cell_index[cell]]]
+            table[t] = v
+        return table
+
+    def rec(t):
+        nonlocal found
+        if t == len(cells):
+            f = Multimorphism(factors, target, extend())
+            if is_multimorphism(f):
+                if cap is not None and found >= cap:
+                    raise ResourceLimit(
+                        f"more than {cap} multimorphisms in one space")
+                found += 1
+                yield f
+            return
+        lb = bottom
+        for s in cell_below[t]:
+            lb = join[lb, assign[s]]
+        for v in range(target.n):
+            if target.leq[lb, v]:
+                assign[t] = v
+                yield from rec(t + 1)
+
+    yield from rec(0)
 
 
 def _is_lattice_matrix(leq):

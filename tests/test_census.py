@@ -7,6 +7,8 @@ import json
 import numpy as np
 import pytest
 
+import morita.census
+import morita.engine
 from conftest import lattices_up_to, meet_tables
 from morita.census import (CensusRecord, CensusTask,
                            enumerate_multimorphisms, enumerate_trimorphisms,
@@ -193,6 +195,18 @@ def test_involutive_census_size_three_regression(tmp_path):
     for rec in records:
         assert rec.q is None and rec.y_leq is None
         assert all(rec.digests["imprimitivity"].values())
+
+
+def test_involutive_census_checks_each_imprimitivity_once(monkeypatch):
+    # a record's imprimitivity digest is the report its build kept
+    calls = []
+    for module in (morita.census, morita.engine):
+        def counting(imp, _check=module.check_imprimitivity):
+            calls.append(imp)
+            return _check(imp)
+        monkeypatch.setattr(module, "check_imprimitivity", counting)
+    records, _ = run_census(CensusTask(max_x=3, involutive=True))
+    assert len(records) == N3_INVOLUTIVE == len(calls)
 
 
 def test_involutive_census_exact_size_two():

@@ -359,6 +359,24 @@ def test_cli_check_context_flags_tampering(workdir):
     assert code in (1, 2)  # broken law or no longer a multimorphism
 
 
+def test_cli_check_context_reports_a_non_associative_quantale(tmp_path,
+                                                              capsys):
+    # swapping mult[1, 2] and mult[2, 2] of the 3-chain's meet quantale
+    # breaks associativity; regularity is then not judged on it
+    bundle = tmp_path / "bundle"
+    mio.write_context(bundle, build_meet_context(chain(3)))
+    qnt = bundle / "A.qnt"
+    assert "mult=0,0,0;0,1,1;0,1,2\n" in qnt.read_text()
+    qnt.write_text(qnt.read_text().replace("mult=0,0,0;0,1,1;0,1,2",
+                                           "mult=0,0,0;0,1,2;0,1,1"))
+    assert cli.main(["check-context", str(bundle)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL m-regular-A - not judged: quantale-A fails" in out
+    report = check_morita_context(mio.read_context(bundle))
+    assert not report["quantale-A"] and not report["m-regular-A"]
+    assert report["quantale-B"] and report["m-regular-B"]
+
+
 def test_cli_check_involutive(workdir):
     assert cli.main(["check-involutive", "--x", str(workdir / "c3.lat"),
                      "--p", str(workdir / "p33.map")]) == 0

@@ -8,14 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to
+from morita import tensor
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
-from morita.lattice import chain, diamond, m3, n5
+from morita.lattice import chain, diamond, m3, n5, opposite
 from morita.tensor import (Multimorphism, _join_break, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, tensor_product)
-from oracles import multi_ideal_closure, restrict_to_elementaries, splice
+from oracles import (enumerate_multimorphisms_per_leaf, multi_ideal_closure,
+                     restrict_to_elementaries, splice)
 
 
 def brute_multi_ideals(factors):
@@ -246,62 +248,6 @@ def test_closure_is_a_closure_operator(data):
 
 # --- the enumerator against the per-leaf extension ----------------------------------
 
-def enumerate_multimorphisms_per_leaf(factors, target, cap=None):
-    """The backtracker with a Python join loop per leaf and a slotwise check
-    of every leaf; the reference for ``enumerate_multimorphisms``."""
-    factors = tuple(factors)
-    irrs = [f.join_irreducibles() for f in factors]
-    cells = list(itertools.product(*[range(len(ir)) for ir in irrs]))
-    cell_index = {c: i for i, c in enumerate(cells)}
-    cell_below = []
-    for t, c in enumerate(cells):
-        cell_below.append([s for s in range(t) if all(
-            factors[i].leq[irrs[i][cells[s][i]], irrs[i][c[i]]]
-            for i in range(len(factors)))])
-
-    below_pos = []
-    for f, ir in zip(factors, irrs):
-        below_pos.append([[i for i, j in enumerate(ir) if f.leq[j, x]]
-                          for x in range(f.n)])
-
-    shape = tuple(f.n for f in factors)
-    join = target.join
-    bottom = target.bottom
-    assign = [bottom] * len(cells)
-    found = 0
-
-    def extend():
-        table = np.empty(shape, dtype=np.int64)
-        for t in itertools.product(*[range(s) for s in shape]):
-            v = bottom
-            for cell in itertools.product(*[below_pos[i][t[i]]
-                                            for i in range(len(factors))]):
-                v = join[v, assign[cell_index[cell]]]
-            table[t] = v
-        return table
-
-    def rec(t):
-        nonlocal found
-        if t == len(cells):
-            f = Multimorphism(factors, target, extend())
-            if is_multimorphism(f):
-                if cap is not None and found >= cap:
-                    raise ResourceLimit(
-                        f"more than {cap} multimorphisms in one space")
-                found += 1
-                yield f
-            return
-        lb = bottom
-        for s in cell_below[t]:
-            lb = join[lb, assign[s]]
-        for v in range(target.n):
-            if target.leq[lb, v]:
-                assign[t] = v
-                yield from rec(t + 1)
-
-    yield from rec(0)
-
-
 def _cells(factors):
     return int(np.prod([len(f.join_irreducibles()) for f in factors]))
 
@@ -310,7 +256,13 @@ def _same_yields(factors, target):
     fast = list(enumerate_multimorphisms(factors, target))
     slow = list(enumerate_multimorphisms_per_leaf(factors, target))
     assert fast == slow, (factors, target)
-    assert all(f.values.dtype == np.int64 for f in fast)
+    shape = tuple(f.n for f in factors)
+    for f in fast:
+        # the enumerator's tables skip the constructor's checks
+        v = f.values
+        assert v.dtype == np.int64 and v.shape == shape
+        assert not v.flags.writeable
+        assert 0 <= v.min() <= v.max() < target.n
     return len(fast)
 
 
@@ -337,6 +289,79 @@ def test_enumerator_matches_the_per_leaf_reference_on_census_shapes():
         _same_yields((x, y, x), x)
     for factors, z in (((m3(), c2), c3), ((c2, n5()), d), ((n5(), c2), n5())):
         _same_yields(factors, z)
+
+
+def _until_cap(enumerator, factors, target, cap):
+    'The tables yielded before the enumerator raises ResourceLimit.'
+    out = []
+    with pytest.raises(ResourceLimit, match=f"more than {cap} "):
+        for f in enumerator(factors, target, cap=cap):
+            out.append(f)
+    return out
+
+
+def test_enumerator_matches_the_per_leaf_reference_across_blocks(monkeypatch):
+    c2, c3, c4 = chain(2), chain(3), chain(4)
+    big = ((c4, c4), opposite(c4))      # 980 leaves, all distributive
+    nondist = ((n5(), c3), c4)          # 500 leaves, 237 of them yielded
+    assert _same_yields(*big) == 980 > 2 * tensor.BLOCK
+    assert _same_yields(*nondist) == 237
+    assert monotone_assignments(*nondist) == 500 > 2 * tensor.BLOCK
+    # a one-element factor has no cells: one leaf, the zero map
+    assert _same_yields((chain(1), c3), c3) == 1
+    for block in (1, 7, 979, 980, 981):
+        monkeypatch.setattr(tensor, "BLOCK", block)
+        assert _same_yields(*big) == 980
+        assert _same_yields(*nondist) == 237
+        assert _same_yields((c2, c2), c3) == 3
+
+
+def test_the_cap_raises_at_the_same_yield_across_blocks(monkeypatch):
+    c4 = chain(4)
+    big = ((c4, c4), opposite(c4))
+    blocks, walk = [], tensor._monotone_blocks
+
+    def counting(*args):
+        for b in walk(*args):
+            blocks.append(len(b))
+            yield b
+
+    monkeypatch.setattr(tensor, "_monotone_blocks", counting)
+    size = tensor.BLOCK
+    # mid-block and at a block boundary; each leaf is accepted, so the
+    # walk stops in the block of the (cap + 1)-th leaf
+    for cap in (size // 2, size, size + 3, 2 * size - 1, 2 * size):
+        blocks.clear()
+        fast = _until_cap(enumerate_multimorphisms, *big, cap)
+        assert fast == _until_cap(enumerate_multimorphisms_per_leaf, *big, cap)
+        assert len(fast) == cap and len(blocks) == cap // size + 1
+    # a non-distributive space whose cap falls after rejected leaves
+    nondist = ((n5(), chain(3)), c4)
+    monkeypatch.setattr(tensor, "BLOCK", 16)
+    for cap in (5, 16, 100, 236):
+        fast = _until_cap(enumerate_multimorphisms, *nondist, cap)
+        assert fast == _until_cap(enumerate_multimorphisms_per_leaf,
+                                  *nondist, cap)
+    assert len(list(enumerate_multimorphisms(*nondist, cap=237))) == 237
+
+
+def test_yielded_tables_are_frozen_and_not_reused():
+    c4 = chain(4)
+    seen = []
+    for f in enumerate_multimorphisms((c4, c4), opposite(c4)):
+        seen.append((f, f.values.tobytes()))
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[(0,) * f.values.ndim] = 0
+    # the tables of earlier blocks are unchanged once later ones are built
+    assert len(seen) == 980 > tensor.BLOCK
+    assert all(f.values.tobytes() == kept for f, kept in seen)
+    assert len({kept for _, kept in seen}) == 980
+    # the public constructor still checks its table
+    x = chain(2)
+    with pytest.raises(ShapeMismatch):
+        Multimorphism((x, x), x, np.zeros(4, dtype=np.int64))
+    with pytest.raises(DomainMismatch):
+        Multimorphism((x, x), x, np.full((2, 2), -1))
 
 
 def monotone_assignments(factors, target):
