@@ -33,15 +33,16 @@ import numpy as np
 # morita.census; a record's context and imprimitivity digests are the
 # reports its build kept in ``ctx.report`` and ``imp.report``
 from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
-                     _generates, build_context_from_pair,
-                     build_involutive_context, check_imprimitivity,
-                     check_morita_context, check_pair_conditions,
-                     conditions_from_tables, extract_pair_from_context,
+                     build_context_from_pair, build_involutive_context,
+                     check_imprimitivity, check_morita_context,
+                     check_pair_conditions, conditions_from_tables,
+                     extract_pair_from_context,
                      involutive_conditions_from_tables)
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .io import leq_rows
-from .lattice import conjugate_lattice, join_closure, validate_lattice
+from .lattice import (_generates, conjugate_lattice, join_closure,
+                      validate_lattice)
 # is_multimorphism, join_closure and tensor_product are unused here but stay
 # bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
 # morita.census

@@ -5,6 +5,7 @@ Exit codes: 0 all checks pass, 1 a check failed (report printed),
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -161,6 +162,7 @@ def cmd_census(args):
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _parser():
     top = argparse.ArgumentParser(
         prog="morita",

@@ -43,7 +43,7 @@ from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, MoritaError, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure,
                      slice_collision, table_law)
-from .lattice import _freeze, conjugate_lattice, join_closure
+from .lattice import _freeze, _generates, conjugate_lattice, join_closure
 from .modules import (Bimodule, ModuleAction, check_bimodule,
                       conjugate_bimodule, is_m_regular)
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
@@ -85,14 +85,6 @@ class MoritaPairWitness:
 
     def __repr__(self):
         return f"MoritaPairWitness(|X|={self.x.n}, |Y|={self.y.n})"
-
-
-def _generates(lat, table):
-    """Whether the values in ``table`` join-generate ``lat``: exactly when
-    they hold every join-irreducible, since every element is a join of
-    irreducibles and an irreducible that is a join of values is one of them."""
-    return set(np.asarray(table).ravel().tolist()).issuperset(
-        lat.join_irreducibles())
 
 
 def _surjective_by_generators(lat, table, label):
@@ -391,8 +383,9 @@ def _per_class(idx_map, rows, error):
     operator class of ``idx_map``. Every element of a class must have the
     same row; otherwise raises ``error(e1, e2)`` for the first class where
     one does not: e1 its first element, e2 its first with another row."""
-    idx = idx_map.values
-    first = np.unique(idx, return_index=True)[1]   # the classes are 0..k-1
+    idx = idx_map.values                  # the classes are 0..k-1
+    # not np.unique: its first call imports numpy.ma, about 10 ms
+    first = (idx == np.arange(idx.max() + 1)[:, None]).argmax(axis=1)
     lead = first[idx]
     bad = (rows != rows[lead]).reshape(len(idx), -1).any(axis=1)
     if bad.any():

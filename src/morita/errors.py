@@ -229,7 +229,9 @@ class ConditionReport:
         return name in self.checks
 
     def summary(self):
-        return "\n".join(str(v) for v in self.checks.values())
+        'One line per verdict; one whose law does not name its check is prefixed.'
+        return "\n".join(str(v) if v.law.partition(":")[0] == name
+                         else f"{name}: {v}" for name, v in self.checks.items())
 
     def digest(self):
         """Compact machine-readable form: check name -> bool."""

@@ -3,8 +3,8 @@
 A finite lattice is stored as a boolean ``leq`` matrix (``leq[i, j]`` iff
 ``i <= j``) together with ``join``/``meet`` index tables, each computed from
 ``leq`` on first use and kept. ``validate_lattice`` checks every axiom of
-an order read from outside; a construction that is a lattice by proof,
-such as a tensor's inclusion order of multi-ideals, skips it and builds
+an order read from outside; a lattice by proof (a tensor, an endomorphism
+quantale or a sup-map's image in one, an opposite) builds
 ``FiniteSupLattice`` directly. All joins are finite, so "sup-preserving"
 reduces everywhere to: preserves the empty join (bottom goes to bottom)
 and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
@@ -13,7 +13,7 @@ and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
 import numpy as np
 
 from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
-                     NotAPartialOrder, NoTop, ShapeMismatch)
+                     NotAPartialOrder, ShapeMismatch)
 
 
 def _freeze(arr):
@@ -176,10 +176,10 @@ def _least_bounds(up):
 def validate_lattice(leq, names=None) -> FiniteSupLattice:
     """Check the lattice axioms on an order matrix and precompute tables.
 
-    Raises NotAPartialOrder, NoBottom, MissingJoin or NoTop with a violating
-    witness. Given a bottom and all binary joins, binary meets exist in any
-    finite poset (meet = join of the common lower bounds); they are computed
-    here and double-checked.
+    Raises NotAPartialOrder, NoBottom or MissingJoin with a violating
+    witness. Given a bottom and all binary joins, a finite poset has a top
+    (the join of everything) and binary meets (the join of the common lower
+    bounds), so neither is searched for here; meets are built on first read.
     """
     leq = np.array(leq, dtype=bool)
     if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
@@ -233,19 +233,8 @@ def validate_lattice(leq, names=None) -> FiniteSupLattice:
         i, j = map(int, np.argwhere(join < 0)[0])
         raise MissingJoin(f"{names[i]} and {names[j]} have no join")
 
-    tops = np.flatnonzero(leq.all(axis=0))
-    if len(tops) == 0:
-        raise NoTop("no greatest element")
-    top = int(tops[0])
-
-    meet = _least_bounds(np.ascontiguousarray(leq.T))
-    if (meet < 0).any():
-        i, j = map(int, np.argwhere(meet < 0)[0])
-        raise MoritaError(
-            f"internal: {names[i]} and {names[j]} have no meet "
-            "despite bottom and joins")
-
-    return FiniteSupLattice(n, names, leq, join, meet, bottom, top)
+    return FiniteSupLattice(n, names, leq, join, None, bottom,
+                            int(leq.all(axis=0).argmax()))
 
 
 def default_names(n):
@@ -253,6 +242,13 @@ def default_names(n):
         return ("0",)
     mids = [f"x{i}" for i in range(1, n - 1)]
     return tuple(["0"] + mids + ["1"])
+
+
+def _generates(lat, table):
+    """Whether the values in ``table`` join-generate ``lat``: exactly when
+    they hold every join-irreducible (each element is a join of those)."""
+    return set(np.asarray(table).ravel().tolist()).issuperset(
+        lat.join_irreducibles())
 
 
 def join_closure(lat, elems):

@@ -5,6 +5,8 @@ distributes over joins in both arguments. Finiteness reduces the sup-side
 laws to binary joins plus annihilation by bottom, which together say that
 the product is a multimorphism C x C -> C. The motivating example is
 the endomorphism quantale Q(X) of all sup-maps X -> X under composition.
+It and its images under sup-maps are lattices by construction: their
+carriers are built directly, and their products by one gather each.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ import numpy as np
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
                      NotAMultimorphism, NotCompositionClosed, PASS, failure,
                      table_law)
+# validate_lattice is unused here but stays bound: the benchmark tracer
+# (perfbench/tracer.py) rebinds it in morita.quantale
 from .lattice import FiniteSupLattice, _index_table, validate_lattice
 from .tensor import Multimorphism, enumerate_multimorphisms, is_multimorphism
 
@@ -91,58 +95,65 @@ class OperatorQuantale(Quantale):
         self.index = {v: i for i, v in enumerate(self.op_values)}
 
 
-def _operator_name(base, values):
-    return "[" + " ".join(base.names[v] for v in values) + "]"
+def _row_keys(rows):
+    'Rows of non-negative ints as big-endian bytes, which sort as the rows do.'
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(f"V{8 * rows.shape[-1]}")[..., 0]
 
 
 def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
-    'Build Q(x) by enumerating every sup-map x -> x.'
-    ops = sorted(tuple(f.values.tolist())
-                 for f in enumerate_multimorphisms((x,), x))
-    n = len(ops)
-    vals = np.array(ops, dtype=np.int64)
+    """Build Q(x) by enumerating every sup-map x -> x; a lattice under the
+    pointwise order, so not validated. The composites f.g of the sorted
+    operators are the rows f[g] of one gather, found by binary search."""
+    vals = np.array([f.values for f in enumerate_multimorphisms((x,), x)])
+    vals = vals[np.lexsort(vals.T[::-1])]
     leq = x.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)
-    names = [_operator_name(x, v) for v in ops]
-    carrier = validate_lattice(leq, names)
-    index = {v: i for i, v in enumerate(ops)}
-    mult = np.empty((n, n), dtype=np.int64)
-    for i, f in enumerate(ops):
-        for k, g in enumerate(ops):
-            mult[i, k] = index[tuple(f[v] for v in g)]
-    unit = index[tuple(range(x.n))]
-    return OperatorQuantale(x, carrier, mult, ops, unit)
+    ops = [tuple(v) for v in vals.tolist()]
+    names = ["[" + " ".join(x.names[v] for v in op) + "]" for op in ops]
+    carrier = FiniteSupLattice(len(ops), names, leq, None, None,
+                               int(leq.all(axis=1).argmax()),
+                               int(leq.all(axis=0).argmax()))
+    mult = np.searchsorted(_row_keys(vals), _row_keys(vals[:, vals]))
+    return OperatorQuantale(x, carrier, mult, ops,
+                            ops.index(tuple(range(x.n))))
 
 
 def image_subquantale(q: Quantale, family: Multimorphism):
     """Restrict a quantale to the image of a sup-map into its carrier.
 
     The family is a one-slot multimorphism; one that breaks joins raises
-    NotAMultimorphism. The image is join-closed automatically; composition
-    closure is a real condition and failures raise NotCompositionClosed
-    with a witness pair. Returns the image quantale and the corestriction.
+    NotAMultimorphism. The image holds bottom and is join-closed, so it is
+    a lattice with the quantale's joins, not validated; composition closure
+    is a real condition, and NotCompositionClosed names the first product
+    to escape, row-major over the sorted image. Returns the image quantale
+    and the corestriction.
     """
     if len(family.factors) != 1 or family.target != q.carrier:
         raise DomainMismatch("family is not a sup-map into the quantale carrier")
     v = is_multimorphism(family)
     if not v:
         raise NotAMultimorphism(str(v))
-    img = np.array(sorted(set(family.values.tolist())))
-    pos = {e: i for i, e in enumerate(img.tolist())}
-    for a in pos:
-        for b in pos:
-            c = int(q.mult[a, b])
-            if c not in pos:
-                raise NotCompositionClosed(
-                    f"product {q.names[a]} . {q.names[b]} = {q.names[c]} "
-                    "escapes the image", witness=(q.names[a], q.names[b]))
-    carrier = validate_lattice(q.carrier.leq[np.ix_(img, img)],
-                               [q.names[e] for e in img])
-    mult = np.searchsorted(img, q.mult[np.ix_(img, img)])
-    unit = pos.get(q.unit) if q.unit is not None else None
+    hits = np.bincount(family.values, minlength=q.n)
+    img = np.flatnonzero(hits)
+    prod = q.mult[np.ix_(img, img)]
+    out = hits[prod] == 0
+    if out.any():
+        a, b = img[list(divmod(int(out.argmax()), len(img)))]
+        c = int(q.mult[a, b])
+        raise NotCompositionClosed(
+            f"product {q.names[a]} . {q.names[b]} = {q.names[c]} "
+            "escapes the image", witness=(q.names[a], q.names[b]))
+    ids, leq = img.tolist(), q.carrier.leq[np.ix_(img, img)]
+    carrier = FiniteSupLattice(
+        len(ids), [q.names[e] for e in ids], leq,
+        np.searchsorted(img, q.carrier.join[np.ix_(img, img)]), None,
+        int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
+    mult = np.searchsorted(img, prod)
+    unit = ids.index(q.unit) if q.unit in ids else None
     sub = Quantale(carrier, mult, unit)
     if isinstance(q, OperatorQuantale):
         sub = OperatorQuantale(q.base, carrier, mult,
-                               [q.op_values[e] for e in img], unit)
+                               [q.op_values[e] for e in ids], unit)
     corestriction = Multimorphism(family.factors, carrier,
                                   np.searchsorted(img, family.values))
     check = is_multimorphism(corestriction)

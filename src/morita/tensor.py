@@ -20,6 +20,7 @@ tables by a few numpy gathers, and the tables, in range by construction,
 are yielded without the ``Multimorphism`` constructor's checks.
 """
 
+import functools
 import itertools
 import os
 
@@ -328,8 +329,9 @@ def _maximal(strictly, mask):
             if not (strictly[a] & mask).any()]
 
 
+@functools.lru_cache(maxsize=256)
 def _extension_plan(factors):
-    """Compile the backtracker's tables for these factors.
+    """Compile the backtracker's tables for these factors, once per tuple.
 
     Cells are the tuples of join-irreducibles, as tuples of positions in
     each factor's ``join_irreducibles()``, numbered in lex order: a linear
@@ -338,7 +340,9 @@ def _extension_plan(factors):
     and a (width, grid tuples) gather matrix whose column t lists the cells
     of the maximal join-irreducibles below the coordinates of tuple t,
     padded with the sentinel cell ``ncells``. For a monotone assignment,
-    the join over these cells is the join over all cells below t.
+    the join over these cells is the join over all cells below t. Relabelled
+    factors share an entry: the plan reads only orders, which lattices
+    compare by. Its covers are tuples and its matrix read-only.
     """
     irrs = [f.join_irreducibles() for f in factors]
     counts = [len(ir) for ir in irrs]
@@ -354,16 +358,16 @@ def _extension_plan(factors):
 
     def cell(pos):
         return sum(a * st for a, st in zip(pos, strides))
-    covers = [[cell(pos) + (a - c) * strides[i]
-               for i, c in enumerate(pos) for a in lowers[i][c]]
-              for pos in itertools.product(*map(range, counts))]
+    covers = tuple(tuple(cell(pos) + (a - c) * strides[i]
+                         for i, c in enumerate(pos) for a in lowers[i][c])
+                   for pos in itertools.product(*map(range, counts)))
     rows = [[cell(pos) for pos in itertools.product(
                 *[tops[i][x] for i, x in enumerate(t)])]
             for t in itertools.product(*[range(f.n) for f in factors])]
     width = max(1, max(map(len, rows)))
     gather = np.array([r + [ncells] * (width - len(r)) for r in rows],
                       dtype=np.intp)
-    return ncells, covers, np.ascontiguousarray(gather.T)
+    return ncells, covers, _freeze(np.ascontiguousarray(gather.T))
 
 
 def _monotone_blocks(ncells, covers, target):

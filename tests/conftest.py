@@ -3,6 +3,7 @@
 import numpy as np
 
 from morita.enumeration import enumerate_lattices
+from morita.lattice import validate_lattice
 from morita.quantale import Quantale
 
 
@@ -21,3 +22,13 @@ def lattices_up_to(max_n):
     for n in range(1, max_n + 1):
         out.extend(enumerate_lattices(n))
     return out
+
+
+def shuffled(lat, rng):
+    'A copy of lat with element i renumbered perm[i], its name moving along.'
+    perm = rng.permutation(lat.n)
+    leq = np.empty_like(lat.leq)
+    leq[np.ix_(perm, perm)] = lat.leq
+    names = np.empty(lat.n, dtype=object)
+    names[perm] = lat.names
+    return validate_lattice(leq, names.tolist())

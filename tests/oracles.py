@@ -14,7 +14,11 @@
   multimorphism backtracker with a Python join loop and a slotwise check
   per leaf, which ``enumerate_multimorphisms`` is compared against;
 * loop-based checks of the quantale and module sup-laws, one element at a
-  time, which ``check_quantale`` and ``check_module`` are compared against.
+  time, which ``check_quantale`` and ``check_module`` are compared against;
+* the context layer's loop builds, ``endo_quantale_by_loops`` and
+  ``image_subquantale_by_loops``, which validate every carrier and fill
+  the product tables one pair at a time, and ``essential_by_closure``, the
+  join-closure definition of an essential action.
 
 None of them is used by the package itself; they are small-input only.
 """
@@ -26,9 +30,10 @@ import numpy as np
 from morita import _kernels
 from morita.engine import _distinct_slices
 from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
-                           NoBottom, NotAPartialOrder, NoTop, PASS,
-                           ResourceLimit, failure)
-from morita.lattice import validate_lattice
+                           NoBottom, NotAPartialOrder, NotCompositionClosed,
+                           NoTop, PASS, ResourceLimit, failure)
+from morita.lattice import join_closure, validate_lattice
+from morita.quantale import OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
                            _subsets, _to_ints,
                            as_multimorphism, is_multimorphism,
@@ -473,3 +478,54 @@ def module_laws_failing(mod):
                 if act[jm[m][n]][a] != jm[act[m][a]][act[n][a]]:
                     failing.add("M2: (m v n).a = m.a v n.a")
     return failing
+
+
+# --- the context layer, built by loops ---------------------------------------------
+
+def endo_quantale_by_loops(x):
+    'Q(x) with a validated carrier and its product filled one pair at a time.'
+    ops = sorted(tuple(f.values.tolist())
+                 for f in enumerate_multimorphisms_per_leaf((x,), x))
+    n = len(ops)
+    vals = np.array(ops, dtype=np.int64)
+    leq = x.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)
+    names = ["[" + " ".join(x.names[v] for v in op) + "]" for op in ops]
+    carrier = validate_lattice(leq, names)
+    index = {v: i for i, v in enumerate(ops)}
+    mult = np.empty((n, n), dtype=np.int64)
+    for i, f in enumerate(ops):
+        for k, g in enumerate(ops):
+            mult[i, k] = index[tuple(f[v] for v in g)]
+    return OperatorQuantale(x, carrier, mult, ops, index[tuple(range(x.n))])
+
+
+def image_subquantale_by_loops(q, family):
+    """The image of a sup-map into q with a validated carrier, composition
+    closure tested one pair at a time in row-major order over the sorted
+    image; the family's join laws are assumed."""
+    img = np.array(sorted(set(family.values.tolist())))
+    pos = {e: i for i, e in enumerate(img.tolist())}
+    for a in pos:
+        for b in pos:
+            c = int(q.mult[a, b])
+            if c not in pos:
+                raise NotCompositionClosed(
+                    f"product {q.names[a]} . {q.names[b]} = {q.names[c]} "
+                    "escapes the image", witness=(q.names[a], q.names[b]))
+    carrier = validate_lattice(q.carrier.leq[np.ix_(img, img)],
+                               [q.names[e] for e in img])
+    mult = np.searchsorted(img, q.mult[np.ix_(img, img)])
+    unit = pos.get(q.unit) if q.unit is not None else None
+    sub = Quantale(carrier, mult, unit)
+    if isinstance(q, OperatorQuantale):
+        sub = OperatorQuantale(q.base, carrier, mult,
+                               [q.op_values[e] for e in img], unit)
+    return sub, Multimorphism(family.factors, carrier,
+                              np.searchsorted(img, family.values))
+
+
+def essential_by_closure(mod):
+    'The essential part of an action by its definition, and whether it is all.'
+    part = join_closure(mod.carrier, set(mod.act.ravel().tolist()))
+    return part, len(part) == mod.carrier.n
+

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import morita
-from conftest import meet_quantale, meet_tables
+from conftest import lattices_up_to, meet_quantale, meet_tables, shuffled
 from morita import cli
 from morita import io as mio
 from morita.engine import (InvolutiveWitness, MoritaPairWitness,
@@ -24,6 +24,7 @@ from morita.modules import Bimodule, ModuleAction
 from morita.quantale import InvolutiveQuantale, as_involutive_quantale, \
     endo_quantale
 from morita.tensor import as_multimorphism, tensor_product
+from oracles import endo_quantale_by_loops
 
 
 # --- formats -------------------------------------------------------------------------
@@ -316,7 +317,7 @@ def test_cli_check_pair(workdir, capsys):
     assert "8/8 laws hold" in capsys.readouterr().out
     assert cli.main(base + ["--q", str(workdir / "zero33.map")]) == 1
     out = capsys.readouterr().out
-    assert "FAIL q-surjective" in out
+    assert "\nFAIL q-surjective" in out       # a check-pair law names its check
     # wiring mismatch is an input error, not a failed check
     assert cli.main(["check-pair", "--x", str(workdir / "c2.lat"),
                      "--y", str(workdir / "c3.lat"),
@@ -375,6 +376,53 @@ def test_cli_check_context_reports_a_non_associative_quantale(tmp_path,
     report = check_morita_context(mio.read_context(bundle))
     assert not report["quantale-A"] and not report["m-regular-A"]
     assert report["quantale-B"] and report["m-regular-B"]
+
+
+def test_cli_check_context_names_the_failing_part(tmp_path, capsys):
+    # the bundle above: a verdict whose law does not name its check is
+    # prefixed with the check; every other line reads as before
+    bundle = tmp_path / "bundle"
+    mio.write_context(bundle, build_meet_context(chain(3)))
+    qnt = bundle / "A.qnt"
+    qnt.write_text(qnt.read_text().replace("mult=0,0,0;0,1,1;0,1,2",
+                                           "mult=0,0,0;0,1,2;0,1,1"))
+    assert cli.main(["check-context", str(bundle)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:5] == [
+        "quantale-A: FAIL associative at ([0 x1 1], [0 x1 x1], [0 x1 1]) "
+        "- (ab)c = [0 x1 1] but a(bc) = [0 x1 x1]",
+        "PASS quantale-B",
+        "module-X: FAIL M1: (ab).m = a.(b.m) at (1, [0 x1 x1], [0 x1 1]) "
+        "- 1 vs x1",
+        "module-Y: FAIL M1: m.(ab) = (m.a).b at (1, [0 x1 x1], [0 x1 1]) "
+        "- 1 vs x1",
+        "FAIL m-regular-A - not judged: quantale-A fails"]
+    assert ("FAIL pairing-XY-left-linear: (a.x, y) = a.(x, y) at "
+            "(1, [0 x1 x1], 1) - [0 x1 x1] vs [0 x1 1]") in lines
+    assert lines[-1] == "context: 14/20 laws hold"
+    report = check_morita_context(mio.read_context(bundle))
+    assert list(report.digest()) == list(report.checks)
+    assert [k for k, ok in report.digest().items() if not ok] == [
+        "quantale-A", "module-X", "module-Y", "m-regular-A",
+        "pairing-XY-left-linear", "pairing-XY-right-linear"]
+
+
+def test_cli_endo_matches_the_loop_build(tmp_path, capsys, monkeypatch):
+    # stdout and .qnt bytes of `morita endo` against the same command on
+    # the validated loop build, on every lattice of size <= 6 and on
+    # shuffled copies of those of size >= 3
+    rng = np.random.default_rng(15)
+    lats = lattices_up_to(6)
+    lats += [shuffled(lat, rng) for lat in lats if lat.n >= 3]
+    path = tmp_path / "x.lat"
+
+    def endo(build):
+        monkeypatch.setattr(cli, "endo_quantale", build)
+        assert cli.main(["endo", str(path), "-o", str(tmp_path / "q.qnt")]) == 0
+        return capsys.readouterr().out, (tmp_path / "q.qnt").read_bytes()
+    for lat in lats:
+        mio.write_lattice(path, lat)
+        assert endo(endo_quantale) == endo(endo_quantale_by_loops), lat
 
 
 def test_cli_check_involutive(workdir):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import meet_quantale
+from conftest import lattices_up_to, meet_quantale, shuffled
 from morita.errors import DomainMismatch, MissingInvolution
 from morita.lattice import chain, diamond
 from morita.modules import (Bimodule, ModuleAction, check_bimodule,
                             check_module, conjugate_bimodule, essential_part,
                             is_m_regular, is_separated, regular_bimodule)
 from morita.quantale import (Quantale, as_involutive_quantale, endo_quantale)
+from oracles import essential_by_closure
 
 
 def zero_quantale(lat):
@@ -149,3 +150,28 @@ def test_failing_verdicts_name_the_first_counterexample():
     assert str(is_separated(zero)) == (
         "FAIL separated at (0, x1) - both act identically on every quantale "
         "element")
+
+
+def test_regularity_reports_match_the_join_closure_definition():
+    # random action tables, essential or not, on lattices of size <= 5 and
+    # shuffled copies; the report reads the table only, so no module law
+    # needs to hold
+    rng = np.random.default_rng(15)
+    lats = lattices_up_to(5)
+    lats += [shuffled(lat, rng) for lat in lats]
+    essential, regular = [], []
+    for _ in range(400):
+        m, a = (lats[i] for i in rng.integers(len(lats), size=2))
+        values = rng.choice(m.n, size=rng.integers(1, m.n + 1), replace=False)
+        act = rng.choice(values, size=(m.n, a.n))
+        mod = ModuleAction(("left", "right")[rng.integers(2)],
+                           meet_quantale(a), m, act)
+        rep = is_m_regular(mod)
+        part, whole = essential_by_closure(mod)
+        separated = len({row.tobytes() for row in mod.act}) == m.n
+        assert (rep.essential, rep.essential_part) == (whole, part)
+        assert rep.separated == separated
+        assert rep.m_regular == (whole and separated)
+        essential.append(whole)
+        regular.append(rep.m_regular)
+    assert 0 < sum(regular) < sum(essential) < len(essential)

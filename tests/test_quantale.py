@@ -5,15 +5,18 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import meet_quantale
+import morita.engine
+from conftest import lattices_up_to, meet_quantale, shuffled
+from morita.census import CensusTask, run_census
 from morita.errors import (DomainMismatch, MissingInvolution,
                            NotAMultimorphism, NotCompositionClosed)
-from morita.lattice import chain, diamond, m3
+from morita.lattice import chain, diamond, m3, n5
 from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
-                             as_involutive_quantale, as_quantale,
+                             _row_keys, as_involutive_quantale, as_quantale,
                              check_quantale, endo_quantale, image_subquantale,
                              is_quantale_involution)
 from morita.tensor import Multimorphism
+from oracles import endo_quantale_by_loops, image_subquantale_by_loops
 
 
 def test_endo_quantale_sizes():
@@ -91,8 +94,12 @@ def test_image_subquantale_rejects_unclosed_family():
     g = names.index("[0 x1 x1]")
     fg = q.carrier.join[f, g]
     fam = Multimorphism((diamond(),), q.carrier, (q.carrier.bottom, f, g, fg))
-    with pytest.raises(NotCompositionClosed):
+    with pytest.raises(NotCompositionClosed) as exc:
         image_subquantale(q, fam)
+    # the first escape in row-major order over the sorted image
+    assert str(exc.value) == ("product [0 x1 x1] . [0 0 1] = [0 0 x1] "
+                              "escapes the image")
+    assert exc.value.witness == ("[0 x1 x1]", "[0 0 1]")
 
 
 def test_image_subquantale_rejects_a_family_that_breaks_joins():
@@ -154,3 +161,85 @@ def test_failing_verdicts_name_the_first_counterexample():
         "(ab)* = [0 0 x1] but b*a* = [0 0 0]")
     assert str(is_quantale_involution(q, (1, 2, 0, 3, 4, 5))) == (
         "FAIL period-two at ([0 0 0]) - [0 0 0]** = [0 0 1]")
+
+
+# --- the built-by-construction quantales against the validated loop builds ---------
+
+def _same_quantale(fast, ref):
+    a, b = fast.carrier, ref.carrier
+    assert a.names == b.names
+    assert (a.n, a.bottom, a.top) == (b.n, b.bottom, b.top)
+    for table in ("leq", "join", "meet"):
+        assert np.array_equal(getattr(a, table), getattr(b, table)), table
+    assert np.array_equal(fast.mult, ref.mult)
+    assert fast.unit == ref.unit
+    assert type(fast) is type(ref)
+    if isinstance(ref, OperatorQuantale):
+        assert fast.base == ref.base
+        assert fast.op_values == ref.op_values and fast.index == ref.index
+
+
+def test_endo_quantale_matches_the_validated_loop_build():
+    # every lattice of size <= 6, M3 and N5 by name, and shuffled copies,
+    # whose elements are not numbered in a linear extension
+    rng = np.random.default_rng(15)
+    lats = lattices_up_to(6) + [m3(), n5()]
+    assert len(lats) == 27
+    lats += [shuffled(lat, rng) for lat in lats if lat.n >= 3]
+    for lat in lats:
+        _same_quantale(endo_quantale(lat), endo_quantale_by_loops(lat))
+
+
+def test_row_keys_sort_as_the_rows_do():
+    # entries past 255 too, where little-endian bytes would put 256 below 1
+    rows = np.array([[0, 256], [0, 1], [1, 0], [0, 255], [300, 2], [0, 2**40]])
+    assert (np.argsort(_row_keys(rows), kind="stable").tolist()
+            == np.lexsort(rows.T[::-1]).tolist() == [1, 3, 0, 5, 2, 4])
+
+
+def _census_families(monkeypatch):
+    'Every (quantale, operator family) that the g<=3 and i<=3 censuses build.'
+    seen = []
+
+    def recording(q, family, _image=morita.engine.image_subquantale):
+        seen.append((q, family))
+        return _image(q, family)
+    monkeypatch.setattr(morita.engine, "image_subquantale", recording)
+    run_census(CensusTask(max_x=3))
+    run_census(CensusTask(max_x=3, involutive=True))
+    return seen
+
+
+def _same_image(q, family):
+    'Both builds of the image agree, or both refuse it with the same error.'
+    try:
+        ref = image_subquantale_by_loops(q, family)
+    except NotCompositionClosed as e:
+        with pytest.raises(NotCompositionClosed) as exc:
+            image_subquantale(q, family)
+        assert (str(exc.value), exc.value.witness) == (str(e), e.witness)
+        return False
+    sub, core = image_subquantale(q, family)
+    _same_quantale(sub, ref[0])
+    assert core.factors == ref[1].factors and core.target == ref[1].target
+    assert np.array_equal(core.values, ref[1].values)
+    return True
+
+
+def test_image_subquantale_matches_the_validated_loop_build(monkeypatch):
+    # the census families, then random sub-families: the family composed
+    # with a sup-map from the square 2 x 2, which sends its atoms to d and
+    # e, so the image is that of d, e and d v e; some are not closed
+    families = _census_families(monkeypatch)
+    assert len(families) == 28
+    rng = np.random.default_rng(15)
+    square = diamond()
+    outcomes = []
+    for q, family in families:
+        assert _same_image(q, family)
+        dom = family.factors[0]
+        for d, e in rng.integers(dom.n, size=(6, 2)).tolist():
+            at = family.values[[dom.bottom, d, e, dom.join[d, e]]]
+            outcomes.append(_same_image(q, Multimorphism((square,), q.carrier,
+                                                         at)))
+    assert 0 < sum(outcomes) < len(outcomes)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattices_up_to
+from conftest import lattices_up_to, shuffled
 from morita import tensor
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
@@ -281,6 +281,45 @@ def test_enumerator_matches_the_per_leaf_reference_up_to_three_cells():
                 yields += _same_yields(factors, z)
                 spaces += 1
     assert (spaces, yields) == (3360, 12819)
+
+
+def _same_plan(factors):
+    'The memoised plan equals a fresh compile of the same factors.'
+    ncells, covers, gather = tensor._extension_plan(factors)
+    ref = tensor._extension_plan.__wrapped__(factors)
+    assert (ncells, covers) == ref[:2], factors
+    assert gather.dtype == np.intp and not gather.flags.writeable
+    assert np.array_equal(gather, ref[2]), factors
+
+
+def test_memoised_extension_plan_matches_a_fresh_compile():
+    # the factor tuples of the sweep above, each again relabelled (a cache
+    # hit) and shuffled (a new entry), and census shapes with more cells
+    rng = np.random.default_rng(15)
+    lats = lattices_up_to(5)
+    named = [lat.relabel([f"e{i}" for i in range(lat.n)]) for lat in lats]
+    mixed = [shuffled(lat, rng) for lat in lats]
+    tuples = 0
+    for k in (1, 2, 3):
+        for pick in itertools.product(range(len(lats)), repeat=k):
+            factors = tuple(lats[i] for i in pick)
+            if _cells(factors) <= 3:
+                for copy in (lats, named, mixed):
+                    _same_plan(tuple(copy[i] for i in pick))
+                tuples += 1
+    assert tuples == 3360 // len(lats)
+    c2, c3, c4, d = chain(2), chain(3), chain(4), diamond()
+    for factors in ((c3, c3, c3), (c2, c4, c2), (d, c2, d), (c4, c4, c4),
+                    (m3(), c2), (c2, n5()), (m3(), m3(), c3)):
+        _same_plan(factors)
+
+
+def test_extension_plan_is_shared_by_relabelled_factors():
+    c3, d = chain(3), diamond()
+    plan = tensor._extension_plan((c3, d))
+    assert tensor._extension_plan(
+        (chain(3, names=("a", "b", "c")), d.relabel("pqrs"))) is plan
+    assert tensor._extension_plan((d, c3)) is not plan
 
 
 def test_enumerator_matches_the_per_leaf_reference_on_census_shapes():
