@@ -6,8 +6,8 @@ extension is verified slotwise when some factor is not distributive,
 because there a monotone assignment need not extend to a multimorphism.
 Surviving candidates are filtered through the pair conditions,
 deduplicated by witness isomorphism (automorphism orbits of the canonical
-lattice representatives), re-verified end to end, and emitted in a
-deterministic sorted order independent of the worker count.
+lattice representatives), built and checked once, extracted back, and
+emitted in a deterministic sorted order independent of the worker count.
 
 In general mode a p candidate is a surjective table on X(x)Y(x)X whose
 curried maps pass conditions 3 and 4, and a q candidate one on Y(x)X(x)Y
@@ -191,11 +191,8 @@ def _general_space(x, y, tri_cap):
     records = []
     for pt, qt in _orbit_reps(witnesses, transforms):
         w = MoritaPairWitness.from_generators(x, y, pt, qt)
-        rep = check_pair_conditions(w)
-        if not rep.ok:
-            raise MoritaError("census integrity: a deduplicated witness "
-                              "failed re-verification")
-        ctx = build_context_from_pair(w)
+        rep = check_pair_conditions(w)    # for the digest only:
+        ctx = build_context_from_pair(w)  # this raises ConditionsFailed
         back = extract_pair_from_context(ctx)
         if not (np.array_equal(back.p_gen, w.p_gen)
                 and np.array_equal(back.q_gen, w.q_gen)):
@@ -228,10 +225,7 @@ def _involutive_space(x, tri_cap):
     records = []
     for (pt,) in _orbit_reps([(t,) for t in passing], transforms):
         iw = InvolutiveWitness.from_generators(x, pt)
-        rep = involutive_conditions_from_tables(x, iw.p_gen)
-        if not rep.ok:
-            raise MoritaError("census integrity: a deduplicated involutive "
-                              "witness failed re-verification")
+        rep = involutive_conditions_from_tables(x, iw.p_gen)  # for the digest
         ctx, (inv_a, inv_b), imp = build_involutive_context(iw)
         records.append(CensusRecord(
             mode="involutive", x_leq=leq_rows(x), p=_tuplify(pt),

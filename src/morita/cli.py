@@ -19,7 +19,7 @@ from .errors import (ConditionsFailed, ContextInvalid, FormatError,
                      MoritaError)
 from .lattice import validate_lattice
 from .quantale import endo_quantale
-from .tensor import as_multimorphism, tensor_product
+from .tensor import Multimorphism, tensor_product
 
 
 def _report_exit(report, label):
@@ -127,7 +127,7 @@ def cmd_extract(args):
     xy = (w.x, w.y)
     for path, table, (f1, f2) in ((parts[0], w.p_gen, xy),
                                   (parts[1], w.q_gen, xy[::-1])):
-        f = as_multimorphism((f1, f2, f1), f1, table)
+        f = Multimorphism((f1, f2, f1), f1, table)   # checked by the witness
         ref = lambda name: os.path.relpath(
             os.path.join(args.dir, name), os.path.dirname(path) or ".")
         names = ("X.lat", "Y.lat") if f1 is w.x else ("Y.lat", "X.lat")

@@ -40,7 +40,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
-                     DomainMismatch, MoritaError, NotWellDefined,
+                     DomainMismatch, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure,
                      slice_collision, table_law)
 from .lattice import _freeze, _generates, conjugate_lattice, join_closure
@@ -245,15 +245,30 @@ def check_pair_conditions(w: MoritaPairWitness) -> ConditionReport:
 
 # --- contexts ---------------------------------------------------------------------
 
-class MoritaContext:
+class _SetOnce:
+    'Slots set once: one that holds a value other than None is read-only.'
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if getattr(self, name, None) is not None:
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once")
+
+
+class MoritaContext(_SetOnce):
     """The 6-tuple (A, B, X, Y, (-,-), [-,-]).
 
     ``x`` is a bimodule over (A, B), ``y`` over (B, A); ``pair_xy`` lands in
     A and ``pair_yx`` in B. Contexts built from witnesses also carry the
     two-fold tensors X(x)Y and Y(x)X and the operator-class index maps, which
     the involutive stars reuse, and in ``report`` the passing
-    ``check_morita_context`` report of the build; it is None for contexts
-    built by hand or read from files.
+    ``check_morita_context`` report of the build, which extraction reads in
+    place of a second check; it is None for contexts built by hand or read
+    from files. A built context is read-only.
     """
 
     __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
@@ -368,13 +383,10 @@ def _curried_from_generators(part, pos, gen, lat):
 
 
 def _operator_family(part_tensor, gen, fixed_lat, endo):
-    """The family e -> (x -> p(e(x)x)) into Q, unchecked:
-    ``image_subquantale`` checks that it preserves joins."""
+    """The family e -> (x -> p(e(x)x)) into Q, whose values are operators as
+    curried sup-maps; ``image_subquantale`` checks that it preserves joins."""
     rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
-    try:
-        idx = [endo.index[tuple(r)] for r in rows.tolist()]
-    except KeyError:
-        raise MoritaError("internal: a curried operator fails to preserve joins")
+    idx = [endo.index[tuple(r)] for r in rows.tolist()]
     return Multimorphism((part_tensor.lattice,), endo.carrier, idx)
 
 
@@ -454,8 +466,9 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
 
 
 def extract_pair_from_context(ctx: MoritaContext) -> MoritaPairWitness:
-    'Recover the pair: p~(x1,y,x2) = (x1,y).x2 and q~(y1,x,y2) = [y1,x].y2.'
-    rep = check_morita_context(ctx)
+    """Recover the pair: p~(x1,y,x2) = (x1,y).x2 and q~(y1,x,y2) = [y1,x].y2,
+    checking a context without its build's report first, and then the pair."""
+    rep = check_morita_context(ctx) if ctx.report is None else ctx.report
     if not rep.ok:
         raise ContextInvalid(rep)
     p_gen = ctx.x.left.act.T[ctx.pair_xy.values]
@@ -536,11 +549,12 @@ def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
 
 # --- imprimitivity ---------------------------------------------------------------------
 
-class ImprimitivityBimodule:
+class ImprimitivityBimodule(_SetOnce):
     """X with two inner products over involutive quantales A and B.
 
     ``report`` is the passing ``check_imprimitivity`` report of a bimodule
     built by ``build_involutive_context``; it is None for one built by hand.
+    A built bimodule is read-only.
     """
 
     __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report")

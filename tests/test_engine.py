@@ -156,8 +156,39 @@ def test_extraction_builds_no_tensor(monkeypatch):
         raise AssertionError("extraction built a tensor")
 
     monkeypatch.setattr("morita.engine.tensor_product", refuse)
+    # the built context is proved by its build's report; the bare one is
+    # checked in full
+    checked = []
+
+    def counting(c, _check=engine.check_morita_context):
+        checked.append(c)
+        return _check(c)
+    monkeypatch.setattr(engine, "check_morita_context", counting)
     assert extract_pair_from_context(ctx) == w
+    assert checked == []
     assert extract_pair_from_context(bare) == w
+    assert checked == [bare]
+
+
+def test_a_built_context_and_bimodule_are_read_only():
+    ctx, _, imp = build_involutive_context(
+        InvolutiveWitness.from_generators(chain(3), meet_tables(chain(3))))
+    for obj in (ctx, imp):
+        proof = obj.report
+        assert proof.ok
+        for slot in type(obj).__slots__:
+            for value in (getattr(obj, slot), None):
+                with pytest.raises(AttributeError, match="is set once"):
+                    setattr(obj, slot, value)
+            with pytest.raises(AttributeError, match="is set once"):
+                delattr(obj, slot)
+        assert obj.report is proof
+    # a context built by hand has no report until one is set, once
+    bare = MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, ctx.pair_xy, ctx.pair_yx)
+    assert bare.report is None
+    bare.report = check_morita_context(bare)
+    with pytest.raises(AttributeError, match="is set once"):
+        bare.report = None
 
 
 def test_witness_equality_and_hash():

@@ -407,6 +407,25 @@ def test_cli_check_context_names_the_failing_part(tmp_path, capsys):
         "pairing-XY-left-linear", "pairing-XY-right-linear"]
 
 
+def test_cli_extract_refuses_a_broken_bundle_with_its_report(tmp_path,
+                                                             capsys):
+    # the bundle above, read from files, is checked in full: extract prints
+    # the lines of check-context, refuses, and writes no map
+    bundle = tmp_path / "bundle"
+    mio.write_context(bundle, build_meet_context(chain(3)))
+    qnt = bundle / "A.qnt"
+    qnt.write_text(qnt.read_text().replace("mult=0,0,0;0,1,1;0,1,2",
+                                           "mult=0,0,0;0,1,2;0,1,1"))
+    assert cli.main(["check-context", str(bundle)]) == 1
+    checked = capsys.readouterr().out.splitlines()
+    p_out, q_out = tmp_path / "p.map", tmp_path / "q.map"
+    assert cli.main(["extract", str(bundle), "-o", f"{p_out},{q_out}"]) == 1
+    refused = capsys.readouterr().out.splitlines()
+    assert refused[:-1] == checked[:-1]
+    assert refused[-1] == "context: extraction refused"
+    assert not list(tmp_path.glob("*.map"))
+
+
 def test_cli_endo_matches_the_loop_build(tmp_path, capsys, monkeypatch):
     # stdout and .qnt bytes of `morita endo` against the same command on
     # the validated loop build, on every lattice of size <= 6 and on

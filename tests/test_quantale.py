@@ -15,7 +15,7 @@ from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
                              _row_keys, as_involutive_quantale, as_quantale,
                              check_quantale, endo_quantale, image_subquantale,
                              is_quantale_involution)
-from morita.tensor import Multimorphism
+from morita.tensor import Multimorphism, is_multimorphism
 from oracles import endo_quantale_by_loops, image_subquantale_by_loops
 
 
@@ -223,6 +223,8 @@ def _same_image(q, family):
     _same_quantale(sub, ref[0])
     assert core.factors == ref[1].factors and core.target == ref[1].target
     assert np.array_equal(core.values, ref[1].values)
+    # image_subquantale does not check its corestriction
+    assert is_multimorphism(core)
     return True
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to, shuffled
-from morita import tensor
+from morita import engine, tensor
+from morita.census import CensusTask, run_census
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
@@ -135,17 +136,33 @@ def lift_by_join_of(f, tensor):
                  for i in range(tensor.n))
 
 
-def test_lift_matches_the_per_element_join_on_all_small_trimorphisms():
+def _census_swaps(monkeypatch):
+    'Every (swap, tensor) whose lift the i<=3 census builds for its stars.'
+    seen = []
+
+    def recording(f, t, _lift=engine.lift_multimorphism):
+        seen.append((f, t))
+        return _lift(f, t)
+    monkeypatch.setattr(engine, "lift_multimorphism", recording)
+    run_census(CensusTask(max_x=3, involutive=True))
+    return seen
+
+
+def test_lift_matches_the_per_element_join_on_all_small_trimorphisms(
+        monkeypatch):
+    # lift_multimorphism does not check its lift; the swaps are the lifts
+    # of the involutive census
     lats = lattices_up_to(3)
-    checked = 0
-    for factors in itertools.product(lats, repeat=3):
-        t = tensor_product(*factors)
-        for z in lats:
-            for f in enumerate_multimorphisms(factors, z):
-                assert (tuple(lift_multimorphism(f, t).values.tolist())
-                        == lift_by_join_of(f, t))
-                checked += 1
-    assert checked == 363
+    cases = [(f, t) for factors in itertools.product(lats, repeat=3)
+             for t in [tensor_product(*factors)] for z in lats
+             for f in enumerate_multimorphisms(factors, z)]
+    assert len(cases) == 363
+    swaps = _census_swaps(monkeypatch)
+    assert len(swaps) == 14
+    for f, t in cases + swaps:
+        lifted = lift_multimorphism(f, t)
+        assert tuple(lifted.values.tolist()) == lift_by_join_of(f, t)
+        assert is_multimorphism(lifted)
 
 
 def test_lift_agrees_on_elementaries():
