@@ -32,6 +32,15 @@ compare equal by their order alone, so a relabelled or conjugate lattice
 reaches the same entry, and every name in a report comes from the call's
 own lattices. The cache keeps at most 1024 entries of about
 9 nx^3 ny^2 bytes each (2.2 KB at nx = ny = 3).
+
+A context's parts X(x)Y, Y(x)X, Q(X) and Q(Y) depend on the orders alone,
+so ``_order_part`` caches them in an LRU keyed by the factors' orders: X*,
+which has the order of X, and relabelled lattices reach one entry, and a
+call whose lattices carry other names gets a view under its own names that
+shares the entry's arrays and join and meet tables. The cache keeps at
+most 32 entries; one of n elements holds about 9 n^2 + 300 n bytes for a
+tensor and 17 n^2 + 300 n for Q(X): 3 to 12 KB on lattices of at most four
+elements. ``morita tensor`` builds its tensors uncached.
 """
 
 import functools
@@ -48,8 +57,9 @@ from .modules import (Bimodule, ModuleAction, check_bimodule,
                       conjugate_bimodule, is_m_regular)
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
                        image_subquantale, is_quantale_involution)
-from .tensor import (Multimorphism, as_multimorphism, is_multimorphism,
-                     join_over_tuples, lift_multimorphism, tensor_product)
+from .tensor import (Multimorphism, _tensor_cap, _too_large, as_multimorphism,
+                     is_multimorphism, join_over_tuples, lift_multimorphism,
+                     tensor_product)
 
 
 # --- witnesses --------------------------------------------------------------------
@@ -85,6 +95,14 @@ class MoritaPairWitness:
 
     def __repr__(self):
         return f"MoritaPairWitness(|X|={self.x.n}, |Y|={self.y.n})"
+
+
+def _proved_pair(x, y, p_gen, q_gen):
+    """A witness on read-only int64 tables of the right shapes that are
+    multimorphisms by construction, so not checked again."""
+    w = object.__new__(MoritaPairWitness)
+    w.x, w.y, w.p_gen, w.q_gen = x, y, p_gen, q_gen
+    return w
 
 
 def _surjective_by_generators(lat, table, label):
@@ -417,6 +435,40 @@ def _classwise_action(part_tensor, gen, fixed_lat, idx_map, side_label):
         "equally on one side but not the other")).T
 
 
+@functools.lru_cache(maxsize=32)
+def _order_part(kind, *factors):
+    """X(x)Y for ``kind`` "tensor" and factors (X, Y), or Q(X) for "endo"
+    and (X,), as first built on lattices of these orders, with its join
+    table computed so that every view of it shares one. A miss calls the
+    module-level ``tensor_product`` or ``endo_quantale``, so a tracer or a
+    test that rebinds them sees every build."""
+    if kind == "tensor":
+        part = tensor_product(*factors)
+        part.lattice.join                 # read by the swap lift
+    else:
+        part = endo_quantale(*factors)
+        part.carrier.join                 # read by image_subquantale
+    return part
+
+
+def _tensor(x, y):
+    """X(x)Y from ``_order_part`` under the names of x and y; the tensor
+    cap in force applies to a cached tensor as to a built one."""
+    t = _order_part("tensor", x, y)
+    cap = _tensor_cap()
+    if t.n > cap:
+        raise _too_large(cap)
+    if t.factors[0].names == x.names and t.factors[1].names == y.names:
+        return t
+    return t.relabel((x, y))
+
+
+def _endo(x):
+    'Q(X) from ``_order_part`` under the names of x.'
+    q = _order_part("endo", x)
+    return q if q.base.names == x.names else q.relabel(x)
+
+
 def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
     """From a passing pair to the full context: operators, actions, pairings.
 
@@ -430,12 +482,14 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
     rep = check_pair_conditions(w)
     if not rep.ok:
         raise ConditionsFailed(rep)
-    x, y = w.x, w.y
-    t_xy = tensor_product(x, y)
-    t_yx = tensor_product(y, x)
+    return _context(w)
 
-    endo_x = endo_quantale(x)
-    endo_y = endo_quantale(y)
+
+def _context(w):
+    'Both builders after their gate: the context of a witness that passed.'
+    x, y = w.x, w.y
+    t_xy, t_yx = _tensor(x, y), _tensor(y, x)
+    endo_x, endo_y = _endo(x), _endo(y)
     fam_l = _operator_family(t_xy, w.p_gen, x, endo_x)
     quant_a, idx_a = image_subquantale(endo_x, fam_l)
     fam_r = _operator_family(t_yx, w.q_gen, y, endo_y)
@@ -467,14 +521,22 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
 
 def extract_pair_from_context(ctx: MoritaContext) -> MoritaPairWitness:
     """Recover the pair: p~(x1,y,x2) = (x1,y).x2 and q~(y1,x,y2) = [y1,x].y2,
-    checking a context without its build's report first, and then the pair."""
-    rep = check_morita_context(ctx) if ctx.report is None else ctx.report
+    and check its conditions.
+
+    A built context's report proves the pairings bimorphisms and the
+    actions sup-maps in each slot, so the recovered tables, composites of
+    those, are multimorphisms and not checked again. A context without that
+    report is checked in full first, and its tables by the witness
+    constructor.
+    """
+    proved = ctx.report is not None
+    rep = ctx.report if proved else check_morita_context(ctx)
     if not rep.ok:
         raise ContextInvalid(rep)
-    p_gen = ctx.x.left.act.T[ctx.pair_xy.values]
-    q_gen = ctx.y.left.act.T[ctx.pair_yx.values]
-    w = MoritaPairWitness.from_generators(ctx.x.carrier, ctx.y.carrier,
-                                          p_gen, q_gen)
+    p_gen = _freeze(ctx.x.left.act.T[ctx.pair_xy.values])
+    q_gen = _freeze(ctx.y.left.act.T[ctx.pair_yx.values])
+    w = (_proved_pair if proved else MoritaPairWitness)(
+        ctx.x.carrier, ctx.y.carrier, p_gen, q_gen)
     after = check_pair_conditions(w)
     if not after.ok:
         raise ContextInvalid(after)
@@ -543,8 +605,11 @@ def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:
 
 
 def as_pair_witness(w: InvolutiveWitness) -> MoritaPairWitness:
-    'The (X, X*) witness with q(y1, x, y2) = p(y2, x, y1).'
-    return MoritaPairWitness(w.x, w.xstar, w.p_gen, w.p_gen.transpose(2, 1, 0))
+    """The (X, X*) witness with q(y1, x, y2) = p(y2, x, y1). The witness
+    checked p, and reversing the slots of a multimorphism whose first and
+    last factors share an order leaves one, so neither table is re-checked."""
+    q_gen = _freeze(np.ascontiguousarray(w.p_gen.transpose(2, 1, 0)))
+    return _proved_pair(w.x, w.xstar, w.p_gen, q_gen)
 
 
 # --- imprimitivity ---------------------------------------------------------------------
@@ -637,7 +702,8 @@ def _class_star(tensor, idx_map, label):
 def build_involutive_context(w: InvolutiveWitness):
     """From a passing one-sided p to context, stars, and imprimitivity data.
 
-    Returns (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
+    Conditions a)-c) are the only gate: they decide conditions 1-6 of
+    (X, X*, p, p^T), so the pair build's own gate is not run. Returns (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
     ImprimitivityBimodule). Stars are built from the tensor swap and checked
     for well-definedness; for inputs that passed conditions a)-c) a collision
     cannot happen, so StarNotWellDefined, raised for a collision only, is an
@@ -647,8 +713,7 @@ def build_involutive_context(w: InvolutiveWitness):
     rep = check_involutive_conditions(w)
     if not rep.ok:
         raise ConditionsFailed(rep)
-    pw = as_pair_witness(w)
-    ctx = build_context_from_pair(pw)
+    ctx = _context(as_pair_witness(w))
 
     star_a = _class_star(ctx.t_xy, ctx.idx_a, "star on A")
     star_b = _class_star(ctx.t_yx, ctx.idx_b, "star on B")

@@ -94,6 +94,19 @@ class OperatorQuantale(Quantale):
         self.op_values = tuple(op_values)
         self.index = {v: i for i, v in enumerate(self.op_values)}
 
+    def relabel(self, base):
+        """Q(base) for a lattice with the order of this one's base but other
+        names: every table is shared, only the operator names are new."""
+        q = object.__new__(OperatorQuantale)
+        q.carrier = self.carrier.relabel(_op_names(base, self.op_values))
+        q.mult, q.unit, q.base = self.mult, self.unit, base
+        q.op_values, q.index = self.op_values, self.index
+        return q
+
+
+def _op_names(x, ops):
+    return ["[" + " ".join(x.names[v] for v in op) + "]" for op in ops]
+
 
 def _row_keys(rows):
     'Rows of non-negative ints as big-endian bytes, which sort as the rows do.'
@@ -109,8 +122,7 @@ def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
     vals = vals[np.lexsort(vals.T[::-1])]
     leq = x.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)
     ops = [tuple(v) for v in vals.tolist()]
-    names = ["[" + " ".join(x.names[v] for v in op) + "]" for op in ops]
-    carrier = FiniteSupLattice(len(ops), names, leq, None, None,
+    carrier = FiniteSupLattice(len(ops), _op_names(x, ops), leq, None, None,
                                int(leq.all(axis=1).argmax()),
                                int(leq.all(axis=0).argmax()))
     mult = np.searchsorted(_row_keys(vals), _row_keys(vals[:, vals]))

@@ -58,6 +58,10 @@ def _tensor_cap():
     return cap
 
 
+def _too_large(cap):
+    return ResourceLimit(f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
+
+
 def _to_ints(rows):
     'Bitsets of the rows of a boolean matrix: bit t is set iff row[t].'
     packed = np.packbits(rows, axis=-1, bitorder="little")
@@ -106,47 +110,58 @@ class MultiTensorLattice:
 
     ``lattice`` is the tensor as a plain lattice; ``bits[i]`` is the tuple
     mask of element i, over flat tuple indices in C order; ``elem_table``
-    maps coordinate tuples to the index of their elementary tensor.
+    maps coordinate tuples to the index of their elementary tensor;
+    ``maximal[i]`` lists the maximal generating tuples of element i, which
+    name it (None on a tensor built by hand, which cannot be relabelled).
     """
 
-    def __init__(self, factors, lattice, bits, elem_table):
+    def __init__(self, factors, lattice, bits, elem_table, maximal=None):
         self.factors = tuple(factors)
         self.lattice = lattice
         self.bits = _freeze(bits)
         self.elem_table = _freeze(elem_table)
+        self.maximal = maximal
 
     @property
     def n(self):
         return self.lattice.n
+
+    def relabel(self, factors):
+        """The tensor of ``factors``, lattices with the orders of this one's
+        but other names: the arrays and the computed join and meet tables
+        are shared, and only the element names are formatted anew."""
+        lattice = self.lattice.relabel(_tensor_names(factors, self.maximal))
+        return MultiTensorLattice(factors, lattice, self.bits,
+                                  self.elem_table, self.maximal)
 
     def __repr__(self):
         shape = " x ".join(str(f.n) for f in self.factors)
         return f"MultiTensorLattice({shape} -> {self.n} elements)"
 
 
-def _tensor_names(bits, grid):
-    """Readable names from maximal generating tuples, index fallback beyond
-    two: the maximal tuples of row i of ``bits`` are its tuples without a
-    bottom coordinate that no tuple of the row lies strictly above."""
+def _maximal_tuples(bits, grid):
+    """Per element, the flat indices of its maximal generating tuples: the
+    tuples of row i of ``bits`` without a bottom coordinate that no tuple of
+    the row lies strictly above. They depend on the factors' orders alone."""
     words, above = _words(bits), _words(grid.strictly_above)
     covered = np.empty(bits.shape, dtype=bool)   # a row member above tuple t
     step = max(1, (1 << 16) // above.size)
     for a in range(0, len(words), step):
         covered[a:a + step] = (words[a:a + step, None] & above).any(axis=2)
     maximal = bits & ~grid.bottom & ~covered
-    labels = ["⊗".join(f.names[c] for f, c in zip(grid.factors, t))
-              for t in zip(*(ci.tolist() for ci in grid.coords))]
     tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
-    names, at = [], 0
-    for i, count in enumerate(maximal.sum(axis=1).tolist()):
-        if not count:
-            names.append("0")
-        elif count > 2:
-            names.append(f"t{i}")
-        else:
-            names.append("∨".join(labels[t] for t in tuples[at:at + count]))
-        at += count
-    return names
+    ends = np.cumsum(maximal.sum(axis=1)).tolist()
+    return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
+
+
+def _tensor_names(factors, maximal):
+    'Readable names from the maximal generating tuples, index fallback beyond two.'
+    sizes = tuple(f.n for f in factors)
+    coords = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
+    labels = ["⊗".join(f.names[c] for f, c in zip(factors, t))
+              for t in zip(*(ci.tolist() for ci in coords))]
+    return ["0" if not ts else f"t{i}" if len(ts) > 2 else
+            "∨".join(labels[t] for t in ts) for i, ts in enumerate(maximal)]
 
 
 def tensor_product(*factors) -> MultiTensorLattice:
@@ -186,8 +201,7 @@ def tensor_product(*factors) -> MultiTensorLattice:
     for f in enumerate_multimorphisms(factors[:k] + factors[k + 1:],
                                       opposite(factors[k])):
         if len(tables) == cap:
-            raise ResourceLimit(
-                f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
+            raise _too_large(cap)
         tables.append(f.values)
     # rows[e, ..., t_k, ...] iff t_k <= g_e(the other coordinates)
     rows = np.moveaxis(factors[k].leq.T[np.array(tables)], -1, k + 1)
@@ -201,13 +215,14 @@ def tensor_product(*factors) -> MultiTensorLattice:
     # pointwise meet), so sorted by size the least comes first, the grid last
     n = len(bits)
     leq = _subsets(bits)
-    lattice = FiniteSupLattice(n, _tensor_names(bits, g), leq, None, None,
-                               0, n - 1)
+    maximal = _maximal_tuples(bits, g)
+    lattice = FiniteSupLattice(n, _tensor_names(factors, maximal), leq, None,
+                               None, 0, n - 1)
 
     index = {s: i for i, s in enumerate(_to_ints(bits))}
     elem_table = np.array([index[e] for e in g.elems],
                           dtype=np.int64).reshape(g.sizes)
-    return MultiTensorLattice(factors, lattice, bits, elem_table)
+    return MultiTensorLattice(factors, lattice, bits, elem_table, maximal)
 
 
 # --- multimorphisms --------------------------------------------------------------

@@ -1,10 +1,22 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+import pytest
 
+from morita import engine
 from morita.enumeration import enumerate_lattices
 from morita.lattice import validate_lattice
 from morita.quantale import Quantale
+
+
+@pytest.fixture(autouse=True)
+def _fresh_context_parts():
+    """Each test starts and ends with no cached tensor or Q(X): a test that
+    swaps in a builder sees it called on the first miss, and what a faulty
+    builder returns is not served to a later test."""
+    engine._order_part.cache_clear()
+    yield
+    engine._order_part.cache_clear()
 
 
 def meet_tables(lat):
@@ -24,11 +36,16 @@ def lattices_up_to(max_n):
     return out
 
 
-def shuffled(lat, rng):
+def renumbered(lat, perm):
     'A copy of lat with element i renumbered perm[i], its name moving along.'
-    perm = rng.permutation(lat.n)
+    perm = np.asarray(perm)
     leq = np.empty_like(lat.leq)
     leq[np.ix_(perm, perm)] = lat.leq
     names = np.empty(lat.n, dtype=object)
     names[perm] = lat.names
     return validate_lattice(leq, names.tolist())
+
+
+def shuffled(lat, rng):
+    'lat renumbered by a random permutation.'
+    return renumbered(lat, rng.permutation(lat.n))

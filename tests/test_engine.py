@@ -1,12 +1,13 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
+import itertools
 import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import lattices_up_to, meet_tables
+from conftest import lattices_up_to, meet_tables, renumbered
 from morita import engine
 from morita.census import (CensusTask, _lat_from_rows,
                            enumerate_trimorphisms, run_census)
@@ -21,10 +22,12 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            _one_sided, _surjective_by_generators)
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
-                           NotAMultimorphism, StarNotWellDefined, failure)
+                           NotAMultimorphism, ResourceLimit,
+                           StarNotWellDefined, failure)
 from morita.lattice import chain, conjugate_lattice, diamond, join_closure, m3
-from morita.quantale import OperatorQuantale
-from morita.tensor import Multimorphism, MultiTensorLattice, tensor_product
+from morita.quantale import OperatorQuantale, endo_quantale
+from morita.tensor import (Multimorphism, MultiTensorLattice, is_multimorphism,
+                           tensor_product)
 import oracles
 from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
                      check_pair_conditions_full)
@@ -164,10 +167,18 @@ def test_extraction_builds_no_tensor(monkeypatch):
         checked.append(c)
         return _check(c)
     monkeypatch.setattr(engine, "check_morita_context", counting)
+    # the report also proves the recovered tables multimorphisms; the
+    # witness constructor checks those of the bare one
+    tables = []
+
+    def wrapping(factors, target, values, _wrap=engine.as_multimorphism):
+        tables.append(values)
+        return _wrap(factors, target, values)
+    monkeypatch.setattr(engine, "as_multimorphism", wrapping)
     assert extract_pair_from_context(ctx) == w
-    assert checked == []
+    assert checked == [] and tables == []
     assert extract_pair_from_context(bare) == w
-    assert checked == [bare]
+    assert checked == [bare] and len(tables) == 2
 
 
 def test_a_built_context_and_bimodule_are_read_only():
@@ -319,6 +330,63 @@ def test_as_pair_witness_builds_no_tensor(monkeypatch):
     pair = as_pair_witness(w)
     assert (pair.x, pair.y) == (w.x, w.xstar)
     assert np.array_equal(pair.q_gen, w.p_gen.transpose(2, 1, 0))
+
+
+def test_as_pair_witness_tables_are_multimorphisms(monkeypatch):
+    # as_pair_witness checks neither table: the witness checked p, and p
+    # with its slots reversed is a multimorphism on (X*, X, X*)
+    witnesses = [InvolutiveWitness.from_generators(_lat_from_rows(r.x_leq), r.p)
+                 for r in run_census(CensusTask(max_x=3, involutive=True))[0]]
+    for x in lattices_up_to(3):
+        witnesses += [InvolutiveWitness.from_generators(x, f.values) for f in
+                      enumerate_trimorphisms(x, conjugate_lattice(x), x, x)]
+    d = diamond()
+    keep = set(np.random.default_rng(17).choice(65536, 12, replace=False))
+    tables = enumerate_trimorphisms(d, conjugate_lattice(d), d, d)
+    witnesses += [InvolutiveWitness.from_generators(d, f.values)
+                  for k, f in enumerate(tables) if k in keep]
+    assert len(witnesses) == 7 + 171 + 12
+
+    checked = []
+    monkeypatch.setattr(engine, "as_multimorphism",
+                        lambda *args: checked.append(args))
+    pairs = [as_pair_witness(w) for w in witnesses]
+    monkeypatch.undo()
+    assert checked == []
+    for w, pw in zip(witnesses, pairs):
+        assert pw == MoritaPairWitness(w.x, w.xstar, w.p_gen,
+                                       w.p_gen.transpose(2, 1, 0))
+        assert is_multimorphism(Multimorphism((pw.x, pw.y, pw.x), pw.x,
+                                              pw.p_gen))
+        assert is_multimorphism(Multimorphism((pw.y, pw.x, pw.y), pw.y,
+                                              pw.q_gen))
+        assert not (pw.p_gen.flags.writeable or pw.q_gen.flags.writeable)
+
+
+def test_the_involutive_gate_decides_the_pair_check_of_its_pair(monkeypatch):
+    # build_involutive_context checks a)-c) alone, not 1-6 of (X, X*, p, p^T)
+    passing = []
+    outcomes = []
+    for x in lattices_up_to(3):
+        xstar = conjugate_lattice(x)
+        for f in enumerate_trimorphisms(x, xstar, x, x, surjective=True):
+            ok = involutive_conditions_from_tables(x, f.values).ok
+            assert ok == conditions_from_tables(
+                x, xstar, f.values, f.values.transpose(2, 1, 0)).ok
+            outcomes.append(ok)
+            if ok:
+                passing.append(InvolutiveWitness.from_generators(x, f.values))
+    assert (len(outcomes), sum(outcomes)) == (131, 7)
+
+    calls = Counter()
+    for name in ("check_pair_conditions", "check_involutive_conditions"):
+        def counting(w, _check=getattr(engine, name), _name=name):
+            calls[_name] += 1
+            return _check(w)
+        monkeypatch.setattr(engine, name, counting)
+    for w in passing:
+        build_involutive_context(w)
+    assert calls == {"check_involutive_conditions": 7}
 
 
 def test_involutive_context_and_imprimitivity():
@@ -706,12 +774,14 @@ def test_a_pairing_that_breaks_joins_fails_the_context_report(monkeypatch):
     # the pairings are checked once, as pairing-XY/YX-bimorphism
     calls = []
 
-    def corner_at_top(*factors):
-        t = tensor_product(*factors)
+    def corner_at_top(x, y, _tensor=engine._tensor):
+        t = _tensor(x, y)
         calls.append(t)
         return _with_corner(t, t.n - 1) if len(calls) == 1 else t
 
-    monkeypatch.setattr(engine, "tensor_product", corner_at_top)
+    # X(x)Y and Y(x)X of the 3-chain are one cached tensor, so the fault
+    # goes into the first tensor the build asks for, not into the cache
+    monkeypatch.setattr(engine, "_tensor", corner_at_top)
     with pytest.raises(ConditionsFailed) as exc:
         build_context_from_pair(meet_witness(chain(3)))
     rep = exc.value.report
@@ -816,3 +886,106 @@ def test_per_class_matches_the_class_loop():
             assert exc.value.args == collision
         outcomes[collision is None] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+# --- the context parts cached by factor order ----------------------------------------
+
+def _variants(lat):
+    """lat renumbered by every permutation, names moving along; lat under
+    every permutation of its names; and the conjugate of each."""
+    out = []
+    for perm in itertools.permutations(range(lat.n)):
+        out += [renumbered(lat, perm),
+                lat.relabel([lat.names[i] for i in perm])]
+    return out + [conjugate_lattice(v) for v in out]
+
+
+def _same_lattice(got, want):
+    assert got == want and got.names == want.names
+    assert (got.bottom, got.top) == (want.bottom, want.top)
+    assert np.array_equal(got.join, want.join)
+
+
+def _same_tensor(got, want):
+    assert got.factors == want.factors
+    assert [f.names for f in got.factors] == [f.names for f in want.factors]
+    _same_lattice(got.lattice, want.lattice)
+    assert np.array_equal(got.bits, want.bits)
+    assert np.array_equal(got.elem_table, want.elem_table)
+
+
+def _same_endo(got, want):
+    _same_lattice(got.carrier, want.carrier)
+    _same_lattice(got.base, want.base)
+    assert np.array_equal(got.mult, want.mult)
+    assert (got.op_values, got.unit, got.index) == (
+        want.op_values, want.unit, want.index)
+
+
+def test_cached_parts_equal_fresh_builds_on_every_small_lattice():
+    variants = [_variants(lat) for lat in lattices_up_to(4)]
+    for xs in variants:
+        engine._order_part.cache_clear()
+        for x in xs + xs[:1]:          # cold, then warm under other names
+            _same_endo(engine._endo(x), endo_quantale(x))
+        for ys in variants:
+            for x, y in zip(xs + xs[:1], itertools.cycle(ys)):
+                _same_tensor(engine._tensor(x, y), tensor_product(x, y))
+    assert engine._order_part.cache_info().hits > 0
+
+
+def _renamed(lat, tag):
+    return lat.relabel([f"{tag}{i}" for i in reversed(range(lat.n))])
+
+
+def _built(x, y, p, q):
+    'The digests, names, stars and extracted tables of one build.'
+    if y is None:
+        ctx, stars, imp = build_involutive_context(
+            InvolutiveWitness.from_generators(x, p))
+        extra = (imp.report.digest(), [s.star for s in stars])
+    else:
+        ctx = build_context_from_pair(
+            MoritaPairWitness.from_generators(x, y, p, q))
+        extra = ()
+    back = extract_pair_from_context(ctx)
+    return (ctx.report.digest(), ctx.a.names, ctx.b.names,
+            ctx.t_xy.lattice.names, ctx.t_yx.lattice.names, *extra,
+            back.p_gen.tolist(), back.q_gen.tolist())
+
+
+def test_a_context_built_warm_matches_one_built_cold():
+    records = (run_census(CensusTask(max_x=3))[0]
+               + run_census(CensusTask(max_x=3, involutive=True))[0])
+    assert len(records) == 14
+    for rec in records:
+        x = _lat_from_rows(rec.x_leq)
+        y = None if rec.y_leq is None else _lat_from_rows(rec.y_leq)
+        p = np.array(rec.p)
+        q = None if rec.q is None else np.array(rec.q)
+        rx, ry = _renamed(x, "u"), y and _renamed(y, "v")
+        engine._order_part.cache_clear()
+        cold = _built(rx, ry, p, q)
+        engine._order_part.cache_clear()
+        _built(x, y, p, q)
+        assert _built(rx, ry, p, q) == cold    # every part a renamed view
+        assert _built(rx, ry, p, q) == cold    # every part as cached
+
+
+def test_a_cached_tensor_honours_the_tensor_cap_in_force(monkeypatch):
+    w = meet_witness(chain(3))                 # X(x)Y has 6 elements
+    build_context_from_pair(w)
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "5")
+    with pytest.raises(ResourceLimit) as fresh:
+        tensor_product(w.x, w.y)
+    hits = engine._order_part.cache_info().hits
+    with pytest.raises(ResourceLimit) as cached:
+        build_context_from_pair(w)
+    assert engine._order_part.cache_info().hits == hits + 1
+    assert str(cached.value) == str(fresh.value) == (
+        "tensor exceeds 5 elements; raise MORITA_MAX_TENSOR")
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "0")
+    with pytest.raises(MoritaError, match="must be a positive integer"):
+        build_context_from_pair(w)
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "6")
+    assert build_context_from_pair(w).report.ok
