@@ -23,7 +23,6 @@ before the check changes them and must update it.
 """
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -279,6 +278,8 @@ def run_census(task: CensusTask):
     if task.jobs <= 1 or len(args) <= 1:
         results = [_space_worker(a) for a in args]
     else:
+        # imported here: it pulls in multiprocessing, about 20 ms
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=task.jobs) as pool:
             results = list(pool.map(_space_worker, args))
 

@@ -10,6 +10,8 @@ reduces everywhere to: preserves the empty join (bottom goes to bottom)
 and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
 """
 
+import copy
+
 import numpy as np
 
 from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
@@ -132,10 +134,12 @@ class FiniteSupLattice:
         return self._distributive
 
     def relabel(self, names):
+        'The same lattice under other names, sharing all computed of it.'
         if len(names) != self.n:
             raise DomainMismatch(f"expected {self.n} names, got {len(names)}")
-        return FiniteSupLattice(self.n, names, self.leq, self._join,
-                                self._meet, self.bottom, self.top)
+        lat = copy.copy(self)
+        lat.names = tuple(names)
+        return lat
 
 
 def _words(rows):

@@ -19,11 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError, PASS,
-                     failure, slice_collision, table_law)
+                     failure, memoised, slice_collision, table_law)
 from .lattice import (FiniteSupLattice, _generates, _index_table,
                       conjugate_lattice, join_closure)
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
-from .tensor import Multimorphism, is_multimorphism
+from .tensor import _trusted, is_multimorphism
 
 
 class ModuleAction:
@@ -75,7 +75,7 @@ def check_module(mod: ModuleAction):
     v = table_law(law, lhs, rhs, (m_names, a_names, a_names), m_names)
     if not v:
         return v
-    v = is_multimorphism(Multimorphism(
+    v = is_multimorphism(_trusted(
         (mod.carrier, mod.quantale.carrier), mod.carrier, act))
     if not v:
         return failure(_SUP_LAWS[v.law], v.witness, v.detail)
@@ -109,6 +109,15 @@ class Bimodule:
                 f"|B|={self.right.quantale.n})")
 
 
+def _bimodule_key(bim):
+    'The orders and tables that check_bimodule reads, as bytes.'
+    a, b = bim.left.quantale, bim.right.quantale
+    return (bim.carrier._key, a.carrier._key, a.mult.tobytes(),
+            b.carrier._key, b.mult.tobytes(), bim.left.act.tobytes(),
+            bim.right.act.tobytes())
+
+
+@memoised(_bimodule_key)
 def check_bimodule(bim: Bimodule):
     'Verdict: both module laws plus commutation (a.m).b = a.(m.b).'
     v = check_module(bim.left)
@@ -148,7 +157,7 @@ def is_separated(mod: ModuleAction):
                    "both act identically on every quantale element")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegularityReport:
     essential: bool
     essential_part: tuple
@@ -167,7 +176,8 @@ def _action_report(mod):
         m_regular=essential and bool(sep))
 
 
-def _combined_report(left_rep, right_rep):
+def _bimodule_report(bim):
+    left_rep, right_rep = _action_report(bim.left), _action_report(bim.right)
     essential = left_rep.essential and right_rep.essential
     separated = left_rep.separated and right_rep.separated
     part = left_rep.essential_part if not left_rep.essential else right_rep.essential_part
@@ -185,20 +195,31 @@ def regular_bimodule(q: Quantale) -> Bimodule:
     return Bimodule(left, right)
 
 
+def _regularity_key(target):
+    'The carrier\'s order and the action tables of a bimodule or quantale.'
+    if isinstance(target, Bimodule):
+        return (target.carrier._key, target.left.act.tobytes(),
+                target.right.act.tobytes())
+    if isinstance(target, Quantale):
+        return (target.carrier._key, target.mult.tobytes())
+    return None
+
+
+@memoised(_regularity_key, passed=lambda rep: rep.m_regular)
 def is_m_regular(target) -> RegularityReport:
     """Essential-and-separated report for an action, bimodule, or quantale.
 
     A quantale is judged as a bimodule over itself, whose separation is
     two-sided cancellation of the curried multiplication; when it comes out
-    m-regular, the consequence top.top = top is asserted.
+    m-regular, the consequence top.top = top is asserted. An m-regular
+    report of a bimodule or quantale is kept, and shared, by content.
     """
     if isinstance(target, ModuleAction):
         return _action_report(target)
     if isinstance(target, Bimodule):
-        return _combined_report(_action_report(target.left),
-                                _action_report(target.right))
+        return _bimodule_report(target)
     if isinstance(target, Quantale):
-        rep = is_m_regular(regular_bimodule(target))
+        rep = _bimodule_report(regular_bimodule(target))
         top = target.carrier.top
         if rep.m_regular and int(target.mult[top, top]) != top:
             raise MoritaError("internal: m-regular quantale with 1.1 != 1")

@@ -13,11 +13,12 @@ import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
                      NotAMultimorphism, NotCompositionClosed, PASS, failure,
-                     table_law)
+                     memoised, table_law)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.quantale
-from .lattice import FiniteSupLattice, _index_table, validate_lattice
-from .tensor import Multimorphism, enumerate_multimorphisms, is_multimorphism
+from .lattice import FiniteSupLattice, _freeze, _index_table, validate_lattice
+from .tensor import (Multimorphism, _trusted, enumerate_multimorphisms,
+                     is_multimorphism)
 
 
 class Quantale:
@@ -55,15 +56,17 @@ _SUP_LAWS = {"slot-0-bottom": "left-annihilation",
              "slot-1-joins": "left-distributive"}
 
 
+@memoised(lambda q: (q.carrier._key, q.mult.tobytes()))
 def check_quantale(q: Quantale):
     """Verdict on associativity, then on the sup-laws: distributivity over
-    joins and annihilation by bottom, in both arguments."""
+    joins and annihilation by bottom, in both arguments. A pass is kept by
+    the carrier's order and the bytes of the product table."""
     m, names = q.mult, q.names
     v = table_law("associative", m[m, :], m[:, m], (names,) * 3, names,
                   "(ab)c = {} but a(bc) = {}")
     if not v:
         return v
-    v = is_multimorphism(Multimorphism((q.carrier, q.carrier), q.carrier, m))
+    v = is_multimorphism(_trusted((q.carrier, q.carrier), q.carrier, m))
     if not v:
         return failure(_SUP_LAWS[v.law], v.witness, v.detail)
     return PASS
@@ -193,13 +196,13 @@ def is_quantale_involution(q: Quantale, star):
     star = tuple(int(s) for s in star)
     if len(star) != q.n or not all(0 <= s < q.n for s in star):
         raise DomainMismatch("star table does not match the carrier")
-    names, st = q.names, np.asarray(star)
+    names, st = q.names, _freeze(np.array(star, dtype=np.int64))
     # at the first a with a** != a, the detail reads "a** = <a**>"
     v = table_law("period-two", st[st], np.arange(q.n), (names,), names,
                   "{1}** = {0}")
     if not v:
         return v
-    v = is_multimorphism(Multimorphism((q.carrier,), q.carrier, star))
+    v = is_multimorphism(_trusted((q.carrier,), q.carrier, st))
     if not v:
         return v
     # (b*, a*) product at position (a, b)

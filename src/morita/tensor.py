@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
-                     PASS, ResourceLimit, failure)
+                     PASS, ResourceLimit, failure, memoised)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
 from .lattice import (FiniteSupLattice, _freeze, _index_table, _words,
@@ -195,11 +195,15 @@ def tensor_product(*factors) -> MultiTensorLattice:
     cap = _tensor_cap()
     g = _Grid(factors)
 
-    k = max((i for i, f in enumerate(factors) if not f.is_distributive()),
+    # the first factor of each order computes for all of that order, so X
+    # and its conjugate X* build one meet table, not two
+    first = {}
+    work = [first.setdefault(f, f) for f in factors]
+    k = max((i for i, f in enumerate(work) if not f.is_distributive()),
             default=len(factors) - 1)
     tables = []
-    for f in enumerate_multimorphisms(factors[:k] + factors[k + 1:],
-                                      opposite(factors[k])):
+    for f in enumerate_multimorphisms(work[:k] + work[k + 1:],
+                                      opposite(work[k])):
         if len(tables) == cap:
             raise _too_large(cap)
         tables.append(f.values)
@@ -300,11 +304,14 @@ def _join_break(f: Multimorphism):
     return None
 
 
+@memoised(lambda f: (*(fac._key for fac in f.factors), f.target._key,
+                     f.values.tobytes()))
 def is_multimorphism(f: Multimorphism):
     """Verdict: each slot preserves the empty and binary joins.
 
     A failure names every coordinate: the witness is the call with slot i
-    at its bottom, or at the two elements whose join breaks.
+    at its bottom, or at the two elements whose join breaks. A pass is kept
+    by the orders of the factors and target and the bytes of the table.
     """
     found = _join_break(f)
     if found is None:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from morita import engine
+from morita import engine, errors
 from morita.enumeration import enumerate_lattices
 from morita.lattice import validate_lattice
 from morita.quantale import Quantale
@@ -11,12 +11,15 @@ from morita.quantale import Quantale
 
 @pytest.fixture(autouse=True)
 def _fresh_context_parts():
-    """Each test starts and ends with no cached tensor or Q(X): a test that
-    swaps in a builder sees it called on the first miss, and what a faulty
-    builder returns is not served to a later test."""
+    """Each test starts and ends with no cached tensor or Q(X) and no kept
+    pass: a test that swaps in a builder or a check sees it called on the
+    first miss, and what a faulty one returns is not served to a later
+    test."""
     engine._order_part.cache_clear()
+    errors._passes.clear()
     yield
     engine._order_part.cache_clear()
+    errors._passes.clear()
 
 
 def meet_tables(lat):
@@ -49,3 +52,28 @@ def renumbered(lat, perm):
 def shuffled(lat, rng):
     'lat renumbered by a random permutation.'
     return renumbered(lat, rng.permutation(lat.n))
+
+
+def one_cell_changes(table, n):
+    'Copies of an index table with one cell set to another value in 0..n-1.'
+    for idx in np.ndindex(table.shape):
+        for v in range(n):
+            if v != table[idx]:
+                out = np.array(table)
+                out[idx] = v
+                yield out
+
+
+def fails_alike_warm_and_cold(check, passing, mutants):
+    """How many mutants fail ``check``: each one fails alike with no pass
+    kept and after ``passing`` has passed."""
+    failed = 0
+    for mutant in mutants:
+        errors._passes.clear()
+        cold = check(mutant)
+        if cold.ok:
+            continue
+        assert check(passing).ok
+        assert check(mutant) == cold
+        failed += 1
+    return failed

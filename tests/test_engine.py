@@ -7,8 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import lattices_up_to, meet_tables, renumbered
-from morita import engine
+from conftest import (fails_alike_warm_and_cold, lattices_up_to,
+                      meet_tables, one_cell_changes, renumbered)
+from morita import engine, errors
+from morita import tensor as tensor_module
 from morita.census import (CensusTask, _lat_from_rows,
                            enumerate_trimorphisms, run_census)
 from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
@@ -24,7 +26,9 @@ from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
                            NotAMultimorphism, ResourceLimit,
                            StarNotWellDefined, failure)
-from morita.lattice import chain, conjugate_lattice, diamond, join_closure, m3
+from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
+                            m3, opposite)
+from morita.modules import Bimodule, ModuleAction
 from morita.quantale import OperatorQuantale, endo_quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, is_multimorphism,
                            tensor_product)
@@ -989,3 +993,147 @@ def test_a_cached_tensor_honours_the_tensor_cap_in_force(monkeypatch):
         build_context_from_pair(w)
     monkeypatch.setenv("MORITA_MAX_TENSOR", "6")
     assert build_context_from_pair(w).report.ok
+
+
+# --- passes kept by content ------------------------------------------------------
+
+def _census_witnesses():
+    'The g<=3 and i<=3 census records as (x, y, p, q); y and q None if involutive.'
+    records = (run_census(CensusTask(max_x=3))[0]
+               + run_census(CensusTask(max_x=3, involutive=True))[0])
+    assert len(records) == 14
+    return [(_lat_from_rows(r.x_leq),
+             None if r.y_leq is None else _lat_from_rows(r.y_leq),
+             np.array(r.p), None if r.q is None else np.array(r.q))
+            for r in records]
+
+
+def _renumbered_witness(x, y, p, q, rng):
+    'The witness on renumbered copies of x and y, its tables moved along.'
+    px = rng.permutation(x.n)
+    py = px if y is None else rng.permutation(y.n)
+
+    def moved(table, pa, pb):
+        out = np.empty_like(table)
+        out[np.ix_(pa, pb, pa)] = pa[table]
+        return out
+    return (renumbered(x, px), y and renumbered(y, py), moved(p, px, py),
+            None if q is None else moved(q, py, px))
+
+
+def _reports(x, y, p, q):
+    """The digest and summary of each report of one build and of a re-check
+    of what it built: the context's, and the imprimitivity bimodule's of an
+    involutive build."""
+    if y is None:
+        ctx, _, imp = build_involutive_context(
+            InvolutiveWitness.from_generators(x, p))
+        reps = [ctx.report, imp.report, check_imprimitivity(imp)]
+    else:
+        ctx = build_context_from_pair(
+            MoritaPairWitness.from_generators(x, y, p, q))
+        reps = [ctx.report]
+    reps.append(check_morita_context(ctx))
+    return [(r.digest(), r.summary()) for r in reps]
+
+
+def test_warm_reports_match_cold_ones_on_every_census_context(monkeypatch):
+    rng = np.random.default_rng(18)
+    sup_law_checks = []
+    join_break = tensor_module._join_break
+
+    def counting(f):
+        sup_law_checks.append(f)
+        return join_break(f)
+    monkeypatch.setattr(tensor_module, "_join_break", counting)
+    for x, y, p, q in _census_witnesses():
+        copies = [(_renamed(x, "u"), y and _renamed(y, "v"), p, q),
+                  _renumbered_witness(x, y, p, q, rng)]
+        for copy in copies:
+            errors._passes.clear()
+            cold = _reports(*copy)
+            assert all(digest == {k: True for k in digest}
+                       for digest, _ in cold)
+            errors._passes.clear()
+            assert _reports(x, y, p, q) == _reports(x, y, p, q)
+            del sup_law_checks[:]
+            assert _reports(*copy) == cold
+            if copy is copies[0]:
+                # same tables under new names: every sup-law pass is kept
+                assert sup_law_checks == []
+
+
+def test_a_context_one_cell_off_fails_alike_warm_and_cold():
+    for x, y, p, q in _census_witnesses():
+        if y is None:
+            ctx = build_involutive_context(
+                InvolutiveWitness.from_generators(x, p))[0]
+        else:
+            ctx = build_context_from_pair(
+                MoritaPairWitness.from_generators(x, y, p, q))
+        a, b, bx, by = ctx.a, ctx.b, ctx.x, ctx.y
+        xy, yx = ctx.pair_xy, ctx.pair_yx
+        mutants = [MoritaContext(a, b, bx, by, Multimorphism(
+                       xy.factors, xy.target, t), yx)
+                   for t in one_cell_changes(xy.values, a.n)]
+        mutants += [MoritaContext(a, b, bx, by, xy, Multimorphism(
+                        yx.factors, yx.target, t))
+                    for t in one_cell_changes(yx.values, b.n)]
+        mutants += [MoritaContext(a, b, Bimodule(
+                        ModuleAction("left", a, bx.carrier, t), bx.right),
+                        by, xy, yx)
+                    for t in one_cell_changes(bx.left.act, x.n)]
+        mutants += [MoritaContext(a, b, bx, Bimodule(
+                        by.left, ModuleAction("right", a, by.carrier, t)),
+                        xy, yx)
+                    for t in one_cell_changes(by.right.act, by.carrier.n)]
+        failed = fails_alike_warm_and_cold(check_morita_context, ctx,
+                                           mutants)
+        assert (failed > 0) == (len(mutants) > 0)
+
+
+def test_a_map_into_another_target_fails_alike_warm_and_cold():
+    # the same values into another order of the same size
+    c4, d = chain(4), diamond()
+    into_chain = Multimorphism((c4,), c4, range(4))
+    into_diamond = Multimorphism((c4,), d, range(4))
+    cold = is_multimorphism(into_diamond)
+    assert str(cold) == "FAIL slot-0-joins at (x1, x2) - f(x1 v x2) = b " \
+        "but f(x1) v f(x2) = 1"
+    assert is_multimorphism(into_chain).ok
+    assert is_multimorphism(into_diamond) == cold
+    # a census pairing into the opposite of its quantale, where that is
+    # another order
+    flips = 0
+    for x, y, p, q in _census_witnesses()[:7]:
+        ctx = build_context_from_pair(
+            MoritaPairWitness.from_generators(x, y, p, q))
+        xy = ctx.pair_xy
+        if xy.target.n == 1:
+            continue
+        flips += 1
+        flipped = Multimorphism(xy.factors, opposite(xy.target), xy.values)
+        errors._passes.clear()
+        cold = is_multimorphism(flipped)
+        assert not cold.ok
+        assert is_multimorphism(xy).ok
+        assert is_multimorphism(flipped) == cold
+    assert flips > 0
+
+
+def test_a_failure_names_the_elements_of_its_own_call():
+    # the pass kept for the pairing under one naming names no failure under
+    # another: each failure is named from its own call's lattices
+    lat = chain(3)
+    ctx = build_context_from_pair(meet_witness(lat))
+    values = ctx.pair_xy.values
+    witnesses = set()
+    for tag in ("u", "v"):
+        x = _renamed(lat, tag)
+        a = _renamed(ctx.a.carrier, tag)
+        assert is_multimorphism(Multimorphism((x, x), a, values)).ok
+        v = is_multimorphism(Multimorphism((x, x), opposite(a), values))
+        assert str(v) == (f"FAIL slot-0-bottom at ({tag}2, {tag}2) - "
+                          f"f({tag}2, {tag}2) = {tag}2, not bottom")
+        witnesses.add(v.witness)
+    assert len(witnesses) == 2

@@ -234,6 +234,29 @@ def test_tables_are_built_on_first_read_and_shared():
     assert lat.relabel(named.names).join is lat.join
 
 
+def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
+    # irreducibles and distributivity pass on with the tables, so a renamed
+    # or conjugate copy answers without building its meet table
+    lats = lattices_up_to(5)
+    for lat in lats:
+        lat.join_irreducibles(), lat.is_distributive()
+    def refuse(self, up, what):
+        raise AssertionError(f"{what} table built again")
+    monkeypatch.setattr(FiniteSupLattice, "_bounds", refuse)
+    for lat in lats:
+        fresh = (lat.relabel([f"u{i}" for i in range(lat.n)]),
+                 conjugate_lattice(lat))
+        for copy in fresh:
+            assert copy == lat and copy._key is lat._key
+            assert copy.join_irreducibles() == lat.join_irreducibles()
+            assert copy.is_distributive() == lat.is_distributive()
+    monkeypatch.undo()
+    for lat in lats:
+        want = validate_lattice(lat.leq, [f"u{i}" for i in range(lat.n)])
+        assert lat.join_irreducibles() == want.join_irreducibles()
+        assert lat.is_distributive() == want.is_distributive()
+
+
 def test_missing_bound_raises_on_first_read():
     # two maximal elements over a bottom: no join, and no top
     leq = np.array([[1, 1, 1], [0, 1, 0], [0, 0, 1]], dtype=bool)

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import lattices_up_to, meet_quantale, shuffled
+from conftest import (fails_alike_warm_and_cold, lattices_up_to,
+                      meet_quantale, one_cell_changes, shuffled)
+from morita import errors
 from morita.errors import DomainMismatch, MissingInvolution
 from morita.lattice import chain, diamond
 from morita.modules import (Bimodule, ModuleAction, check_bimodule,
                             check_module, conjugate_bimodule, essential_part,
                             is_m_regular, is_separated, regular_bimodule)
-from morita.quantale import (Quantale, as_involutive_quantale, endo_quantale)
+from morita.quantale import (Quantale, as_involutive_quantale, check_quantale,
+                             endo_quantale)
 from oracles import essential_by_closure
 
 
@@ -175,3 +178,82 @@ def test_regularity_reports_match_the_join_closure_definition():
         essential.append(whole)
         regular.append(rep.m_regular)
     assert 0 < sum(regular) < sum(essential) < len(essential)
+
+
+# --- passes kept by content ------------------------------------------------------
+
+def test_a_quantale_one_cell_off_fails_alike_warm_and_cold():
+    for q in (endo_quantale(chain(3)), meet_quantale(diamond())):
+        mutants = [Quantale(q.carrier, m)
+                   for m in one_cell_changes(q.mult, q.n)]
+        assert fails_alike_warm_and_cold(check_quantale, q, mutants) > 0
+
+
+def test_a_bimodule_one_cell_off_fails_alike_warm_and_cold():
+    # each table the check reads: both actions and both products
+    bim = regular_bimodule(endo_quantale(chain(3)))
+    left, right, c = bim.left, bim.right, bim.carrier
+    a, b = left.quantale, right.quantale
+    tables = {
+        "left action": [Bimodule(ModuleAction("left", a, c, t), right)
+                        for t in one_cell_changes(left.act, c.n)],
+        "right action": [Bimodule(left, ModuleAction("right", b, c, t))
+                         for t in one_cell_changes(right.act, c.n)],
+        "left product": [Bimodule(ModuleAction(
+            "left", Quantale(a.carrier, m), c, left.act), right)
+            for m in one_cell_changes(a.mult, a.n)],
+        "right product": [Bimodule(left, ModuleAction(
+            "right", Quantale(b.carrier, m), c, right.act))
+            for m in one_cell_changes(b.mult, b.n)]}
+    for what, mutants in tables.items():
+        assert fails_alike_warm_and_cold(check_bimodule, bim, mutants) \
+            > 0, what
+
+
+def test_regularity_one_cell_off_fails_alike_warm_and_cold():
+    # a quantale is judged only when its laws hold, so only actions change
+    bim = regular_bimodule(meet_quantale(chain(3)))
+    left, right, c = bim.left, bim.right, bim.carrier
+    mutants = [Bimodule(ModuleAction("left", left.quantale, c, t), right)
+               for t in one_cell_changes(left.act, c.n)]
+    mutants += [Bimodule(left, ModuleAction("right", right.quantale, c, t))
+                for t in one_cell_changes(right.act, c.n)]
+    failed = 0
+    for mutant in mutants:
+        errors._passes.clear()
+        cold = is_m_regular(mutant)
+        if cold.m_regular:
+            continue
+        assert is_m_regular(bim).m_regular
+        assert is_m_regular(left.quantale).m_regular
+        assert is_m_regular(mutant) == cold
+        failed += 1
+    assert failed > 0
+
+
+def test_a_kept_pass_is_shared_and_immutable():
+    q = endo_quantale(chain(3))
+    rep = is_m_regular(q)
+    assert is_m_regular(Quantale(q.carrier.relabel("uvwxyz"), q.mult)) is rep
+    with pytest.raises(AttributeError):
+        rep.m_regular = False
+
+
+def test_failures_under_new_names_name_their_own_elements():
+    # a pass kept for the same tables under other names serves no failure
+    c3 = chain(3)
+    endo = endo_quantale(c3)
+    lefts = np.array(endo.op_values).T
+    for names in (("0", "x1", "1"), ("p", "q", "r")):
+        x = c3.relabel(names)
+        meet = meet_quantale(x)
+        assert check_bimodule(Bimodule(ModuleAction("left", meet, x, x.meet),
+                                       ModuleAction("right", meet, x, x.meet)))
+        bim = Bimodule(ModuleAction("left", endo, x, lefts),
+                       ModuleAction("right", meet, x, x.meet))
+        assert str(check_bimodule(bim)) == (
+            f"FAIL commute: (a.m).b = a.(m.b) at ({names[1]}, "
+            f"[0 1 1], {names[1]}) - {names[1]} vs {names[2]}")
+        zero = zero_quantale(x)
+        assert is_m_regular(meet).m_regular
+        assert is_m_regular(zero).separation_witness == names[:2]

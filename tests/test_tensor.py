@@ -13,7 +13,8 @@ from morita.census import CensusTask, run_census
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
-from morita.lattice import chain, diamond, m3, n5, opposite
+from morita.lattice import (FiniteSupLattice, chain, conjugate_lattice,
+                            diamond, m3, n5, opposite, validate_lattice)
 from morita.tensor import (Multimorphism, _join_break, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, tensor_product)
@@ -454,3 +455,26 @@ def test_leaves_are_checked_only_with_a_non_distributive_factor(monkeypatch):
                        ((n5(), c2, c2), c2)):
         checked, found = checked_and_found(factors, z)
         assert checked == monotone_assignments(factors, z) > found
+
+
+def test_factors_of_one_order_build_one_meet_table(monkeypatch):
+    # X and its conjugate X* have one order, so one of them decides
+    # distributivity and gives the opposite lattice's joins for both
+    built = []
+    bounds = FiniteSupLattice._bounds
+
+    def counting(self, up, what):
+        built.append(what)
+        return bounds(self, up, what)
+    monkeypatch.setattr(FiniteSupLattice, "_bounds", counting)
+    for lat in (chain(3), diamond(), m3(), n5()):
+        want = tensor_product(validate_lattice(lat.leq, lat.names),
+                              validate_lattice(lat.leq, lat.names))
+        x = validate_lattice(lat.leq, lat.names)
+        del built[:]
+        got = tensor_product(x, conjugate_lattice(x))
+        assert built == ["meet"]
+        assert np.array_equal(got.bits, want.bits)
+        assert np.array_equal(got.elem_table, want.elem_table)
+        assert got.lattice.names == tensor_product(
+            *got.factors).lattice.names
