@@ -33,26 +33,29 @@ reaches the same entry, and every name in a report comes from the call's
 own lattices. The cache keeps at most 1024 entries of about
 9 nx^3 ny^2 bytes each (2.2 KB at nx = ny = 3).
 
-A context's parts X(x)Y, Y(x)X, Q(X) and Q(Y) depend on the orders alone,
-so ``_order_part`` caches them in an LRU keyed by the factors' orders: X*,
-which has the order of X, and relabelled lattices reach one entry, and a
-call whose lattices carry other names gets a view under its own names that
-shares the entry's arrays and join and meet tables. The cache keeps at
-most 32 entries; one of n elements holds about 9 n^2 + 300 n bytes for a
-tensor and 17 n^2 + 300 n for Q(X): 3 to 12 KB on lattices of at most four
-elements. ``morita tensor`` builds its tensors uncached.
+A context's parts X(x)Y, Y(x)X, Q(X) and Q(Y) are fixed by the isomorphism
+classes of the factors, so ``_order_part`` builds each once per class, on
+factors in canonical form, and renumbers it exactly to the orders of every
+other copy. One LRU of at most 32 entries, keyed by the factors' orders,
+keeps both: X*, which has the order of X, and relabelled lattices reach
+one entry, and a call whose lattices carry other names gets a view under
+its own names that shares the entry's arrays and join table. An entry of n
+elements holds about 9 n^2 + 300 n bytes for a tensor and 17 n^2 + 300 n
+for Q(X): 3 to 12 KB on lattices of at most four elements. ``morita
+tensor`` builds its tensors uncached.
 
 The passes of ``check_quantale``, ``check_bimodule``, ``is_m_regular`` (of
-a bimodule or quantale) and ``is_multimorphism`` are kept in one LRU of at
-most 1024 entries, ``errors._passes``, keyed by the check and the bytes of
-the orders and tables it reads, so no entry pins a lattice's join or meet
-table. A failure is never kept: it is named afresh from the call's own
-lattices. So the context report, the imprimitivity report (its bimodule,
-inner products and conjugate have the tables of X, the pairings and Y) and
-every re-check share one verdict per content. An entry holds about 9 n^2
-bytes for a quantale of n elements, n^2 + 9 (a^2 + b^2) + 8 n (a + b) for
-a bimodule on n elements over quantales of a and b, and a map's orders
-plus 8 bytes a cell: at most 3 KB, 0.4 KB on average, in a verify pass.
+a bimodule or quantale), ``is_multimorphism`` and the surjectivity checks
+are kept in one LRU of at most 1024 entries, ``errors._passes``, keyed by
+the check and the bytes of the orders and tables it reads, so no entry
+pins a lattice's join or meet table. A failure is never kept: it is named
+afresh from the call's own lattices. So the context report, the
+imprimitivity report (its bimodule, inner products and conjugate have the
+tables of X, the pairings and Y) and every re-check share one verdict per
+content. An entry holds about 9 n^2 bytes for a quantale of n elements,
+n^2 + 9 (a^2 + b^2) + 8 n (a + b) for a bimodule on n elements over
+quantales of a and b, and a map's orders plus 8 bytes a cell: at most
+3 KB, 0.4 KB on average, in a verify pass.
 """
 
 import functools
@@ -60,18 +63,20 @@ from collections import namedtuple
 
 import numpy as np
 
+from .enumeration import _canonical_order
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure,
-                     slice_collision, table_law)
-from .lattice import _freeze, _generates, conjugate_lattice, join_closure
-from .modules import (Bimodule, ModuleAction, check_bimodule,
-                      conjugate_bimodule, is_m_regular)
+                     memoised, slice_collision, table_law)
+from .lattice import (_assembled, _freeze, _generates, _reordered,
+                      conjugate_lattice, join_closure)
+from .modules import (Bimodule, _action, check_bimodule, conjugate_bimodule,
+                      is_m_regular)
 from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
                        image_subquantale, is_quantale_involution)
-from .tensor import (Multimorphism, _tensor_cap, _too_large, as_multimorphism,
-                     is_multimorphism, join_over_tuples, lift_multimorphism,
-                     tensor_product)
+from .tensor import (Multimorphism, _tensor_cap, _too_large, _trusted,
+                     as_multimorphism, is_multimorphism, join_over_tuples,
+                     lift_multimorphism, tensor_product)
 
 
 # --- witnesses --------------------------------------------------------------------
@@ -112,12 +117,13 @@ class MoritaPairWitness:
 def _proved_pair(x, y, p_gen, q_gen):
     """A witness on read-only int64 tables of the right shapes that are
     multimorphisms by construction, so not checked again."""
-    w = object.__new__(MoritaPairWitness)
-    w.x, w.y, w.p_gen, w.q_gen = x, y, p_gen, q_gen
-    return w
+    return _assembled(MoritaPairWitness, x=x, y=y, p_gen=p_gen, q_gen=q_gen)
 
 
+@memoised(lambda lat, table, label: (lat._key, table.tobytes()))
 def _surjective_by_generators(lat, table, label):
+    """Verdict that the values of the int64 ``table`` join-generate ``lat``;
+    a pass is kept by the order and the table's bytes, whatever its label."""
     if _generates(lat, table):
         return PASS
     closed = join_closure(lat, set(np.asarray(table).ravel().tolist()))
@@ -417,7 +423,8 @@ def _operator_family(part_tensor, gen, fixed_lat, endo):
     curried sup-maps; ``image_subquantale`` checks that it preserves joins."""
     rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
     idx = [endo.index[tuple(r)] for r in rows.tolist()]
-    return Multimorphism((part_tensor.lattice,), endo.carrier, idx)
+    return _trusted((part_tensor.lattice,), endo.carrier,
+                    _freeze(np.array(idx, dtype=np.int64)))
 
 
 def _per_class(idx_map, rows, error):
@@ -450,10 +457,21 @@ def _classwise_action(part_tensor, gen, fixed_lat, idx_map, side_label):
 @functools.lru_cache(maxsize=32)
 def _order_part(kind, *factors):
     """X(x)Y for ``kind`` "tensor" and factors (X, Y), or Q(X) for "endo"
-    and (X,), as first built on lattices of these orders, with its join
-    table computed so that every view of it shares one. A miss calls the
-    module-level ``tensor_product`` or ``endo_quantale``, so a tracer or a
-    test that rebinds them sees every build."""
+    and (X,), on lattices of these orders, with its join table computed.
+
+    Factors in canonical form are built on: the module-level
+    ``tensor_product`` or ``endo_quantale`` is called, so a tracer or a
+    test that rebinds them sees every build. Other factors take the part
+    of their canonical forms, from this cache, renumbered exactly to their
+    own orders; so each isomorphism class is built once.
+    """
+    orders = [_canonical_order(f) for f in factors]
+    if any(o != tuple(range(f.n)) for o, f in zip(orders, factors)):
+        part = _order_part(kind, *(
+            _reordered(f, list(o), [f.names[i] for i in o])[0]
+            for f, o in zip(factors, orders)))
+        return (part.renumbered(factors, orders) if kind == "tensor"
+                else part.renumbered(factors[0], orders[0]))
     if kind == "tensor":
         part = tensor_product(*factors)
         part.lattice.join                 # read by the swap lift
@@ -472,13 +490,13 @@ def _tensor(x, y):
         raise _too_large(cap)
     if t.factors[0].names == x.names and t.factors[1].names == y.names:
         return t
-    return t.relabel((x, y))
+    return t.renumbered((x, y))
 
 
 def _endo(x):
     'Q(X) from ``_order_part`` under the names of x.'
     q = _order_part("endo", x)
-    return q if q.base.names == x.names else q.relabel(x)
+    return q if q.base.names == x.names else q.renumbered(x)
 
 
 def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
@@ -507,21 +525,22 @@ def _context(w):
     fam_r = _operator_family(t_yx, w.q_gen, y, endo_y)
     quant_b, idx_b = image_subquantale(endo_y, fam_r)
 
-    lx = np.asarray(quant_a.op_values, dtype=np.int64).T
-    ly = np.asarray(quant_b.op_values, dtype=np.int64).T
-    rx = _classwise_action(t_yx, w.p_gen, x, idx_b, "x.R_b")
-    ry = _classwise_action(t_xy, w.q_gen, y, idx_a, "y.L_a")
+    # every table below is in range by construction; the laws are
+    # checked in ctx.report
+    lx = _freeze(np.array(quant_a.op_values, dtype=np.int64).T)
+    ly = _freeze(np.array(quant_b.op_values, dtype=np.int64).T)
+    rx = _freeze(_classwise_action(t_yx, w.p_gen, x, idx_b, "x.R_b"))
+    ry = _freeze(_classwise_action(t_xy, w.q_gen, y, idx_a, "y.L_a"))
 
-    bim_x = Bimodule(ModuleAction("left", quant_a, x, lx),
-                     ModuleAction("right", quant_b, x, rx))
-    bim_y = Bimodule(ModuleAction("left", quant_b, y, ly),
-                     ModuleAction("right", quant_a, y, ry))
+    bim_x = Bimodule(_action("left", quant_a, x, lx),
+                     _action("right", quant_b, x, rx))
+    bim_y = Bimodule(_action("left", quant_b, y, ly),
+                     _action("right", quant_a, y, ry))
 
-    # the pairings' bimorphism laws are checked in ctx.report
-    pair_xy = Multimorphism((x, y), quant_a.carrier,
-                            idx_a.values[t_xy.elem_table])
-    pair_yx = Multimorphism((y, x), quant_b.carrier,
-                            idx_b.values[t_yx.elem_table])
+    pair_xy = _trusted((x, y), quant_a.carrier,
+                       _freeze(idx_a.values[t_xy.elem_table]))
+    pair_yx = _trusted((y, x), quant_b.carrier,
+                       _freeze(idx_b.values[t_yx.elem_table]))
 
     ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
                         t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
@@ -702,7 +721,7 @@ def _class_star(tensor, idx_map, label):
     multi-ideals. The star of an operator class is the class of the swapped
     tensor element, provided that is independent of the representative.
     """
-    swap = Multimorphism(tensor.factors, tensor.lattice, tensor.elem_table.T)
+    swap = _trusted(tensor.factors, tensor.lattice, tensor.elem_table.T)
     swapped = idx_map.values[lift_multimorphism(swap, tensor).values]
     names = tensor.lattice.names
     star = _per_class(idx_map, swapped, lambda e1, e2: StarNotWellDefined(
@@ -732,8 +751,8 @@ def build_involutive_context(w: InvolutiveWitness):
     inv_a = InvolutiveQuantale(ctx.a, star_a)
     inv_b = InvolutiveQuantale(ctx.b, star_b)
 
-    inner_a = Multimorphism((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
-    inner_b = Multimorphism((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)
+    inner_a = _trusted((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
+    inner_b = _trusted((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)
     imp = ImprimitivityBimodule(inv_a, inv_b, ctx.x, inner_a, inner_b)
     imp.report = check_imprimitivity(imp)
     if not imp.report.ok:

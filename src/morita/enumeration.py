@@ -27,15 +27,16 @@ def _refine_classes(leq):
     Returns a list of index lists; any isomorphism must respect the
     partition, which keeps the permutation search small.
     """
-    n = leq.shape[0]
+    n, rows = leq.shape[0], leq.tolist()
+    ups = [[j for j in range(n) if j != i and rows[i][j]] for i in range(n)]
+    downs = [[j for j in range(n) if j != i and rows[j][i]] for i in range(n)]
     # downset size first, so canonical labellings run bottom-up
-    sig = [(int(leq[:, i].sum()), int(leq[i].sum())) for i in range(n)]
+    sig = [(len(downs[i]) + 1, len(ups[i]) + 1) for i in range(n)]
     for _ in range(3):
         ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
         rank = [ranked[s] for s in sig]
-        sig = [(rank[i],
-                tuple(sorted(rank[j] for j in range(n) if j != i and leq[i, j])),
-                tuple(sorted(rank[j] for j in range(n) if j != i and leq[j, i])))
+        sig = [(rank[i], tuple(sorted([rank[j] for j in ups[i]])),
+                tuple(sorted([rank[j] for j in downs[i]])))
                for i in range(n)]
     ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
     classes = {}
@@ -61,13 +62,21 @@ def _canonical_orderings(leq):
     """
     best, reach = None, []
     for order in _class_orderings(_refine_classes(leq)):
-        p = np.asarray(order)
-        key = leq[np.ix_(p, p)].tobytes()
+        key = leq[order][:, order].tobytes()
         if best is None or key < best:
             best, reach = key, [order]
         elif key == best:
             reach.append(order)
     return best, reach
+
+
+def _canonical_order(lat):
+    """The first ordering that reaches the canonical form of ``lat``: its
+    element order[k] is element k there. Kept on the lattice, so copies
+    that ``relabel`` makes later share it."""
+    if lat._canonical is None:
+        lat._canonical = tuple(_canonical_orderings(lat.leq)[1][0])
+    return lat._canonical
 
 
 def canonical_key(lat_or_leq) -> bytes:

@@ -164,22 +164,22 @@ PASS_MEMO_SIZE = 1024
 
 
 def memoised(key, passed=bool):
-    """Keep the passing outcomes of a one-argument check by content: the
-    tuple ``key(arg)`` of the bytes it reads (``lat._key``, ``tobytes()``),
-    or None to keep nothing. A pass names nothing, so it serves every
-    naming; any other outcome is computed afresh from the call's argument."""
+    """Keep the passing outcomes of a check by content: the tuple
+    ``key(*args)`` of the bytes it reads (``lat._key``, ``tobytes()``), or
+    None to keep nothing. A pass names nothing, so it serves every naming;
+    any other outcome is computed afresh from the call's arguments."""
     def wrap(check):
         @functools.wraps(check)
-        def memo(arg):
-            k = key(arg)
+        def memo(*args):
+            k = key(*args)
             if k is None:
-                return check(arg)
+                return check(*args)
             k = (check.__name__, *k)
             out = _passes.get(k)
             if out is not None:
                 _passes.move_to_end(k)
                 return out
-            out = check(arg)
+            out = check(*args)
             if passed(out):
                 _passes[k] = out
                 if len(_passes) > PASS_MEMO_SIZE:

@@ -35,6 +35,15 @@ def _index_table(values, shape, n, what):
     return _freeze(arr)
 
 
+def _assembled(cls, **slots):
+    """An instance of ``cls`` with these slots, its constructor's copies and
+    checks skipped: for read-only int64 tables in range by construction."""
+    obj = object.__new__(cls)
+    for name, value in slots.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class FiniteSupLattice:
     """A finite lattice. Build through :func:`validate_lattice`, or directly
     from an order that is a lattice by construction.
@@ -44,7 +53,7 @@ class FiniteSupLattice:
     """
 
     __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
-                 "_key", "_hash", "_irr", "_distributive")
+                 "_key", "_hash", "_irr", "_distributive", "_canonical")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -56,8 +65,7 @@ class FiniteSupLattice:
         self.top = top
         self._key = leq.tobytes()
         self._hash = hash((n, self._key))
-        self._irr = None
-        self._distributive = None
+        self._irr = self._distributive = self._canonical = None
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSupLattice)
@@ -140,6 +148,16 @@ class FiniteSupLattice:
         lat = copy.copy(self)
         lat.names = tuple(names)
         return lat
+
+
+def _reordered(lat, order, names):
+    """``lat`` with its element order[k] renumbered k, under ``names``, and
+    the map from old to new indices; its join table moves along."""
+    new = np.empty(lat.n, dtype=np.int64)
+    new[order] = np.arange(lat.n)
+    return FiniteSupLattice(
+        lat.n, names, lat.leq[order][:, order], new[lat.join[order][:, order]],
+        None, int(new[lat.bottom]), int(new[lat.top])), new
 
 
 def _words(rows):

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError, PASS,
                      failure, memoised, slice_collision, table_law)
-from .lattice import (FiniteSupLattice, _generates, _index_table,
-                      conjugate_lattice, join_closure)
+from .lattice import (FiniteSupLattice, _assembled, _freeze, _generates,
+                      _index_table, conjugate_lattice, join_closure)
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
 from .tensor import _trusted, is_multimorphism
 
@@ -188,11 +188,16 @@ def _bimodule_report(bim):
         m_regular=essential and separated)
 
 
+def _action(side, quantale, carrier, act):
+    'A ModuleAction on a read-only int64 table in range by construction.'
+    return _assembled(ModuleAction, side=side, quantale=quantale,
+                      carrier=carrier, act=act)
+
+
 def regular_bimodule(q: Quantale) -> Bimodule:
     'The quantale acting on itself on both sides by its multiplication.'
-    left = ModuleAction("left", q, q.carrier, q.mult.T)
-    right = ModuleAction("right", q, q.carrier, q.mult)
-    return Bimodule(left, right)
+    return Bimodule(_action("left", q, q.carrier, q.mult.T),
+                    _action("right", q, q.carrier, q.mult))
 
 
 def _regularity_key(target):
@@ -230,12 +235,13 @@ def is_m_regular(target) -> RegularityReport:
 # --- conjugates -------------------------------------------------------------------
 
 def _star_table(q: Quantale, star):
+    'The star as an index table on q; only an involution of q is accepted.'
     if star is None:
         raise MissingInvolution("conjugation needs involutions on both quantales")
     if isinstance(star, InvolutiveQuantale):
         if star.quantale != q:
             raise DomainMismatch("involution belongs to a different quantale")
-        return np.asarray(star.star)
+        return _index_table(star.star, (q.n,), q.n, "star")
     return np.asarray(as_involutive_quantale(q, star).star)
 
 
@@ -249,6 +255,5 @@ def conjugate_bimodule(bim: Bimodule, star_a, star_b) -> Bimodule:
     a, b = bim.left.quantale, bim.right.quantale
     sa, sb = _star_table(a, star_a), _star_table(b, star_b)
     xstar = conjugate_lattice(bim.carrier)
-    left = ModuleAction("left", b, xstar, bim.right.act[:, sb])
-    right = ModuleAction("right", a, xstar, bim.left.act[:, sa])
-    return Bimodule(left, right)
+    return Bimodule(_action("left", b, xstar, _freeze(bim.right.act[:, sb])),
+                    _action("right", a, xstar, _freeze(bim.left.act[:, sa])))

@@ -16,7 +16,8 @@ from .errors import (DomainMismatch, MissingInvolution, MoritaError,
                      memoised, table_law)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.quantale
-from .lattice import FiniteSupLattice, _freeze, _index_table, validate_lattice
+from .lattice import (FiniteSupLattice, _assembled, _freeze, _index_table,
+                      _reordered, validate_lattice)
 from .tensor import (Multimorphism, _trusted, enumerate_multimorphisms,
                      is_multimorphism)
 
@@ -87,24 +88,36 @@ class OperatorQuantale(Quantale):
 
     ``op_values[i]`` is the value table of operator i; ``index`` inverts it.
     The identity is recorded as the unit but nothing downstream relies on it.
+    Built only by construction (``endo_quantale``, ``image_subquantale``,
+    ``renumbered``), so ``mult`` is taken as it comes: a read-only int64
+    table in range, not copied or checked again.
     """
 
     __slots__ = ("base", "op_values", "index")
 
     def __init__(self, base, carrier, mult, op_values, unit):
-        super().__init__(carrier, mult, unit)
+        self.carrier, self.mult, self.unit = carrier, mult, unit
         self.base = base
         self.op_values = tuple(op_values)
         self.index = {v: i for i, v in enumerate(self.op_values)}
 
-    def relabel(self, base):
-        """Q(base) for a lattice with the order of this one's base but other
-        names: every table is shared, only the operator names are new."""
-        q = object.__new__(OperatorQuantale)
-        q.carrier = self.carrier.relabel(_op_names(base, self.op_values))
-        q.mult, q.unit, q.base = self.mult, self.unit, base
-        q.op_values, q.index = self.op_values, self.index
-        return q
+    def renumbered(self, base, perm=None):
+        """Q(base) for a lattice whose order is this one's base with element
+        i renumbered ``perm[i]``: each operator f becomes perm f perm^-1, and
+        the operators are sorted again, so the result equals a fresh build.
+        Without ``perm`` only the names change and every table is shared."""
+        old, ops = self.carrier, self.op_values
+        if perm is None:
+            return OperatorQuantale(base, old.relabel(_op_names(base, ops)),
+                                    self.mult, ops, self.unit)
+        perm = np.asarray(perm)
+        vals = np.empty((self.n, base.n), dtype=np.int64)
+        vals[:, perm] = perm[np.array(ops)]
+        order = np.lexsort(vals.T[::-1])
+        ops = [tuple(v) for v in vals[order].tolist()]
+        carrier, new = _reordered(old, order, _op_names(base, ops))
+        mult = _freeze(new[self.mult[order][:, order]])
+        return OperatorQuantale(base, carrier, mult, ops, int(new[self.unit]))
 
 
 def _op_names(x, ops):
@@ -129,7 +142,7 @@ def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
                                int(leq.all(axis=1).argmax()),
                                int(leq.all(axis=0).argmax()))
     mult = np.searchsorted(_row_keys(vals), _row_keys(vals[:, vals]))
-    return OperatorQuantale(x, carrier, mult, ops,
+    return OperatorQuantale(x, carrier, _freeze(mult), ops,
                             ops.index(tuple(range(x.n))))
 
 
@@ -163,14 +176,15 @@ def image_subquantale(q: Quantale, family: Multimorphism):
         len(ids), [q.names[e] for e in ids], leq,
         np.searchsorted(img, q.carrier.join[np.ix_(img, img)]), None,
         int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
-    mult = np.searchsorted(img, prod)
+    mult = _freeze(np.searchsorted(img, prod))
     unit = ids.index(q.unit) if q.unit in ids else None
-    sub = Quantale(carrier, mult, unit)
     if isinstance(q, OperatorQuantale):
         sub = OperatorQuantale(q.base, carrier, mult,
                                [q.op_values[e] for e in ids], unit)
-    corestriction = Multimorphism(family.factors, carrier,
-                                  np.searchsorted(img, family.values))
+    else:
+        sub = _assembled(Quantale, carrier=carrier, mult=mult, unit=unit)
+    corestriction = _trusted(family.factors, carrier,
+                             _freeze(np.searchsorted(img, family.values)))
     return sub, corestriction
 
 

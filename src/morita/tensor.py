@@ -30,8 +30,8 @@ from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, failure, memoised)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
-from .lattice import (FiniteSupLattice, _freeze, _index_table, _words,
-                      opposite, validate_lattice)
+from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
+                      _words, opposite, validate_lattice)
 
 # a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
 # here); join and meet tables, built only when used, add 8 n^2 bytes each
@@ -112,7 +112,7 @@ class MultiTensorLattice:
     mask of element i, over flat tuple indices in C order; ``elem_table``
     maps coordinate tuples to the index of their elementary tensor;
     ``maximal[i]`` lists the maximal generating tuples of element i, which
-    name it (None on a tensor built by hand, which cannot be relabelled).
+    name it (None on a tensor built by hand, which cannot be renumbered).
     """
 
     def __init__(self, factors, lattice, bits, elem_table, maximal=None):
@@ -126,13 +126,31 @@ class MultiTensorLattice:
     def n(self):
         return self.lattice.n
 
-    def relabel(self, factors):
-        """The tensor of ``factors``, lattices with the orders of this one's
-        but other names: the arrays and the computed join and meet tables
-        are shared, and only the element names are formatted anew."""
-        lattice = self.lattice.relabel(_tensor_names(factors, self.maximal))
-        return MultiTensorLattice(factors, lattice, self.bits,
-                                  self.elem_table, self.maximal)
+    def renumbered(self, factors, perms=None):
+        """The tensor of ``factors``, whose orders are this one's factors'
+        with element i of factor k renumbered ``perms[k][i]``. It equals a
+        fresh build array for array and name for name: a build depends on
+        the set of multi-ideals alone. Without ``perms`` only the names
+        change, and every array and computed table is shared."""
+        if perms is None:
+            lattice = self.lattice.relabel(_tensor_names(factors, self.maximal))
+            return MultiTensorLattice(factors, lattice, self.bits,
+                                      self.elem_table, self.maximal)
+        # cols[t]: the flat index of tuple t in the new numbering
+        cols = np.ravel_multi_index(np.ix_(*perms),
+                                    self.elem_table.shape).ravel()
+        rows = np.empty_like(self.bits)
+        rows[:, cols] = self.bits
+        order = _element_order(rows)
+        at = cols.tolist()
+        maximal = tuple(tuple(sorted(at[t] for t in self.maximal[e]))
+                        for e in order.tolist())
+        lattice, new = _reordered(self.lattice, order,
+                                  _tensor_names(factors, maximal))
+        elem_table = np.empty_like(self.elem_table)
+        elem_table.ravel()[cols] = new[self.elem_table.ravel()]
+        return MultiTensorLattice(factors, lattice, rows[order], elem_table,
+                                  maximal)
 
     def __repr__(self):
         shape = " x ".join(str(f.n) for f in self.factors)
@@ -154,14 +172,17 @@ def _maximal_tuples(bits, grid):
     return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
 
 
+def _element_order(rows):
+    'Tensor elements in order: by size, then by their rows as 0/1 strings.'
+    return np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+
+
 def _tensor_names(factors, maximal):
     'Readable names from the maximal generating tuples, index fallback beyond two.'
-    sizes = tuple(f.n for f in factors)
-    coords = np.unravel_index(np.arange(int(np.prod(sizes))), sizes)
-    labels = ["⊗".join(f.names[c] for f, c in zip(factors, t))
-              for t in zip(*(ci.tolist() for ci in coords))]
+    labels = ["⊗".join(t)                 # by flat tuple index, in C order
+              for t in itertools.product(*(f.names for f in factors))]
     return ["0" if not ts else f"t{i}" if len(ts) > 2 else
-            "∨".join(labels[t] for t in ts) for i, ts in enumerate(maximal)]
+            "∨".join([labels[t] for t in ts]) for i, ts in enumerate(maximal)]
 
 
 def tensor_product(*factors) -> MultiTensorLattice:
@@ -211,9 +232,7 @@ def tensor_product(*factors) -> MultiTensorLattice:
     rows = np.moveaxis(factors[k].leq.T[np.array(tables)], -1, k + 1)
     rows = rows.reshape(len(tables), g.tcount)
 
-    # order by size, then by the tuple rows read as 0/1 strings
-    order = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
-    bits = rows[order]
+    bits = rows[_element_order(rows)]
 
     # the ideals hold the whole grid and meet by intersection (the maps'
     # pointwise meet), so sorted by size the least comes first, the grid last
@@ -261,7 +280,9 @@ class Multimorphism:
 
 def _trusted(factors, target, values):
     """A Multimorphism on a read-only int64 table already known to have this
-    shape and entries in range; ``factors`` is a tuple."""
+    shape and entries in range; ``factors`` is a tuple. Slots are set
+    directly, not through ``lattice._assembled``: the enumerator calls
+    this once per table."""
     f = object.__new__(Multimorphism)
     f.factors, f.target, f.values = factors, target, values
     return f
@@ -501,4 +522,4 @@ def lift_multimorphism(f: Multimorphism,
     if tensor.factors != f.factors:
         raise DomainMismatch("tensor was built from different factors")
     values = join_over_tuples(tensor, f.target, f.values.reshape(-1, 1))
-    return Multimorphism((tensor.lattice,), f.target, values[:, 0])
+    return _trusted((tensor.lattice,), f.target, _freeze(values[:, 0]))

@@ -10,7 +10,8 @@
   elements named by a loop over tuples and its order validated, which the
   enumerated build of ``tensor_product`` is compared against;
 * brute-force enumerators of multimorphisms (sup-maps are the one-slot
-  ones) and lattices, which filter every raw table or relation, and the
+  ones) and lattices, which filter every raw table or relation, the
+  invariant classes of the canonical-form search read cell by cell, and the
   multimorphism backtracker with a Python join loop and a slotwise check
   per leaf, which ``enumerate_multimorphisms`` is compared against;
 * loop-based checks of the quantale and module sup-laws, one element at a
@@ -424,6 +425,25 @@ def enumerate_lattices_bruteforce(n, max_n=6):
         if not any(_isomorphic_brute(leq, r) for r in reps):
             reps.append(leq)
     return [validate_lattice(r) for r in reps]
+
+
+def refine_classes_by_cells(leq):
+    """``enumeration._refine_classes`` reading the order one matrix cell at
+    a time, as it did before it read precomputed up- and down-sets."""
+    n = leq.shape[0]
+    sig = [(int(leq[:, i].sum()), int(leq[i].sum())) for i in range(n)]
+    for _ in range(3):
+        ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
+        rank = [ranked[s] for s in sig]
+        sig = [(rank[i],
+                tuple(sorted(rank[j] for j in range(n) if j != i and leq[i, j])),
+                tuple(sorted(rank[j] for j in range(n) if j != i and leq[j, i])))
+               for i in range(n)]
+    ranked = {s: r for r, s in enumerate(sorted(set(sig)))}
+    classes = {}
+    for i in range(n):
+        classes.setdefault(ranked[sig[i]], []).append(i)
+    return [classes[r] for r in sorted(classes)]
 
 
 # --- loop-based quantale and module laws ------------------------------------------------

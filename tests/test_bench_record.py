@@ -54,3 +54,32 @@ def test_every_bench_file_is_a_list_of_recorder_entries():
             assert e["workload"] == path.stem[len("BENCH_"):]
             assert set(e["runs"]) == set(mod.METRICS)
             assert all(len(v) == len(e["seeds"]) for v in e["runs"].values())
+
+
+def test_comparison_counts_wins_and_gives_the_first_quartiles():
+    mod = _bench_record()
+
+    def result(setup, work, rss):
+        return {"metrics": {"setup_s": {"value": setup},
+                            "work_s": {"value": work},
+                            "peak_rss_mb": {"value": rss}}}
+    seeds = list(range(1, 11))
+    first = mod.entry("a", "verify", seeds, 25, [
+        result(0.3, 0.060 + 0.001 * k, 38.0) for k in range(10)])
+    second = mod.entry("b", "verify", seeds, 25, [
+        result(0.3, 0.052 + 0.001 * k, 38.0 - (k == 4)) for k in range(10)])
+    second["runs"]["work_s"][0] = 0.070        # the first checkout wins seed 1
+    c = mod.comparison(first, second)
+    assert c["work_s"]["wins"] == 9 and c["work_s"]["pairs"] == 10
+    q1, q2, q3 = c["work_s"]["quartiles"]
+    assert (round(q1, 5), round(q2, 5), round(q3, 5)) == (
+        0.06175, 0.0645, 0.06725)
+    assert c["setup_s"]["wins"] == 0           # a tie is no win
+    assert c["peak_rss_mb"]["wins"] == 1
+    lines = mod.comparison_lines("verify", first, second)
+    assert len(lines) == 3
+    assert lines[1].startswith("verify work_s: second won 9 of 10 pairs; "
+                               "median 0.0645 -> 0.0575 (gap +0.0070)")
+    assert lines[1].endswith("first quartiles [0.0617, 0.0673] (IQR 0.0055)")
+    one = mod.entry("c", "verify", [1], 25, [result(0.3, 0.06, 38.0)])
+    assert mod.comparison(one, one)["work_s"]["quartiles"] == (0.06,) * 3

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import (fails_alike_warm_and_cold, lattices_up_to,
-                      meet_tables, one_cell_changes, renumbered)
+                      meet_quantale, meet_tables, one_cell_changes,
+                      renumbered)
 from morita import engine, errors
 from morita import tensor as tensor_module
 from morita.census import (CensusTask, _lat_from_rows,
@@ -22,14 +23,17 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            involutive_conditions_from_tables,
                            _curried_from_generators, _distinct_slices,
                            _one_sided, _surjective_by_generators)
+from morita.enumeration import canonical_key
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
                            NotAMultimorphism, ResourceLimit,
                            StarNotWellDefined, failure)
-from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
-                            m3, opposite)
-from morita.modules import Bimodule, ModuleAction
-from morita.quantale import OperatorQuantale, endo_quantale
+from morita.lattice import (_index_table, chain, conjugate_lattice, diamond,
+                            join_closure, m3, opposite)
+from morita.modules import (Bimodule, ModuleAction, conjugate_bimodule,
+                            regular_bimodule)
+from morita.quantale import (OperatorQuantale, endo_quantale,
+                             image_subquantale)
 from morita.tensor import (Multimorphism, MultiTensorLattice, is_multimorphism,
                            tensor_product)
 import oracles
@@ -938,6 +942,48 @@ def test_cached_parts_equal_fresh_builds_on_every_small_lattice():
     assert engine._order_part.cache_info().hits > 0
 
 
+def test_each_isomorphism_class_is_built_once(monkeypatch):
+    builds = Counter()
+
+    def counted(kind, build):
+        def counting(*factors):
+            builds[(kind, *map(canonical_key, factors))] += 1
+            return build(*factors)
+        return counting
+    monkeypatch.setattr(engine, "tensor_product",
+                        counted("tensor", tensor_product))
+    monkeypatch.setattr(engine, "endo_quantale",
+                        counted("endo", endo_quantale))
+    classes = lattices_up_to(4)
+    variants = [_variants(lat) for lat in classes]
+    # the first variant of a class is its canonical form; the copies
+    # renumbered in reverse are not, bar the one-element lattice
+    reversed_copies = [renumbered(lat, range(lat.n)[::-1]) for lat in classes]
+    runs = []
+    for fill in (None, reversed_copies):
+        engine._order_part.cache_clear()
+        builds.clear()
+        parts = []
+        for i, xs in enumerate(variants):
+            if fill:
+                engine._endo(fill[i])
+            parts += [engine._endo(x) for x in xs]
+        for i, xs in enumerate(variants):
+            for j, ys in enumerate(variants):
+                if fill:
+                    engine._tensor(fill[i], fill[j])
+                parts += [engine._tensor(x, y)
+                          for x, y in zip(xs, itertools.cycle(ys))]
+        assert len(builds) == len(classes) + len(classes) ** 2
+        assert set(builds.values()) == {1}
+        runs.append(parts)
+    for got, want in zip(*runs):
+        if isinstance(want, MultiTensorLattice):
+            _same_tensor(got, want)
+        else:
+            _same_endo(got, want)
+
+
 def _renamed(lat, tag):
     return lat.relabel([f"{tag}{i}" for i in reversed(range(lat.n))])
 
@@ -988,6 +1034,13 @@ def test_a_cached_tensor_honours_the_tensor_cap_in_force(monkeypatch):
     assert engine._order_part.cache_info().hits == hits + 1
     assert str(cached.value) == str(fresh.value) == (
         "tensor exceeds 5 elements; raise MORITA_MAX_TENSOR")
+    # a renumbered copy misses, then hits the tensor of its canonical form
+    copy = meet_witness(renumbered(chain(3), [2, 0, 1]))
+    hits = engine._order_part.cache_info().hits
+    with pytest.raises(ResourceLimit) as renumbered_copy:
+        build_context_from_pair(copy)
+    assert engine._order_part.cache_info().hits == hits + 1
+    assert str(renumbered_copy.value) == str(fresh.value)
     monkeypatch.setenv("MORITA_MAX_TENSOR", "0")
     with pytest.raises(MoritaError, match="must be a positive integer"):
         build_context_from_pair(w)
@@ -1137,3 +1190,123 @@ def test_a_failure_names_the_elements_of_its_own_call():
                           f"f({tag}2, {tag}2) = {tag}2, not bottom")
         witnesses.add(v.witness)
     assert len(witnesses) == 2
+
+
+# --- tables in range by construction ------------------------------------------------
+
+def _in_range(table, shape, n):
+    'The table is what the validating constructors would have made of it.'
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert np.array_equal(_index_table(table, shape, n, "checked"), table)
+
+
+def _maps_in_range(maps):
+    for f in maps:
+        _in_range(f.values, tuple(g.n for g in f.factors), f.target.n)
+
+
+def _actions_in_range(bimodules):
+    for bim in bimodules:
+        for mod in (bim.left, bim.right):
+            _in_range(mod.act, (mod.carrier.n, mod.quantale.n),
+                      mod.carrier.n)
+
+
+def test_tables_built_in_range_pass_the_constructor_checks():
+    # every table that the context build, image_subquantale,
+    # regular_bimodule, conjugate_bimodule and the swap lift wrap unchecked
+    for x, y, p, q in _census_witnesses():
+        if y is None:
+            ctx, _, imp = build_involutive_context(
+                InvolutiveWitness.from_generators(x, p))
+            _maps_in_range([imp.inner_a, imp.inner_b])
+            _actions_in_range([conjugate_bimodule(imp.bimodule, imp.a, imp.b)])
+            for t in (ctx.t_xy, ctx.t_yx):
+                swap = Multimorphism(t.factors, t.lattice, t.elem_table.T)
+                _maps_in_range([tensor_module.lift_multimorphism(swap, t)])
+        else:
+            ctx = build_context_from_pair(
+                MoritaPairWitness.from_generators(x, y, p, q))
+        w = extract_pair_from_context(ctx)
+        xl, yl = ctx.x.carrier, ctx.y.carrier
+        endo_x, endo_y = engine._endo(xl), engine._endo(yl)
+        _maps_in_range([
+            ctx.pair_xy, ctx.pair_yx, ctx.idx_a, ctx.idx_b,
+            engine._operator_family(ctx.t_xy, w.p_gen, xl, endo_x),
+            engine._operator_family(ctx.t_yx, w.q_gen, yl, endo_y)])
+        for quant in (ctx.a, ctx.b, endo_x, endo_y):
+            _in_range(quant.mult, (quant.n, quant.n), quant.n)
+        _actions_in_range([ctx.x, ctx.y, regular_bimodule(ctx.a),
+                           regular_bimodule(ctx.b)])
+    for lat in lattices_up_to(4):
+        # the image of a quantale that is not one of operators
+        family = Multimorphism((lat,), lat, range(lat.n))
+        sub, corestriction = image_subquantale(meet_quantale(lat), family)
+        _in_range(sub.mult, (sub.n, sub.n), sub.n)
+        _maps_in_range([corestriction])
+        # Q(X) renumbered from the entry of its canonical form
+        endo = engine._endo(renumbered(lat, range(lat.n)[::-1]))
+        _in_range(endo.mult, (endo.n, endo.n), endo.n)
+
+
+# --- surjectivity passes kept by content -----------------------------------------------
+
+def test_fullness_reads_the_surjectivity_passes_of_the_context_report(
+        monkeypatch):
+    calls = []
+    generates = engine._generates
+
+    def counting(lat, table):
+        calls.append(lat)
+        return generates(lat, table)
+    monkeypatch.setattr(engine, "_generates", counting)
+    involutive = [w for w in _census_witnesses() if w[1] is None]
+    assert len(involutive) == 7
+    for x, _, p, _ in involutive:
+        ctx, _, imp = build_involutive_context(
+            InvolutiveWitness.from_generators(x, p))
+        errors._passes.clear()
+        del calls[:]
+        assert check_morita_context(ctx).ok
+        judged = len(calls)
+        assert 1 <= judged <= 2                # pairing-XY and pairing-YX
+        # fullness-A/B judge the pairings' tables into the same carriers
+        assert _surjective_by_generators(imp.a.carrier, imp.inner_a.values,
+                                         "fullness-A") is PASS
+        assert _surjective_by_generators(imp.b.carrier, imp.inner_b.values,
+                                         "fullness-B") is PASS
+        assert len(calls) == judged
+        assert check_imprimitivity(imp).ok
+        assert len(calls) <= judged + 2        # the conjugate fullness only
+
+
+def test_a_surjectivity_failure_is_named_afresh_from_its_own_call(
+        monkeypatch):
+    calls = []
+    generates = engine._generates
+    monkeypatch.setattr(engine, "_generates",
+                        lambda lat, t: calls.append(lat) or generates(lat, t))
+    lat = chain(3)
+    table = np.zeros((3, 3), dtype=np.int64)
+    table[2, 2] = 1
+    seen = []
+    for tag in ("u", "v", "u"):
+        v = _surjective_by_generators(_renamed(lat, tag), table, f"{tag}-map")
+        seen.append(str(v))
+    assert seen[0] == seen[2] != seen[1]
+    assert seen[1] == ("FAIL v-map-surjective at (v0) - image join-closure "
+                       "has 2 of 3 elements")
+    assert len(calls) == 3                     # no failure is kept
+    table[2, 2] = 2
+    table[1, 1] = 1
+    assert _surjective_by_generators(_renamed(lat, "w"), table, "w") is PASS
+    assert _surjective_by_generators(lat, table, "other") is PASS
+    assert len(calls) == 4                     # the pass is kept
+    # a kept pass serves neither another table nor another order
+    table[2, 2] = 1
+    assert not _surjective_by_generators(lat, table, "map").ok
+    table[:] = 1
+    table[2, 2] = 2
+    assert _surjective_by_generators(lat, table, "map") is PASS
+    assert str(_surjective_by_generators(opposite(lat), table, "op")) == (
+        "FAIL op-surjective at (0) - image join-closure has 2 of 3 elements")

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattices_up_to
-from morita.enumeration import (MAX_ENUM_N, automorphisms, canonical_key,
+from conftest import lattices_up_to, renumbered
+from morita.enumeration import (MAX_ENUM_N, _canonical_order, _refine_classes,
+                                automorphisms, canonical_key,
                                 enumerate_lattices, find_isomorphism)
 from morita.errors import ResourceLimit
-from morita.lattice import chain, diamond, m3, n5, validate_lattice
-from oracles import enumerate_lattices_bruteforce
+from morita.lattice import (chain, conjugate_lattice, diamond, m3, n5,
+                            validate_lattice)
+from oracles import enumerate_lattices_bruteforce, refine_classes_by_cells
 
 # unlabeled lattice counts for n = 1..6
 COUNTS = (1, 1, 1, 2, 5, 15)
@@ -113,3 +115,32 @@ def test_find_isomorphism_maps_relabelled_copies():
             assert np.array_equal(lat.leq, copy.leq[np.ix_(iso, iso)])
     for a, b in itertools.combinations(lats, 2):
         assert find_isomorphism(a, b) is None
+
+
+def test_invariant_classes_match_the_cell_by_cell_refinement():
+    rng = np.random.default_rng(19)
+    matrices = []
+    for lat in lattices_up_to(6):
+        for _ in range(5):
+            perm = rng.permutation(lat.n)
+            matrices.append(lat.leq[np.ix_(perm, perm)])
+    # reflexive relations that are no orders: the refinement reads cells
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        density = rng.random()
+        matrices.append((rng.random((n, n)) < density) | np.eye(n, dtype=bool))
+    for leq in matrices:
+        assert _refine_classes(leq) == refine_classes_by_cells(leq)
+
+
+def test_the_canonical_order_is_kept_and_shared_by_relabelled_copies():
+    rng = np.random.default_rng(20)
+    for lat in lattices_up_to(5):
+        copy = renumbered(lat, rng.permutation(lat.n))
+        order = _canonical_order(copy)
+        p = list(order)
+        assert copy.leq[p][:, p].tobytes() == canonical_key(copy)
+        assert _canonical_order(copy) is order
+        assert _canonical_order(conjugate_lattice(copy)) is order
+        # a canonical form is its own canonical order
+        assert _canonical_order(lat) == tuple(range(lat.n))

@@ -6,12 +6,13 @@ import pytest
 from conftest import (fails_alike_warm_and_cold, lattices_up_to,
                       meet_quantale, one_cell_changes, shuffled)
 from morita import errors
-from morita.errors import DomainMismatch, MissingInvolution
+from morita.errors import DomainMismatch, MissingInvolution, ShapeMismatch
 from morita.lattice import chain, diamond
 from morita.modules import (Bimodule, ModuleAction, check_bimodule,
                             check_module, conjugate_bimodule, essential_part,
                             is_m_regular, is_separated, regular_bimodule)
-from morita.quantale import (Quantale, as_involutive_quantale, check_quantale,
+from morita.quantale import (InvolutiveQuantale, Quantale,
+                             as_involutive_quantale, check_quantale,
                              endo_quantale)
 from oracles import essential_by_closure
 
@@ -116,6 +117,18 @@ def test_conjugate_rejects_foreign_star():
     iq2 = as_involutive_quantale(q2, (0, 1))
     with pytest.raises(DomainMismatch):
         conjugate_bimodule(regular_bimodule(q3), iq2, iq2)
+
+
+def test_conjugate_rejects_a_star_table_out_of_range():
+    # the conjugate's actions are gathers by the star, wrapped unchecked, so
+    # a star built by hand is range-checked first
+    q = meet_quantale(chain(3))
+    for star, error in (((0, 1, 3), DomainMismatch),
+                        ((0, 1, -1), DomainMismatch),
+                        ((0, 1), ShapeMismatch)):
+        with pytest.raises(error, match="star table"):
+            conjugate_bimodule(regular_bimodule(q),
+                               InvolutiveQuantale(q, star), (0, 1, 2))
 
 
 def test_conjugate_accepts_raw_star_table():

@@ -21,6 +21,12 @@ per-seed values in seed order. ``commit`` is ``git describe --always
 changes reads ``<hash>-dirty``. A run whose outputs differ from
 perfbench/reference.json stops the script with exit code 1 before
 anything is written.
+
+With two checkouts it also prints, per workload and metric, how many
+seeds the second checkout won (a lower value) and the first checkout's
+quartiles, so that a claimed gain can be read off the run: for example,
+at least 9 wins of 10 and a gap between the medians larger than the
+first checkout's interquartile range.
 """
 
 import argparse
@@ -61,6 +67,30 @@ def entry(commit, workload, seeds, seconds, results):
     out.update({m: statistics.median(v) for m, v in runs.items()})
     out["runs"] = runs
     return out
+
+
+def comparison(first, second):
+    """Per metric, the seeds on which ``second`` beat ``first`` and the
+    quartiles of ``first``, from two entries of one run."""
+    out = {}
+    for m in METRICS:
+        a, b = first["runs"][m], second["runs"][m]
+        q1, q2, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
+        out[m] = {"wins": sum(y < x for x, y in zip(a, b)), "pairs": len(a),
+                  "quartiles": (q1, q2, q3), "median": statistics.median(b)}
+    return out
+
+
+def comparison_lines(workload, first, second):
+    lines = []
+    for m, c in comparison(first, second).items():
+        q1, q2, q3 = c["quartiles"]
+        lines.append(
+            f"{workload} {m}: second won {c['wins']} of {c['pairs']} pairs; "
+            f"median {q2:.4f} -> {c['median']:.4f} "
+            f"(gap {q2 - c['median']:+.4f}), "
+            f"first quartiles [{q1:.4f}, {q3:.4f}] (IQR {q3 - q1:.4f})")
+    return lines
 
 
 def parse_args(argv=None):
@@ -115,6 +145,8 @@ def main(argv=None):
             print(f"{path}: {e['commit']} work_s {e['work_s']:.4f} "
                   f"setup_s {e['setup_s']:.4f} "
                   f"peak_rss_mb {e['peak_rss_mb']:.2f}")
+        if len(new) == 2:
+            print("\n".join(comparison_lines(workload, *new)))
     return 0
 
 
