@@ -31,7 +31,7 @@ import numpy as np
 # bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
 # morita.census; a record's context and imprimitivity digests are the
 # reports its build kept in ``ctx.report`` and ``imp.report``
-from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
+from .engine import (InvolutiveWitness, _distinct_slices, _proved_pair,
                      build_context_from_pair, build_involutive_context,
                      check_imprimitivity, check_morita_context,
                      check_pair_conditions, conditions_from_tables,
@@ -40,11 +40,12 @@ from .engine import (InvolutiveWitness, MoritaPairWitness, _distinct_slices,
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .io import leq_rows
-from .lattice import (_generates, conjugate_lattice, join_closure,
+from .lattice import (FiniteSupLattice, _assembled, _freeze, _generates,
+                      conjugate_lattice, default_names, join_closure,
                       validate_lattice)
-# is_multimorphism, join_closure and tensor_product are unused here but stay
-# bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
-# morita.census
+# is_multimorphism, join_closure, tensor_product and validate_lattice are
+# unused here but stay bound: the benchmark tracer (perfbench/tracer.py)
+# rebinds them in morita.census
 from .tensor import enumerate_multimorphisms, is_multimorphism, tensor_product
 
 
@@ -135,17 +136,18 @@ def _tuplify(a):
 
 
 def _lat_from_rows(rows):
+    'Rows that run_census wrote from validated lattices, built directly.'
     leq = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
-    return validate_lattice(leq)
+    return FiniteSupLattice(len(rows), default_names(len(rows)), leq, None,
+                            None, int(leq.all(axis=1).argmax()),
+                            int(leq.all(axis=0).argmax()))
 
 
 # --- per-space search ---------------------------------------------------------------
 
 def _surjective_tables(f1, f2, f3, z, cap):
-    out = []
-    for f in enumerate_trimorphisms(f1, f2, f3, z, surjective=True, cap=cap):
-        out.append(np.asarray(f.values, dtype=np.int64))
-    return out
+    return [f.values for f in
+            enumerate_trimorphisms(f1, f2, f3, z, surjective=True, cap=cap)]
 
 
 def _orbit_reps(witnesses, transforms):
@@ -187,9 +189,10 @@ def _general_space(x, y, tri_cap):
          (ax[ts[0][np.ix_(axi, ayi, axi)]], ay[ts[1][np.ix_(ayi, axi, ayi)]]))
         for ax, axi in auts_x for ay, ayi in auts_y]
 
+    # the enumerator yields multimorphisms, and automorphisms keep them so
     records = []
     for pt, qt in _orbit_reps(witnesses, transforms):
-        w = MoritaPairWitness.from_generators(x, y, pt, qt)
+        w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
         rep = check_pair_conditions(w)    # for the digest only:
         ctx = build_context_from_pair(w)  # this raises ConditionsFailed
         back = extract_pair_from_context(ctx)
@@ -223,7 +226,9 @@ def _involutive_space(x, tri_cap):
 
     records = []
     for (pt,) in _orbit_reps([(t,) for t in passing], transforms):
-        iw = InvolutiveWitness.from_generators(x, pt)
+        # an enumerated multimorphism moved by an automorphism is one
+        iw = _assembled(InvolutiveWitness, x=x, xstar=xstar,
+                        p_gen=_freeze(pt))
         rep = involutive_conditions_from_tables(x, iw.p_gen)  # for the digest
         ctx, (inv_a, inv_b), imp = build_involutive_context(iw)
         records.append(CensusRecord(

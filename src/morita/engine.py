@@ -44,18 +44,10 @@ elements holds about 9 n^2 + 300 n bytes for a tensor and 17 n^2 + 300 n
 for Q(X): 3 to 12 KB on lattices of at most four elements. ``morita
 tensor`` builds its tensors uncached.
 
-The passes of ``check_quantale``, ``check_bimodule``, ``is_m_regular`` (of
-a bimodule or quantale), ``is_multimorphism`` and the surjectivity checks
-are kept in one LRU of at most 1024 entries, ``errors._passes``, keyed by
-the check and the bytes of the orders and tables it reads, so no entry
-pins a lattice's join or meet table. A failure is never kept: it is named
-afresh from the call's own lattices. So the context report, the
-imprimitivity report (its bimodule, inner products and conjugate have the
-tables of X, the pairings and Y) and every re-check share one verdict per
-content. An entry holds about 9 n^2 bytes for a quantale of n elements,
-n^2 + 9 (a^2 + b^2) + 8 n (a + b) for a bimodule on n elements over
-quantales of a and b, and a map's orders plus 8 bytes a cell: at most
-3 KB, 0.4 KB on average, in a verify pass.
+A built context or imprimitivity bimodule carries its build's passing
+report, which ``check_morita_context`` or ``check_imprimitivity`` returns;
+one assembled by hand or read from a file is checked in full. Of the laws
+only the sup-laws keep their passes by content, in ``is_multimorphism``.
 """
 
 import functools
@@ -67,8 +59,8 @@ from .enumeration import _canonical_order
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, NotWellDefined,
                      PASS, ShapeMismatch, StarNotWellDefined, failure,
-                     memoised, slice_collision, table_law)
-from .lattice import (_assembled, _freeze, _generates, _reordered,
+                     slice_collision, table_law)
+from .lattice import (_SetOnce, _assembled, _freeze, _generates, _reordered,
                       conjugate_lattice, join_closure)
 from .modules import (Bimodule, _action, check_bimodule, conjugate_bimodule,
                       is_m_regular)
@@ -120,10 +112,8 @@ def _proved_pair(x, y, p_gen, q_gen):
     return _assembled(MoritaPairWitness, x=x, y=y, p_gen=p_gen, q_gen=q_gen)
 
 
-@memoised(lambda lat, table, label: (lat._key, table.tobytes()))
 def _surjective_by_generators(lat, table, label):
-    """Verdict that the values of the int64 ``table`` join-generate ``lat``;
-    a pass is kept by the order and the table's bytes, whatever its label."""
+    'Verdict that the values of the int64 ``table`` join-generate ``lat``.'
     if _generates(lat, table):
         return PASS
     closed = join_closure(lat, set(np.asarray(table).ravel().tolist()))
@@ -168,15 +158,19 @@ def _one_sided(lat, other, raw):
     ``clean``: surjective, no collision, and ``left == right`` throughout.
 
     No element names, so one entry serves every naming of the lattices;
-    the arrays are read-only because every caller shares them.
+    the arrays are read-only because every caller shares them. Raises
+    DomainMismatch for an entry outside lat.
     """
     nx, ny = lat.n, other.n
     table = np.frombuffer(raw, dtype=np.int64).reshape(nx, ny, nx)
+    values = set(table.ravel().tolist())
+    if min(values) < 0 or max(values) >= nx:
+        raise DomainMismatch(f"generator table has an entry outside 0..{nx - 1}")
     tail, head, _ = _chain_offsets(nx, ny)
     flat = table.ravel()
     left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
     right = flat[head + flat].ravel()
-    surjective = _generates(lat, table)
+    surjective = values.issuperset(lat.join_irreducibles())
     slot2 = slice_collision(table, 2)
     slot0 = slice_collision(table, 0)
     left_ne_right = left != right
@@ -281,20 +275,6 @@ def check_pair_conditions(w: MoritaPairWitness) -> ConditionReport:
 
 # --- contexts ---------------------------------------------------------------------
 
-class _SetOnce:
-    'Slots set once: one that holds a value other than None is read-only.'
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        if getattr(self, name, None) is not None:
-            raise AttributeError(f"{type(self).__name__}.{name} is set once")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__}.{name} is set once")
-
-
 class MoritaContext(_SetOnce):
     """The 6-tuple (A, B, X, Y, (-,-), [-,-]).
 
@@ -302,9 +282,10 @@ class MoritaContext(_SetOnce):
     A and ``pair_yx`` in B. Contexts built from witnesses also carry the
     two-fold tensors X(x)Y and Y(x)X and the operator-class index maps, which
     the involutive stars reuse, and in ``report`` the passing
-    ``check_morita_context`` report of the build, which extraction reads in
-    place of a second check; it is None for contexts built by hand or read
-    from files. A built context is read-only.
+    ``check_morita_context`` report of the build, which that check returns
+    and extraction reads in place of a second check; it is None for
+    contexts built by hand or read from files. A built context is
+    read-only.
     """
 
     __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
@@ -342,7 +323,10 @@ def _regularity_verdict(report, label):
 
 
 def check_morita_context(ctx: MoritaContext) -> ConditionReport:
-    'The full Morita-context definition, one verdict per law.'
+    """The full Morita-context definition, one verdict per law; a built
+    context answers with its build's report."""
+    if ctx.report is not None:
+        return ctx.report
     rep = ConditionReport()
     rep.add("quantale-A", check_quantale(ctx.a))
     rep.add("quantale-B", check_quantale(ctx.b))
@@ -649,8 +633,8 @@ class ImprimitivityBimodule(_SetOnce):
     """X with two inner products over involutive quantales A and B.
 
     ``report`` is the passing ``check_imprimitivity`` report of a bimodule
-    built by ``build_involutive_context``; it is None for one built by hand.
-    A built bimodule is read-only.
+    built by ``build_involutive_context``, which that check returns; it is
+    None for one built by hand. A built bimodule is read-only.
     """
 
     __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report")
@@ -671,7 +655,10 @@ class ImprimitivityBimodule(_SetOnce):
 
 def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
     """Imprimitivity laws: involutions, module laws, m-regularity, fullness,
-    compatibility, and the conjugate structure."""
+    compatibility, and the conjugate structure; a built bimodule answers
+    with its build's report."""
+    if imp.report is not None:
+        return imp.report
     rep = ConditionReport()
     rep.add("involution-A",
             is_quantale_involution(imp.a.quantale, imp.a.star))

@@ -2,12 +2,10 @@
 
 Two checks recur across the package and are written once here:
 ``table_law``, that two index tables agree, and ``slice_collision``, the
-search for two equal slices of a table along one slot. ``memoised`` keeps
-the passing outcomes of the structure checks by content.
+search for two equal slices of a table along one slot.
 """
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,37 +154,6 @@ def slice_collision(table, axis):
         if u != v:
             return u, v
     return None
-
-
-# passing outcomes by check and content, least recently used first
-_passes = OrderedDict()
-PASS_MEMO_SIZE = 1024
-
-
-def memoised(key, passed=bool):
-    """Keep the passing outcomes of a check by content: the tuple
-    ``key(*args)`` of the bytes it reads (``lat._key``, ``tobytes()``), or
-    None to keep nothing. A pass names nothing, so it serves every naming;
-    any other outcome is computed afresh from the call's arguments."""
-    def wrap(check):
-        @functools.wraps(check)
-        def memo(*args):
-            k = key(*args)
-            if k is None:
-                return check(*args)
-            k = (check.__name__, *k)
-            out = _passes.get(k)
-            if out is not None:
-                _passes.move_to_end(k)
-                return out
-            out = check(*args)
-            if passed(out):
-                _passes[k] = out
-                if len(_passes) > PASS_MEMO_SIZE:
-                    _passes.popitem(last=False)
-            return out
-        return memo
-    return wrap
 
 
 @functools.lru_cache(maxsize=256)

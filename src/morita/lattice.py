@@ -35,6 +35,20 @@ def _index_table(values, shape, n, what):
     return _freeze(arr)
 
 
+class _SetOnce:
+    'Slots set once: one that holds a value other than None is read-only.'
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if getattr(self, name, None) is not None:
+            raise AttributeError(f"{type(self).__name__}.{name} is set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is set once")
+
+
 def _assembled(cls, **slots):
     """An instance of ``cls`` with these slots, its constructor's copies and
     checks skipped: for read-only int64 tables in range by construction."""
@@ -114,17 +128,17 @@ class FiniteSupLattice:
         """Elements with exactly one lower cover, in topological order.
 
         Every element is the join of the irreducibles below it, so maps are
-        determined by (and enumerable from) their values here.
+        determined by (and enumerable from) their values here. An element
+        is one exactly when the elements strictly below it form the
+        down-set of one element; the bottom's, empty, never do.
         """
         if self._irr is None:
-            strictly_below = self.leq.T & ~np.eye(self.n, dtype=bool)
-            irr = []
-            for j in range(self.n):
-                below = np.flatnonzero(strictly_below[j])
-                if j != self.bottom and self.join_of(below) != j:
-                    irr.append(j)
-            irr.sort(key=lambda j: int(self.leq[:, j].sum()))
-            self._irr = tuple(irr)
+            down = np.ascontiguousarray(self.leq.T)      # down[j]: j's down-set
+            principal = {row.tobytes() for row in down}
+            strictly = down & ~np.eye(self.n, dtype=bool)
+            sizes = down.sum(axis=1).tolist()
+            irr = [j for j in range(self.n) if strictly[j].tobytes() in principal]
+            self._irr = tuple(sorted(irr, key=sizes.__getitem__))
         return self._irr
 
     def is_distributive(self):

@@ -19,14 +19,15 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError, PASS,
-                     failure, memoised, slice_collision, table_law)
-from .lattice import (FiniteSupLattice, _assembled, _freeze, _generates,
-                      _index_table, conjugate_lattice, join_closure)
+                     failure, slice_collision, table_law)
+from .lattice import (FiniteSupLattice, _SetOnce, _assembled, _freeze,
+                      _generates, _index_table, conjugate_lattice,
+                      join_closure)
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
 from .tensor import _trusted, is_multimorphism
 
 
-class ModuleAction:
+class ModuleAction(_SetOnce):
     __slots__ = ("side", "quantale", "carrier", "act")
 
     def __init__(self, side, quantale: Quantale, carrier: FiniteSupLattice, act):
@@ -82,7 +83,7 @@ def check_module(mod: ModuleAction):
     return PASS
 
 
-class Bimodule:
+class Bimodule(_SetOnce):
     __slots__ = ("left", "right")
 
     def __init__(self, left: ModuleAction, right: ModuleAction):
@@ -109,15 +110,6 @@ class Bimodule:
                 f"|B|={self.right.quantale.n})")
 
 
-def _bimodule_key(bim):
-    'The orders and tables that check_bimodule reads, as bytes.'
-    a, b = bim.left.quantale, bim.right.quantale
-    return (bim.carrier._key, a.carrier._key, a.mult.tobytes(),
-            b.carrier._key, b.mult.tobytes(), bim.left.act.tobytes(),
-            bim.right.act.tobytes())
-
-
-@memoised(_bimodule_key)
 def check_bimodule(bim: Bimodule):
     'Verdict: both module laws plus commutation (a.m).b = a.(m.b).'
     v = check_module(bim.left)
@@ -200,24 +192,12 @@ def regular_bimodule(q: Quantale) -> Bimodule:
                     _action("right", q, q.carrier, q.mult))
 
 
-def _regularity_key(target):
-    'The carrier\'s order and the action tables of a bimodule or quantale.'
-    if isinstance(target, Bimodule):
-        return (target.carrier._key, target.left.act.tobytes(),
-                target.right.act.tobytes())
-    if isinstance(target, Quantale):
-        return (target.carrier._key, target.mult.tobytes())
-    return None
-
-
-@memoised(_regularity_key, passed=lambda rep: rep.m_regular)
 def is_m_regular(target) -> RegularityReport:
     """Essential-and-separated report for an action, bimodule, or quantale.
 
     A quantale is judged as a bimodule over itself, whose separation is
     two-sided cancellation of the curried multiplication; when it comes out
-    m-regular, the consequence top.top = top is asserted. An m-regular
-    report of a bimodule or quantale is kept, and shared, by content.
+    m-regular, the consequence top.top = top is asserted.
     """
     if isinstance(target, ModuleAction):
         return _action_report(target)

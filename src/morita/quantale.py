@@ -13,16 +13,16 @@ import numpy as np
 
 from .errors import (DomainMismatch, MissingInvolution, MoritaError,
                      NotAMultimorphism, NotCompositionClosed, PASS, failure,
-                     memoised, table_law)
+                     table_law)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.quantale
-from .lattice import (FiniteSupLattice, _assembled, _freeze, _index_table,
-                      _reordered, validate_lattice)
+from .lattice import (FiniteSupLattice, _SetOnce, _assembled, _freeze,
+                      _index_table, _reordered, validate_lattice)
 from .tensor import (Multimorphism, _trusted, enumerate_multimorphisms,
                      is_multimorphism)
 
 
-class Quantale:
+class Quantale(_SetOnce):
     __slots__ = ("carrier", "mult", "unit")
 
     def __init__(self, carrier: FiniteSupLattice, mult, unit=None):
@@ -57,11 +57,9 @@ _SUP_LAWS = {"slot-0-bottom": "left-annihilation",
              "slot-1-joins": "left-distributive"}
 
 
-@memoised(lambda q: (q.carrier._key, q.mult.tobytes()))
 def check_quantale(q: Quantale):
     """Verdict on associativity, then on the sup-laws: distributivity over
-    joins and annihilation by bottom, in both arguments. A pass is kept by
-    the carrier's order and the bytes of the product table."""
+    joins and annihilation by bottom, in both arguments."""
     m, names = q.mult, q.names
     v = table_law("associative", m[m, :], m[:, m], (names,) * 3, names,
                   "(ab)c = {} but a(bc) = {}")

@@ -23,11 +23,12 @@ are yielded without the ``Multimorphism`` constructor's checks.
 import functools
 import itertools
 import os
+from collections import OrderedDict
 
 import numpy as np
 
 from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
-                     PASS, ResourceLimit, failure, memoised)
+                     PASS, ResourceLimit, failure)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
 from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
@@ -325,17 +326,30 @@ def _join_break(f: Multimorphism):
     return None
 
 
-@memoised(lambda f: (*(fac._key for fac in f.factors), f.target._key,
-                     f.values.tobytes()))
+# at most 1024 passes by the bytes of the orders and table, least recently
+# used first; no entry holds a lattice, so none pins a join table
+_sup_law_memo = OrderedDict()
+
+
 def is_multimorphism(f: Multimorphism):
     """Verdict: each slot preserves the empty and binary joins.
 
     A failure names every coordinate: the witness is the call with slot i
     at its bottom, or at the two elements whose join breaks. A pass is kept
-    by the orders of the factors and target and the bytes of the table.
+    by content, since one table recurs across distinct objects (a pairing
+    and an inner product, a conjugate bimodule's action and Y's); a
+    failure is computed and named afresh from the call's own lattices.
     """
+    key = (*(fac._key for fac in f.factors), f.target._key,
+           f.values.tobytes())
+    if key in _sup_law_memo:
+        _sup_law_memo.move_to_end(key)
+        return PASS
     found = _join_break(f)
     if found is None:
+        _sup_law_memo[key] = None
+        if len(_sup_law_memo) > 1024:
+            _sup_law_memo.popitem(last=False)
         return PASS
     i, pair, r = found
     fac, tgt = f.factors[i], f.target

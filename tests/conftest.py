@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from morita import engine, errors
+from morita import engine, tensor
 from morita.enumeration import enumerate_lattices
 from morita.lattice import validate_lattice
 from morita.quantale import Quantale
@@ -12,14 +12,14 @@ from morita.quantale import Quantale
 @pytest.fixture(autouse=True)
 def _fresh_context_parts():
     """Each test starts and ends with no cached tensor or Q(X) and no kept
-    pass: a test that swaps in a builder or a check sees it called on the
-    first miss, and what a faulty one returns is not served to a later
-    test."""
+    sup-law pass: a test that swaps in a builder or a check sees it called
+    on the first miss, and what a faulty one returns is not served to a
+    later test."""
     engine._order_part.cache_clear()
-    errors._passes.clear()
+    tensor._sup_law_memo.clear()
     yield
     engine._order_part.cache_clear()
-    errors._passes.clear()
+    tensor._sup_law_memo.clear()
 
 
 def meet_tables(lat):
@@ -65,11 +65,11 @@ def one_cell_changes(table, n):
 
 
 def fails_alike_warm_and_cold(check, passing, mutants):
-    """How many mutants fail ``check``: each one fails alike with no pass
-    kept and after ``passing`` has passed."""
+    """How many mutants fail ``check``: each one fails alike with no sup-law
+    pass kept and after ``passing`` has passed."""
     failed = 0
     for mutant in mutants:
-        errors._passes.clear()
+        tensor._sup_law_memo.clear()
         cold = check(mutant)
         if cold.ok:
             continue

@@ -9,6 +9,9 @@
   bit-packed closure kernel ``morita._kernels.close_ideal``, with its
   elements named by a loop over tuples and its order validated, which the
   enumerated build of ``tensor_product`` is compared against;
+* ``join_irreducibles_by_joins``, the join-irreducibles found by joining
+  the elements strictly below each one, which the down-set lookup of
+  ``FiniteSupLattice.join_irreducibles`` is compared against;
 * brute-force enumerators of multimorphisms (sup-maps are the one-slot
   ones) and lattices, which filter every raw table or relation, the
   invariant classes of the canonical-form search read cell by cell, and the
@@ -307,6 +310,19 @@ def check_involutive_conditions_full(w) -> ConditionReport:
 
 
 # --- brute-force enumerators ----------------------------------------------------------
+
+def join_irreducibles_by_joins(lat):
+    """The elements other than the bottom that are not the join of the
+    elements strictly below them, sorted by down-set size."""
+    strictly_below = lat.leq.T & ~np.eye(lat.n, dtype=bool)
+    irr = []
+    for j in range(lat.n):
+        below = np.flatnonzero(strictly_below[j])
+        if j != lat.bottom and lat.join_of(below) != j:
+            irr.append(j)
+    irr.sort(key=lambda j: int(lat.leq[:, j].sum()))
+    return tuple(irr)
+
 
 def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):
     'Filter every raw function table; independent oracle for tiny shapes.'

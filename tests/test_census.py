@@ -10,15 +10,27 @@ import pytest
 import morita.census
 import morita.engine
 from conftest import lattices_up_to, meet_tables
-from morita.census import (CensusRecord, CensusTask,
+from morita.census import (CensusRecord, CensusTask, _lat_from_rows,
                            enumerate_multimorphisms, enumerate_trimorphisms,
                            run_census)
 from morita.engine import conditions_from_tables
 from morita.errors import DomainMismatch, ResourceLimit
+from morita.io import leq_rows
 from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
                             m3, n5)
 from morita.tensor import Multimorphism, is_multimorphism
 from oracles import enumerate_multimorphisms_bruteforce
+
+
+def test_a_lattice_read_back_from_its_rows_is_the_validated_one():
+    # the census builds a worker's lattices directly from the rows that
+    # run_census wrote from validated ones
+    for lat in lattices_up_to(5):
+        got = _lat_from_rows(leq_rows(lat))
+        assert got == lat and got.names == lat.names
+        assert (got.bottom, got.top) == (lat.bottom, lat.top)
+        assert np.array_equal(got.join, lat.join)
+        assert np.array_equal(got.meet, lat.meet)
 
 
 def test_trimorphism_count_on_two_chains():

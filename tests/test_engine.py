@@ -10,7 +10,7 @@ import pytest
 from conftest import (fails_alike_warm_and_cold, lattices_up_to,
                       meet_quantale, meet_tables, one_cell_changes,
                       renumbered)
-from morita import engine, errors
+from morita import engine
 from morita import tensor as tensor_module
 from morita.census import (CensusTask, _lat_from_rows,
                            enumerate_trimorphisms, run_census)
@@ -189,19 +189,42 @@ def test_extraction_builds_no_tensor(monkeypatch):
     assert checked == [bare] and len(tables) == 2
 
 
+def test_a_generator_entry_outside_the_lattice_is_a_domain_mismatch():
+    c3 = chain(3)
+    good = meet_tables(c3)
+    for entry in (3, 7, -1):
+        bad = np.array(good)
+        bad[1, 2, 0] = entry
+        for call in (lambda: conditions_from_tables(c3, c3, bad, good),
+                     lambda: conditions_from_tables(c3, c3, good, bad),
+                     lambda: involutive_conditions_from_tables(c3, bad)):
+            with pytest.raises(DomainMismatch, match="outside 0..2"):
+                call()
+    assert conditions_from_tables(c3, c3, good, good).ok
+    assert involutive_conditions_from_tables(c3, good).ok
+
+
 def test_a_built_context_and_bimodule_are_read_only():
     ctx, _, imp = build_involutive_context(
         InvolutiveWitness.from_generators(chain(3), meet_tables(chain(3))))
-    for obj in (ctx, imp):
-        proof = obj.report
-        assert proof.ok
-        for slot in type(obj).__slots__:
+    # and what their reports judged: the quantales, bimodules and actions
+    parts = [ctx.a, ctx.b, ctx.x, ctx.y]      # imp.bimodule is ctx.x
+    parts += [act for bim in (ctx.x, ctx.y) for act in (bim.left, bim.right)]
+    for obj in (ctx, imp, *parts):
+        proof = getattr(obj, "report", None)   # a context's or imp's
+        assert proof is None or proof.ok
+        slots = [s for cls in type(obj).__mro__
+                 for s in getattr(cls, "__slots__", ())]
+        assert slots and not hasattr(obj, "__dict__")
+        for slot in slots:
+            if getattr(obj, slot) is None:    # a unit the image lacks
+                continue
             for value in (getattr(obj, slot), None):
                 with pytest.raises(AttributeError, match="is set once"):
                     setattr(obj, slot, value)
             with pytest.raises(AttributeError, match="is set once"):
                 delattr(obj, slot)
-        assert obj.report is proof
+        assert getattr(obj, "report", None) is proof
     # a context built by hand has no report until one is set, once
     bare = MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, ctx.pair_xy, ctx.pair_yx)
     assert bare.report is None
@@ -1103,17 +1126,53 @@ def test_warm_reports_match_cold_ones_on_every_census_context(monkeypatch):
         copies = [(_renamed(x, "u"), y and _renamed(y, "v"), p, q),
                   _renumbered_witness(x, y, p, q, rng)]
         for copy in copies:
-            errors._passes.clear()
+            tensor_module._sup_law_memo.clear()
             cold = _reports(*copy)
             assert all(digest == {k: True for k in digest}
                        for digest, _ in cold)
-            errors._passes.clear()
+            tensor_module._sup_law_memo.clear()
             assert _reports(x, y, p, q) == _reports(x, y, p, q)
             del sup_law_checks[:]
             assert _reports(*copy) == cold
             if copy is copies[0]:
                 # same tables under new names: every sup-law pass is kept
                 assert sup_law_checks == []
+
+
+def test_a_built_object_answers_its_recheck_with_its_own_report(
+        monkeypatch):
+    # the same parts assembled by hand have no report and are checked in
+    # full, to the same digest and summary
+    judged = []
+    check = engine.check_bimodule
+    monkeypatch.setattr(engine, "check_bimodule",
+                        lambda bim: judged.append(bim) or check(bim))
+    rng = np.random.default_rng(20)
+    for w in _census_witnesses():
+        for x, y, p, q in (w, _renumbered_witness(*w, rng)):
+            if y is None:
+                ctx, _, imp = build_involutive_context(
+                    InvolutiveWitness.from_generators(x, p))
+                bare_imp = ImprimitivityBimodule(
+                    imp.a, imp.b, imp.bimodule, imp.inner_a, imp.inner_b)
+                built = [(imp, bare_imp, check_imprimitivity)]
+            else:
+                ctx = build_context_from_pair(
+                    MoritaPairWitness.from_generators(x, y, p, q))
+                built = []
+            bare = MoritaContext(ctx.a, ctx.b, ctx.x, ctx.y, ctx.pair_xy,
+                                 ctx.pair_yx)
+            built.append((ctx, bare, check_morita_context))
+            for obj, by_hand, recheck in built:
+                del judged[:]
+                assert recheck(obj) is obj.report
+                assert judged == []
+                assert by_hand.report is None
+                full = recheck(by_hand)
+                assert judged                 # checked in full
+                assert full is not obj.report
+                assert full.digest() == obj.report.digest()
+                assert full.summary() == obj.report.summary()
 
 
 def test_a_context_one_cell_off_fails_alike_warm_and_cold():
@@ -1166,7 +1225,7 @@ def test_a_map_into_another_target_fails_alike_warm_and_cold():
             continue
         flips += 1
         flipped = Multimorphism(xy.factors, opposite(xy.target), xy.values)
-        errors._passes.clear()
+        tensor_module._sup_law_memo.clear()
         cold = is_multimorphism(flipped)
         assert not cold.ok
         assert is_multimorphism(xy).ok
@@ -1213,9 +1272,14 @@ def _actions_in_range(bimodules):
 
 
 def test_tables_built_in_range_pass_the_constructor_checks():
-    # every table that the context build, image_subquantale,
+    # every table that the census, the context build, image_subquantale,
     # regular_bimodule, conjugate_bimodule and the swap lift wrap unchecked
     for x, y, p, q in _census_witnesses():
+        # the census's orbit representatives (the records' tables)
+        middle = conjugate_lattice(x) if y is None else y
+        assert is_multimorphism(Multimorphism((x, middle, x), x, p)).ok
+        if q is not None:
+            assert is_multimorphism(Multimorphism((y, x, y), y, q)).ok
         if y is None:
             ctx, _, imp = build_involutive_context(
                 InvolutiveWitness.from_generators(x, p))
@@ -1249,36 +1313,7 @@ def test_tables_built_in_range_pass_the_constructor_checks():
         _in_range(endo.mult, (endo.n, endo.n), endo.n)
 
 
-# --- surjectivity passes kept by content -----------------------------------------------
-
-def test_fullness_reads_the_surjectivity_passes_of_the_context_report(
-        monkeypatch):
-    calls = []
-    generates = engine._generates
-
-    def counting(lat, table):
-        calls.append(lat)
-        return generates(lat, table)
-    monkeypatch.setattr(engine, "_generates", counting)
-    involutive = [w for w in _census_witnesses() if w[1] is None]
-    assert len(involutive) == 7
-    for x, _, p, _ in involutive:
-        ctx, _, imp = build_involutive_context(
-            InvolutiveWitness.from_generators(x, p))
-        errors._passes.clear()
-        del calls[:]
-        assert check_morita_context(ctx).ok
-        judged = len(calls)
-        assert 1 <= judged <= 2                # pairing-XY and pairing-YX
-        # fullness-A/B judge the pairings' tables into the same carriers
-        assert _surjective_by_generators(imp.a.carrier, imp.inner_a.values,
-                                         "fullness-A") is PASS
-        assert _surjective_by_generators(imp.b.carrier, imp.inner_b.values,
-                                         "fullness-B") is PASS
-        assert len(calls) == judged
-        assert check_imprimitivity(imp).ok
-        assert len(calls) <= judged + 2        # the conjugate fullness only
-
+# --- surjectivity failures named afresh ---------------------------------------------
 
 def test_a_surjectivity_failure_is_named_afresh_from_its_own_call(
         monkeypatch):
@@ -1297,14 +1332,7 @@ def test_a_surjectivity_failure_is_named_afresh_from_its_own_call(
     assert seen[1] == ("FAIL v-map-surjective at (v0) - image join-closure "
                        "has 2 of 3 elements")
     assert len(calls) == 3                     # no failure is kept
-    table[2, 2] = 2
-    table[1, 1] = 1
-    assert _surjective_by_generators(_renamed(lat, "w"), table, "w") is PASS
-    assert _surjective_by_generators(lat, table, "other") is PASS
-    assert len(calls) == 4                     # the pass is kept
-    # a kept pass serves neither another table nor another order
-    table[2, 2] = 1
-    assert not _surjective_by_generators(lat, table, "map").ok
+    # a table that passes on one order fails, named, on another
     table[:] = 1
     table[2, 2] = 2
     assert _surjective_by_generators(lat, table, "map") is PASS

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattices_up_to
+from conftest import lattices_up_to, shuffled
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, MissingJoin, MoritaError,
                            NoBottom, NotAMultimorphism, NotAPartialOrder,
@@ -16,10 +16,12 @@ from morita.lattice import (FiniteSupLattice, chain, conjugate_lattice,
                             diamond, join_closure, m3, n5, opposite,
                             validate_lattice)
 from morita.modules import ModuleAction
-from morita.quantale import Quantale
+from morita.quantale import Quantale, endo_quantale
 from morita.tensor import (Multimorphism, as_multimorphism,
-                           enumerate_multimorphisms, is_multimorphism)
-from oracles import enumerate_multimorphisms_bruteforce
+                           enumerate_multimorphisms, is_multimorphism,
+                           tensor_product)
+from oracles import (enumerate_multimorphisms_bruteforce,
+                     join_irreducibles_by_joins)
 
 
 def test_chain_tables_are_min_max():
@@ -255,6 +257,20 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
         want = validate_lattice(lat.leq, [f"u{i}" for i in range(lat.n)])
         assert lat.join_irreducibles() == want.join_irreducibles()
         assert lat.is_distributive() == want.is_distributive()
+
+
+def test_join_irreducibles_agree_with_the_join_loop():
+    # the same tuple in the same order: the down-set lookup against the
+    # loop of joins over the elements strictly below
+    rng = np.random.default_rng(20)
+    stock = (chain(3), diamond(), m3(), n5())
+    lats = lattices_up_to(6)
+    lats += [shuffled(lat, rng) for lat in lats]
+    lats += [tensor_product(a, b).lattice
+             for a, b in itertools.product(stock, repeat=2)]
+    lats += [endo_quantale(lat).carrier for lat in stock]
+    for lat in lats:
+        assert lat.join_irreducibles() == join_irreducibles_by_joins(lat)
 
 
 def test_missing_bound_raises_on_first_read():
