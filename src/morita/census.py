@@ -11,15 +11,16 @@ emitted in a deterministic sorted order independent of the worker count.
 
 In general mode a p candidate is a surjective table on X(x)Y(x)X whose
 curried maps pass conditions 3 and 4, and a q candidate one on Y(x)X(x)Y
-passing 5 and 6. Every p x q pair of candidates then gets one
-``conditions_from_tables`` call. Its outcome is exact at once, and a
-failing report names its law and counterexample only when its verdicts
-are read; the search reads only the outcome, so it names none. The
-summary's ``candidates`` counts these pairs, and the benchmark's
-``pairs_checked`` counts the same calls (in involutive mode
-``candidates`` counts surjective tables, each checked once). The
-benchmark reference pins both counts, so a search that prunes pairs
-before the check changes them and must update it.
+passing 5 and 6. (X, Y, p, q) is a witness exactly when (Y, X, q, p) is
+(conditions 1<->2, 3<->5, 4<->6 swap), so a space whose mirror is in the
+task is searched with it: the q list of (X, Y) is the p list of (Y, X),
+each unordered pair of the one list of a diagonal space is checked once,
+and orbits and records are still made per ordered space, in its order.
+Each check is one ``conditions_from_tables`` call, exact at once; the
+search reads only its outcome, so no failing report names its law. The
+summary's ``candidates`` counts |P| x |Q| per ordered space (in
+involutive mode, surjective tables); the benchmark's ``pairs_checked``
+counts the calls, about half of that on a task holding both orders.
 """
 
 import json
@@ -166,22 +167,41 @@ def _orbit_reps(witnesses, transforms):
     return [reps[key] for key in sorted(reps)]
 
 
-def _general_space(x, y, tri_cap):
-    p_cands = [t for t in _surjective_tables(x, y, x, x, tri_cap)
-               if _distinct_slices(t, 2, x, "c3") and
-               _distinct_slices(t, 0, x, "c4")]
-    q_cands = [t for t in _surjective_tables(y, x, y, y, tri_cap)
-               if _distinct_slices(t, 2, y, "c5") and
-               _distinct_slices(t, 0, y, "c6")]
+def _separated_tables(x, y, tri_cap):
+    'Surjective tables on X(x)Y(x)X -> X whose slot-2 and slot-0 slices separate.'
+    return [t for t in _surjective_tables(x, y, x, x, tri_cap)
+            if _distinct_slices(t, 2, x, "c3") and
+            _distinct_slices(t, 0, x, "c4")]
 
-    candidates = 0
+
+def _general_unit(x, y, mirrored, tri_cap):
+    """Records, candidates and witnesses of the space (X, Y), and also of
+    (Y, X) when ``mirrored``, from one search of the unordered pair.
+
+    The p list of (Y, X) is the q list of (X, Y), and (X, Y, p, q) passes
+    exactly when (Y, X, q, p) does. On the diagonal (``y is x``) the two
+    lists are one, so each pair i <= j is checked once and stands for both
+    (p_i, p_j) and (p_j, p_i).
+    """
+    p_cands = _separated_tables(x, y, tri_cap)
+    q_cands = p_cands if y is x else _separated_tables(y, x, tri_cap)
     witnesses = []
-    for pt in p_cands:
-        for qt in q_cands:
-            candidates += 1
+    for i, pt in enumerate(p_cands):
+        for qt in (q_cands[i:] if y is x else q_cands):
             if conditions_from_tables(x, y, pt, qt).ok:
                 witnesses.append((pt, qt))
+                if y is x and qt is not pt:
+                    witnesses.append((qt, pt))
+    records = _general_records(x, y, witnesses)
+    if mirrored:
+        records += _general_records(y, x, [(q, p) for p, q in witnesses])
+    orders = 1 + mirrored
+    return (records, orders * len(p_cands) * len(q_cands),
+            orders * len(witnesses))
 
+
+def _general_records(x, y, witnesses):
+    'One verified record per orbit of the witnesses of (X, Y).'
     auts_x = [(np.asarray(a), np.argsort(a)) for a in automorphisms(x)]
     auts_y = [(np.asarray(a), np.argsort(a)) for a in automorphisms(y)]
     transforms = [
@@ -206,7 +226,7 @@ def _general_space(x, y, tri_cap):
             l_size=ctx.a.n, r_size=ctx.b.n,
             digests={"conditions": rep.digest(),
                      "context": ctx.report.digest()}))
-    return records, candidates, len(witnesses)
+    return records
 
 
 def _involutive_space(x, tri_cap):
@@ -243,21 +263,23 @@ def _involutive_space(x, tri_cap):
 
 
 def _space_worker(args):
-    'One lattice pair (or single lattice): returns records, stats, skip info.'
-    x_rows, y_rows, involutive, tri_cap = args
+    """One work unit: a lattice (involutive), or a lattice pair searched
+    for its own order and, when ``mirrored``, for the reverse order too.
+    Returns records, candidates, witnesses and the skipped spaces."""
+    x_rows, y_rows, mirrored, involutive, tri_cap = args
     x = _lat_from_rows(x_rows)
     try:
         if involutive:
-            records, candidates, witnesses = _involutive_space(x, tri_cap)
-        else:
-            y = _lat_from_rows(y_rows)
-            records, candidates, witnesses = _general_space(x, y, tri_cap)
+            return *_involutive_space(x, tri_cap), []
+        # on the diagonal one object, which the pair-check memo matches by
+        # identity instead of comparing two equal lattices
+        y = x if y_rows == x_rows else _lat_from_rows(y_rows)
+        return *_general_unit(x, y, mirrored, tri_cap), []
     except ResourceLimit as e:
-        skip = {"x_leq": list(x_rows), "reason": str(e)}
-        if y_rows is not None:
-            skip["y_leq"] = list(y_rows)
-        return [], {"candidates": 0, "witnesses": 0}, skip
-    return records, {"candidates": candidates, "witnesses": witnesses}, None
+        orders = [(x_rows, y_rows)] + [(y_rows, x_rows)] * mirrored
+        return [], 0, 0, [{"x_leq": list(xr), "reason": str(e)}
+                          | ({} if yr is None else {"y_leq": list(yr)})
+                          for xr, yr in orders]
 
 
 # --- the runner ---------------------------------------------------------------------
@@ -278,7 +300,11 @@ def run_census(task: CensusTask):
         ys = [lat for n in range(task.min_y, task.max_y + 1)
               for lat in enumerate_lattices(n)]
         spaces = [(leq_rows(x), leq_rows(y)) for x in xs for y in ys]
-    args = [(xr, yr, task.involutive, task.tri_cap) for xr, yr in spaces]
+    # a space whose mirror is also in the task is searched with it, once
+    ordered = set(spaces)
+    args = [(xr, yr, xr != yr and (yr, xr) in ordered, task.involutive,
+             task.tri_cap) for xr, yr in spaces
+            if (yr, xr) not in ordered or xr <= yr]
 
     if task.jobs <= 1 or len(args) <= 1:
         results = [_space_worker(a) for a in args]
@@ -290,17 +316,16 @@ def run_census(task: CensusTask):
 
     records, skipped = [], []
     candidates = witnesses = 0
-    for recs, stats, skip in results:
+    for recs, cands, wits, skips in results:
         records.extend(recs)
-        candidates += stats["candidates"]
-        witnesses += stats["witnesses"]
-        if skip is not None:
-            skipped.append(skip)
+        candidates += cands
+        witnesses += wits
+        skipped.extend(skips)
     records.sort(key=CensusRecord.sort_key)
     skipped.sort(key=lambda s: (s["x_leq"], s.get("y_leq", [])))
 
     summary = {"mode": "involutive" if task.involutive else "general",
-               "spaces": len(args), "candidates": candidates,
+               "spaces": len(spaces), "candidates": candidates,
                "witnesses": witnesses, "records": len(records),
                "skipped": skipped}
     if task.out:

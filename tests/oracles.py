@@ -19,6 +19,10 @@
   per leaf, which ``enumerate_multimorphisms`` is compared against;
 * loop-based checks of the quantale and module sup-laws, one element at a
   time, which ``check_quantale`` and ``check_module`` are compared against;
+* ``general_space``, the census search of one ordered space (X, Y) that
+  checks every p x q pair in that order, which the mirrored search of
+  ``run_census`` (one search per unordered pair {X, Y}) is compared
+  against;
 * the context layer's loop builds, ``endo_quantale_by_loops`` and
   ``image_subquantale_by_loops``, which validate every carrier and fill
   the product tables one pair at a time, and ``essential_by_closure``, the
@@ -32,11 +36,18 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from morita import _kernels
-from morita.engine import _distinct_slices
+from morita.census import (CensusRecord, _orbit_reps, _surjective_tables,
+                           _tuplify)
+from morita.engine import (_distinct_slices, _proved_pair,
+                           build_context_from_pair, check_pair_conditions,
+                           conditions_from_tables, extract_pair_from_context)
+from morita.enumeration import automorphisms
 from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
-                           NoBottom, NotAPartialOrder, NotCompositionClosed,
-                           NoTop, PASS, ResourceLimit, failure)
-from morita.lattice import join_closure, validate_lattice
+                           MoritaError, NoBottom, NotAPartialOrder,
+                           NotCompositionClosed, NoTop, PASS, ResourceLimit,
+                           failure)
+from morita.io import leq_rows
+from morita.lattice import _freeze, join_closure, validate_lattice
 from morita.quantale import OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
                            _subsets, _to_ints,
@@ -565,3 +576,48 @@ def essential_by_closure(mod):
     part = join_closure(mod.carrier, set(mod.act.ravel().tolist()))
     return part, len(part) == mod.carrier.n
 
+
+# --- the census search of one ordered space -----------------------------------------
+
+def general_space(x, y, tri_cap):
+    """(records, candidates, witnesses) of the general space (X, Y), with
+    its own p and q lists and one check per p x q pair in this order."""
+    p_cands = [t for t in _surjective_tables(x, y, x, x, tri_cap)
+               if _distinct_slices(t, 2, x, "c3") and
+               _distinct_slices(t, 0, x, "c4")]
+    q_cands = [t for t in _surjective_tables(y, x, y, y, tri_cap)
+               if _distinct_slices(t, 2, y, "c5") and
+               _distinct_slices(t, 0, y, "c6")]
+
+    candidates = 0
+    witnesses = []
+    for pt in p_cands:
+        for qt in q_cands:
+            candidates += 1
+            if conditions_from_tables(x, y, pt, qt).ok:
+                witnesses.append((pt, qt))
+
+    auts_x = [(np.asarray(a), np.argsort(a)) for a in automorphisms(x)]
+    auts_y = [(np.asarray(a), np.argsort(a)) for a in automorphisms(y)]
+    transforms = [
+        (lambda ts, ax=ax, axi=axi, ay=ay, ayi=ayi:
+         (ax[ts[0][np.ix_(axi, ayi, axi)]], ay[ts[1][np.ix_(ayi, axi, ayi)]]))
+        for ax, axi in auts_x for ay, ayi in auts_y]
+
+    records = []
+    for pt, qt in _orbit_reps(witnesses, transforms):
+        w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
+        rep = check_pair_conditions(w)
+        ctx = build_context_from_pair(w)
+        back = extract_pair_from_context(ctx)
+        if not (np.array_equal(back.p_gen, w.p_gen)
+                and np.array_equal(back.q_gen, w.q_gen)):
+            raise MoritaError("census integrity: witness round-trip changed "
+                              "the tables")
+        records.append(CensusRecord(
+            mode="general", x_leq=leq_rows(x), y_leq=leq_rows(y),
+            p=_tuplify(pt), q=_tuplify(qt),
+            l_size=ctx.a.n, r_size=ctx.b.n,
+            digests={"conditions": rep.digest(),
+                     "context": ctx.report.digest()}))
+    return records, candidates, len(witnesses)

@@ -11,15 +11,15 @@ import morita.census
 import morita.engine
 from conftest import lattices_up_to, meet_tables
 from morita.census import (CensusRecord, CensusTask, _lat_from_rows,
-                           enumerate_multimorphisms, enumerate_trimorphisms,
-                           run_census)
+                           _surjective_tables, enumerate_multimorphisms,
+                           enumerate_trimorphisms, run_census)
 from morita.engine import conditions_from_tables
 from morita.errors import DomainMismatch, ResourceLimit
 from morita.io import leq_rows
 from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
                             m3, n5)
 from morita.tensor import Multimorphism, is_multimorphism
-from oracles import enumerate_multimorphisms_bruteforce
+from oracles import enumerate_multimorphisms_bruteforce, general_space
 
 
 def test_a_lattice_read_back_from_its_rows_is_the_validated_one():
@@ -231,7 +231,8 @@ def test_census_deterministic_across_workers(tmp_path):
     outs = []
     for jobs in (1, 2):
         path = tmp_path / f"census-{jobs}.jsonl"
-        run_census(CensusTask(max_x=3, jobs=jobs, out=str(path)))
+        _, summary = run_census(CensusTask(max_x=3, jobs=jobs, out=str(path)))
+        assert summary["spaces"] == 9
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == SHA_G3
@@ -263,6 +264,18 @@ def test_census_resource_cap_fails_soft():
     assert summary["skipped"] == [{"x_leq": two, "reason": reason}]
     assert [(r.mode, r.x_leq) for r in records] == [("involutive", ("1",))]
 
+    # c2 x c3 and c3 x c2 are one search: a cap that stops it skips both
+    # orders, as it did when each order was searched alone
+    reason, three = "more than 10 multimorphisms in one space", ["111", "011",
+                                                                "001"]
+    records, summary = run_census(CensusTask(max_x=3, tri_cap=10))
+    assert summary["skipped"] == [
+        {"x_leq": two, "y_leq": three, "reason": reason},
+        {"x_leq": three, "y_leq": two, "reason": reason},
+        {"x_leq": three, "y_leq": three, "reason": reason}]
+    assert (summary["spaces"], summary["candidates"], summary["witnesses"],
+            len(records)) == (9, 2, 2, 2)
+
 
 def test_census_record_json_roundtrip():
     records, _ = run_census(CensusTask(max_x=2))
@@ -270,3 +283,67 @@ def test_census_record_json_roundtrip():
         data = json.loads(rec.json_line())
         assert data["mode"] == rec.mode
         assert tuple(data["x_leq"]) == rec.x_leq
+
+
+# the laws of (X, Y, p, q) as the laws of (Y, X, q, p)
+MIRRORED_LAW = {"p-surjective": "q-surjective", "q-surjective": "p-surjective",
+                "condition-1": "condition-2", "condition-2": "condition-1",
+                "condition-3": "condition-5", "condition-5": "condition-3",
+                "condition-4": "condition-6", "condition-6": "condition-4"}
+
+
+def test_a_pair_fails_the_mirrored_laws_of_its_mirror():
+    # the census checks (X, Y, p, q) for (Y, X, q, p) too; here both are
+    # checked on the surjective tables, before the slice filter, of every
+    # space with |X|, |Y| <= 3 and of c1/c2 x c4/diamond in both orders
+    small = lattices_up_to(3)
+    edge = [lat for lat in lattices_up_to(4) if lat.n == 4]
+    spaces = ([(x, y) for x in small for y in small]
+              + [(x, y) for x in lattices_up_to(2) for y in edge]
+              + [(y, x) for x in lattices_up_to(2) for y in edge])
+    pairs = 0
+    failed = set()
+    for x, y in spaces:
+        qs = _surjective_tables(y, x, y, y, None)
+        for p in _surjective_tables(x, y, x, x, None):
+            for q in qs:
+                rep = conditions_from_tables(x, y, p, q)
+                mirror = conditions_from_tables(y, x, q, p)
+                assert rep.ok == mirror.ok
+                if not rep.ok:
+                    laws = {MIRRORED_LAW[k] for k, v in rep.checks.items()
+                            if not v.ok}
+                    assert laws == {k for k, v in mirror.checks.items()
+                                    if not v.ok}
+                    failed |= laws
+                pairs += 1
+    assert pairs == 20423
+    assert failed == {f"condition-{i}" for i in range(1, 7)}
+
+
+@pytest.mark.parametrize("bounds", [dict(max_x=3),
+                                    dict(min_x=4, max_x=4, max_y=2),
+                                    dict(max_x=2, min_y=4, max_y=4)])
+def test_mirrored_census_matches_the_search_of_each_order(bounds):
+    # one search per unordered pair {X, Y} gives, space by space, the bytes
+    # and counts of searching every ordered space (X, Y) alone
+    task = CensusTask(**bounds)
+    records, summary = run_census(task)
+    by_space = {}
+    for rec in records:
+        by_space.setdefault((rec.x_leq, rec.y_leq), []).append(rec.json_line())
+    lats = {n: lattices_up_to(n) for n in (task.max_x, task.max_y)}
+    candidates = witnesses = spaces = 0
+    for x in lats[task.max_x]:
+        for y in lats[task.max_y]:
+            if x.n < task.min_x or y.n < task.min_y:
+                continue
+            recs, cands, wits = general_space(x, y, task.tri_cap)
+            recs.sort(key=CensusRecord.sort_key)
+            assert [r.json_line() for r in recs] == by_space.pop(
+                (leq_rows(x), leq_rows(y)), [])
+            candidates, witnesses = candidates + cands, witnesses + wits
+            spaces += 1
+    assert by_space == {}
+    assert (spaces, candidates, witnesses) == (
+        summary["spaces"], summary["candidates"], summary["witnesses"])

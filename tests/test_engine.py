@@ -559,21 +559,33 @@ def conditions_on_axes(x, y, p_gen, q_gen):
 
 def test_pair_check_matches_the_reference_on_every_census_pair(monkeypatch,
                                                                 built):
-    checked = []
+    # one census call decides (x, y, p, q), and also its mirror (y, x, q, p)
+    # when the task holds the space (Y, X): both are compared, and a pair
+    # that is its own mirror once
+    calls, checked = [], []
 
     def both(x, y, p_gen, q_gen):
         rep = conditions_from_tables(x, y, p_gen, q_gen)
-        decided_then_named(rep, conditions_on_axes(x, y, p_gen, q_gen), built)
-        checked.append(rep.ok)
+        calls.append(rep.ok)
+        orders = [(x, y, p_gen, q_gen, rep)]
+        if (task.min_x <= y.n <= task.max_x and task.min_y <= x.n <= task.max_y
+                and not (y is x and p_gen is q_gen)):
+            orders.append((y, x, q_gen, p_gen,
+                           conditions_from_tables(y, x, q_gen, p_gen)))
+        for a, b, pt, qt, r in orders:
+            decided_then_named(r, conditions_on_axes(a, b, pt, qt), built)
+            checked.append(r.ok)
         return rep
 
     monkeypatch.setattr("morita.census.conditions_from_tables", both)
     counts = []
-    for task in (dict(max_x=3), dict(min_x=4, max_x=4, max_y=2),
-                 dict(max_x=2, min_y=4, max_y=4)):
-        records, summary = run_census(CensusTask(**task))
+    for bounds in (dict(max_x=3), dict(min_x=4, max_x=4, max_y=2),
+                   dict(max_x=2, min_y=4, max_y=4)):
+        task = CensusTask(**bounds)
+        records, summary = run_census(task)
         counts.append((summary["candidates"], len(records)))
     assert counts == [(9431, 7), (927, 0), (927, 0)]
+    assert len(calls) == 4765 + 927 + 927
     assert (len(checked), sum(checked)) == (11285, 7)
     # names were built for the failing pairs only, each once
     assert built == ["pair"] * (11285 - 7)

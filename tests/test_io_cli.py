@@ -465,12 +465,14 @@ def test_cli_census(workdir, capsys):
     assert cli.main(["census", "--max-x", "0"]) == 2
 
 
-def test_cli_census_deterministic_across_jobs(workdir):
+def test_cli_census_deterministic_across_jobs(workdir, capsys):
     outs = []
     for jobs in ("1", "3"):
         path = workdir / f"c{jobs}.jsonl"
         assert cli.main(["census", "--max-x", "3", "--jobs", jobs,
                          "-o", str(path)]) == 0
+        assert ("mode=general spaces=9 candidates=9431 witnesses=7 records=7"
+                in capsys.readouterr().out)
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
