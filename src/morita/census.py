@@ -271,8 +271,8 @@ def _space_worker(args):
     try:
         if involutive:
             return *_involutive_space(x, tri_cap), []
-        # on the diagonal one object, which the pair-check memo matches by
-        # identity instead of comparing two equal lattices
+        # one object on the diagonal: _general_unit tells it by identity,
+        # and so does the pair-check memo, without comparing two lattices
         y = x if y_rows == x_rows else _lat_from_rows(y_rows)
         return *_general_unit(x, y, mirrored, tri_cap), []
     except ResourceLimit as e:
