@@ -62,7 +62,8 @@ def cmd_validate(args):
 def cmd_tensor(args):
     if not 2 <= len(args.factors) <= 3:
         raise FormatError("tensor takes two or three lattice files")
-    factors = [mio.read_lattice(p) for p in args.factors]
+    read = {p: mio.read_lattice(p) for p in dict.fromkeys(args.factors)}
+    factors = [read[p] for p in args.factors]
     t = tensor_product(*factors)
     mio.write_lattice(args.out, t.lattice)
     elem_path = os.path.splitext(args.out)[0] + ".elem"

@@ -633,11 +633,13 @@ class ImprimitivityBimodule(_SetOnce):
     """X with two inner products over involutive quantales A and B.
 
     ``report`` is the passing ``check_imprimitivity`` report of a bimodule
-    built by ``build_involutive_context``, which that check returns; it is
-    None for one built by hand. A built bimodule is read-only.
+    built by ``build_involutive_context``, which that check returns, and
+    ``context_report`` the passing report of the context whose X it is;
+    both are None for one built by hand. A built bimodule is read-only.
     """
 
-    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report")
+    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report",
+                 "context_report")
 
     def __init__(self, a: InvolutiveQuantale, b: InvolutiveQuantale,
                  bimodule: Bimodule, inner_a: Multimorphism,
@@ -650,23 +652,34 @@ class ImprimitivityBimodule(_SetOnce):
         self.a, self.b = a, b
         self.bimodule = bimodule
         self.inner_a, self.inner_b = inner_a, inner_b
-        self.report = None
+        self.report = self.context_report = None
 
 
 def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
     """Imprimitivity laws: involutions, module laws, m-regularity, fullness,
     compatibility, and the conjugate structure; a built bimodule answers
-    with its build's report."""
+    with its build's report.
+
+    The module laws and m-regularity of the bimodule are those of the
+    context's X, and the conjugate bimodule has the tables of its Y, so a
+    context report passing module-X, m-regular-X and module-Y decides them.
+    """
     if imp.report is not None:
         return imp.report
+    ctx_rep = imp.context_report
+
+    def judged(ctx_law, verdict):
+        return PASS if ctx_rep is not None and ctx_rep[ctx_law] else verdict()
+
     rep = ConditionReport()
     rep.add("involution-A",
             is_quantale_involution(imp.a.quantale, imp.a.star))
     rep.add("involution-B",
             is_quantale_involution(imp.b.quantale, imp.b.star))
-    rep.add("module-laws", check_bimodule(imp.bimodule))
-    rep.add("m-regular", _regularity_verdict(is_m_regular(imp.bimodule),
-                                             "m-regular"))
+    rep.add("module-laws",
+            judged("module-X", lambda: check_bimodule(imp.bimodule)))
+    rep.add("m-regular", judged("m-regular-X", lambda: _regularity_verdict(
+        is_m_regular(imp.bimodule), "m-regular")))
     rep.add("inner-A-bimorphism", is_multimorphism(imp.inner_a))
     rep.add("inner-B-bimorphism", is_multimorphism(imp.inner_b))
     rep.add("fullness-A", _surjective_by_generators(
@@ -683,7 +696,8 @@ def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
 
     if rep.ok:
         conj = conjugate_bimodule(imp.bimodule, imp.a, imp.b)
-        rep.add("conjugate-module-laws", check_bimodule(conj))
+        rep.add("conjugate-module-laws",
+                judged("module-Y", lambda: check_bimodule(conj)))
         sa = np.asarray(imp.a.star)
         sb = np.asarray(imp.b.star)
         cia = sa[ia.T]   # <x*,y*>_A = <y,x>_A*
@@ -741,6 +755,7 @@ def build_involutive_context(w: InvolutiveWitness):
     inner_a = _trusted((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
     inner_b = _trusted((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)
     imp = ImprimitivityBimodule(inv_a, inv_b, ctx.x, inner_a, inner_b)
+    imp.context_report = ctx.report
     imp.report = check_imprimitivity(imp)
     if not imp.report.ok:
         raise ConditionsFailed(imp.report)

@@ -102,10 +102,7 @@ def _resolve(path, ref):
 def _write_lines(path, lines):
     'The lines as a UTF-8 file, each ended by a newline.'
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        # appending "\n" to the joined text would copy it while the
-        # caller's list is still alive
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _arrow_lines(table):
@@ -139,17 +136,20 @@ def _parse_lat(fields, path):
     if any(not nm for nm in names):
         raise FormatError(f"{path}:{ln}: empty element name")
     ln, val = _field(fields, "leq", path)
-    rows = val.split(";")
+    rows = [row.strip() for row in val.split(";")]
     if len(rows) != n:
         raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(rows)}")
-    leq = np.zeros((n, n), dtype=bool)
-    for i, row in enumerate(rows):
-        row = row.strip()
-        if len(row) != n or set(row) - {"0", "1"}:
-            raise FormatError(f"{path}:{ln}: leq row {i} must be {n} "
-                              "characters of 0/1")
-        leq[i] = [c == "1" for c in row]
-    return leq, names
+    if all(len(row) == n for row in rows):
+        # "replace" keeps one byte per character: a non-ASCII one is a
+        # wrong cell, never a wrong length
+        cells = np.frombuffer("".join(rows).encode("ascii", "replace"),
+                              dtype=np.uint8).reshape(n, n)
+        if ((cells | 1) == ord("1")).all():      # every cell is "0" or "1"
+            return cells == ord("1"), names
+    i = next(i for i, row in enumerate(rows)
+             if len(row) != n or set(row) - {"0", "1"})
+    raise FormatError(f"{path}:{ln}: leq row {i} must be {n} "
+                      "characters of 0/1")
 
 
 def read_lattice_raw(path):
@@ -164,21 +164,37 @@ def read_lattice(path) -> FiniteSupLattice:
 
 
 def leq_rows(lat):
-    """The order matrix as one string of 0/1 characters per row. A row at a
-    time: one n x n temporary would raise the peak memory of big tensors."""
+    'The order matrix as one string of 0/1 characters per row: a census key.'
     return tuple((row.view(np.uint8) + 48).tobytes().decode("ascii")
                  for row in lat.leq)
 
 
-def _lat_lines(lat):
+_BLOCK_BYTES = 1 << 16
+
+
+def _write_lat(path, lat, tail=()):
+    """The n=, names= and leq= lines of ``lat``, then the ``tail`` lines,
+    as a UTF-8 file. The order goes out as bytes in blocks of at most
+    64 KB of rows, so no copy of the whole n x n matrix is made."""
     _check_names(lat.names)
-    return [f"n={lat.n}",
-            "names=" + ",".join(lat.names),
-            "leq=" + ";".join(leq_rows(lat))]
+    n = lat.n
+    step = max(1, _BLOCK_BYTES // (n + 1))
+    with open(path, "wb") as fh:
+        fh.write(f"n={n}\nnames={','.join(lat.names)}\nleq=".encode("utf-8"))
+        for a in range(0, n, step):
+            b = min(n, a + step)
+            block = np.empty((b - a, n + 1), dtype=np.uint8)
+            np.add(lat.leq[a:b].view(np.uint8), ord("0"), out=block[:, :n])
+            block[:, n] = ord(";")
+            if b == n:
+                block[-1, n] = ord("\n")
+            fh.write(block)
+        for line in tail:
+            fh.write(f"{line}\n".encode("utf-8"))
 
 
 def write_lattice(path, lat):
-    _write_lines(path, _lat_lines(lat))
+    _write_lat(path, lat)
 
 
 # --- .qnt ----------------------------------------------------------------------------
@@ -206,11 +222,10 @@ def write_quantale(path, q):
     star = None
     if isinstance(q, InvolutiveQuantale):
         star, q = q.star, q.quantale
-    lines = _lat_lines(q.carrier)
-    lines.append("mult=" + _rows(q.mult))
+    tail = ["mult=" + _rows(q.mult)]
     if star is not None:
-        lines.append("star=" + ",".join(str(int(s)) for s in star))
-    _write_lines(path, lines)
+        tail.append("star=" + ",".join(str(int(s)) for s in star))
+    _write_lat(path, q.carrier, tail)
 
 
 def _plain_quantale(path):

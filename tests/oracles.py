@@ -27,6 +27,11 @@
   ``image_subquantale_by_loops``, which validate every carrier and fill
   the product tables one pair at a time, and ``essential_by_closure``, the
   join-closure definition of an essential action.
+* the ``.lat`` codec a row at a time: ``write_lattice_by_rows`` and
+  ``write_quantale_by_rows``, which build one string per order row and
+  join them into lines, and ``parse_lat_by_rows``, which reads the order
+  row by row, which the block writer and the one-buffer parser of
+  ``morita.io`` are compared against.
 
 None of them is used by the package itself; they are small-input only.
 """
@@ -36,19 +41,20 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from morita import _kernels
+from morita import io as mio
 from morita.census import (CensusRecord, _orbit_reps, _surjective_tables,
                            _tuplify)
 from morita.engine import (_distinct_slices, _proved_pair,
                            build_context_from_pair, check_pair_conditions,
                            conditions_from_tables, extract_pair_from_context)
 from morita.enumeration import automorphisms
-from morita.errors import (ConditionReport, DomainMismatch, MissingJoin,
-                           MoritaError, NoBottom, NotAPartialOrder,
+from morita.errors import (ConditionReport, DomainMismatch, FormatError,
+                           MissingJoin, MoritaError, NoBottom, NotAPartialOrder,
                            NotCompositionClosed, NoTop, PASS, ResourceLimit,
                            failure)
 from morita.io import leq_rows
 from morita.lattice import _freeze, join_closure, validate_lattice
-from morita.quantale import OperatorQuantale, Quantale
+from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
                            _subsets, _to_ints,
                            as_multimorphism, is_multimorphism,
@@ -621,3 +627,53 @@ def general_space(x, y, tri_cap):
             digests={"conditions": rep.digest(),
                      "context": ctx.report.digest()}))
     return records, candidates, len(witnesses)
+
+
+# --- the .lat codec a row at a time -------------------------------------------------
+
+def _lat_lines(lat):
+    mio._check_names(lat.names)
+    return [f"n={lat.n}",
+            "names=" + ",".join(lat.names),
+            "leq=" + ";".join(leq_rows(lat))]
+
+
+def write_lattice_by_rows(path, lat):
+    mio._write_lines(path, _lat_lines(lat))
+
+
+def write_quantale_by_rows(path, q):
+    star = None
+    if isinstance(q, InvolutiveQuantale):
+        star, q = q.star, q.quantale
+    lines = _lat_lines(q.carrier)
+    lines.append("mult=" + mio._rows(q.mult))
+    if star is not None:
+        lines.append("star=" + ",".join(str(int(s)) for s in star))
+    mio._write_lines(path, lines)
+
+
+def parse_lat_by_rows(fields, path):
+    'The order and names of the fields of a .lat file, one row at a time.'
+    ln, val = mio._field(fields, "n", path)
+    n = mio._int(val, path, ln, "n")
+    if n < 1:
+        raise FormatError(f"{path}:{ln}: n must be at least 1")
+    ln, val = mio._field(fields, "names", path)
+    names = [s.strip() for s in val.split(",")]
+    if len(names) != n:
+        raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
+    if any(not nm for nm in names):
+        raise FormatError(f"{path}:{ln}: empty element name")
+    ln, val = mio._field(fields, "leq", path)
+    rows = val.split(";")
+    if len(rows) != n:
+        raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(rows)}")
+    leq = np.zeros((n, n), dtype=bool)
+    for i, row in enumerate(rows):
+        row = row.strip()
+        if len(row) != n or set(row) - {"0", "1"}:
+            raise FormatError(f"{path}:{ln}: leq row {i} must be {n} "
+                              "characters of 0/1")
+        leq[i] = [c == "1" for c in row]
+    return leq, names

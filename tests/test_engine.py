@@ -1,8 +1,10 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
 import itertools
+import json
 import pickle
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
                            NotAMultimorphism, ResourceLimit,
                            StarNotWellDefined, failure)
+from morita.io import leq_rows
 from morita.lattice import (_index_table, chain, conjugate_lattice, diamond,
                             join_closure, m3, opposite)
 from morita.modules import (Bimodule, ModuleAction, conjugate_bimodule,
@@ -1185,6 +1188,54 @@ def test_a_built_object_answers_its_recheck_with_its_own_report(
                 assert full is not obj.report
                 assert full.digest() == obj.report.digest()
                 assert full.summary() == obj.report.summary()
+
+
+def _involutive_witnesses():
+    """Every involutive witness of the i<=3 census and of the i<=4 census
+    on the diamond, as read from perfbench/witnesses.jsonl."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "witnesses.jsonl"
+    records = [r for r in map(json.loads, path.read_text().splitlines())
+               if r["mode"] == "involutive"]
+    assert len(records) == 26
+    assert {tuple(r["x_leq"]) for r in records[7:]} == {leq_rows(diamond())}
+    return [InvolutiveWitness.from_generators(
+        _lat_from_rows(tuple(r["x_leq"])), np.array(r["p"])) for r in records]
+
+
+def test_the_conjugate_of_a_built_x_has_the_tables_of_its_y():
+    # why the context report's module-Y verdict is the conjugate's
+    # module-laws verdict of the imprimitivity report
+    for w in _involutive_witnesses():
+        ctx, (inv_a, inv_b), imp = build_involutive_context(w)
+        conj = conjugate_bimodule(imp.bimodule, inv_a, inv_b)
+        assert np.array_equal(conj.carrier.leq, ctx.y.carrier.leq)
+        for side in ("left", "right"):
+            mine, theirs = getattr(conj, side), getattr(ctx.y, side)
+            assert np.array_equal(mine.act, theirs.act)
+            assert np.array_equal(mine.quantale.mult, theirs.quantale.mult)
+
+
+def test_a_built_imprimitivity_report_reads_its_module_laws_off_the_context(
+        monkeypatch):
+    # a build judges the module laws and m-regularity of X and Y once, for
+    # the context report (X, Y; A, B, X, Y); the same bimodule assembled by
+    # hand is checked in full, to the same digest and summary
+    calls = Counter()
+    for name in ("check_bimodule", "is_m_regular"):
+        def counting(target, _name=name, _check=getattr(engine, name)):
+            calls[_name] += 1
+            return _check(target)
+        monkeypatch.setattr(engine, name, counting)
+    for w in _involutive_witnesses():
+        calls.clear()
+        _, _, imp = build_involutive_context(w)
+        assert calls == {"check_bimodule": 2, "is_m_regular": 4}
+        calls.clear()
+        full = check_imprimitivity(ImprimitivityBimodule(
+            imp.a, imp.b, imp.bimodule, imp.inner_a, imp.inner_b))
+        assert calls == {"check_bimodule": 2, "is_m_regular": 1}
+        assert full.digest() == imp.report.digest()
+        assert full.summary() == imp.report.summary()
 
 
 def test_a_context_one_cell_off_fails_alike_warm_and_cold():

@@ -24,7 +24,8 @@ from morita.modules import Bimodule, ModuleAction
 from morita.quantale import InvolutiveQuantale, as_involutive_quantale, \
     endo_quantale
 from morita.tensor import as_multimorphism, tensor_product
-from oracles import endo_quantale_by_loops
+from oracles import (endo_quantale_by_loops, parse_lat_by_rows,
+                     write_lattice_by_rows, write_quantale_by_rows)
 
 
 # --- formats -------------------------------------------------------------------------
@@ -40,22 +41,139 @@ def test_lattice_roundtrip_bit_exact(tmp_path):
         assert path.read_bytes() == first
 
 
-def test_lattice_parse_errors(tmp_path):
-    cases = {
-        "empty.lat": "",
-        "short_names.lat": "n=2\nnames=a\nleq=11;01\n",
-        "bad_row.lat": "n=2\nnames=a,b\nleq=11;0\n",
-        "bad_char.lat": "n=2\nnames=a,b\nleq=11;0x\n",
-        "bad_n.lat": "n=two\nnames=a,b\nleq=11;01\n",
-        "dup_field.lat": "n=1\nn=1\nnames=a\nleq=1\n",
-        "no_rows.lat": "n=2\nnames=a,b\n",
-        "stray.lat": "n=1\nnames=a\nleq=1\nwhat is this\n",
-    }
-    for name, text in cases.items():
+# name: (text, message after "<path>")
+LAT_PARSE_ERRORS = {
+    "empty.lat": ("", ": missing field 'n'"),
+    "short_names.lat": ("n=2\nnames=a\nleq=11;01\n",
+                        ":2: expected 2 names, got 1"),
+    "few_rows.lat": ("n=2\nnames=a,b\nleq=11\n",
+                     ":3: leq needs 2 rows, got 1"),
+    "bad_row.lat": ("n=2\nnames=a,b\nleq=11;0\n",
+                    ":3: leq row 1 must be 2 characters of 0/1"),
+    "bad_char.lat": ("n=2\nnames=a,b\nleq=11;0x\n",
+                     ":3: leq row 1 must be 2 characters of 0/1"),
+    "non_ascii.lat": ("n=2\nnames=a,b\nleq=11;0\u00b2\n",
+                      ":3: leq row 1 must be 2 characters of 0/1"),
+    "inner_space.lat": ("n=3\nnames=a,b,c\nleq=111;1 1;001\n",
+                        ":3: leq row 1 must be 3 characters of 0/1"),
+    "compensating.lat": ("n=2\nnames=a,b\nleq=111;0\n",
+                         ":3: leq row 0 must be 2 characters of 0/1"),
+    "two.lat": ("n=2\nnames=a,b\nleq=11;12\n",
+                ":3: leq row 1 must be 2 characters of 0/1"),
+    "slash.lat": ("n=2\nnames=a,b\nleq=1/;01\n",
+                  ":3: leq row 0 must be 2 characters of 0/1"),
+    "bad_n.lat": ("n=two\nnames=a,b\nleq=11;01\n",
+                  ":1: n is not an integer: 'two'"),
+    "dup_field.lat": ("n=1\nn=1\nnames=a\nleq=1\n",
+                      ":2: duplicate field 'n'"),
+    "no_rows.lat": ("n=2\nnames=a,b\n", ": missing field 'leq'"),
+    "stray.lat": ("n=1\nnames=a\nleq=1\nwhat is this\n",
+                  ":4: expected 'key=value' or 'indices -> index'"),
+}
+
+
+def test_lattice_parse_errors(tmp_path, capsys):
+    for name, (text, tail) in LAT_PARSE_ERRORS.items():
         path = tmp_path / name
-        path.write_text(text)
-        with pytest.raises(FormatError):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
             mio.read_lattice(path)
+        assert str(exc.value) == f"{path}{tail}", name
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}{tail}\n"
+
+
+def _lat_fields(path):
+    return mio._parse(path, mio._read_text(path))[0]
+
+
+def test_leq_parser_matches_the_row_parser(tmp_path):
+    # the same order and names, or the same message, as the row-at-a-time
+    # parser: on every lattice of size <= 5, with spaces round the rows and
+    # a trailing comment, and on every malformed file above
+    path = tmp_path / "x.lat"
+    for lat in lattices_up_to(5):
+        rows = mio.leq_rows(lat)
+        for leq in (";".join(rows), " ; ".join(f" {r}\t" for r in rows)
+                    + "  # the order"):
+            path.write_text(f"n={lat.n}\nnames={','.join(lat.names)}\n"
+                            f"leq={leq}\n", encoding="utf-8")
+            got = mio._parse_lat(_lat_fields(path), path)
+            want = parse_lat_by_rows(_lat_fields(path), path)
+            assert got[0].dtype == want[0].dtype == bool
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert np.array_equal(got[0], lat.leq)
+    for name, (text, _) in LAT_PARSE_ERRORS.items():
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        try:
+            fields = _lat_fields(path)
+        except FormatError:
+            continue                  # a line error, before any field
+        with pytest.raises(FormatError) as got:
+            mio._parse_lat(fields, path)
+        with pytest.raises(FormatError) as want:
+            parse_lat_by_rows(fields, path)
+        assert str(got.value) == str(want.value), name
+
+
+def test_writer_matches_the_row_serializer(tmp_path, monkeypatch):
+    # byte-identical .lat and .qnt files: every lattice of size <= 6 under
+    # its own names and under non-ASCII ones, Q(X) and the meet quantale
+    # with a star line for |X| <= 4, and the
+    # 980-element c4 x c4 x c4, whose rows go out in 15 blocks of 66; small
+    # blocks make the small lattices cross block boundaries too
+    a, b = tmp_path / "a", tmp_path / "b"
+
+    def same(write, by_rows, obj):
+        write(a, obj)
+        by_rows(b, obj)
+        assert a.read_bytes() == b.read_bytes(), obj
+
+    lats = lattices_up_to(6)
+    lats += [lat.relabel(tuple(f"\u00e9{i}*" for i in range(lat.n)))
+             for lat in lats]
+    for block in (mio._BLOCK_BYTES, 1, 5, 16):
+        monkeypatch.setattr(mio, "_BLOCK_BYTES", block)
+        for lat in lats:
+            same(mio.write_lattice, write_lattice_by_rows, lat)
+    monkeypatch.undo()
+    for lat in lattices_up_to(4):
+        same(mio.write_quantale, write_quantale_by_rows, endo_quantale(lat))
+        same(mio.write_quantale, write_quantale_by_rows,
+             as_involutive_quantale(meet_quantale(lat), tuple(range(lat.n))))
+    big = tensor_product(chain(4), chain(4), chain(4)).lattice
+    assert (big.n, mio._BLOCK_BYTES // (big.n + 1)) == (980, 66)
+    same(mio.write_lattice, write_lattice_by_rows, big)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak resident memory from /proc")
+def test_writing_a_big_tensor_keeps_the_peak_under_its_order(tmp_path):
+    # the order of the 980-element tensor is n^2 bytes (0.92 MB); writing it
+    # must raise the peak resident memory by less than that. The peak is
+    # VmHWM, not ru_maxrss: a child keeps the ru_maxrss of the process that
+    # started it (this one), which would hide the rise
+    script = (
+        "import gc, sys\n"
+        "from morita import io\n"
+        "from morita.lattice import chain\n"
+        "from morita.tensor import tensor_product\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "lat = tensor_product(chain(4), chain(4), chain(4)).lattice\n"
+        "gc.collect()\n"
+        "before = peak()\n"
+        "io.write_lattice(sys.argv[1], lat)\n"
+        "print(lat.n, (peak() - before) * 1024)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1]
+                                          / "src"))
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.lat")],
+                         capture_output=True, text=True, env=env, check=True)
+    n, grown = map(int, out.stdout.split())
+    assert n == 980 and grown < n * n, grown
 
 
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
