@@ -633,13 +633,11 @@ class ImprimitivityBimodule(_SetOnce):
     """X with two inner products over involutive quantales A and B.
 
     ``report`` is the passing ``check_imprimitivity`` report of a bimodule
-    built by ``build_involutive_context``, which that check returns, and
-    ``context_report`` the passing report of the context whose X it is;
-    both are None for one built by hand. A built bimodule is read-only.
+    built by ``build_involutive_context``, which that check returns; it is
+    None for one built by hand. A built bimodule is read-only.
     """
 
-    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report",
-                 "context_report")
+    __slots__ = ("a", "b", "bimodule", "inner_a", "inner_b", "report")
 
     def __init__(self, a: InvolutiveQuantale, b: InvolutiveQuantale,
                  bimodule: Bimodule, inner_a: Multimorphism,
@@ -652,21 +650,36 @@ class ImprimitivityBimodule(_SetOnce):
         self.a, self.b = a, b
         self.bimodule = bimodule
         self.inner_a, self.inner_b = inner_a, inner_b
-        self.report = self.context_report = None
+        self.report = None
 
 
 def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
     """Imprimitivity laws: involutions, module laws, m-regularity, fullness,
     compatibility, and the conjugate structure; a built bimodule answers
-    with its build's report.
-
-    The module laws and m-regularity of the bimodule are those of the
-    context's X, and the conjugate bimodule has the tables of its Y, so a
-    context report passing module-X, m-regular-X and module-Y decides them.
-    """
+    with its build's report."""
     if imp.report is not None:
         return imp.report
-    ctx_rep = imp.context_report
+    return _imprimitivity_report(imp, None)
+
+
+def _same_tables(bim, other):
+    'Whether two bimodules share carrier order, action tables and products.'
+    return np.array_equal(bim.carrier.leq, other.carrier.leq) and all(
+        np.array_equal(mine.act, theirs.act)
+        and np.array_equal(mine.quantale.mult, theirs.quantale.mult)
+        for mine, theirs in ((bim.left, other.left), (bim.right, other.right)))
+
+
+def _imprimitivity_report(imp, ctx):
+    """The ``check_imprimitivity`` report of ``imp``; ``ctx`` is None, or
+    the built context whose X is ``imp.bimodule``.
+
+    The module laws and m-regularity of that bimodule are those of the
+    context's X, so its report's module-X and m-regular-X verdicts decide
+    them; its module-Y verdict decides the conjugate's module laws when the
+    conjugate has the tables of Y, which is compared here.
+    """
+    ctx_rep = None if ctx is None else ctx.report
 
     def judged(ctx_law, verdict):
         return PASS if ctx_rep is not None and ctx_rep[ctx_law] else verdict()
@@ -696,8 +709,11 @@ def check_imprimitivity(imp: ImprimitivityBimodule) -> ConditionReport:
 
     if rep.ok:
         conj = conjugate_bimodule(imp.bimodule, imp.a, imp.b)
-        rep.add("conjugate-module-laws",
-                judged("module-Y", lambda: check_bimodule(conj)))
+        if ctx is not None and _same_tables(conj, ctx.y):
+            verdict = judged("module-Y", lambda: check_bimodule(conj))
+        else:
+            verdict = check_bimodule(conj)
+        rep.add("conjugate-module-laws", verdict)
         sa = np.asarray(imp.a.star)
         sb = np.asarray(imp.b.star)
         cia = sa[ia.T]   # <x*,y*>_A = <y,x>_A*
@@ -755,8 +771,7 @@ def build_involutive_context(w: InvolutiveWitness):
     inner_a = _trusted((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
     inner_b = _trusted((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)
     imp = ImprimitivityBimodule(inv_a, inv_b, ctx.x, inner_a, inner_b)
-    imp.context_report = ctx.report
-    imp.report = check_imprimitivity(imp)
+    imp.report = _imprimitivity_report(imp, ctx)
     if not imp.report.ok:
         raise ConditionsFailed(imp.report)
     return ctx, (inv_a, inv_b), imp

@@ -102,7 +102,10 @@ def _resolve(path, ref):
 def _write_lines(path, lines):
     'The lines as a UTF-8 file, each ended by a newline.'
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        # appending "\n" to the joined text would copy it while the
+        # caller's list is still alive
+        fh.write("\n".join(lines))
+        fh.write("\n")
 
 
 def _arrow_lines(table):
@@ -136,18 +139,19 @@ def _parse_lat(fields, path):
     if any(not nm for nm in names):
         raise FormatError(f"{path}:{ln}: empty element name")
     ln, val = _field(fields, "leq", path)
-    rows = [row.strip() for row in val.split(";")]
-    if len(rows) != n:
-        raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(rows)}")
-    if all(len(row) == n for row in rows):
+    lens = [len(row.strip()) for row in val.split(";")]
+    if len(lens) != n:
+        raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(lens)}")
+    if all(k == n for k in lens):
         # "replace" keeps one byte per character: a non-ASCII one is a
         # wrong cell, never a wrong length
-        cells = np.frombuffer("".join(rows).encode("ascii", "replace"),
-                              dtype=np.uint8).reshape(n, n)
-        if ((cells | 1) == ord("1")).all():      # every cell is "0" or "1"
+        cells = np.frombuffer(
+            "".join(row.strip() for row in val.split(";")).encode(
+                "ascii", "replace"), dtype=np.uint8).reshape(n, n)
+        if cells.min() >= ord("0") and cells.max() <= ord("1"):
             return cells == ord("1"), names
-    i = next(i for i, row in enumerate(rows)
-             if len(row) != n or set(row) - {"0", "1"})
+    i = next(i for i, row in enumerate(val.split(";"))
+             if lens[i] != n or set(row.strip()) - {"0", "1"})
     raise FormatError(f"{path}:{ln}: leq row {i} must be {n} "
                       "characters of 0/1")
 
@@ -169,28 +173,23 @@ def leq_rows(lat):
                  for row in lat.leq)
 
 
-_BLOCK_BYTES = 1 << 16
-
-
 def _write_lat(path, lat, tail=()):
     """The n=, names= and leq= lines of ``lat``, then the ``tail`` lines,
-    as a UTF-8 file. The order goes out as bytes in blocks of at most
-    64 KB of rows, so no copy of the whole n x n matrix is made."""
+    as a UTF-8 file. The order goes out as bytes 64 rows at a time, so no
+    copy of the whole n x n matrix is made."""
     _check_names(lat.names)
-    n = lat.n
-    step = max(1, _BLOCK_BYTES // (n + 1))
     with open(path, "wb") as fh:
-        fh.write(f"n={n}\nnames={','.join(lat.names)}\nleq=".encode("utf-8"))
-        for a in range(0, n, step):
-            b = min(n, a + step)
-            block = np.empty((b - a, n + 1), dtype=np.uint8)
-            np.add(lat.leq[a:b].view(np.uint8), ord("0"), out=block[:, :n])
-            block[:, n] = ord(";")
-            if b == n:
-                block[-1, n] = ord("\n")
-            fh.write(block)
+        fh.write(f"n={lat.n}\nnames={','.join(lat.names)}\nleq=".encode())
+        sep = b""
+        for a in range(0, lat.n, 64):
+            fh.write(sep)
+            rows = np.add(lat.leq[a:a + 64].view(np.uint8), ord("0"),
+                          order="C")      # each row a contiguous buffer
+            fh.write(b";".join(rows))
+            sep = b";"
+        fh.write(b"\n")
         for line in tail:
-            fh.write(f"{line}\n".encode("utf-8"))
+            fh.write(f"{line}\n".encode())
 
 
 def write_lattice(path, lat):

@@ -30,7 +30,7 @@
 * the ``.lat`` codec a row at a time: ``write_lattice_by_rows`` and
   ``write_quantale_by_rows``, which build one string per order row and
   join them into lines, and ``parse_lat_by_rows``, which reads the order
-  row by row, which the block writer and the one-buffer parser of
+  row by row, which the bytes writer and the one-buffer parser of
   ``morita.io`` are compared against.
 
 None of them is used by the package itself; they are small-input only.

@@ -210,13 +210,17 @@ def test_involutive_census_size_three_regression(tmp_path):
 
 
 def test_involutive_census_checks_each_imprimitivity_once(monkeypatch):
-    # a record's imprimitivity digest is the report its build kept
+    # a record's imprimitivity digest is the report its build kept; the
+    # build makes it with engine._imprimitivity_report, the body of
+    # check_imprimitivity
     calls = []
-    for module in (morita.census, morita.engine):
-        def counting(imp, _check=module.check_imprimitivity):
+    for module, name in ((morita.census, "check_imprimitivity"),
+                         (morita.engine, "check_imprimitivity"),
+                         (morita.engine, "_imprimitivity_report")):
+        def counting(imp, *ctx, _check=getattr(module, name)):
             calls.append(imp)
-            return _check(imp)
-        monkeypatch.setattr(module, "check_imprimitivity", counting)
+            return _check(imp, *ctx)
+        monkeypatch.setattr(module, name, counting)
     records, _ = run_census(CensusTask(max_x=3, involutive=True))
     assert len(records) == N3_INVOLUTIVE == len(calls)
 

@@ -1238,6 +1238,33 @@ def test_a_built_imprimitivity_report_reads_its_module_laws_off_the_context(
         assert full.summary() == imp.report.summary()
 
 
+def test_a_conjugate_off_the_tables_of_y_is_checked_in_full(monkeypatch):
+    # the module-Y verdict stands for the conjugate's module laws only when
+    # the conjugate has Y's tables; with one action cell off, bottom.top =
+    # top, they are checked and fail
+    def off_by_a_cell(bim, star_a, star_b):
+        conj = conjugate_bimodule(bim, star_a, star_b)
+        act = np.array(conj.left.act)
+        act[conj.carrier.top, conj.left.quantale.carrier.bottom] = \
+            conj.carrier.top
+        return Bimodule(ModuleAction("left", conj.left.quantale,
+                                     conj.carrier, act), conj.right)
+
+    checked = []
+    monkeypatch.setattr(engine, "conjugate_bimodule", off_by_a_cell)
+    monkeypatch.setattr(engine, "check_bimodule",
+                        lambda bim, _check=engine.check_bimodule:
+                        checked.append(bim) or _check(bim))
+    for w in _involutive_witnesses():
+        if w.x.n == 1:
+            continue                      # no cell to set off
+        checked.clear()
+        with pytest.raises(ConditionsFailed) as failed:
+            build_involutive_context(w)
+        assert len(checked) == 3
+        assert not failed.value.report["conjugate-module-laws"]
+
+
 def test_a_context_one_cell_off_fails_alike_warm_and_cold():
     for x, y, p, q in _census_witnesses():
         if y is None:
