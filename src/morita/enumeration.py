@@ -1,12 +1,12 @@
 """Enumeration of finite lattices up to isomorphism.
 
-:func:`enumerate_lattices` backtracks incrementally. Elements are added one
-at a time in a topological order; each new element picks the downset it
-sits above, with pruning rules that keep every completion a lattice.
-Isomorphs are rejected by canonical form. One search over the relabellings
-that keep invariant classes in place, ``_canonical_orderings``, gives the
-canonical form and every ordering that reaches it; automorphisms and
-isomorphisms are read off those orderings.
+:func:`enumerate_lattices` grows lattices one atom at a time: deleting an
+atom that is not the top leaves a lattice, because no two other elements
+join to it, so every lattice on n >= 3 elements is a lattice on n - 1
+elements plus one new atom. Isomorphs are rejected by canonical form. One
+search over the relabellings that keep invariant classes in place,
+``_canonical_orderings``, gives the canonical form and every ordering that
+reaches it; automorphisms and isomorphisms are read off those orderings.
 """
 
 from itertools import permutations, product
@@ -14,7 +14,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .errors import MoritaError, ResourceLimit
-from .lattice import FiniteSupLattice, validate_lattice
+from .lattice import FiniteSupLattice, _least_bounds, validate_lattice
 
 MAX_ENUM_N = 7
 
@@ -111,135 +111,38 @@ def find_isomorphism(a, b):
     return _mapping(reach_a[0], reach_b[0])
 
 
-# --- incremental backtracking ----------------------------------------------------
+# --- growth by atoms ------------------------------------------------------------
 
-def _downsets(down, upto):
-    'Downward-closed subsets of {0..upto-1} containing the bottom, as masks.'
-    if upto == 0:
-        return [0]
-    out = []
-    for mask in range(1, 1 << upto, 2):  # odd: bottom always in
-        ok = True
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            if down[j] & ~mask & ((1 << upto) - 1):
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(mask)
-    return out
+def _lattice_keys(n):
+    """Canonical keys of the lattices on n elements, sorted.
 
-
-def _has_max(mask, down):
-    'Does the nonempty element set have a greatest member?'
-    m = mask
-    while m:
-        c = (m & -m).bit_length() - 1
-        if mask & ~down[c] == 0:
-            return True
-        m &= m - 1
-    return False
+    Each lattice on n >= 3 elements is one on n - 1 elements plus a new
+    atom: above the bottom (element 0 of a canonical form) and below a
+    nonempty up-set U that misses the bottom. Every such order has a bottom,
+    so it is a lattice exactly when every binary join exists.
+    """
+    if n <= 2:
+        return [np.tri(n, dtype=bool).T.tobytes()]
+    m = n - 1
+    keys = set()
+    for key in _lattice_keys(m):
+        leq = np.zeros((n, n), dtype=bool)
+        leq[:m, :m] = np.frombuffer(key, dtype=bool).reshape(m, m)
+        leq[0, m] = leq[m, m] = True
+        for bits in product((False, True), repeat=m - 1):
+            up = np.array((False,) + bits)
+            if up.any() and (leq[:m, :m][up].any(axis=0) == up).all():
+                leq[m, :m] = up
+                if (_least_bounds(leq) >= 0).all():
+                    keys.add(canonical_key(leq))
+    return sorted(keys)
 
 
 def enumerate_lattices(n):
-    """All lattices on n elements up to isomorphism, canonically ordered.
-
-    Elements are inserted bottom-up; index order is a linear extension, so a
-    new element is never below an old one. Pruning invariants:
-
-    * the strict downset of a new element is downward closed;
-    * meets of existing pairs are already settled, so every pair below the
-      new element must keep a greatest common lower bound;
-    * once a pair has common upper bounds, their least member must already
-      exist (later elements can never slip below the current ones).
-    """
+    'All lattices on n elements up to isomorphism, canonically ordered.'
     if n < 1:
         raise MoritaError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ResourceLimit(f"lattice enumeration capped at n={MAX_ENUM_N}")
-    if n == 1:
-        return [validate_lattice(np.eye(1, dtype=bool))]
-
-    seen = set()
-    reps = []
-    down = [0] * n   # down[i]: mask of j <= i, including i
-    up = [0] * n
-
-    def insert(i):
-        if i == n:
-            leq = np.zeros((n, n), dtype=bool)
-            for j in range(n):
-                m = down[j]
-                while m:
-                    k = (m & -m).bit_length() - 1
-                    leq[k, j] = True
-                    m &= m - 1
-            key = canonical_key(leq)
-            if key not in seen:
-                seen.add(key)
-                reps.append(np.frombuffer(key, dtype=bool).reshape(n, n).copy())
-            return
-        last = i == n - 1
-        for dmask in _downsets(down, i):
-            if last and dmask != (1 << i) - 1:
-                continue
-            ok = True
-            for j in range(i):
-                if not _has_max(dmask & down[j], down):
-                    ok = False  # meet of i and j would be missing
-                    break
-            if ok and not last:
-                # pairs under the new element gain it as an upper bound; a
-                # least upper bound must survive (it can only be an element
-                # that already exists and sits under the new one, or the new
-                # element itself when the pair had no upper bound before)
-                m = dmask
-                pairs = []
-                while m:
-                    a = (m & -m).bit_length() - 1
-                    mm = m & (m - 1)
-                    while mm:
-                        b = (mm & -mm).bit_length() - 1
-                        pairs.append((a, b))
-                        mm &= mm - 1
-                    m &= m - 1
-                for a, b in pairs:
-                    ub_old = up[a] & up[b]
-                    if not ub_old:
-                        continue
-                    found = False
-                    mm = ub_old
-                    while mm:
-                        c = (mm & -mm).bit_length() - 1
-                        if ub_old & ~up[c] == 0 and (dmask >> c) & 1:
-                            found = True
-                            break
-                        mm &= mm - 1
-                    if not found:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            down[i] = dmask | (1 << i)
-            up[i] = 1 << i
-            touched = []
-            m = dmask
-            while m:
-                j = (m & -m).bit_length() - 1
-                up[j] |= 1 << i
-                touched.append(j)
-                m &= m - 1
-            insert(i + 1)
-            for j in touched:
-                up[j] &= ~(1 << i)
-            down[i] = up[i] = 0
-
-    # bottom is element 0, below everything by construction
-    down[0] = 1
-    up[0] = 1
-    insert(1)
-    lats = [validate_lattice(leq) for leq in reps]
-    lats.sort(key=lambda l: l.leq.tobytes())
-    return lats
+    return [validate_lattice(np.frombuffer(key, dtype=bool).reshape(n, n))
+            for key in _lattice_keys(n)]

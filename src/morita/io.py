@@ -15,7 +15,7 @@ import os
 import numpy as np
 
 from .engine import MoritaContext
-from .errors import FormatError
+from .errors import FormatError, MissingInvolution
 from .lattice import FiniteSupLattice, validate_lattice
 from .modules import Bimodule, ModuleAction
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
@@ -138,6 +138,9 @@ def _parse_lat(fields, path):
         raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
     if any(not nm for nm in names):
         raise FormatError(f"{path}:{ln}: empty element name")
+    if len(set(names)) < n:
+        dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
+        raise FormatError(f"{path}:{ln}: duplicate element name '{dup}'")
     ln, val = _field(fields, "leq", path)
     lens = [len(row.strip()) for row in val.split(";")]
     if len(lens) != n:
@@ -212,7 +215,10 @@ def read_quantale(path):
         if len(star) != carrier.n or not all(0 <= s < carrier.n for s in star):
             raise FormatError(f"{path}:{ln}: star must list all "
                               f"{carrier.n} element indices")
-        return as_involutive_quantale(q, star)
+        try:
+            return as_involutive_quantale(q, star)
+        except MissingInvolution as e:
+            raise MissingInvolution(f"{path}:{ln}: {e}") from None
     return q
 
 

@@ -27,6 +27,11 @@
   ``image_subquantale_by_loops``, which validate every carrier and fill
   the product tables one pair at a time, and ``essential_by_closure``, the
   join-closure definition of an essential action.
+* the closed-form witnesses ``dual_witness`` on (X, Xᵒᵖ) for every X,
+  ``frame_witness`` on (X, X) for a distributive X and
+  ``involutive_witness`` on X(x)X*(x)X for an involutive anti-automorphism
+  of X, built from a formula rather than found by a search, which the
+  census outputs are checked to contain;
 * the ``.lat`` codec a row at a time: ``write_lattice_by_rows`` and
   ``write_quantale_by_rows``, which build one string per order row and
   join them into lines, and ``parse_lat_by_rows``, which reads the order
@@ -47,13 +52,13 @@ from morita.census import (CensusRecord, _orbit_reps, _surjective_tables,
 from morita.engine import (_distinct_slices, _proved_pair,
                            build_context_from_pair, check_pair_conditions,
                            conditions_from_tables, extract_pair_from_context)
-from morita.enumeration import automorphisms
+from morita.enumeration import automorphisms, find_isomorphism
 from morita.errors import (ConditionReport, DomainMismatch, FormatError,
                            MissingJoin, MoritaError, NoBottom, NotAPartialOrder,
                            NotCompositionClosed, NoTop, PASS, ResourceLimit,
                            failure)
 from morita.io import leq_rows
-from morita.lattice import _freeze, join_closure, validate_lattice
+from morita.lattice import _freeze, join_closure, opposite, validate_lattice
 from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
                            _subsets, _to_ints,
@@ -629,6 +634,65 @@ def general_space(x, y, tri_cap):
     return records, candidates, len(witnesses)
 
 
+# --- closed-form witnesses ----------------------------------------------------------
+
+def dual_witness(x):
+    """The tables (p, q) of a witness on (X, Xᵒᵖ), for every lattice X.
+
+    Xᵒᵖ is ``lattice.opposite(x)``: the carrier of X with the order
+    reversed, so its bottom is the top of X. Write a·[s] for a when s
+    holds and for the bottom otherwise; every ≤ below is the order of X:
+
+        p(x1, y, x2) = x1·[x2 ≰ y]      q(y1, x, y2) = y2·[x ≰ y1]
+
+    Why it is a witness (a sketch). Both tables are multimorphisms: a join
+    in a slot of y is a meet in X, and x2 ≰ y ∧ y' exactly when x2 ≰ y or
+    x2 ≰ y'. Condition 1: all three composites equal
+    x1·[x2 ≰ y1]·[x3 ≰ y2]; in the middle one, q(y1, x2, y2) is the top of
+    X unless x2 ≰ y1, and no x3 lies outside the top. Condition 2 is the
+    same computation in Y: all three composites equal
+    y3·[x1 ≰ y1]·[x2 ≰ y2]. Separation: for x ≰ x', the curried maps of
+    the last slot of p at x and x' differ at (⊤, x'), where they give ⊤
+    and ⊥; those of the first slot at x ≠ x' differ wherever x2 ≰ y
+    holds, at (y, x2) = (⊥, ⊤) say. Read in Y, q(y1, x, y2) is
+    y2·[y1 ≰ x], the p of (Y, Yᵒᵖ) with its first and last slots swapped,
+    so conditions 5 and 6 follow alike. Surjectivity: p(x, ⊥, ⊤) = x and
+    q(⊥, ⊤, y) = y, with ⊥ and ⊤ those of X.
+    """
+    idx = np.arange(x.n)
+    outside = ~x.leq.T                    # outside[y, a]: a is not below y
+    p = np.where(outside[None], idx[:, None, None], x.bottom)
+    q = np.where(outside[:, :, None], idx[None, None, :], x.top)
+    return p, q
+
+
+def frame_witness(x):
+    """The tables (p, q) of a witness on (X, X) for a distributive X:
+    p = q = x1 ∧ y ∧ x2, which preserves joins in each slot exactly because
+    finite distributive lattices are frames."""
+    m = x.meet
+    t = m[m[:, :, None], np.arange(x.n)[None, None, :]]
+    return t, t
+
+
+def anti_automorphisms(x):
+    """Every order-reversing bijection of X, as index tuples: one
+    isomorphism onto Xᵒᵖ after each automorphism; none unless X is
+    self-dual."""
+    iso = find_isomorphism(x, opposite(x))
+    if iso is None:
+        return []
+    return [tuple(iso[a] for a in aut) for aut in automorphisms(x)]
+
+
+def involutive_witness(x, delta):
+    """The table of p: X(x)X*(x)X -> X with p(x1, y, x2) = x1·[x2 ≰ δ(y)],
+    for δ an anti-automorphism of X: the dual witness with Xᵒᵖ carried to
+    X* through δ. It satisfies conditions a) to c) exactly when δ∘δ = id."""
+    outside = ~x.leq.T[np.asarray(delta)]   # outside[y, a]: a ≰ δ(y)
+    return np.where(outside[None], np.arange(x.n)[:, None, None], x.bottom)
+
+
 # --- the .lat codec a row at a time -------------------------------------------------
 
 def _lat_lines(lat):
@@ -665,6 +729,9 @@ def parse_lat_by_rows(fields, path):
         raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
     if any(not nm for nm in names):
         raise FormatError(f"{path}:{ln}: empty element name")
+    for k, nm in enumerate(names):
+        if nm in names[:k]:
+            raise FormatError(f"{path}:{ln}: duplicate element name '{nm}'")
     ln, val = mio._field(fields, "leq", path)
     rows = val.split(";")
     if len(rows) != n:

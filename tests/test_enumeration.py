@@ -1,5 +1,6 @@
 """Lattice enumeration up to isomorphism, canonical keys, automorphisms."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,8 +17,20 @@ from morita.lattice import (chain, conjugate_lattice, diamond, m3, n5,
                             validate_lattice)
 from oracles import enumerate_lattices_bruteforce, refine_classes_by_cells
 
-# unlabeled lattice counts for n = 1..6
-COUNTS = (1, 1, 1, 2, 5, 15)
+# unlabeled lattice counts for n = 1..7 (OEIS A006966)
+COUNTS = (1, 1, 1, 2, 5, 15, 53)
+
+# sha256 of the concatenated order matrices that enumerate_lattices(n)
+# returned for n = 1..7 when it was a bitmask backtracker
+ORDER_SHA256 = (
+    "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
+    "252c0b6b080fa045acfcd1437f693f3be2be2ac8223ea525d492fa19ab028942",
+    "67bd219891fa4a5f395eec9ed593b4188188a4641f006c4560719d4847ce0ec7",
+    "42fa49e6e94de9d532a4ae12254a9561631c786a6e3e6f5cfe478b51341e09fc",
+    "c5d4648c453a0f9d1e3c3bb21f0c1e09a8450388aa9b30dfdb928f8bc4192279",
+    "b9d0f5769b492c66a8eebdab51917152141a914ae03d144754efcdddff61378e",
+    "699a95cb757cc19fccef1f882c9716d312a2ab85fc2148c3fbb7bbae7f1be943",
+)
 
 
 def test_lattice_counts_canonical_generator():
@@ -25,8 +38,28 @@ def test_lattice_counts_canonical_generator():
         assert len(enumerate_lattices(n)) == expect
 
 
+def test_enumerated_orders_are_pinned_byte_for_byte():
+    for n, want in enumerate(ORDER_SHA256, start=1):
+        got = b"".join(l.leq.tobytes() for l in enumerate_lattices(n))
+        assert hashlib.sha256(got).hexdigest() == want, n
+
+
+def test_deleting_an_atom_leaves_a_listed_lattice():
+    # every lattice on n >= 3 elements is one on n - 1 elements plus an
+    # atom, which is what the enumerator builds on
+    for n in range(3, MAX_ENUM_N + 1):
+        smaller = {canonical_key(l) for l in enumerate_lattices(n - 1)}
+        for lat in enumerate_lattices(n):
+            atoms = [a for a in range(lat.n) if lat.leq[:, a].sum() == 2]
+            assert atoms and lat.top not in atoms
+            for a in atoms:
+                keep = [i for i in range(lat.n) if i != a]
+                rest = validate_lattice(lat.leq[np.ix_(keep, keep)])
+                assert canonical_key(rest) in smaller
+
+
 def test_lattice_counts_bruteforce_generator_agrees():
-    for n, expect in enumerate(COUNTS, start=1):
+    for n, expect in enumerate(COUNTS[:6], start=1):
         brute = enumerate_lattices_bruteforce(n)
         assert len(brute) == expect
         assert ({canonical_key(l) for l in brute}
@@ -34,7 +67,7 @@ def test_lattice_counts_bruteforce_generator_agrees():
 
 
 def test_enumerated_lattices_are_valid_and_distinct():
-    for n in range(1, 7):
+    for n in range(1, MAX_ENUM_N + 1):
         lats = enumerate_lattices(n)
         keys = {canonical_key(l) for l in lats}
         assert len(keys) == len(lats)

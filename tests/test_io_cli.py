@@ -66,6 +66,8 @@ LAT_PARSE_ERRORS = {
                   ":1: n is not an integer: 'two'"),
     "dup_field.lat": ("n=1\nn=1\nnames=a\nleq=1\n",
                       ":2: duplicate field 'n'"),
+    "dup_name.lat": ("n=2\nnames=0,0\nleq=11;01\n",
+                     ":2: duplicate element name '0'"),
     "no_rows.lat": ("n=2\nnames=a,b\n", ": missing field 'leq'"),
     "stray.lat": ("n=1\nnames=a\nleq=1\nwhat is this\n",
                   ":4: expected 'key=value' or 'indices -> index'"),
@@ -324,6 +326,23 @@ def test_context_bundle_with_stars(tmp_path):
     qa = mio.read_quantale(tmp_path / "bundle" / "A.qnt")
     assert isinstance(qa, InvolutiveQuantale) and qa.star == ia.star
     assert check_morita_context(mio.read_context(tmp_path / "bundle")).ok
+
+
+def test_cli_check_context_names_the_line_of_a_bad_star(tmp_path, capsys):
+    # a star= line that is a permutation but no involution: the error names
+    # the file and the line, and keeps the failing law
+    w = InvolutiveWitness.from_generators(chain(3), meet_tables(chain(3)))
+    ctx, stars, _ = build_involutive_context(w)
+    bundle = tmp_path / "bundle"
+    mio.write_context(bundle, ctx, stars=stars)
+    qnt = bundle / "A.qnt"
+    lines = qnt.read_text().splitlines()
+    assert lines[4] == "star=0,1,2"
+    lines[4] = "star=1,0,2"
+    qnt.write_text("\n".join(lines) + "\n")
+    assert cli.main(["check-context", str(bundle)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {qnt}:5: not an involution: FAIL slot-0-bottom ")
 
 
 def test_context_bundle_missing_file(tmp_path):
