@@ -116,12 +116,13 @@ def find_isomorphism(a, b):
 def _lattice_keys(n):
     """Canonical keys of the lattices on n elements, sorted.
 
-    Each lattice on n >= 3 elements is one on n - 1 elements plus a new
-    atom: above the bottom (element 0 of a canonical form) and below a
-    nonempty up-set U that misses the bottom. Every such order has a bottom,
-    so it is a lattice exactly when every binary join exists.
+    Up to three elements the only lattice is the chain. Each lattice on
+    n >= 4 elements is one on n - 1 elements plus a new atom: above the
+    bottom (element 0 of a canonical form) and below a nonempty up-set U
+    that misses the bottom. Every such order has a bottom, so it is a
+    lattice exactly when every binary join exists.
     """
-    if n <= 2:
+    if n <= 3:
         return [np.tri(n, dtype=bool).T.tobytes()]
     m = n - 1
     keys = set()
