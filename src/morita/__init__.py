@@ -8,32 +8,28 @@ an exhaustive small-scale census plus text formats and a CLI
 (census, io, cli).
 """
 
-from .census import (CensusRecord, CensusTask, enumerate_trimorphisms,
-                     run_census)
+from .census import CensusRecord, CensusTask, run_census
 from .engine import (ImprimitivityBimodule, InvolutiveWitness, MoritaContext,
                      MoritaPairWitness, as_pair_witness,
                      build_context_from_pair, build_involutive_context,
                      check_imprimitivity, check_involutive_conditions,
                      check_morita_context, check_pair_conditions,
-                     conditions_from_tables, extract_pair_from_context,
-                     involutive_conditions_from_tables)
+                     extract_pair_from_context)
 from .enumeration import (automorphisms, canonical_key, enumerate_lattices,
                           find_isomorphism)
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
                      DomainMismatch, FormatError, MissingInvolution,
                      MissingJoin, MoritaError, NoBottom, NotAMultimorphism,
                      NotAPartialOrder, NotCompositionClosed, NotWellDefined,
-                     NoTop, ResourceLimit, ShapeMismatch, StarNotWellDefined,
-                     Verdict)
+                     ResourceLimit, ShapeMismatch, StarNotWellDefined, Verdict)
 from .lattice import (FiniteSupLattice, chain, diamond, join_closure, m3, n5,
                       validate_lattice)
 from .modules import (Bimodule, ModuleAction, check_bimodule, check_module,
                       conjugate_bimodule, essential_part, is_m_regular,
                       is_separated, regular_bimodule)
 from .quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
-                       as_involutive_quantale, as_quantale, check_quantale,
-                       endo_quantale, image_subquantale,
-                       is_quantale_involution)
+                       as_involutive_quantale, check_quantale, endo_quantale,
+                       image_subquantale, is_quantale_involution)
 from .tensor import (Multimorphism, MultiTensorLattice, as_multimorphism,
                      enumerate_multimorphisms, is_multimorphism,
                      lift_multimorphism, tensor_product)

@@ -53,10 +53,10 @@ from .tensor import enumerate_multimorphisms, is_multimorphism, tensor_product
 
 # --- candidate enumeration ----------------------------------------------------------
 
-def enumerate_trimorphisms(x1, x2, x3, z, *, surjective=False, cap=None):
-    'Three-slot multimorphisms, optionally filtered by lift surjectivity.'
+def enumerate_trimorphisms(x1, x2, x3, z, *, cap=None):
+    'Three-slot multimorphisms whose lifts are surjective.'
     for f in enumerate_multimorphisms((x1, x2, x3), z, cap=cap):
-        if not surjective or _generates(z, f.values):
+        if _generates(z, f.values):
             yield f
 
 
@@ -148,8 +148,7 @@ def _lat_from_rows(rows):
 # --- per-space search ---------------------------------------------------------------
 
 def _surjective_tables(f1, f2, f3, z, cap):
-    return [f.values for f in
-            enumerate_trimorphisms(f1, f2, f3, z, surjective=True, cap=cap)]
+    return [f.values for f in enumerate_trimorphisms(f1, f2, f3, z, cap=cap)]
 
 
 def _orbit_reps(witnesses, transforms):

@@ -14,7 +14,9 @@ A witness is its generator tables, the values of p and q on elementary
 tensors: a sup-map out of a tensor is exactly its multimorphism, so the
 tables determine p and q. The conditions are checked on generators, which
 is complete because everything in sight preserves joins and elementary
-tensors join-generate; no check here builds a three-fold tensor.
+tensors join-generate; no check here builds a three-fold tensor. The
+exported checks take witnesses, whose constructors validate the tables;
+the raw-table checks assume multimorphisms and are not exported.
 
 Most of the pair check reads one table alone: surjectivity, the two
 separation conditions on that table's slots, and the two composites of
@@ -250,8 +252,10 @@ def _pair_verdicts(x, y, p_raw, q_raw):
 def conditions_from_tables(x, y, p_gen, q_gen) -> ConditionReport:
     """Generator-level surjectivity plus the six conditions, from raw tables.
 
-    The outcome is exact at once; a failing report names its verdicts from
-    a copy of the tables when they are first read.
+    Both tables must be multimorphisms, as the census's and ``io.read_map``'s
+    are: on others a pass means nothing (the meet table of M3 passes). Check
+    untrusted tables with ``check_pair_conditions``. The outcome is exact at
+    once; a failing report names its verdicts when they are first read.
     """
     p_gen = np.asarray(p_gen, dtype=np.int64)
     q_gen = np.asarray(q_gen, dtype=np.int64)
@@ -600,8 +604,9 @@ def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
 
     They are conditions 1, 3 and 4 of the pair (X, X*, p, q) with
     q(x, y, z) = p(z, y, x), and X* has the order of X. As with
-    ``conditions_from_tables``, the outcome is exact at once and a failing
-    report names its verdicts when they are first read.
+    ``conditions_from_tables``, the table must be a multimorphism (check an
+    untrusted one with ``check_involutive_conditions``), and the outcome is
+    exact at once.
     """
     p = np.asarray(p_gen, dtype=np.int64)
     if p.shape != (x.n,) * 3:

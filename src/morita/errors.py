@@ -31,10 +31,6 @@ class NoBottom(MoritaError):
     pass
 
 
-class NoTop(MoritaError):
-    pass
-
-
 class DomainMismatch(MoritaError):
     """A map was applied to a lattice it was not defined on."""
 

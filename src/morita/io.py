@@ -1,13 +1,15 @@
-"""Text formats for lattices, quantales, actions, generator maps, tensors.
+"""Text formats for lattices, quantales, bimodules, generator maps, tensors.
 
 All files are UTF-8 with '#' starting a comment. `key=value` lines carry
 structured fields; `.map` and `.elem` files additionally hold table lines
 of the shape `i,j,k -> m` over element indices. File references inside
 `.act` and `.map` files are resolved relative to the referencing file.
+An `.act` file holds a bimodule: carrier, two quantales, two actions.
 
-Reading is structural: shapes, ranges, and cross-references are enforced
-here (FormatError), while order axioms and algebraic laws are the business
-of validate_lattice and the check_* functions downstream.
+Reading is structural: shapes, ranges, cross-references and the element
+names the writer accepts are enforced here (FormatError), while order
+axioms and algebraic laws are the business of validate_lattice and the
+check_* functions downstream.
 """
 
 import os
@@ -119,10 +121,10 @@ def _rows(table):
     return ";".join(",".join(str(int(v)) for v in row) for row in table)
 
 
-def _check_names(names):
+def _check_names(names, where=""):
     for nm in names:
         if not nm or _FORBIDDEN_IN_NAMES & set(nm):
-            raise FormatError(f"unserializable element name: '{nm}'")
+            raise FormatError(f"{where}unserializable element name: '{nm}'")
 
 
 # --- .lat ----------------------------------------------------------------------------
@@ -136,8 +138,7 @@ def _parse_lat(fields, path):
     names = [s.strip() for s in val.split(",")]
     if len(names) != n:
         raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
-    if any(not nm for nm in names):
-        raise FormatError(f"{path}:{ln}: empty element name")
+    _check_names(names, f"{path}:{ln}: ")
     if len(set(names)) < n:
         dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
         raise FormatError(f"{path}:{ln}: duplicate element name '{dup}'")
@@ -240,19 +241,11 @@ def _plain_quantale(path):
 
 # --- .act ----------------------------------------------------------------------------
 
-def read_action(path):
-    'A one-sided ModuleAction, or a Bimodule in the two-quantale form.'
+def read_action(path) -> Bimodule:
+    'A Bimodule: its carrier, its two quantales and their action tables.'
     fields, _ = _parse(path, _read_text(path))
     _, ref = _field(fields, "carrier", path)
     carrier = read_lattice(_resolve(path, ref))
-    if "quantale" in fields:
-        _, qref = fields["quantale"]
-        quant = _plain_quantale(_resolve(path, qref))
-        ln, side = _field(fields, "side", path)
-        if side not in ("left", "right"):
-            raise FormatError(f"{path}:{ln}: side must be left or right")
-        act = _index_rows(fields, "act", path, carrier.n, quant.n, carrier.n)
-        return ModuleAction(side, quant, carrier, act)
     _, lref = _field(fields, "left_quantale", path)
     _, rref = _field(fields, "right_quantale", path)
     left_q = _plain_quantale(_resolve(path, lref))
@@ -265,23 +258,14 @@ def read_action(path):
                     ModuleAction("right", right_q, carrier, right))
 
 
-def write_action(path, target, refs):
-    """Write a ModuleAction with refs {carrier, quantale}, or a Bimodule
-    with refs {carrier, left_quantale, right_quantale}. Referenced files
-    are the caller's responsibility."""
-    lines = [f"carrier={refs['carrier']}"]
-    if isinstance(target, ModuleAction):
-        lines += [f"quantale={refs['quantale']}",
-                  f"side={target.side}",
-                  "act=" + _rows(target.act)]
-    elif isinstance(target, Bimodule):
-        lines += [f"left_quantale={refs['left_quantale']}",
-                  f"right_quantale={refs['right_quantale']}",
-                  "left_act=" + _rows(target.left.act),
-                  "right_act=" + _rows(target.right.act)]
-    else:
-        raise FormatError(f"cannot serialize {type(target).__name__} as .act")
-    _write_lines(path, lines)
+def write_action(path, bim: Bimodule, refs):
+    """Write a Bimodule with refs {carrier, left_quantale, right_quantale}.
+    Referenced files are the caller's responsibility."""
+    _write_lines(path, [f"carrier={refs['carrier']}",
+                        f"left_quantale={refs['left_quantale']}",
+                        f"right_quantale={refs['right_quantale']}",
+                        "left_act=" + _rows(bim.left.act),
+                        "right_act=" + _rows(bim.right.act)])
 
 
 # --- .map ----------------------------------------------------------------------------
@@ -332,42 +316,22 @@ def write_elem(path, tensor: MultiTensorLattice):
     _write_lines(path, _arrow_lines(tensor.elem_table))
 
 
-def read_elem(path, arity):
-    'The tuple -> element-index mapping from a sidecar file.'
-    _, arrows = _parse(path, _read_text(path))
-    out = {}
-    for ln, line in arrows:
-        t, v = _parse_arrow(path, ln, line, arity)
-        if t in out:
-            raise FormatError(f"{path}:{ln}: duplicate entry for {t}")
-        out[t] = v
-    return out
-
-
 # --- context bundles -----------------------------------------------------------------
 
 CONTEXT_FILES = ("A.qnt", "B.qnt", "X.lat", "Y.lat", "X.act", "Y.act",
                  "pairXY.map", "pairYX.map")
 
 
-def write_context(dirpath, ctx: MoritaContext, stars=None):
+def write_context(dirpath, ctx: MoritaContext):
     """A directory bundle for one Morita context.
 
-    ``stars`` is an optional pair of involutions written into A.qnt and
-    B.qnt. Quantales are serialized as plain tables; operator provenance
-    survives only in element names.
+    Quantales are serialized as plain tables; operator provenance survives
+    only in element names.
     """
     os.makedirs(dirpath, exist_ok=True)
-    a, b = ctx.a, ctx.b
-    if stars is not None:
-        star_a, star_b = stars
-        a = star_a if isinstance(star_a, InvolutiveQuantale) \
-            else as_involutive_quantale(a, star_a)
-        b = star_b if isinstance(star_b, InvolutiveQuantale) \
-            else as_involutive_quantale(b, star_b)
     j = lambda name: os.path.join(dirpath, name)
-    write_quantale(j("A.qnt"), a)
-    write_quantale(j("B.qnt"), b)
+    write_quantale(j("A.qnt"), ctx.a)
+    write_quantale(j("B.qnt"), ctx.b)
     write_lattice(j("X.lat"), ctx.x.carrier)
     write_lattice(j("Y.lat"), ctx.y.carrier)
     write_action(j("X.act"), ctx.x, {"carrier": "X.lat",
@@ -394,8 +358,6 @@ def read_context(dirpath) -> MoritaContext:
     b = _plain_quantale(j("B.qnt"))
     x = read_action(j("X.act"))
     y = read_action(j("Y.act"))
-    if not isinstance(x, Bimodule) or not isinstance(y, Bimodule):
-        raise FormatError(f"{dirpath}: X.act and Y.act must be bimodules")
     pair_xy = read_map(j("pairXY.map"))
     pair_yx = read_map(j("pairYX.map"))
     return MoritaContext(a, b, x, y, pair_xy, pair_yx)

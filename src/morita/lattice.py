@@ -118,12 +118,6 @@ class FiniteSupLattice:
             out = self.join[out, e]
         return int(out)
 
-    def meet_of(self, elems):
-        out = self.top
-        for e in elems:
-            out = self.meet[out, e]
-        return int(out)
-
     def join_irreducibles(self):
         """Elements with exactly one lower cover, in topological order.
 

@@ -11,9 +11,8 @@ carriers are built directly, and their products by one gather each.
 
 import numpy as np
 
-from .errors import (DomainMismatch, MissingInvolution, MoritaError,
-                     NotAMultimorphism, NotCompositionClosed, PASS, failure,
-                     table_law)
+from .errors import (DomainMismatch, MissingInvolution, NotAMultimorphism,
+                     NotCompositionClosed, PASS, failure, table_law)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.quantale
 from .lattice import (FiniteSupLattice, _SetOnce, _assembled, _freeze,
@@ -69,14 +68,6 @@ def check_quantale(q: Quantale):
     if not v:
         return failure(_SUP_LAWS[v.law], v.witness, v.detail)
     return PASS
-
-
-def as_quantale(carrier, mult, unit=None) -> Quantale:
-    q = Quantale(carrier, mult, unit)
-    v = check_quantale(q)
-    if not v:
-        raise MoritaError(f"not a quantale: {v}")
-    return q
 
 
 # --- endomorphism quantales --------------------------------------------------------

@@ -36,7 +36,9 @@
   ``write_quantale_by_rows``, which build one string per order row and
   join them into lines, and ``parse_lat_by_rows``, which reads the order
   row by row, which the bytes writer and the one-buffer parser of
-  ``morita.io`` are compared against.
+  ``morita.io`` are compared against;
+* ``read_elem``, the reader of the ``.elem`` sidecar that ``morita tensor``
+  writes, which the package writes but never reads.
 
 None of them is used by the package itself; they are small-input only.
 """
@@ -55,7 +57,7 @@ from morita.engine import (_distinct_slices, _proved_pair,
 from morita.enumeration import automorphisms, find_isomorphism
 from morita.errors import (ConditionReport, DomainMismatch, FormatError,
                            MissingJoin, MoritaError, NoBottom, NotAPartialOrder,
-                           NotCompositionClosed, NoTop, PASS, ResourceLimit,
+                           NotCompositionClosed, PASS, ResourceLimit,
                            failure)
 from morita.io import leq_rows
 from morita.lattice import _freeze, join_closure, opposite, validate_lattice
@@ -421,7 +423,7 @@ def _is_lattice_matrix(leq):
     try:
         validate_lattice(leq)
         return True
-    except (NotAPartialOrder, NoBottom, MissingJoin, NoTop):
+    except (NotAPartialOrder, NoBottom, MissingJoin):
         return False
 
 
@@ -727,8 +729,10 @@ def parse_lat_by_rows(fields, path):
     names = [s.strip() for s in val.split(",")]
     if len(names) != n:
         raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
-    if any(not nm for nm in names):
-        raise FormatError(f"{path}:{ln}: empty element name")
+    for nm in names:
+        if not nm or set(nm) & set(",;#=\n\r"):
+            raise FormatError(f"{path}:{ln}: unserializable element name: "
+                              f"'{nm}'")
     for k, nm in enumerate(names):
         if nm in names[:k]:
             raise FormatError(f"{path}:{ln}: duplicate element name '{nm}'")
@@ -744,3 +748,15 @@ def parse_lat_by_rows(fields, path):
                               "characters of 0/1")
         leq[i] = [c == "1" for c in row]
     return leq, names
+
+
+def read_elem(path, arity):
+    'The tuple -> element-index mapping of an .elem sidecar file.'
+    _, arrows = mio._parse(path, mio._read_text(path))
+    out = {}
+    for ln, line in arrows:
+        t, v = mio._parse_arrow(path, ln, line, arity)
+        if t in out:
+            raise FormatError(f"{path}:{ln}: duplicate entry for {t}")
+        out[t] = v
+    return out

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import lattices_up_to, meet_quantale, meet_tables
-from morita.census import CensusTask, enumerate_trimorphisms, run_census
+from morita.census import CensusTask, run_census
 from morita.engine import (InvolutiveWitness, MoritaContext,
                            MoritaPairWitness, build_context_from_pair,
                            build_involutive_context, check_morita_context,
@@ -162,7 +162,7 @@ def test_criterion_6_involutive_equivalence():
                       "stars always well-defined"):
         passing = 0
         for x in lattices_up_to(3):
-            for p in enumerate_trimorphisms(x, x, x, x):
+            for p in enumerate_multimorphisms((x, x, x), x):
                 one_sided = involutive_conditions_from_tables(x, p.values)
                 q_t = np.ascontiguousarray(p.values.transpose(2, 1, 0))
                 two_sided = conditions_from_tables(x, x, p.values, q_t)
@@ -187,8 +187,8 @@ def test_criterion_7_generator_checks_agree_with_full_domain():
             if (tensor_product(x, y, x).n > 12
                     or tensor_product(y, x, y).n > 12):
                 continue
-            ps = list(enumerate_trimorphisms(x, y, x, x))
-            qs = list(enumerate_trimorphisms(y, x, y, y))
+            ps = list(enumerate_multimorphisms((x, y, x), x))
+            qs = list(enumerate_multimorphisms((y, x, y), y))
             for p, q in itertools.product(ps, qs):
                 w = MoritaPairWitness.from_generators(
                     x, y, p.values, q.values)

@@ -1,6 +1,9 @@
 """Closed-form witnesses: they pass the pair and involutive checks, and the
 census finds each of their orbits."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from morita.engine import (InvolutiveWitness, MoritaPairWitness,
 from morita.enumeration import (MAX_ENUM_N, automorphisms, canonical_key,
                                 enumerate_lattices, find_isomorphism)
 from morita.io import leq_rows
-from morita.lattice import opposite
+from morita.lattice import diamond, opposite
 from oracles import (anti_automorphisms, dual_witness, frame_witness,
                      involutive_witness)
 
@@ -108,3 +111,23 @@ def test_the_involutive_census_contains_each_involutive_orbit(census_i3):
             found = {(leq_rows(x), _moved(p, (a, a, a), a).tobytes())
                      for a in map(np.asarray, automorphisms(x))}
             assert found & census_i3, leq_rows(x)
+
+
+def test_the_diamond_census_contains_the_involutive_and_frame_orbits():
+    # the diamond is the one size-4 involutive space whose search finishes
+    # (in seconds); its 19 records are read from the benchmark's witness
+    # file rather than searched again
+    d = diamond()
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "witnesses.jsonl"
+    records = map(json.loads, path.read_text().splitlines())
+    found = {_table(r["p"]) for r in records
+             if r["mode"] == "involutive" and tuple(r["x_leq"]) == leq_rows(d)}
+    assert len(found) == 19
+    forms = [involutive_witness(d, delta) for delta in anti_automorphisms(d)
+             if (np.asarray(delta)[list(delta)] == np.arange(d.n)).all()]
+    assert len(forms) == 2
+    forms.append(frame_witness(d)[0])
+    for p in forms:
+        orbit = {_moved(p, (a, a, a), a).tobytes()
+                 for a in map(np.asarray, automorphisms(d))}
+        assert orbit & found

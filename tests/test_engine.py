@@ -1,5 +1,6 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
+import inspect
 import itertools
 import json
 import pickle
@@ -12,7 +13,9 @@ import pytest
 from conftest import (fails_alike_warm_and_cold, lattices_up_to,
                       meet_quantale, meet_tables, one_cell_changes,
                       renumbered)
+import morita
 from morita import engine
+from morita import io as mio
 from morita import tensor as tensor_module
 from morita.census import (CensusTask, _lat_from_rows,
                            enumerate_trimorphisms, run_census)
@@ -31,13 +34,15 @@ from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            NotAMultimorphism, ResourceLimit,
                            StarNotWellDefined, failure)
 from morita.io import leq_rows
-from morita.lattice import (_index_table, chain, conjugate_lattice, diamond,
-                            join_closure, m3, opposite)
+from morita.lattice import (FiniteSupLattice, _index_table, chain,
+                            conjugate_lattice, diamond, join_closure, m3,
+                            opposite)
 from morita.modules import (Bimodule, ModuleAction, conjugate_bimodule,
                             regular_bimodule)
 from morita.quantale import (OperatorQuantale, endo_quantale,
                              image_subquantale)
-from morita.tensor import (Multimorphism, MultiTensorLattice, is_multimorphism,
+from morita.tensor import (Multimorphism, MultiTensorLattice,
+                           enumerate_multimorphisms, is_multimorphism,
                            tensor_product)
 import oracles
 from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
@@ -278,7 +283,7 @@ def test_involutive_meet_witnesses():
 def test_involutive_full_domain_agreement():
     checked = 0
     for x in lattices_up_to(2):
-        for f in enumerate_trimorphisms(x, x, x, x):
+        for f in enumerate_multimorphisms((x, x, x), x):
             w = InvolutiveWitness.from_generators(x, f.values)
             assert (check_involutive_conditions(w).digest()
                     == check_involutive_conditions_full(w).digest())
@@ -329,7 +334,7 @@ def five_axis_involutive_conditions(x, p_gen):
 def test_involutive_conditions_match_the_five_axis_reference(built):
     checked = failing = 0
     for x in lattices_up_to(3):
-        for f in enumerate_trimorphisms(x, x, x, x):
+        for f in enumerate_multimorphisms((x, x, x), x):
             new = involutive_conditions_from_tables(x, f.values)
             old = five_axis_involutive_conditions(x, f.values)
             decided_then_named(new, old, built)
@@ -372,11 +377,12 @@ def test_as_pair_witness_tables_are_multimorphisms(monkeypatch):
     witnesses = [InvolutiveWitness.from_generators(_lat_from_rows(r.x_leq), r.p)
                  for r in run_census(CensusTask(max_x=3, involutive=True))[0]]
     for x in lattices_up_to(3):
+        xstar = conjugate_lattice(x)
         witnesses += [InvolutiveWitness.from_generators(x, f.values) for f in
-                      enumerate_trimorphisms(x, conjugate_lattice(x), x, x)]
+                      enumerate_multimorphisms((x, xstar, x), x)]
     d = diamond()
     keep = set(np.random.default_rng(17).choice(65536, 12, replace=False))
-    tables = enumerate_trimorphisms(d, conjugate_lattice(d), d, d)
+    tables = enumerate_multimorphisms((d, conjugate_lattice(d), d), d)
     witnesses += [InvolutiveWitness.from_generators(d, f.values)
                   for k, f in enumerate(tables) if k in keep]
     assert len(witnesses) == 7 + 171 + 12
@@ -403,7 +409,7 @@ def test_the_involutive_gate_decides_the_pair_check_of_its_pair(monkeypatch):
     outcomes = []
     for x in lattices_up_to(3):
         xstar = conjugate_lattice(x)
-        for f in enumerate_trimorphisms(x, xstar, x, x, surjective=True):
+        for f in enumerate_trimorphisms(x, xstar, x, x):
             ok = involutive_conditions_from_tables(x, f.values).ok
             assert ok == conditions_from_tables(
                 x, xstar, f.values, f.values.transpose(2, 1, 0)).ok
@@ -445,7 +451,7 @@ def test_star_profile_over_all_three_chain_witnesses():
     # identity star or all six endomorphisms with the swap star
     x = chain(3)
     profiles = set()
-    for p in enumerate_trimorphisms(x, x, x, x):
+    for p in enumerate_multimorphisms((x, x, x), x):
         if not involutive_conditions_from_tables(x, p.values).ok:
             continue
         w = InvolutiveWitness.from_generators(x, p.values)
@@ -670,7 +676,7 @@ def test_distinct_slices_matches_the_reference_on_full_domain_tables(
     for w in (meet_witness(x2), candidate_23(), zero_q):
         check_pair_conditions_full(w)
     for x in lattices_up_to(2):
-        for f in enumerate_trimorphisms(x, x, x, x):
+        for f in enumerate_multimorphisms((x, x, x), x):
             check_involutive_conditions_full(
                 InvolutiveWitness.from_generators(x, f.values))
     assert {ndim for ndim, _ in shapes} == {2}
@@ -679,8 +685,7 @@ def test_distinct_slices_matches_the_reference_on_full_domain_tables(
 
 def _census_candidates(x, y):
     'The surjective p tables on x(x)y(x)x that pass conditions 3 and 4.'
-    return [f.values for f in enumerate_trimorphisms(x, y, x, x,
-                                                     surjective=True)
+    return [f.values for f in enumerate_trimorphisms(x, y, x, x)
             if _distinct_slices(f.values, 2, x, "c3")
             and _distinct_slices(f.values, 0, x, "c4")]
 
@@ -1428,3 +1433,33 @@ def test_a_surjectivity_failure_is_named_afresh_from_its_own_call(
     assert _surjective_by_generators(lat, table, "map") is PASS
     assert str(_surjective_by_generators(opposite(lat), table, "op")) == (
         "FAIL op-surjective at (0) - image join-closure has 2 of 3 elements")
+
+
+# --- the exported checks validate their tables --------------------------------------
+
+def test_every_exported_check_rejects_the_m3_meet_table():
+    # x ∧ y ∧ z on M3 is not a multimorphism: M3 is not distributive, so
+    # a ∧ (b ∨ c) = a but (a ∧ b) ∨ (a ∧ c) = 0. The raw-table checks pass
+    # it, since they assume multimorphisms; the witness constructors,
+    # through which every exported pair or involutive check is reached,
+    # reject it
+    x = m3()
+    t = meet_tables(x)
+    assert conditions_from_tables(x, x, t, t).ok
+    assert involutive_conditions_from_tables(x, t).ok
+    with pytest.raises(NotAMultimorphism, match="slot-0-joins"):
+        MoritaPairWitness(x, x, t, t)
+    with pytest.raises(NotAMultimorphism, match="slot-0-joins"):
+        InvolutiveWitness(x, t)
+
+
+def test_the_package_exports_no_raw_table_check_and_no_unused_name():
+    removed = {"conditions_from_tables", "involutive_conditions_from_tables",
+               "enumerate_trimorphisms", "as_quantale", "NoTop"}
+    assert removed.isdisjoint(dir(morita))
+    assert not hasattr(mio, "read_elem")
+    assert not hasattr(FiniteSupLattice, "meet_of")
+    assert list(inspect.signature(enumerate_trimorphisms).parameters) == [
+        "x1", "x2", "x3", "z", "cap"]
+    assert list(inspect.signature(mio.write_context).parameters) == [
+        "dirpath", "ctx"]

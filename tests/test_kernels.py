@@ -13,8 +13,7 @@ from conftest import lattices_up_to, meet_tables
 from morita import _kernels, cli, io, lattice
 from morita.census import enumerate_multimorphisms
 from morita.engine import MoritaPairWitness, build_context_from_pair
-from morita.errors import MissingJoin, MoritaError, NoBottom, NoTop, \
-    NotAPartialOrder
+from morita.errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
 from morita.tensor import _Grid, tensor_product
 from oracles import _to_int, _to_rows, closure_plan, tensor_product_by_closure
@@ -306,7 +305,8 @@ def reference_validate(leq, names):
         if what == "join":
             tops = np.flatnonzero(leq.all(axis=0))
             if len(tops) == 0:
-                raise NoTop("no greatest element")
+                raise MoritaError("internal: no greatest element despite "
+                                  "bottom and joins")
     return int(bottoms[0]), int(tops[0]), tables[0], tables[1]
 
 

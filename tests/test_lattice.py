@@ -138,7 +138,6 @@ def test_validate_name_count_mismatch():
 def test_join_of_empty_is_bottom():
     lat = diamond()
     assert lat.join_of([]) == lat.bottom
-    assert lat.meet_of([]) == lat.top
 
 
 def test_join_closure_diamond():

@@ -12,7 +12,7 @@ from morita.errors import (DomainMismatch, MissingInvolution,
                            NotAMultimorphism, NotCompositionClosed)
 from morita.lattice import chain, diamond, m3, n5
 from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
-                             _row_keys, as_involutive_quantale, as_quantale,
+                             _row_keys, as_involutive_quantale,
                              check_quantale, endo_quantale, image_subquantale,
                              is_quantale_involution)
 from morita.tensor import Multimorphism, is_multimorphism
@@ -62,13 +62,6 @@ def test_check_quantale_rejects_bottom_absorber_violation():
     q = Quantale(lat, np.full((3, 3), 1, dtype=np.int64))
     rep = check_quantale(q)
     assert not rep.ok
-
-
-def test_as_quantale_raises_with_report():
-    lat = chain(3)
-    from morita.errors import MoritaError
-    with pytest.raises(MoritaError):
-        as_quantale(lat, np.full((3, 3), 1, dtype=np.int64))
 
 
 def test_image_subquantale_closed_family():
