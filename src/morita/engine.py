@@ -136,28 +136,25 @@ def _chain_offsets(nx, ny):
     return tail, head, ends
 
 
-def _collision_verdict(pair, lat, label):
+def _distinct_slices(table, axis, lat, label):
+    'The curried maps obtained by fixing this slot must be pairwise distinct.'
+    pair = slice_collision(table, axis)
     if pair is None:
         return PASS
     return failure(label, (lat.names[pair[0]], lat.names[pair[1]]),
                    "distinct elements induce identical curried maps")
 
 
-def _distinct_slices(table, axis, lat, label):
-    'The curried maps obtained by fixing this slot must be pairwise distinct.'
-    return _collision_verdict(slice_collision(table, axis), lat, label)
-
-
-_Side = namedtuple("_Side",
-                   "surjective slot2 slot0 left left_ne_right clean")
+_Side = namedtuple("_Side", "surjective left left_ne_right clean")
 
 
 @functools.lru_cache(maxsize=1024)
 def _one_sided(lat, other, raw):
     """What the pair check needs of p: lat(x)other(x)lat -> lat alone, given
-    as its C-order int64 bytes: whether p is surjective, the collisions of
-    slot 2 and of slot 0, the chain's ``left`` with ``left != right``, and
-    ``clean``: surjective, no collision, and ``left == right`` throughout.
+    as its C-order int64 bytes: whether p is surjective, the chain's
+    ``left`` with ``left != right``, and ``clean``: surjective,
+    ``left == right`` throughout, then (as the census checked already) no
+    equal slices in slot 2 or slot 0.
 
     No element names, so one entry serves every naming of the lattices;
     the arrays are read-only because every caller shares them. Raises
@@ -173,13 +170,11 @@ def _one_sided(lat, other, raw):
     left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
     right = flat[head + flat].ravel()
     surjective = values.issuperset(lat.join_irreducibles())
-    slot2 = slice_collision(table, 2)
-    slot0 = slice_collision(table, 0)
     left_ne_right = left != right
-    clean = (surjective and slot2 is None and slot0 is None
-             and not left_ne_right.any())
-    return _Side(surjective, slot2, slot0, _freeze(left),
-                 _freeze(left_ne_right), clean)
+    clean = (surjective and not left_ne_right.any()
+             and slice_collision(table, 2) is None
+             and slice_collision(table, 0) is None)
+    return _Side(surjective, _freeze(left), _freeze(left_ne_right), clean)
 
 
 def _mid(p_gen, q_gen, nx, ny):
@@ -243,10 +238,10 @@ def _pair_verdicts(x, y, p_raw, q_raw):
                                      p_side)),
         ("condition-2", _assoc_chain(q_gen, p_gen, y, x, "condition-2",
                                      q_side)),
-        ("condition-3", _collision_verdict(p_side.slot2, x, "condition-3")),
-        ("condition-4", _collision_verdict(p_side.slot0, x, "condition-4")),
-        ("condition-5", _collision_verdict(q_side.slot2, y, "condition-5")),
-        ("condition-6", _collision_verdict(q_side.slot0, y, "condition-6"))]
+        ("condition-3", _distinct_slices(p_gen, 2, x, "condition-3")),
+        ("condition-4", _distinct_slices(p_gen, 0, x, "condition-4")),
+        ("condition-5", _distinct_slices(q_gen, 2, y, "condition-5")),
+        ("condition-6", _distinct_slices(q_gen, 0, y, "condition-6"))]
 
 
 def conditions_from_tables(x, y, p_gen, q_gen) -> ConditionReport:
@@ -595,8 +590,8 @@ def _involutive_verdicts(x, raw):
              _surjective_by_generators(x, p, "p")),
             ("condition-a", _assoc_chain(p, p.transpose(2, 1, 0), x, x,
                                          "condition-a", side)),
-            ("condition-b", _collision_verdict(side.slot2, x, "condition-b")),
-            ("condition-c", _collision_verdict(side.slot0, x, "condition-c"))]
+            ("condition-b", _distinct_slices(p, 2, x, "condition-b")),
+            ("condition-c", _distinct_slices(p, 0, x, "condition-c"))]
 
 
 def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:

@@ -13,6 +13,7 @@ check_* functions downstream.
 """
 
 import os
+import re
 
 import numpy as np
 
@@ -28,20 +29,20 @@ _FORBIDDEN_IN_NAMES = set(",;#=\n\r")
 
 # --- low-level parsing ---------------------------------------------------------------
 
-def _read_text(path):
+def _read_bytes(path):
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            return fh.read()
     except OSError as e:
         raise FormatError(f"{path}: {e}") from None
+
+
+def _parse(path, data):
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         line = data.count(b"\n", 0, e.start) + 1
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
-
-
-def _parse(path, text):
     fields, arrows = {}, []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -129,7 +130,8 @@ def _check_names(names, where=""):
 
 # --- .lat ----------------------------------------------------------------------------
 
-def _parse_lat(fields, path):
+def _parse_lat(fields, path, order=None):
+    'Order and names; ``order`` is the leq= value as bytes, if it was cut out.'
     ln, val = _field(fields, "n", path)
     n = _int(val, path, ln, "n")
     if n < 1:
@@ -143,27 +145,37 @@ def _parse_lat(fields, path):
         dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
         raise FormatError(f"{path}:{ln}: duplicate element name '{dup}'")
     ln, val = _field(fields, "leq", path)
-    lens = [len(row.strip()) for row in val.split(";")]
-    if len(lens) != n:
-        raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(lens)}")
-    if all(k == n for k in lens):
-        # "replace" keeps one byte per character: a non-ASCII one is a
-        # wrong cell, never a wrong length
-        cells = np.frombuffer(
-            "".join(row.strip() for row in val.split(";")).encode(
-                "ascii", "replace"), dtype=np.uint8).reshape(n, n)
-        if cells.min() >= ord("0") and cells.max() <= ord("1"):
+    if order is None:
+        # "replace": a non-ASCII character is a wrong cell, not a wrong length
+        val = ";".join(row.strip() for row in val.split(";"))
+        order = np.frombuffer(val.encode("ascii", "replace"), dtype=np.uint8)
+    if order.size == n * (n + 1) - 1:      # n rows of n cells, ";" between
+        cells = np.lib.stride_tricks.as_strided(order, (n, n), (n + 1, 1))
+        if ((order[n::n + 1] == ord(";")).all()
+                and cells.min() >= ord("0") and cells.max() <= ord("1")):
             return cells == ord("1"), names
-    i = next(i for i, row in enumerate(val.split(";"))
-             if lens[i] != n or set(row.strip()) - {"0", "1"})
+    rows = (val or order.tobytes().decode("ascii")).split(";")
+    if len(rows) != n:
+        raise FormatError(f"{path}:{ln}: leq needs {n} rows, got {len(rows)}")
+    i = next(i for i, row in enumerate(rows)
+             if len(row) != n or set(row) - {"0", "1"})
     raise FormatError(f"{path}:{ln}: leq row {i} must be {n} "
                       "characters of 0/1")
 
 
+_WRITTEN_LEQ = re.compile(rb"^leq=([01;]*)$", re.MULTILINE)
+
+
 def read_lattice_raw(path):
-    'Parse only: the order matrix and names, with no axiom checks.'
-    fields, _ = _parse(path, _read_text(path))
-    return _parse_lat(fields, path)
+    """Parse only: the order matrix and names, with no axiom checks. A leq=
+    line of 0, 1 and ; alone, as written, is read in place, not decoded."""
+    data = _read_bytes(path)
+    m = _WRITTEN_LEQ.search(data)
+    if m is None:
+        return _parse_lat(_parse(path, data)[0], path)
+    a, b = m.span(1)
+    return _parse_lat(_parse(path, data[:a] + data[b:])[0], path,
+                      np.frombuffer(memoryview(data)[a:b], dtype=np.uint8))
 
 
 def read_lattice(path) -> FiniteSupLattice:
@@ -204,7 +216,7 @@ def write_lattice(path, lat):
 
 def read_quantale(path):
     'A Quantale, or an InvolutiveQuantale when a star line is present.'
-    fields, _ = _parse(path, _read_text(path))
+    fields, _ = _parse(path, _read_bytes(path))
     leq, names = _parse_lat(fields, path)
     carrier = validate_lattice(leq, names)
     mult = _index_rows(fields, "mult", path, carrier.n, carrier.n, carrier.n)
@@ -243,7 +255,7 @@ def _plain_quantale(path):
 
 def read_action(path) -> Bimodule:
     'A Bimodule: its carrier, its two quantales and their action tables.'
-    fields, _ = _parse(path, _read_text(path))
+    fields, _ = _parse(path, _read_bytes(path))
     _, ref = _field(fields, "carrier", path)
     carrier = read_lattice(_resolve(path, ref))
     _, lref = _field(fields, "left_quantale", path)
@@ -281,7 +293,7 @@ def _parse_arrow(path, ln, line, arity):
 
 def read_map(path) -> Multimorphism:
     'A generator table over the referenced factors, validated slotwise.'
-    fields, arrows = _parse(path, _read_text(path))
+    fields, arrows = _parse(path, _read_bytes(path))
     _, val = _field(fields, "factors", path)
     factors = tuple(read_lattice(_resolve(path, ref.strip()))
                     for ref in val.split(","))

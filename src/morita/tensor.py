@@ -14,10 +14,10 @@ sup-maps, which are one-slot ``Multimorphism``s. It also lists the
 tensor's elements: the multi-ideals correspond one to one with the
 multimorphisms of all factors but one into the opposite of the remaining
 one (Joyal and Tierney, An extension of the Galois theory of Grothendieck,
-Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration. Its walk
-hands over ``BLOCK`` leaves at a time, each block is extended to full
-tables by a few numpy gathers, and the tables, in range by construction,
-are yielded without the ``Multimorphism`` constructor's checks.
+Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration: it stacks
+the int64 arrays of ``_table_blocks``, which extends ``BLOCK`` leaves of the
+walk at a time to full tables by numpy gathers, and whose tables, in range
+by construction, are yielded one by one without the constructor's checks.
 """
 
 import functools
@@ -38,10 +38,10 @@ from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
 # here); join and meet tables, built only when used, add 8 n^2 bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
-# leaves the enumerator extends at once: a block holds BLOCK x (cells + 1)
-# assignments and at most three BLOCK x tuples int64 arrays while it is
-# extended, 8 BLOCK x tuples bytes each (64 KB for the 64 tuples of a
-# three-fold 4-element grid)
+# leaves per block: the walk hands over a BLOCK x (cells + 1) int64 array,
+# extended through at most three BLOCK x tuples int64 arrays, 8 BLOCK x
+# tuples bytes each (64 KB for the 64 tuples of a three-fold 4-element
+# grid), the last of which holds the block's tables
 BLOCK = 128
 
 
@@ -63,12 +63,6 @@ def _too_large(cap):
     return ResourceLimit(f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
 
 
-def _to_ints(rows):
-    'Bitsets of the rows of a boolean matrix: bit t is set iff row[t].'
-    packed = np.packbits(rows, axis=-1, bitorder="little")
-    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
-
-
 def _subsets(rows):
     'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
     words = _words(rows)
@@ -87,8 +81,6 @@ class _Grid:
     ``coords[k][t]`` is slot k of the tuple of flat index t, in C order;
     ``bottom`` masks the tuples with a bottom coordinate, and
     ``strictly_above[t, u]`` holds iff tuple u is strictly above tuple t.
-    ``elems[t]`` is the elementary tensor of tuple t, its box and the
-    bottom, as an int with bit u for tuple u.
     """
 
     def __init__(self, factors):
@@ -103,7 +95,6 @@ class _Grid:
             bottom |= ci == f.bottom
         self.bottom = bottom
         self.strictly_above = below & ~np.eye(self.tcount, dtype=bool)
-        self.elems = _to_ints(below.T | bottom)
 
 
 class MultiTensorLattice:
@@ -174,8 +165,8 @@ def _maximal_tuples(bits, grid):
 
 
 def _element_order(rows):
-    'Tensor elements in order: by size, then by their rows as 0/1 strings.'
-    return np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+    'Elements by size, then by their rows as 0/1 strings, a byte per sort key.'
+    return np.lexsort((*np.packbits(rows, axis=1).T[::-1], rows.sum(axis=1)))
 
 
 def _tensor_names(factors, maximal):
@@ -194,7 +185,7 @@ def tensor_product(*factors) -> MultiTensorLattice:
     in each of their slots into meets, so it is a multimorphism g of the
     other factors into the opposite of factor k, and the ideal is
     {t : t_k <= g(t without slot k)}. Every such g gives a multi-ideal, so
-    the elements are the tables ``enumerate_multimorphisms`` yields.
+    the elements are the tables of ``_table_blocks``, stacked block by block.
 
     Slot k is the last non-distributive factor, or the last slot when all
     are distributive: the enumerator checks every leaf once a factor of
@@ -205,10 +196,11 @@ def tensor_product(*factors) -> MultiTensorLattice:
     The multi-ideals are closed under intersection, so their inclusion
     order is a lattice by construction: the result is built from it
     directly, not through ``validate_lattice``, and its join and meet
-    tables are computed only when first read.
+    tables are computed only when first read. Elements go by size, so the
+    first whose row holds a tuple is its elementary tensor, the least such.
 
-    Raises ResourceLimit when there are more than 5000 elements, or more
-    than MORITA_MAX_TENSOR when that is set.
+    Raises ResourceLimit, counted block by block, when there are more than
+    5000 elements, or more than MORITA_MAX_TENSOR when that is set.
     """
     if len(factors) < 2:
         raise DomainMismatch("a tensor product needs at least two factors")
@@ -223,14 +215,14 @@ def tensor_product(*factors) -> MultiTensorLattice:
     work = [first.setdefault(f, f) for f in factors]
     k = max((i for i, f in enumerate(work) if not f.is_distributive()),
             default=len(factors) - 1)
-    tables = []
-    for f in enumerate_multimorphisms(work[:k] + work[k + 1:],
-                                      opposite(work[k])):
-        if len(tables) == cap:
+    blocks = []
+    for block in _table_blocks(work[:k] + work[k + 1:], opposite(work[k])):
+        blocks.append(block)
+        if sum(map(len, blocks)) > cap:
             raise _too_large(cap)
-        tables.append(f.values)
+    tables = np.concatenate(blocks)
     # rows[e, ..., t_k, ...] iff t_k <= g_e(the other coordinates)
-    rows = np.moveaxis(factors[k].leq.T[np.array(tables)], -1, k + 1)
+    rows = np.moveaxis(factors[k].leq.T[tables], -1, k + 1)
     rows = rows.reshape(len(tables), g.tcount)
 
     bits = rows[_element_order(rows)]
@@ -243,9 +235,7 @@ def tensor_product(*factors) -> MultiTensorLattice:
     lattice = FiniteSupLattice(n, _tensor_names(factors, maximal), leq, None,
                                None, 0, n - 1)
 
-    index = {s: i for i, s in enumerate(_to_ints(bits))}
-    elem_table = np.array([index[e] for e in g.elems],
-                          dtype=np.int64).reshape(g.sizes)
+    elem_table = bits.argmax(axis=0).reshape(g.sizes)
     return MultiTensorLattice(factors, lattice, bits, elem_table, maximal)
 
 
@@ -427,16 +417,17 @@ def _extension_plan(factors):
 
 def _monotone_blocks(ncells, covers, target):
     """The monotone assignments of the cells into the target, in lex order
-    with cell 0 outermost, as lists of at most ``BLOCK`` rows; each row is
-    a copy of the assignment followed by the sentinel cell's bottom."""
+    with cell 0 outermost, as int64 arrays of ``BLOCK`` rows (the last may
+    be shorter): an assignment, then the sentinel cell's bottom, per row."""
     joins = target.join.tolist()
     ups = [np.flatnonzero(row).tolist() for row in target.leq]
     bottom = target.bottom
     assign = [bottom] * (ncells + 1)   # the last entry is the sentinel
     if ncells == 0:
-        yield [assign]
+        yield np.array([assign], dtype=np.int64)
         return
-    last, its, block = ncells - 1, [None] * ncells, []
+    last, its = ncells - 1, [None] * ncells
+    prefixes, counts, values = [], [], []
     t = 0                              # the first cell without a value
     while True:
         lb = bottom
@@ -447,12 +438,15 @@ def _monotone_blocks(ncells, covers, target):
             assign[t] = next(it)
             t += 1
             continue
-        for v in ups[lb]:
-            assign[t] = v
-            block.append(assign[:])
-            if len(block) == BLOCK:
-                yield block
-                block = []
+        vs = ups[lb]         # the last cell's values, one prefix copy
+        prefixes.append(assign[:])
+        counts.append(len(vs))
+        values += vs
+        while len(values) >= BLOCK:      # the last prefix may straddle
+            extra = len(values) - BLOCK
+            counts[-1] -= extra
+            yield _spread(prefixes, counts, values[:BLOCK], last)
+            prefixes, counts, values = prefixes[-1:], [extra], values[BLOCK:]
         # back to the deepest cell with a value left
         v = None
         while v is None and t:
@@ -462,8 +456,35 @@ def _monotone_blocks(ncells, covers, target):
             break
         assign[t] = v
         t += 1
-    if block:
-        yield block
+    if values:
+        yield _spread(prefixes, counts, values, last)
+
+
+def _spread(prefixes, counts, values, last):
+    'Rows: each prefix repeated its count of times, cell ``last`` set.'
+    rows = np.repeat(np.array(prefixes, dtype=np.int64), counts, axis=0)
+    rows[:, last] = values
+    return rows
+
+
+def _table_blocks(factors, target):
+    """The multimorphisms as read-only (m, *shape) int64 arrays, a block
+    of the walk each: a gather of its rows per row of the gather matrix,
+    joined in the target, less what ``_join_break`` rejects, if checked."""
+    factors = tuple(factors)
+    ncells, covers, gather = _extension_plan(factors)
+    verify = not all(f.is_distributive() for f in factors)
+    shape = (-1, *(f.n for f in factors))
+    join = target.join
+    for rows in _monotone_blocks(ncells, covers, target):
+        tables = rows[:, gather[0]]
+        for col in gather[1:]:
+            tables = join[tables, rows[:, col]]
+        tables = tables.reshape(shape)
+        if verify:
+            tables = tables[[_join_break(_trusted(factors, target, v)) is None
+                             for v in tables]]
+        yield _freeze(tables)
 
 
 def enumerate_multimorphisms(factors, target, cap=None):
@@ -476,35 +497,22 @@ def enumerate_multimorphisms(factors, target, cap=None):
     extension preserves joins slotwise, into any target; the extensions are
     checked one by one only when some factor is not distributive.
 
-    The walk hands over its assignments ``BLOCK`` at a time, and a block is
-    extended at once: one gather of its rows per row of the gather matrix,
-    joined column by column in the target's join table, into a fresh
-    read-only (block, *shape) int64 array. Its entries are target elements
-    by construction, so its tables are yielded as views without the
-    constructor's copy and range check; a table kept by the caller keeps
-    its block's array alive. ResourceLimit is raised on the (cap + 1)-th
-    table accepted, when the walk is at most one block ahead.
+    The tables come from ``_table_blocks`` a block at a time. Their entries
+    are target elements by construction, so they are yielded as read-only
+    views without the constructor's copy and range check; a table kept by
+    the caller keeps its block's array alive. ResourceLimit is raised on
+    the (cap + 1)-th table accepted, when the walk is at most one block
+    ahead.
     """
     factors = tuple(factors)
-    ncells, covers, gather = _extension_plan(factors)
-    verify = not all(f.is_distributive() for f in factors)
-    shape = (-1, *(f.n for f in factors))
-    join = target.join
     found = 0
-    for block in _monotone_blocks(ncells, covers, target):
-        rows = np.array(block, dtype=np.int64)
-        tables = rows[:, gather[0]]
-        for col in gather[1:]:
-            tables = join[tables, rows[:, col]]
-        for values in _freeze(tables).reshape(shape):
-            f = _trusted(factors, target, values)
-            if verify and _join_break(f) is not None:
-                continue
+    for block in _table_blocks(factors, target):
+        for values in block:
             if cap is not None and found >= cap:
                 raise ResourceLimit(
                     f"more than {cap} multimorphisms in one space")
             found += 1
-            yield f
+            yield _trusted(factors, target, values)
 
 
 def join_over_tuples(tensor: MultiTensorLattice, target, rows):

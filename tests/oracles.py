@@ -8,7 +8,10 @@
 * ``tensor_product_by_closure``, the breadth-first tensor build on the
   bit-packed closure kernel ``morita._kernels.close_ideal``, with its
   elements named by a loop over tuples and its order validated, which the
-  enumerated build of ``tensor_product`` is compared against;
+  enumerated build of ``tensor_product`` is compared against, and
+  ``elem_table_by_bitsets``, the elementary tensors looked up by their
+  Python-int bitsets, which its ``argmax`` element table is compared
+  against;
 * ``join_irreducibles_by_joins``, the join-irreducibles found by joining
   the elements strictly below each one, which the down-set lookup of
   ``FiniteSupLattice.join_irreducibles`` is compared against;
@@ -63,12 +66,32 @@ from morita.io import leq_rows
 from morita.lattice import _freeze, join_closure, opposite, validate_lattice
 from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
-                           _subsets, _to_ints,
-                           as_multimorphism, is_multimorphism,
+                           _subsets, as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
 
 
 # --- the closure kernel and the tensor built on it ----------------------------------
+
+def _to_ints(rows):
+    'Bitsets of the rows of a boolean matrix: bit t is set iff row[t].'
+    packed = np.packbits(rows, axis=-1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def grid_elems(g: _Grid):
+    """The elementary tensor of each tuple of the grid, its box and the
+    bottom, as an int with bit u for tuple u."""
+    box = (g.strictly_above | np.eye(g.tcount, dtype=bool)).T
+    return _to_ints(box | g.bottom)
+
+
+def elem_table_by_bitsets(g: _Grid, bits):
+    """The index of each tuple's elementary tensor among the rows of
+    ``bits``, by a {bitset: index} lookup, shaped like the grid."""
+    index = {s: i for i, s in enumerate(_to_ints(bits))}
+    return np.array([index[e] for e in grid_elems(g)],
+                    dtype=np.int64).reshape(g.sizes)
+
 
 def _to_int(row):
     'Bitset of a boolean row: bit t is set iff row[t].'
@@ -143,7 +166,8 @@ def tensor_product_by_closure(*factors) -> MultiTensorLattice:
 
     irr = np.ix_(*(f.join_irreducibles() for f in factors))
     flat = np.arange(g.tcount).reshape(g.sizes)[irr].reshape(-1)
-    gens = [g.elems[t] for t in flat]
+    elems = grid_elems(g)
+    gens = [elems[t] for t in flat]
     queue = [_to_int(g.bottom)] + gens
     seen = set(queue)
     qi = 0
@@ -164,11 +188,8 @@ def tensor_product_by_closure(*factors) -> MultiTensorLattice:
     bits = rows[order]
 
     lattice = validate_lattice(_subsets(bits), _names_by_loop(sets, factors))
-
-    index = {s: i for i, s in enumerate(sets)}
-    elem_table = np.array([index[e] for e in g.elems],
-                          dtype=np.int64).reshape(g.sizes)
-    return MultiTensorLattice(factors, lattice, bits, elem_table)
+    return MultiTensorLattice(factors, lattice, bits,
+                              elem_table_by_bitsets(g, bits))
 
 
 # --- tuples and tensor elements ---------------------------------------------------
@@ -752,7 +773,7 @@ def parse_lat_by_rows(fields, path):
 
 def read_elem(path, arity):
     'The tuple -> element-index mapping of an .elem sidecar file.'
-    _, arrows = mio._parse(path, mio._read_text(path))
+    _, arrows = mio._parse(path, mio._read_bytes(path))
     out = {}
     for ln, line in arrows:
         t, v = mio._parse_arrow(path, ln, line, arity)

@@ -83,3 +83,40 @@ def test_comparison_counts_wins_and_gives_the_first_quartiles():
     assert lines[1].endswith("first quartiles [0.0617, 0.0673] (IQR 0.0055)")
     one = mod.entry("c", "verify", [1], 25, [result(0.3, 0.06, 38.0)])
     assert mod.comparison(one, one)["work_s"]["quartiles"] == (0.06,) * 3
+
+
+def test_noise_marks_a_spread_above_its_bound_unresolved():
+    mod = _bench_record()
+
+    def entry(name, setups, works):
+        return mod.entry(name, "census", list(range(len(works))), 25, [
+            {"metrics": {"setup_s": {"value": s}, "work_s": {"value": w},
+                         "peak_rss_mb": {"value": 40.0}}}
+            for s, w in zip(setups, works)])
+    bounds = json.loads((ROOT / "BENCHMARK.json").read_text(
+        encoding="utf-8"))["end_to_end"]
+    bounds = {m["name"]: m["bound"] for m in bounds}
+    assert set(bounds) >= set(mod.METRICS)
+    # setup_s spreads 40 % of its median, work_s 2 %, peak_rss_mb not at all
+    setups = [0.16, 0.18, 0.2, 0.22, 0.24, 0.26]
+    works = [0.0495, 0.0498, 0.05, 0.0502, 0.0505, 0.05]
+    first = entry("a", setups, works)
+    c = mod.comparison(first, entry("b", [s * 0.9 for s in setups], works),
+                       bounds)
+    q1, q2, q3 = c["setup_s"]["quartiles"]
+    assert c["setup_s"]["iqr_share"] == pytest.approx((q3 - q1) / q2)
+    assert c["setup_s"]["iqr_share"] > bounds["setup_s"]
+    # a 10 % gain the spread hides is unresolved; one every run shows is not
+    assert c["setup_s"]["unresolved"]
+    assert not c["work_s"]["unresolved"] and not c["peak_rss_mb"]["unresolved"]
+    clear = mod.comparison(first, entry("c", [0.15] * 6, works), bounds)
+    assert not clear["setup_s"]["unresolved"]
+    tie = mod.comparison(first, entry("d", [0.15] * 5 + [0.16], works), bounds)
+    assert tie["setup_s"]["unresolved"]       # a tie with the best is no win
+    lines = mod.noise_lines("census", first, entry("b", setups, works), bounds)
+    assert len(lines) == 3
+    assert lines[0].startswith("census setup_s: first IQR ")
+    assert lines[0].endswith("% of its median, bound 25%: unresolved")
+    assert lines[1].endswith("% of its median, bound 25%")
+    assert mod.comparison(first, first)["work_s"].keys() == {
+        "wins", "pairs", "quartiles", "median"}

@@ -32,7 +32,7 @@ from morita.enumeration import canonical_key
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
                            NotAMultimorphism, ResourceLimit,
-                           StarNotWellDefined, failure)
+                           StarNotWellDefined, failure, slice_collision)
 from morita.io import leq_rows
 from morita.lattice import (FiniteSupLattice, _index_table, chain,
                             conjugate_lattice, diamond, join_closure, m3,
@@ -745,15 +745,27 @@ def test_a_lying_clean_flag_raises_when_names_are_built(monkeypatch):
             rep.summary()
 
 
-def test_clean_needs_the_p_only_composites_to_agree():
+def test_clean_needs_the_p_only_composites_to_agree(monkeypatch):
     # 86 of the 97 census candidates on the 3-chain are surjective and pass
     # both slice conditions, yet their p-only composites differ somewhere:
     # only the left == right clause keeps them unclean
     x = chain(3)
-    sides = [_one_sided(x, x, t.tobytes()) for t in _census_candidates(x, x)]
+    tables = _census_candidates(x, x)
+    searched = []
+
+    def counting(table, axis):
+        searched.append(axis)
+        return slice_collision(table, axis)
+    monkeypatch.setattr(engine, "slice_collision", counting)
+    _one_sided.cache_clear()
+    sides = [_one_sided(x, x, t.tobytes()) for t in tables]
+    # the slices, which the census searched already, are searched again
+    # only for the 11 candidates that pass the rest
+    assert searched == [2, 0] * 11
     assert len(sides) == 97
-    assert all(s.surjective and s.slot2 is None and s.slot0 is None
-               for s in sides)
+    assert all(s.surjective and slice_collision(t, 2) is None
+               and slice_collision(t, 0) is None
+               for s, t in zip(sides, tables))
     unequal = [s for s in sides if s.left_ne_right.any()]
     assert len(unequal) == 86
     assert not any(s.clean for s in unequal)

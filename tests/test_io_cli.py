@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -91,7 +92,7 @@ def test_lattice_parse_errors(tmp_path, capsys):
 
 
 def _lat_fields(path):
-    return mio._parse(path, mio._read_text(path))[0]
+    return mio._parse(path, mio._read_bytes(path))[0]
 
 
 def test_leq_parser_matches_the_row_parser(tmp_path):
@@ -177,6 +178,63 @@ def test_writing_a_big_tensor_keeps_the_peak_under_its_order(tmp_path):
                          capture_output=True, text=True, env=env, check=True)
     n, grown = map(int, out.stdout.split())
     assert n == 980 and grown < n * n, grown
+
+
+def test_reading_a_big_order_peaks_under_two_and_a_half_copies(tmp_path):
+    # the written leq= line is read in place from the file's bytes: the
+    # peak holds the bytes and the boolean matrix, each about n^2
+    path = tmp_path / "t.lat"
+    mio.write_lattice(path, tensor_product(chain(4), chain(4), chain(4))
+                      .lattice)
+    mio.read_lattice_raw(path)                  # imports and caches warm
+    tracemalloc.start()
+    try:
+        leq, _ = mio.read_lattice_raw(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = leq.shape[0]
+    assert n == 980 and peak <= 2.5 * n * n, peak / (n * n)
+
+
+def _raw_or_message(read, path):
+    try:
+        return read(path)
+    except FormatError as e:
+        return str(e)
+
+
+def test_the_in_place_order_matches_the_text_parser(tmp_path):
+    # the bytes path of read_lattice_raw against _parse_lat on the decoded
+    # fields: written files, and files whose leq= line is all 0, 1 and ;
+    # but wrong, or whose other lines are wrong before or after it
+    def by_text(path):
+        return mio._parse_lat(_lat_fields(path), path)
+
+    head = "n=2\nnames=a,b\n"
+    cases = [head + "leq=11;01\n", head + "leq=11;01", "leq=1\nn=1\nnames=a\n",
+             head + "leq=1101\n", head + "leq=11;;01\n", head + "leq=;\n",
+             head + "leq=\n", head + "leq=11;01;\n", head + "leq=111;0\n",
+             head + "leq=11;01\nleq=11;01\n", head + "leq=11;01\nx\n",
+             "n=3\nnames=a,b\nleq=11;01\n", head + "leq=11;01 # c\n",
+             head + "leq=11;01\r\n", head + " leq=11;01\n"]
+    path = tmp_path / "x.lat"
+    for text in cases:
+        path.write_text(text, encoding="utf-8")
+        got = _raw_or_message(mio.read_lattice_raw, path)
+        want = _raw_or_message(by_text, path)
+        if isinstance(want, str):
+            assert got == want, text
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    path.write_bytes(b"n=2\nnames=a,b\nleq=11;01\n# \xff\n")
+    assert _raw_or_message(mio.read_lattice_raw, path) == \
+        f"{path}:4: not UTF-8 text"
+    for lat in lattices_up_to(5) + [chain(64), m3().relabel("\u00e9xyzw")]:
+        mio.write_lattice(path, lat)
+        leq, names = mio.read_lattice_raw(path)
+        assert np.array_equal(leq, lat.leq) and tuple(names) == lat.names
+        assert leq.dtype == bool and leq.flags.c_contiguous
 
 
 def test_non_utf8_input_names_file_and_line(tmp_path, capsys):

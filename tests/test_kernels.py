@@ -16,7 +16,8 @@ from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
 from morita.tensor import _Grid, tensor_product
-from oracles import _to_int, _to_rows, closure_plan, tensor_product_by_closure
+from oracles import (_to_int, _to_rows, closure_plan, elem_table_by_bitsets,
+                     tensor_product_by_closure)
 
 
 # --- reference: boolean down and fiber passes -------------------------------------
@@ -187,6 +188,10 @@ def _same_tensor(shape):
     assert np.array_equal(new.lattice.leq, old.lattice.leq), shape
     assert new.lattice.names == old.lattice.names, shape
     assert np.array_equal(new.elem_table, old.elem_table), shape
+    # the first row by size holding a tuple is its elementary tensor
+    assert new.elem_table.dtype == np.int64, shape
+    by_bitsets = elem_table_by_bitsets(_Grid(factors), new.bits)
+    assert np.array_equal(new.elem_table, by_bitsets), shape
     # the tables built on first read agree with the validated order's
     assert np.array_equal(new.lattice.join, old.lattice.join), shape
     assert np.array_equal(new.lattice.meet, old.lattice.meet), shape

@@ -421,6 +421,66 @@ def test_yielded_tables_are_frozen_and_not_reused():
         Multimorphism((x, x), x, np.full((2, 2), -1))
 
 
+def _stacked(tables, shape):
+    return np.array([f.values for f in tables], dtype=np.int64).reshape(shape)
+
+
+def test_table_blocks_stack_to_the_enumerated_tables(monkeypatch):
+    # the array path against the per-table yields and the per-leaf
+    # reference, in order: every pair of lattices of size <= 4 (the 1-chain
+    # among them) into every target of size <= 4, and M3 or N5 in the
+    # domain, where _join_break drops tables from a block
+    lats = lattices_up_to(4)
+    assert [lat.n for lat in lats] == [1, 2, 3, 4, 4]
+    spaces = [(pair, z) for pair in itertools.product(lats, repeat=2)
+              for z in lats]
+    spaces += [((m3(), chain(2)), chain(3)), ((chain(2), n5()), diamond()),
+               ((n5(), chain(3)), chain(4)), ((m3(),), n5())]
+    for block in (tensor.BLOCK, 5):
+        monkeypatch.setattr(tensor, "BLOCK", block)
+        total = 0
+        for factors, z in spaces:
+            shape = (-1, *(f.n for f in factors))
+            blocks = list(tensor._table_blocks(factors, z))
+            assert all(b.dtype == np.int64 and not b.flags.writeable
+                       and len(b) <= block for b in blocks)
+            got = np.concatenate(blocks)
+            assert np.array_equal(got, _stacked(
+                enumerate_multimorphisms(factors, z), shape)), (factors, z)
+            assert np.array_equal(got, _stacked(
+                enumerate_multimorphisms_per_leaf(factors, z), shape))
+            total += len(got)
+        assert total == 5597
+
+
+def test_element_order_matches_the_full_row_lexsort():
+    # sort keys of eight columns a byte against one key per column, on
+    # repeated rows too, where the order of ties must be kept
+    rng = np.random.default_rng(25)
+    for cols in (1, 7, 8, 9, 63, 64, 65):
+        for density in (0.1, 0.5, 0.9):
+            rows = rng.random((200, cols)) < density
+            rows = rows[rng.integers(len(rows), size=300)]
+            old = np.lexsort(np.vstack([rows.T[::-1], rows.sum(axis=1)]))
+            assert np.array_equal(tensor._element_order(rows), old), cols
+
+
+def test_the_tensor_cap_stops_the_walk_within_a_block(monkeypatch):
+    blocks, walk = [], tensor._monotone_blocks
+
+    def counting(*args):
+        for b in walk(*args):
+            blocks.append(len(b))
+            yield b
+
+    monkeypatch.setattr(tensor, "_monotone_blocks", counting)
+    monkeypatch.setattr(tensor, "BLOCK", 16)
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "100")
+    with pytest.raises(ResourceLimit, match="exceeds 100 elements"):
+        tensor_product(*(chain(4),) * 3)
+    assert blocks == [16] * 7            # 112 elements seen, 101 needed
+
+
 def monotone_assignments(factors, target):
     'Monotone maps from the tuples of join-irreducibles into the target.'
     cells = list(itertools.product(*[f.join_irreducibles() for f in factors]))

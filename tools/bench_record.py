@@ -26,7 +26,11 @@ With two checkouts it also prints, per workload and metric, how many
 seeds the second checkout won (a lower value) and the first checkout's
 quartiles, so that a claimed gain can be read off the run: for example,
 at least 9 wins of 10 and a gap between the medians larger than the
-first checkout's interquartile range.
+first checkout's interquartile range. A second line per metric gives that
+range as a share of the first checkout's median and marks the metric
+"unresolved" where the share exceeds the metric's bound in BENCHMARK.json,
+unless every run of the second checkout beat every run of the first: there
+the run cannot tell a change within the bound from noise.
 """
 
 import argparse
@@ -69,15 +73,23 @@ def entry(commit, workload, seeds, seconds, results):
     return out
 
 
-def comparison(first, second):
+def comparison(first, second, bounds=None):
     """Per metric, the seeds on which ``second`` beat ``first`` and the
-    quartiles of ``first``, from two entries of one run."""
+    quartiles of ``first``, from two entries of one run. With ``bounds``
+    (metric: allowed relative worsening) also ``iqr_share``, the first's
+    interquartile range over its median, and ``unresolved``: that share
+    exceeds the bound and some run of ``second`` is no better than some
+    run of ``first``."""
     out = {}
     for m in METRICS:
         a, b = first["runs"][m], second["runs"][m]
         q1, q2, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else a * 3
         out[m] = {"wins": sum(y < x for x, y in zip(a, b)), "pairs": len(a),
                   "quartiles": (q1, q2, q3), "median": statistics.median(b)}
+        if bounds is not None:
+            share = (q3 - q1) / q2
+            out[m]["iqr_share"] = share
+            out[m]["unresolved"] = share > bounds[m] and max(b) >= min(a)
     return out
 
 
@@ -90,6 +102,16 @@ def comparison_lines(workload, first, second):
             f"median {q2:.4f} -> {c['median']:.4f} "
             f"(gap {q2 - c['median']:+.4f}), "
             f"first quartiles [{q1:.4f}, {q3:.4f}] (IQR {q3 - q1:.4f})")
+    return lines
+
+
+def noise_lines(workload, first, second, bounds):
+    lines = []
+    for m, c in comparison(first, second, bounds).items():
+        lines.append(
+            f"{workload} {m}: first IQR {100 * c['iqr_share']:.1f}% of its "
+            f"median, bound {100 * bounds[m]:.0f}%"
+            + (": unresolved" if c["unresolved"] else ""))
     return lines
 
 
@@ -108,7 +130,9 @@ def parse_args(argv=None):
 def main(argv=None):
     args = parse_args(argv)
     with open("BENCHMARK.json", encoding="utf-8") as fh:
-        seconds = json.load(fh)["run_seconds"]
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     checkouts = [os.path.abspath(c) for c in args.checkouts]
     commits = [commit_of(c) for c in checkouts]
 
@@ -146,7 +170,8 @@ def main(argv=None):
                   f"setup_s {e['setup_s']:.4f} "
                   f"peak_rss_mb {e['peak_rss_mb']:.2f}")
         if len(new) == 2:
-            print("\n".join(comparison_lines(workload, *new)))
+            print("\n".join(comparison_lines(workload, *new)
+                            + noise_lines(workload, *new, bounds)))
     return 0
 
 
