@@ -150,7 +150,7 @@ def _parse_lat(fields, path, order=None):
         val = ";".join(row.strip() for row in val.split(";"))
         order = np.frombuffer(val.encode("ascii", "replace"), dtype=np.uint8)
     if order.size == n * (n + 1) - 1:      # n rows of n cells, ";" between
-        cells = np.lib.stride_tricks.as_strided(order, (n, n), (n + 1, 1))
+        cells = np.ndarray((n, n), np.uint8, order, strides=(n + 1, 1))
         if ((order[n::n + 1] == ord(";")).all()
                 and cells.min() >= ord("0") and cells.max() <= ord("1")):
             return cells == ord("1"), names

@@ -368,10 +368,10 @@ def as_multimorphism(factors, target, values) -> Multimorphism:
     return f
 
 
-def _maximal(strictly, mask):
-    'Positions in the mask with no position of the mask strictly above.'
-    return [a for a in np.flatnonzero(mask).tolist()
-            if not (strictly[a] & mask).any()]
+def _maximal(strictly, masks):
+    'Per column of the masks, its positions with none of it strictly above.'
+    keep = masks & (strictly.astype(np.int64) @ masks.astype(np.int64) == 0)
+    return [[a for a, k in enumerate(col) if k] for col in keep.T.tolist()]
 
 
 @functools.lru_cache(maxsize=256)
@@ -397,9 +397,8 @@ def _extension_plan(factors):
     for f, ir in zip(factors, irrs):
         below = f.leq[list(ir)]                       # below[a, x]: ir[a] <= x
         strictly = below[:, list(ir)] & ~np.eye(len(ir), dtype=bool)
-        tops.append([_maximal(strictly, below[:, x]) for x in range(f.n)])
-        lowers.append([_maximal(strictly, strictly[:, b])
-                       for b in range(len(ir))])
+        tops.append(_maximal(strictly, below))
+        lowers.append(_maximal(strictly, strictly))
 
     def cell(pos):
         return sum(a * st for a, st in zip(pos, strides))

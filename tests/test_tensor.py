@@ -332,6 +332,22 @@ def test_memoised_extension_plan_matches_a_fresh_compile():
         _same_plan(factors)
 
 
+def test_maximal_matches_the_column_loop():
+    # the plan's maximal join-irreducibles below each element, and covered
+    # by each, against a loop over the columns; a 1-chain has none
+    def by_loop(strictly, mask):
+        return [a for a in np.flatnonzero(mask).tolist()
+                if not (strictly[a] & mask).any()]
+
+    for lat in lattices_up_to(6) + [n5(), m3()]:
+        ir = list(lat.join_irreducibles())
+        below = lat.leq[ir]
+        strictly = below[:, ir] & ~np.eye(len(ir), dtype=bool)
+        for masks in (below, strictly):
+            assert tensor._maximal(strictly, masks) == [
+                by_loop(strictly, masks[:, c]) for c in range(masks.shape[1])]
+
+
 def test_extension_plan_is_shared_by_relabelled_factors():
     c3, d = chain(3), diamond()
     plan = tensor._extension_plan((c3, d))
