@@ -2,8 +2,8 @@
 
 Candidate maps come from ``tensor.enumerate_multimorphisms``, which
 assigns values on tuples of join-irreducibles and extends by joins; the
-extension is verified slotwise when some factor is not distributive,
-because there a monotone assignment need not extend to a multimorphism.
+values it assigns are checked against the factors' minimal join covers as
+it goes, so every extension is a multimorphism and none is checked after.
 Surviving candidates are filtered through the pair conditions,
 deduplicated by witness isomorphism (automorphism orbits of the canonical
 lattice representatives), built and checked once, extracted back, and

@@ -67,7 +67,7 @@ class FiniteSupLattice:
     """
 
     __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
-                 "_key", "_hash", "_irr", "_distributive", "_canonical")
+                 "_key", "_hash", "_irr", "_canonical")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -79,7 +79,7 @@ class FiniteSupLattice:
         self.top = top
         self._key = leq.tobytes()
         self._hash = hash((n, self._key))
-        self._irr = self._distributive = self._canonical = None
+        self._irr = self._canonical = None
 
     def __eq__(self, other):
         return (isinstance(other, FiniteSupLattice)
@@ -134,20 +134,6 @@ class FiniteSupLattice:
             irr = [j for j in range(self.n) if strictly[j].tobytes() in principal]
             self._irr = tuple(sorted(irr, key=sizes.__getitem__))
         return self._irr
-
-    def is_distributive(self):
-        """Whether x v (y ^ z) = (x v y) ^ (x v z) for all x, y, z; checked
-        for a block of rows x at a time, so memory stays bounded."""
-        if self._distributive is None:
-            m = self.meet
-            step = max(1, (1 << 16) // (self.n * self.n))
-            self._distributive = True
-            for a in range(0, self.n, step):
-                jx = self.join[a:a + step]             # rows x v -
-                if not (jx[:, m] == m[jx[:, :, None], jx[:, None, :]]).all():
-                    self._distributive = False
-                    break
-        return self._distributive
 
     def relabel(self, names):
         'The same lattice under other names, sharing all computed of it.'

@@ -9,11 +9,12 @@ single tuples, every multi-ideal is a join of elementary tensors, and maps
 out of the tensor are exactly the liftings of multimorphisms.
 
 The one backtracking enumerator, ``enumerate_multimorphisms``, lists the
-multimorphisms for any number of factors; with one factor it lists the
-sup-maps, which are one-slot ``Multimorphism``s. It also lists the
+multimorphisms for any number of factors, and walks only assignments that
+extend to one: each factor's minimal join covers are compiled into
+``_extension_plan``. With one factor it lists the sup-maps. It also lists the
 tensor's elements: the multi-ideals correspond one to one with the
-multimorphisms of all factors but one into the opposite of the remaining
-one (Joyal and Tierney, An extension of the Galois theory of Grothendieck,
+multimorphisms of all factors but the last into the opposite of the last
+(Joyal and Tierney, An extension of the Galois theory of Grothendieck,
 Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration: it stacks
 the int64 arrays of ``_table_blocks``, which extends ``BLOCK`` leaves of the
 walk at a time to full tables by numpy gathers, and whose tables, in range
@@ -180,18 +181,12 @@ def _tensor_names(factors, maximal):
 def tensor_product(*factors) -> MultiTensorLattice:
     """Build the tensor of two or more lattices.
 
-    A multi-ideal meets every line along slot k in a principal down-set;
-    sending the other coordinates to the top of that down-set turns joins
-    in each of their slots into meets, so it is a multimorphism g of the
-    other factors into the opposite of factor k, and the ideal is
-    {t : t_k <= g(t without slot k)}. Every such g gives a multi-ideal, so
-    the elements are the tables of ``_table_blocks``, stacked block by block.
-
-    Slot k is the last non-distributive factor, or the last slot when all
-    are distributive: the enumerator checks every leaf once a factor of
-    its domain is not distributive, and a non-distributive target keeps
-    its join-irreducibles out of the cells those leaves range over
-    (m3 x m3 x c3 visits 1728 leaves into M3, 19683 into the 3-chain).
+    A multi-ideal meets every line along the last slot in a principal
+    down-set; sending the other coordinates to the top of that down-set
+    turns joins in each of their slots into meets, so it is a multimorphism
+    g of the other factors into the opposite of the last factor, and the
+    ideal is {t : t_last <= g(the others)}. Every such g gives a multi-
+    ideal, so the elements are the tables of ``_table_blocks``, stacked.
 
     The multi-ideals are closed under intersection, so their inclusion
     order is a lattice by construction: the result is built from it
@@ -209,21 +204,18 @@ def tensor_product(*factors) -> MultiTensorLattice:
     cap = _tensor_cap()
     g = _Grid(factors)
 
-    # the first factor of each order computes for all of that order, so X
-    # and its conjugate X* build one meet table, not two
-    first = {}
-    work = [first.setdefault(f, f) for f in factors]
-    k = max((i for i, f in enumerate(work) if not f.is_distributive()),
-            default=len(factors) - 1)
+    # read first, the meet table is kept by the factor and lent to the
+    # opposite as its joins, so X x X* builds one table
+    last = factors[-1]
+    last.meet
     blocks = []
-    for block in _table_blocks(work[:k] + work[k + 1:], opposite(work[k])):
+    for block in _table_blocks(factors[:-1], opposite(last)):
         blocks.append(block)
         if sum(map(len, blocks)) > cap:
             raise _too_large(cap)
     tables = np.concatenate(blocks)
-    # rows[e, ..., t_k, ...] iff t_k <= g_e(the other coordinates)
-    rows = np.moveaxis(factors[k].leq.T[tables], -1, k + 1)
-    rows = rows.reshape(len(tables), g.tcount)
+    # rows[e, t] iff the last coordinate of t is <= g_e(the others)
+    rows = last.leq.T[tables].reshape(len(tables), g.tcount)
 
     bits = rows[_element_order(rows)]
 
@@ -374,6 +366,34 @@ def _maximal(strictly, masks):
     return [[a for a, k in enumerate(col) if k] for col in keep.T.tolist()]
 
 
+def _join_covers(f, ir):
+    """Per join-irreducible ir[a], its minimal join covers, as positions in
+    ``ir``: the least sets of join-irreducibles, none above ir[a], whose
+    every upper bound is above ir[a]. They are antichains, grown in order."""
+    ups = [int.from_bytes(row.tobytes(), "big")    # up-sets as bitsets
+           for row in np.packbits(f.leq[list(ir)], axis=1)]
+    le = f.leq[np.ix_(ir, ir)].tolist()
+
+    def covers(a, cells):
+        common = -1
+        for s in cells:
+            common &= ups[s]
+        return not common & ~ups[a]
+
+    def grow(a, cells, cand):
+        for b, s in enumerate(cand):
+            more = cells + (s,)
+            rest = tuple(x for x in cand[b + 1:] if not le[s][x] | le[x][s])
+            if covers(a, more):
+                yield more
+            elif covers(a, more + rest):
+                yield from grow(a, more, rest)
+    found = [list(grow(a, (), tuple(s for s, up in enumerate(row) if not up)))
+             for a, row in enumerate(le)]
+    return [[c for c in cs if not any(set(d) < set(c) for d in cs)]
+            for cs in found]
+
+
 @functools.lru_cache(maxsize=256)
 def _extension_plan(factors):
     """Compile the backtracker's tables for these factors, once per tuple.
@@ -381,13 +401,27 @@ def _extension_plan(factors):
     Cells are the tuples of join-irreducibles, as tuples of positions in
     each factor's ``join_irreducibles()``, numbered in lex order: a linear
     extension of the product order, since ``join_irreducibles()`` is sorted
-    by down-set size. Returns the cell count, the lower covers of each cell,
-    and a (width, grid tuples) gather matrix whose column t lists the cells
-    of the maximal join-irreducibles below the coordinates of tuple t,
-    padded with the sentinel cell ``ncells``. For a monotone assignment,
-    the join over these cells is the join over all cells below t. Relabelled
-    factors share an entry: the plan reads only orders, which lattices
-    compare by. Its covers are tuples and its matrix read-only.
+    by down-set size. Returns the cell count, the lower covers and the
+    checks of each cell, and a (width, grid tuples) gather matrix whose
+    column t lists the cells of the maximal join-irreducibles below the
+    coordinates of tuple t, padded with the sentinel cell ``ncells``. For a
+    monotone assignment, the join over these cells is the join over all
+    cells below t. Relabelled factors share an entry: the plan reads only
+    orders, which lattices compare by. Its tables are tuples and its matrix
+    read-only.
+
+    A check (c, cells) of cell t asks g(c) <= v g(cells), joined with g(t)
+    unless t is c; it goes to the last of its cells in walk order. The
+    checks are exact. Extend a monotone g on cells to F(x) = v {g(c) : c <=
+    x}. With the slots but i at x', F(-, x') = v_r F_r over the cells r
+    below x', where F_r(x) = v {g(j, r) : j <= x} = F(x, r) as g is
+    monotone. Joins of sup-maps are sup-maps, so F is a multimorphism iff
+    each F_r, which keeps the empty join, keeps x v y: iff g(j, r) <= v
+    g(S, r) for each join-irreducible j <= x v y, with S the join-
+    irreducibles below x or y. That holds by monotonicity if some s in S
+    is above j, else by the check of a minimal join cover of j within S,
+    which every sup-map passes. The join-irreducibles of a distributive
+    lattice are join-prime (Birkhoff): no covers, no checks.
     """
     irrs = [f.join_irreducibles() for f in factors]
     counts = [len(ir) for ir in irrs]
@@ -399,26 +433,39 @@ def _extension_plan(factors):
         strictly = below[:, list(ir)] & ~np.eye(len(ir), dtype=bool)
         tops.append(_maximal(strictly, below))
         lowers.append(_maximal(strictly, strictly))
+    jcovers = [_join_covers(f, ir) for f, ir in zip(factors, irrs)]
 
     def cell(pos):
         return sum(a * st for a, st in zip(pos, strides))
     covers = tuple(tuple(cell(pos) + (a - c) * strides[i]
                          for i, c in enumerate(pos) for a in lowers[i][c])
                    for pos in itertools.product(*map(range, counts)))
+    checks = [[] for _ in range(ncells)]
+    for pos in itertools.product(*map(range, counts)):
+        for i, c in enumerate(pos):
+            for cover in jcovers[i][c]:
+                cells = [cell(pos) + (s - c) * strides[i] for s in (c, *cover)]
+                t = max(cells)
+                checks[t].append((cells[0], tuple(x for x in cells[1:]
+                                                  if x != t)))
     rows = [[cell(pos) for pos in itertools.product(
                 *[tops[i][x] for i, x in enumerate(t)])]
             for t in itertools.product(*[range(f.n) for f in factors])]
     width = max(1, max(map(len, rows)))
     gather = np.array([r + [ncells] * (width - len(r)) for r in rows],
                       dtype=np.intp)
-    return ncells, covers, _freeze(np.ascontiguousarray(gather.T))
+    return (ncells, covers, tuple(map(tuple, checks)),
+            _freeze(np.ascontiguousarray(gather.T)))
 
 
-def _monotone_blocks(ncells, covers, target):
-    """The monotone assignments of the cells into the target, in lex order
-    with cell 0 outermost, as int64 arrays of ``BLOCK`` rows (the last may
-    be shorter): an assignment, then the sentinel cell's bottom, per row."""
+def _monotone_blocks(ncells, covers, checks, target):
+    """The monotone assignments of the cells into the target that pass the
+    checks, in lex order with cell 0 outermost, as int64 arrays of
+    ``BLOCK`` rows (the last may be shorter): an assignment, then the
+    sentinel cell's bottom, per row."""
     joins = target.join.tolist()
+    leqs, geqs = target.leq.tolist(), target.leq.T.tolist()
+    ident = list(range(target.n))
     ups = [np.flatnonzero(row).tolist() for row in target.leq]
     bottom = target.bottom
     assign = [bottom] * (ncells + 1)   # the last entry is the sentinel
@@ -432,20 +479,26 @@ def _monotone_blocks(ncells, covers, target):
         lb = bottom
         for s in covers[t]:
             lb = joins[lb][assign[s]]
+        vs = ups[lb]
+        for c, cells in checks[t]:
+            b = bottom
+            for s in cells:
+                b = joins[b][assign[s]]
+            # keep v with g(c) <= b v v, or v <= b when c is t itself
+            up, jb = (geqs[b], ident) if c == t else (leqs[assign[c]], joins[b])
+            vs = [v for v in vs if up[jb[v]]]
         if t < last:
-            its[t] = it = iter(ups[lb])
-            assign[t] = next(it)
+            its[t] = iter(vs)
             t += 1
-            continue
-        vs = ups[lb]         # the last cell's values, one prefix copy
-        prefixes.append(assign[:])
-        counts.append(len(vs))
-        values += vs
-        while len(values) >= BLOCK:      # the last prefix may straddle
-            extra = len(values) - BLOCK
-            counts[-1] -= extra
-            yield _spread(prefixes, counts, values[:BLOCK], last)
-            prefixes, counts, values = prefixes[-1:], [extra], values[BLOCK:]
+        elif vs:             # the last cell's values, one prefix copy
+            prefixes.append(assign[:])
+            counts.append(len(vs))
+            values += vs
+            while len(values) >= BLOCK:      # the last prefix may straddle
+                extra = len(values) - BLOCK
+                counts[-1] -= extra
+                yield _spread(prefixes, counts, values[:BLOCK], last)
+                prefixes, counts, values = prefixes[-1:], [extra], values[BLOCK:]
         # back to the deepest cell with a value left
         v = None
         while v is None and t:
@@ -469,21 +522,15 @@ def _spread(prefixes, counts, values, last):
 def _table_blocks(factors, target):
     """The multimorphisms as read-only (m, *shape) int64 arrays, a block
     of the walk each: a gather of its rows per row of the gather matrix,
-    joined in the target, less what ``_join_break`` rejects, if checked."""
-    factors = tuple(factors)
-    ncells, covers, gather = _extension_plan(factors)
-    verify = not all(f.is_distributive() for f in factors)
+    joined in the target."""
+    *walk, gather = _extension_plan(factors)
     shape = (-1, *(f.n for f in factors))
     join = target.join
-    for rows in _monotone_blocks(ncells, covers, target):
+    for rows in _monotone_blocks(*walk, target):
         tables = rows[:, gather[0]]
         for col in gather[1:]:
             tables = join[tables, rows[:, col]]
-        tables = tables.reshape(shape)
-        if verify:
-            tables = tables[[_join_break(_trusted(factors, target, v)) is None
-                             for v in tables]]
-        yield _freeze(tables)
+        yield _freeze(tables.reshape(shape))
 
 
 def enumerate_multimorphisms(factors, target, cap=None):
@@ -491,10 +538,10 @@ def enumerate_multimorphisms(factors, target, cap=None):
 
     Walks monotone assignments on tuples of join-irreducibles in a linear
     extension of the product order and extends each to a full table by
-    joins over the gather matrix of ``_extension_plan``. On distributive
-    factors join-irreducibles are join-prime (Birkhoff), so every such
-    extension preserves joins slotwise, into any target; the extensions are
-    checked one by one only when some factor is not distributive.
+    joins over the gather matrix of ``_extension_plan``. The plan's checks
+    of the factors' minimal join covers keep the walk to the assignments
+    whose extension preserves joins slotwise, so no table is checked after
+    it is built; on distributive factors there are none to check.
 
     The tables come from ``_table_blocks`` a block at a time. Their entries
     are target elements by construction, so they are yielded as read-only

@@ -15,6 +15,12 @@
 * ``join_irreducibles_by_joins``, the join-irreducibles found by joining
   the elements strictly below each one, which the down-set lookup of
   ``FiniteSupLattice.join_irreducibles`` is compared against;
+* ``is_distributive``, the distributive law checked a block of rows at a
+  time, which picks the lattices whose join-irreducibles are join-prime,
+  where the multimorphism walk has no join covers to check;
+* ``join_covers_by_subsets``, the minimal join covers of each
+  join-irreducible found among all subsets, which the antichain search of
+  ``tensor._join_covers`` is compared against;
 * brute-force enumerators of multimorphisms (sup-maps are the one-slot
   ones) and lattices, which filter every raw table or relation, the
   invariant classes of the canonical-form search read cell by cell, and the
@@ -367,6 +373,35 @@ def join_irreducibles_by_joins(lat):
             irr.append(j)
     irr.sort(key=lambda j: int(lat.leq[:, j].sum()))
     return tuple(irr)
+
+
+def is_distributive(lat):
+    """Whether x v (y ^ z) = (x v y) ^ (x v z) for all x, y, z; checked
+    for a block of rows x at a time, so memory stays bounded."""
+    m = lat.meet
+    step = max(1, (1 << 16) // (lat.n * lat.n))
+    for a in range(0, lat.n, step):
+        jx = lat.join[a:a + step]             # rows x v -
+        if not (jx[:, m] == m[jx[:, :, None], jx[:, None, :]]).all():
+            return False
+    return True
+
+
+def join_covers_by_subsets(lat):
+    """Per join-irreducible j, as positions in ``join_irreducibles()``, the
+    inclusion-minimal sets of join-irreducibles, none above j, whose join
+    is above j, by trying every subset, smallest first."""
+    ir = lat.join_irreducibles()
+    out = []
+    for j in ir:
+        cand = [a for a, s in enumerate(ir) if not lat.leq[j, s]]
+        found = []
+        for k in range(1, len(cand) + 1):
+            found += [c for c in combinations(cand, k)
+                      if lat.leq[j, lat.join_of(ir[a] for a in c)]
+                      and not any(set(d) <= set(c) for d in found)]
+        out.append(found)
+    return out
 
 
 def enumerate_multimorphisms_bruteforce(factors, target, limit=2_000_000):

@@ -1,11 +1,14 @@
 """The benchmark recorder's command line and the trajectory files it writes.
 
 ``tools/bench_record.py`` and the ``BENCH_*.json`` files are run and
-appended by hand; these checks run neither a benchmark nor a checkout.
+appended by hand; these checks run no benchmark, and no checkout but a
+throwaway git repository.
 """
 
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -120,3 +123,30 @@ def test_noise_marks_a_spread_above_its_bound_unresolved():
     assert lines[1].endswith("% of its median, bound 25%")
     assert mod.comparison(first, first)["work_s"].keys() == {
         "wins", "pairs", "quartiles", "median"}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_the_bench_files_alone_leave_a_checkout_clean(tmp_path):
+    commit_of = _bench_record().commit_of
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+    git("init", "-q")
+    (tmp_path / "BENCH_tensor.json").write_text("[]\n")
+    (tmp_path / "run.py").write_text("pass\n")
+    git("add", ".")
+    git("commit", "-q", "-m", "first")
+    clean = commit_of(str(tmp_path))
+    assert len(clean) == 12 and not clean.endswith("-dirty")
+    # the recorder's own output, a new BENCH file and an untracked file
+    (tmp_path / "BENCH_tensor.json").write_text("[{}]\n")
+    (tmp_path / "BENCH_census.json").write_text("[]\n")
+    assert commit_of(str(tmp_path)) == clean
+    (tmp_path / "run.py").write_text("pass  # edited\n")
+    assert commit_of(str(tmp_path)) == clean + "-dirty"
+    git("checkout", "--", "run.py")
+    assert commit_of(str(tmp_path)) == clean
+    (tmp_path / "BENCH_tensor.json.bak").write_text("[]\n")
+    git("add", "BENCH_tensor.json.bak")
+    assert commit_of(str(tmp_path)) == clean + "-dirty"

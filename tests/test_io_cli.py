@@ -1,5 +1,6 @@
 """Text format round trips, format error classification, CLI exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -446,6 +447,33 @@ def test_cli_tensor(workdir):
     assert mio.read_lattice(out).n == 6
     assert read_elem(workdir / "t.elem", 2)[(2, 2)] == 5
     assert cli.main(["tensor", str(workdir / "c3.lat"), "-o", str(out)]) == 2
+
+
+# .lat and .elem sha256 of `morita tensor` on shapes with M3 or N5 factors,
+# as built when the last non-distributive factor was the tensor's last slot
+NON_DISTRIBUTIVE_TENSORS = {
+    ("c3", "m3", "n5"): (
+        "ce7610064b18459564c3fb38d5fd465884788b912c8d60139b7ee1baaf7bfdd5",
+        "e7c0a84721810f5a0fe5e6764e5501755dbdad20fbe3065680d62dfae8fc2a65"),
+    ("m3", "m3", "c3"): (
+        "32235202679a879623161d88eb2c89d94a5666ea5604419a169106ea3abfdbd1",
+        "ca808a396f4b42175cdc07b0b0e560d4eef617a0ccf6484e84e0d920fa83c80e"),
+    ("n5", "c3", "m3"): (
+        "8d7b82380fcb7898a911e68488837dd71616cd46f0ebe3df12017775a2b8a0a9",
+        "fc78598c0aa5854640e1a45b8708775fd665e4824408c9ebe68c308065527f11"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NON_DISTRIBUTIVE_TENSORS))
+def test_cli_tensor_bytes_with_non_distributive_factors(workdir, shape):
+    for name, lat in (("m3", m3()), ("n5", n5())):
+        mio.write_lattice(workdir / f"{name}.lat", lat)
+    out = workdir / "t.lat"
+    args = [str(workdir / f"{name}.lat") for name in shape]
+    assert cli.main(["tensor", *args, "-o", str(out)]) == 0
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (out, workdir / "t.elem"))
+    assert got == NON_DISTRIBUTIVE_TENSORS[shape]
 
 
 def test_cli_tensor_cap(workdir, monkeypatch):

@@ -20,7 +20,7 @@ from morita.quantale import Quantale, endo_quantale
 from morita.tensor import (Multimorphism, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            tensor_product)
-from oracles import (enumerate_multimorphisms_bruteforce,
+from oracles import (enumerate_multimorphisms_bruteforce, is_distributive,
                      join_irreducibles_by_joins)
 
 
@@ -59,8 +59,8 @@ def distributive_by_loops(lat):
 
 def test_only_m3_and_n5_are_non_distributive_up_to_size_five():
     for lat in lattices_up_to(6):
-        assert lat.is_distributive() == distributive_by_loops(lat)
-    bad = [lat for lat in lattices_up_to(5) if not lat.is_distributive()]
+        assert is_distributive(lat) == distributive_by_loops(lat)
+    bad = [lat for lat in lattices_up_to(5) if not is_distributive(lat)]
     assert len(bad) == 2
     for known in (m3(), n5()):
         assert any(find_isomorphism(lat, known) is not None for lat in bad)
@@ -70,13 +70,13 @@ def test_distributivity_is_checked_in_blocks_of_rows():
     # past 256 elements a block is one row; M3 on top of a chain fails only
     # in the rows of its atoms, the last blocks
     n = 260
-    assert chain(n).is_distributive()
+    assert is_distributive(chain(n))
     leq = np.zeros((n, n), dtype=bool)
     leq[:n - 4, :n - 4] = np.tri(n - 4, dtype=bool).T
     leq[:n - 4, n - 4:] = True
     leq[np.arange(n - 4, n), np.arange(n - 4, n)] = True
     leq[n - 4:, n - 1] = True
-    assert not validate_lattice(leq).is_distributive()
+    assert not is_distributive(validate_lattice(leq))
 
 
 def test_every_element_is_join_of_irreducibles_below():
@@ -236,11 +236,11 @@ def test_tables_are_built_on_first_read_and_shared():
 
 
 def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
-    # irreducibles and distributivity pass on with the tables, so a renamed
-    # or conjugate copy answers without building its meet table
+    # irreducibles pass on with the tables, so a renamed or conjugate copy
+    # answers without building its meet table
     lats = lattices_up_to(5)
     for lat in lats:
-        lat.join_irreducibles(), lat.is_distributive()
+        lat.join_irreducibles()
     def refuse(self, up, what):
         raise AssertionError(f"{what} table built again")
     monkeypatch.setattr(FiniteSupLattice, "_bounds", refuse)
@@ -249,13 +249,12 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
                  conjugate_lattice(lat))
         for copy in fresh:
             assert copy == lat and copy._key is lat._key
+            assert copy._irr is lat._irr
             assert copy.join_irreducibles() == lat.join_irreducibles()
-            assert copy.is_distributive() == lat.is_distributive()
     monkeypatch.undo()
     for lat in lats:
         want = validate_lattice(lat.leq, [f"u{i}" for i in range(lat.n)])
         assert lat.join_irreducibles() == want.join_irreducibles()
-        assert lat.is_distributive() == want.is_distributive()
 
 
 def test_join_irreducibles_agree_with_the_join_loop():

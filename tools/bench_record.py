@@ -17,10 +17,11 @@ checkout to BENCH_<workload>.json in the current directory, a JSON list:
 
 The three metrics are medians over the seeds, and ``runs`` holds the
 per-seed values in seed order. ``commit`` is ``git describe --always
---dirty --abbrev=12`` in the checkout, so a working tree with uncommitted
-changes reads ``<hash>-dirty``. A run whose outputs differ from
-perfbench/reference.json stops the script with exit code 1 before
-anything is written.
+--abbrev=12`` in the checkout, followed by ``-dirty`` when a tracked file
+other than the ``BENCH_*.json`` that this script appends to differs from
+HEAD, so recording twice does not mark a clean checkout dirty. A run
+whose outputs differ from perfbench/reference.json stops the script with
+exit code 1 before anything is written.
 
 With two checkouts it also prints, per workload and metric, how many
 seeds the second checkout won (a lower value) and the first checkout's
@@ -46,9 +47,13 @@ WORKLOADS = ("census", "verify", "tensor")
 
 
 def commit_of(checkout):
-    return subprocess.run(
-        ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+    commit = subprocess.run(
+        ["git", "describe", "--always", "--abbrev=12"],
         cwd=checkout, capture_output=True, text=True, check=True).stdout.strip()
+    dirty = subprocess.run(
+        ["git", "diff", "--quiet", "HEAD", "--", ".",
+         ":(exclude)BENCH_*.json"], cwd=checkout).returncode
+    return commit + "-dirty" * bool(dirty)
 
 
 def run_once(checkout, workload, seed, seconds, record):
