@@ -9,6 +9,7 @@ search over the relabellings that keep invariant classes in place,
 reaches it; automorphisms and isomorphisms are read off those orderings.
 """
 
+import functools
 from itertools import permutations, product
 
 import numpy as np
@@ -53,21 +54,28 @@ def _class_orderings(classes):
 
 def _canonical_orderings(leq):
     """The least order matrix over class-ordered relabellings, as bytes,
-    and every ordering that reaches it, in ``_class_orderings`` order.
+    and every ordering that reaches it, in ``_class_orderings`` order, as
+    tuples; kept per order in an LRU.
 
     Isomorphisms respect the invariant classes, and the class ranks are
     themselves invariant, so this minimum is the minimum over all
     relabellings. Two orderings reach it exactly when they differ by an
     automorphism.
     """
+    return _orderings_of(leq.tobytes(), leq.shape[0])
+
+
+@functools.lru_cache(maxsize=1024)
+def _orderings_of(key, n):
+    leq = np.frombuffer(key, dtype=bool).reshape(n, n)
     best, reach = None, []
     for order in _class_orderings(_refine_classes(leq)):
-        key = leq[order][:, order].tobytes()
-        if best is None or key < best:
-            best, reach = key, [order]
-        elif key == best:
-            reach.append(order)
-    return best, reach
+        form = leq[order][:, order].tobytes()
+        if best is None or form < best:
+            best, reach = form, [tuple(order)]
+        elif form == best:
+            reach.append(tuple(order))
+    return best, tuple(reach)
 
 
 def _canonical_order(lat):
@@ -75,7 +83,7 @@ def _canonical_order(lat):
     element order[k] is element k there. Kept on the lattice, so copies
     that ``relabel`` makes later share it."""
     if lat._canonical is None:
-        lat._canonical = tuple(_canonical_orderings(lat.leq)[1][0])
+        lat._canonical = _canonical_orderings(lat.leq)[1][0]
     return lat._canonical
 
 

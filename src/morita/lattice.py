@@ -64,10 +64,12 @@ class FiniteSupLattice:
 
     ``join`` and ``meet`` are computed from ``leq`` when first read, unless
     given; a pair without a bound then raises an internal MoritaError.
+    Lattices compare and hash by ``_order_key``, the order's bytes, copied
+    on first use: a tensor that is only written holds its order once.
     """
 
     __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
-                 "_key", "_hash", "_irr", "_canonical")
+                 "_key", "_irr", "_canonical")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -77,16 +79,19 @@ class FiniteSupLattice:
         self._meet = None if meet is None else _freeze(meet)
         self.bottom = bottom
         self.top = top
-        self._key = leq.tobytes()
-        self._hash = hash((n, self._key))
-        self._irr = self._canonical = None
+        self._key = self._irr = self._canonical = None
+
+    def _order_key(self):
+        if self._key is None:
+            self._key = self.leq.tobytes()
+        return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteSupLattice)
-                and self.n == other.n and self._key == other._key)
+        return self is other or (isinstance(other, FiniteSupLattice)
+                                 and self._order_key() == other._order_key())
 
     def __hash__(self):
-        return self._hash
+        return hash(self._order_key())          # bytes keep their hash
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
@@ -136,9 +141,11 @@ class FiniteSupLattice:
         return self._irr
 
     def relabel(self, names):
-        'The same lattice under other names, sharing all computed of it.'
+        """The same lattice under other names, sharing all computed of it,
+        its key made first."""
         if len(names) != self.n:
             raise DomainMismatch(f"expected {self.n} names, got {len(names)}")
+        self._order_key()
         lat = copy.copy(self)
         lat.names = tuple(names)
         return lat

@@ -36,7 +36,8 @@ from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
                       _words, opposite, validate_lattice)
 
 # a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
-# here); join and meet tables, built only when used, add 8 n^2 bytes each
+# here), once until compared or hashed; join and meet tables, built only
+# when used, add 8 n^2 bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
 # leaves per block: the walk hands over a BLOCK x (cells + 1) int64 array,
@@ -64,16 +65,29 @@ def _too_large(cap):
     return ResourceLimit(f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
 
 
-def _subsets(rows):
-    'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
-    words = _words(rows)
-    outside = ~words
-    n = len(words)
-    leq = np.empty((n, n), dtype=bool)
-    step = max(1, (1 << 16) // words.size)
+def _disjoint(words, others):
+    """out[i, j] iff the packed rows words[i] and others[j] share no bit; a
+    block of rows at a time, word by word, into 2^16 words of reused buffers."""
+    cols, ocols = np.ascontiguousarray(words.T), np.ascontiguousarray(others.T)
+    n, m = len(words), len(others)
+    step = max(1, (1 << 16) // (m * min(2, len(cols))))
+    bufs = np.empty((min(2, len(cols)), step, m), dtype=np.uint64)
+    out = np.empty((n, m), dtype=bool)
     for a in range(0, n, step):
-        leq[a:a + step] = ~(words[a:a + step, None] & outside).any(axis=2)
-    return leq
+        b = min(step, n - a)
+        acc, word = bufs[0, :b], bufs[-1, :b]
+        np.bitwise_and(cols[0, a:a + b, None], ocols[0], out=acc)
+        for w in range(1, len(cols)):
+            np.bitwise_and(cols[w, a:a + b, None], ocols[w], out=word)
+            acc |= word
+        np.logical_not(acc, out=out[a:a + b])
+    return out
+
+
+def _subsets(rows):
+    'leq[i, j] iff row i is contained in row j.'
+    words = _words(rows)
+    return _disjoint(words, ~words)
 
 
 class _Grid:
@@ -154,12 +168,8 @@ def _maximal_tuples(bits, grid):
     """Per element, the flat indices of its maximal generating tuples: the
     tuples of row i of ``bits`` without a bottom coordinate that no tuple of
     the row lies strictly above. They depend on the factors' orders alone."""
-    words, above = _words(bits), _words(grid.strictly_above)
-    covered = np.empty(bits.shape, dtype=bool)   # a row member above tuple t
-    step = max(1, (1 << 16) // above.size)
-    for a in range(0, len(words), step):
-        covered[a:a + step] = (words[a:a + step, None] & above).any(axis=2)
-    maximal = bits & ~grid.bottom & ~covered
+    maximal = bits & ~grid.bottom & _disjoint(_words(bits),
+                                              _words(grid.strictly_above))
     tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
     ends = np.cumsum(maximal.sum(axis=1)).tolist()
     return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
@@ -322,7 +332,7 @@ def is_multimorphism(f: Multimorphism):
     and an inner product, a conjugate bimodule's action and Y's); a
     failure is computed and named afresh from the call's own lattices.
     """
-    key = (*(fac._key for fac in f.factors), f.target._key,
+    key = (*(fac._order_key() for fac in f.factors), f.target._order_key(),
            f.values.tobytes())
     if key in _sup_law_memo:
         _sup_law_memo.move_to_end(key)

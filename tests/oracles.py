@@ -12,6 +12,14 @@
   ``elem_table_by_bitsets``, the elementary tensors looked up by their
   Python-int bitsets, which its ``argmax`` element table is compared
   against;
+* ``subsets_by_word_axis`` and ``maximal_tuples_by_word_axis``, the
+  containment order of packed rows and the maximal generating tuples of a
+  tensor's elements by a reduction over the trailing word axis, which the
+  word-by-word kernels ``tensor._subsets`` and ``tensor._maximal_tuples``
+  are compared against;
+* ``canonical_orderings_by_search``, the canonical-form search run afresh
+  on every call, which the per-order memo of
+  ``enumeration._canonical_orderings`` is compared against;
 * ``join_irreducibles_by_joins``, the join-irreducibles found by joining
   the elements strictly below each one, which the down-set lookup of
   ``FiniteSupLattice.join_irreducibles`` is compared against;
@@ -63,17 +71,63 @@ from morita.census import (CensusRecord, _orbit_reps, _surjective_tables,
 from morita.engine import (_distinct_slices, _proved_pair,
                            build_context_from_pair, check_pair_conditions,
                            conditions_from_tables, extract_pair_from_context)
-from morita.enumeration import automorphisms, find_isomorphism
+from morita.enumeration import (_class_orderings, _refine_classes,
+                                automorphisms, find_isomorphism)
 from morita.errors import (ConditionReport, DomainMismatch, FormatError,
                            MissingJoin, MoritaError, NoBottom, NotAPartialOrder,
                            NotCompositionClosed, PASS, ResourceLimit,
                            failure)
 from morita.io import leq_rows
-from morita.lattice import _freeze, join_closure, opposite, validate_lattice
+from morita.lattice import (_freeze, _words, join_closure, opposite,
+                            validate_lattice)
 from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
-                           _subsets, as_multimorphism, is_multimorphism,
+                           as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
+
+
+# --- the word kernels, reduced over the trailing word axis ---------------------------
+
+def subsets_by_word_axis(rows):
+    'leq[i, j] iff row i is contained in row j; a block of rows at a time.'
+    words = _words(rows)
+    outside = ~words
+    n = len(words)
+    leq = np.empty((n, n), dtype=bool)
+    step = max(1, (1 << 16) // words.size)
+    for a in range(0, n, step):
+        leq[a:a + step] = ~(words[a:a + step, None] & outside).any(axis=2)
+    return leq
+
+
+def maximal_tuples_by_word_axis(bits, grid):
+    """Per element, the flat indices of its maximal generating tuples: the
+    tuples of row i of ``bits`` without a bottom coordinate that no tuple of
+    the row lies strictly above."""
+    words, above = _words(bits), _words(grid.strictly_above)
+    covered = np.empty(bits.shape, dtype=bool)   # a row member above tuple t
+    step = max(1, (1 << 16) // above.size)
+    for a in range(0, len(words), step):
+        covered[a:a + step] = (words[a:a + step, None] & above).any(axis=2)
+    maximal = bits & ~grid.bottom & ~covered
+    tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
+    ends = np.cumsum(maximal.sum(axis=1)).tolist()
+    return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
+
+
+# --- the canonical-form search, unmemoised -------------------------------------------
+
+def canonical_orderings_by_search(leq):
+    """The least order matrix over class-ordered relabellings, as bytes,
+    and every ordering that reaches it, as lists, searched afresh."""
+    best, reach = None, []
+    for order in _class_orderings(_refine_classes(leq)):
+        key = leq[order][:, order].tobytes()
+        if best is None or key < best:
+            best, reach = key, [order]
+        elif key == best:
+            reach.append(order)
+    return best, reach
 
 
 # --- the closure kernel and the tensor built on it ----------------------------------
@@ -193,7 +247,8 @@ def tensor_product_by_closure(*factors) -> MultiTensorLattice:
     sets = [queue[k] for k in order]
     bits = rows[order]
 
-    lattice = validate_lattice(_subsets(bits), _names_by_loop(sets, factors))
+    lattice = validate_lattice(subsets_by_word_axis(bits),
+                               _names_by_loop(sets, factors))
     return MultiTensorLattice(factors, lattice, bits,
                               elem_table_by_bitsets(g, bits))
 

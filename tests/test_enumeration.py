@@ -9,13 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to, renumbered
-from morita.enumeration import (MAX_ENUM_N, _canonical_order, _refine_classes,
-                                automorphisms, canonical_key,
+from morita import enumeration
+from morita.enumeration import (MAX_ENUM_N, _canonical_order, _mapping,
+                                _refine_classes, automorphisms, canonical_key,
                                 enumerate_lattices, find_isomorphism)
 from morita.errors import ResourceLimit
 from morita.lattice import (chain, conjugate_lattice, diamond, m3, n5,
                             validate_lattice)
-from oracles import enumerate_lattices_bruteforce, refine_classes_by_cells
+from oracles import (canonical_orderings_by_search,
+                     enumerate_lattices_bruteforce, refine_classes_by_cells)
 
 # unlabeled lattice counts for n = 1..7 (OEIS A006966)
 COUNTS = (1, 1, 1, 2, 5, 15, 53)
@@ -164,6 +166,31 @@ def test_invariant_classes_match_the_cell_by_cell_refinement():
         matrices.append((rng.random((n, n)) < density) | np.eye(n, dtype=bool))
     for leq in matrices:
         assert _refine_classes(leq) == refine_classes_by_cells(leq)
+
+
+def test_the_memoised_orderings_match_a_fresh_search():
+    # cold and warm: every answer read off the orderings equals the
+    # search's, on every lattice of size <= 6 and on shuffled copies
+    rng = np.random.default_rng(27)
+    lats = lattices_up_to(6)
+    for warm in (False, True):
+        if not warm:
+            enumeration._orderings_of.cache_clear()
+        for lat in lats:
+            copy = renumbered(lat, rng.permutation(lat.n))
+            key, reach = canonical_orderings_by_search(lat.leq)
+            ckey, creach = canonical_orderings_by_search(copy.leq)
+            for l, r in ((lat, reach), (copy, creach)):
+                fresh = validate_lattice(l.leq, l.names)   # no kept order
+                assert canonical_key(fresh) == key
+                assert _canonical_order(fresh) == tuple(r[0])
+                assert automorphisms(fresh) == [_mapping(r[0], o) for o in r]
+            assert ckey == key
+            assert find_isomorphism(lat, copy) == _mapping(reach[0], creach[0])
+            got = enumeration._canonical_orderings(copy.leq)
+            assert got == (ckey, tuple(map(tuple, creach)))
+            assert all(type(o) is tuple for o in got[1])
+    assert enumeration._orderings_of.cache_info().hits
 
 
 def test_the_canonical_order_is_kept_and_shared_by_relabelled_copies():

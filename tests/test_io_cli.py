@@ -476,6 +476,55 @@ def test_cli_tensor_bytes_with_non_distributive_factors(workdir, shape):
     assert got == NON_DISTRIBUTIVE_TENSORS[shape]
 
 
+def test_cli_tensor_leaves_the_tensor_without_key_bytes(workdir, monkeypatch):
+    # the tensor is written, never compared or hashed: its order is held once
+    built = []
+
+    def keep(*factors):
+        built.append(tensor_product(*factors))
+        return built[-1]
+    monkeypatch.setattr(cli, "tensor_product", keep)
+    mio.write_lattice(workdir / "c4.lat", chain(4))
+    c4 = str(workdir / "c4.lat")
+    assert cli.main(["tensor", c4, c4, c4, "-o", str(workdir / "t.lat")]) == 0
+    (t,) = built
+    assert t.n == 980 and t.lattice._key is None
+
+
+def test_cli_tensor_bytes_past_one_word(workdir, capsys):
+    # 80 tuples, two words per row; the bytes of the build that reduced
+    # over the word axis
+    mio.write_lattice(workdir / "c4.lat", chain(4))
+    mio.write_lattice(workdir / "c5.lat", chain(5))
+    out = workdir / "t.lat"
+    args = [str(workdir / name) for name in ("c4.lat", "c4.lat", "c5.lat")]
+    assert cli.main(["tensor", *args, "-o", str(out)]) == 0
+    assert "4116 elements" in capsys.readouterr().out
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (out, workdir / "t.elem"))
+    assert got == (
+        "9d27c0b7fe92d6097b91fdfc6ae9832955e1f4b2cc38f59c34e649a4479997b7",
+        "203721a2346ff4bd682c9dd842ef3d031f702e45474590b5355a7af54eb982f3")
+
+
+def test_tensor_scale_tool(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "tensor_scale.py"
+    proc = subprocess.run([sys.executable, str(tool), "c2,c2,c2"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip()
+    assert line.startswith("c2,c2,c2: 2 elements, ") and "peak RSS" in line
+    mio.write_lattice(tmp_path / "c2.lat", chain(2))
+    c2 = str(tmp_path / "c2.lat")
+    assert cli.main(["tensor", c2, c2, c2, "-o", str(tmp_path / "t.lat")]) == 0
+    lat, elem = (hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (tmp_path / "t.lat", tmp_path / "t.elem"))
+    assert line.endswith(f"lat sha256 {lat}, elem sha256 {elem}")
+    bad = subprocess.run([sys.executable, str(tool), "c2,x9"],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert bad.returncode != 0 and "bad shape 'c2,x9'" in bad.stderr
+
+
 def test_cli_tensor_cap(workdir, monkeypatch):
     monkeypatch.setenv("MORITA_MAX_TENSOR", "4")
     code = cli.main(["tensor", str(workdir / "c3.lat"),

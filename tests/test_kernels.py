@@ -15,9 +15,10 @@ from morita.census import enumerate_multimorphisms
 from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder
 from morita.lattice import chain, diamond, m3, n5, validate_lattice
-from morita.tensor import _Grid, tensor_product
+from morita.tensor import _Grid, _maximal_tuples, _subsets, tensor_product
 from oracles import (_to_int, _to_rows, closure_plan, elem_table_by_bitsets,
-                     is_distributive, tensor_product_by_closure)
+                     is_distributive, maximal_tuples_by_word_axis,
+                     subsets_by_word_axis, tensor_product_by_closure)
 
 
 # --- reference: boolean down and fiber passes -------------------------------------
@@ -226,6 +227,47 @@ def test_tensor_lattice_built_on_first_use_matches_validation(shape):
     want = validate_lattice(t.leq)
     assert is_distributive(t) == is_distributive(want), shape
     assert t.join_irreducibles() == want.join_irreducibles(), shape
+
+
+# --- the word kernels against the reduction over the word axis ---------------------
+
+def _same_word_kernels(factors):
+    'The tensor of ``factors`` through both kernels; its tuples and elements.'
+    t = tensor_product(*factors)
+    g = _Grid(factors)
+    assert np.array_equal(_subsets(t.bits), subsets_by_word_axis(t.bits))
+    assert (_maximal_tuples(t.bits, g)
+            == maximal_tuples_by_word_axis(t.bits, g) == t.maximal)
+    return g.tcount, t.n
+
+
+def test_word_kernels_match_the_word_axis_on_the_tensor_workload():
+    # the benchmark's X (x) Y (x) X shapes, one word per row
+    for x, y in itertools.product(("c2", "c3", "c4", "d"), repeat=2):
+        tcount, _ = _same_word_kernels((STOCK[x], STOCK[y], STOCK[x]))
+        assert tcount <= 64
+
+
+@pytest.mark.parametrize("shape, size", [
+    (("c2", "c5", "c7"), (70, 210)), (("c3", "c3", "c8"), (72, 540)),
+    (("m3", "n5", "c3"), (75, 316))])
+def test_word_kernels_match_the_word_axis_past_one_word(shape, size):
+    lats = dict(STOCK, c5=chain(5), c7=chain(7), c8=chain(8))
+    assert _same_word_kernels([lats[k] for k in shape]) == size
+
+
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 129, 130])
+def test_word_kernels_match_the_word_axis_on_random_rows(width):
+    rng = np.random.default_rng(width)
+    rows = rng.random((150, width)) < rng.random((150, 1))
+    rows[:3] = False                        # empty rows
+    rows[10:20] = rows[20:30]               # repeated rows
+    assert np.array_equal(_subsets(rows), subsets_by_word_axis(rows))
+    # the kernel reads the grid's relation and bottom mask as given
+    grid = type("Grid", (), dict(tcount=width, bottom=rng.random(width) < 0.2,
+                                 strictly_above=rng.random((width, width)) < 0.1))
+    assert (_maximal_tuples(rows, grid)
+            == maximal_tuples_by_word_axis(rows, grid))
 
 
 def test_cli_tensor_builds_no_join_or_meet_table(monkeypatch, tmp_path):

@@ -257,6 +257,27 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
         assert lat.join_irreducibles() == want.join_irreducibles()
 
 
+def test_lattices_compare_and_hash_by_order_alone():
+    # the key is made on first use, by a comparison, a hash or a relabel
+    t = tensor_product(chain(2), diamond()).lattice
+    assert t._key is None
+    named = validate_lattice(t.leq, [f"u{i}" for i in range(t.n)])
+    assert t == named and hash(t) == hash(named) and t.names != named.names
+    assert t._key == t.leq.tobytes()
+    lats = lattices_up_to(5)
+    for a, b in itertools.product(lats, repeat=2):
+        assert (a == b) == (a is b) == (a.leq.tobytes() == b.leq.tobytes())
+    for lat in lats:
+        same = FiniteSupLattice(lat.n, lat.names, lat.leq.copy(), None, None,
+                                lat.bottom, lat.top)
+        assert same == lat and hash(same) == hash(lat)
+        # an order is its own transpose only on one element
+        assert (same == opposite(lat)) == (lat.n == 1)
+    fresh = chain(3)
+    copy = fresh.relabel(["a", "b", "c"])
+    assert copy._key is fresh._key is not None
+
+
 def test_join_irreducibles_agree_with_the_join_loop():
     # the same tuple in the same order: the down-set lookup against the
     # loop of joins over the elements strictly below
