@@ -70,7 +70,7 @@ def _disjoint(words, others):
     block of rows at a time, word by word, into 2^16 words of reused buffers."""
     cols, ocols = np.ascontiguousarray(words.T), np.ascontiguousarray(others.T)
     n, m = len(words), len(others)
-    step = max(1, (1 << 16) // (m * min(2, len(cols))))
+    step = min(n, max(1, (1 << 16) // (m * min(2, len(cols)))))
     bufs = np.empty((min(2, len(cols)), step, m), dtype=np.uint64)
     out = np.empty((n, m), dtype=bool)
     for a in range(0, n, step):
