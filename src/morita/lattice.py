@@ -69,7 +69,7 @@ class FiniteSupLattice:
     """
 
     __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
-                 "_key", "_irr", "_canonical")
+                 "_key", "_hash", "_irr", "_canonical")
 
     def __init__(self, n, names, leq, join, meet, bottom, top):
         self.n = n
@@ -79,19 +79,22 @@ class FiniteSupLattice:
         self._meet = None if meet is None else _freeze(meet)
         self.bottom = bottom
         self.top = top
-        self._key = self._irr = self._canonical = None
+        self._key = self._hash = self._irr = self._canonical = None
 
     def _order_key(self):
         if self._key is None:
             self._key = self.leq.tobytes()
         return self._key
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, FiniteSupLattice)
-                                 and self._order_key() == other._order_key())
+    def __eq__(self, other):        # hot: a made key is read without a call
+        return self is other or (isinstance(other, FiniteSupLattice) and (
+            (self._key or self._order_key())
+            == (other._key or other._order_key())))
 
     def __hash__(self):
-        return hash(self._order_key())          # bytes keep their hash
+        if self._hash is None:
+            self._hash = hash(self._order_key())
+        return self._hash
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
@@ -141,11 +144,10 @@ class FiniteSupLattice:
         return self._irr
 
     def relabel(self, names):
-        """The same lattice under other names, sharing all computed of it,
-        its key made first."""
+        'The same lattice under other names, sharing all computed of it.'
         if len(names) != self.n:
             raise DomainMismatch(f"expected {self.n} names, got {len(names)}")
-        self._order_key()
+        self._order_key()                  # made first, so copies share it
         lat = copy.copy(self)
         lat.names = tuple(names)
         return lat

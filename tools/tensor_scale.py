@@ -55,7 +55,8 @@ def _child(args, env):
                             stdout=subprocess.PIPE, text=True)
     with proc.stdout:
         out = proc.stdout.read()
-    # wait4, not proc.wait: it reports this child's own peak
+    # wait4, not proc.wait: it reports this child's own peak; the parent
+    # imports no numpy, whose pages a forked child would count as its own
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
     return proc.returncode, out, usage.ru_maxrss / 1024   # KB on Linux
