@@ -22,18 +22,23 @@ Most of the pair check reads one table alone: surjectivity, the two
 separation conditions on that table's slots, and the two composites of
 its associativity chain that do not involve the other map. The census
 checks every p against every q, so ``_one_sided`` memoises this part per
-table in an LRU cache keyed by the two lattices and the table's bytes,
-with a flag ``clean`` for a table that passes all of it. A pair passes
-exactly when both tables are clean and each chain's mixed composite, the
-only part gathered per pair, equals its left one; so the outcome is exact
-at once. A passing report is built at once; a failing one names its law
-and counterexample only when its verdicts are first read, from the bytes
-of the memo key, so a caller's later change to its arrays changes no
-name. An entry holds indices and booleans, never element names: lattices
-compare equal by their order alone, so a relabelled or conjugate lattice
-reaches the same entry, and every name in a report comes from the call's
-own lattices. The cache keeps at most 1024 entries of about
-9 nx^3 ny^2 bytes each (2.2 KB at nx = ny = 3).
+table in an LRU cache keyed by the two lattices and the table's bytes.
+A table is clean when it passes all of it, and its entry is then the
+chain's left composite, else None. A pair passes exactly when both tables
+are clean and each chain's mixed composite, the only part gathered per
+pair, equals its left one; so the outcome is exact at once. A passing
+report is built at once; a failing one names its law and counterexample
+only when its verdicts are first read, computed afresh from the bytes of
+the memo key, so a caller's later change to its arrays changes no name.
+An entry holds indices, never element names: lattices compare equal by
+their order alone, so a relabelled or conjugate lattice reaches the same
+entry, and every name in a report comes from the call's own lattices.
+The cache keeps at most 8192 entries, enough for both lists of the c3 x d
+census space (2,547 tables), of about 8 nx^2 ny + 200 bytes each, plus
+nx^3 ny^2 + 200 for a clean table, whose composite is kept in the
+smallest dtype that holds it: at most 16 MB at nx = ny = 4. The census
+scans the q list once per p, so on longer lists (c3 x c4 has 151,912
+tables, d x d 38,748) each pair still computes a side.
 
 A context's parts X(x)Y, Y(x)X, Q(X) and Q(Y) are fixed by the isomorphism
 classes of the factors, so ``_order_part`` builds each once per class, on
@@ -53,7 +58,6 @@ only the sup-laws keep their passes by content, in ``is_multimorphism``.
 """
 
 import functools
-from collections import namedtuple
 
 import numpy as np
 
@@ -145,19 +149,24 @@ def _distinct_slices(table, axis, lat, label):
                    "distinct elements induce identical curried maps")
 
 
-_Side = namedtuple("_Side", "surjective left left_ne_right clean")
+def _p_only(table, nx, ny):
+    """The chain's composites that read p alone, flat in C order:
+    ``left`` p(p(x1, y1, x2), y2, x3) and ``right`` p(x1, y1, p(x2, y2, x3))."""
+    tail, head, _ = _chain_offsets(nx, ny)
+    flat = table.ravel()
+    return (flat[(flat * (ny * nx))[:, None] + tail].ravel(),
+            flat[head + flat].ravel())
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=8192)
 def _one_sided(lat, other, raw):
     """What the pair check needs of p: lat(x)other(x)lat -> lat alone, given
-    as its C-order int64 bytes: whether p is surjective, the chain's
-    ``left`` with ``left != right``, and ``clean``: surjective,
-    ``left == right`` throughout, then (as the census checked already) no
-    equal slices in slot 2 or slot 0.
+    as its C-order int64 bytes: the chain's ``left`` when p is clean, else
+    None. Clean is surjective, ``left == right`` throughout, then (as the
+    census checked already) no equal slices in slot 2 or slot 0.
 
     No element names, so one entry serves every naming of the lattices;
-    the arrays are read-only because every caller shares them. Raises
+    ``left`` is read-only because every caller shares it. Raises
     DomainMismatch for an entry outside lat.
     """
     nx, ny = lat.n, other.n
@@ -165,16 +174,13 @@ def _one_sided(lat, other, raw):
     values = set(table.ravel().tolist())
     if min(values) < 0 or max(values) >= nx:
         raise DomainMismatch(f"generator table has an entry outside 0..{nx - 1}")
-    tail, head, _ = _chain_offsets(nx, ny)
-    flat = table.ravel()
-    left = flat[(flat * (ny * nx))[:, None] + tail].ravel()
-    right = flat[head + flat].ravel()
-    surjective = values.issuperset(lat.join_irreducibles())
-    left_ne_right = left != right
-    clean = (surjective and not left_ne_right.any()
-             and slice_collision(table, 2) is None
-             and slice_collision(table, 0) is None)
-    return _Side(surjective, _freeze(left), _freeze(left_ne_right), clean)
+    if not values.issuperset(lat.join_irreducibles()):
+        return None
+    left, right = _p_only(table, nx, ny)
+    if (np.array_equal(left, right) and slice_collision(table, 2) is None
+            and slice_collision(table, 0) is None):
+        return _freeze(left.astype(np.min_scalar_type(nx - 1)))
+    return None
 
 
 def _mid(p_gen, q_gen, nx, ny):
@@ -183,28 +189,25 @@ def _mid(p_gen, q_gen, nx, ny):
                          + _chain_offsets(nx, ny)[2]].ravel()
 
 
-def _assoc_chain(p_gen, q_gen, x, y, label, side):
+def _assoc_chain(p_gen, q_gen, x, y, label):
     """p(p(x1,y1,x2),y2,x3) = p(x1,q(y1,x2,y2),x3) = p(x1,y1,p(x2,y2,x3)).
 
     Each composite is one gather from the flat table of p, laid out in the
-    C order of the five slots (x1, y1, x2, y2, x3). The p-only ones come
-    from ``side``, p's entry of ``_one_sided``, so only the middle one,
-    which mixes p and q, is gathered here.
+    C order of the five slots (x1, y1, x2, y2, x3).
     """
     nx, ny = x.n, y.n
-    left = side.left
+    left, right = _p_only(p_gen, nx, ny)
     mid = _mid(p_gen, q_gen, nx, ny)
     bad = left != mid
-    bad |= side.left_ne_right
+    bad |= left != right
     k = int(bad.argmax())                      # the first True, if any
     if bad[k]:
         i1, j1, i2, j2, i3 = map(int, np.unravel_index(
             k, (nx, ny, nx, ny, nx)))
         wit = (x.names[i1], y.names[j1], x.names[i2], y.names[j2], x.names[i3])
-        right = p_gen[i1, j1, p_gen[i2, j2, i3]]
         return failure(label, wit,
                        f"nested values {x.names[left[k]]} / "
-                       f"{x.names[mid[k]]} / {x.names[right]}")
+                       f"{x.names[mid[k]]} / {x.names[right[k]]}")
     return PASS
 
 
@@ -224,20 +227,15 @@ _PAIR_LAWS = ("p-surjective", "q-surjective", "condition-1", "condition-2",
 
 
 def _pair_verdicts(x, y, p_raw, q_raw):
-    'The named verdicts of the pair check, from the two tables\' bytes.'
+    """The named verdicts of the pair check, from the two tables' bytes;
+    computed afresh, since only a failing report's first read needs them."""
     p_gen = np.frombuffer(p_raw, dtype=np.int64).reshape(x.n, y.n, x.n)
     q_gen = np.frombuffer(q_raw, dtype=np.int64).reshape(y.n, x.n, y.n)
-    p_side = _one_sided(x, y, p_raw)
-    q_side = _one_sided(y, x, q_raw)
     return [
-        ("p-surjective", PASS if p_side.surjective else
-         _surjective_by_generators(x, p_gen, "p")),
-        ("q-surjective", PASS if q_side.surjective else
-         _surjective_by_generators(y, q_gen, "q")),
-        ("condition-1", _assoc_chain(p_gen, q_gen, x, y, "condition-1",
-                                     p_side)),
-        ("condition-2", _assoc_chain(q_gen, p_gen, y, x, "condition-2",
-                                     q_side)),
+        ("p-surjective", _surjective_by_generators(x, p_gen, "p")),
+        ("q-surjective", _surjective_by_generators(y, q_gen, "q")),
+        ("condition-1", _assoc_chain(p_gen, q_gen, x, y, "condition-1")),
+        ("condition-2", _assoc_chain(q_gen, p_gen, y, x, "condition-2")),
         ("condition-3", _distinct_slices(p_gen, 2, x, "condition-3")),
         ("condition-4", _distinct_slices(p_gen, 0, x, "condition-4")),
         ("condition-5", _distinct_slices(q_gen, 2, y, "condition-5")),
@@ -257,12 +255,12 @@ def conditions_from_tables(x, y, p_gen, q_gen) -> ConditionReport:
     if p_gen.shape != (x.n, y.n, x.n) or q_gen.shape != (y.n, x.n, y.n):
         raise ShapeMismatch("generator tables do not match the carriers")
     p_raw, q_raw = p_gen.tobytes(), q_gen.tobytes()
-    p_side = _one_sided(x, y, p_raw)
-    q_side = _one_sided(y, x, q_raw)
+    p_left = _one_sided(x, y, p_raw)
+    q_left = _one_sided(y, x, q_raw)
     # clean sides pass every law but the chains' left == mid
-    ok = (p_side.clean and q_side.clean
-          and np.array_equal(p_side.left, _mid(p_gen, q_gen, x.n, y.n))
-          and np.array_equal(q_side.left, _mid(q_gen, p_gen, y.n, x.n)))
+    ok = (p_left is not None and q_left is not None
+          and np.array_equal(p_left, _mid(p_gen, q_gen, x.n, y.n))
+          and np.array_equal(q_left, _mid(q_gen, p_gen, y.n, x.n)))
     return _decided(ok, _PAIR_LAWS,
                     lambda: _pair_verdicts(x, y, p_raw, q_raw))
 
@@ -585,11 +583,9 @@ _INVOLUTIVE_LAWS = ("p-surjective", "condition-a", "condition-b",
 def _involutive_verdicts(x, raw):
     'The named verdicts of the involutive check, from the table\'s bytes.'
     p = np.frombuffer(raw, dtype=np.int64).reshape((x.n,) * 3)
-    side = _one_sided(x, x, raw)
-    return [("p-surjective", PASS if side.surjective else
-             _surjective_by_generators(x, p, "p")),
+    return [("p-surjective", _surjective_by_generators(x, p, "p")),
             ("condition-a", _assoc_chain(p, p.transpose(2, 1, 0), x, x,
-                                         "condition-a", side)),
+                                         "condition-a")),
             ("condition-b", _distinct_slices(p, 2, x, "condition-b")),
             ("condition-c", _distinct_slices(p, 0, x, "condition-c"))]
 
@@ -607,9 +603,9 @@ def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
     if p.shape != (x.n,) * 3:
         raise ShapeMismatch("generator table does not match the carrier")
     raw = p.tobytes()
-    side = _one_sided(x, x, raw)
-    ok = side.clean and np.array_equal(
-        side.left, _mid(p, p.transpose(2, 1, 0), x.n, x.n))
+    left = _one_sided(x, x, raw)
+    ok = left is not None and np.array_equal(
+        left, _mid(p, p.transpose(2, 1, 0), x.n, x.n))
     return _decided(ok, _INVOLUTIVE_LAWS,
                     lambda: _involutive_verdicts(x, raw))
 

@@ -143,10 +143,16 @@ def table_law(law, lhs, rhs, axis_names, value_names, detail="{} vs {}"):
 
 
 def slice_collision(table, axis):
-    'The first (u, v), u < v, whose slices at this slot are equal, or None.'
+    """The first (u, v), u < v, whose slices at this slot are equal, or None.
+
+    One C-order copy with the slot first holds the slices as equal-length
+    runs of its bytes."""
+    n = table.shape[axis]
+    raw = table.swapaxes(0, axis).tobytes()
+    size = len(raw) // max(n, 1)
     seen = {}
-    for v, piece in enumerate(table.swapaxes(0, axis)):
-        u = seen.setdefault(piece.tobytes(), v)
+    for v in range(n):
+        u = seen.setdefault(raw[v * size:(v + 1) * size], v)
         if u != v:
             return u, v
     return None

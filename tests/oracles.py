@@ -17,6 +17,9 @@
   tensor's elements by a reduction over the trailing word axis, which the
   word-by-word kernels ``tensor._subsets`` and ``tensor._maximal_tuples``
   are compared against;
+* ``slice_collision_by_slices``, the search for two equal slices of a
+  table along one slot, one slice's bytes at a time, which the one-copy
+  ``errors.slice_collision`` is compared against;
 * ``canonical_orderings_by_search``, the canonical-form search run afresh
   on every call, which the per-order memo of
   ``enumeration._canonical_orderings`` is compared against;
@@ -113,6 +116,18 @@ def maximal_tuples_by_word_axis(bits, grid):
     tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
     ends = np.cumsum(maximal.sum(axis=1)).tolist()
     return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
+
+
+# --- equal slices, one slice at a time -----------------------------------------------
+
+def slice_collision_by_slices(table, axis):
+    'The first (u, v), u < v, whose slices at this slot are equal, or None.'
+    seen = {}
+    for v, piece in enumerate(table.swapaxes(0, axis)):
+        u = seen.setdefault(piece.tobytes(), v)
+        if u != v:
+            return u, v
+    return None
 
 
 # --- the canonical-form search, unmemoised -------------------------------------------

@@ -14,7 +14,7 @@ from conftest import (fails_alike_warm_and_cold, lattices_up_to,
                       meet_quantale, meet_tables, one_cell_changes,
                       renumbered)
 import morita
-from morita import engine
+from morita import census, engine
 from morita import io as mio
 from morita import tensor as tensor_module
 from morita.census import (CensusTask, _lat_from_rows,
@@ -683,6 +683,32 @@ def test_distinct_slices_matches_the_reference_on_full_domain_tables(
     assert {ok for _, ok in shapes} == {True, False}
 
 
+def test_slice_collision_matches_the_slice_by_slice_search():
+    # every axis of every enumerated table of every space of size <= 3, then
+    # random tables whose slices repeat, with empty slots and empty slices
+    tables = [f.values for x in lattices_up_to(3) for y in lattices_up_to(3)
+              for f in enumerate_multimorphisms((x, y, x), x)]
+    assert len(tables) == 198
+    rng = np.random.default_rng(14)
+    for _ in range(400):
+        shape = tuple(rng.integers(4, size=rng.integers(1, 4)))
+        base = rng.integers(2, size=shape)
+        axis = int(rng.integers(len(shape)))
+        # repeat some slices along the axis
+        picks = rng.integers(max(shape[axis], 1), size=shape[axis])
+        tables.append(np.take(base, picks, axis=axis) if shape[axis]
+                      else base)
+    found = Counter()
+    for t in tables:
+        for axis in range(t.ndim):
+            got = slice_collision(t, axis)
+            assert got == oracles.slice_collision_by_slices(t, axis)
+            found["none" if got is None else "pair"] += 1
+            found["empty slot"] += t.shape[axis] == 0
+            found["empty slices"] += t.shape[axis] > 1 and t.size == 0
+    assert min(found.values()) >= 20, found
+
+
 def _census_candidates(x, y):
     'The surjective p tables on x(x)y(x)x that pass conditions 3 and 4.'
     return [f.values for f in enumerate_trimorphisms(x, y, x, x)
@@ -733,9 +759,7 @@ def test_a_lying_clean_flag_raises_when_names_are_built(monkeypatch):
     # every verdict of a meet witness passes; a memo entry that calls its
     # table unclean makes a report decided as failing, and building its
     # names finds no failure
-    truthful = engine._one_sided
-    monkeypatch.setattr(engine, "_one_sided", lambda *key:
-                        truthful(*key)._replace(clean=False))
+    monkeypatch.setattr(engine, "_one_sided", lambda *key: None)
     lat = chain(3)
     t = meet_tables(lat)
     for rep in (conditions_from_tables(lat, lat, t, t),
@@ -758,18 +782,39 @@ def test_clean_needs_the_p_only_composites_to_agree(monkeypatch):
         return slice_collision(table, axis)
     monkeypatch.setattr(engine, "slice_collision", counting)
     _one_sided.cache_clear()
-    sides = [_one_sided(x, x, t.tobytes()) for t in tables]
+    lefts = [_one_sided(x, x, t.tobytes()) for t in tables]
     # the slices, which the census searched already, are searched again
     # only for the 11 candidates that pass the rest
     assert searched == [2, 0] * 11
-    assert len(sides) == 97
-    assert all(s.surjective and slice_collision(t, 2) is None
-               and slice_collision(t, 0) is None
-               for s, t in zip(sides, tables))
-    unequal = [s for s in sides if s.left_ne_right.any()]
+    assert len(lefts) == 97
+    assert all(_surjective_by_generators(x, t, "p")
+               and slice_collision(t, 2) is None
+               and slice_collision(t, 0) is None for t in tables)
+    composites = [engine._p_only(t, 3, 3) for t in tables]
+    unequal = [m for m, (left, right) in zip(lefts, composites)
+               if (left != right).any()]
     assert len(unequal) == 86
-    assert not any(s.clean for s in unequal)
-    assert all(s.clean for s in sides if not s.left_ne_right.any())
+    assert all(m is None for m in unequal)
+    assert all(np.array_equal(m, left) and not m.flags.writeable
+               for m, (left, right) in zip(lefts, composites)
+               if not (left != right).any())
+
+
+def test_a_cyclic_scan_computes_each_side_once():
+    # the census scans every q once per p; the q list of c3 x d is longer
+    # than 1,024 tables, so a memo that small evicted each q side before
+    # its next use and recomputed it for every p
+    c3, d = chain(3), diamond()
+    ps = census._separated_tables(c3, d, CensusTask(1).tri_cap)[:3]
+    qs = census._separated_tables(d, c3, CensusTask(1).tri_cap)
+    assert len(qs) == 2286
+    _one_sided.cache_clear()
+    for p in ps:
+        for q in qs:
+            conditions_from_tables(c3, d, p, q)
+    info = _one_sided.cache_info()
+    assert info.misses == 3 + 2286
+    assert info.hits == 2 * 3 * 2286 - info.misses
 
 
 def test_report_errors_survive_pickling():

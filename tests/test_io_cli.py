@@ -525,6 +525,21 @@ def test_tensor_scale_tool(tmp_path):
     assert bad.returncode != 0 and "bad shape 'c2,x9'" in bad.stderr
 
 
+def test_census_space_tool(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "census_space.py"
+    proc = subprocess.run([sys.executable, str(tool), "c2", "c2"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.strip()
+    # the one witness of the 2-chain's space is the meet witness
+    assert line.startswith("c2 c2: |P| 1, |Q| 1, 1 candidates, 1 witnesses, "
+                           "1 records, 0 skipped, "), line
+    assert line.endswith(" MB") and "peak RSS" in line
+    bad = subprocess.run([sys.executable, str(tool), "c2", "x9"],
+                         capture_output=True, text=True, cwd=tmp_path)
+    assert bad.returncode != 0 and "bad lattice 'x9'" in bad.stderr
+
+
 def test_cli_tensor_cap(workdir, monkeypatch):
     monkeypatch.setenv("MORITA_MAX_TENSOR", "4")
     code = cli.main(["tensor", str(workdir / "c3.lat"),

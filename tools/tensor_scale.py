@@ -35,12 +35,20 @@ print(f"wall {time.perf_counter() - start:.6f}")
 sys.exit(code)
 """
 
-FACTORS = """
+# a lattice name, and the child code that builds the lattice it names
+LATTICE = r"c[1-9]\d*|d|m3|n5"
+MAKE = """
+from morita import lattice
+def make(name):
+    other = {"d": lattice.diamond, "m3": lattice.m3, "n5": lattice.n5}.get(name)
+    return other() if other else lattice.chain(int(name[1:]))
+"""
+
+FACTORS = MAKE + """
 import sys
-from morita import io, lattice
+from morita import io
 for name, path in zip(sys.argv[1::2], sys.argv[2::2]):
-    make = {"d": lattice.diamond, "m3": lattice.m3, "n5": lattice.n5}.get(name)
-    io.write_lattice(path, make() if make else lattice.chain(int(name[1:])))
+    io.write_lattice(path, make(name))
 """
 
 
@@ -67,7 +75,7 @@ def measure(shape, workdir, env):
     elem sha256), or None if a command failed."""
     names = shape.split(",")
     if not (2 <= len(names) <= 3
-            and all(re.fullmatch(r"c[1-9]\d*|d|m3|n5", s) for s in names)):
+            and all(re.fullmatch(LATTICE, s) for s in names)):
         sys.exit(f"tensor_scale: bad shape {shape!r}")
     paths = {s: os.path.join(workdir, s + ".lat") for s in names}
     code, _, _ = _child([FACTORS, *[x for kv in paths.items() for x in kv]], env)
