@@ -161,9 +161,10 @@ def _p_only(table, nx, ny):
 @functools.lru_cache(maxsize=8192)
 def _one_sided(lat, other, raw):
     """What the pair check needs of p: lat(x)other(x)lat -> lat alone, given
-    as its C-order int64 bytes: the chain's ``left`` when p is clean, else
-    None. Clean is surjective, ``left == right`` throughout, then (as the
-    census checked already) no equal slices in slot 2 or slot 0.
+    as its C-order int64 bytes: the chain's ``left``, in the smallest dtype
+    that holds lat's indices, when p is clean, else None. Clean is
+    surjective, ``left == right`` throughout, then (as the census checked
+    already) no equal slices in slot 2 or slot 0.
 
     No element names, so one entry serves every naming of the lattices;
     ``left`` is read-only because every caller shares it. Raises
