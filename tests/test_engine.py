@@ -801,9 +801,8 @@ def test_clean_needs_the_p_only_composites_to_agree(monkeypatch):
 
 
 def test_a_cyclic_scan_computes_each_side_once():
-    # the census scans every q once per p; the q list of c3 x d is longer
-    # than 1,024 tables, so a memo that small evicted each q side before
-    # its next use and recomputed it for every p
+    # the census scans every q once per p, so each side is computed once
+    # only if the memo holds the whole q list of c3 x d, 2,286 tables
     c3, d = chain(3), diamond()
     ps = census._separated_tables(c3, d, CensusTask(1).tri_cap)[:3]
     qs = census._separated_tables(d, c3, CensusTask(1).tri_cap)
