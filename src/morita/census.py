@@ -1,30 +1,37 @@
 """Exhaustive search for Morita pair witnesses over small lattices.
 
-Candidate maps come from ``tensor.enumerate_multimorphisms``, which
-assigns values on tuples of join-irreducibles and extends by joins; the
-values it assigns are checked against the factors' minimal join covers as
-it goes, so every extension is a multimorphism and none is checked after.
-Surviving candidates are filtered through the pair conditions,
-deduplicated by witness isomorphism (automorphism orbits of the canonical
-lattice representatives), built and checked once, extracted back, and
-emitted in a deterministic sorted order independent of the worker count.
+Both modes run one pipeline per space. Candidates are the surjective
+tables on X(x)Y(x)X from ``tensor.enumerate_multimorphisms``, which
+assigns values on tuples of join-irreducibles, checks them against the
+factors' minimal join covers as it goes and extends by joins, so every
+table is a multimorphism and none is checked after. The search keeps the
+witnesses, ``_orbit_reps`` one per orbit under pairs (a, b) of
+automorphisms of X and Y, and ``_records`` builds and checks each once.
+Records are written as the fields they set, sorted, whatever the number
+of workers.
 
-In general mode a p candidate is a surjective table on X(x)Y(x)X whose
-curried maps pass conditions 3 and 4, and a q candidate one on Y(x)X(x)Y
-passing 5 and 6. (X, Y, p, q) is a witness exactly when (Y, X, q, p) is
-(conditions 1<->2, 3<->5, 4<->6 swap), so a space whose mirror is in the
+The modes differ in the search and the build. A general space (X, Y)
+checks each pair of a p candidate on X(x)Y(x)X passing the slice
+conditions 3 and 4 and a q candidate on Y(x)X(x)Y passing 5 and 6 with
+one ``conditions_from_tables`` call, exact at once and read only for its
+outcome, and builds with ``build_context_from_pair``. (X, Y, p, q) is a
+witness exactly when (Y, X, q, p) is, so a space whose mirror is in the
 task is searched with it: the q list of (X, Y) is the p list of (Y, X),
-each unordered pair of the one list of a diagonal space is checked once,
-and orbits and records are still made per ordered space, in its order.
-Each check is one ``conditions_from_tables`` call, exact at once; the
-search reads only its outcome, so no failing report names its law. The
-summary's ``candidates`` counts |P| x |Q| per ordered space (in
-involutive mode, surjective tables); the benchmark's ``pairs_checked``
-counts the calls, about half of that on a task holding both orders.
+each unordered pair of a diagonal space's one list is checked once, and
+records are still made per ordered space. An involutive space X is the
+pair case on (X, X*) with q = p^T. X* has the order of X, so Y = X; every
+surjective table is checked by one ``involutive_conditions_from_tables``
+call, with no slice pre-filter, automorphisms move as pairs (a, a), and
+the build is ``build_involutive_context``. The summary's ``candidates``
+counts |P| x |Q| per ordered space, or the tables of an involutive one;
+the benchmark's ``pairs_checked`` counts the calls, about half of that on
+a task holding both orders.
 """
 
+import functools
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -111,25 +118,11 @@ class CensusRecord:
                 len(self.y_leq) if self.y_leq else 0, self.y_leq or (),
                 self.p, self.q or ())
 
-    def as_dict(self):
-        d = {"mode": self.mode, "x_leq": list(self.x_leq),
-             "p": _listify(self.p), "l_size": self.l_size,
-             "r_size": self.r_size, "digests": self.digests}
-        if self.mode == "general":
-            d["y_leq"] = list(self.y_leq)
-            d["q"] = _listify(self.q)
-        else:
-            d["star_a"] = list(self.star_a)
-            d["star_b"] = list(self.star_b)
-        return d
-
     def json_line(self):
-        return json.dumps(self.as_dict(), sort_keys=True,
+        'The fields that are set, as one line of key-sorted JSON.'
+        return json.dumps({k: v for k, v in asdict(self).items()
+                           if v is not None}, sort_keys=True,
                           separators=(",", ":"))
-
-
-def _listify(t):
-    return [_listify(v) for v in t] if isinstance(t, tuple) else t
 
 
 def _tuplify(a):
@@ -147,42 +140,30 @@ def _lat_from_rows(rows):
 
 # --- per-space search ---------------------------------------------------------------
 
-def _surjective_tables(f1, f2, f3, z, cap):
-    return [f.values for f in enumerate_trimorphisms(f1, f2, f3, z, cap=cap)]
-
-
-def _orbit_reps(witnesses, transforms):
-    """One representative per orbit of the witnesses (tuples of tables)
-    under a group: the orbit's least transformed tuple, compared as flat
-    bytes, in the order of those bytes."""
-    reps = {}
-    for tables in witnesses:
-        best = None
-        for tr in transforms:
-            moved = tr(tables)
-            key = b"".join(m.tobytes() for m in moved)
-            if best is None or key < best[0]:
-                best = (key, moved)
-        reps.setdefault(*best)
-    return [reps[key] for key in sorted(reps)]
+def _surjective_tables(x, y, cap):
+    'The tables of the surjective trimorphisms X(x)Y(x)X -> X.'
+    return [f.values for f in enumerate_trimorphisms(x, y, x, x, cap=cap)]
 
 
 def _separated_tables(x, y, tri_cap):
     'Surjective tables on X(x)Y(x)X -> X whose slot-2 and slot-0 slices separate.'
-    return [t for t in _surjective_tables(x, y, x, x, tri_cap)
+    return [t for t in _surjective_tables(x, y, tri_cap)
             if _distinct_slices(t, 2, x, "c3") and
             _distinct_slices(t, 0, x, "c4")]
 
 
-def _general_unit(x, y, mirrored, tri_cap):
-    """Records, candidates and witnesses of the space (X, Y), and also of
-    (Y, X) when ``mirrored``, from one search of the unordered pair.
+def _search(x, y, tri_cap):
+    """The candidate count and the witnesses of the space (X, Y), pairs
+    (p, q), or of X in involutive mode (``y`` None), tuples (p,).
 
-    The p list of (Y, X) is the q list of (X, Y), and (X, Y, p, q) passes
-    exactly when (Y, X, q, p) does. On the diagonal (``y is x``) the two
-    lists are one, so each pair i <= j is checked once and stands for both
-    (p_i, p_j) and (p_j, p_i).
+    On the diagonal (``y is x``) the p and q lists are one, so each pair
+    i <= j is checked once and stands for both (p_i, p_j) and (p_j, p_i).
     """
+    if y is None:
+        # X* has the order of X; a slice pre-filter cost more than it saved
+        tables = _surjective_tables(x, x, tri_cap)
+        return len(tables), [(t,) for t in tables
+                             if involutive_conditions_from_tables(x, t).ok]
     p_cands = _separated_tables(x, y, tri_cap)
     q_cands = p_cands if y is x else _separated_tables(y, x, tri_cap)
     witnesses = []
@@ -192,92 +173,95 @@ def _general_unit(x, y, mirrored, tri_cap):
                 witnesses.append((pt, qt))
                 if y is x and qt is not pt:
                     witnesses.append((qt, pt))
-    records = _general_records(x, y, witnesses)
-    if mirrored:
-        records += _general_records(y, x, [(q, p) for p, q in witnesses])
-    orders = 1 + mirrored
-    return (records, orders * len(p_cands) * len(q_cands),
-            orders * len(witnesses))
+    return len(p_cands) * len(q_cands), witnesses
 
 
-def _general_records(x, y, witnesses):
-    'One verified record per orbit of the witnesses of (X, Y).'
-    auts_x = [(np.asarray(a), np.argsort(a)) for a in automorphisms(x)]
-    auts_y = [(np.asarray(a), np.argsort(a)) for a in automorphisms(y)]
-    transforms = [
-        (lambda ts, ax=ax, axi=axi, ay=ay, ayi=ayi:
-         (ax[ts[0][np.ix_(axi, ayi, axi)]], ay[ts[1][np.ix_(ayi, axi, ayi)]]))
-        for ax, axi in auts_x for ay, ayi in auts_y]
-
-    # the enumerator yields multimorphisms, and automorphisms keep them so
-    records = []
-    for pt, qt in _orbit_reps(witnesses, transforms):
-        w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
-        ctx = build_context_from_pair(w)  # raises ConditionsFailed
-        back = extract_pair_from_context(ctx)
-        if not (np.array_equal(back.p_gen, w.p_gen)
-                and np.array_equal(back.q_gen, w.q_gen)):
-            raise MoritaError("census integrity: witness round-trip changed "
-                              "the tables")
-        records.append(CensusRecord(
-            mode="general", x_leq=leq_rows(x), y_leq=leq_rows(y),
-            p=_tuplify(pt), q=_tuplify(qt),
-            l_size=ctx.a.n, r_size=ctx.b.n,
-            digests={"conditions": dict.fromkeys(_PAIR_LAWS, True),
-                     "context": ctx.report.digest()}))
-    return records
+def _orbit_reps(witnesses, auts):
+    """One representative per orbit of the witnesses under the pairs (a, b)
+    of automorphisms of X and Y: the orbit's least moved tuple, compared as
+    flat bytes, in the order of those bytes. A witness's first table is
+    over X(x)Y(x)X -> X and moves by (a, b, a), any other is over
+    Y(x)X(x)Y -> Y and moves by (b, a, b)."""
+    moves = [(np.asarray(a), np.argsort(a), np.asarray(b), np.argsort(b))
+             for a, b in auts]
+    reps = {}
+    for first, *rest in witnesses:
+        best = None
+        for ax, axi, ay, ayi in moves:
+            moved = (ax[first[np.ix_(axi, ayi, axi)]],
+                     *(ay[t[np.ix_(ayi, axi, ayi)]] for t in rest))
+            key = b"".join(m.tobytes() for m in moved)
+            if best is None or key < best[0]:
+                best = (key, moved)
+        reps.setdefault(*best)
+    return [reps[key] for key in sorted(reps)]
 
 
-def _involutive_space(x, tri_cap):
-    xstar = conjugate_lattice(x)
+def _records(x, y, witnesses):
+    """One verified record per orbit of the witnesses of the space (X, Y),
+    or of X in involutive mode (``y`` None), where automorphisms move X and
+    X* together. The enumerator yields multimorphisms, and automorphisms
+    keep them so."""
+    if y is None:
+        build = functools.partial(_involutive_record, x, conjugate_lattice(x))
+        auts = [(a, a) for a in automorphisms(x)]
+    else:
+        build = functools.partial(_pair_record, x, y)
+        auts = list(itertools.product(automorphisms(x), automorphisms(y)))
+    return [build(*tables) for tables in _orbit_reps(witnesses, auts)]
 
-    candidates = 0
-    passing = []
-    for t in _surjective_tables(x, xstar, x, x, tri_cap):
-        candidates += 1
-        if involutive_conditions_from_tables(x, t).ok:
-            passing.append(t)
 
-    auts = [(np.asarray(a), np.argsort(a)) for a in automorphisms(x)]
-    transforms = [(lambda ts, ax=ax, axi=axi:
-                   (ax[ts[0][np.ix_(axi, axi, axi)]],))
-                  for ax, axi in auts]
+def _pair_record(x, y, pt, qt):
+    w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
+    ctx = build_context_from_pair(w)  # raises ConditionsFailed
+    back = extract_pair_from_context(ctx)
+    if not (np.array_equal(back.p_gen, w.p_gen)
+            and np.array_equal(back.q_gen, w.q_gen)):
+        raise MoritaError("census integrity: witness round-trip changed "
+                          "the tables")
+    return CensusRecord(
+        mode="general", x_leq=leq_rows(x), y_leq=leq_rows(y),
+        p=_tuplify(pt), q=_tuplify(qt), l_size=ctx.a.n, r_size=ctx.b.n,
+        digests={"conditions": dict.fromkeys(_PAIR_LAWS, True),
+                 "context": ctx.report.digest()})
 
-    records = []
-    for (pt,) in _orbit_reps([(t,) for t in passing], transforms):
-        # an enumerated multimorphism moved by an automorphism is one
-        iw = _assembled(InvolutiveWitness, x=x, xstar=xstar,
-                        p_gen=_freeze(pt))
-        ctx, (inv_a, inv_b), imp = build_involutive_context(iw)  # raises
-        records.append(CensusRecord(
-            mode="involutive", x_leq=leq_rows(x), p=_tuplify(pt),
-            l_size=ctx.a.n, r_size=ctx.b.n,
-            star_a=tuple(int(s) for s in inv_a.star),
-            star_b=tuple(int(s) for s in inv_b.star),
-            digests={"conditions": dict.fromkeys(_INVOLUTIVE_LAWS, True),
-                     "context": ctx.report.digest(),
-                     "imprimitivity": imp.report.digest()}))
-    return records, candidates, len(passing)
+
+def _involutive_record(x, xstar, pt):
+    iw = _assembled(InvolutiveWitness, x=x, xstar=xstar, p_gen=_freeze(pt))
+    ctx, (inv_a, inv_b), imp = build_involutive_context(iw)  # raises
+    return CensusRecord(
+        mode="involutive", x_leq=leq_rows(x), p=_tuplify(pt),
+        l_size=ctx.a.n, r_size=ctx.b.n,
+        star_a=tuple(int(s) for s in inv_a.star),
+        star_b=tuple(int(s) for s in inv_b.star),
+        digests={"conditions": dict.fromkeys(_INVOLUTIVE_LAWS, True),
+                 "context": ctx.report.digest(),
+                 "imprimitivity": imp.report.digest()})
 
 
 def _space_worker(args):
-    """One work unit: a lattice (involutive), or a lattice pair searched
-    for its own order and, when ``mirrored``, for the reverse order too.
-    Returns records, candidates, witnesses and the skipped spaces."""
-    x_rows, y_rows, mirrored, involutive, tri_cap = args
+    """One work unit: a lattice in involutive mode (``y_rows`` None), or a
+    lattice pair searched for its own order and, when ``mirrored``, for the
+    reverse order too. Returns records, candidates, witnesses and the
+    skipped spaces."""
+    x_rows, y_rows, mirrored, tri_cap = args
     x = _lat_from_rows(x_rows)
+    # one object on the diagonal: _search tells it by identity, and so
+    # does the pair-check memo, without comparing two lattices
+    y = (None if y_rows is None else x if y_rows == x_rows
+         else _lat_from_rows(y_rows))
     try:
-        if involutive:
-            return *_involutive_space(x, tri_cap), []
-        # one object on the diagonal: _general_unit tells it by identity,
-        # and so does the pair-check memo, without comparing two lattices
-        y = x if y_rows == x_rows else _lat_from_rows(y_rows)
-        return *_general_unit(x, y, mirrored, tri_cap), []
+        candidates, witnesses = _search(x, y, tri_cap)
+        records = _records(x, y, witnesses)
+        if mirrored:
+            records += _records(y, x, [(q, p) for p, q in witnesses])
     except ResourceLimit as e:
         orders = [(x_rows, y_rows)] + [(y_rows, x_rows)] * mirrored
         return [], 0, 0, [{"x_leq": list(xr), "reason": str(e)}
                           | ({} if yr is None else {"y_leq": list(yr)})
                           for xr, yr in orders]
+    orders = 1 + mirrored
+    return records, orders * candidates, orders * len(witnesses), []
 
 
 # --- the runner ---------------------------------------------------------------------
@@ -300,8 +284,8 @@ def run_census(task: CensusTask):
         spaces = [(leq_rows(x), leq_rows(y)) for x in xs for y in ys]
     # a space whose mirror is also in the task is searched with it, once
     ordered = set(spaces)
-    args = [(xr, yr, xr != yr and (yr, xr) in ordered, task.involutive,
-             task.tri_cap) for xr, yr in spaces
+    args = [(xr, yr, xr != yr and (yr, xr) in ordered, task.tri_cap)
+            for xr, yr in spaces
             if (yr, xr) not in ordered or xr <= yr]
 
     if task.jobs <= 1 or len(args) <= 1:

@@ -721,10 +721,10 @@ def essential_by_closure(mod):
 def general_space(x, y, tri_cap):
     """(records, candidates, witnesses) of the general space (X, Y), with
     its own p and q lists and one check per p x q pair in this order."""
-    p_cands = [t for t in _surjective_tables(x, y, x, x, tri_cap)
+    p_cands = [t for t in _surjective_tables(x, y, tri_cap)
                if _distinct_slices(t, 2, x, "c3") and
                _distinct_slices(t, 0, x, "c4")]
-    q_cands = [t for t in _surjective_tables(y, x, y, y, tri_cap)
+    q_cands = [t for t in _surjective_tables(y, x, tri_cap)
                if _distinct_slices(t, 2, y, "c5") and
                _distinct_slices(t, 0, y, "c6")]
 
@@ -736,15 +736,9 @@ def general_space(x, y, tri_cap):
             if conditions_from_tables(x, y, pt, qt).ok:
                 witnesses.append((pt, qt))
 
-    auts_x = [(np.asarray(a), np.argsort(a)) for a in automorphisms(x)]
-    auts_y = [(np.asarray(a), np.argsort(a)) for a in automorphisms(y)]
-    transforms = [
-        (lambda ts, ax=ax, axi=axi, ay=ay, ayi=ayi:
-         (ax[ts[0][np.ix_(axi, ayi, axi)]], ay[ts[1][np.ix_(ayi, axi, ayi)]]))
-        for ax, axi in auts_x for ay, ayi in auts_y]
-
+    auts = list(product(automorphisms(x), automorphisms(y)))
     records = []
-    for pt, qt in _orbit_reps(witnesses, transforms):
+    for pt, qt in _orbit_reps(witnesses, auts):
         w = _proved_pair(x, y, _freeze(pt), _freeze(qt))
         rep = check_pair_conditions(w)
         ctx = build_context_from_pair(w)

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -208,6 +209,30 @@ def test_involutive_census_size_three_regression(tmp_path):
         assert all(rec.digests["imprimitivity"].values())
 
 
+def test_involutive_census_size_three_counts(monkeypatch):
+    # the i<=3 row of perfbench/reference.json, counted on the names that
+    # the benchmark's tracer rebinds in morita.census
+    counts = Counter()
+    for name in ("enumerate_multimorphisms", "enumerate_trimorphisms"):
+        def yielding(*args, _gen=getattr(morita.census, name), _name=name,
+                     **kwargs):
+            for item in _gen(*args, **kwargs):
+                counts[_name] += 1
+                yield item
+        monkeypatch.setattr(morita.census, name, yielding)
+    for name in ("conditions_from_tables", "involutive_conditions_from_tables"):
+        def calling(*args, _check=getattr(morita.census, name), _name=name):
+            counts[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(morita.census, name, calling)
+    _, summary = run_census(CensusTask(max_x=3, involutive=True))
+    assert counts == {"enumerate_multimorphisms": 171,
+                      "enumerate_trimorphisms": 131,
+                      "involutive_conditions_from_tables": 131}
+    assert counts["conditions_from_tables"] == 0
+    assert summary["witnesses"] == N3_INVOLUTIVE
+
+
 def test_involutive_census_checks_each_imprimitivity_once(monkeypatch):
     # a record's imprimitivity digest is the report its build kept; the
     # build makes it with engine._imprimitivity_report, the body of
@@ -307,8 +332,8 @@ def test_a_pair_fails_the_mirrored_laws_of_its_mirror():
     pairs = 0
     failed = set()
     for x, y in spaces:
-        qs = _surjective_tables(y, x, y, y, None)
-        for p in _surjective_tables(x, y, x, x, None):
+        qs = _surjective_tables(y, x, None)
+        for p in _surjective_tables(x, y, None):
             for q in qs:
                 rep = conditions_from_tables(x, y, p, q)
                 mirror = conditions_from_tables(y, x, q, p)

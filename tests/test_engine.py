@@ -404,10 +404,11 @@ def test_as_pair_witness_tables_are_multimorphisms(monkeypatch):
 
 
 def test_the_involutive_gate_decides_the_pair_check_of_its_pair(monkeypatch):
-    # build_involutive_context checks a)-c) alone, not 1-6 of (X, X*, p, p^T)
+    # build_involutive_context checks a)-c) alone, not 1-6 of (X, X*, p, p^T);
+    # the diamond is the last space of the i<=4 census that finishes
     passing = []
     outcomes = []
-    for x in lattices_up_to(3):
+    for x in lattices_up_to(3) + [diamond()]:
         xstar = conjugate_lattice(x)
         for f in enumerate_trimorphisms(x, xstar, x, x):
             ok = involutive_conditions_from_tables(x, f.values).ok
@@ -416,7 +417,7 @@ def test_the_involutive_gate_decides_the_pair_check_of_its_pair(monkeypatch):
             outcomes.append(ok)
             if ok:
                 passing.append(InvolutiveWitness.from_generators(x, f.values))
-    assert (len(outcomes), sum(outcomes)) == (131, 7)
+    assert (len(outcomes), sum(outcomes)) == (131 + 52670, 7 + 24)
 
     calls = Counter()
     for name in ("check_pair_conditions", "check_involutive_conditions"):
@@ -426,7 +427,7 @@ def test_the_involutive_gate_decides_the_pair_check_of_its_pair(monkeypatch):
         monkeypatch.setattr(engine, name, counting)
     for w in passing:
         build_involutive_context(w)
-    assert calls == {"check_involutive_conditions": 7}
+    assert calls == {"check_involutive_conditions": 31}
 
 
 def test_involutive_context_and_imprimitivity():

@@ -535,6 +535,12 @@ def test_census_space_tool(tmp_path):
     assert line.startswith("c2 c2: |P| 1, |Q| 1, 1 candidates, 1 witnesses, "
                            "1 records, 0 skipped, "), line
     assert line.endswith(" MB") and "peak RSS" in line
+    # one lattice is its involutive unit, which has no q list
+    proc = subprocess.run([sys.executable, str(tool), "c2"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("c2: |P| 1, |Q| -, 1 candidates, "
+                                  "1 witnesses, 1 records, 0 skipped, ")
     bad = subprocess.run([sys.executable, str(tool), "c2", "x9"],
                          capture_output=True, text=True, cwd=tmp_path)
     assert bad.returncode != 0 and "bad lattice 'x9'" in bad.stderr

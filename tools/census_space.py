@@ -1,23 +1,26 @@
-"""Time one unordered census space in a fresh interpreter.
+"""Time one census work unit in a fresh interpreter.
 
-    python3 tools/census_space.py X Y
+    python3 tools/census_space.py X [Y]
 
 X and Y name lattices as in ``tools/tensor_scale.py``: ``cK`` is the
 K-element chain, ``d`` the diamond, ``m3`` and ``n5`` the two 5-element
-lattices that are not distributive. For example ``c3 d`` is the space of
-the 3-chain and the diamond.
+lattices that are not distributive. For example ``c3 d`` is the general
+space of the 3-chain and the diamond, and ``d`` alone the involutive space
+of the diamond.
 
 A fresh interpreter imports morita from this checkout's ``src/``, takes
-the census's own numbering of both lattices (the one ``run_census`` gets
-from ``enumerate_lattices``) and runs the census work unit of the pair
-{X, Y}, ``census._space_worker`` at the default multimorphism cap: both
-orders (X, Y) and (Y, X) from one search, or the one space when X and Y
-are the same lattice. One line is printed: |P| and |Q| (the candidate p
-tables of (X, Y) and of (Y, X)), the unit's candidates, witnesses,
-records and skipped spaces, its wall seconds (measured in the child around
-the unit, so interpreter start and imports are left out) and the child's
-peak RSS in MB (its whole life, imports included). Exits 1 if the child
-fails. Uses the standard library and morita only.
+the census's own numbering of the lattices (the one ``run_census`` gets
+from ``enumerate_lattices``) and runs one census work unit,
+``census._space_worker`` at the default multimorphism cap. Given X and Y
+it is the general unit of the pair {X, Y}: both orders (X, Y) and (Y, X)
+from one search, or the one space when X and Y are the same lattice.
+Given X alone it is the involutive unit of X. One line is printed: |P|
+and |Q| (the candidate p tables of (X, Y) and of (Y, X); in involutive
+mode the surjective tables of X, and ``-``), the unit's candidates,
+witnesses, records and skipped spaces, its wall seconds (measured in the
+child around the unit, so interpreter start and imports are left out) and
+the child's peak RSS in MB (its whole life, imports included). Exits 1 if
+the child fails. Uses the standard library and morita only.
 """
 
 import os
@@ -37,19 +40,22 @@ def census_rows(lat):
     return leq_rows(next(c for c in enumerate_lattices(lat.n)
                          if canonical_key(c) == key))
 
-x, y = (census_rows(make(name)) for name in sys.argv[1:3])
+x, *rest = (census_rows(make(name)) for name in sys.argv[1:])
+y = rest[0] if rest else None   # None: the involutive unit of X
 sizes = []                  # |P|, then |Q| off the diagonal
-search = census._separated_tables
+# involutive mode checks every surjective table, with no slice filter
+name = "_surjective_tables" if y is None else "_separated_tables"
+search = getattr(census, name)
 
 def counted(*args):
     tables = search(*args)
     sizes.append(len(tables))
     return tables
 
-census._separated_tables = counted
+setattr(census, name, counted)
 start = time.perf_counter()
 records, candidates, witnesses, skips = census._space_worker(
-    (x, y, x != y, False, census.CensusTask(1).tri_cap))
+    (x, y, y not in (None, x), census.CensusTask(1).tri_cap))
 seconds = time.perf_counter() - start
 if x == y:
     sizes *= 2              # the diagonal's one list is both
@@ -60,7 +66,7 @@ print(*(sizes + ["-", "-"])[:2], candidates, witnesses, len(records),
 
 def main(argv=None):
     names = sys.argv[1:] if argv is None else argv
-    if len(names) != 2:
+    if len(names) not in (1, 2):
         sys.exit(__doc__.split("\n\n")[1])
     for name in names:
         if not re.fullmatch(LATTICE, name):
