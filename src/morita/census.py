@@ -31,7 +31,7 @@ a task holding both orders.
 import functools
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +120,7 @@ class CensusRecord:
 
     def json_line(self):
         'The fields that are set, as one line of key-sorted JSON.'
-        return json.dumps({k: v for k, v in asdict(self).items()
+        return json.dumps({k: v for k, v in vars(self).items()
                            if v is not None}, sort_keys=True,
                           separators=(",", ":"))
 
