@@ -20,8 +20,8 @@ task is searched with it: the q list of (X, Y) is the p list of (Y, X),
 each unordered pair of a diagonal space's one list is checked once, and
 records are still made per ordered space. An involutive space X is the
 pair case on (X, X*) with q = p^T. X* has the order of X, so Y = X; every
-surjective table is checked by one ``involutive_conditions_from_tables``
-call, with no slice pre-filter, automorphisms move as pairs (a, a), and
+surjective table is checked as it is yielded by one
+``involutive_conditions_from_tables`` call, with no slice pre-filter, automorphisms move as pairs (a, a), and
 the build is ``build_involutive_context``. The summary's ``candidates``
 counts |P| x |Q| per ordered space, or the tables of an involutive one;
 the benchmark's ``pairs_checked`` counts the calls, about half of that on
@@ -160,10 +160,14 @@ def _search(x, y, tri_cap):
     i <= j is checked once and stands for both (p_i, p_j) and (p_j, p_i).
     """
     if y is None:
-        # X* has the order of X; a slice pre-filter cost more than it saved
-        tables = _surjective_tables(x, x, tri_cap)
-        return len(tables), [(t,) for t in tables
-                             if involutive_conditions_from_tables(x, t).ok]
+        # X* has the order of X; a slice pre-filter cost more than it saved.
+        # Each table is checked as yielded and kept as a copy, pinning no block
+        candidates, witnesses = 0, []
+        for candidates, f in enumerate(
+                enumerate_trimorphisms(x, x, x, x, cap=tri_cap), 1):
+            if involutive_conditions_from_tables(x, f.values).ok:
+                witnesses.append((f.values.copy(),))
+        return candidates, witnesses
     p_cands = _separated_tables(x, y, tri_cap)
     q_cands = p_cands if y is x else _separated_tables(y, x, tri_cap)
     witnesses = []

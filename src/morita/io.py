@@ -191,15 +191,17 @@ def leq_rows(lat):
 
 def _write_lat(path, lat, tail=()):
     """The n=, names= and leq= lines of ``lat``, then the ``tail`` lines,
-    as a UTF-8 file. The order goes out as bytes 64 rows at a time, so no
-    copy of the whole n x n matrix is made."""
+    as a UTF-8 file. The order goes out as bytes 64 rows at a time, from
+    ``FiniteSupLattice._order_blocks``: a built order is sliced, and one
+    not yet built (a tensor's) is computed a block at a time and never
+    whole, so no n x n array is made."""
     _check_names(lat.names)
     with open(path, "wb") as fh:
         fh.write(f"n={lat.n}\nnames={','.join(lat.names)}\nleq=".encode())
         sep = b""
-        for a in range(0, lat.n, 64):
+        for block in lat._order_blocks(64):
             fh.write(sep)
-            rows = np.add(lat.leq[a:a + 64].view(np.uint8), ord("0"),
+            rows = np.add(block.view(np.uint8), ord("0"),
                           order="C")      # each row a contiguous buffer
             fh.write(b";".join(rows))
             sep = b";"

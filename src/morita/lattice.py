@@ -2,8 +2,9 @@
 
 A finite lattice is stored as a boolean ``leq`` matrix (``leq[i, j]`` iff
 ``i <= j``) together with ``join``/``meet`` index tables, each computed from
-``leq`` on first use and kept. ``validate_lattice`` checks every axiom of
-an order read from outside; a lattice by proof (a tensor, an endomorphism
+``leq`` on first use and kept; a tensor's ``leq`` is built from its
+multi-ideals on first read. ``validate_lattice`` checks every axiom of an
+order read from outside; a lattice by proof (a tensor, an endomorphism
 quantale or a sup-map's image in one, an opposite) builds
 ``FiniteSupLattice`` directly. All joins are finite, so "sup-preserving"
 reduces everywhere to: preserves the empty join (bottom goes to bottom)
@@ -62,24 +63,46 @@ class FiniteSupLattice:
     """A finite lattice. Build through :func:`validate_lattice`, or directly
     from an order that is a lattice by construction.
 
-    ``join`` and ``meet`` are computed from ``leq`` when first read, unless
-    given; a pair without a bound then raises an internal MoritaError.
-    Lattices compare and hash by ``_order_key``, the order's bytes, copied
-    on first use: a tensor that is only written holds its order once.
+    A lattice of sets may come as ``ideals``, boolean rows with row i the
+    set of element i, in place of ``leq``: its order is inclusion, built
+    by ``_subsets`` when ``leq`` is first read, and ``_order_blocks`` hands
+    it out a block of rows at a time without building it. ``join`` and
+    ``meet`` are computed from ``leq`` when first read, unless given; a
+    pair without a bound then raises an internal MoritaError. Lattices
+    compare and hash by ``_order_key``, the order's bytes, copied on first
+    use: a tensor that is only written holds no n x n array at all.
     """
 
-    __slots__ = ("n", "names", "leq", "_join", "_meet", "bottom", "top",
-                 "_key", "_hash", "_irr", "_canonical")
+    __slots__ = ("n", "names", "_leq", "_ideals", "_join", "_meet", "bottom",
+                 "top", "_key", "_hash", "_irr", "_canonical")
 
-    def __init__(self, n, names, leq, join, meet, bottom, top):
+    def __init__(self, n, names, leq, join, meet, bottom, top, ideals=None):
         self.n = n
         self.names = tuple(names)
-        self.leq = _freeze(leq)
+        self._leq = None if leq is None else _freeze(leq)
+        self._ideals = None if ideals is None else _freeze(ideals)
         self._join = None if join is None else _freeze(join)
         self._meet = None if meet is None else _freeze(meet)
         self.bottom = bottom
         self.top = top
         self._key = self._hash = self._irr = self._canonical = None
+
+    @property
+    def leq(self):
+        if self._leq is None:
+            self._leq = _freeze(_subsets(self._ideals))
+        return self._leq
+
+    def _order_blocks(self, step):
+        'The rows of ``leq``, ``step`` at a time, built only if it was.'
+        if self._leq is not None:
+            for a in range(0, self.n, step):
+                yield self._leq[a:a + step]
+            return
+        words = _words(self._ideals)
+        others = np.asfortranarray(~words)   # _disjoint reads it by columns
+        for a in range(0, self.n, step):
+            yield _disjoint(words[a:a + step], others)
 
     def _order_key(self):
         if self._key is None:
@@ -169,6 +192,31 @@ def _words(rows):
     packed = np.zeros((rows.shape[0], -(-n // 64) * 8), dtype=np.uint8)
     packed[:, :-(-n // 8)] = np.packbits(rows, axis=1, bitorder="little")
     return packed.view("<u8")
+
+
+def _disjoint(words, others):
+    """out[i, j] iff the packed rows words[i] and others[j] share no bit; a
+    block of rows at a time, word by word, into 2^15 words of reused buffers."""
+    cols, ocols = np.ascontiguousarray(words.T), np.ascontiguousarray(others.T)
+    n, m = len(words), len(others)
+    step = min(n, max(1, (1 << 15) // (m * min(2, len(cols)))))
+    bufs = np.empty((min(2, len(cols)), step, m), dtype=np.uint64)
+    out = np.empty((n, m), dtype=bool)
+    for a in range(0, n, step):
+        b = min(step, n - a)
+        acc, word = bufs[0, :b], bufs[-1, :b]
+        np.bitwise_and(cols[0, a:a + b, None], ocols[0], out=acc)
+        for w in range(1, len(cols)):
+            np.bitwise_and(cols[w, a:a + b, None], ocols[w], out=word)
+            acc |= word
+        np.logical_not(acc, out=out[a:a + b])
+    return out
+
+
+def _subsets(rows):
+    'leq[i, j] iff row i is contained in row j.'
+    words = _words(rows)
+    return _disjoint(words, ~words)
 
 
 def _least_bounds(up):

@@ -32,12 +32,13 @@ from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, failure)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
-from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
-                      _words, opposite, validate_lattice)
+from .lattice import (FiniteSupLattice, _disjoint, _freeze, _index_table,
+                      _reordered, _words, opposite, validate_lattice)
 
-# a tensor of n elements holds its n x n order matrix, n^2 bytes (25 MB
-# here), once until compared or hashed; join and meet tables, built only
-# when used, add 8 n^2 bytes each
+# a tensor of n elements holds its multi-ideals, n x tuples bytes; its
+# n x n order, n^2 bytes (25 MB here), is built only once compared, hashed
+# or read, and its join and meet tables, built only when read, add 8 n^2
+# bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
 # leaves per block: the walk hands over a BLOCK x (cells + 1) int64 array,
@@ -63,31 +64,6 @@ def _tensor_cap():
 
 def _too_large(cap):
     return ResourceLimit(f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
-
-
-def _disjoint(words, others):
-    """out[i, j] iff the packed rows words[i] and others[j] share no bit; a
-    block of rows at a time, word by word, into 2^16 words of reused buffers."""
-    cols, ocols = np.ascontiguousarray(words.T), np.ascontiguousarray(others.T)
-    n, m = len(words), len(others)
-    step = min(n, max(1, (1 << 16) // (m * min(2, len(cols)))))
-    bufs = np.empty((min(2, len(cols)), step, m), dtype=np.uint64)
-    out = np.empty((n, m), dtype=bool)
-    for a in range(0, n, step):
-        b = min(step, n - a)
-        acc, word = bufs[0, :b], bufs[-1, :b]
-        np.bitwise_and(cols[0, a:a + b, None], ocols[0], out=acc)
-        for w in range(1, len(cols)):
-            np.bitwise_and(cols[w, a:a + b, None], ocols[w], out=word)
-            acc |= word
-        np.logical_not(acc, out=out[a:a + b])
-    return out
-
-
-def _subsets(rows):
-    'leq[i, j] iff row i is contained in row j.'
-    words = _words(rows)
-    return _disjoint(words, ~words)
 
 
 class _Grid:
@@ -199,10 +175,11 @@ def tensor_product(*factors) -> MultiTensorLattice:
     ideal, so the elements are the tables of ``_table_blocks``, stacked.
 
     The multi-ideals are closed under intersection, so their inclusion
-    order is a lattice by construction: the result is built from it
-    directly, not through ``validate_lattice``, and its join and meet
-    tables are computed only when first read. Elements go by size, so the
-    first whose row holds a tuple is its elementary tensor, the least such.
+    order is a lattice by construction: the result is built on the ideals'
+    rows directly, not through ``validate_lattice``, and its order, join
+    and meet tables are computed only when first read. Elements go by
+    size, so the first whose row holds a tuple is its elementary tensor,
+    the least such.
 
     Raises ResourceLimit, counted block by block, when there are more than
     5000 elements, or more than MORITA_MAX_TENSOR when that is set.
@@ -223,19 +200,18 @@ def tensor_product(*factors) -> MultiTensorLattice:
         blocks.append(block)
         if sum(map(len, blocks)) > cap:
             raise _too_large(cap)
-    tables = np.concatenate(blocks)
     # rows[e, t] iff the last coordinate of t is <= g_e(the others)
-    rows = last.leq.T[tables].reshape(len(tables), g.tcount)
-
+    rows = last.leq.T[np.concatenate(blocks)].reshape(-1, g.tcount)
+    del blocks
     bits = rows[_element_order(rows)]
+    del rows
 
     # the ideals hold the whole grid and meet by intersection (the maps'
     # pointwise meet), so sorted by size the least comes first, the grid last
     n = len(bits)
-    leq = _subsets(bits)
     maximal = _maximal_tuples(bits, g)
-    lattice = FiniteSupLattice(n, _tensor_names(factors, maximal), leq, None,
-                               None, 0, n - 1)
+    lattice = FiniteSupLattice(n, _tensor_names(factors, maximal), None, None,
+                               None, 0, n - 1, ideals=bits)
 
     elem_table = bits.argmax(axis=0).reshape(g.sizes)
     return MultiTensorLattice(factors, lattice, bits, elem_table, maximal)

@@ -15,7 +15,7 @@
 * ``subsets_by_word_axis`` and ``maximal_tuples_by_word_axis``, the
   containment order of packed rows and the maximal generating tuples of a
   tensor's elements by a reduction over the trailing word axis, which the
-  word-by-word kernels ``tensor._subsets`` and ``tensor._maximal_tuples``
+  word-by-word kernels ``lattice._subsets`` and ``tensor._maximal_tuples``
   are compared against;
 * ``slice_collision_by_slices``, the search for two equal slices of a
   table along one slot, one slice's bytes at a time, which the one-copy

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 import morita
 from conftest import lattices_up_to, meet_quantale, meet_tables, shuffled
-from morita import cli
+from morita import cli, lattice
 from morita import io as mio
 from morita.engine import (InvolutiveWitness, MoritaPairWitness,
                            build_context_from_pair, build_involutive_context,
@@ -491,6 +492,12 @@ def test_cli_tensor_leaves_the_tensor_without_key_bytes(workdir, monkeypatch):
     assert t.n == 980 and t.lattice._key is None
 
 
+# the .lat and .elem sha256 of the 4,116-element c4 x c4 x c5
+C4_C4_C5 = (
+    "9d27c0b7fe92d6097b91fdfc6ae9832955e1f4b2cc38f59c34e649a4479997b7",
+    "203721a2346ff4bd682c9dd842ef3d031f702e45474590b5355a7af54eb982f3")
+
+
 def test_cli_tensor_bytes_past_one_word(workdir, capsys):
     # 80 tuples, two words per row; the bytes of the build that reduced
     # over the word axis
@@ -502,9 +509,28 @@ def test_cli_tensor_bytes_past_one_word(workdir, capsys):
     assert "4116 elements" in capsys.readouterr().out
     got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in (out, workdir / "t.elem"))
-    assert got == (
-        "9d27c0b7fe92d6097b91fdfc6ae9832955e1f4b2cc38f59c34e649a4479997b7",
-        "203721a2346ff4bd682c9dd842ef3d031f702e45474590b5355a7af54eb982f3")
+    assert got == C4_C4_C5
+
+
+def test_cli_tensor_builds_no_order_matrix(workdir, monkeypatch):
+    # the 4,116-element order is streamed to the file a block at a time;
+    # only the factors, of 4 and 5 elements, may build a whole order
+    subsets = lattice._subsets
+
+    def small_only(rows):
+        if len(rows) > 64:
+            raise AssertionError(f"order of {len(rows)} elements built")
+        return subsets(rows)
+
+    monkeypatch.setattr(lattice, "_subsets", small_only)
+    mio.write_lattice(workdir / "c4.lat", chain(4))
+    mio.write_lattice(workdir / "c5.lat", chain(5))
+    out = workdir / "t.lat"
+    args = [str(workdir / name) for name in ("c4.lat", "c4.lat", "c5.lat")]
+    assert cli.main(["tensor", *args, "-o", str(out)]) == 0
+    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in (out, workdir / "t.elem"))
+    assert got == C4_C4_C5
 
 
 def test_tensor_scale_tool(tmp_path):
@@ -514,6 +540,7 @@ def test_tensor_scale_tool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     line = proc.stdout.strip()
     assert line.startswith("c2,c2,c2: 2 elements, ") and "peak RSS" in line
+    assert ", read back " in line
     mio.write_lattice(tmp_path / "c2.lat", chain(2))
     c2 = str(tmp_path / "c2.lat")
     assert cli.main(["tensor", c2, c2, c2, "-o", str(tmp_path / "t.lat")]) == 0
@@ -523,6 +550,22 @@ def test_tensor_scale_tool(tmp_path):
     bad = subprocess.run([sys.executable, str(tool), "c2,x9"],
                          capture_output=True, text=True, cwd=tmp_path)
     assert bad.returncode != 0 and "bad shape 'c2,x9'" in bad.stderr
+
+
+def test_tensor_scale_peak_grows_under_half_the_order(tmp_path):
+    # the command holds no n x n order: from the 2-element c2 x c2 x c2 to
+    # the 4,116-element c4 x c4 x c5 its peak grows by less than n^2 / 2
+    # bytes. Each peak is a fresh interpreter's, imports included
+    tool = Path(__file__).resolve().parents[1] / "tools" / "tensor_scale.py"
+    proc = subprocess.run([sys.executable, str(tool), "c2,c2,c2", "c4,c4,c5"],
+                          capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    small, big = proc.stdout.splitlines()
+    peaks = [float(re.search(r" s, peak RSS (\S+) MB, read back", line)[1])
+             for line in (small, big)]
+    assert big.startswith("c4,c4,c5: 4116 elements, ")
+    assert big.endswith(f"lat sha256 {C4_C4_C5[0]}, elem sha256 {C4_C4_C5[1]}")
+    assert (peaks[1] - peaks[0]) * 2**20 < 4116 ** 2 / 2, peaks
 
 
 def test_census_space_tool(tmp_path):

@@ -14,8 +14,8 @@ from morita import _kernels, cli, io, lattice
 from morita.census import enumerate_multimorphisms
 from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder
-from morita.lattice import chain, diamond, m3, n5, validate_lattice
-from morita.tensor import _Grid, _maximal_tuples, _subsets, tensor_product
+from morita.lattice import _subsets, chain, diamond, m3, n5, validate_lattice
+from morita.tensor import _Grid, _maximal_tuples, tensor_product
 from oracles import (_to_int, _to_rows, closure_plan, elem_table_by_bitsets,
                      is_distributive, maximal_tuples_by_word_axis,
                      subsets_by_word_axis, tensor_product_by_closure)
@@ -181,12 +181,24 @@ def test_tensors_match_the_multimorphism_oracle():
 
 # --- the enumerated tensor build against the closure build -----------------------
 
+def _same_blocks(lat, leq):
+    for step in (1, 5, 64, lat.n + 1):
+        assert np.array_equal(np.concatenate(list(lat._order_blocks(step))),
+                              leq), step
+
+
 def _same_tensor(shape):
     factors = [STOCK[k] for k in shape]
     new = tensor_product(*factors)
     old = tensor_product_by_closure(*factors)
     assert np.array_equal(new.bits, old.bits), shape
+    # the order is built on first read; its row blocks stack to it, before
+    # and after, and it is the rows' inclusion and the validated order
+    assert new.lattice._leq is None, shape
+    _same_blocks(new.lattice, old.lattice.leq)
+    assert np.array_equal(new.lattice.leq, _subsets(new.bits)), shape
     assert np.array_equal(new.lattice.leq, old.lattice.leq), shape
+    _same_blocks(new.lattice, old.lattice.leq)
     assert new.lattice.names == old.lattice.names, shape
     assert np.array_equal(new.elem_table, old.elem_table), shape
     # the first row by size holding a tuple is its elementary tensor
@@ -285,6 +297,20 @@ def test_cli_tensor_builds_no_join_or_meet_table(monkeypatch, tmp_path):
     c4 = str(tmp_path / "c4.lat")
     assert cli.main(["tensor", c4, c4, c4, "-o", str(tmp_path / "t.lat")]) == 0
     assert io.read_lattice_raw(tmp_path / "t.lat")[0].shape == (980, 980)
+
+
+@pytest.mark.parametrize("shape", [("c2", "c3"), ("c4", "c4", "c4"),
+                                   ("c2", "c5", "c7"), ("m3", "n5", "c3")])
+def test_writing_a_tensor_gives_the_same_bytes_before_its_order_is_read(
+        shape, tmp_path):
+    lats = dict(STOCK, c5=chain(5), c7=chain(7))
+    t = tensor_product(*(lats[k] for k in shape)).lattice
+    io.write_lattice(tmp_path / "lazy.lat", t)
+    assert t._leq is None
+    t.leq
+    io.write_lattice(tmp_path / "built.lat", t)
+    assert ((tmp_path / "lazy.lat").read_bytes()
+            == (tmp_path / "built.lat").read_bytes()), shape
 
 
 def test_the_package_never_calls_the_closure_kernel(monkeypatch, tmp_path):

@@ -16,7 +16,7 @@ it is the general unit of the pair {X, Y}: both orders (X, Y) and (Y, X)
 from one search, or the one space when X and Y are the same lattice.
 Given X alone it is the involutive unit of X. One line is printed: |P|
 and |Q| (the candidate p tables of (X, Y) and of (Y, X); in involutive
-mode the surjective tables of X, and ``-``), the unit's candidates,
+mode the unit's candidates, every surjective table of X, and ``-``), the unit's candidates,
 witnesses, records and skipped spaces, its wall seconds (measured in the
 child around the unit, so interpreter start and imports are left out) and
 the child's peak RSS in MB (its whole life, imports included). Exits 1 if
@@ -43,22 +43,22 @@ def census_rows(lat):
 x, *rest = (census_rows(make(name)) for name in sys.argv[1:])
 y = rest[0] if rest else None   # None: the involutive unit of X
 sizes = []                  # |P|, then |Q| off the diagonal
-# involutive mode checks every surjective table, with no slice filter
-name = "_surjective_tables" if y is None else "_separated_tables"
-search = getattr(census, name)
+search = census._separated_tables
 
 def counted(*args):
     tables = search(*args)
     sizes.append(len(tables))
     return tables
 
-setattr(census, name, counted)
+census._separated_tables = counted
 start = time.perf_counter()
 records, candidates, witnesses, skips = census._space_worker(
     (x, y, y not in (None, x), census.CensusTask(1).tri_cap))
 seconds = time.perf_counter() - start
 if x == y:
     sizes *= 2              # the diagonal's one list is both
+elif y is None:
+    sizes = [candidates]    # every surjective table is a candidate
 print(*(sizes + ["-", "-"])[:2], candidates, witnesses, len(records),
       len(skips), f"{seconds:.6f}")
 """

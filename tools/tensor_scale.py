@@ -9,12 +9,15 @@ tensor of the 4-, 4- and 5-element chains (4,116 elements).
 
 Per shape, the factors are written to ``.lat`` files in a temporary
 directory, and a fresh interpreter imports morita from this checkout's
-``src/`` and runs ``morita tensor`` on them through ``cli.main``. One
-line is printed per shape: the element count, the command's wall seconds
-(measured in the child around ``cli.main``, so interpreter start and
-imports are left out), the child's peak RSS in MB (its whole life, imports
-included) and the sha256 of the written ``.lat`` and ``.elem`` files.
-Exits 1 if a command fails. Uses the standard library and morita only.
+``src/`` and runs ``morita tensor`` on them through ``cli.main``. Another
+fresh interpreter then reads the written ``.lat`` back through
+``io.read_lattice``, which validates it. One line is printed per shape:
+the element count, the command's wall seconds (measured in the child
+around ``cli.main``, so interpreter start and imports are left out), the
+child's peak RSS in MB (its whole life, imports included), the same two
+figures for the read back, and the sha256 of the written ``.lat`` and
+``.elem`` files. Exits 1 if a command fails. Uses the standard library and
+morita only.
 """
 
 import hashlib
@@ -33,6 +36,14 @@ start = time.perf_counter()
 code = cli.main(sys.argv[1:])
 print(f"wall {time.perf_counter() - start:.6f}")
 sys.exit(code)
+"""
+
+READ = """
+import sys, time
+from morita import io
+start = time.perf_counter()
+io.read_lattice(sys.argv[1])
+print(f"wall {time.perf_counter() - start:.6f}")
 """
 
 # a lattice name, and the child code that builds the lattice it names
@@ -70,9 +81,14 @@ def _child(args, env):
     return proc.returncode, out, usage.ru_maxrss / 1024   # KB on Linux
 
 
+def _wall(out):
+    return float(re.search(r"^wall (\S+)$", out, re.M).group(1))
+
+
 def measure(shape, workdir, env):
-    """Build one shape; returns (elements, seconds, peak MB, lat sha256,
-    elem sha256), or None if a command failed."""
+    """Build one shape and read it back; returns (elements, seconds, peak
+    MB, read-back seconds, read-back peak MB, lat sha256, elem sha256), or
+    None if a command failed."""
     names = shape.split(",")
     if not (2 <= len(names) <= 3
             and all(re.fullmatch(LATTICE, s) for s in names)):
@@ -83,12 +99,13 @@ def measure(shape, workdir, env):
     if code == 0:
         code, out, rss = _child(
             [CHILD, "tensor", *[paths[s] for s in names], "-o", out_lat], env)
+    if code == 0:
+        code, back, back_rss = _child([READ, out_lat], env)
     if code != 0:
         return None
     elements = int(re.search(r"(\d+) elements", out).group(1))
-    seconds = float(re.search(r"^wall (\S+)$", out, re.M).group(1))
-    return (elements, seconds, rss, _sha256(out_lat),
-            _sha256(os.path.splitext(out_lat)[0] + ".elem"))
+    return (elements, _wall(out), rss, _wall(back), back_rss,
+            _sha256(out_lat), _sha256(os.path.splitext(out_lat)[0] + ".elem"))
 
 
 def main(argv=None):
@@ -104,8 +121,9 @@ def main(argv=None):
             print(f"{shape}: failed")
             failed = True
             continue
-        n, seconds, rss, lat, elem = got
+        n, seconds, rss, back, back_rss, lat, elem = got
         print(f"{shape}: {n} elements, {seconds:.3f} s, peak RSS {rss:.1f} MB, "
+              f"read back {back:.3f} s, peak RSS {back_rss:.1f} MB, "
               f"lat sha256 {lat}, elem sha256 {elem}")
     return 1 if failed else 0
 
