@@ -20,12 +20,13 @@ task is searched with it: the q list of (X, Y) is the p list of (Y, X),
 each unordered pair of a diagonal space's one list is checked once, and
 records are still made per ordered space. An involutive space X is the
 pair case on (X, X*) with q = p^T. X* has the order of X, so Y = X; every
-surjective table is checked as it is yielded by one
-``involutive_conditions_from_tables`` call, with no slice pre-filter, automorphisms move as pairs (a, a), and
-the build is ``build_involutive_context``. The summary's ``candidates``
-counts |P| x |Q| per ordered space, or the tables of an involutive one;
-the benchmark's ``pairs_checked`` counts the calls, about half of that on
-a task holding both orders.
+surjective table is checked as it is yielded, by one
+``involutive_conditions_from_tables`` call with no slice pre-filter,
+automorphisms move as pairs (a, a), and the build is
+``build_involutive_context``. The summary's ``candidates`` counts |P| x
+|Q| per ordered space, or the tables of an involutive one; the
+benchmark's ``pairs_checked`` counts the calls, about half of that on a
+task holding both orders.
 """
 
 import functools

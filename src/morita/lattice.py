@@ -96,8 +96,7 @@ class FiniteSupLattice:
     def _order_blocks(self, step):
         'The rows of ``leq``, ``step`` at a time, built only if it was.'
         if self._leq is not None:
-            for a in range(0, self.n, step):
-                yield self._leq[a:a + step]
+            yield from (self._leq[a:a + step] for a in range(0, self.n, step))
             return
         words = _words(self._ideals)
         others = np.asfortranarray(~words)   # _disjoint reads it by columns

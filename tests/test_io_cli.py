@@ -498,23 +498,11 @@ C4_C4_C5 = (
     "203721a2346ff4bd682c9dd842ef3d031f702e45474590b5355a7af54eb982f3")
 
 
-def test_cli_tensor_bytes_past_one_word(workdir, capsys):
+def test_cli_tensor_bytes_past_one_word(workdir, capsys, monkeypatch):
     # 80 tuples, two words per row; the bytes of the build that reduced
-    # over the word axis
-    mio.write_lattice(workdir / "c4.lat", chain(4))
-    mio.write_lattice(workdir / "c5.lat", chain(5))
-    out = workdir / "t.lat"
-    args = [str(workdir / name) for name in ("c4.lat", "c4.lat", "c5.lat")]
-    assert cli.main(["tensor", *args, "-o", str(out)]) == 0
-    assert "4116 elements" in capsys.readouterr().out
-    got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in (out, workdir / "t.elem"))
-    assert got == C4_C4_C5
-
-
-def test_cli_tensor_builds_no_order_matrix(workdir, monkeypatch):
-    # the 4,116-element order is streamed to the file a block at a time;
-    # only the factors, of 4 and 5 elements, may build a whole order
+    # over the word axis. The 4,116-element order is streamed to the file
+    # a block at a time: only the factors, of 4 and 5 elements, may build
+    # a whole order
     subsets = lattice._subsets
 
     def small_only(rows):
@@ -528,6 +516,7 @@ def test_cli_tensor_builds_no_order_matrix(workdir, monkeypatch):
     out = workdir / "t.lat"
     args = [str(workdir / name) for name in ("c4.lat", "c4.lat", "c5.lat")]
     assert cli.main(["tensor", *args, "-o", str(out)]) == 0
+    assert "4116 elements" in capsys.readouterr().out
     got = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in (out, workdir / "t.elem"))
     assert got == C4_C4_C5

@@ -16,10 +16,11 @@ it is the general unit of the pair {X, Y}: both orders (X, Y) and (Y, X)
 from one search, or the one space when X and Y are the same lattice.
 Given X alone it is the involutive unit of X. One line is printed: |P|
 and |Q| (the candidate p tables of (X, Y) and of (Y, X); in involutive
-mode the unit's candidates, every surjective table of X, and ``-``), the unit's candidates,
-witnesses, records and skipped spaces, its wall seconds (measured in the
-child around the unit, so interpreter start and imports are left out) and
-the child's peak RSS in MB (its whole life, imports included). Exits 1 if
+mode the unit's candidates, every surjective table of X, and ``-``), the
+unit's candidates, witnesses, records and skipped spaces, its wall
+seconds (measured in the child around the unit, so interpreter start and
+imports are left out) and the child's peak RSS in MB (its whole life,
+imports included). Exits 1 if
 the child fails. Uses the standard library and morita only.
 """
 
