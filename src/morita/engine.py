@@ -212,17 +212,6 @@ def _assoc_chain(p_gen, q_gen, x, y, label):
     return PASS
 
 
-def _decided(ok, laws, build):
-    """The report of a check whose outcome ``ok`` is decided: every law
-    passes, or ``build()`` names the verdicts when they are first read."""
-    if not ok:
-        return ConditionReport.failing(build)
-    rep = ConditionReport()
-    for law in laws:
-        rep.add(law, PASS)
-    return rep
-
-
 _PAIR_LAWS = ("p-surjective", "q-surjective", "condition-1", "condition-2",
               "condition-3", "condition-4", "condition-5", "condition-6")
 
@@ -262,8 +251,9 @@ def conditions_from_tables(x, y, p_gen, q_gen) -> ConditionReport:
     ok = (p_left is not None and q_left is not None
           and np.array_equal(p_left, _mid(p_gen, q_gen, x.n, y.n))
           and np.array_equal(q_left, _mid(q_gen, p_gen, y.n, x.n)))
-    return _decided(ok, _PAIR_LAWS,
-                    lambda: _pair_verdicts(x, y, p_raw, q_raw))
+    if not ok:
+        return ConditionReport.failing(_pair_verdicts, x, y, p_raw, q_raw)
+    return ConditionReport.passing(_PAIR_LAWS)
 
 
 def check_pair_conditions(w: MoritaPairWitness) -> ConditionReport:
@@ -607,8 +597,9 @@ def involutive_conditions_from_tables(x, p_gen) -> ConditionReport:
     left = _one_sided(x, x, raw)
     ok = left is not None and np.array_equal(
         left, _mid(p, p.transpose(2, 1, 0), x.n, x.n))
-    return _decided(ok, _INVOLUTIVE_LAWS,
-                    lambda: _involutive_verdicts(x, raw))
+    if not ok:
+        return ConditionReport.failing(_involutive_verdicts, x, raw)
+    return ConditionReport.passing(_INVOLUTIVE_LAWS)
 
 
 def check_involutive_conditions(w: InvolutiveWitness) -> ConditionReport:

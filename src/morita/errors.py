@@ -176,18 +176,24 @@ class ConditionReport:
         self._build = None
 
     @classmethod
-    def failing(cls, build):
+    def failing(cls, build, *args):
         """A failing report whose verdicts are the (name, verdict) pairs that
-        ``build()`` returns, made on first read. That read raises
+        ``build(*args)`` returns, made on first read. That read raises
         MoritaError if none of them fails: the outcome was decided wrongly."""
         rep = cls()
-        rep._build = build
+        rep._build = build, args
         return rep
+
+    @classmethod
+    def passing(cls, laws):
+        'A report in which each of these laws passes.'
+        return cls({law: _passed(law) for law in laws})
 
     @property
     def checks(self):
         if self._build is not None:
-            built = dict(self._build())
+            build, args = self._build
+            built = dict(build(*args))
             if all(v.ok for v in built.values()):
                 raise MoritaError("internal: a report decided as failing "
                                   "built no failing verdict")

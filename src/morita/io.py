@@ -12,6 +12,7 @@ axioms and algebraic laws are the business of validate_lattice and the
 check_* functions downstream.
 """
 
+import itertools
 import os
 import re
 
@@ -113,8 +114,10 @@ def _write_lines(path, lines):
 
 def _arrow_lines(table):
     'One "i,j,k -> m" line per tuple of an index table, in C order.'
-    return [",".join(str(c) for c in t) + f" -> {int(table[t])}"
-            for t in np.ndindex(*table.shape)]
+    heads = itertools.product(*([str(c) for c in range(s)]
+                                for s in table.shape))
+    return [f"{','.join(t)} -> {v}"
+            for t, v in zip(heads, table.ravel().tolist())]
 
 
 def _rows(table):
@@ -123,9 +126,18 @@ def _rows(table):
 
 
 def _check_names(names, where=""):
+    """Refuses an empty name, one holding any of ``,;#=`` or a line break,
+    and a repeated one, none of which a reader takes back. One pass over
+    the names' join decides; the culprit is looked for only on a failure."""
+    if ("" not in names and len(set(names)) == len(names)
+            and _FORBIDDEN_IN_NAMES.isdisjoint("".join(names))):
+        return
     for nm in names:
-        if not nm or _FORBIDDEN_IN_NAMES & set(nm):
+        if not nm or not _FORBIDDEN_IN_NAMES.isdisjoint(nm):
             raise FormatError(f"{where}unserializable element name: '{nm}'")
+    seen = set()
+    dup = next(nm for nm in names if nm in seen or seen.add(nm))
+    raise FormatError(f"{where}duplicate element name '{dup}'")
 
 
 # --- .lat ----------------------------------------------------------------------------
@@ -141,9 +153,6 @@ def _parse_lat(fields, path, order=None):
     if len(names) != n:
         raise FormatError(f"{path}:{ln}: expected {n} names, got {len(names)}")
     _check_names(names, f"{path}:{ln}: ")
-    if len(set(names)) < n:
-        dup = next(nm for k, nm in enumerate(names) if nm in names[:k])
-        raise FormatError(f"{path}:{ln}: duplicate element name '{dup}'")
     ln, val = _field(fields, "leq", path)
     if order is None:
         # "replace": a non-ASCII character is a wrong cell, not a wrong length
@@ -194,18 +203,24 @@ def _write_lat(path, lat, tail=()):
     as a UTF-8 file. The order goes out as bytes 64 rows at a time, from
     ``FiniteSupLattice._order_blocks``: a built order is sliced, and one
     not yet built (a tensor's) is computed a block at a time and never
-    whole, so no n x n array is made."""
+    whole, so no n x n array is made. Each block is formatted into one
+    reused buffer of ``rows x (n + 1)`` bytes, ";" in the last column and
+    the columns a block leaves out (a tensor's lower triangle) "0"; the
+    last ";" of the order is its line's newline."""
     _check_names(lat.names)
+    n = lat.n
+    buf = np.full((min(64, n), n + 1), ord(";"), dtype=np.uint8)
+    done = 0
     with open(path, "wb") as fh:
-        fh.write(f"n={lat.n}\nnames={','.join(lat.names)}\nleq=".encode())
-        sep = b""
-        for block in lat._order_blocks(64):
-            fh.write(sep)
-            rows = np.add(block.view(np.uint8), ord("0"),
-                          order="C")      # each row a contiguous buffer
-            fh.write(b";".join(rows))
-            sep = b";"
-        fh.write(b"\n")
+        fh.write(f"n={n}\nnames={','.join(lat.names)}\nleq=".encode())
+        for first, block in lat._order_blocks(64):
+            rows = buf[:len(block)]
+            rows[:, :first] = ord("0")
+            np.add(block.view(np.uint8), ord("0"), out=rows[:, first:n])
+            done += len(block)
+            if done == n:
+                rows[-1, n] = ord("\n")
+            fh.write(rows)
         for line in tail:
             fh.write(f"{line}\n".encode())
 

@@ -66,7 +66,12 @@ class FiniteSupLattice:
     A lattice of sets may come as ``ideals``, boolean rows with row i the
     set of element i, in place of ``leq``: its order is inclusion, built
     by ``_subsets`` when ``leq`` is first read, and ``_order_blocks`` hands
-    it out a block of rows at a time without building it. ``join`` and
+    it out a block of rows at a time without building it. The rows come
+    in size order, as ``tensor_product`` sorts them: distinct sets of one
+    size are incomparable, so no row is contained in an earlier one, the
+    order is upper triangular, and ``_order_blocks`` computes each block
+    from the diagonal on. Rows whose sizes decrease raise an internal
+    MoritaError. ``join`` and
     ``meet`` are computed from ``leq`` when first read, unless given; a
     pair without a bound then raises an internal MoritaError. Lattices
     compare and hash by ``_order_key``, the order's bytes, copied on first
@@ -80,7 +85,11 @@ class FiniteSupLattice:
         self.n = n
         self.names = tuple(names)
         self._leq = None if leq is None else _freeze(leq)
-        self._ideals = None if ideals is None else _freeze(ideals)
+        if ideals is not None:
+            if (np.diff(ideals.sum(axis=1)) < 0).any():
+                raise MoritaError("internal: ideal rows out of size order")
+            ideals = _freeze(ideals)
+        self._ideals = ideals
         self._join = None if join is None else _freeze(join)
         self._meet = None if meet is None else _freeze(meet)
         self.bottom = bottom
@@ -94,14 +103,18 @@ class FiniteSupLattice:
         return self._leq
 
     def _order_blocks(self, step):
-        'The rows of ``leq``, ``step`` at a time, built only if it was.'
+        """The rows of ``leq``, ``step`` at a time, as pairs (c, block):
+        ``block`` holds the rows' columns from c on, and every column before
+        c is False. A built order is sliced whole (c = 0); otherwise block
+        rows a: are computed from column a on, the upper triangle."""
         if self._leq is not None:
-            yield from (self._leq[a:a + step] for a in range(0, self.n, step))
+            yield from ((0, self._leq[a:a + step])
+                        for a in range(0, self.n, step))
             return
         words = _words(self._ideals)
-        others = np.asfortranarray(~words)   # _disjoint reads it by columns
+        columns = np.invert(words.T, order="C")
         for a in range(0, self.n, step):
-            yield _disjoint(words[a:a + step], others)
+            yield a, _disjoint(words[a:a + step], columns[:, a:])
 
     def _order_key(self):
         if self._key is None:
@@ -193,20 +206,22 @@ def _words(rows):
     return packed.view("<u8")
 
 
-def _disjoint(words, others):
-    """out[i, j] iff the packed rows words[i] and others[j] share no bit; a
-    block of rows at a time, word by word, into 2^15 words of reused buffers."""
-    cols, ocols = np.ascontiguousarray(words.T), np.ascontiguousarray(others.T)
-    n, m = len(words), len(others)
-    step = min(n, max(1, (1 << 15) // (m * min(2, len(cols)))))
+def _disjoint(words, columns):
+    """out[i, j] iff the packed row words[i] and the packed column
+    columns[:, j] share no bit; a block of rows at a time, word by word,
+    into 2^13 words of reused buffers. Each row of ``columns`` (one word of
+    every column) must be contiguous; the array as a whole need not be."""
+    cols = np.ascontiguousarray(words.T)
+    n, m = len(words), columns.shape[1]
+    step = min(n, max(1, (1 << 13) // (m * min(2, len(cols)))))
     bufs = np.empty((min(2, len(cols)), step, m), dtype=np.uint64)
     out = np.empty((n, m), dtype=bool)
     for a in range(0, n, step):
         b = min(step, n - a)
         acc, word = bufs[0, :b], bufs[-1, :b]
-        np.bitwise_and(cols[0, a:a + b, None], ocols[0], out=acc)
+        np.bitwise_and(cols[0, a:a + b, None], columns[0], out=acc)
         for w in range(1, len(cols)):
-            np.bitwise_and(cols[w, a:a + b, None], ocols[w], out=word)
+            np.bitwise_and(cols[w, a:a + b, None], columns[w], out=word)
             acc |= word
         np.logical_not(acc, out=out[a:a + b])
     return out
@@ -215,7 +230,7 @@ def _disjoint(words, others):
 def _subsets(rows):
     'leq[i, j] iff row i is contained in row j.'
     words = _words(rows)
-    return _disjoint(words, ~words)
+    return _disjoint(words, np.invert(words.T, order="C"))
 
 
 def _least_bounds(up):

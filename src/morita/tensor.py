@@ -144,8 +144,8 @@ def _maximal_tuples(bits, grid):
     """Per element, the flat indices of its maximal generating tuples: the
     tuples of row i of ``bits`` without a bottom coordinate that no tuple of
     the row lies strictly above. They depend on the factors' orders alone."""
-    maximal = bits & ~grid.bottom & _disjoint(_words(bits),
-                                              _words(grid.strictly_above))
+    maximal = bits & ~grid.bottom & _disjoint(
+        _words(bits), np.ascontiguousarray(_words(grid.strictly_above).T))
     tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
     ends = np.cumsum(maximal.sum(axis=1)).tolist()
     return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))

@@ -58,7 +58,10 @@
   row by row, which the bytes writer and the one-buffer parser of
   ``morita.io`` are compared against;
 * ``read_elem``, the reader of the ``.elem`` sidecar that ``morita tensor``
-  writes, which the package writes but never reads.
+  writes, which the package writes but never reads, and
+  ``arrow_lines_by_ndindex``, the ``i,j,k -> m`` lines of an index table
+  one ``np.ndindex`` tuple and one scalar read at a time, which the
+  ``.map`` and ``.elem`` writers' ``io._arrow_lines`` is compared against.
 
 None of them is used by the package itself; they are small-input only.
 """
@@ -868,6 +871,12 @@ def parse_lat_by_rows(fields, path):
                               "characters of 0/1")
         leq[i] = [c == "1" for c in row]
     return leq, names
+
+
+def arrow_lines_by_ndindex(table):
+    'One "i,j,k -> m" line per tuple of an index table, in C order.'
+    return [",".join(str(c) for c in t) + f" -> {int(table[t])}"
+            for t in np.ndindex(*table.shape)]
 
 
 def read_elem(path, arity):

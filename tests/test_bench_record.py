@@ -1,12 +1,13 @@
 """The benchmark recorder's command line and the trajectory files it writes.
 
 ``tools/bench_record.py`` and the ``BENCH_*.json`` files are run and
-appended by hand; these checks run no benchmark, and no checkout but a
-throwaway git repository.
+appended by hand; these checks run no benchmark, and no checkout but
+throwaway directories and a throwaway git repository.
 """
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -150,3 +151,27 @@ def test_the_bench_files_alone_leave_a_checkout_clean(tmp_path):
     (tmp_path / "BENCH_tensor.json.bak").write_text("[]\n")
     git("add", "BENCH_tensor.json.bak")
     assert commit_of(str(tmp_path)) == clean + "-dirty"
+
+
+def test_a_checkout_with_compiled_bytecode_is_refused(tmp_path, monkeypatch):
+    mod = _bench_record()
+    clean, stale = tmp_path / "clean", tmp_path / "stale"
+    for top in ("src/morita", "perfbench", "tests/__pycache__"):
+        (clean / top).mkdir(parents=True)
+        (stale / top).mkdir(parents=True, exist_ok=True)
+    (stale / "src/morita/__pycache__").mkdir()
+    (stale / "perfbench/__pycache__").mkdir()
+    # bytecode under tests/ is not run by the benchmark
+    assert mod.bytecode_dirs(str(clean)) == []
+    assert mod.bytecode_dirs(str(stale)) == [
+        str(stale / "perfbench/__pycache__"),
+        str(stale / "src/morita/__pycache__")]
+    monkeypatch.chdir(ROOT)                  # the recorder reads BENCHMARK.json
+    monkeypatch.setattr(mod, "run_once", lambda *a: pytest.fail("ran"))
+    with pytest.raises(SystemExit) as exc:
+        mod.main([str(clean), str(stale), "--workload", "tensor"])
+    message = str(exc.value.code)
+    assert "remove" in message
+    assert str(stale / "perfbench/__pycache__") in message
+    assert str(stale / "src/morita/__pycache__") in message
+    assert str(clean) + os.sep not in message

@@ -22,13 +22,14 @@ from morita.engine import (InvolutiveWitness, MoritaPairWitness,
                            check_morita_context)
 from morita.errors import (FormatError, MissingInvolution, MoritaError,
                            NotAMultimorphism)
-from morita.lattice import chain, diamond, m3, n5
+from morita.lattice import chain, diamond, m3, n5, validate_lattice
 from morita.modules import Bimodule, ModuleAction
-from morita.quantale import InvolutiveQuantale, as_involutive_quantale, \
-    endo_quantale
+from morita.quantale import InvolutiveQuantale, Quantale, \
+    as_involutive_quantale, endo_quantale
 from morita.tensor import as_multimorphism, tensor_product
-from oracles import (endo_quantale_by_loops, parse_lat_by_rows, read_elem,
-                     write_lattice_by_rows, write_quantale_by_rows)
+from oracles import (arrow_lines_by_ndindex, endo_quantale_by_loops,
+                     parse_lat_by_rows, read_elem, write_lattice_by_rows,
+                     write_quantale_by_rows)
 
 
 # --- formats -------------------------------------------------------------------------
@@ -266,9 +267,23 @@ def test_invalid_order_is_not_a_format_error(tmp_path):
 
 
 def test_write_rejects_unserializable_names(tmp_path):
+    path = tmp_path / "bad.lat"
     lat = chain(2).relabel(("a,b", "c"))
     with pytest.raises(FormatError):
-        mio.write_lattice(tmp_path / "bad.lat", lat)
+        mio.write_lattice(path, lat)
+    # a repeated name, which the reader refuses, is refused on writing too
+    lat = validate_lattice(np.tri(3, dtype=bool).T, ["a", "a", "b"])
+    with pytest.raises(FormatError, match="duplicate element name 'a'"):
+        mio.write_lattice(path, lat)
+    with pytest.raises(FormatError, match="duplicate element name 'a'"):
+        mio.write_quantale(path, Quantale(lat, chain(3).meet))
+    for names in (("a", "", "b"), ("a", "b=c", "d"), ("a", "b\n", "c")):
+        with pytest.raises(FormatError, match="unserializable"):
+            mio.write_lattice(path, lat.relabel(names))
+    # each before the file is opened
+    assert not path.exists()
+    mio.write_lattice(path, lat.relabel(("a", "b", "c")))
+    assert mio.read_lattice(path).names == ("a", "b", "c")
 
 
 def test_quantale_roundtrip(tmp_path):
@@ -328,12 +343,36 @@ def test_map_roundtrip_and_validation(tmp_path):
 
 
 def test_elem_sidecar_roundtrip(tmp_path):
-    t = tensor_product(chain(3), diamond())
     path = tmp_path / "t.elem"
-    mio.write_elem(path, t)
-    table = read_elem(path, 2)
-    for coords in np.ndindex(3, 4):
-        assert table[coords] == t.elem_table[coords]
+    for factors in ((chain(3), diamond()), (chain(11), chain(2), chain(2))):
+        t = tensor_product(*factors)
+        mio.write_elem(path, t)
+        assert path.read_text().splitlines() == arrow_lines_by_ndindex(
+            t.elem_table)
+        table = read_elem(path, len(factors))
+        assert len(table) == t.elem_table.size
+        for coords in np.ndindex(t.elem_table.shape):
+            assert table[coords] == t.elem_table[coords]
+    # the second has two-digit coordinates and elements
+    assert t.elem_table.max() >= 10
+
+
+def test_arrow_lines_match_the_ndindex_formatter(tmp_path):
+    rng = np.random.default_rng(31)
+    for shape in [(1,), (12,), (11, 3), (2, 13, 1), (3, 11, 2, 2)]:
+        table = rng.integers(0, 150, size=shape)
+        assert mio._arrow_lines(table) == arrow_lines_by_ndindex(table), shape
+        # a transposed view is read in the C order of its own shape
+        assert mio._arrow_lines(table.T) == arrow_lines_by_ndindex(table.T)
+    # a map on 12 elements: two-digit coordinates and values
+    x = chain(12)
+    mio.write_lattice(tmp_path / "x.lat", x)
+    f = as_multimorphism((x, x), x, x.meet)
+    path = tmp_path / "f.map"
+    mio.write_map(path, f, ("x.lat", "x.lat"), "x.lat")
+    assert path.read_text().splitlines()[2:] == arrow_lines_by_ndindex(
+        f.values)
+    assert mio.read_map(path) == f
 
 
 def test_action_roundtrip_bimodule(tmp_path):

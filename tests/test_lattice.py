@@ -301,6 +301,18 @@ def test_missing_bound_raises_on_first_read():
     assert lat.meet[1, 2] == 0
 
 
+def test_ideal_rows_must_come_in_size_order():
+    # the upper-triangular write of a lattice of sets needs no row contained
+    # in an earlier one, so rows whose sizes decrease are refused
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1]], dtype=bool)
+    names = ("0", "a", "b", "1")
+    lat = FiniteSupLattice(4, names, None, None, None, 0, 3, ideals=rows)
+    assert lat.leq[1:3, 1:3].tolist() == [[True, False], [False, True]]
+    with pytest.raises(MoritaError, match="internal: ideal rows"):
+        FiniteSupLattice(4, names, None, None, None, 0, 3,
+                         ideals=rows[[0, 3, 1, 2]])
+
+
 @pytest.mark.parametrize("make, attr", [
     (lambda lat, t: Multimorphism((lat, lat), lat, t), "values"),
     (lambda lat, t: Quantale(lat, t), "mult"),

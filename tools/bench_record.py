@@ -21,7 +21,11 @@ per-seed values in seed order. ``commit`` is ``git describe --always
 other than the ``BENCH_*.json`` that this script appends to differs from
 HEAD, so recording twice does not mark a clean checkout dirty. A run
 whose outputs differ from perfbench/reference.json stops the script with
-exit code 1 before anything is written.
+exit code 1 before anything is written. So does a ``__pycache__``
+directory under ``src/`` or ``perfbench/`` of any checkout, before any
+run: a leftover ``.pyc`` lets that checkout skip compiling, under
+``PYTHONDONTWRITEBYTECODE=1`` on every run, and lowers its ``setup_s``
+and ``peak_rss_mb``. The message names the directories to remove.
 
 With two checkouts it also prints, per workload and metric, how many
 seeds the second checkout won (a lower value) and the first checkout's
@@ -54,6 +58,16 @@ def commit_of(checkout):
         ["git", "diff", "--quiet", "HEAD", "--", ".",
          ":(exclude)BENCH_*.json"], cwd=checkout).returncode
     return commit + "-dirty" * bool(dirty)
+
+
+def bytecode_dirs(checkout):
+    'The ``__pycache__`` directories under src/ and perfbench/, sorted.'
+    found = []
+    for top in ("src", "perfbench"):
+        for root, dirs, _ in os.walk(os.path.join(checkout, top)):
+            found += [os.path.join(root, d) for d in dirs
+                      if d == "__pycache__"]
+    return sorted(found)
 
 
 def run_once(checkout, workload, seed, seconds, record):
@@ -139,6 +153,10 @@ def main(argv=None):
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     checkouts = [os.path.abspath(c) for c in args.checkouts]
+    stale = [d for c in checkouts for d in bytecode_dirs(c)]
+    if stale:
+        sys.exit("bench_record: compiled bytecode lets a checkout skip "
+                 "compiling; remove " + " ".join(stale))
     commits = [commit_of(c) for c in checkouts]
 
     entries = {}
