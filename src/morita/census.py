@@ -135,8 +135,7 @@ def _lat_from_rows(rows):
     'Rows that run_census wrote from validated lattices, built directly.'
     leq = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
     return FiniteSupLattice(len(rows), default_names(len(rows)), leq, None,
-                            None, int(leq.all(axis=1).argmax()),
-                            int(leq.all(axis=0).argmax()))
+                            None, None, None)
 
 
 # --- per-space search ---------------------------------------------------------------

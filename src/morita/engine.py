@@ -46,10 +46,11 @@ factors in canonical form, and renumbers it exactly to the orders of every
 other copy. One LRU of at most 32 entries, keyed by the factors' orders,
 keeps both: X*, which has the order of X, and relabelled lattices reach
 one entry, and a call whose lattices carry other names gets a view under
-its own names that shares the entry's arrays and join table. An entry of n
-elements holds about 9 n^2 + 300 n bytes for a tensor and 17 n^2 + 300 n
-for Q(X): 3 to 12 KB on lattices of at most four elements. ``morita
-tensor`` builds its tensors uncached.
+its own names that shares the entry's arrays and order, so every table of
+it is built once. Once its join is read, an entry of n elements holds
+about 9 n^2 + 300 n bytes for a tensor and 17 n^2 + 300 n for Q(X): 3 to
+12 KB on lattices of at most four elements. ``morita tensor`` builds its
+tensors uncached.
 
 A built context or imprimitivity bimodule carries its build's passing
 report, which ``check_morita_context`` or ``check_imprimitivity`` returns;
@@ -429,7 +430,7 @@ def _classwise_action(part_tensor, gen, fixed_lat, idx_map, side_label):
 @functools.lru_cache(maxsize=32)
 def _order_part(kind, *factors):
     """X(x)Y for ``kind`` "tensor" and factors (X, Y), or Q(X) for "endo"
-    and (X,), on lattices of these orders, with its join table computed.
+    and (X,), on lattices of these orders.
 
     Factors in canonical form are built on: the module-level
     ``tensor_product`` or ``endo_quantale`` is called, so a tracer or a
@@ -444,13 +445,7 @@ def _order_part(kind, *factors):
             for f, o in zip(factors, orders)))
         return (part.renumbered(factors, orders) if kind == "tensor"
                 else part.renumbered(factors[0], orders[0]))
-    if kind == "tensor":
-        part = tensor_product(*factors)
-        part.lattice.join                 # read by the swap lift
-    else:
-        part = endo_quantale(*factors)
-        part.carrier.join                 # read by image_subquantale
-    return part
+    return (tensor_product if kind == "tensor" else endo_quantale)(*factors)
 
 
 def _tensor(x, y):

@@ -80,11 +80,10 @@ def _orderings_of(key, n):
 
 def _canonical_order(lat):
     """The first ordering that reaches the canonical form of ``lat``: its
-    element order[k] is element k there. Kept on the lattice, so copies
-    that ``relabel`` makes later share it."""
-    if lat._canonical is None:
-        lat._canonical = _canonical_orderings(lat.leq)[1][0]
-    return lat._canonical
+    element order[k] is element k there. Kept with the order's tables."""
+    if lat._order.canonical is None:
+        lat._order.canonical = _canonical_orderings(lat.leq)[1][0]
+    return lat._order.canonical
 
 
 def canonical_key(lat_or_leq) -> bytes:

@@ -25,7 +25,9 @@ from .modules import Bimodule, ModuleAction
 from .quantale import InvolutiveQuantale, Quantale, as_involutive_quantale
 from .tensor import Multimorphism, MultiTensorLattice, as_multimorphism
 
-_FORBIDDEN_IN_NAMES = set(",;#=\n\r")
+# separators, every str.splitlines break, and surrogates (UTF-8 refuses them)
+_FORBIDDEN_IN_NAMES = re.compile(
+    r"[,;#=\n\r\v\f\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 # --- low-level parsing ---------------------------------------------------------------
@@ -126,14 +128,16 @@ def _rows(table):
 
 
 def _check_names(names, where=""):
-    """Refuses an empty name, one holding any of ``,;#=`` or a line break,
-    and a repeated one, none of which a reader takes back. One pass over
-    the names' join decides; the culprit is looked for only on a failure."""
+    """Refuses an empty or repeated name, and one with blanks at an end or
+    holding any of ``,;#=``, a line break or a surrogate: no reader takes
+    these back. One pass over the names' join decides; the culprit is
+    looked for only on a failure."""
     if ("" not in names and len(set(names)) == len(names)
-            and _FORBIDDEN_IN_NAMES.isdisjoint("".join(names))):
+            and tuple(map(str.strip, names)) == tuple(names)
+            and not _FORBIDDEN_IN_NAMES.search("".join(names))):
         return
     for nm in names:
-        if not nm or not _FORBIDDEN_IN_NAMES.isdisjoint(nm):
+        if not nm or nm.strip() != nm or _FORBIDDEN_IN_NAMES.search(nm):
             raise FormatError(f"{where}unserializable element name: '{nm}'")
     seen = set()
     dup = next(nm for nm in names if nm in seen or seen.add(nm))

@@ -3,15 +3,14 @@
 A finite lattice is stored as a boolean ``leq`` matrix (``leq[i, j]`` iff
 ``i <= j``) together with ``join``/``meet`` index tables, each computed from
 ``leq`` on first use and kept; a tensor's ``leq`` is built from its
-multi-ideals on first read. ``validate_lattice`` checks every axiom of an
-order read from outside; a lattice by proof (a tensor, an endomorphism
-quantale or a sup-map's image in one, an opposite) builds
+multi-ideals on first read. A renaming (X*, a view under other names) shares
+the order and every table of its source. ``validate_lattice`` checks every
+axiom of an order read from outside; a lattice by proof (a tensor, an
+endomorphism quantale or a sup-map's image in one, an opposite) builds
 ``FiniteSupLattice`` directly. All joins are finite, so "sup-preserving"
 reduces everywhere to: preserves the empty join (bottom goes to bottom)
 and binary joins. Sup-maps are the one-slot multimorphisms of ``tensor``.
 """
-
-import copy
 
 import numpy as np
 
@@ -20,7 +19,8 @@ from .errors import (DomainMismatch, MissingJoin, MoritaError, NoBottom,
 
 
 def _freeze(arr):
-    arr.flags.writeable = False
+    if arr is not None:
+        arr.flags.writeable = False
     return arr
 
 
@@ -59,6 +59,17 @@ def _assembled(cls, **slots):
     return obj
 
 
+class _Order:
+    'The tables of one order, each built on first use, shared by renamings.'
+
+    __slots__ = ("leq", "ideals", "join", "meet", "key", "hash", "irr",
+                 "canonical")
+
+    def __init__(self, leq, ideals, join, meet):
+        self.leq, self.ideals, self.join, self.meet = leq, ideals, join, meet
+        self.key = self.hash = self.irr = self.canonical = None
+
+
 class FiniteSupLattice:
     """A finite lattice. Build through :func:`validate_lattice`, or directly
     from an order that is a lattice by construction.
@@ -73,81 +84,76 @@ class FiniteSupLattice:
     from the diagonal on. Rows whose sizes decrease raise an internal
     MoritaError. ``join`` and
     ``meet`` are computed from ``leq`` when first read, unless given; a
-    pair without a bound then raises an internal MoritaError. Lattices
-    compare and hash by ``_order_key``, the order's bytes, copied on first
-    use: a tensor that is only written holds no n x n array at all.
+    pair without a bound then raises an internal MoritaError; a bottom and
+    top given as None are read off ``leq``. Lattices compare and hash by
+    ``_order_key``, the order's bytes, copied on first use: a tensor that
+    is only written holds no n x n array at all. Renamings share one order,
+    an ``_Order`` holding every table and the key, each built on first read.
     """
 
-    __slots__ = ("n", "names", "_leq", "_ideals", "_join", "_meet", "bottom",
-                 "top", "_key", "_hash", "_irr", "_canonical")
+    __slots__ = ("n", "names", "bottom", "top", "_order")
 
     def __init__(self, n, names, leq, join, meet, bottom, top, ideals=None):
         self.n = n
         self.names = tuple(names)
-        self._leq = None if leq is None else _freeze(leq)
-        if ideals is not None:
-            if (np.diff(ideals.sum(axis=1)) < 0).any():
-                raise MoritaError("internal: ideal rows out of size order")
-            ideals = _freeze(ideals)
-        self._ideals = ideals
-        self._join = None if join is None else _freeze(join)
-        self._meet = None if meet is None else _freeze(meet)
-        self.bottom = bottom
-        self.top = top
-        self._key = self._hash = self._irr = self._canonical = None
+        if ideals is not None and (np.diff(ideals.sum(axis=1)) < 0).any():
+            raise MoritaError("internal: ideal rows out of size order")
+        self.bottom, self.top = (bottom, top) if bottom is not None else (
+            int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
+        self._order = _Order(*map(_freeze, (leq, ideals, join, meet)))
 
     @property
     def leq(self):
-        if self._leq is None:
-            self._leq = _freeze(_subsets(self._ideals))
-        return self._leq
+        if self._order.leq is None:
+            self._order.leq = _freeze(_subsets(self._order.ideals))
+        return self._order.leq
 
     def _order_blocks(self, step):
         """The rows of ``leq``, ``step`` at a time, as pairs (c, block):
         ``block`` holds the rows' columns from c on, and every column before
         c is False. A built order is sliced whole (c = 0); otherwise block
         rows a: are computed from column a on, the upper triangle."""
-        if self._leq is not None:
-            yield from ((0, self._leq[a:a + step])
-                        for a in range(0, self.n, step))
+        o = self._order
+        if o.leq is not None:
+            yield from ((0, o.leq[a:a + step]) for a in range(0, self.n, step))
             return
-        words = _words(self._ideals)
+        words = _words(o.ideals)
         columns = np.invert(words.T, order="C")
         for a in range(0, self.n, step):
             yield a, _disjoint(words[a:a + step], columns[:, a:])
 
     def _order_key(self):
-        if self._key is None:
-            self._key = self.leq.tobytes()
-        return self._key
+        if self._order.key is None:
+            self._order.key = self.leq.tobytes()
+        return self._order.key
 
     def __eq__(self, other):        # hot: a made key is read without a call
         return self is other or (isinstance(other, FiniteSupLattice) and (
-            (self._key or self._order_key())
-            == (other._key or other._order_key())))
+            (self._order.key or self._order_key())
+            == (other._order.key or other._order_key())))
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._order_key())
-        return self._hash
+        if self._order.hash is None:
+            self._order.hash = hash(self._order_key())
+        return self._order.hash
 
     def __repr__(self):
         return f"FiniteSupLattice(n={self.n}, names={list(self.names)})"
 
     @property
     def join(self):
-        if self._join is None:
-            self._join = self._bounds(self.leq, "join")
-        return self._join
+        if self._order.join is None:
+            self._order.join = self._bounds(self.leq, "join")
+        return self._order.join
 
     @property
     def meet(self):
-        if self._meet is None:
-            self._meet = self._bounds(np.ascontiguousarray(self.leq.T), "meet")
-        return self._meet
+        if self._order.meet is None:
+            self._order.meet = self._bounds(self.leq.T, "meet")
+        return self._order.meet
 
     def _bounds(self, up, what):
-        table = _least_bounds(up)
+        table = _least_bounds(np.ascontiguousarray(up))
         if (table < 0).any():
             i, j = map(int, np.argwhere(table < 0)[0])
             raise MoritaError(f"internal: {self.names[i]} and {self.names[j]} "
@@ -169,23 +175,21 @@ class FiniteSupLattice:
         is one exactly when the elements strictly below it form the
         down-set of one element; the bottom's, empty, never do.
         """
-        if self._irr is None:
+        if self._order.irr is None:
             down = np.ascontiguousarray(self.leq.T)      # down[j]: j's down-set
             principal = {row.tobytes() for row in down}
             strictly = down & ~np.eye(self.n, dtype=bool)
             sizes = down.sum(axis=1).tolist()
             irr = [j for j in range(self.n) if strictly[j].tobytes() in principal]
-            self._irr = tuple(sorted(irr, key=sizes.__getitem__))
-        return self._irr
+            self._order.irr = tuple(sorted(irr, key=sizes.__getitem__))
+        return self._order.irr
 
     def relabel(self, names):
-        'The same lattice under other names, sharing all computed of it.'
+        'The same lattice under other names, over the same order and tables.'
         if len(names) != self.n:
             raise DomainMismatch(f"expected {self.n} names, got {len(names)}")
-        self._order_key()                  # made first, so copies share it
-        lat = copy.copy(self)
-        lat.names = tuple(names)
-        return lat
+        return _assembled(FiniteSupLattice, n=self.n, names=tuple(names),
+                          bottom=self.bottom, top=self.top, _order=self._order)
 
 
 def _reordered(lat, order, names):
@@ -307,21 +311,18 @@ def validate_lattice(leq, names=None) -> FiniteSupLattice:
                 f"not transitive: {names[i]} <= {names[k]} <= {names[j]} "
                 f"but not {names[i]} <= {names[j]}")
 
-    bottoms = np.flatnonzero(leq.all(axis=1))
-    if len(bottoms) == 0:
+    if not leq.all(axis=1).any():
         lo = np.flatnonzero(leq.sum(axis=0) == 1)
         pair = tuple(names[int(i)] for i in lo[:2]) if len(lo) >= 2 else ()
         raise NoBottom("no least element" +
                        (f"; minimal elements {pair[0]}, {pair[1]}" if pair else ""))
-    bottom = int(bottoms[0])
 
     join = _least_bounds(leq)
     if (join < 0).any():
         i, j = map(int, np.argwhere(join < 0)[0])
         raise MissingJoin(f"{names[i]} and {names[j]} have no join")
 
-    return FiniteSupLattice(n, names, leq, join, None, bottom,
-                            int(leq.all(axis=0).argmax()))
+    return FiniteSupLattice(n, names, leq, join, None, None, None)
 
 
 def default_names(n):
@@ -366,9 +367,10 @@ def conjugate_lattice(lat):
 def opposite(lat):
     """The same carrier with the order reversed: joins and meets, bottom and
     top trade places. A lattice by duality, so not re-validated; the tables
-    pass through as they are, computed or not."""
+    built so far pass through, onto an order of its own."""
+    o = lat._order
     return FiniteSupLattice(lat.n, lat.names, np.ascontiguousarray(lat.leq.T),
-                            lat._meet, lat._join, lat.top, lat.bottom)
+                            o.meet, o.join, lat.top, lat.bottom)
 
 
 # --- small stock lattices -------------------------------------------------------

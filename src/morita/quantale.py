@@ -128,8 +128,7 @@ def endo_quantale(x: FiniteSupLattice) -> OperatorQuantale:
     leq = x.leq[vals[:, None, :], vals[None, :, :]].all(axis=2)
     ops = [tuple(v) for v in vals.tolist()]
     carrier = FiniteSupLattice(len(ops), _op_names(x, ops), leq, None, None,
-                               int(leq.all(axis=1).argmax()),
-                               int(leq.all(axis=0).argmax()))
+                               None, None)
     mult = np.searchsorted(_row_keys(vals), _row_keys(vals[:, vals]))
     return OperatorQuantale(x, carrier, _freeze(mult), ops,
                             ops.index(tuple(range(x.n))))
@@ -161,10 +160,9 @@ def image_subquantale(q: Quantale, family: Multimorphism):
             f"product {q.names[a]} . {q.names[b]} = {q.names[c]} "
             "escapes the image", witness=(q.names[a], q.names[b]))
     ids, leq = img.tolist(), q.carrier.leq[np.ix_(img, img)]
-    carrier = FiniteSupLattice(
-        len(ids), [q.names[e] for e in ids], leq,
-        np.searchsorted(img, q.carrier.join[np.ix_(img, img)]), None,
-        int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
+    join = np.searchsorted(img, q.carrier.join[np.ix_(img, img)])
+    carrier = FiniteSupLattice(len(ids), [q.names[e] for e in ids], leq, join,
+                               None, None, None)
     mult = _freeze(np.searchsorted(img, prod))
     unit = ids.index(q.unit) if q.unit in ids else None
     if isinstance(q, OperatorQuantale):

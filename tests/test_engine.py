@@ -212,6 +212,16 @@ def test_a_generator_entry_outside_the_lattice_is_a_domain_mismatch():
     assert involutive_conditions_from_tables(c3, good).ok
 
 
+def test_x_and_x_star_share_every_table_through_an_involutive_build():
+    # X* is X renamed, so every table the build reads through either is
+    # built once, on their one order; X as the census builds it, no tables
+    x = _lat_from_rows(leq_rows(diamond()))
+    w = InvolutiveWitness(x, meet_tables(diamond()))
+    build_involutive_context(w)
+    assert w.xstar.join is x.join and w.xstar.meet is x.meet
+    assert w.xstar.join_irreducibles() is x.join_irreducibles()
+
+
 def test_a_built_context_and_bimodule_are_read_only():
     ctx, _, imp = build_involutive_context(
         InvolutiveWitness.from_generators(chain(3), meet_tables(chain(3))))

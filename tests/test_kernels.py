@@ -197,7 +197,7 @@ def _same_tensor(shape):
     assert np.array_equal(new.bits, old.bits), shape
     # the order is built on first read; its row blocks stack to it, before
     # and after, and it is the rows' inclusion and the validated order
-    assert new.lattice._leq is None, shape
+    assert new.lattice._order.leq is None, shape
     _same_blocks(new.lattice, old.lattice.leq)
     assert np.array_equal(new.lattice.leq, _subsets(new.bits)), shape
     assert np.array_equal(new.lattice.leq, old.lattice.leq), shape
@@ -309,7 +309,7 @@ def test_writing_a_tensor_gives_the_same_bytes_before_its_order_is_read(
     lats = dict(STOCK, c5=chain(5), c7=chain(7))
     t = tensor_product(*(lats[k] for k in shape)).lattice
     io.write_lattice(tmp_path / "lazy.lat", t)
-    assert t._leq is None
+    assert t._order.leq is None
     t.leq
     io.write_lattice(tmp_path / "built.lat", t)
     assert ((tmp_path / "lazy.lat").read_bytes()

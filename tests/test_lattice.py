@@ -224,15 +224,25 @@ def test_tables_are_built_on_first_read_and_shared():
     want = diamond()
     lat = FiniteSupLattice(4, want.names, want.leq.copy(), None, None, 0, 3)
     op, named = opposite(lat), lat.relabel(("o", "p", "q", "r"))
-    assert lat._join is None and lat._meet is None
+    starred = conjugate_lattice(named)
+    assert lat._order.join is None and lat._order.meet is None
     assert np.array_equal(lat.join, want.join)
     assert np.array_equal(lat.meet, want.meet)
     assert not lat.join.flags.writeable and not lat.meet.flags.writeable
-    # built before the first read, so the tables stay their own
-    assert op._join is None and named._join is None
+    # copies made before the first read get the very same tables, the
+    # irreducibles and the key; the opposite, made before, has its own order
+    for copy in (named, starred):
+        assert copy.join is lat.join and copy.meet is lat.meet
+        assert copy.join_irreducibles() is lat.join_irreducibles()
+        assert copy._order_key() is lat._order_key()
+    assert op._order.join is None and op._order.meet is None
     assert opposite(lat).join is lat.meet and opposite(lat).meet is lat.join
     assert named.relabel(lat.names).leq is lat.leq
-    assert lat.relabel(named.names).join is lat.join
+    # the bottom and top of a given order are read off it when not given
+    for known in lattices_up_to(5):
+        same = FiniteSupLattice(known.n, known.names, known.leq, None, None,
+                                None, None)
+        assert (same.bottom, same.top) == (known.bottom, known.top)
 
 
 def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
@@ -248,8 +258,8 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
         fresh = (lat.relabel([f"u{i}" for i in range(lat.n)]),
                  conjugate_lattice(lat))
         for copy in fresh:
-            assert copy == lat and copy._key is lat._key
-            assert copy._irr is lat._irr
+            assert copy == lat and copy._order is lat._order
+            assert copy._order.irr is lat._order.irr
             assert copy.join_irreducibles() == lat.join_irreducibles()
     monkeypatch.undo()
     for lat in lats:
@@ -258,12 +268,12 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
 
 
 def test_lattices_compare_and_hash_by_order_alone():
-    # the key is made on first use, by a comparison, a hash or a relabel
+    # the key is made on first use, by a comparison or a hash
     t = tensor_product(chain(2), diamond()).lattice
-    assert t._key is None
+    assert t._order.key is None
     named = validate_lattice(t.leq, [f"u{i}" for i in range(t.n)])
     assert t == named and hash(t) == hash(named) and t.names != named.names
-    assert t._key == t.leq.tobytes()
+    assert t._order.key == t.leq.tobytes()
     lats = lattices_up_to(5)
     for a, b in itertools.product(lats, repeat=2):
         assert (a == b) == (a is b) == (a.leq.tobytes() == b.leq.tobytes())
@@ -273,9 +283,17 @@ def test_lattices_compare_and_hash_by_order_alone():
         assert same == lat and hash(same) == hash(lat)
         # an order is its own transpose only on one element
         assert (same == opposite(lat)) == (lat.n == 1)
-    fresh = chain(3)
-    copy = fresh.relabel(["a", "b", "c"])
-    assert copy._key is fresh._key is not None
+    # a relabel builds nothing: the copy holds its source's order, and the
+    # key that either makes later is the other's
+    fresh = tensor_product(chain(2), chain(2)).lattice
+    copy = fresh.relabel([f"e{i}" for i in range(fresh.n)])
+    order = fresh._order
+    assert copy._order is order
+    assert all(v is None for v in (order.leq, order.join, order.meet,
+                                   order.key, order.hash, order.irr,
+                                   order.canonical))
+    assert hash(copy) == hash(fresh) and copy == fresh
+    assert copy._order_key() is fresh._order_key() is order.key
 
 
 def test_join_irreducibles_agree_with_the_join_loop():

@@ -17,7 +17,8 @@ around ``cli.main``, so interpreter start and imports are left out), the
 child's peak RSS in MB (its whole life, imports included), the same two
 figures for the read back, and the sha256 of the written ``.lat`` and
 ``.elem`` files. Exits 1 if a command fails. Uses the standard library and
-morita only.
+morita only. ``build`` and ``read_back`` are the two steps of a shape, for
+a caller that needs only the first.
 """
 
 import hashlib
@@ -85,10 +86,10 @@ def _wall(out):
     return float(re.search(r"^wall (\S+)$", out, re.M).group(1))
 
 
-def measure(shape, workdir, env):
-    """Build one shape and read it back; returns (elements, seconds, peak
-    MB, read-back seconds, read-back peak MB, lat sha256, elem sha256), or
-    None if a command failed."""
+def build(shape, workdir, env):
+    """Build one shape into ``workdir``'s ``t.lat``; returns (elements,
+    seconds, peak MB, lat sha256, elem sha256), or None if a command
+    failed. ``env`` is the children's environment."""
     names = shape.split(",")
     if not (2 <= len(names) <= 3
             and all(re.fullmatch(LATTICE, s) for s in names)):
@@ -99,13 +100,18 @@ def measure(shape, workdir, env):
     if code == 0:
         code, out, rss = _child(
             [CHILD, "tensor", *[paths[s] for s in names], "-o", out_lat], env)
-    if code == 0:
-        code, back, back_rss = _child([READ, out_lat], env)
     if code != 0:
         return None
     elements = int(re.search(r"(\d+) elements", out).group(1))
-    return (elements, _wall(out), rss, _wall(back), back_rss,
-            _sha256(out_lat), _sha256(os.path.splitext(out_lat)[0] + ".elem"))
+    return (elements, _wall(out), rss, _sha256(out_lat),
+            _sha256(os.path.splitext(out_lat)[0] + ".elem"))
+
+
+def read_back(workdir, env):
+    """Read ``workdir``'s built ``t.lat`` back; returns (seconds, peak MB),
+    or None if the read failed."""
+    code, out, rss = _child([READ, os.path.join(workdir, "t.lat")], env)
+    return None if code else (_wall(out), rss)
 
 
 def main(argv=None):
@@ -116,12 +122,13 @@ def main(argv=None):
     failed = False
     for shape in shapes:
         with tempfile.TemporaryDirectory() as workdir:
-            got = measure(shape, workdir, env)
-        if got is None:
+            got = build(shape, workdir, env)
+            back = got and read_back(workdir, env)
+        if not back:
             print(f"{shape}: failed")
             failed = True
             continue
-        n, seconds, rss, back, back_rss, lat, elem = got
+        (n, seconds, rss, lat, elem), (back, back_rss) = got, back
         print(f"{shape}: {n} elements, {seconds:.3f} s, peak RSS {rss:.1f} MB, "
               f"read back {back:.3f} s, peak RSS {back_rss:.1f} MB, "
               f"lat sha256 {lat}, elem sha256 {elem}")
