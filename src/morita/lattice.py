@@ -82,13 +82,12 @@ class FiniteSupLattice:
     size are incomparable, so no row is contained in an earlier one, the
     order is upper triangular, and ``_order_blocks`` computes each block
     from the diagonal on. Rows whose sizes decrease raise an internal
-    MoritaError. ``join`` and
-    ``meet`` are computed from ``leq`` when first read, unless given; a
-    pair without a bound then raises an internal MoritaError; a bottom and
-    top given as None are read off ``leq``. Lattices compare and hash by
-    ``_order_key``, the order's bytes, copied on first use: a tensor that
-    is only written holds no n x n array at all. Renamings share one order,
-    an ``_Order`` holding every table and the key, each built on first read.
+    MoritaError. ``join`` and ``meet`` are computed from ``leq`` when first
+    read, unless given; a pair without a bound then raises an internal
+    MoritaError. A bottom or top given as None is read off a given ``leq``.
+    Lattices compare and hash by ``_order_key``, the order's bytes, copied
+    on first use: a tensor only written holds no n x n array at all.
+    Renamings share one ``_Order``: every table and the key, built once.
     """
 
     __slots__ = ("n", "names", "bottom", "top", "_order")
@@ -98,8 +97,10 @@ class FiniteSupLattice:
         self.names = tuple(names)
         if ideals is not None and (np.diff(ideals.sum(axis=1)) < 0).any():
             raise MoritaError("internal: ideal rows out of size order")
-        self.bottom, self.top = (bottom, top) if bottom is not None else (
-            int(leq.all(axis=1).argmax()), int(leq.all(axis=0).argmax()))
+        if leq is None and None in (bottom, top):
+            raise MoritaError("internal: no leq to read a bottom or top off")
+        self.bottom = int(leq.all(axis=1).argmax()) if bottom is None else bottom
+        self.top = int(leq.all(axis=0).argmax()) if top is None else top
         self._order = _Order(*map(_freeze, (leq, ideals, join, meet)))
 
     @property
@@ -149,11 +150,12 @@ class FiniteSupLattice:
     @property
     def meet(self):
         if self._order.meet is None:
-            self._order.meet = self._bounds(self.leq.T, "meet")
+            self._order.meet = self._bounds(np.ascontiguousarray(self.leq.T),
+                                            "meet")
         return self._order.meet
 
     def _bounds(self, up, what):
-        table = _least_bounds(np.ascontiguousarray(up))
+        table = _least_bounds(up)
         if (table < 0).any():
             i, j = map(int, np.argwhere(table < 0)[0])
             raise MoritaError(f"internal: {self.names[i]} and {self.names[j]} "

@@ -1,7 +1,7 @@
 """Text format round trips, format error classification, CLI exit codes."""
 
+import ast
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -593,18 +593,32 @@ def test_tensor_scale_tool(tmp_path):
     assert bad.returncode != 0 and "bad shape 'c2,x9'" in bad.stderr
 
 
+# a fresh interpreter that imports no numpy runs the tool's build step on
+# the shapes after argv's tool path and directory, printing each result: a
+# child started from this process would count the suite's pages in its peak
+BUILD = """
+import importlib.util, os, sys
+spec = importlib.util.spec_from_file_location("tensor_scale", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+env = dict(os.environ, PYTHONPATH=os.path.abspath(tool.SRC))
+for shape in sys.argv[3:]:
+    print(repr(tool.build(shape, sys.argv[2], env)))
+assert "numpy" not in sys.modules
+"""
+
+
 def test_tensor_scale_peak_grows_under_half_the_order(tmp_path):
     # the command holds no n x n order: from the 2-element c2 x c2 x c2 to
     # the 4,116-element c4 x c4 x c5 its peak grows by less than n^2 / 2
     # bytes. Each peak is a fresh interpreter's, imports included; the
     # tool's build step alone runs, not its read back
-    path = Path(__file__).resolve().parents[1] / "tools" / "tensor_scale.py"
-    spec = importlib.util.spec_from_file_location("tensor_scale", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(tool.SRC))
-    small, big = (tool.build(shape, tmp_path, env)
-                  for shape in ("c2,c2,c2", "c4,c4,c5"))
+    tool = Path(__file__).resolve().parents[1] / "tools" / "tensor_scale.py"
+    proc = subprocess.run([sys.executable, "-c", BUILD, str(tool),
+                           str(tmp_path), "c2,c2,c2", "c4,c4,c5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    small, big = map(ast.literal_eval, proc.stdout.splitlines())
     assert small[0] == 2 and big[0] == 4116
     assert big[3:] == C4_C4_C5
     assert (big[2] - small[2]) * 2**20 < 4116 ** 2 / 2, (small, big)

@@ -238,11 +238,16 @@ def test_tables_are_built_on_first_read_and_shared():
     assert op._order.join is None and op._order.meet is None
     assert opposite(lat).join is lat.meet and opposite(lat).meet is lat.join
     assert named.relabel(lat.names).leq is lat.leq
-    # the bottom and top of a given order are read off it when not given
+    # a bottom or top not given is read off a given order, each on its own;
+    # an order given as ideals is not built for it
     for known in lattices_up_to(5):
-        same = FiniteSupLattice(known.n, known.names, known.leq, None, None,
-                                None, None)
-        assert (same.bottom, same.top) == (known.bottom, known.top)
+        n, names = known.n, known.names
+        for bounds in ((None, None), (known.bottom, None), (None, known.top)):
+            same = FiniteSupLattice(n, names, known.leq, None, None, *bounds)
+            assert (same.bottom, same.top) == (known.bottom, known.top)
+            with pytest.raises(MoritaError, match="no leq to read"):
+                FiniteSupLattice(n, names, None, None, None, *bounds,
+                                 ideals=np.eye(n, dtype=bool))
 
 
 def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):

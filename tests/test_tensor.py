@@ -454,28 +454,50 @@ def test_the_walk_matches_the_per_leaf_oracle_up_to_size_five():
     assert (len(shapes) - len(skipped), tables) == (680, 65963)
 
 
-# tables taken from the head of each M3 or N5 list below: 30 lists, about
-# 2 s in all on 2 vCPUs, most of it in _join_break
+# The M3 and N5 lists below whose walk ends well within a second, with
+# their lengths: c3 (x) M3 (x) c3 -> c3, c3 (x) N5 (x) c3 -> c3, M3 (x) c2
+# (x) M3 -> M3 and N5 (x) c2 (x) N5 -> N5. Every table is checked, so the
+# checks on every cell of their plans are reached; of the others, the
+# first FIRST_TABLES are. About 2.5 s in all on 2 vCPUs.
+COMPLETE = {"25": 728, "26": 1251, "51": 21740, "61": 7033}
 FIRST_TABLES = 1000
+
+
+def _join_breaks(tables, factors, target):
+    'Per table of an (m, *shape) stack, whether a slot misses a join.'
+    m, bad = len(tables), np.zeros(len(tables), dtype=bool)
+    for i, fac in enumerate(factors):
+        flat = np.moveaxis(tables, i + 1, 1).reshape(m, fac.n, -1)
+        bad |= (flat[:, fac.bottom] != target.bottom).any(axis=1)
+        joined = target.join[flat[:, :, None, :], flat[:, None, :, :]]
+        bad |= (flat[:, fac.join] != joined).reshape(m, -1).any(axis=1)
+    return bad
 
 
 def test_the_walk_yields_distinct_multimorphisms_on_m3_and_n5_shapes():
     # the shapes X (x) Y (x) X -> X with X or Y = M3 or N5 that the per-leaf
-    # oracle above skips: the first tables of each walk are distinct, and
-    # each preserves joins slotwise by _join_break, the per-table check
-    # that the plan's cover checks stand for
+    # oracle above skips: the tables of each walk, all of them on the
+    # COMPLETE lists and the first ones on the others, are distinct and
+    # preserve joins slotwise, as the plan's cover checks stand for
     lats = lattices_up_to(5)
     codes = [c for c in SKIPPED_THREE if {"5", "6"} & set(c)]
-    assert len(codes) == 30
+    assert len(codes) == 30 and set(COMPLETE) < set(codes)
     for code in codes:
         x, y = (lats[int(d)] for d in code)
-        head = list(itertools.islice(
-            enumerate_multimorphisms((x, y, x), x), FIRST_TABLES))
-        for f in head:
-            assert _join_break(f) is None, (code, f.values)
-        assert len({f.values.tobytes() for f in head}) == len(head), code
-        # c3 (x) M3 (x) c3 -> c3 is the one list shorter than the budget
-        assert len(head) == (728 if code == "25" else FIRST_TABLES), code
+        walk = enumerate_multimorphisms((x, y, x), x)
+        if code in COMPLETE:
+            tables = np.array([f.values for f in walk])
+            for a in range(0, len(tables), 1024):
+                assert not _join_breaks(tables[a:a + 1024], (x, y, x),
+                                        x).any(), code
+        else:
+            head = list(itertools.islice(walk, FIRST_TABLES))
+            for f in head:
+                assert _join_break(f) is None, (code, f.values)
+            tables = np.array([f.values for f in head])
+        rows = tables.reshape(len(tables), -1)
+        assert len(np.unique(rows, axis=0)) == len(rows), code
+        assert len(rows) == COMPLETE.get(code, FIRST_TABLES), code
 
 
 def test_enumerator_matches_the_per_leaf_reference_on_census_shapes():
