@@ -42,9 +42,9 @@ def _read_bytes(path):
 
 def _parse(path, data):
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")        # a byte-order mark is dropped
     except UnicodeDecodeError as e:
-        line = data.count(b"\n", 0, e.start) + 1
+        line = e.object.count(b"\n", 0, e.start) + 1    # past any mark
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
     fields, arrows = {}, []
     for ln, raw in enumerate(text.splitlines(), 1):

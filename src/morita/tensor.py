@@ -11,14 +11,16 @@ out of the tensor are exactly the liftings of multimorphisms.
 The one backtracking enumerator, ``enumerate_multimorphisms``, lists the
 multimorphisms for any number of factors, and walks only assignments that
 extend to one: each factor's minimal join covers are compiled into
-``_extension_plan``. With one factor it lists the sup-maps. It also lists the
-tensor's elements: the multi-ideals correspond one to one with the
-multimorphisms of all factors but the last into the opposite of the last
-(Joyal and Tierney, An extension of the Galois theory of Grothendieck,
-Mem. AMS 309, 1984), so ``tensor_product`` is one enumeration: it stacks
-the int64 arrays of ``_table_blocks``, which extends ``BLOCK`` leaves of the
-walk at a time to full tables by numpy gathers, and whose tables, in range
-by construction, are yielded one by one without the constructor's checks.
+``_extension_plan``. The walk goes depth first over chunks of partial
+assignments, each grown by one cell at a time in numpy. With one factor it
+lists the sup-maps. It also lists the tensor's elements: the multi-ideals
+correspond one to one with the multimorphisms of all factors but the last
+into the opposite of the last (Joyal and Tierney, An extension of the
+Galois theory of Grothendieck, Mem. AMS 309, 1984), so ``tensor_product``
+is one enumeration: it stacks the int64 arrays of ``_table_blocks``, which
+extends ``BLOCK`` leaves of the walk at a time to full tables by numpy
+gathers, and whose tables, in range by construction, are yielded one by
+one without the constructor's checks.
 """
 
 import functools
@@ -41,10 +43,13 @@ from .lattice import (FiniteSupLattice, _disjoint, _freeze, _index_table,
 # bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
-# leaves per block: the walk hands over a BLOCK x (cells + 1) int64 array,
-# extended through at most three BLOCK x tuples int64 arrays, 8 BLOCK x
-# tuples bytes each (64 KB for the 64 tuples of a three-fold 4-element
-# grid), the last of which holds the block's tables
+# leaves per block, and partial assignments per chunk of the walk, a byte
+# per cell each on targets of up to 256 elements: a chunk grows by a cell
+# into at most BLOCK x |target| rows, and the walk holds at most that many
+# per cell. It hands over a BLOCK x (cells + 1) int64 array, extended
+# through at most three BLOCK x tuples int64 arrays, 8 BLOCK x tuples bytes
+# each (64 KB for the 64 tuples of a three-fold 4-element grid), the last
+# of which holds the block's tables
 BLOCK = 128
 
 
@@ -444,65 +449,53 @@ def _extension_plan(factors):
             _freeze(np.ascontiguousarray(gather.T)))
 
 
+def _joined(rows, cells, join):
+    'Per row, the join of its values at ``cells``: the sentinel, bottom, for none.'
+    out = rows[:, -1]
+    for s in cells:
+        out = join[out, rows[:, s]]
+    return out
+
+
 def _monotone_blocks(ncells, covers, checks, target):
     """The monotone assignments of the cells into the target that pass the
     checks, in lex order with cell 0 outermost, as int64 arrays of
     ``BLOCK`` rows (the last may be shorter): an assignment, then the
-    sentinel cell's bottom, per row."""
-    joins = target.join.tolist()
-    leqs, geqs = target.leq.tolist(), target.leq.T.tolist()
-    ident = list(range(target.n))
-    ups = [np.flatnonzero(row).tolist() for row in target.leq]
-    bottom = target.bottom
-    assign = [bottom] * (ncells + 1)   # the last entry is the sentinel
+    sentinel cell's bottom, per row.
+
+    Depth first over chunks of at most ``BLOCK`` partial rows, in the
+    smallest unsigned dtype that indexes the target, each grown by one cell
+    at once: above the join of the cell's lower covers, within each check's
+    mask over the target's elements. ``np.nonzero`` lists the children in
+    lex order; a chunk grows into at most ``BLOCK`` x |target| rows."""
+    join, leq = target.join, target.leq
+    rows = np.full((1, ncells + 1), target.bottom,
+                   dtype=np.min_scalar_type(target.n - 1))
     if ncells == 0:
-        yield np.array([assign], dtype=np.int64)
+        yield rows.astype(np.int64)
         return
-    last, its = ncells - 1, [None] * ncells
-    prefixes, counts, values = [], [], []
-    t = 0                              # the first cell without a value
-    while True:
-        lb = bottom
-        for s in covers[t]:
-            lb = joins[lb][assign[s]]
-        vs = ups[lb]
+    stack, run = [(0, rows)], rows[:0]     # run: leaves not yet handed over
+    while stack:
+        t, rows = stack.pop()              # t: the chunk's first cell unset
+        fits = leq[_joined(rows, covers[t], join)]
         for c, cells in checks[t]:
-            b = bottom
-            for s in cells:
-                b = joins[b][assign[s]]
-            # keep v with g(c) <= b v v, or v <= b when c is t itself
-            up, jb = (geqs[b], ident) if c == t else (leqs[assign[c]], joins[b])
-            vs = [v for v in vs if up[jb[v]]]
-        if t < last:
-            its[t] = iter(vs)
-            t += 1
-        elif vs:             # the last cell's values, one prefix copy
-            prefixes.append(assign[:])
-            counts.append(len(vs))
-            values += vs
-            while len(values) >= BLOCK:      # the last prefix may straddle
-                extra = len(values) - BLOCK
-                counts[-1] -= extra
-                yield _spread(prefixes, counts, values[:BLOCK], last)
-                prefixes, counts, values = prefixes[-1:], [extra], values[BLOCK:]
-        # back to the deepest cell with a value left
-        v = None
-        while v is None and t:
-            t -= 1
-            v = next(its[t], None)
-        if v is None:
-            break
-        assign[t] = v
-        t += 1
-    if values:
-        yield _spread(prefixes, counts, values, last)
-
-
-def _spread(prefixes, counts, values, last):
-    'Rows: each prefix repeated its count of times, cell ``last`` set.'
-    rows = np.repeat(np.array(prefixes, dtype=np.int64), counts, axis=0)
-    rows[:, last] = values
-    return rows
+            b = _joined(rows, cells, join)
+            # keep v <= b when c is t itself, else v with g(c) <= b v v
+            fits &= leq.T[b] if c == t else leq[rows[:, c, None], join[b]]
+        at, values = np.nonzero(fits)
+        rows = rows[at]
+        rows[:, t] = values
+        if t + 1 < ncells:
+            stack += [(t + 1, rows[a:a + BLOCK])
+                      for a in reversed(range(0, len(rows), BLOCK))]
+            continue
+        run = np.concatenate([run, rows])
+        cut = len(run) - len(run) % BLOCK
+        for a in range(0, cut, BLOCK):
+            yield run[a:a + BLOCK].astype(np.int64)
+        run = run[cut:]
+    if len(run):
+        yield run.astype(np.int64)
 
 
 def _table_blocks(factors, target):
@@ -533,8 +526,9 @@ def enumerate_multimorphisms(factors, target, cap=None):
     are target elements by construction, so they are yielded as read-only
     views without the constructor's copy and range check; a table kept by
     the caller keeps its block's array alive. ResourceLimit is raised on
-    the (cap + 1)-th table accepted, when the walk is at most one block
-    ahead.
+    the (cap + 1)-th table accepted. No table past that table's block is
+    built by then, but the walk may hold the rest of one chunk's leaves,
+    up to ``BLOCK`` x |target| assignments.
     """
     factors = tuple(factors)
     found = 0

@@ -247,6 +247,32 @@ def test_non_utf8_input_names_file_and_line(tmp_path, capsys):
         mio.read_lattice(path)
     assert cli.main(["validate", str(path)]) == 2
     assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
+    # the line is counted past a byte-order mark, too
+    for mark in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(mark + b"n=2\n\xff=a,b\nleq=11;01\n")
+        with pytest.raises(FormatError, match=r"latin1\.lat:2: not UTF-8"):
+            mio.read_lattice(path)
+
+
+def test_a_byte_order_mark_is_read_as_no_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a leading byte-order mark, which must not
+    # become part of the first key
+    x = chain(3)
+    mio.write_lattice(tmp_path / "x.lat", diamond())
+    mio.write_quantale(tmp_path / "x.qnt", endo_quantale(x))
+    mio.write_lattice(tmp_path / "c3.lat", x)
+    mio.write_map(tmp_path / "x.map", as_multimorphism((x, x), x, x.meet),
+                  ("c3.lat", "c3.lat"), "c3.lat")
+    for ext, read, names in (
+            (".lat", mio.read_lattice, lambda lat: lat.names),
+            (".qnt", mio.read_quantale, lambda q: q.carrier.names),
+            (".map", mio.read_map, lambda f: f.target.names)):
+        plain, marked = tmp_path / f"x{ext}", tmp_path / f"bom{ext}"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        got, want = read(marked), read(plain)
+        assert got == want and names(got) == names(want), ext
+    assert cli.main(["validate", str(tmp_path / "bom.lat")]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_lattice_comments_and_blank_lines(tmp_path):
@@ -642,6 +668,24 @@ def test_census_space_tool(tmp_path):
                                   "1 witnesses, 1 records, 0 skipped, ")
     bad = subprocess.run([sys.executable, str(tool), "c2", "x9"],
                          capture_output=True, text=True, cwd=tmp_path)
+    assert bad.returncode != 0 and "bad lattice 'x9'" in bad.stderr
+
+
+def test_walk_scale_tool(tmp_path):
+    tool = Path(__file__).resolve().parents[1] / "tools" / "walk_scale.py"
+
+    def run(*args):
+        return subprocess.run([sys.executable, str(tool), *args],
+                              capture_output=True, text=True, cwd=tmp_path)
+    # c2 x c2 -> c3 has three multimorphisms
+    for args, tables in ((("c2,c2", "c3"), 3),
+                         (("c2,c2", "c3", "--tables", "2"), 2)):
+        proc = run(*args)
+        assert proc.returncode == 0, proc.stderr
+        line = proc.stdout.strip()
+        assert line.startswith(f"c2,c2 -> c3: {tables} tables, "), line
+        assert " µs per table, peak RSS " in line and line.endswith(" MB")
+    bad = run("c2,x9", "c3")
     assert bad.returncode != 0 and "bad lattice 'x9'" in bad.stderr
 
 

@@ -1,6 +1,8 @@
 """Tensor products as multi-ideal lattices and the lifting correspondence."""
 
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -611,6 +613,66 @@ def test_table_blocks_stack_to_the_enumerated_tables(monkeypatch):
                 enumerate_multimorphisms_per_leaf(factors, z), shape))
             total += len(got)
         assert total == 5597
+
+
+def _digest(factors, target, limit=None):
+    """The table count and sha256 of the stacked int64 C-order output of
+    ``_table_blocks``, in order, up to ``limit`` tables."""
+    digest, count = hashlib.sha256(), 0
+    for block in tensor._table_blocks(factors, target):
+        if limit is not None:
+            block = block[:limit - count]
+        digest.update(block.astype(np.int64, copy=False).tobytes())
+        count += len(block)
+        if count == limit:
+            break
+    return count, digest.hexdigest()
+
+
+# lists far past the per-leaf oracle's reach, with the count and sha256 of
+# their tables as a walk that extended one leaf at a time gave them
+LONG_LISTS = {
+    "d d d -> d": (65536, "fce5536203536da0509fc58291e4943b"
+                          "e618063af3b6edf2f14b90f61038c278"),
+    "m3 c2 m3 -> m3": (21740, "372c64d3bacf9152fe2950ce866e1599"
+                              "b0bbfd4c7f84a54f48099e55332b1814"),
+    "n5 c2 n5 -> n5": (7033, "f972f24aa1c6c2ae51590a8f355c510b"
+                             "6953cd3499c01b15a5bb321ca97959c8"),
+    "c4 c4 c4 -> c4": (200000, "709b31c0a839ad3c45f48ce8ad199d48"
+                               "76ab574fb6ee5784d236b17ad6972831"),
+}
+
+
+def _long_list(key):
+    make = {"d": diamond, "m3": m3, "n5": n5, "c2": lambda: chain(2),
+            "c4": lambda: chain(4)}
+    *factors, _, target = key.split()
+    return tuple(make[name]() for name in factors), make[target]()
+
+
+def test_long_lists_keep_their_tables_and_order(monkeypatch):
+    # the whole d, M3 and N5 lists and the head of the 17.8 million tables
+    # of c4 (x) c4 (x) c4 -> c4, by count and digest; the M3 and N5 lists
+    # again in blocks of 5, which also cut the walk's chunks small
+    for key, want in LONG_LISTS.items():
+        limit = want[0] if key.startswith("c4") else None
+        assert _digest(*_long_list(key), limit) == want, key
+    monkeypatch.setattr(tensor, "BLOCK", 5)
+    for key in ("m3 c2 m3 -> m3", "n5 c2 n5 -> n5"):
+        assert _digest(*_long_list(key)) == LONG_LISTS[key], key
+
+
+def test_the_walk_drains_a_long_list_in_bounded_memory():
+    factors, target = _long_list("c4 c4 c4 -> c4")
+    tensor._extension_plan(factors)     # built and cached outside the trace
+    target.join, target.leq
+    tracemalloc.start()
+    try:
+        assert _digest(factors, target, 200_000)[0] == 200_000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_element_order_matches_the_full_row_lexsort():
