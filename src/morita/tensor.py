@@ -466,7 +466,7 @@ def _monotone_blocks(ncells, covers, checks, target):
     Depth first over chunks of at most ``BLOCK`` partial rows, in the
     smallest unsigned dtype that indexes the target, each grown by one cell
     at once: above the join of the cell's lower covers, within each check's
-    mask over the target's elements. ``np.nonzero`` lists the children in
+    mask over the target's elements. ``nonzero`` lists the children in
     lex order; a chunk grows into at most ``BLOCK`` x |target| rows."""
     join, leq = target.join, target.leq
     rows = np.full((1, ncells + 1), target.bottom,
@@ -482,11 +482,11 @@ def _monotone_blocks(ncells, covers, checks, target):
             b = _joined(rows, cells, join)
             # keep v <= b when c is t itself, else v with g(c) <= b v v
             fits &= leq.T[b] if c == t else leq[rows[:, c, None], join[b]]
-        at, values = np.nonzero(fits)
-        rows = rows[at]
+        at, values = fits.nonzero()
+        rows = rows.take(at, axis=0)
         rows[:, t] = values
-        if t + 1 < ncells:
-            stack += [(t + 1, rows[a:a + BLOCK])
+        if t + 1 < ncells:     # copies: each is freed as soon as it is grown
+            stack += [(t + 1, rows[a:a + BLOCK].copy())
                       for a in reversed(range(0, len(rows), BLOCK))]
             continue
         run = np.concatenate([run, rows])
