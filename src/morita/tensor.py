@@ -469,8 +469,10 @@ def _monotone_blocks(ncells, covers, checks, target):
     mask over the target's elements. ``nonzero`` lists the children in
     lex order; a chunk grows into at most ``BLOCK`` x |target| rows."""
     join, leq = target.join, target.leq
-    rows = np.full((1, ncells + 1), target.bottom,
-                   dtype=np.min_scalar_type(target.n - 1))
+    # the elements in the rows' dtype: values taken from it fill a row with
+    # no intp cast, whose numpy code pages alone would raise the peak RSS
+    elements = np.arange(target.n, dtype=np.min_scalar_type(target.n - 1))
+    rows = np.full((1, ncells + 1), target.bottom, dtype=elements.dtype)
     if ncells == 0:
         yield rows.astype(np.int64)
         return
@@ -484,8 +486,8 @@ def _monotone_blocks(ncells, covers, checks, target):
             fits &= leq.T[b] if c == t else leq[rows[:, c, None], join[b]]
         at, values = fits.nonzero()
         rows = rows.take(at, axis=0)
-        rows[:, t] = values
-        if t + 1 < ncells:     # copies: each is freed as soon as it is grown
+        rows[:, t] = elements[values]
+        if t + 1 < ncells:     # copies, so no chunk keeps its siblings alive
             stack += [(t + 1, rows[a:a + BLOCK].copy())
                       for a in reversed(range(0, len(rows), BLOCK))]
             continue
