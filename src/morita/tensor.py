@@ -450,7 +450,7 @@ def _extension_plan(factors):
 
 
 def _joined(rows, cells, join):
-    'Per row, the join of its values at ``cells``: the sentinel, bottom, for none.'
+    'Per row, the join of its values at ``cells`` and the sentinel, bottom.'
     out = rows[:, -1]
     for s in cells:
         out = join[out, rows[:, s]]

@@ -64,10 +64,10 @@ def main(argv=None):
     if code != 0:
         print(f"{shape}: failed")
         return 1
-    tables, seconds = int(out.split()[0]), float(out.split()[1])
-    per = 1e6 * seconds / tables if tables else 0.0
-    print(f"{shape}: {tables} tables, {seconds:.3f} s, {per:.2f} µs per "
-          f"table, peak RSS {rss:.1f} MB")
+    tables, seconds = out.split()
+    tables, seconds = int(tables), float(seconds)   # each list has the zero map
+    print(f"{shape}: {tables} tables, {seconds:.3f} s, "
+          f"{1e6 * seconds / tables:.2f} µs per table, peak RSS {rss:.1f} MB")
     return 0
 
 
