@@ -535,6 +535,13 @@ def test_enumerator_matches_the_per_leaf_reference_across_blocks(monkeypatch):
         assert _same_yields((c2, c2), c3) == 3
 
 
+def test_the_walk_agrees_past_a_byte_per_target_element():
+    # on more than 256 target elements the walk keeps two bytes a cell
+    c2 = chain(2)
+    assert _same_yields((c2, c2), chain(300)) == 300
+    assert _same_yields((c2, c2, c2), opposite(chain(257))) == 257
+
+
 def test_the_cap_raises_at_the_same_yield_across_blocks(monkeypatch):
     c4 = chain(4)
     big = ((c4, c4), opposite(c4))
