@@ -44,9 +44,9 @@ from .lattice import (FiniteSupLattice, _disjoint, _freeze, _index_table,
 DEFAULT_TENSOR_CAP = 5_000
 
 # leaves per block, and partial assignments per chunk of the walk, a byte
-# per cell each on targets of up to 256 elements: a chunk grows by a cell
-# into at most BLOCK x |target| rows, and the walk holds at most that many
-# per cell. It hands over a BLOCK x (cells + 1) int64 array, extended
+# per cell each on targets of up to 256 elements: the walk holds at most
+# one pending chunk per cell, with its BLOCK x |target| mask of children.
+# It hands over a BLOCK x (cells + 1) int64 array, extended
 # through at most three BLOCK x tuples int64 arrays, 8 BLOCK x tuples bytes
 # each (64 KB for the 64 tuples of a three-fold 4-element grid), the last
 # of which holds the block's tables
@@ -467,7 +467,10 @@ def _monotone_blocks(ncells, covers, checks, target):
     smallest unsigned dtype that indexes the target, each grown by one cell
     at once: above the join of the cell's lower covers, within each check's
     mask over the target's elements. ``nonzero`` lists the children in
-    lex order; a chunk grows into at most ``BLOCK`` x |target| rows."""
+    lex order. Past ``BLOCK`` children, the first ``BLOCK`` are grown and
+    the rest of the chunk goes back on the stack with its mask, the grown
+    ones cleared, so the stack holds at most one chunk per cell, whatever
+    the target's size."""
     join, leq = target.join, target.leq
     # the elements in the rows' dtype: values taken from it fill a row with
     # no intp cast, whose numpy code pages alone would raise the peak RSS
@@ -476,26 +479,30 @@ def _monotone_blocks(ncells, covers, checks, target):
     if ncells == 0:
         yield rows.astype(np.int64)
         return
-    stack, run = [(0, rows)], rows[:0]     # run: leaves not yet handed over
+    stack, run = [(0, rows, None)], rows[:0]  # run: leaves not handed over
     while stack:
-        t, rows = stack.pop()              # t: the chunk's first cell unset
-        fits = leq[_joined(rows, covers[t], join)]
-        for c, cells in checks[t]:
-            b = _joined(rows, cells, join)
-            # keep v <= b when c is t itself, else v with g(c) <= b v v
-            fits &= leq.T[b] if c == t else leq[rows[:, c, None], join[b]]
+        t, rows, fits = stack.pop()        # t: the chunk's first cell unset
+        if fits is None:
+            fits = leq[_joined(rows, covers[t], join)]
+            for c, cells in checks[t]:
+                b = _joined(rows, cells, join)
+                # keep v <= b when c is t itself, else v with g(c) <= b v v
+                fits &= leq.T[b] if c == t else leq[rows[:, c, None], join[b]]
         at, values = fits.nonzero()
+        if len(at) > BLOCK:    # grow the first BLOCK children, the rest later
+            r, v = at[BLOCK], values[BLOCK]
+            fits[r, :v] = False
+            stack.append((t, rows[r:], fits[r:]))
+            at, values = at[:BLOCK], values[:BLOCK]
         rows = rows.take(at, axis=0)
         rows[:, t] = elements[values]
-        if t + 1 < ncells:     # copies, so no chunk keeps its siblings alive
-            stack += [(t + 1, rows[a:a + BLOCK].copy())
-                      for a in reversed(range(0, len(rows), BLOCK))]
+        if t + 1 < ncells:
+            stack.append((t + 1, rows, None))
             continue
         run = np.concatenate([run, rows])
-        cut = len(run) - len(run) % BLOCK
-        for a in range(0, cut, BLOCK):
-            yield run[a:a + BLOCK].astype(np.int64)
-        run = run[cut:]
+        if len(run) >= BLOCK:
+            yield run[:BLOCK].astype(np.int64)
+            run = run[BLOCK:]
     if len(run):
         yield run.astype(np.int64)
 
@@ -529,8 +536,8 @@ def enumerate_multimorphisms(factors, target, cap=None):
     views without the constructor's copy and range check; a table kept by
     the caller keeps its block's array alive. ResourceLimit is raised on
     the (cap + 1)-th table accepted. No table past that table's block is
-    built by then, but the walk may hold the rest of one chunk's leaves,
-    up to ``BLOCK`` x |target| assignments.
+    built by then, and the walk holds fewer than ``BLOCK`` further leaves
+    and at most one chunk of partial assignments per cell.
     """
     factors = tuple(factors)
     found = 0

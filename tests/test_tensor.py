@@ -542,6 +542,49 @@ def test_the_walk_agrees_past_a_byte_per_target_element():
     assert _same_yields((c2, c2, c2), opposite(chain(257))) == 257
 
 
+def _lex_increasing(rows):
+    'Whether each row of a 2-D array is lexicographically above the last.'
+    steps = np.diff(rows.astype(np.int64), axis=0)
+    first = steps[np.arange(len(steps)), (steps != 0).argmax(axis=1)]
+    return bool((first > 0).all())
+
+
+def test_the_walk_grows_two_byte_rows_over_several_cells():
+    # the two cells of c3 and the three of M3, whose cells each carry a
+    # check, into chains past 256 elements: two-byte rows pass through the
+    # stack, the cover joins and the check masks, and a row with more than
+    # BLOCK children is cut between its children. A sup-map c3 -> C is a
+    # pair v0 <= v1; one M3 -> C takes its largest atom value twice
+    for factor, n, count in ((chain(3), 300, 300 * 301 // 2),
+                             (m3(), 257, 257**3 - 3 * sum(
+                                 k * k for k in range(257)))):
+        target = chain(n)
+        tables = np.concatenate(list(tensor._table_blocks((factor,), target)))
+        assert len(tables) == count
+        for a in range(0, count, 8192):
+            assert not _join_breaks(tables[a:a + 8192], (factor,),
+                                    target).any()
+        # in the lex order of the assignments, so each table once
+        assert _lex_increasing(tables[:, list(factor.join_irreducibles())])
+
+
+def test_the_walk_holds_a_chunk_a_cell_into_a_large_target():
+    # 81 cells into the 100-chain, where a row has up to 100 children: a
+    # walk that kept every child chunk held about 50 MB before its first
+    # block; one chunk of rows and one of masks a cell is under 2 MB
+    factors, target = (chain(10), chain(10)), chain(100)
+    ncells = tensor._extension_plan(factors)[0]
+    target.join, target.leq
+    tracemalloc.start()
+    try:
+        assert len(next(tensor._table_blocks(factors, target))) == tensor.BLOCK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = ncells * tensor.BLOCK * (ncells + 1 + target.n)
+    assert peak < stack + 2**20, (peak, stack)
+
+
 def test_the_cap_raises_at_the_same_yield_across_blocks(monkeypatch):
     c4 = chain(4)
     big = ((c4, c4), opposite(c4))
