@@ -43,13 +43,12 @@ from .lattice import (FiniteSupLattice, _disjoint, _freeze, _index_table,
 # bytes each
 DEFAULT_TENSOR_CAP = 5_000
 
-# leaves per block, and partial assignments per chunk of the walk, a byte
-# per cell each on targets of up to 256 elements: the walk holds at most
-# one pending chunk per cell, with its BLOCK x |target| mask of children.
-# It hands over a BLOCK x (cells + 1) int64 array, extended
-# through at most three BLOCK x tuples int64 arrays, 8 BLOCK x tuples bytes
-# each (64 KB for the 64 tuples of a three-fold 4-element grid), the last
-# of which holds the block's tables
+# leaves per block, and partial assignments per chunk of the walk, which
+# holds at most one chunk per cell: a byte a cell up to 256 target elements,
+# and a BLOCK x |target| mask. The walk hands over a BLOCK x (cells + 1)
+# int64 array, extended through at most three BLOCK x tuples int64 arrays,
+# 8 BLOCK x tuples bytes each (64 KB for the 64 tuples of a three-fold
+# 4-element grid), the last of which holds the block's tables
 BLOCK = 128
 
 
@@ -463,23 +462,19 @@ def _monotone_blocks(ncells, covers, checks, target):
     ``BLOCK`` rows (the last may be shorter): an assignment, then the
     sentinel cell's bottom, per row.
 
-    Depth first over chunks of at most ``BLOCK`` partial rows, in the
-    smallest unsigned dtype that indexes the target, each grown by one cell
-    at once: above the join of the cell's lower covers, within each check's
-    mask over the target's elements. ``nonzero`` lists the children in
-    lex order. Past ``BLOCK`` children, the first ``BLOCK`` are grown and
-    the rest of the chunk goes back on the stack with its mask, the grown
-    ones cleared, so the stack holds at most one chunk per cell, whatever
-    the target's size."""
+    Depth first over chunks of at most ``BLOCK`` partial rows, a cell at a
+    time: above the join of the cell's lower covers, within each check's
+    mask over the target's elements. ``nonzero`` lists the children in lex
+    order; past ``BLOCK`` of them the rest of the chunk waits on the stack
+    with its mask, so the stack holds at most one chunk per cell."""
     join, leq = target.join, target.leq
-    # the elements in the rows' dtype: values taken from it fill a row with
-    # no intp cast, whose numpy code pages alone would raise the peak RSS
+    # the elements in the rows' dtype, the smallest unsigned one that holds
+    # them: values taken from it fill a row with no intp cast, whose numpy
+    # code pages alone would raise the peak RSS
     elements = np.arange(target.n, dtype=np.min_scalar_type(target.n - 1))
     rows = np.full((1, ncells + 1), target.bottom, dtype=elements.dtype)
-    if ncells == 0:
-        yield rows.astype(np.int64)
-        return
-    stack, run = [(0, rows, None)], rows[:0]  # run: leaves not handed over
+    # run: leaves not yet handed over; with no cells, the one row is a leaf
+    stack, run = ([(0, rows, None)], rows[:0]) if ncells else ([], rows)
     while stack:
         t, rows, fits = stack.pop()        # t: the chunk's first cell unset
         if fits is None:
@@ -535,9 +530,8 @@ def enumerate_multimorphisms(factors, target, cap=None):
     are target elements by construction, so they are yielded as read-only
     views without the constructor's copy and range check; a table kept by
     the caller keeps its block's array alive. ResourceLimit is raised on
-    the (cap + 1)-th table accepted. No table past that table's block is
-    built by then, and the walk holds fewer than ``BLOCK`` further leaves
-    and at most one chunk of partial assignments per cell.
+    the (cap + 1)-th table accepted, when the walk holds fewer than
+    ``BLOCK`` further leaves.
     """
     factors = tuple(factors)
     found = 0
