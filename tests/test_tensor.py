@@ -535,13 +535,6 @@ def test_enumerator_matches_the_per_leaf_reference_across_blocks(monkeypatch):
         assert _same_yields((c2, c2), c3) == 3
 
 
-def test_the_walk_agrees_past_a_byte_per_target_element():
-    # on more than 256 target elements the walk keeps two bytes a cell
-    c2 = chain(2)
-    assert _same_yields((c2, c2), chain(300)) == 300
-    assert _same_yields((c2, c2, c2), opposite(chain(257))) == 257
-
-
 def _lex_increasing(rows):
     'Whether each row of a 2-D array is lexicographically above the last.'
     steps = np.diff(rows.astype(np.int64), axis=0)
@@ -549,12 +542,16 @@ def _lex_increasing(rows):
     return bool((first > 0).all())
 
 
-def test_the_walk_grows_two_byte_rows_over_several_cells():
-    # the two cells of c3 and the three of M3, whose cells each carry a
-    # check, into chains past 256 elements: two-byte rows pass through the
-    # stack, the cover joins and the check masks, and a row with more than
-    # BLOCK children is cut between its children. A sup-map c3 -> C is a
-    # pair v0 <= v1; one M3 -> C takes its largest atom value twice
+def test_the_walk_agrees_past_a_byte_per_target_element():
+    # on more than 256 target elements the walk keeps two bytes a cell
+    c2 = chain(2)
+    assert _same_yields((c2, c2), chain(300)) == 300
+    assert _same_yields((c2, c2, c2), opposite(chain(257))) == 257
+    # past the oracle's reach, the two cells of c3 and the three of M3,
+    # whose cells each carry a check: two-byte rows pass through the stack,
+    # the cover joins and the check masks, and a row with more than BLOCK
+    # children is cut between its children. A sup-map c3 -> C is a pair
+    # v0 <= v1; one M3 -> C takes its largest atom value twice
     for factor, n, count in ((chain(3), 300, 300 * 301 // 2),
                              (m3(), 257, 257**3 - 3 * sum(
                                  k * k for k in range(257)))):
@@ -570,8 +567,8 @@ def test_the_walk_grows_two_byte_rows_over_several_cells():
 
 def test_the_walk_holds_a_chunk_a_cell_into_a_large_target():
     # 81 cells into the 100-chain, where a row has up to 100 children: a
-    # walk that kept every child chunk held about 50 MB before its first
-    # block; one chunk of rows and one of masks a cell is under 2 MB
+    # walk that pushed every child chunk held about 50 MB before its first
+    # block; one chunk of rows and one mask a cell come to 1.9 MB
     factors, target = (chain(10), chain(10)), chain(100)
     ncells = tensor._extension_plan(factors)[0]
     target.join, target.leq
