@@ -487,7 +487,8 @@ def _monotone_blocks(ncells, covers, checks, target):
         if len(at) > BLOCK:    # grow the first BLOCK children, the rest later
             r, v = at[BLOCK], values[BLOCK]
             fits[r, :v] = False
-            stack.append((t, rows[r:], fits[r:]))
+            # copies, so that the rows grown already can be freed
+            stack.append((t, rows[r:].copy(), fits[r:].copy()))
             at, values = at[:BLOCK], values[:BLOCK]
         rows = rows.take(at, axis=0)
         rows[:, t] = elements[values]
