@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 all checks pass, 1 a check failed (report printed),
-2 malformed input, resource limit, or a file that cannot be written.
+2 malformed input, a resource limit, no memory left, or an unwritable file.
 """
 
 import argparse
@@ -235,6 +235,9 @@ def main(argv=None):
         return args.func(args)
     except (MoritaError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:                # numpy names the failed allocation
+        print(f"error: out of memory: {e}".rstrip(": "), file=sys.stderr)
         return 2
 
 

@@ -17,10 +17,11 @@ lists the sup-maps. It also lists the tensor's elements: the multi-ideals
 correspond one to one with the multimorphisms of all factors but the last
 into the opposite of the last (Joyal and Tierney, An extension of the
 Galois theory of Grothendieck, Mem. AMS 309, 1984), so ``tensor_product``
-is one enumeration: it stacks the int64 arrays of ``_table_blocks``, which
-extends ``BLOCK`` leaves of the walk at a time to full tables by numpy
-gathers, and whose tables, in range by construction, are yielded one by
-one without the constructor's checks.
+is one enumeration: it stacks the int64 tables of ``_table_blocks``, which
+extends ``BLOCK`` leaves of the walk at a time by numpy gathers, and reads
+each element's name off its table, so nothing it holds grows as the grid's
+tuples squared. Tables in range by construction skip the constructor's
+checks.
 """
 
 import functools
@@ -34,8 +35,8 @@ from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, failure)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
-from .lattice import (FiniteSupLattice, _disjoint, _freeze, _index_table,
-                      _reordered, _words, opposite, validate_lattice)
+from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
+                      opposite, validate_lattice)
 
 # a tensor of n elements holds its multi-ideals, n x tuples bytes; its
 # n x n order, n^2 bytes (25 MB here), is built only once compared, hashed
@@ -68,28 +69,6 @@ def _tensor_cap():
 
 def _too_large(cap):
     return ResourceLimit(f"tensor exceeds {cap} elements; raise MORITA_MAX_TENSOR")
-
-
-class _Grid:
-    """Coordinate grid: tuple order, bottom tuples, elementary tensors.
-
-    ``coords[k][t]`` is slot k of the tuple of flat index t, in C order;
-    ``bottom`` masks the tuples with a bottom coordinate, and
-    ``strictly_above[t, u]`` holds iff tuple u is strictly above tuple t.
-    """
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        self.sizes = tuple(f.n for f in self.factors)
-        self.tcount = int(np.prod(self.sizes))
-        self.coords = np.unravel_index(np.arange(self.tcount), self.sizes)
-        below = np.ones((self.tcount, self.tcount), dtype=bool)
-        bottom = np.zeros(self.tcount, dtype=bool)
-        for ci, f in zip(self.coords, self.factors):
-            below &= f.leq[ci][:, ci]
-            bottom |= ci == f.bottom
-        self.bottom = bottom
-        self.strictly_above = below & ~np.eye(self.tcount, dtype=bool)
 
 
 class MultiTensorLattice:
@@ -144,15 +123,31 @@ class MultiTensorLattice:
         return f"MultiTensorLattice({shape} -> {self.n} elements)"
 
 
-def _maximal_tuples(bits, grid):
-    """Per element, the flat indices of its maximal generating tuples: the
-    tuples of row i of ``bits`` without a bottom coordinate that no tuple of
-    the row lies strictly above. They depend on the factors' orders alone."""
-    maximal = bits & ~grid.bottom & _disjoint(
-        _words(bits), np.ascontiguousarray(_words(grid.strictly_above).T))
-    tuples = (np.flatnonzero(maximal) % grid.tcount).tolist()   # row by row
-    ends = np.cumsum(maximal.sum(axis=1)).tolist()
-    return tuple(tuple(tuples[a:b]) for a, b in zip([0] + ends, ends))
+def _maximal_tuples(tables, factors):
+    """Per element, the flat indices, in C order, of its maximal generating
+    tuples, read off its table g of all factors but the last into the
+    opposite of the last.
+
+    Element e is the ideal {(o, l) : l <= g_e(o)}, g_e antitone in every
+    slot, so a tuple (o', l') >= (o, l) of it has g_e(o) >= g_e(o') >= l' >=
+    l. A tuple with no bottom coordinate is thus maximal iff l = g_e(o) and
+    g_e(o') < g_e(o) for all o' > o; and if g_e(o') = g_e(o), g_e is constant
+    on [o, o'], so on an upper cover of o in one slot. So the maximal tuples
+    are the (o, g_e(o)) with no coordinate, g_e(o) included, at its factor's
+    bottom, along every upper cover of o in one slot of which g_e changes."""
+    keep = tables != factors[-1].bottom
+    for axis, f in enumerate(factors[:-1], 1):
+        g, kept = np.moveaxis(tables, axis, 0), np.moveaxis(keep, axis, 0)
+        kept[f.bottom] = False
+        strict = f.leq & ~np.eye(f.n, dtype=bool)
+        for x, lower in enumerate(_maximal(strict, strict)):
+            for c in lower:                  # g at c against g at its cover x
+                kept[c] &= g[c] != g[x]
+    keep = keep.reshape(len(tables), -1)
+    tuples = (keep.nonzero()[1] * factors[-1].n
+              + tables.reshape(keep.shape)[keep]).tolist()   # row by row
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [tuple(tuples[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _element_order(rows):
@@ -183,7 +178,8 @@ def tensor_product(*factors) -> MultiTensorLattice:
     rows directly, not through ``validate_lattice``, and its order, join
     and meet tables are computed only when first read. Elements go by
     size, so the first whose row holds a tuple is its elementary tensor,
-    the least such.
+    the least such. Each is named by its maximal generating tuples, read
+    off its table by ``_maximal_tuples``.
 
     Raises ResourceLimit, counted block by block, when there are more than
     5000 elements, or more than MORITA_MAX_TENSOR when that is set.
@@ -193,31 +189,32 @@ def tensor_product(*factors) -> MultiTensorLattice:
     if not all(isinstance(f, FiniteSupLattice) for f in factors):
         raise DomainMismatch("tensor factors must be validated lattices")
     cap = _tensor_cap()
-    g = _Grid(factors)
 
     # read first, the meet table is kept by the factor and lent to the
     # opposite as its joins, so X x X* builds one table
     last = factors[-1]
     last.meet
-    blocks = []
+    blocks, n = [], 0
     for block in _table_blocks(factors[:-1], opposite(last)):
         blocks.append(block)
-        if sum(map(len, blocks)) > cap:
+        if (n := n + len(block)) > cap:
             raise _too_large(cap)
-    # rows[e, t] iff the last coordinate of t is <= g_e(the others)
-    rows = last.leq.T[np.concatenate(blocks)].reshape(-1, g.tcount)
+    tables = np.concatenate(blocks)
     del blocks
-    bits = rows[_element_order(rows)]
-    del rows
+    maximal = _maximal_tuples(tables, factors)
+    # bits[e, t] iff the last coordinate of t is <= g_e(the others)
+    bits = last.leq.T[tables].reshape(n, -1)
+    del tables
 
     # the ideals hold the whole grid and meet by intersection (the maps'
     # pointwise meet), so sorted by size the least comes first, the grid last
-    n = len(bits)
-    maximal = _maximal_tuples(bits, g)
+    order = _element_order(bits)
+    bits = bits[order]
+    maximal = tuple(maximal[e] for e in order.tolist())
     lattice = FiniteSupLattice(n, _tensor_names(factors, maximal), None, None,
                                None, 0, n - 1, ideals=bits)
 
-    elem_table = bits.argmax(axis=0).reshape(g.sizes)
+    elem_table = bits.argmax(axis=0).reshape([f.n for f in factors])
     return MultiTensorLattice(factors, lattice, bits, elem_table, maximal)
 
 

@@ -12,11 +12,15 @@
   ``elem_table_by_bitsets``, the elementary tensors looked up by their
   Python-int bitsets, which its ``argmax`` element table is compared
   against;
+* ``_Grid``, the tuples x tuples order of the coordinate grid with its
+  bottom tuples, on which the closure kernel's plan, the elementary
+  tensors of ``grid_elems`` and the word-axis reference below are built;
 * ``subsets_by_word_axis`` and ``maximal_tuples_by_word_axis``, the
-  containment order of packed rows and the maximal generating tuples of a
-  tensor's elements by a reduction over the trailing word axis, which the
-  word-by-word kernels ``lattice._subsets`` and ``tensor._maximal_tuples``
-  are compared against;
+  containment order of packed rows, which the word-by-word kernel
+  ``lattice._subsets`` is compared against, and the maximal generating
+  tuples of a tensor's elements by a reduction over the trailing word axis
+  of the grid's order, which the names ``tensor._maximal_tuples`` reads
+  off the elements' tables are compared against;
 * ``slice_collision_by_slices``, the search for two equal slices of a
   table along one slot, one slice's bytes at a time, which the one-copy
   ``errors.slice_collision`` is compared against;
@@ -87,9 +91,34 @@ from morita.io import leq_rows
 from morita.lattice import (_freeze, _words, join_closure, opposite,
                             validate_lattice)
 from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
-from morita.tensor import (Multimorphism, MultiTensorLattice, _Grid,
+from morita.tensor import (Multimorphism, MultiTensorLattice,
                            as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
+
+
+# --- the coordinate grid, its tuples x tuples order ----------------------------------
+
+class _Grid:
+    """Coordinate grid: tuple order, bottom tuples, elementary tensors.
+
+    ``coords[k][t]`` is slot k of the tuple of flat index t, in C order;
+    ``bottom`` masks the tuples with a bottom coordinate, and
+    ``strictly_above[t, u]`` holds iff tuple u is strictly above tuple t.
+    Its order takes tuples x tuples bytes.
+    """
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        self.sizes = tuple(f.n for f in self.factors)
+        self.tcount = int(np.prod(self.sizes))
+        self.coords = np.unravel_index(np.arange(self.tcount), self.sizes)
+        below = np.ones((self.tcount, self.tcount), dtype=bool)
+        bottom = np.zeros(self.tcount, dtype=bool)
+        for ci, f in zip(self.coords, self.factors):
+            below &= f.leq[ci][:, ci]
+            bottom |= ci == f.bottom
+        self.bottom = bottom
+        self.strictly_above = below & ~np.eye(self.tcount, dtype=bool)
 
 
 # --- the word kernels, reduced over the trailing word axis ---------------------------

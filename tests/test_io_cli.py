@@ -708,6 +708,22 @@ def test_cli_tensor_cap_message(workdir, monkeypatch, capsys):
     assert mio.read_lattice(workdir / "t.lat").n == 980
 
 
+# a bare interpreter runs `morita tensor` in a child under a 1 GiB
+# address-space limit and prints the child's exit code and peak RSS in KB,
+# read with wait4. A child of the test process would report that process's
+# peak as its own: exec keeps the peak of the memory it replaces
+CAPPED_TENSOR = """
+import os, resource, subprocess, sys
+def limit():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+proc = subprocess.Popen([sys.executable, "-m", "morita.cli", "tensor",
+                         *sys.argv[1:]], preexec_fn=limit)
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
 def test_cli_default_tensor_cap(workdir, monkeypatch, capsys):
     # 4 x 5 x 5 chains have 24,696 tensor elements, about 10 GB of tables:
     # the default cap stops the build before any of them is allocated
@@ -719,6 +735,39 @@ def test_cli_default_tensor_cap(workdir, monkeypatch, capsys):
     assert cli.main(args) == 2
     assert ("error: tensor exceeds 5000 elements; raise MORITA_MAX_TENSOR"
             in capsys.readouterr().err)
+    # grids of 30,000 and 120,000 tuples: nothing sized tuples x tuples is
+    # built, so the cap stops them in bounded memory. One BLAS thread, as
+    # each thread reserves address space
+    for k in (10, 20, 300):
+        mio.write_lattice(workdir / f"c{k}.lat", chain(k))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for k in (10, 20):
+        c = str(workdir / f"c{k}.lat")
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_TENSOR, c, c,
+             str(workdir / "c300.lat"), "-o", str(workdir / "t.lat")],
+            capture_output=True, text=True, env=env, check=True)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 2, proc.stderr
+        assert ("error: tensor exceeds 5000 elements; raise MORITA_MAX_TENSOR"
+                in proc.stderr)
+        assert peak_kb < 150 * 1024, (k, peak_kb)
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 13.4 GiB"),
+     "error: out of memory: Unable to allocate 13.4 GiB\n"),
+    (MemoryError(), "error: out of memory\n")])
+def test_cli_out_of_memory_is_not_a_failed_check(workdir, monkeypatch,
+                                                 capsys, error, line):
+    def exhausted(*factors):
+        raise error
+
+    monkeypatch.setattr(cli, "tensor_product", exhausted)
+    c3 = str(workdir / "c3.lat")
+    assert cli.main(["tensor", c3, c3, "-o", str(workdir / "t.lat")]) == 2
+    assert capsys.readouterr().err == line
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "²"])

@@ -15,10 +15,11 @@ from morita.census import enumerate_multimorphisms
 from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.errors import MissingJoin, MoritaError, NoBottom, NotAPartialOrder
 from morita.lattice import _subsets, chain, diamond, m3, n5, validate_lattice
-from morita.tensor import _Grid, _maximal_tuples, tensor_product
-from oracles import (_to_int, _to_rows, closure_plan, elem_table_by_bitsets,
-                     is_distributive, maximal_tuples_by_word_axis,
-                     subsets_by_word_axis, tensor_product_by_closure)
+from morita.tensor import tensor_product
+from oracles import (_Grid, _names_by_loop, _to_int, _to_ints, _to_rows,
+                     closure_plan, elem_table_by_bitsets, is_distributive,
+                     maximal_tuples_by_word_axis, subsets_by_word_axis,
+                     tensor_product_by_closure)
 
 
 # --- reference: boolean down and fiber passes -------------------------------------
@@ -247,20 +248,20 @@ def test_tensor_lattice_built_on_first_use_matches_validation(shape):
 # --- the word kernels against the reduction over the word axis ---------------------
 
 def _same_word_kernels(factors):
-    'The tensor of ``factors`` through both kernels; its tuples and elements.'
+    """The tensor of ``factors``, its packed order against the word-axis
+    reference, and its maximal tuples, read off its elements' tables,
+    against the word-axis reduction over the grid's order."""
     t = tensor_product(*factors)
-    g = _Grid(factors)
     assert np.array_equal(_subsets(t.bits), subsets_by_word_axis(t.bits))
-    assert (_maximal_tuples(t.bits, g)
-            == maximal_tuples_by_word_axis(t.bits, g) == t.maximal)
-    return g.tcount, t.n
+    assert t.maximal == maximal_tuples_by_word_axis(t.bits, _Grid(factors))
+    return t
 
 
 def test_word_kernels_match_the_word_axis_on_the_tensor_workload():
     # the benchmark's X (x) Y (x) X shapes, one word per row
     for x, y in itertools.product(("c2", "c3", "c4", "d"), repeat=2):
-        tcount, _ = _same_word_kernels((STOCK[x], STOCK[y], STOCK[x]))
-        assert tcount <= 64
+        t = _same_word_kernels((STOCK[x], STOCK[y], STOCK[x]))
+        assert t.bits.shape[1] <= 64
 
 
 @pytest.mark.parametrize("shape, size", [
@@ -268,7 +269,23 @@ def test_word_kernels_match_the_word_axis_on_the_tensor_workload():
     (("m3", "n5", "c3"), (75, 316))])
 def test_word_kernels_match_the_word_axis_past_one_word(shape, size):
     lats = dict(STOCK, c5=chain(5), c7=chain(7), c8=chain(8))
-    assert _same_word_kernels([lats[k] for k in shape]) == size
+    t = _same_word_kernels([lats[k] for k in shape])
+    assert (t.bits.shape[1], t.n) == size
+
+
+def test_maximal_tuples_match_the_grid_on_every_small_shape():
+    # every X (x) Y and X (x) Y (x) X over the lattices of at most five
+    # elements with at most 80 tuples; the names also against the loop
+    # over tuples
+    lats = lattices_up_to(5)
+    shapes = [s for x, y in itertools.product(lats, repeat=2)
+              for s in ((x, y), (x, y, x)) if np.prod([f.n for f in s]) <= 80]
+    assert len(shapes) == 165
+    for factors in shapes:
+        t = tensor_product(*factors)
+        assert t.maximal == maximal_tuples_by_word_axis(t.bits, _Grid(factors))
+        assert list(t.lattice.names) == _names_by_loop(_to_ints(t.bits),
+                                                       factors)
 
 
 @pytest.mark.parametrize("width", [63, 64, 65, 128, 129, 130])
@@ -278,11 +295,6 @@ def test_word_kernels_match_the_word_axis_on_random_rows(width):
     rows[:3] = False                        # empty rows
     rows[10:20] = rows[20:30]               # repeated rows
     assert np.array_equal(_subsets(rows), subsets_by_word_axis(rows))
-    # the kernel reads the grid's relation and bottom mask as given
-    grid = type("Grid", (), dict(tcount=width, bottom=rng.random(width) < 0.2,
-                                 strictly_above=rng.random((width, width)) < 0.1))
-    assert (_maximal_tuples(rows, grid)
-            == maximal_tuples_by_word_axis(rows, grid))
 
 
 def test_cli_tensor_builds_no_join_or_meet_table(monkeypatch, tmp_path):
