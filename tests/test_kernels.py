@@ -248,20 +248,21 @@ def test_tensor_lattice_built_on_first_use_matches_validation(shape):
 # --- the word kernels against the reduction over the word axis ---------------------
 
 def _same_word_kernels(factors):
-    """The tensor of ``factors``, its packed order against the word-axis
+    """The tensor of ``factors``: its packed order against the word-axis
     reference, and its maximal tuples, read off its elements' tables,
-    against the word-axis reduction over the grid's order."""
+    against the word-axis reduction over the grid's order. Returns its
+    tuple and element counts."""
     t = tensor_product(*factors)
     assert np.array_equal(_subsets(t.bits), subsets_by_word_axis(t.bits))
     assert t.maximal == maximal_tuples_by_word_axis(t.bits, _Grid(factors))
-    return t
+    return t.bits.shape[1], t.n
 
 
 def test_word_kernels_match_the_word_axis_on_the_tensor_workload():
     # the benchmark's X (x) Y (x) X shapes, one word per row
     for x, y in itertools.product(("c2", "c3", "c4", "d"), repeat=2):
-        t = _same_word_kernels((STOCK[x], STOCK[y], STOCK[x]))
-        assert t.bits.shape[1] <= 64
+        tcount, _ = _same_word_kernels((STOCK[x], STOCK[y], STOCK[x]))
+        assert tcount <= 64
 
 
 @pytest.mark.parametrize("shape, size", [
@@ -269,8 +270,7 @@ def test_word_kernels_match_the_word_axis_on_the_tensor_workload():
     (("m3", "n5", "c3"), (75, 316))])
 def test_word_kernels_match_the_word_axis_past_one_word(shape, size):
     lats = dict(STOCK, c5=chain(5), c7=chain(7), c8=chain(8))
-    t = _same_word_kernels([lats[k] for k in shape])
-    assert (t.bits.shape[1], t.n) == size
+    assert _same_word_kernels([lats[k] for k in shape]) == size
 
 
 def test_maximal_tuples_match_the_grid_on_every_small_shape():
