@@ -7,6 +7,9 @@ factors' minimal join covers as it goes and extends by joins, so every
 table is a multimorphism and none is checked after. The search keeps the
 witnesses, ``_orbit_reps`` one per orbit under pairs (a, b) of
 automorphisms of X and Y, and ``_records`` builds and checks each once.
+A work unit gets the lattice objects of ``enumerate_lattices``, one per
+class for the whole process, not their order rows, so the tables, plans
+and memo keys of a lattice are built once per run, not once per space.
 Records are written as the fields they set, sorted, whatever the number
 of workers.
 
@@ -50,9 +53,8 @@ from .engine import (_INVOLUTIVE_LAWS, _PAIR_LAWS, InvolutiveWitness,
 from .enumeration import automorphisms, enumerate_lattices
 from .errors import DomainMismatch, MoritaError, ResourceLimit
 from .io import leq_rows
-from .lattice import (FiniteSupLattice, _assembled, _freeze, _generates,
-                      conjugate_lattice, default_names, join_closure,
-                      validate_lattice)
+from .lattice import (_assembled, _freeze, _generates, conjugate_lattice,
+                      join_closure, validate_lattice)
 # is_multimorphism, join_closure, tensor_product and validate_lattice are
 # unused here but stay bound: the benchmark tracer (perfbench/tracer.py)
 # rebinds them in morita.census
@@ -129,13 +131,6 @@ class CensusRecord:
 def _tuplify(a):
     return tuple(_tuplify(v) for v in a) if isinstance(a, (list, np.ndarray)) \
         else int(a)
-
-
-def _lat_from_rows(rows):
-    'Rows that run_census wrote from validated lattices, built directly.'
-    leq = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
-    return FiniteSupLattice(len(rows), default_names(len(rows)), leq, None,
-                            None, None, None)
 
 
 # --- per-space search ---------------------------------------------------------------
@@ -244,26 +239,23 @@ def _involutive_record(x, xstar, pt):
 
 
 def _space_worker(args):
-    """One work unit: a lattice in involutive mode (``y_rows`` None), or a
+    """One work unit: a lattice in involutive mode (``y`` None), or a
     lattice pair searched for its own order and, when ``mirrored``, for the
-    reverse order too. Returns records, candidates, witnesses and the
-    skipped spaces."""
-    x_rows, y_rows, mirrored, tri_cap = args
-    x = _lat_from_rows(x_rows)
-    # one object on the diagonal: _search tells it by identity, and so
-    # does the pair-check memo, without comparing two lattices
-    y = (None if y_rows is None else x if y_rows == x_rows
-         else _lat_from_rows(y_rows))
+    reverse order too. The lattices are the enumerator's objects, pickled
+    together for a worker process; a diagonal unit holds one object twice,
+    which ``_search`` and the pair-check memo tell by identity. Returns
+    records, candidates, witnesses and the skipped spaces."""
+    x, y, mirrored, tri_cap = args
     try:
         candidates, witnesses = _search(x, y, tri_cap)
         records = _records(x, y, witnesses)
         if mirrored:
             records += _records(y, x, [(q, p) for p, q in witnesses])
     except ResourceLimit as e:
-        orders = [(x_rows, y_rows)] + [(y_rows, x_rows)] * mirrored
-        return [], 0, 0, [{"x_leq": list(xr), "reason": str(e)}
-                          | ({} if yr is None else {"y_leq": list(yr)})
-                          for xr, yr in orders]
+        orders = [(x, y)] + [(y, x)] * mirrored
+        return [], 0, 0, [{"x_leq": list(leq_rows(a)), "reason": str(e)}
+                          | ({} if b is None else {"y_leq": list(leq_rows(b))})
+                          for a, b in orders]
     orders = 1 + mirrored
     return records, orders * candidates, orders * len(witnesses), []
 
@@ -281,16 +273,16 @@ def run_census(task: CensusTask):
     xs = [lat for n in range(task.min_x, task.max_x + 1)
           for lat in enumerate_lattices(n)]
     if task.involutive:
-        spaces = [(leq_rows(x), None) for x in xs]
+        spaces = [(x, None) for x in xs]
     else:
         ys = [lat for n in range(task.min_y, task.max_y + 1)
               for lat in enumerate_lattices(n)]
-        spaces = [(leq_rows(x), leq_rows(y)) for x in xs for y in ys]
+        spaces = [(x, y) for x in xs for y in ys]
     # a space whose mirror is also in the task is searched with it, once
     ordered = set(spaces)
-    args = [(xr, yr, xr != yr and (yr, xr) in ordered, task.tri_cap)
-            for xr, yr in spaces
-            if (yr, xr) not in ordered or xr <= yr]
+    args = [(x, y, x != y and (y, x) in ordered, task.tri_cap)
+            for x, y in spaces
+            if (y, x) not in ordered or leq_rows(x) <= leq_rows(y)]
 
     if task.jobs <= 1 or len(args) <= 1:
         results = [_space_worker(a) for a in args]

@@ -120,8 +120,9 @@ def find_isomorphism(a, b):
 
 # --- growth by atoms ------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _lattice_keys(n):
-    """Canonical keys of the lattices on n elements, sorted.
+    """Canonical keys of the lattices on n elements, sorted, as a tuple.
 
     Up to three elements the only lattice is the chain. Each lattice on
     n >= 4 elements is one on n - 1 elements plus a new atom: above the
@@ -130,7 +131,7 @@ def _lattice_keys(n):
     lattice exactly when every binary join exists.
     """
     if n <= 3:
-        return [np.tri(n, dtype=bool).T.tobytes()]
+        return (np.tri(n, dtype=bool).T.tobytes(),)
     m = n - 1
     keys = set()
     for key in _lattice_keys(m):
@@ -143,14 +144,20 @@ def _lattice_keys(n):
                 leq[m, :m] = up
                 if (_least_bounds(leq) >= 0).all():
                     keys.add(canonical_key(leq))
-    return sorted(keys)
+    return tuple(sorted(keys))
 
 
 def enumerate_lattices(n):
-    'All lattices on n elements up to isomorphism, canonically ordered.'
+    """All lattices on n elements up to isomorphism, canonically ordered, in
+    a new list; each is validated once per process, one object per class."""
     if n < 1:
         raise MoritaError("n must be at least 1")
     if n > MAX_ENUM_N:
         raise ResourceLimit(f"lattice enumeration capped at n={MAX_ENUM_N}")
-    return [validate_lattice(np.frombuffer(key, dtype=bool).reshape(n, n))
-            for key in _lattice_keys(n)]
+    return list(_lattices(n))
+
+
+@functools.lru_cache(maxsize=MAX_ENUM_N)
+def _lattices(n):
+    return tuple(validate_lattice(np.frombuffer(key, dtype=bool).reshape(n, n))
+                 for key in _lattice_keys(n))

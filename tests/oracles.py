@@ -56,6 +56,9 @@
   ``involutive_witness`` on X(x)X*(x)X for an involutive anti-automorphism
   of X, built from a formula rather than found by a search, which the
   census outputs are checked to contain;
+* ``lat_from_rows``, a census record's order rows built into a lattice
+  without validating them, which the tests that read records use and
+  which is checked against ``validate_lattice``;
 * the ``.lat`` codec a row at a time: ``write_lattice_by_rows`` and
   ``write_quantale_by_rows``, which build one string per order row and
   join them into lines, and ``parse_lat_by_rows``, which reads the order
@@ -88,7 +91,8 @@ from morita.errors import (ConditionReport, DomainMismatch, FormatError,
                            NotCompositionClosed, PASS, ResourceLimit,
                            failure)
 from morita.io import leq_rows
-from morita.lattice import (_freeze, _words, join_closure, opposite,
+from morita.lattice import (FiniteSupLattice, _freeze, _words,
+                            default_names, join_closure, opposite,
                             validate_lattice)
 from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
 from morita.tensor import (Multimorphism, MultiTensorLattice,
@@ -848,6 +852,13 @@ def involutive_witness(x, delta):
 
 
 # --- the .lat codec a row at a time -------------------------------------------------
+
+def lat_from_rows(rows):
+    'A record\'s order rows, written from validated lattices, built directly.'
+    leq = np.array([[c == "1" for c in row] for row in rows], dtype=bool)
+    return FiniteSupLattice(len(rows), default_names(len(rows)), leq, None,
+                            None, None, None)
+
 
 def _lat_lines(lat):
     mio._check_names(lat.names)

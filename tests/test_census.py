@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -11,23 +13,25 @@ import pytest
 import morita.census
 import morita.engine
 from conftest import lattices_up_to, meet_tables
-from morita.census import (CensusRecord, CensusTask, _lat_from_rows,
+from morita.census import (CensusRecord, CensusTask, _space_worker,
                            _surjective_tables, enumerate_multimorphisms,
                            enumerate_trimorphisms, run_census)
 from morita.engine import conditions_from_tables
+from morita.enumeration import enumerate_lattices
 from morita.errors import DomainMismatch, ResourceLimit
 from morita.io import leq_rows
 from morita.lattice import (chain, conjugate_lattice, diamond, join_closure,
                             m3, n5)
 from morita.tensor import Multimorphism, is_multimorphism
-from oracles import enumerate_multimorphisms_bruteforce, general_space
+from oracles import (enumerate_multimorphisms_bruteforce, general_space,
+                     lat_from_rows)
 
 
 def test_a_lattice_read_back_from_its_rows_is_the_validated_one():
-    # the census builds a worker's lattices directly from the rows that
+    # the tests build a record's lattices directly from the rows that
     # run_census wrote from validated ones
     for lat in lattices_up_to(5):
-        got = _lat_from_rows(leq_rows(lat))
+        got = lat_from_rows(leq_rows(lat))
         assert got == lat and got.names == lat.names
         assert (got.bottom, got.top) == (lat.bottom, lat.top)
         assert np.array_equal(got.join, lat.join)
@@ -269,6 +273,35 @@ def test_census_deterministic_across_workers(tmp_path):
     parsed = [json.loads(l) for l in lines]
     assert [json.dumps(p, sort_keys=True, separators=(",", ":"))
             for p in parsed] == lines
+
+
+def test_a_pickled_diagonal_unit_keeps_its_one_lattice(monkeypatch):
+    # a worker process gets its unit pickled: the diagonal must stay one
+    # object there, or _search would check both orders of every pair
+    x = enumerate_lattices(3)[0]
+    unit = (x, x, False, CensusTask(1).tri_cap)
+    back = pickle.loads(pickle.dumps(unit))
+    assert back[0] is back[1] and back[0] is not x and back[0] == x
+    calls = []
+    check = morita.census.conditions_from_tables
+
+    def counted(*args):
+        calls.append(args[0] is args[1])
+        return check(*args)
+
+    monkeypatch.setattr(morita.census, "conditions_from_tables", counted)
+    runs = []
+    for args in (unit, back):
+        del calls[:]
+        records, candidates, witnesses, skips = _space_worker(args)
+        runs.append(([r.json_line() for r in records], candidates, witnesses,
+                     skips, len(calls)))
+        assert all(calls)
+    assert runs[0] == runs[1]
+    lines, candidates, witnesses, skips, checked = runs[0]
+    size = math.isqrt(candidates)     # |P| x |P| candidates, i <= j checked
+    assert lines and witnesses and not skips
+    assert size * size == candidates and checked == size * (size + 1) // 2
 
 
 def test_census_records_sorted():

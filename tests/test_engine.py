@@ -17,8 +17,7 @@ import morita
 from morita import census, engine
 from morita import io as mio
 from morita import tensor as tensor_module
-from morita.census import (CensusTask, _lat_from_rows,
-                           enumerate_trimorphisms, run_census)
+from morita.census import CensusTask, enumerate_trimorphisms, run_census
 from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            MoritaContext, MoritaPairWitness, as_pair_witness,
                            build_context_from_pair, build_involutive_context,
@@ -46,7 +45,7 @@ from morita.tensor import (Multimorphism, MultiTensorLattice,
                            tensor_product)
 import oracles
 from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
-                     check_pair_conditions_full)
+                     check_pair_conditions_full, lat_from_rows)
 from test_tensor import lift_by_join_of
 
 
@@ -214,8 +213,8 @@ def test_a_generator_entry_outside_the_lattice_is_a_domain_mismatch():
 
 def test_x_and_x_star_share_every_table_through_an_involutive_build():
     # X* is X renamed, so every table the build reads through either is
-    # built once, on their one order; X as the census builds it, no tables
-    x = _lat_from_rows(leq_rows(diamond()))
+    # built once, on their one order; X read from rows, with no tables yet
+    x = lat_from_rows(leq_rows(diamond()))
     w = InvolutiveWitness(x, meet_tables(diamond()))
     build_involutive_context(w)
     assert w.xstar.join is x.join and w.xstar.meet is x.meet
@@ -384,7 +383,7 @@ def test_as_pair_witness_builds_no_tensor(monkeypatch):
 def test_as_pair_witness_tables_are_multimorphisms(monkeypatch):
     # as_pair_witness checks neither table: the witness checked p, and p
     # with its slots reversed is a multimorphism on (X*, X, X*)
-    witnesses = [InvolutiveWitness.from_generators(_lat_from_rows(r.x_leq), r.p)
+    witnesses = [InvolutiveWitness.from_generators(lat_from_rows(r.x_leq), r.p)
                  for r in run_census(CensusTask(max_x=3, involutive=True))[0]]
     for x in lattices_up_to(3):
         xstar = conjugate_lattice(x)
@@ -506,13 +505,13 @@ def test_curried_tables_from_generators_match_splice_closure():
         pairs.append((w.x, w.y, w.p_gen, w.q_gen))
     general, _ = run_census(CensusTask(max_x=3))
     for rec in general:
-        x, y = _lat_from_rows(rec.x_leq), _lat_from_rows(rec.y_leq)
+        x, y = lat_from_rows(rec.x_leq), lat_from_rows(rec.y_leq)
         w = MoritaPairWitness.from_generators(x, y, rec.p, rec.q)
         pairs.append((w.x, w.y, w.p_gen, w.q_gen))
     involutive, _ = run_census(CensusTask(max_x=3, involutive=True))
     for rec in involutive:
         pw = as_pair_witness(InvolutiveWitness.from_generators(
-            _lat_from_rows(rec.x_leq), rec.p))
+            lat_from_rows(rec.x_leq), rec.p))
         pairs.append((pw.x, pw.y, pw.p_gen, pw.q_gen))
     assert len(pairs) == 3 + 7 + 7
     for x, y, p_gen, q_gen in pairs:
@@ -1119,8 +1118,8 @@ def test_a_context_built_warm_matches_one_built_cold():
                + run_census(CensusTask(max_x=3, involutive=True))[0])
     assert len(records) == 14
     for rec in records:
-        x = _lat_from_rows(rec.x_leq)
-        y = None if rec.y_leq is None else _lat_from_rows(rec.y_leq)
+        x = lat_from_rows(rec.x_leq)
+        y = None if rec.y_leq is None else lat_from_rows(rec.y_leq)
         p = np.array(rec.p)
         q = None if rec.q is None else np.array(rec.q)
         rx, ry = _renamed(x, "u"), y and _renamed(y, "v")
@@ -1165,8 +1164,8 @@ def _census_witnesses():
     records = (run_census(CensusTask(max_x=3))[0]
                + run_census(CensusTask(max_x=3, involutive=True))[0])
     assert len(records) == 14
-    return [(_lat_from_rows(r.x_leq),
-             None if r.y_leq is None else _lat_from_rows(r.y_leq),
+    return [(lat_from_rows(r.x_leq),
+             None if r.y_leq is None else lat_from_rows(r.y_leq),
              np.array(r.p), None if r.q is None else np.array(r.q))
             for r in records]
 
@@ -1271,7 +1270,7 @@ def _involutive_witnesses():
     assert len(records) == 26
     assert {tuple(r["x_leq"]) for r in records[7:]} == {leq_rows(diamond())}
     return [InvolutiveWitness.from_generators(
-        _lat_from_rows(tuple(r["x_leq"])), np.array(r["p"])) for r in records]
+        lat_from_rows(tuple(r["x_leq"])), np.array(r["p"])) for r in records]
 
 
 def test_the_conjugate_of_a_built_x_has_the_tables_of_its_y():

@@ -46,6 +46,30 @@ def test_enumerated_orders_are_pinned_byte_for_byte():
         assert hashlib.sha256(got).hexdigest() == want, n
 
 
+def test_each_class_is_one_validated_object_for_the_process():
+    # the census meets a lattice in many spaces: every call hands back the
+    # first call's objects, in a new list, each as validate_lattice builds it
+    for n, want in enumerate(ORDER_SHA256, start=1):
+        first = enumerate_lattices(n)
+        again = enumerate_lattices(n)
+        assert again is not first and len(again) == COUNTS[n - 1]
+        assert all(a is b for a, b in zip(first, again))
+        for lat in first:
+            fresh = validate_lattice(lat.leq)
+            assert lat == fresh and lat.names == fresh.names
+            assert (lat.bottom, lat.top) == (fresh.bottom, fresh.top)
+            assert np.array_equal(lat.join, fresh.join)
+            assert np.array_equal(lat.meet, fresh.meet)
+        first.reverse()
+        first.append(chain(2))
+        del again[:]
+        later = enumerate_lattices(n)
+        assert len(later) == COUNTS[n - 1]
+        assert all(a is b for a, b in zip(later, reversed(first[:-1])))
+        got = b"".join(l.leq.tobytes() for l in later)
+        assert hashlib.sha256(got).hexdigest() == want, n
+
+
 def test_deleting_an_atom_leaves_a_listed_lattice():
     # every lattice on n >= 3 elements is one on n - 1 elements plus an
     # atom, which is what the enumerator builds on

@@ -11,12 +11,13 @@ quantales come with their opposites (the product read right to left).
 import numpy as np
 import pytest
 
-from morita.census import CensusTask, _lat_from_rows, run_census
+from morita.census import CensusTask, run_census
 from morita.engine import MoritaPairWitness, build_context_from_pair
 from morita.lattice import chain
 from morita.modules import ModuleAction, check_module, regular_bimodule
 from morita.quantale import Quantale, check_quantale, endo_quantale
-from oracles import module_laws_failing, quantale_laws_failing
+from oracles import (lat_from_rows, module_laws_failing,
+                     quantale_laws_failing)
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def samples():
     assert records
     for rec in records:
         ctx = build_context_from_pair(MoritaPairWitness.from_generators(
-            _lat_from_rows(rec.x_leq), _lat_from_rows(rec.y_leq),
+            lat_from_rows(rec.x_leq), lat_from_rows(rec.y_leq),
             np.array(rec.p, dtype=np.int64), np.array(rec.q, dtype=np.int64)))
         quantales += [ctx.a, ctx.b]
         modules += [ctx.x.left, ctx.x.right, ctx.y.left, ctx.y.right]

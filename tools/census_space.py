@@ -9,8 +9,8 @@ space of the 3-chain and the diamond, and ``d`` alone the involutive space
 of the diamond.
 
 A fresh interpreter imports morita from this checkout's ``src/``, takes
-the census's own numbering of the lattices (the one ``run_census`` gets
-from ``enumerate_lattices``) and runs one census work unit,
+the census's own lattice objects (the ones ``run_census`` gets from
+``enumerate_lattices``, one per class) and runs one census work unit,
 ``census._space_worker`` at the default multimorphism cap. Given X and Y
 it is the general unit of the pair {X, Y}: both orders (X, Y) and (Y, X)
 from one search, or the one space when X and Y are the same lattice.
@@ -34,14 +34,13 @@ CHILD = MAKE + """
 import sys, time
 from morita import census
 from morita.enumeration import canonical_key, enumerate_lattices
-from morita.io import leq_rows
 
-def census_rows(lat):
+def census_lattice(lat):
     key = canonical_key(lat)
-    return leq_rows(next(c for c in enumerate_lattices(lat.n)
-                         if canonical_key(c) == key))
+    return next(c for c in enumerate_lattices(lat.n)
+                if canonical_key(c) == key)
 
-x, *rest = (census_rows(make(name)) for name in sys.argv[1:])
+x, *rest = (census_lattice(make(name)) for name in sys.argv[1:])
 y = rest[0] if rest else None   # None: the involutive unit of X
 sizes = []                  # |P|, then |Q| off the diagonal
 search = census._separated_tables
