@@ -69,6 +69,13 @@ class _Order:
         self.leq, self.ideals, self.join, self.meet = leq, ideals, join, meet
         self.key = self.hash = self.irr = self.canonical = None
 
+    def __setstate__(self, state):
+        # arrays unpickle writeable, and a bytes hash is salted per
+        # interpreter: a spawned worker hashes the key for itself
+        o = state[1]
+        self.__init__(*(_freeze(o[s]) for s in ("leq", "ideals", "join", "meet")))
+        self.key, self.irr, self.canonical = o["key"], o["irr"], o["canonical"]
+
 
 class FiniteSupLattice:
     """A finite lattice. Build through :func:`validate_lattice`, or directly

@@ -1,6 +1,11 @@
 """Order axioms, join/meet tables, irreducibles, and sup-map enumeration."""
 
 import itertools
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +275,28 @@ def test_a_renamed_lattice_keeps_what_was_computed(monkeypatch):
     for lat in lats:
         want = validate_lattice(lat.leq, [f"u{i}" for i in range(lat.n)])
         assert lat.join_irreducibles() == want.join_irreducibles()
+
+
+def test_a_pickled_lattice_is_read_only_and_hashes_in_its_interpreter():
+    # census workers get their lattices pickled; a spawned worker salts
+    # bytes hashes afresh, so a hash made before pickling must not travel
+    lat = diamond()
+    hash(lat), lat.join_irreducibles(), lat.meet
+    blob = pickle.dumps(lat)
+    back = pickle.loads(blob)
+    assert back == lat and back.names == lat.names and back._order.hash is None
+    assert back.join_irreducibles() == lat.join_irreducibles()
+    for table in (back.leq, back.join, back.meet):
+        assert not table.flags.writeable
+    script = ("import pickle, sys\n"
+              "from morita.lattice import diamond\n"
+              "back = pickle.loads(sys.stdin.buffer.read())\n"
+              "print(hash(back) == hash(diamond()), len({back, diamond()}))\n")
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script], input=blob,
+                         capture_output=True, env=env, check=True)
+    assert out.stdout.split() == [b"True", b"1"]
 
 
 def test_lattices_compare_and_hash_by_order_alone():
