@@ -40,17 +40,14 @@ smallest dtype that holds it: at most 16 MB at nx = ny = 4. The census
 scans the q list once per p, so on longer lists (c3 x c4 has 151,912
 tables, d x d 38,748) each pair still computes a side.
 
-A context's parts X(x)Y, Y(x)X, Q(X) and Q(Y) are fixed by the isomorphism
-classes of the factors, so ``_order_part`` builds each once per class, on
-factors in canonical form, and renumbers it exactly to the orders of every
-other copy. One LRU of at most 32 entries, keyed by the factors' orders,
-keeps both: X*, which has the order of X, and relabelled lattices reach
-one entry, and a call whose lattices carry other names gets a view under
-its own names that shares the entry's arrays and order, so every table of
-it is built once. Once its join is read, an entry of n elements holds
-about 9 n^2 + 300 n bytes for a tensor and 17 n^2 + 300 n for Q(X): 3 to
-12 KB on lattices of at most four elements. ``morita tensor`` builds its
-tensors uncached.
+A context is its six parts and its report, and it too is built from the
+generator tables alone, with no X(x)Y or Y(x)X (see ``_context``). Of its
+parts only Q(X), in which A lies, depends on the order alone, so
+``_order_part`` builds it once per isomorphism class, in canonical form,
+and renumbers it exactly to every other copy; an LRU of at most 32 entries
+keyed by the order keeps both, and X* and relabelled lattices reach one
+entry, under their own names. An entry of n elements holds about
+17 n^2 + 300 n bytes once its join is read: at most 12 KB for n <= 4.
 
 A built context or imprimitivity bimodule carries its build's passing
 report, which ``check_morita_context`` or ``check_imprimitivity`` returns;
@@ -64,18 +61,20 @@ import numpy as np
 
 from .enumeration import _canonical_order
 from .errors import (ConditionReport, ConditionsFailed, ContextInvalid,
-                     DomainMismatch, NotWellDefined,
-                     PASS, ShapeMismatch, StarNotWellDefined, failure,
-                     slice_collision, table_law)
+                     DomainMismatch, PASS, ShapeMismatch, StarNotWellDefined,
+                     failure, slice_collision, table_law)
 from .lattice import (_SetOnce, _assembled, _freeze, _generates, _reordered,
                       conjugate_lattice, join_closure)
 from .modules import (Bimodule, _action, check_bimodule, conjugate_bimodule,
                       is_m_regular)
-from .quantale import (InvolutiveQuantale, check_quantale, endo_quantale,
-                       image_subquantale, is_quantale_involution)
-from .tensor import (Multimorphism, _tensor_cap, _too_large, _trusted,
-                     as_multimorphism, is_multimorphism, join_over_tuples,
-                     lift_multimorphism, tensor_product)
+# image_subquantale, lift_multimorphism and tensor_product are unused here
+# but stay bound: the benchmark tracer (perfbench/tracer.py) rebinds them
+from .quantale import (InvolutiveQuantale, _subquantale, check_quantale,
+                       endo_quantale, image_subquantale,
+                       is_quantale_involution)
+from .tensor import (Multimorphism, _trusted, as_multimorphism,
+                     is_multimorphism, join_over_tuples, lift_multimorphism,
+                     tensor_product)
 
 
 # --- witnesses --------------------------------------------------------------------
@@ -265,23 +264,19 @@ def check_pair_conditions(w: MoritaPairWitness) -> ConditionReport:
 # --- contexts ---------------------------------------------------------------------
 
 class MoritaContext(_SetOnce):
-    """The 6-tuple (A, B, X, Y, (-,-), [-,-]).
+    """The 6-tuple (A, B, X, Y, (-,-), [-,-]) and its report.
 
     ``x`` is a bimodule over (A, B), ``y`` over (B, A); ``pair_xy`` lands in
-    A and ``pair_yx`` in B. Contexts built from witnesses also carry the
-    two-fold tensors X(x)Y and Y(x)X and the operator-class index maps, which
-    the involutive stars reuse, and in ``report`` the passing
-    ``check_morita_context`` report of the build, which that check returns
-    and extraction reads in place of a second check; it is None for
-    contexts built by hand or read from files. A built context is
+    A and ``pair_yx`` in B. ``report`` is the passing
+    ``check_morita_context`` report of a built context, which that check
+    returns and extraction reads in place of a second check; it is None
+    for contexts built by hand or read from files. A built context is
     read-only.
     """
 
-    __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx",
-                 "t_xy", "t_yx", "idx_a", "idx_b", "report")
+    __slots__ = ("a", "b", "x", "y", "pair_xy", "pair_yx", "report")
 
-    def __init__(self, a, b, x, y, pair_xy, pair_yx, t_xy=None, t_yx=None,
-                 idx_a=None, idx_b=None):
+    def __init__(self, a, b, x, y, pair_xy, pair_yx):
         if x.left.quantale != a or x.right.quantale != b:
             raise DomainMismatch("X must be an (A, B)-bimodule")
         if y.left.quantale != b or y.right.quantale != a:
@@ -292,8 +287,6 @@ class MoritaContext(_SetOnce):
             raise DomainMismatch("[-,-] must map Y x X into B")
         self.a, self.b, self.x, self.y = a, b, x, y
         self.pair_xy, self.pair_yx = pair_xy, pair_yx
-        self.t_xy, self.t_yx = t_xy, t_yx
-        self.idx_a, self.idx_b = idx_a, idx_b
         self.report = None
 
     def __repr__(self):
@@ -378,103 +371,54 @@ def check_morita_context(ctx: MoritaContext) -> ConditionReport:
     return rep
 
 
-def _curried_from_generators(part, pos, gen, lat):
-    """Table (e, v) -> p(e spliced at pos, v in the other slot), for e in the
-    two-fold tensor ``part`` and v in ``lat``, from the generator table of p.
-
-    p is sup-preserving in e, so p(e (x) v) is the join of the generator
-    values over the tuples of e: the table, read as rows over the tuples of
-    ``part``, lifted on ``part``.
-    """
-    n0, n1, n2 = gen.shape
-    rows = gen.reshape(n0 * n1, n2) if pos == 0 else gen.reshape(n0, n1 * n2).T
-    return join_over_tuples(part, lat, rows)
-
-
-def _operator_family(part_tensor, gen, fixed_lat, endo):
-    """The family e -> (x -> p(e(x)x)) into Q, whose values are operators as
-    curried sup-maps; ``image_subquantale`` checks that it preserves joins."""
-    rows = _curried_from_generators(part_tensor, 0, gen, fixed_lat)
-    idx = [endo.index[tuple(r)] for r in rows.tolist()]
-    return _trusted((part_tensor.lattice,), endo.carrier,
-                    _freeze(np.array(idx, dtype=np.int64)))
-
-
-def _per_class(idx_map, rows, error):
-    """``rows`` (one per tensor element) at the first element of each
-    operator class of ``idx_map``. Every element of a class must have the
-    same row; otherwise raises ``error(e1, e2)`` for the first class where
-    one does not: e1 its first element, e2 its first with another row."""
-    idx = idx_map.values                  # the classes are 0..k-1
-    # not np.unique: its first call imports numpy.ma, about 10 ms
-    first = (idx == np.arange(idx.max() + 1)[:, None]).argmax(axis=1)
-    lead = first[idx]
-    bad = (rows != rows[lead]).reshape(len(idx), -1).any(axis=1)
-    if bad.any():
-        e2 = min(np.flatnonzero(bad).tolist(), key=lambda e: (lead[e], e))
-        raise error(int(lead[e2]), e2)
-    return rows[first]
-
-
-def _classwise_action(part_tensor, gen, fixed_lat, idx_map, side_label):
-    """Action table x -> p(x(x)e) of operator classes via representatives,
-    checked for well-definedness across each class."""
-    table = _curried_from_generators(part_tensor, 1, gen, fixed_lat)
-    names = part_tensor.lattice.names
-    return _per_class(idx_map, table, lambda e1, e2: NotWellDefined(
-        f"{side_label} differs across a class: tensor elements "
-        f"{names[e1]} and {names[e2]} act "
-        "equally on one side but not the other")).T
-
-
 @functools.lru_cache(maxsize=32)
-def _order_part(kind, *factors):
-    """X(x)Y for ``kind`` "tensor" and factors (X, Y), or Q(X) for "endo"
-    and (X,), on lattices of these orders.
-
-    Factors in canonical form are built on: the module-level
-    ``tensor_product`` or ``endo_quantale`` is called, so a tracer or a
-    test that rebinds them sees every build. Other factors take the part
-    of their canonical forms, from this cache, renumbered exactly to their
-    own orders; so each isomorphism class is built once.
-    """
-    orders = [_canonical_order(f) for f in factors]
-    if any(o != tuple(range(f.n)) for o, f in zip(orders, factors)):
-        part = _order_part(kind, *(
-            _reordered(f, list(o), [f.names[i] for i in o])[0]
-            for f, o in zip(factors, orders)))
-        return (part.renumbered(factors, orders) if kind == "tensor"
-                else part.renumbered(factors[0], orders[0]))
-    return (tensor_product if kind == "tensor" else endo_quantale)(*factors)
-
-
-def _tensor(x, y):
-    """X(x)Y from ``_order_part`` under the names of x and y; the tensor
-    cap in force applies to a cached tensor as to a built one."""
-    t = _order_part("tensor", x, y)
-    cap = _tensor_cap()
-    if t.n > cap:
-        raise _too_large(cap)
-    if t.factors[0].names == x.names and t.factors[1].names == y.names:
-        return t
-    return t.renumbered((x, y))
+def _order_part(x):
+    """Q(X) on a lattice of this order: built by the module-level
+    ``endo_quantale``, which a tracer or test may rebind, in canonical form,
+    and renumbered from that entry for any other form."""
+    order = _canonical_order(x)
+    if order != tuple(range(x.n)):
+        canon = _reordered(x, list(order), [x.names[i] for i in order])[0]
+        return _order_part(canon).renumbered(x, order)
+    return endo_quantale(x)
 
 
 def _endo(x):
     'Q(X) from ``_order_part`` under the names of x.'
-    q = _order_part("endo", x)
+    q = _order_part(x)
     return q if q.base.names == x.names else q.renumbered(x)
+
+
+def _generated(endo, gen):
+    """The subquantale of Q(X) generated by joins of the operators
+    x2 -> gen[x1, y, x2]: the elements that are the join of the generators
+    below them. Also the generators' positions in it, as an (x1, y) table."""
+    n0, n1, n2 = gen.shape
+    ops = np.array([endo.index[op] for op in
+                    map(tuple, gen.reshape(n0 * n1, n2).tolist())])
+    leq = endo.carrier.leq
+    joined = join_over_tuples(leq[ops].T, endo.carrier, ops[:, None])
+    img = np.flatnonzero(joined[:, 0] == np.arange(endo.n))
+    return _subquantale(endo, img), np.searchsorted(img, ops).reshape(n0, n1)
+
+
+def _right_action(gen, lat, quant, pairing):
+    """The action table x -> x.c of the elements c of ``quant``: the join
+    of gen[x, y, x2] over the generators [y, x2] = pairing[y, x2] below c."""
+    n0, n1, n2 = gen.shape
+    below = quant.carrier.leq[pairing.ravel()].T
+    return join_over_tuples(below, lat, gen.transpose(1, 2, 0).reshape(
+        n1 * n2, n0)).T
 
 
 def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
     """From a passing pair to the full context: operators, actions, pairings.
 
-    A is the image of a -> L_a inside Q(X), B the image of b -> R_b inside
-    Q(Y); X carries L_a.x = p(a(x)x) and x.R_b = p(x(x)b), Y carries
-    R_b.y = q(b(x)y) and y.L_a = q(y(x)a); pairings are (x,y) = L_{x(x)y}
-    and [y,x] = R_{y(x)x}. The right actions are defined through class
-    representatives and checked for well-definedness. Every curried table
-    comes from the generator tables lifted on X(x)Y or Y(x)X.
+    A is the subquantale of Q(X) generated by joins of L_{x(x)y} = p(x, y, -),
+    B that of Q(Y) generated by R_{y(x)x} = q(y, x, -); X carries
+    L_a.x = a(x) and x.R_b = p(x(x)b), Y carries R_b.y = b(y) and
+    y.L_a = q(y(x)a); pairings are (x,y) = L_{x(x)y} and [y,x] = R_{y(x)x}.
+    Every table is read off the generator tables; see ``_context``.
     """
     rep = check_pair_conditions(w)
     if not rep.ok:
@@ -483,34 +427,43 @@ def build_context_from_pair(w: MoritaPairWitness) -> MoritaContext:
 
 
 def _context(w):
-    'Both builders after their gate: the context of a witness that passed.'
+    """Both builders after their gate: the context of a witness that passed,
+    from its generator tables alone.
+
+    Write (x, y) for the generator L_{x(x)y} and, for c in A, e_c for the
+    tuples (x, y) with (x, y) <= c. Lemma: e_c is the largest element of
+    X(x)Y in the operator class c. Proof: p preserves joins in each slot,
+    so the generator map does, and is monotone: e_c is down-closed, closed
+    under fibre joins and holds the tuples with a bottom coordinate, a
+    multi-ideal. Its operator, the join of the generators in it, is c, as
+    c in A is the join of the generators below it; and an element of
+    class c holds only tuples whose generator is below c. Likewise in B.
+
+    So a value on the elements of X(x)Y that depends only on their class
+    is its value at e_c: y.L_c is the join of q(y, x, y2) over (x, y2) in
+    e_c, and x.R_c alike. The report's linking and M3 laws fix x.R_c from
+    the generators, so the actions need no check of their own.
+    """
     x, y = w.x, w.y
-    t_xy, t_yx = _tensor(x, y), _tensor(y, x)
-    endo_x, endo_y = _endo(x), _endo(y)
-    fam_l = _operator_family(t_xy, w.p_gen, x, endo_x)
-    quant_a, idx_a = image_subquantale(endo_x, fam_l)
-    fam_r = _operator_family(t_yx, w.q_gen, y, endo_y)
-    quant_b, idx_b = image_subquantale(endo_y, fam_r)
+    quant_a, pxy = _generated(_endo(x), w.p_gen)
+    quant_b, pyx = _generated(_endo(y), w.q_gen)
 
     # every table below is in range by construction; the laws are
     # checked in ctx.report
     lx = _freeze(np.array(quant_a.op_values, dtype=np.int64).T)
     ly = _freeze(np.array(quant_b.op_values, dtype=np.int64).T)
-    rx = _freeze(_classwise_action(t_yx, w.p_gen, x, idx_b, "x.R_b"))
-    ry = _freeze(_classwise_action(t_xy, w.q_gen, y, idx_a, "y.L_a"))
+    rx = _freeze(_right_action(w.p_gen, x, quant_b, pyx))
+    ry = _freeze(_right_action(w.q_gen, y, quant_a, pxy))
 
     bim_x = Bimodule(_action("left", quant_a, x, lx),
                      _action("right", quant_b, x, rx))
     bim_y = Bimodule(_action("left", quant_b, y, ly),
                      _action("right", quant_a, y, ry))
 
-    pair_xy = _trusted((x, y), quant_a.carrier,
-                       _freeze(idx_a.values[t_xy.elem_table]))
-    pair_yx = _trusted((y, x), quant_b.carrier,
-                       _freeze(idx_b.values[t_yx.elem_table]))
+    pair_xy = _trusted((x, y), quant_a.carrier, _freeze(pxy))
+    pair_yx = _trusted((y, x), quant_b.carrier, _freeze(pyx))
 
-    ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx,
-                        t_xy=t_xy, t_yx=t_yx, idx_a=idx_a, idx_b=idx_b)
+    ctx = MoritaContext(quant_a, quant_b, bim_x, bim_y, pair_xy, pair_yx)
     ctx.report = check_morita_context(ctx)
     if not ctx.report.ok:
         raise ConditionsFailed(ctx.report)
@@ -713,20 +666,22 @@ def _imprimitivity_report(imp, ctx):
     return rep
 
 
-def _class_star(tensor, idx_map, label):
-    """Star table on the operator classes of ``idx_map``, from the swap on
-    its tensor; ``check_imprimitivity`` checks that it is an involution.
-
-    The swap sends an elementary tensor u(x)v to v(x)u; its lift permutes
-    multi-ideals. The star of an operator class is the class of the swapped
-    tensor element, provided that is independent of the representative.
-    """
-    swap = _trusted(tensor.factors, tensor.lattice, tensor.elem_table.T)
-    swapped = idx_map.values[lift_multimorphism(swap, tensor).values]
-    names = tensor.lattice.names
-    star = _per_class(idx_map, swapped, lambda e1, e2: StarNotWellDefined(
-        f"{label}: tensor elements {names[e1]} and {names[e2]} induce "
-        "the same operator but their swaps do not"))
+def _class_star(pairing, label):
+    """Star table on the target of ``pairing``, a pairing of X with X*: the
+    swap u(x)v -> v(x)u is a sup-map, so star(c) is the join of pairing(y, x)
+    over the (x, y) in e_c (see ``_context``). It must send each generator
+    to its swap, as it does on inputs that passed conditions a)-c); else
+    StarNotWellDefined. ``check_imprimitivity`` checks the involution."""
+    quant, values = pairing.target, pairing.values
+    star = join_over_tuples(quant.leq[values.ravel()].T, quant,
+                            values.T.reshape(-1, 1))[:, 0]
+    bad = star[values] != values.T
+    if bad.any():
+        u, v = map(int, np.unravel_index(int(bad.argmax()), bad.shape))
+        x, a = pairing.factors[0].names, quant.names
+        raise StarNotWellDefined(
+            f"{label}: ({x[u]}, {x[v]})* = {a[star[values[u, v]]]} but "
+            f"({x[v]}, {x[u]}) = {a[values[v, u]]}")
     return tuple(star.tolist())
 
 
@@ -734,22 +689,22 @@ def build_involutive_context(w: InvolutiveWitness):
     """From a passing one-sided p to context, stars, and imprimitivity data.
 
     Conditions a)-c) are the only gate: they decide conditions 1-6 of
-    (X, X*, p, p^T), so the pair build's own gate is not run. Returns (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
-    ImprimitivityBimodule). Stars are built from the tensor swap and checked
-    for well-definedness; for inputs that passed conditions a)-c) a collision
-    cannot happen, so StarNotWellDefined, raised for a collision only, is an
-    integrity alarm. A star that is not an involution fails involution-A or
-    -B of the imprimitivity report, which raises ConditionsFailed.
+    (X, X*, p, p^T), so the pair build's own gate is not run. Returns
+    (MoritaContext, (InvolutiveQuantale A, InvolutiveQuantale B),
+    ImprimitivityBimodule). Stars are built from the swapped generators
+    (``_class_star``), which must map each generator to its swap; for
+    inputs that passed conditions a)-c) they do, so StarNotWellDefined,
+    raised otherwise, is an integrity alarm. A star that is not an
+    involution fails involution-A or -B of the imprimitivity report, which
+    raises ConditionsFailed.
     """
     rep = check_involutive_conditions(w)
     if not rep.ok:
         raise ConditionsFailed(rep)
     ctx = _context(as_pair_witness(w))
 
-    star_a = _class_star(ctx.t_xy, ctx.idx_a, "star on A")
-    star_b = _class_star(ctx.t_yx, ctx.idx_b, "star on B")
-    inv_a = InvolutiveQuantale(ctx.a, star_a)
-    inv_b = InvolutiveQuantale(ctx.b, star_b)
+    inv_a = InvolutiveQuantale(ctx.a, _class_star(ctx.pair_xy, "star on A"))
+    inv_b = InvolutiveQuantale(ctx.b, _class_star(ctx.pair_yx, "star on B"))
 
     inner_a = _trusted((w.x, w.x), ctx.a.carrier, ctx.pair_xy.values)
     inner_b = _trusted((w.x, w.x), ctx.b.carrier, ctx.pair_yx.values)

@@ -94,7 +94,7 @@ class NotWellDefined(MoritaError):
 
 
 class StarNotWellDefined(NotWellDefined):
-    """The derived involution collided on an operator class."""
+    """The derived involution did not send a generator to its swap."""
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,7 @@ class OperatorQuantale(Quantale):
 
     ``op_values[i]`` is the value table of operator i; ``index`` inverts it.
     The identity is recorded as the unit but nothing downstream relies on it.
-    Built only by construction (``endo_quantale``, ``image_subquantale``,
+    Built only by construction (``endo_quantale``, ``_subquantale``,
     ``renumbered``), so ``mult`` is taken as it comes: a read-only int64
     table in range, not copied or checked again.
     """
@@ -138,21 +138,32 @@ def image_subquantale(q: Quantale, family: Multimorphism):
     """Restrict a quantale to the image of a sup-map into its carrier.
 
     The family is a one-slot multimorphism; one that breaks joins raises
-    NotAMultimorphism. The image holds bottom and is join-closed, so it is
-    a lattice with the quantale's joins, not validated; composition closure
-    is a real condition, and NotCompositionClosed names the first product
-    to escape, row-major over the sorted image. Returns the image quantale
-    and the corestriction, a sup-map by construction, so not checked.
+    NotAMultimorphism. Its image holds bottom and is join-closed, so
+    ``_subquantale`` takes it. Returns the image quantale and the
+    corestriction, a sup-map by construction, so not checked.
     """
     if len(family.factors) != 1 or family.target != q.carrier:
         raise DomainMismatch("family is not a sup-map into the quantale carrier")
     v = is_multimorphism(family)
     if not v:
         raise NotAMultimorphism(str(v))
-    hits = np.bincount(family.values, minlength=q.n)
-    img = np.flatnonzero(hits)
+    img = np.flatnonzero(np.bincount(family.values, minlength=q.n))
+    sub = _subquantale(q, img)
+    corestriction = _trusted(family.factors, sub.carrier,
+                             _freeze(np.searchsorted(img, family.values)))
+    return sub, corestriction
+
+
+def _subquantale(q: Quantale, img):
+    """q on ``img``, a sorted array of its elements that holds bottom and is
+    join-closed: a lattice with the quantale's joins, not validated.
+    Composition closure is a real condition, and NotCompositionClosed names
+    the first product to escape, row-major over ``img``.
+    """
+    inside = np.zeros(q.n, dtype=bool)
+    inside[img] = True
     prod = q.mult[np.ix_(img, img)]
-    out = hits[prod] == 0
+    out = ~inside[prod]
     if out.any():
         a, b = img[list(divmod(int(out.argmax()), len(img)))]
         c = int(q.mult[a, b])
@@ -166,13 +177,9 @@ def image_subquantale(q: Quantale, family: Multimorphism):
     mult = _freeze(np.searchsorted(img, prod))
     unit = ids.index(q.unit) if q.unit in ids else None
     if isinstance(q, OperatorQuantale):
-        sub = OperatorQuantale(q.base, carrier, mult,
-                               [q.op_values[e] for e in ids], unit)
-    else:
-        sub = _assembled(Quantale, carrier=carrier, mult=mult, unit=unit)
-    corestriction = _trusted(family.factors, carrier,
-                             _freeze(np.searchsorted(img, family.values)))
-    return sub, corestriction
+        return OperatorQuantale(q.base, carrier, mult,
+                                [q.op_values[e] for e in ids], unit)
+    return _assembled(Quantale, carrier=carrier, mult=mult, unit=unit)
 
 
 # --- involutions ---------------------------------------------------------------------

@@ -35,8 +35,8 @@ from .errors import (DomainMismatch, MoritaError, NotAMultimorphism,
                      PASS, ResourceLimit, failure)
 # validate_lattice is unused here but stays bound: the benchmark tracer
 # (perfbench/tracer.py) rebinds it in morita.tensor
-from .lattice import (FiniteSupLattice, _freeze, _index_table, _reordered,
-                      opposite, validate_lattice)
+from .lattice import (FiniteSupLattice, _freeze, _index_table, opposite,
+                      validate_lattice)
 
 # a tensor of n elements holds its multi-ideals, n x tuples bytes; its
 # n x n order, n^2 bytes (25 MB here), is built only once compared, hashed
@@ -72,13 +72,14 @@ def _too_large(cap):
 
 
 class MultiTensorLattice:
-    """A computed tensor product.
+    """A computed tensor product, as ``tensor_product`` builds it for
+    ``morita tensor``; no context build makes one.
 
     ``lattice`` is the tensor as a plain lattice; ``bits[i]`` is the tuple
     mask of element i, over flat tuple indices in C order; ``elem_table``
     maps coordinate tuples to the index of their elementary tensor;
     ``maximal[i]`` lists the maximal generating tuples of element i, which
-    name it (None on a tensor built by hand, which cannot be renumbered).
+    name it (None on a tensor built by hand).
     """
 
     def __init__(self, factors, lattice, bits, elem_table, maximal=None):
@@ -91,32 +92,6 @@ class MultiTensorLattice:
     @property
     def n(self):
         return self.lattice.n
-
-    def renumbered(self, factors, perms=None):
-        """The tensor of ``factors``, whose orders are this one's factors'
-        with element i of factor k renumbered ``perms[k][i]``. It equals a
-        fresh build array for array and name for name: a build depends on
-        the set of multi-ideals alone. Without ``perms`` only the names
-        change, and every array and computed table is shared."""
-        if perms is None:
-            lattice = self.lattice.relabel(_tensor_names(factors, self.maximal))
-            return MultiTensorLattice(factors, lattice, self.bits,
-                                      self.elem_table, self.maximal)
-        # cols[t]: the flat index of tuple t in the new numbering
-        cols = np.ravel_multi_index(np.ix_(*perms),
-                                    self.elem_table.shape).ravel()
-        rows = np.empty_like(self.bits)
-        rows[:, cols] = self.bits
-        order = _element_order(rows)
-        at = cols.tolist()
-        maximal = tuple(tuple(sorted(at[t] for t in self.maximal[e]))
-                        for e in order.tolist())
-        lattice, new = _reordered(self.lattice, order,
-                                  _tensor_names(factors, maximal))
-        elem_table = np.empty_like(self.elem_table)
-        elem_table.ravel()[cols] = new[self.elem_table.ravel()]
-        return MultiTensorLattice(factors, lattice, rows[order], elem_table,
-                                  maximal)
 
     def __repr__(self):
         shape = " x ".join(str(f.n) for f in self.factors)
@@ -542,16 +517,17 @@ def enumerate_multimorphisms(factors, target, cap=None):
             yield _trusted(factors, target, values)
 
 
-def join_over_tuples(tensor: MultiTensorLattice, target, rows):
-    """out[e, c] = the join in ``target`` of rows[t, c] over the tuples t of
-    tensor element e; ``rows`` has one row per flat tuple of the grid.
+def join_over_tuples(members, target, rows):
+    """out[e, c] = the join in ``target`` of rows[t, c] over the tuples t
+    with members[e, t]: ``rows`` has a row per tuple, the boolean
+    ``members`` a row per set of tuples, such as a tensor's ``bits``.
 
     The upper bounds of a set are the elements above each of its members,
     and its join is the upper bound with the smallest down-set.
     """
     tcount, cols = rows.shape
     not_above = ~target.leq[rows].reshape(tcount, cols * target.n)
-    bounds = ~(tensor.bits @ not_above).reshape(tensor.n, cols, target.n)
+    bounds = ~(members @ not_above).reshape(len(members), cols, target.n)
     downset = target.leq.sum(axis=0)
     return np.where(bounds, downset, target.n + 1).argmin(axis=2)
 
@@ -570,5 +546,6 @@ def lift_multimorphism(f: Multimorphism,
         raise NotAMultimorphism(str(v))
     if tensor.factors != f.factors:
         raise DomainMismatch("tensor was built from different factors")
-    values = join_over_tuples(tensor, f.target, f.values.reshape(-1, 1))
+    values = join_over_tuples(tensor.bits, f.target,
+                              f.values.reshape(-1, 1))
     return _trusted((tensor.lattice,), f.target, _freeze(values[:, 0]))

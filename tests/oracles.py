@@ -47,6 +47,11 @@
   checks every p x q pair in that order, which the mirrored search of
   ``run_census`` (one search per unordered pair {X, Y}) is compared
   against;
+* ``context_by_tensors``, a context built on fresh two-fold tensors: the
+  operator families and right actions read per tensor element by
+  ``splice``, checked per operator class, and the stars lifted from the
+  tensor swap, which the generator build of ``engine._context`` and
+  ``engine._class_star`` is compared against;
 * the context layer's loop builds, ``endo_quantale_by_loops`` and
   ``image_subquantale_by_loops``, which validate every carrier and fill
   the product tables one pair at a time, and ``essential_by_closure``, the
@@ -74,27 +79,30 @@ None of them is used by the package itself; they are small-input only.
 """
 
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 
 from morita import _kernels
 from morita import io as mio
 from morita.census import (CensusRecord, _orbit_reps, _surjective_tables,
-                           _tuplify)
-from morita.engine import (_distinct_slices, _proved_pair,
+                           _tuplify, run_census)
+from morita.engine import (InvolutiveWitness, MoritaPairWitness,
+                           _distinct_slices, _proved_pair, as_pair_witness,
                            build_context_from_pair, check_pair_conditions,
                            conditions_from_tables, extract_pair_from_context)
 from morita.enumeration import (_class_orderings, _refine_classes,
                                 automorphisms, find_isomorphism)
 from morita.errors import (ConditionReport, DomainMismatch, FormatError,
                            MissingJoin, MoritaError, NoBottom, NotAPartialOrder,
-                           NotCompositionClosed, PASS, ResourceLimit,
-                           failure)
+                           NotCompositionClosed, NotWellDefined, PASS,
+                           ResourceLimit, failure)
 from morita.io import leq_rows
 from morita.lattice import (FiniteSupLattice, _freeze, _words,
                             default_names, join_closure, opposite,
                             validate_lattice)
-from morita.quantale import InvolutiveQuantale, OperatorQuantale, Quantale
+from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
+                             endo_quantale, image_subquantale)
 from morita.tensor import (Multimorphism, MultiTensorLattice,
                            as_multimorphism, is_multimorphism,
                            lift_multimorphism, tensor_product)
@@ -360,8 +368,9 @@ def _curried(big, part, pos, lat, values):
     """Table (e, v) -> values at ``part`` element e spliced into ``big`` at
     ``pos``, with v from ``lat`` in the remaining slot.
 
-    The reference for ``engine._curried_from_generators``: it splices every
-    element into the three-fold tensor instead of joining generators.
+    The reference for ``tensor.join_over_tuples`` over a two-fold tensor's
+    elements: it splices every element into the three-fold tensor instead
+    of joining generators.
     """
     return np.array([[values[splice(big, part, e, pos, (v,))]
                       for v in range(lat.n)] for e in range(part.n)],
@@ -464,6 +473,98 @@ def check_involutive_conditions_full(w) -> ConditionReport:
         _curried(t3, tensor_product(xs, x), 1, x, p_values), 1, x,
         "condition-c"))
     return rep
+
+
+# --- the context built on two-fold tensors ------------------------------------------
+
+def _per_class(idx, rows, error):
+    """``rows`` (one per tensor element) at the first element of each class
+    of ``idx``, whose classes are 0..k-1. Every element of a class must have
+    its first element's row; the first element e2 that does not raises
+    ``error(e1, e2)``, e1 the first element of its class."""
+    first = {}
+    for e, c in enumerate(idx.tolist()):
+        e1 = first.setdefault(c, e)
+        if not np.array_equal(rows[e], rows[e1]):
+            raise error(e1, e)
+    return np.array([rows[first[c]] for c in range(len(first))])
+
+
+def _not_well_defined(label, names):
+    return lambda e1, e2: NotWellDefined(
+        f"{label}: tensor elements {names[e1]} and {names[e2]} induce the "
+        "same operator but their values differ")
+
+
+def context_by_tensors(w, stars=False):
+    """The parts of the context of a passing pair ``w``, built on fresh
+    tensors, with no cache and no renumbering, as the package built them
+    before it built from generators alone; the reference for
+    ``engine._context`` and ``engine._class_star``.
+
+    The operator family e -> L_e on X(x)Y and the right action x -> p(x(x)e)
+    on Y(x)X are read per tensor element by ``_curried`` off the lift of p
+    onto X(x)Y(x)X, which ``splice`` reaches; A is the image of the family
+    in Q(X) by ``image_subquantale``, a pairing the class of the
+    elementary tensor, and the action is read at the first element of each
+    class, checked to be the same across it. With ``stars``, for a pair
+    (X, X*, p, p^T), the star of a class is the class of the swapped tensor
+    element, by ``lift_multimorphism`` of the swap, checked alike.
+
+    Returns a namespace of a, b, lx, rx, ly, ry, pair_xy, pair_yx, the stars
+    (or None), and the (quantale, family) and (swap, tensor) inputs of the
+    image and lift calls, in order.
+    """
+    x, y = w.x, w.y
+    t_xy, t_yx = tensor_product(x, y), tensor_product(y, x)
+    txyx, p = _lift_on_tensor((x, y, x), x, w.p_gen)
+    tyxy, q = _lift_on_tensor((y, x, y), y, w.q_gen)
+    out = SimpleNamespace(families=[], swaps=[], star_a=None, star_b=None)
+    quants, idxs = [], []
+    for t3, f, part, lat in ((txyx, p, t_xy, x), (tyxy, q, t_yx, y)):
+        endo = endo_quantale(lat)
+        rows = _curried(t3, part, 0, lat, f.values)
+        family = Multimorphism((part.lattice,), endo.carrier,
+                               [endo.index[tuple(r)] for r in rows.tolist()])
+        out.families.append((endo, family))
+        quant, idx = image_subquantale(endo, family)
+        quants.append(quant)
+        idxs.append(idx.values)
+    out.a, out.b = quants
+    out.lx = np.array(out.a.op_values, dtype=np.int64).T
+    out.ly = np.array(out.b.op_values, dtype=np.int64).T
+    out.rx = _per_class(idxs[1], _curried(txyx, t_yx, 1, x, p.values),
+                        _not_well_defined("x.R_b", t_yx.lattice.names)).T
+    out.ry = _per_class(idxs[0], _curried(tyxy, t_xy, 1, y, q.values),
+                        _not_well_defined("y.L_a", t_xy.lattice.names)).T
+    out.pair_xy = idxs[0][t_xy.elem_table]
+    out.pair_yx = idxs[1][t_yx.elem_table]
+    if stars:
+        found = []
+        for t, idx in ((t_xy, idxs[0]), (t_yx, idxs[1])):
+            swap = Multimorphism(t.factors, t.lattice, t.elem_table.T)
+            out.swaps.append((swap, t))
+            swapped = idx[lift_multimorphism(swap, t).values]
+            found.append(tuple(_per_class(idx, swapped, _not_well_defined(
+                "star", t.lattice.names)).tolist()))
+        out.star_a, out.star_b = found
+    return out
+
+
+def census_tensor_builds(*tasks):
+    """``context_by_tensors`` of every record of these census tasks, in
+    order, with the stars of each involutive record."""
+    out = []
+    for task in tasks:
+        for rec in run_census(task)[0]:
+            x = lat_from_rows(rec.x_leq)
+            if rec.y_leq is None:
+                w = as_pair_witness(InvolutiveWitness.from_generators(x, rec.p))
+            else:
+                w = MoritaPairWitness.from_generators(
+                    x, lat_from_rows(rec.y_leq), rec.p, rec.q)
+            out.append(context_by_tensors(w, stars=rec.y_leq is None))
+    return out
 
 
 # --- brute-force enumerators ----------------------------------------------------------

@@ -25,13 +25,13 @@ from morita.engine import (ImprimitivityBimodule, InvolutiveWitness,
                            check_morita_context, check_pair_conditions,
                            conditions_from_tables, extract_pair_from_context,
                            involutive_conditions_from_tables,
-                           _curried_from_generators, _distinct_slices,
-                           _one_sided, _surjective_by_generators)
+                           _distinct_slices, _one_sided,
+                           _surjective_by_generators)
 from morita.enumeration import canonical_key
 from morita.errors import (PASS, ConditionReport, ConditionsFailed,
                            ContextInvalid, DomainMismatch, MoritaError,
-                           NotAMultimorphism, ResourceLimit,
-                           StarNotWellDefined, failure, slice_collision)
+                           NotAMultimorphism, StarNotWellDefined, failure,
+                           slice_collision)
 from morita.io import leq_rows
 from morita.lattice import (FiniteSupLattice, _index_table, chain,
                             conjugate_lattice, diamond, join_closure, m3,
@@ -42,6 +42,7 @@ from morita.quantale import (OperatorQuantale, endo_quantale,
                              image_subquantale)
 from morita.tensor import (Multimorphism, MultiTensorLattice,
                            enumerate_multimorphisms, is_multimorphism,
+                           join_over_tuples, lift_multimorphism,
                            tensor_product)
 import oracles
 from oracles import (_chain_axes, _curried, check_involutive_conditions_full,
@@ -482,6 +483,15 @@ def test_imprimitivity_shape_validation():
         ImprimitivityBimodule(ia, ib, imp.bimodule, bad_inner, imp.inner_b)
 
 
+def _curried_from_generators(part, pos, gen, lat):
+    """Table (e, v) -> p(e spliced at pos, v in the other slot), for e in the
+    two-fold tensor ``part``: p preserves joins in e, so it is the join of
+    the generator values over the tuples of e."""
+    n0, n1, n2 = gen.shape
+    rows = gen.reshape(n0 * n1, n2) if pos == 0 else gen.reshape(n0, n1 * n2).T
+    return join_over_tuples(part.bits, lat, rows)
+
+
 def _curried_shapes(x, y, p_gen, q_gen):
     """The four (part, pos) shapes of the curried tables, each with its
     generator-lift table and its splice reference table; the reference
@@ -863,44 +873,34 @@ def test_context_report_names_each_failing_law():
     assert len(rep.checks) == 20
 
 
-def _with_corner(tensor, value):
-    'The tensor with the elementary tensor of tuple (0, ..., 0) set to value.'
-    table = np.array(tensor.elem_table)
-    table[(0,) * table.ndim] = value
-    return MultiTensorLattice(tensor.factors, tensor.lattice, tensor.bits,
-                              table)
-
-
-def test_a_family_that_breaks_joins_is_refused_by_image_subquantale(
-        monkeypatch):
-    # the operator family is checked once, by image_subquantale
-    built = engine._operator_family
-
-    def broken(part, gen, lat, endo):
-        fam = built(part, gen, lat, endo)
-        values = np.array(fam.values)
-        values[part.lattice.bottom] = endo.carrier.top
-        return Multimorphism(fam.factors, fam.target, values)
-
-    monkeypatch.setattr(engine, "_operator_family", broken)
+def test_a_family_that_breaks_joins_is_refused_by_image_subquantale():
+    # the operator family of the tensor build, its bottom sent to the top
+    w = meet_witness(chain(3))
+    endo, family = oracles.context_by_tensors(w).families[0]
+    values = np.array(family.values)
+    values[family.factors[0].bottom] = endo.carrier.top
     with pytest.raises(NotAMultimorphism, match="FAIL slot-0-bottom"):
-        build_context_from_pair(meet_witness(chain(3)))
+        image_subquantale(endo, Multimorphism(family.factors, endo.carrier,
+                                              values))
 
 
 def test_a_pairing_that_breaks_joins_fails_the_context_report(monkeypatch):
     # the pairings are checked once, as pairing-XY/YX-bimorphism
     calls = []
 
-    def corner_at_top(x, y, _tensor=engine._tensor):
-        t = _tensor(x, y)
-        calls.append(t)
-        return _with_corner(t, t.n - 1) if len(calls) == 1 else t
+    def corner_at_top(endo, gen, _generated=engine._generated):
+        quant, pairing = _generated(endo, gen)
+        calls.append(pairing)
+        if len(calls) == 1:
+            pairing = np.array(pairing)
+            pairing[0, 0] = quant.carrier.top
+        return quant, pairing
 
-    # X(x)Y and Y(x)X of the 3-chain are one cached tensor, so the fault
-    # goes into the first tensor the build asks for, not into the cache
-    monkeypatch.setattr(engine, "_tensor", corner_at_top)
+    # the fault goes into the pairing of X with Y, the first one built
+    monkeypatch.setattr(engine, "_generated", corner_at_top)
     with pytest.raises(ConditionsFailed) as exc:
         build_context_from_pair(meet_witness(chain(3)))
+    assert len(calls) == 2
     rep = exc.value.report
     assert str(rep["pairing-XY-bimorphism"]) == (
         "FAIL slot-0-bottom at (0, 0) - f(0, 0) = [0 x1 1], not bottom")
@@ -912,8 +912,8 @@ def test_a_star_that_is_no_involution_fails_the_imprimitivity_report(
     # the star is checked once, as involution-A/B
     derived = engine._class_star
 
-    def rotated(tensor, idx_map, label):
-        star = derived(tensor, idx_map, label)
+    def rotated(pairing, label):
+        star = derived(pairing, label)
         return star[1:] + star[:1] if label == "star on A" else star
 
     monkeypatch.setattr(engine, "_class_star", rotated)
@@ -926,86 +926,24 @@ def test_a_star_that_is_no_involution_fails_the_imprimitivity_report(
     assert str(rep["involution-A"]).startswith("FAIL period-two at ")
 
 
-def test_a_swap_that_breaks_joins_is_refused_by_the_lift():
-    # the swap is checked once, by lift_multimorphism
-    lat = chain(3)
-    ctx, _, _ = build_involutive_context(
-        InvolutiveWitness.from_generators(lat, meet_tables(lat)))
-    t = ctx.t_xy
-    with pytest.raises(NotAMultimorphism, match="FAIL slot-0-bottom"):
-        engine._class_star(_with_corner(t, t.n - 1), ctx.idx_a, "star on A")
-
-
 def test_a_star_collision_raises_star_not_well_defined():
+    # the star must send each generator to its swap. On the 3-chain the
+    # pairing (u, v) -> u when v > 0, else 0, is a bimorphism into A under
+    # which (x1, x1) and (x1, 1) give one element but their swaps do not
     lat = chain(3)
-    ctx, _, _ = build_involutive_context(
+    ctx, (inv_a, _), _ = build_involutive_context(
         InvolutiveWitness.from_generators(lat, meet_tables(lat)))
-    t = ctx.t_xy
-    swap = Multimorphism(t.factors, t.lattice, t.elem_table.T)
-    swapped = engine.lift_multimorphism(swap, t).values
-    # the bottom is its own swap; joining a moved element to its class
-    # gives one class two different swaps
-    moved = int(np.flatnonzero(swapped != np.arange(t.n))[0])
-    merged = np.arange(t.n)
-    merged[moved] = t.lattice.bottom
-    merged = np.unique(merged, return_inverse=True)[1]   # classes 0..k-1
-    names = t.lattice.names
+    assert engine._class_star(ctx.pair_xy, "star on A") == inv_a.star
+    u, v = np.ix_(range(3), range(3))
+    skew = Multimorphism(ctx.pair_xy.factors, ctx.a.carrier, u * (v > 0))
+    assert is_multimorphism(skew).ok
     with pytest.raises(StarNotWellDefined) as exc:
-        engine._class_star(t, Multimorphism((t.lattice,), t.lattice, merged),
-                           "star on A")
+        engine._class_star(skew, "star on A")
     assert str(exc.value) == (
-        f"star on A: tensor elements {names[t.lattice.bottom]} and "
-        f"{names[moved]} induce the same operator but their swaps do not")
+        "star on A: (x1, x1)* = [0 x1 1] but (x1, x1) = [0 x1 x1]")
 
 
-def _per_class_by_loop(idx, rows):
-    """The class loop ``_per_class`` replaces: per class in the order of
-    first appearance, its first element against each later one."""
-    classes = {}
-    for e, c in enumerate(idx.tolist()):
-        classes.setdefault(c, []).append(e)
-    for members in classes.values():
-        for e in members:
-            if not np.array_equal(rows[e], rows[members[0]]):
-                return None, (members[0], e)
-    return np.array([rows[classes[c][0]] for c in sorted(classes)]), None
-
-
-def test_per_class_matches_the_class_loop():
-    class Collision(Exception):
-        pass
-
-    def pair(e1, e2):
-        return Collision(e1, e2)
-
-    rng = np.random.default_rng(21)
-    outcomes = Counter()
-    target = chain(12)
-    for _ in range(600):
-        n, k = rng.integers(1, 13), rng.integers(1, 6)
-        idx = np.concatenate([np.arange(min(k, n)),
-                              rng.integers(min(k, n), size=n - min(k, n))])
-        rng.shuffle(idx)
-        cols = rng.integers(1, 4)
-        rows = rng.integers(3, size=(min(k, n), cols))[idx]
-        for _ in range(rng.integers(3)):      # a few entries changed
-            rows[rng.integers(n), rng.integers(cols)] = rng.integers(3)
-        if rng.integers(2):
-            rows = rows[:, 0]
-        idx_map = Multimorphism((chain(int(n)),), target, idx)
-        table, collision = _per_class_by_loop(idx, rows)
-        if collision is None:
-            assert np.array_equal(engine._per_class(idx_map, rows, pair),
-                                  table)
-        else:
-            with pytest.raises(Collision) as exc:
-                engine._per_class(idx_map, rows, pair)
-            assert exc.value.args == collision
-        outcomes[collision is None] += 1
-    assert min(outcomes.values()) > 100, outcomes
-
-
-# --- the context parts cached by factor order ----------------------------------------
+# --- Q(X) cached by order ------------------------------------------------------------
 
 def _variants(lat):
     """lat renumbered by every permutation, names moving along; lat under
@@ -1023,14 +961,6 @@ def _same_lattice(got, want):
     assert np.array_equal(got.join, want.join)
 
 
-def _same_tensor(got, want):
-    assert got.factors == want.factors
-    assert [f.names for f in got.factors] == [f.names for f in want.factors]
-    _same_lattice(got.lattice, want.lattice)
-    assert np.array_equal(got.bits, want.bits)
-    assert np.array_equal(got.elem_table, want.elem_table)
-
-
 def _same_endo(got, want):
     _same_lattice(got.carrier, want.carrier)
     _same_lattice(got.base, want.base)
@@ -1040,29 +970,21 @@ def _same_endo(got, want):
 
 
 def test_cached_parts_equal_fresh_builds_on_every_small_lattice():
-    variants = [_variants(lat) for lat in lattices_up_to(4)]
-    for xs in variants:
+    for lat in lattices_up_to(4):
+        xs = _variants(lat)
         engine._order_part.cache_clear()
         for x in xs + xs[:1]:          # cold, then warm under other names
             _same_endo(engine._endo(x), endo_quantale(x))
-        for ys in variants:
-            for x, y in zip(xs + xs[:1], itertools.cycle(ys)):
-                _same_tensor(engine._tensor(x, y), tensor_product(x, y))
     assert engine._order_part.cache_info().hits > 0
 
 
 def test_each_isomorphism_class_is_built_once(monkeypatch):
     builds = Counter()
 
-    def counted(kind, build):
-        def counting(*factors):
-            builds[(kind, *map(canonical_key, factors))] += 1
-            return build(*factors)
-        return counting
-    monkeypatch.setattr(engine, "tensor_product",
-                        counted("tensor", tensor_product))
-    monkeypatch.setattr(engine, "endo_quantale",
-                        counted("endo", endo_quantale))
+    def counting(x):
+        builds[canonical_key(x)] += 1
+        return endo_quantale(x)
+    monkeypatch.setattr(engine, "endo_quantale", counting)
     classes = lattices_up_to(4)
     variants = [_variants(lat) for lat in classes]
     # the first variant of a class is its canonical form; the copies
@@ -1077,20 +999,11 @@ def test_each_isomorphism_class_is_built_once(monkeypatch):
             if fill:
                 engine._endo(fill[i])
             parts += [engine._endo(x) for x in xs]
-        for i, xs in enumerate(variants):
-            for j, ys in enumerate(variants):
-                if fill:
-                    engine._tensor(fill[i], fill[j])
-                parts += [engine._tensor(x, y)
-                          for x, y in zip(xs, itertools.cycle(ys))]
-        assert len(builds) == len(classes) + len(classes) ** 2
+        assert len(builds) == len(classes)
         assert set(builds.values()) == {1}
         runs.append(parts)
     for got, want in zip(*runs):
-        if isinstance(want, MultiTensorLattice):
-            _same_tensor(got, want)
-        else:
-            _same_endo(got, want)
+        _same_endo(got, want)
 
 
 def _renamed(lat, tag):
@@ -1108,8 +1021,7 @@ def _built(x, y, p, q):
             MoritaPairWitness.from_generators(x, y, p, q))
         extra = ()
     back = extract_pair_from_context(ctx)
-    return (ctx.report.digest(), ctx.a.names, ctx.b.names,
-            ctx.t_xy.lattice.names, ctx.t_yx.lattice.names, *extra,
+    return (ctx.report.digest(), ctx.a.names, ctx.b.names, *extra,
             back.p_gen.tolist(), back.q_gen.tolist())
 
 
@@ -1131,30 +1043,61 @@ def test_a_context_built_warm_matches_one_built_cold():
         assert _built(rx, ry, p, q) == cold    # every part as cached
 
 
-def test_a_cached_tensor_honours_the_tensor_cap_in_force(monkeypatch):
-    w = meet_witness(chain(3))                 # X(x)Y has 6 elements
-    build_context_from_pair(w)
-    monkeypatch.setenv("MORITA_MAX_TENSOR", "5")
-    with pytest.raises(ResourceLimit) as fresh:
-        tensor_product(w.x, w.y)
-    hits = engine._order_part.cache_info().hits
-    with pytest.raises(ResourceLimit) as cached:
-        build_context_from_pair(w)
-    assert engine._order_part.cache_info().hits == hits + 1
-    assert str(cached.value) == str(fresh.value) == (
-        "tensor exceeds 5 elements; raise MORITA_MAX_TENSOR")
-    # a renumbered copy misses, then hits the tensor of its canonical form
-    copy = meet_witness(renumbered(chain(3), [2, 0, 1]))
-    hits = engine._order_part.cache_info().hits
-    with pytest.raises(ResourceLimit) as renumbered_copy:
-        build_context_from_pair(copy)
-    assert engine._order_part.cache_info().hits == hits + 1
-    assert str(renumbered_copy.value) == str(fresh.value)
-    monkeypatch.setenv("MORITA_MAX_TENSOR", "0")
-    with pytest.raises(MoritaError, match="must be a positive integer"):
-        build_context_from_pair(w)
-    monkeypatch.setenv("MORITA_MAX_TENSOR", "6")
-    assert build_context_from_pair(w).report.ok
+def test_a_context_build_makes_no_tensor(monkeypatch):
+    # no tensor is made, so the tensor cap binds no build
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build made a tensor")
+    monkeypatch.setattr(MultiTensorLattice, "__init__", refuse)
+    for module in (engine, tensor_module):
+        for name in ("tensor_product", "lift_multimorphism"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setenv("MORITA_MAX_TENSOR", "1")
+    for x, y, p, q in _witness_file_records():
+        if y is None:
+            assert build_involutive_context(
+                InvolutiveWitness.from_generators(x, p))[2].report.ok
+        else:
+            assert build_context_from_pair(
+                MoritaPairWitness.from_generators(x, y, p, q)).report.ok
+
+
+def _same_context(ctx, stars, ref):
+    """The generator build and the tensor build agree array for array: A
+    and B in product, order, names and unit, the four actions, the two
+    pairings and the two stars."""
+    for got, want in ((ctx.a, ref.a), (ctx.b, ref.b)):
+        assert (got.names, got.unit) == (want.names, want.unit)
+        assert np.array_equal(got.carrier.leq, want.carrier.leq)
+        assert np.array_equal(got.mult, want.mult)
+    for got, want in ((ctx.x.left.act, ref.lx), (ctx.x.right.act, ref.rx),
+                      (ctx.y.left.act, ref.ly), (ctx.y.right.act, ref.ry),
+                      (ctx.pair_xy.values, ref.pair_xy),
+                      (ctx.pair_yx.values, ref.pair_yx)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert stars == (ref.star_a, ref.star_b)
+
+
+def test_the_generator_build_agrees_with_the_tensor_build():
+    # every census witness of g<=3 and i<=4, as read from the witness file,
+    # and two relabelled copies of each: new names, and a renumbering
+    rng = np.random.default_rng(36)
+    records = _witness_file_records()
+    assert len(records) == 33
+    for w in records:
+        for x, y, p, q in (w, (_renamed(w[0], "u"), w[1] and _renamed(w[1], "v"),
+                               w[2], w[3]),
+                           _renumbered_witness(*w, rng)):
+            if y is None:
+                iw = InvolutiveWitness.from_generators(x, p)
+                ctx, inv, _ = build_involutive_context(iw)
+                ref = oracles.context_by_tensors(as_pair_witness(iw),
+                                                 stars=True)
+                stars = tuple(s.star for s in inv)
+            else:
+                pw = MoritaPairWitness.from_generators(x, y, p, q)
+                ctx, stars = build_context_from_pair(pw), (None, None)
+                ref = oracles.context_by_tensors(pw)
+            _same_context(ctx, stars, ref)
 
 
 # --- passes kept by content ------------------------------------------------------
@@ -1261,12 +1204,26 @@ def test_a_built_object_answers_its_recheck_with_its_own_report(
                 assert full.summary() == obj.report.summary()
 
 
+def _witness_lines():
+    """The records of perfbench/witnesses.jsonl: the g<=3 census followed by
+    the i<=4 census, which perfbench/make_witnesses.py writes only when
+    both have their reference sha256, so every census witness of both."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "witnesses.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _witness_file_records():
+    'The records of the witness file as (x, y, p, q); y and q None if involutive.'
+    return [(lat_from_rows(tuple(r["x_leq"])),
+             r.get("y_leq") and lat_from_rows(tuple(r["y_leq"])),
+             np.array(r["p"]), r.get("q") and np.array(r["q"]))
+            for r in _witness_lines()]
+
+
 def _involutive_witnesses():
     """Every involutive witness of the i<=3 census and of the i<=4 census
     on the diamond, as read from perfbench/witnesses.jsonl."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "witnesses.jsonl"
-    records = [r for r in map(json.loads, path.read_text().splitlines())
-               if r["mode"] == "involutive"]
+    records = [r for r in _witness_lines() if r["mode"] == "involutive"]
     assert len(records) == 26
     assert {tuple(r["x_leq"]) for r in records[7:]} == {leq_rows(diamond())}
     return [InvolutiveWitness.from_generators(
@@ -1434,7 +1391,8 @@ def _actions_in_range(bimodules):
 
 def test_tables_built_in_range_pass_the_constructor_checks():
     # every table that the census, the context build, image_subquantale,
-    # regular_bimodule, conjugate_bimodule and the swap lift wrap unchecked
+    # regular_bimodule, conjugate_bimodule and the swap lift wrap unchecked;
+    # the tensor build gives the families and swaps
     for x, y, p, q in _census_witnesses():
         # the census's orbit representatives (the records' tables)
         middle = conjugate_lattice(x) if y is None else y
@@ -1442,23 +1400,21 @@ def test_tables_built_in_range_pass_the_constructor_checks():
         if q is not None:
             assert is_multimorphism(Multimorphism((y, x, y), y, q)).ok
         if y is None:
-            ctx, _, imp = build_involutive_context(
-                InvolutiveWitness.from_generators(x, p))
+            iw = InvolutiveWitness.from_generators(x, p)
+            ctx, _, imp = build_involutive_context(iw)
             _maps_in_range([imp.inner_a, imp.inner_b])
             _actions_in_range([conjugate_bimodule(imp.bimodule, imp.a, imp.b)])
-            for t in (ctx.t_xy, ctx.t_yx):
-                swap = Multimorphism(t.factors, t.lattice, t.elem_table.T)
-                _maps_in_range([tensor_module.lift_multimorphism(swap, t)])
+            ref = oracles.context_by_tensors(as_pair_witness(iw), stars=True)
+            _maps_in_range([lift_multimorphism(swap, t)
+                            for swap, t in ref.swaps])
         else:
-            ctx = build_context_from_pair(
-                MoritaPairWitness.from_generators(x, y, p, q))
-        w = extract_pair_from_context(ctx)
-        xl, yl = ctx.x.carrier, ctx.y.carrier
-        endo_x, endo_y = engine._endo(xl), engine._endo(yl)
-        _maps_in_range([
-            ctx.pair_xy, ctx.pair_yx, ctx.idx_a, ctx.idx_b,
-            engine._operator_family(ctx.t_xy, w.p_gen, xl, endo_x),
-            engine._operator_family(ctx.t_yx, w.q_gen, yl, endo_y)])
+            w = MoritaPairWitness.from_generators(x, y, p, q)
+            ctx = build_context_from_pair(w)
+            ref = oracles.context_by_tensors(w)
+        endo_x, endo_y = engine._endo(ctx.x.carrier), engine._endo(ctx.y.carrier)
+        _maps_in_range([ctx.pair_xy, ctx.pair_yx] + [
+            image_subquantale(endo, family)[1]
+            for endo, family in ref.families])
         for quant in (ctx.a, ctx.b, endo_x, endo_y):
             _in_range(quant.mult, (quant.n, quant.n), quant.n)
         _actions_in_range([ctx.x, ctx.y, regular_bimodule(ctx.a),

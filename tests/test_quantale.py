@@ -5,9 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-import morita.engine
 from conftest import lattices_up_to, meet_quantale, shuffled
-from morita.census import CensusTask, run_census
+from morita.census import CensusTask
 from morita.errors import (DomainMismatch, MissingInvolution,
                            NotAMultimorphism, NotCompositionClosed)
 from morita.lattice import chain, diamond, m3, n5
@@ -16,7 +15,8 @@ from morita.quantale import (InvolutiveQuantale, OperatorQuantale, Quantale,
                              check_quantale, endo_quantale, image_subquantale,
                              is_quantale_involution)
 from morita.tensor import Multimorphism, is_multimorphism
-from oracles import endo_quantale_by_loops, image_subquantale_by_loops
+from oracles import (census_tensor_builds, endo_quantale_by_loops,
+                     image_subquantale_by_loops)
 
 
 def test_endo_quantale_sizes():
@@ -190,17 +190,12 @@ def test_row_keys_sort_as_the_rows_do():
             == np.lexsort(rows.T[::-1]).tolist() == [1, 3, 0, 5, 2, 4])
 
 
-def _census_families(monkeypatch):
-    'Every (quantale, operator family) that the g<=3 and i<=3 censuses build.'
-    seen = []
-
-    def recording(q, family, _image=morita.engine.image_subquantale):
-        seen.append((q, family))
-        return _image(q, family)
-    monkeypatch.setattr(morita.engine, "image_subquantale", recording)
-    run_census(CensusTask(max_x=3))
-    run_census(CensusTask(max_x=3, involutive=True))
-    return seen
+def _census_families():
+    """Every (quantale, operator family) of the tensor builds of the g<=3
+    and i<=3 census contexts."""
+    builds = census_tensor_builds(CensusTask(max_x=3),
+                                  CensusTask(max_x=3, involutive=True))
+    return [family for ref in builds for family in ref.families]
 
 
 def _same_image(q, family):
@@ -221,11 +216,11 @@ def _same_image(q, family):
     return True
 
 
-def test_image_subquantale_matches_the_validated_loop_build(monkeypatch):
+def test_image_subquantale_matches_the_validated_loop_build():
     # the census families, then random sub-families: the family composed
     # with a sup-map from the square 2 x 2, which sends its atoms to d and
     # e, so the image is that of d, e and d v e; some are not closed
-    families = _census_families(monkeypatch)
+    families = _census_families()
     assert len(families) == 28
     rng = np.random.default_rng(15)
     square = diamond()

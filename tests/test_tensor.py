@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import lattices_up_to, shuffled
-from morita import engine, tensor
-from morita.census import CensusTask, run_census
+from morita import tensor
+from morita.census import CensusTask
 from morita.enumeration import find_isomorphism
 from morita.errors import (DomainMismatch, NotAMultimorphism, ResourceLimit,
                            ShapeMismatch)
@@ -20,7 +20,8 @@ from morita.lattice import (FiniteSupLattice, chain, conjugate_lattice,
 from morita.tensor import (Multimorphism, _join_break, as_multimorphism,
                            enumerate_multimorphisms, is_multimorphism,
                            lift_multimorphism, tensor_product)
-from oracles import (enumerate_multimorphisms_per_leaf, is_distributive,
+from oracles import (census_tensor_builds, enumerate_multimorphisms_per_leaf,
+                     is_distributive,
                      join_covers_by_subsets, multi_ideal_closure,
                      restrict_to_elementaries, splice)
 
@@ -140,28 +141,22 @@ def lift_by_join_of(f, tensor):
                  for i in range(tensor.n))
 
 
-def _census_swaps(monkeypatch):
-    'Every (swap, tensor) whose lift the i<=3 census builds for its stars.'
-    seen = []
-
-    def recording(f, t, _lift=engine.lift_multimorphism):
-        seen.append((f, t))
-        return _lift(f, t)
-    monkeypatch.setattr(engine, "lift_multimorphism", recording)
-    run_census(CensusTask(max_x=3, involutive=True))
-    return seen
+def _census_swaps():
+    """Every (swap, tensor) whose lift the tensor builds of the i<=3 census
+    contexts make for their stars."""
+    builds = census_tensor_builds(CensusTask(max_x=3, involutive=True))
+    return [swap for ref in builds for swap in ref.swaps]
 
 
-def test_lift_matches_the_per_element_join_on_all_small_trimorphisms(
-        monkeypatch):
+def test_lift_matches_the_per_element_join_on_all_small_trimorphisms():
     # lift_multimorphism does not check its lift; the swaps are the lifts
-    # of the involutive census
+    # of the tensor builds of the involutive census contexts
     lats = lattices_up_to(3)
     cases = [(f, t) for factors in itertools.product(lats, repeat=3)
              for t in [tensor_product(*factors)] for z in lats
              for f in enumerate_multimorphisms(factors, z)]
     assert len(cases) == 363
-    swaps = _census_swaps(monkeypatch)
+    swaps = _census_swaps()
     assert len(swaps) == 14
     for f, t in cases + swaps:
         lifted = lift_multimorphism(f, t)
@@ -500,6 +495,46 @@ def test_the_walk_yields_distinct_multimorphisms_on_m3_and_n5_shapes():
         rows = tables.reshape(len(tables), -1)
         assert len(np.unique(rows, axis=0)) == len(rows), code
         assert len(rows) == COMPLETE.get(code, FIRST_TABLES), code
+
+
+def _checks_from_covers(factors):
+    """The plan's checks per cell, rebuilt from ``join_covers_by_subsets``:
+    for every cell (a tuple of join-irreducible positions), slot i and
+    minimal cover S of the cell's join-irreducible in slot i, the check
+    (cell, the cells with slot i moved into S) goes to the last of all
+    these cells in lex order, which it leaves out. Each cell's checks are
+    sorted, so the walk order of the plan does not matter."""
+    covers = [join_covers_by_subsets(f) for f in factors]
+    cells = list(itertools.product(*(range(len(cs)) for cs in covers)))
+    index = {pos: k for k, pos in enumerate(cells)}
+    checks = [[] for _ in cells]
+    for pos in cells:
+        for i, c in enumerate(pos):
+            for cover in covers[i][c]:
+                moved = [index[pos[:i] + (s,) + pos[i + 1:]] for s in cover]
+                last = max(index[pos], *moved)
+                checks[last].append((index[pos], tuple(sorted(
+                    m for m in moved if m != last))))
+    return [sorted(at) for at in checks]
+
+
+def test_the_plan_compiles_every_cover_check_of_the_m3_and_n5_walks():
+    # the 30 walks above are mostly seen only at their heads, where the
+    # last cells vary; here every check the plan attaches to any cell is
+    # compared with those derived from the minimal covers, so dropping or
+    # moving one fails whatever the walk order
+    lats = lattices_up_to(5)
+    codes = [c for c in SKIPPED_THREE if {"5", "6"} & set(c)]
+    assert len(codes) == 30
+    total = 0
+    for code in codes:
+        x, y = (lats[int(d)] for d in code)
+        _, _, checks, _ = tensor._extension_plan((x, y, x))
+        got = [sorted((c, tuple(sorted(cells))) for c, cells in at)
+               for at in checks]
+        assert got == _checks_from_covers((x, y, x)), code
+        total += sum(map(len, got))
+    assert total == 852
 
 
 def test_enumerator_matches_the_per_leaf_reference_on_census_shapes():
