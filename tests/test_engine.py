@@ -1,5 +1,6 @@
 """Pair witnesses, contexts, the build/extract equivalence, involutive layer."""
 
+import hashlib
 import inspect
 import itertools
 import json
@@ -1078,9 +1079,14 @@ def _same_context(ctx, stars, ref):
 
 
 def test_the_generator_build_agrees_with_the_tensor_build():
-    # every census witness of g<=3 and i<=4, as read from the witness file,
-    # and two relabelled copies of each: new names, and a renumbering
+    # every census witness of g<=3 and i<=4, as read from the witness file
+    # whose sha256 the benchmark's reference pins, and two relabelled copies
+    # of each: new names, and a renumbering
     rng = np.random.default_rng(36)
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    reference = json.loads((perfbench / "reference.json").read_text())
+    raw = (perfbench / "witnesses.jsonl").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == reference["witnesses"]["sha256"]
     records = _witness_file_records()
     assert len(records) == 33
     for w in records:
